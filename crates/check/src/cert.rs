@@ -145,7 +145,9 @@ impl Certificate {
         let nodes: usize = p.parse_field("nodes")?;
         let id_space: u64 = p.parse_field("idspace")?;
         let edge_count: usize = p.parse_field("edges")?;
-        let mut edges = Vec::with_capacity(edge_count);
+        // Every count is untrusted: reserve at most one slot per line still
+        // unread, so a lying header cannot force a huge allocation.
+        let mut edges = Vec::with_capacity(edge_count.min(p.remaining()));
         for _ in 0..edge_count {
             let rest = p.keyword_rest("e")?;
             let (u, v) = parse_pair(rest, p.pos, "edge endpoints")?;
@@ -153,7 +155,7 @@ impl Certificate {
         }
         let lists = if p.peek_keyword("lists") {
             let count: usize = p.parse_field("lists")?;
-            let mut lists: Vec<Vec<u64>> = Vec::with_capacity(count);
+            let mut lists: Vec<Vec<u64>> = Vec::with_capacity(count.min(p.remaining()));
             for want in 0..count {
                 let rest = p.keyword_rest("l")?;
                 let mut toks = rest.split_ascii_whitespace();
@@ -197,7 +199,7 @@ impl Certificate {
         };
         let rounds: u64 = p.parse_field("rounds")?;
         let segment_count: usize = p.parse_field("segments")?;
-        let mut segments = Vec::with_capacity(segment_count);
+        let mut segments = Vec::with_capacity(segment_count.min(p.remaining()));
         for _ in 0..segment_count {
             let rest = p.keyword_rest("segment")?;
             let (seg_rounds, participants) = parse_pair(rest, p.pos, "segment header")?;
@@ -276,6 +278,11 @@ impl<'a> Parser<'a> {
             Some(rest) if rest.starts_with(' ') || rest.is_empty() => Ok(rest.trim_start()),
             _ => Err(CheckError::Format { line: self.pos, what: format!("a {keyword:?} line") }),
         }
+    }
+
+    /// Lines not yet consumed — the cap on any count-driven reservation.
+    fn remaining(&self) -> usize {
+        self.lines.len() - self.pos
     }
 
     fn peek_keyword(&self, keyword: &str) -> bool {
@@ -612,6 +619,29 @@ mod tests {
     fn garbage_is_a_format_error_with_a_line() {
         let text = tiny_mis_cert().to_text().replace("nodes 3", "nodes three");
         assert!(matches!(check_text(&text), Err(CheckError::Format { line: 4, .. })));
+    }
+
+    /// Nine lines announcing a trillion edges: parsing must fail on the
+    /// missing second edge line, not abort reserving 16 TB for the count.
+    const HOSTILE_EDGE_COUNT: &str = "treelocal-cert v1
+instance hostile
+rule mis
+nodes 2
+idspace 2
+edges 1000000000000
+e 0 1
+solution mis
+end
+";
+
+    #[test]
+    fn inflated_counts_are_a_format_error_not_an_allocation() {
+        assert_eq!(HOSTILE_EDGE_COUNT.lines().count(), 9);
+        assert!(matches!(check_text(HOSTILE_EDGE_COUNT), Err(CheckError::Format { line: 8, .. })));
+        let lists = tiny_mis_cert().to_text().replace("solution", "lists 999999999999\nsolution");
+        assert!(matches!(check_text(&lists), Err(CheckError::Format { .. })));
+        let segments = tiny_mis_cert().to_text().replace("segments 1", "segments 999999999999");
+        assert!(matches!(check_text(&segments), Err(CheckError::Format { .. })));
     }
 
     #[test]
