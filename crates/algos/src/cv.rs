@@ -14,7 +14,9 @@
 
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{NodeId, RootedForest, Topology};
-use treelocal_sim::{run, Ctx, ParSafe, Snapshot, SyncAlgorithm, Verdict};
+use treelocal_sim::{
+    run_soa, Ctx, ParSafe, Snapshot, SoaAlgorithm, SoaSnapshot, StateCodec, SyncAlgorithm, Verdict,
+};
 
 /// Outcome of the forest 3-coloring.
 #[derive(Clone, Debug)]
@@ -25,9 +27,24 @@ pub struct CvOutcome {
     pub rounds: u64,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct CvState {
     color: u64,
+}
+
+/// One u64 lane: the color (an identifier before the first reduction
+/// round, so it needs the full width).
+impl StateCodec for CvState {
+    const U32_LANES: usize = 0;
+    const U64_LANES: usize = 1;
+
+    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
+        lanes64[0] = self.color;
+    }
+
+    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
+        CvState { color: lanes64[0] }
+    }
 }
 
 struct CvAlgo<'f> {
@@ -64,32 +81,28 @@ pub fn cv_reduce_rounds(id_space: u64) -> u64 {
     rounds
 }
 
-impl<T: Topology> SyncAlgorithm<T> for CvAlgo<'_> {
-    type State = CvState;
-
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<CvState> {
+impl CvAlgo<'_> {
+    fn init_verdict<T: Topology>(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<CvState> {
         debug_assert!(self.forest.contains(v));
         Verdict::Active(CvState { color: ctx.topo.local_id(v) })
     }
 
-    fn step(
+    fn step_verdict<T: Topology>(
         &self,
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
-        own: &CvState,
-        prev: &Snapshot<'_, CvState>,
+        own: CvState,
+        read: impl Fn(NodeId) -> CvState,
     ) -> Verdict<CvState> {
         let parent = self.forest.parent(v);
-        let parent_color = |snap: &Snapshot<'_, CvState>| -> u64 {
-            match parent {
-                Some(p) => snap.get(p).color,
-                None => root_parent_color(own.color),
-            }
-        };
         if round <= self.reduce_rounds {
             // Bit-reduction rounds.
-            let c = cv_step_color(own.color, parent_color(prev));
+            let parent_color = match parent {
+                Some(p) => read(p).color,
+                None => root_parent_color(own.color),
+            };
+            let c = cv_step_color(own.color, parent_color);
             return Verdict::Active(CvState { color: c });
         }
         // Cleanup: three iterations of (shift-down, remove one color). The
@@ -106,7 +119,7 @@ impl<T: Topology> SyncAlgorithm<T> for CvAlgo<'_> {
             // Shift-down: adopt the parent's (pre-shift) color; roots pick
             // the smallest color in {0,1,2} different from their own.
             let c = match parent {
-                Some(p) => prev.get(p).color,
+                Some(p) => read(p).color,
                 None => (0..3).find(|&c| c != own.color).or_invariant("three candidates"),
             };
             CvState { color: c }
@@ -117,11 +130,11 @@ impl<T: Topology> SyncAlgorithm<T> for CvAlgo<'_> {
                 // common current color; at most two distinct values.
                 let mut forbidden = Vec::with_capacity(2);
                 if let Some(p) = parent {
-                    forbidden.push(prev.get(p).color);
+                    forbidden.push(read(p).color);
                 }
                 for &w in ctx.topo.neighbor_nodes(v) {
                     if Some(w) != parent {
-                        forbidden.push(prev.get(w).color);
+                        forbidden.push(read(w).color);
                         break; // children are monochromatic after shift-down
                     }
                 }
@@ -129,7 +142,7 @@ impl<T: Topology> SyncAlgorithm<T> for CvAlgo<'_> {
                     (0..3u64).find(|c| !forbidden.contains(c)).or_invariant("a free color exists");
                 CvState { color: c }
             } else {
-                own.clone()
+                own
             }
         };
         if !is_shift && iteration == 2 {
@@ -137,6 +150,44 @@ impl<T: Topology> SyncAlgorithm<T> for CvAlgo<'_> {
         } else {
             Verdict::Active(state)
         }
+    }
+}
+
+impl<T: Topology> SyncAlgorithm<T> for CvAlgo<'_> {
+    type State = CvState;
+
+    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<CvState> {
+        self.init_verdict(ctx, v)
+    }
+
+    fn step(
+        &self,
+        ctx: &Ctx<T>,
+        v: NodeId,
+        round: u64,
+        own: &CvState,
+        prev: &Snapshot<'_, CvState>,
+    ) -> Verdict<CvState> {
+        self.step_verdict(ctx, v, round, own.clone(), |w| prev.get(w).clone())
+    }
+}
+
+impl<T: Topology> SoaAlgorithm<T> for CvAlgo<'_> {
+    type State = CvState;
+
+    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<CvState> {
+        self.init_verdict(ctx, v)
+    }
+
+    fn step(
+        &self,
+        ctx: &Ctx<T>,
+        v: NodeId,
+        round: u64,
+        own: CvState,
+        prev: &SoaSnapshot<'_, CvState>,
+    ) -> Verdict<CvState> {
+        self.step_verdict(ctx, v, round, own, |w| prev.get(w))
     }
 }
 
@@ -149,13 +200,11 @@ pub fn three_color_rooted<T: Topology + ParSafe>(
 ) -> CvOutcome {
     let reduce_rounds = cv_reduce_rounds(ctx.id_space);
     let algo = CvAlgo { forest, reduce_rounds };
-    let out = run(ctx, &algo, reduce_rounds + 8);
+    let out = run_soa(ctx, &algo, reduce_rounds + 8);
     CvOutcome {
-        colors: out
-            .states
-            .iter()
-            .map(|s| {
-                s.as_ref().map(|st| {
+        colors: (0..out.index_space())
+            .map(|i| {
+                out.try_state(NodeId::new(i)).map(|st| {
                     debug_assert!(st.color < 3);
                     st.color as u8
                 })
@@ -179,6 +228,7 @@ mod tests {
     use treelocal_gen::{random_tree, relabel, IdStrategy};
     use treelocal_graph::{root_forest, Graph};
     use treelocal_sim::log_star_u64;
+    use treelocal_sim::run;
 
     fn check(g: &Graph) {
         let forest = root_forest(g);
@@ -260,6 +310,34 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Migration check: both state stores run the 3-coloring to the same
+    /// states and round counts.
+    #[test]
+    fn three_coloring_matches_across_state_stores() {
+        for seed in 0..4 {
+            let g = relabel(&random_tree(150, seed), IdStrategy::Sparse { seed });
+            let forest = root_forest(&g);
+            let ctx = Ctx::of(&g);
+            let reduce_rounds = cv_reduce_rounds(ctx.id_space);
+            let algo = CvAlgo { forest: &forest, reduce_rounds };
+            let boxed = run(&ctx, &algo, reduce_rounds + 8);
+            let soa = run_soa(&ctx, &algo, reduce_rounds + 8);
+            assert_eq!(boxed.rounds, soa.rounds, "seed {seed}: rounds diverge");
+            assert_eq!(boxed.states, soa.to_run_outcome().states, "seed {seed}: states diverge");
+        }
+    }
+
+    proptest::proptest! {
+        /// The codec law for Cole–Vishkin states over the full lane range.
+        #[test]
+        fn cv_state_round_trips_through_its_lanes(color in proptest::prelude::any::<u64>()) {
+            let s = CvState { color };
+            let mut lanes64 = [0u64; CvState::U64_LANES];
+            s.encode(&mut [], &mut lanes64);
+            proptest::prop_assert_eq!(CvState::decode(&[], &lanes64), s);
         }
     }
 

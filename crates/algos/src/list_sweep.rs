@@ -6,12 +6,45 @@
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{NodeId, Topology};
 use treelocal_problems::Color;
-use treelocal_sim::{run, Ctx, ParSafe, Snapshot, SyncAlgorithm, Verdict};
+use treelocal_sim::{
+    run_soa, Ctx, ParSafe, Snapshot, SoaAlgorithm, SoaSnapshot, StateCodec, SyncAlgorithm, Verdict,
+};
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 enum LsState {
     Waiting { my_round: u64 },
     Chosen(Color),
+}
+
+/// `[chosen flag, color]` u32 lanes plus a `my_round` u64 lane. Each
+/// variant zeroes the other variant's lane, so equal states have equal
+/// lane bytes.
+impl StateCodec for LsState {
+    const U32_LANES: usize = 2;
+    const U64_LANES: usize = 1;
+
+    fn encode(&self, lanes32: &mut [u32], lanes64: &mut [u64]) {
+        match *self {
+            LsState::Waiting { my_round } => {
+                lanes32[0] = 0;
+                lanes32[1] = 0;
+                lanes64[0] = my_round;
+            }
+            LsState::Chosen(c) => {
+                lanes32[0] = 1;
+                lanes32[1] = c;
+                lanes64[0] = 0;
+            }
+        }
+    }
+
+    fn decode(lanes32: &[u32], lanes64: &[u64]) -> Self {
+        if lanes32[0] == 0 {
+            LsState::Waiting { my_round: lanes64[0] }
+        } else {
+            LsState::Chosen(lanes32[1])
+        }
+    }
 }
 
 struct ListSweep<'c> {
@@ -20,33 +53,31 @@ struct ListSweep<'c> {
     lists: &'c [Vec<Color>],
 }
 
-impl<T: Topology> SyncAlgorithm<T> for ListSweep<'_> {
-    type State = LsState;
-
-    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<LsState> {
+impl ListSweep<'_> {
+    fn init_verdict(&self, v: NodeId) -> Verdict<LsState> {
         let c = self.initial[v.index()].or_invariant("initial color for every participant");
         debug_assert!(c < self.m);
         Verdict::Active(LsState::Waiting { my_round: self.m - c })
     }
 
-    fn step(
+    fn step_verdict<T: Topology>(
         &self,
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
-        own: &LsState,
-        prev: &Snapshot<'_, LsState>,
+        own: LsState,
+        read: impl Fn(NodeId) -> LsState,
     ) -> Verdict<LsState> {
         let LsState::Waiting { my_round } = own else { unreachable!("chosen nodes have halted") };
-        if round < *my_round {
-            return Verdict::Active(own.clone());
+        if round < my_round {
+            return Verdict::Active(own);
         }
         let mut used: Vec<Color> = ctx
             .topo
             .neighbor_nodes(v)
             .iter()
-            .filter_map(|&w| match prev.get(w) {
-                LsState::Chosen(c) => Some(*c),
+            .filter_map(|&w| match read(w) {
+                LsState::Chosen(c) => Some(c),
                 LsState::Waiting { .. } => None,
             })
             .collect();
@@ -57,6 +88,44 @@ impl<T: Topology> SyncAlgorithm<T> for ListSweep<'_> {
             .find(|c| used.binary_search(c).is_err())
             .or_invariant("lists have deg+1 entries: a free color exists");
         Verdict::Halted(LsState::Chosen(c))
+    }
+}
+
+impl<T: Topology> SyncAlgorithm<T> for ListSweep<'_> {
+    type State = LsState;
+
+    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<LsState> {
+        self.init_verdict(v)
+    }
+
+    fn step(
+        &self,
+        ctx: &Ctx<T>,
+        v: NodeId,
+        round: u64,
+        own: &LsState,
+        prev: &Snapshot<'_, LsState>,
+    ) -> Verdict<LsState> {
+        self.step_verdict(ctx, v, round, own.clone(), |w| prev.get(w).clone())
+    }
+}
+
+impl<T: Topology> SoaAlgorithm<T> for ListSweep<'_> {
+    type State = LsState;
+
+    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<LsState> {
+        self.init_verdict(v)
+    }
+
+    fn step(
+        &self,
+        ctx: &Ctx<T>,
+        v: NodeId,
+        round: u64,
+        own: LsState,
+        prev: &SoaSnapshot<'_, LsState>,
+    ) -> Verdict<LsState> {
+        self.step_verdict(ctx, v, round, own, |w| prev.get(w))
     }
 }
 
@@ -78,14 +147,12 @@ pub fn list_sweep<T: Topology + ParSafe>(
     lists: &[Vec<Color>],
 ) -> ListSweepOutcome {
     let algo = ListSweep { initial, m: m.max(1), lists };
-    let out = run(ctx, &algo, m + 2);
+    let out = run_soa(ctx, &algo, m + 2);
     ListSweepOutcome {
-        colors: out
-            .states
-            .iter()
-            .map(|s| {
-                s.as_ref().map(|st| match st {
-                    LsState::Chosen(c) => *c,
+        colors: (0..out.index_space())
+            .map(|i| {
+                out.try_state(NodeId::new(i)).map(|st| match st {
+                    LsState::Chosen(c) => c,
                     LsState::Waiting { .. } => unreachable!("run drains all nodes"),
                 })
             })
@@ -100,6 +167,7 @@ mod tests {
     use crate::linial::run_linial;
     use treelocal_gen::random_tree;
     use treelocal_graph::Graph;
+    use treelocal_sim::run;
 
     fn lists_for(g: &Graph, offset: u32) -> Vec<Vec<Color>> {
         g.node_ids()
@@ -123,6 +191,40 @@ mod tests {
                 }
             }
             assert!(out.rounds <= lin.final_bound);
+        }
+    }
+
+    /// Migration check: both state stores run the list sweep to the same
+    /// states and round counts.
+    #[test]
+    fn list_sweep_matches_across_state_stores() {
+        for seed in 0..4 {
+            let g = random_tree(150, seed);
+            let lists = lists_for(&g, seed as u32);
+            let ctx = Ctx::of(&g);
+            let lin = run_linial(&ctx);
+            let m = lin.final_bound;
+            let algo = ListSweep { initial: &lin.colors, m, lists: &lists };
+            let boxed = run(&ctx, &algo, m + 2);
+            let soa = run_soa(&ctx, &algo, m + 2);
+            assert_eq!(boxed.rounds, soa.rounds, "seed {seed}: rounds diverge");
+            assert_eq!(boxed.states, soa.to_run_outcome().states, "seed {seed}: states diverge");
+        }
+    }
+
+    proptest::proptest! {
+        /// The codec law for list-sweep states, both variants, full lanes.
+        #[test]
+        fn ls_state_round_trips_through_its_lanes(
+            chosen in proptest::prelude::any::<bool>(),
+            color in proptest::prelude::any::<u32>(),
+            my_round in proptest::prelude::any::<u64>(),
+        ) {
+            let s = if chosen { LsState::Chosen(color) } else { LsState::Waiting { my_round } };
+            let mut lanes32 = [0u32; LsState::U32_LANES];
+            let mut lanes64 = [0u64; LsState::U64_LANES];
+            s.encode(&mut lanes32, &mut lanes64);
+            proptest::prop_assert_eq!(LsState::decode(&lanes32, &lanes64), s);
         }
     }
 }

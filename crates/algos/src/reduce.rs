@@ -13,10 +13,12 @@
 
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{NodeId, Topology};
-use treelocal_sim::{run, Ctx, ParSafe, Snapshot, SyncAlgorithm, Verdict};
+use treelocal_sim::{
+    run_soa, Ctx, ParSafe, Snapshot, SoaAlgorithm, SoaSnapshot, StateCodec, SyncAlgorithm, Verdict,
+};
 
 #[cfg(feature = "parallel")]
-use treelocal_sim::run_with_threads;
+use treelocal_sim::run_soa_with_threads;
 
 /// Outcome of a reduction phase: per-node colors (1-based) plus the rounds
 /// used.
@@ -34,7 +36,7 @@ pub struct ReduceOutcome {
 // Sweep reduction
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct SweepState {
     /// Current (possibly original) color, 0-based internally.
     color: u64,
@@ -43,31 +45,44 @@ struct SweepState {
     my_round: u64,
 }
 
+/// `[color, my_round]` u64 lanes.
+impl StateCodec for SweepState {
+    const U32_LANES: usize = 0;
+    const U64_LANES: usize = 2;
+
+    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
+        lanes64[0] = self.color;
+        lanes64[1] = self.my_round;
+    }
+
+    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
+        SweepState { color: lanes64[0], my_round: lanes64[1] }
+    }
+}
+
 struct SweepAlgo<'c> {
     initial: &'c [Option<u64>],
     m: u64,
 }
 
-impl<T: Topology> SyncAlgorithm<T> for SweepAlgo<'_> {
-    type State = SweepState;
-
-    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<SweepState> {
+impl SweepAlgo<'_> {
+    fn init_verdict(&self, v: NodeId) -> Verdict<SweepState> {
         let c = self.initial[v.index()].or_invariant("initial color for every participant");
         debug_assert!(c < self.m);
         // Highest class first: class c re-picks in round m - c.
         Verdict::Active(SweepState { color: self.m + c, my_round: self.m - c })
     }
 
-    fn step(
+    fn step_verdict<T: Topology>(
         &self,
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
-        own: &SweepState,
-        prev: &Snapshot<'_, SweepState>,
+        own: SweepState,
+        read: impl Fn(NodeId) -> SweepState,
     ) -> Verdict<SweepState> {
         if round < own.my_round {
-            return Verdict::Active(own.clone());
+            return Verdict::Active(own);
         }
         debug_assert_eq!(round, own.my_round);
         // Pick the smallest color (0-based, below m) unused by neighbors'
@@ -77,7 +92,7 @@ impl<T: Topology> SyncAlgorithm<T> for SweepAlgo<'_> {
             .topo
             .neighbor_nodes(v)
             .iter()
-            .map(|&w| prev.get(w).color)
+            .map(|&w| read(w).color)
             .filter(|&c| c < self.m)
             .collect();
         used.sort_unstable();
@@ -94,6 +109,44 @@ impl<T: Topology> SyncAlgorithm<T> for SweepAlgo<'_> {
     }
 }
 
+impl<T: Topology> SyncAlgorithm<T> for SweepAlgo<'_> {
+    type State = SweepState;
+
+    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<SweepState> {
+        self.init_verdict(v)
+    }
+
+    fn step(
+        &self,
+        ctx: &Ctx<T>,
+        v: NodeId,
+        round: u64,
+        own: &SweepState,
+        prev: &Snapshot<'_, SweepState>,
+    ) -> Verdict<SweepState> {
+        self.step_verdict(ctx, v, round, own.clone(), |w| prev.get(w).clone())
+    }
+}
+
+impl<T: Topology> SoaAlgorithm<T> for SweepAlgo<'_> {
+    type State = SweepState;
+
+    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<SweepState> {
+        self.init_verdict(v)
+    }
+
+    fn step(
+        &self,
+        ctx: &Ctx<T>,
+        v: NodeId,
+        round: u64,
+        own: SweepState,
+        prev: &SoaSnapshot<'_, SweepState>,
+    ) -> Verdict<SweepState> {
+        self.step_verdict(ctx, v, round, own, |w| prev.get(w))
+    }
+}
+
 /// Sweep reduction: from a proper 0-based `m`-coloring to a proper
 /// greedy coloring where every node's color is at most its degree
 /// (0-based), i.e. a `(deg+1)`-coloring 1-based. Takes at most `m` rounds.
@@ -107,13 +160,14 @@ pub fn sweep_reduce<T: Topology + ParSafe>(
 ) -> ReduceOutcome {
     assert!(m >= 1);
     let algo = SweepAlgo { initial, m };
-    let out = run(ctx, &algo, m + 2);
-    let max_used = out.states.iter().flatten().map(|s| s.color).max().unwrap_or(0);
+    let out = run_soa(ctx, &algo, m + 2);
+    let colors: Vec<Option<u64>> =
+        (0..out.index_space()).map(|i| out.try_state(NodeId::new(i)).map(|s| s.color)).collect();
+    let max_used = colors.iter().flatten().copied().max().unwrap_or(0);
     ReduceOutcome {
-        colors: out
-            .states
+        colors: colors
             .iter()
-            .map(|s| s.as_ref().map(|st| u32::try_from(st.color + 1).or_invariant("small color")))
+            .map(|c| c.map(|x| u32::try_from(x + 1).or_invariant("small color")))
             .collect(),
         final_colors: (max_used + 1) as u32,
         rounds: out.rounds,
@@ -124,11 +178,25 @@ pub fn sweep_reduce<T: Topology + ParSafe>(
 // Kuhn–Wattenhofer halving
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct KwState {
     /// Current color, 0-based, always `< m_current` of the ongoing phase
     /// interpretation.
     color: u64,
+}
+
+/// One u64 lane: the color, [`FINAL_TAG`] bit included.
+impl StateCodec for KwState {
+    const U32_LANES: usize = 0;
+    const U64_LANES: usize = 1;
+
+    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
+        lanes64[0] = self.color;
+    }
+
+    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
+        KwState { color: lanes64[0] }
+    }
 }
 
 /// One KW phase: colors `< m` become colors `< ceil(m / (2(Δ+1))) · (Δ+1)`.
@@ -139,10 +207,8 @@ struct KwPhase<'c> {
     slots: u64,
 }
 
-impl<T: Topology> SyncAlgorithm<T> for KwPhase<'_> {
-    type State = KwState;
-
-    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<KwState> {
+impl KwPhase<'_> {
+    fn init_verdict(&self, v: NodeId) -> Verdict<KwState> {
         let c = self.initial[v.index()].or_invariant("initial color");
         debug_assert!(c < self.m);
         let rel = c % (2 * self.slots);
@@ -156,13 +222,13 @@ impl<T: Topology> SyncAlgorithm<T> for KwPhase<'_> {
         }
     }
 
-    fn step(
+    fn step_verdict<T: Topology>(
         &self,
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
-        own: &KwState,
-        prev: &Snapshot<'_, KwState>,
+        own: KwState,
+        read: impl Fn(NodeId) -> KwState,
     ) -> Verdict<KwState> {
         let group_size = 2 * self.slots;
         let rel = own.color % group_size;
@@ -172,7 +238,7 @@ impl<T: Topology> SyncAlgorithm<T> for KwPhase<'_> {
         // round 1, rel = s moves in round s.
         let my_round = group_size - rel;
         if round < my_round {
-            return Verdict::Active(own.clone());
+            return Verdict::Active(own);
         }
         debug_assert_eq!(round, my_round);
         // Forbidden slots: same-group neighbors already settled in the
@@ -183,7 +249,7 @@ impl<T: Topology> SyncAlgorithm<T> for KwPhase<'_> {
             .topo
             .neighbor_nodes(v)
             .iter()
-            .map(|&w| prev.get(w).color)
+            .map(|&w| read(w).color)
             .filter(|&c| c & FINAL_TAG != 0)
             .map(|c| c & !FINAL_TAG)
             .filter(|&c| c / self.slots == group)
@@ -202,6 +268,44 @@ impl<T: Topology> SyncAlgorithm<T> for KwPhase<'_> {
         }
         debug_assert!(slot < self.slots, "at most Δ same-group neighbors");
         Verdict::Halted(KwState { color: FINAL_TAG | (group * self.slots + slot) })
+    }
+}
+
+impl<T: Topology> SyncAlgorithm<T> for KwPhase<'_> {
+    type State = KwState;
+
+    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<KwState> {
+        self.init_verdict(v)
+    }
+
+    fn step(
+        &self,
+        ctx: &Ctx<T>,
+        v: NodeId,
+        round: u64,
+        own: &KwState,
+        prev: &Snapshot<'_, KwState>,
+    ) -> Verdict<KwState> {
+        self.step_verdict(ctx, v, round, own.clone(), |w| prev.get(w).clone())
+    }
+}
+
+impl<T: Topology> SoaAlgorithm<T> for KwPhase<'_> {
+    type State = KwState;
+
+    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<KwState> {
+        self.init_verdict(v)
+    }
+
+    fn step(
+        &self,
+        ctx: &Ctx<T>,
+        v: NodeId,
+        round: u64,
+        own: KwState,
+        prev: &SoaSnapshot<'_, KwState>,
+    ) -> Verdict<KwState> {
+        self.step_verdict(ctx, v, round, own, |w| prev.get(w))
     }
 }
 
@@ -248,15 +352,17 @@ fn kw_inner<T: Topology + ParSafe>(
         let phase = KwPhase { initial: &colors, m: m_cur, slots };
         #[cfg(feature = "parallel")]
         let out = match threads {
-            Some(t) => run_with_threads(ctx, &phase, 2 * slots + 2, t),
-            None => run(ctx, &phase, 2 * slots + 2),
+            Some(t) => run_soa_with_threads(ctx, &phase, 2 * slots + 2, t),
+            None => run_soa(ctx, &phase, 2 * slots + 2),
         };
         #[cfg(not(feature = "parallel"))]
-        let out = run(ctx, &phase, 2 * slots + 2);
+        let out = run_soa(ctx, &phase, 2 * slots + 2);
         rounds += out.rounds;
         let groups = m_cur.div_ceil(2 * slots);
         m_cur = groups * slots;
-        colors = out.states.iter().map(|s| s.as_ref().map(|st| st.color & !FINAL_TAG)).collect();
+        colors = (0..out.index_space())
+            .map(|i| out.try_state(NodeId::new(i)).map(|st| st.color & !FINAL_TAG))
+            .collect();
         // Tag is stripped; ensure the invariant holds.
         debug_assert!(colors.iter().flatten().all(|&c| c < m_cur));
     }
@@ -276,6 +382,7 @@ mod tests {
     use super::*;
     use crate::linial::{is_proper, run_linial};
     use treelocal_graph::Graph;
+    use treelocal_sim::run;
 
     fn check_proper_u32(g: &Graph, colors: &[Option<u32>]) -> bool {
         let as64: Vec<Option<u64>> = colors.iter().map(|c| c.map(u64::from)).collect();
@@ -341,6 +448,52 @@ mod tests {
         let k = kw_reduce(&ctx, &initial, 1);
         assert_eq!(k.colors[0], Some(1));
         assert_eq!(k.rounds, 0);
+    }
+
+    /// Migration check: both state stores run the same phase to the same
+    /// states and round counts.
+    #[test]
+    fn sweep_and_kw_match_across_state_stores() {
+        for seed in 0..4 {
+            let g = treelocal_gen::random_tree(200, seed);
+            let ctx = Ctx::of(&g);
+            let lin = run_linial(&ctx);
+            let m = lin.final_bound;
+            let sweep = SweepAlgo { initial: &lin.colors, m };
+            let boxed = run(&ctx, &sweep, m + 2);
+            let soa = run_soa(&ctx, &sweep, m + 2);
+            assert_eq!(boxed.rounds, soa.rounds, "seed {seed}: sweep rounds diverge");
+            assert_eq!(boxed.states, soa.to_run_outcome().states, "seed {seed}: sweep states");
+            let slots = ctx.max_degree as u64 + 1;
+            let kw = KwPhase { initial: &lin.colors, m, slots };
+            let boxed = run(&ctx, &kw, 2 * slots + 2);
+            let soa = run_soa(&ctx, &kw, 2 * slots + 2);
+            assert_eq!(boxed.rounds, soa.rounds, "seed {seed}: kw rounds diverge");
+            assert_eq!(boxed.states, soa.to_run_outcome().states, "seed {seed}: kw states");
+        }
+    }
+
+    proptest::proptest! {
+        /// The codec law for sweep states over the full lane range.
+        #[test]
+        fn sweep_state_round_trips_through_its_lanes(
+            color in proptest::prelude::any::<u64>(),
+            my_round in proptest::prelude::any::<u64>(),
+        ) {
+            let s = SweepState { color, my_round };
+            let mut lanes64 = [0u64; SweepState::U64_LANES];
+            s.encode(&mut [], &mut lanes64);
+            proptest::prop_assert_eq!(SweepState::decode(&[], &lanes64), s);
+        }
+
+        /// The codec law for KW states, tagged colors included.
+        #[test]
+        fn kw_state_round_trips_through_its_lanes(color in proptest::prelude::any::<u64>()) {
+            let s = KwState { color };
+            let mut lanes64 = [0u64; KwState::U64_LANES];
+            s.encode(&mut [], &mut lanes64);
+            proptest::prop_assert_eq!(KwState::decode(&[], &lanes64), s);
+        }
     }
 
     #[test]

@@ -16,8 +16,10 @@
 
 use crate::order::LayerOrder;
 use treelocal_graph::OrInvariant;
-use treelocal_graph::{Graph, NodeId, SemiGraph, Topology};
-use treelocal_sim::{ceil_log, run, Ctx, Snapshot, SyncAlgorithm, Verdict};
+use treelocal_graph::{narrow_u32, widen_u32, Graph, NodeId, SemiGraph, Topology};
+use treelocal_sim::{
+    ceil_log, run_soa, Ctx, Snapshot, SoaAlgorithm, SoaSnapshot, StateCodec, SyncAlgorithm, Verdict,
+};
 
 /// The output of Algorithm 3 plus the edge classification.
 #[derive(Clone, Debug)]
@@ -190,13 +192,51 @@ pub fn check_atypical_structure(g: &Graph, d: &ArbDecomposition) -> bool {
 // Distributed implementation
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct ArbState {
     alive: bool,
     deg: usize,
     marked_at: Option<u32>,
-    /// Edges recorded as atypical for this node at marking time.
-    my_atypical: Vec<treelocal_graph::EdgeId>,
+    /// The last iteration at which this node published `deg > k` (0 if
+    /// never). Alive-degrees never increase, so the node was high-degree
+    /// in exactly the iterations `1..=last_high` — which is all the
+    /// post-run pass needs to rebuild the atypical edges.
+    last_high: u32,
+}
+
+/// Flag bits of lane 0 in [`ArbState`]'s codec.
+const ARB_ALIVE: u32 = 1;
+const ARB_MARKED: u32 = 1 << 1;
+
+/// `[flags, marked_iteration, deg, last_high]` u32 lanes. The iteration
+/// lane is only meaningful under [`ARB_MARKED`] and encodes as zero
+/// otherwise, so equal states have equal lane bytes.
+impl StateCodec for ArbState {
+    const U32_LANES: usize = 4;
+    const U64_LANES: usize = 0;
+
+    fn encode(&self, lanes32: &mut [u32], _lanes64: &mut [u64]) {
+        let mut flags = 0u32;
+        if self.alive {
+            flags |= ARB_ALIVE;
+        }
+        if self.marked_at.is_some() {
+            flags |= ARB_MARKED;
+        }
+        lanes32[0] = flags;
+        lanes32[1] = self.marked_at.unwrap_or(0);
+        lanes32[2] = narrow_u32(self.deg);
+        lanes32[3] = self.last_high;
+    }
+
+    fn decode(lanes32: &[u32], _lanes64: &[u64]) -> Self {
+        ArbState {
+            alive: lanes32[0] & ARB_ALIVE != 0,
+            deg: widen_u32(lanes32[2]),
+            marked_at: (lanes32[0] & ARB_MARKED != 0).then_some(lanes32[1]),
+            last_high: lanes32[3],
+        }
+    }
 }
 
 struct ArbDistributed {
@@ -204,16 +244,64 @@ struct ArbDistributed {
     b: usize,
 }
 
-impl<T: Topology> SyncAlgorithm<T> for ArbDistributed {
-    type State = ArbState;
-
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<ArbState> {
+impl ArbDistributed {
+    fn init_verdict<T: Topology>(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<ArbState> {
         Verdict::Active(ArbState {
             alive: true,
             deg: ctx.topo.degree(v),
             marked_at: None,
-            my_atypical: Vec::new(),
+            last_high: 0,
         })
+    }
+
+    fn step_verdict<T: Topology>(
+        &self,
+        ctx: &Ctx<T>,
+        v: NodeId,
+        round: u64,
+        own: ArbState,
+        read: impl Fn(NodeId) -> ArbState,
+    ) -> Verdict<ArbState> {
+        let iteration = u32::try_from((round - 1) / 2 + 1).or_invariant("round counts fit u32");
+        let sub = (round - 1) % 2;
+        let mut next = own;
+        if sub == 0 {
+            // Publish the alive-degree.
+            next.deg = ctx.topo.neighbor_nodes(v).iter().filter(|&&w| read(w).alive).count();
+            if next.deg > self.k {
+                next.last_high = iteration;
+            }
+            return Verdict::Active(next);
+        }
+        // Mark decision.
+        debug_assert!(next.alive);
+        if next.deg > self.k {
+            return Verdict::Active(next);
+        }
+        let high = ctx
+            .topo
+            .neighbor_nodes(v)
+            .iter()
+            .filter(|&&w| {
+                let s = read(w);
+                s.alive && s.deg > self.k
+            })
+            .count();
+        if high <= self.b {
+            next.alive = false;
+            next.marked_at = Some(iteration);
+            Verdict::Halted(next)
+        } else {
+            Verdict::Active(next)
+        }
+    }
+}
+
+impl<T: Topology> SyncAlgorithm<T> for ArbDistributed {
+    type State = ArbState;
+
+    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<ArbState> {
+        self.init_verdict(ctx, v)
     }
 
     fn step(
@@ -224,41 +312,36 @@ impl<T: Topology> SyncAlgorithm<T> for ArbDistributed {
         own: &ArbState,
         prev: &Snapshot<'_, ArbState>,
     ) -> Verdict<ArbState> {
-        let iteration = u32::try_from((round - 1) / 2 + 1).or_invariant("round counts fit u32");
-        let sub = (round - 1) % 2;
-        let mut next = own.clone();
-        if sub == 0 {
-            // Publish the alive-degree.
-            next.deg = ctx.topo.neighbor_nodes(v).iter().filter(|&&w| prev.get(w).alive).count();
-            return Verdict::Active(next);
-        }
-        // Mark decision.
-        debug_assert!(own.alive);
-        if own.deg > self.k {
-            return Verdict::Active(next);
-        }
-        let high: Vec<treelocal_graph::EdgeId> = ctx
-            .topo
-            .neighbors(v)
-            .filter(|&(w, _)| {
-                let s = prev.get(w);
-                s.alive && s.deg > self.k
-            })
-            .map(|(_, e)| e)
-            .collect();
-        if high.len() <= self.b {
-            next.alive = false;
-            next.marked_at = Some(iteration);
-            next.my_atypical = high;
-            Verdict::Halted(next)
-        } else {
-            Verdict::Active(next)
-        }
+        self.step_verdict(ctx, v, round, own.clone(), |w| prev.get(w).clone())
+    }
+}
+
+impl<T: Topology> SoaAlgorithm<T> for ArbDistributed {
+    type State = ArbState;
+
+    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<ArbState> {
+        self.init_verdict(ctx, v)
+    }
+
+    fn step(
+        &self,
+        ctx: &Ctx<T>,
+        v: NodeId,
+        round: u64,
+        own: ArbState,
+        prev: &SoaSnapshot<'_, ArbState>,
+    ) -> Verdict<ArbState> {
+        self.step_verdict(ctx, v, round, own, |w| prev.get(w))
     }
 }
 
 /// Distributed Algorithm 3: identical output to [`arb_decompose`], with
 /// honest LOCAL round counting (2 rounds per iteration).
+///
+/// Nodes keep no edge lists: an edge `{v, w}` with `v` marked before `w`
+/// is atypical iff `w` still published `deg > k` in `v`'s marking
+/// iteration, i.e. iff `marked_at(v) ≤ last_high(w)` — one O(m) pass over
+/// the final states.
 pub fn arb_decompose_distributed(g: &Graph, a: usize, k: usize) -> ArbDecomposition {
     assert!(a >= 1 && k >= 5 * a);
     let b = 2 * a;
@@ -277,19 +360,23 @@ pub fn arb_decompose_distributed(g: &Graph, a: usize, k: usize) -> ArbDecomposit
     let ctx = Ctx::of(g);
     let algo = ArbDistributed { k, b };
     let cap = (lemma13_bound(n, a, k) * 4 + 16) * 2;
-    let out = run(&ctx, &algo, cap);
+    let out = run_soa(&ctx, &algo, cap);
     let mut iteration_of = vec![0u32; n];
-    let mut atypical = vec![false; g.edge_count()];
-    let mut iterations = 0;
+    let mut last_high = vec![0u32; n];
     for v in g.node_ids() {
-        let st = out.states[v.index()].as_ref().or_invariant("participated");
-        let it = st.marked_at.or_invariant("all nodes marked (Lemma 13)");
-        iteration_of[v.index()] = it;
-        iterations = iterations.max(it);
-        for &e in &st.my_atypical {
-            atypical[e.index()] = true;
-        }
+        let st = out.state(v);
+        iteration_of[v.index()] = st.marked_at.or_invariant("all nodes marked (Lemma 13)");
+        last_high[v.index()] = st.last_high;
     }
+    let atypical = g
+        .edge_ids()
+        .map(|e| {
+            let [u, w] = g.endpoints(e);
+            let (iu, iw) = (iteration_of[u.index()], iteration_of[w.index()]);
+            (iu < iw && iu <= last_high[w.index()]) || (iw < iu && iw <= last_high[u.index()])
+        })
+        .collect();
+    let iterations = iteration_of.iter().copied().max().unwrap_or(0);
     ArbDecomposition { iteration_of, atypical, iterations, k, b, a, rounds: out.rounds }
 }
 
@@ -297,6 +384,7 @@ pub fn arb_decompose_distributed(g: &Graph, a: usize, k: usize) -> ArbDecomposit
 mod tests {
     use super::*;
     use treelocal_gen::{grid, random_arboricity_graph, random_tree, triangulated_grid};
+    use treelocal_sim::run;
 
     fn check_all(g: &Graph, a: usize, k: usize) {
         let d = arb_decompose(g, a, k);
@@ -364,6 +452,40 @@ mod tests {
             assert_eq!(a.iteration_of, b.iteration_of, "seed {seed}");
             assert_eq!(a.atypical, b.atypical, "seed {seed}");
             assert_eq!(b.rounds, 2 * u64::from(b.iterations));
+        }
+    }
+
+    /// Migration check: both state stores run Algorithm 3 to the same
+    /// states and round counts.
+    #[test]
+    fn distributed_run_matches_across_state_stores() {
+        for seed in 0..4 {
+            let g = random_arboricity_graph(120, 2, seed);
+            let ctx = Ctx::of(&g);
+            let algo = ArbDistributed { k: 10, b: 4 };
+            let cap = (lemma13_bound(g.node_count(), 2, 10) * 4 + 16) * 2;
+            let boxed = run(&ctx, &algo, cap);
+            let soa = run_soa(&ctx, &algo, cap);
+            assert_eq!(boxed.rounds, soa.rounds, "seed {seed}: rounds diverge");
+            assert_eq!(boxed.states, soa.to_run_outcome().states, "seed {seed}: states diverge");
+        }
+    }
+
+    proptest::proptest! {
+        /// The codec law for Algorithm 3 states, marked or not, full lanes.
+        #[test]
+        fn arb_state_round_trips_through_its_lanes(
+            alive in proptest::prelude::any::<bool>(),
+            deg in proptest::prelude::any::<u32>(),
+            marked in proptest::prelude::any::<bool>(),
+            iteration in proptest::prelude::any::<u32>(),
+            last_high in proptest::prelude::any::<u32>(),
+        ) {
+            let marked_at = marked.then_some(iteration);
+            let s = ArbState { alive, deg: widen_u32(deg), marked_at, last_high };
+            let mut lanes32 = [0u32; ArbState::U32_LANES];
+            s.encode(&mut lanes32, &mut []);
+            proptest::prop_assert_eq!(ArbState::decode(&lanes32, &[]), s);
         }
     }
 
