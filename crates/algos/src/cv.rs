@@ -14,9 +14,7 @@
 
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{NodeId, RootedForest, Topology};
-use treelocal_sim::{
-    run_soa, Ctx, ParSafe, Snapshot, SoaAlgorithm, SoaSnapshot, StateCodec, SyncAlgorithm, Verdict,
-};
+use treelocal_sim::{run, Ctx, ParSafe, Snapshot, StateCodec, SyncAlgorithm, Verdict};
 
 /// Outcome of the forest 3-coloring.
 #[derive(Clone, Debug)]
@@ -81,25 +79,27 @@ pub fn cv_reduce_rounds(id_space: u64) -> u64 {
     rounds
 }
 
-impl CvAlgo<'_> {
-    fn init_verdict<T: Topology>(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<CvState> {
+impl<T: Topology> SyncAlgorithm<T> for CvAlgo<'_> {
+    type State = CvState;
+
+    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<CvState> {
         debug_assert!(self.forest.contains(v));
         Verdict::Active(CvState { color: ctx.topo.local_id(v) })
     }
 
-    fn step_verdict<T: Topology>(
+    fn step(
         &self,
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
         own: CvState,
-        read: impl Fn(NodeId) -> CvState,
+        prev: &Snapshot<'_, CvState>,
     ) -> Verdict<CvState> {
         let parent = self.forest.parent(v);
         if round <= self.reduce_rounds {
             // Bit-reduction rounds.
             let parent_color = match parent {
-                Some(p) => read(p).color,
+                Some(p) => prev.get(p).color,
                 None => root_parent_color(own.color),
             };
             let c = cv_step_color(own.color, parent_color);
@@ -119,7 +119,7 @@ impl CvAlgo<'_> {
             // Shift-down: adopt the parent's (pre-shift) color; roots pick
             // the smallest color in {0,1,2} different from their own.
             let c = match parent {
-                Some(p) => read(p).color,
+                Some(p) => prev.get(p).color,
                 None => (0..3).find(|&c| c != own.color).or_invariant("three candidates"),
             };
             CvState { color: c }
@@ -130,11 +130,11 @@ impl CvAlgo<'_> {
                 // common current color; at most two distinct values.
                 let mut forbidden = Vec::with_capacity(2);
                 if let Some(p) = parent {
-                    forbidden.push(read(p).color);
+                    forbidden.push(prev.get(p).color);
                 }
                 for &w in ctx.topo.neighbor_nodes(v) {
                     if Some(w) != parent {
-                        forbidden.push(read(w).color);
+                        forbidden.push(prev.get(w).color);
                         break; // children are monochromatic after shift-down
                     }
                 }
@@ -153,44 +153,6 @@ impl CvAlgo<'_> {
     }
 }
 
-impl<T: Topology> SyncAlgorithm<T> for CvAlgo<'_> {
-    type State = CvState;
-
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<CvState> {
-        self.init_verdict(ctx, v)
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: &CvState,
-        prev: &Snapshot<'_, CvState>,
-    ) -> Verdict<CvState> {
-        self.step_verdict(ctx, v, round, own.clone(), |w| prev.get(w).clone())
-    }
-}
-
-impl<T: Topology> SoaAlgorithm<T> for CvAlgo<'_> {
-    type State = CvState;
-
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<CvState> {
-        self.init_verdict(ctx, v)
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: CvState,
-        prev: &SoaSnapshot<'_, CvState>,
-    ) -> Verdict<CvState> {
-        self.step_verdict(ctx, v, round, own, |w| prev.get(w))
-    }
-}
-
 /// 3-colors a rooted forest whose parent edges are part of `ctx.topo`'s
 /// adjacency. Every member of the forest must be a participant of the
 /// topology and vice versa.
@@ -200,11 +162,12 @@ pub fn three_color_rooted<T: Topology + ParSafe>(
 ) -> CvOutcome {
     let reduce_rounds = cv_reduce_rounds(ctx.id_space);
     let algo = CvAlgo { forest, reduce_rounds };
-    let out = run_soa(ctx, &algo, reduce_rounds + 8);
+    let out = run(ctx, &algo, reduce_rounds + 8);
     CvOutcome {
-        colors: (0..out.index_space())
-            .map(|i| {
-                out.try_state(NodeId::new(i)).map(|st| {
+        colors: out
+            .states()
+            .map(|s| {
+                s.map(|st| {
                     debug_assert!(st.color < 3);
                     st.color as u8
                 })
@@ -228,7 +191,6 @@ mod tests {
     use treelocal_gen::{random_tree, relabel, IdStrategy};
     use treelocal_graph::{root_forest, Graph};
     use treelocal_sim::log_star_u64;
-    use treelocal_sim::run;
 
     fn check(g: &Graph) {
         let forest = root_forest(g);
@@ -310,23 +272,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    /// Migration check: both state stores run the 3-coloring to the same
-    /// states and round counts.
-    #[test]
-    fn three_coloring_matches_across_state_stores() {
-        for seed in 0..4 {
-            let g = relabel(&random_tree(150, seed), IdStrategy::Sparse { seed });
-            let forest = root_forest(&g);
-            let ctx = Ctx::of(&g);
-            let reduce_rounds = cv_reduce_rounds(ctx.id_space);
-            let algo = CvAlgo { forest: &forest, reduce_rounds };
-            let boxed = run(&ctx, &algo, reduce_rounds + 8);
-            let soa = run_soa(&ctx, &algo, reduce_rounds + 8);
-            assert_eq!(boxed.rounds, soa.rounds, "seed {seed}: rounds diverge");
-            assert_eq!(boxed.states, soa.to_run_outcome().states, "seed {seed}: states diverge");
         }
     }
 

@@ -42,8 +42,8 @@ pub use cv::{cv_reduce_rounds, is_proper_on_forest, three_color_rooted, CvOutcom
 pub use edge_solvers::{BMatchingAlgo, EdgeColoringAlgo, MatchingAlgo, PaletteEdgeColoringAlgo};
 pub use line_graph::{line_graph, simulated_rounds, LineGraph};
 pub use linial::{
-    is_proper, linial_final_colors, linial_schedule, run_linial, run_linial_boxed,
-    run_linial_messages, ColorState, LinialOutcome, Stage,
+    is_proper, linial_final_colors, linial_schedule, run_linial, run_linial_messages, ColorState,
+    LinialOutcome, Stage,
 };
 #[cfg(feature = "parallel")]
 pub use linial::{run_linial_messages_with_threads, run_linial_with_threads};

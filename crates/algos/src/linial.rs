@@ -15,12 +15,12 @@
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{NodeId, Topology};
 use treelocal_sim::{
-    next_prime, run, run_messages_soa, run_soa, Ctx, MessageAlgorithm, ParSafe, RunOutcome,
-    Snapshot, SoaAlgorithm, SoaSnapshot, StateCodec, SyncAlgorithm, Verdict,
+    next_prime, run, run_messages, Ctx, MessageAlgorithm, ParSafe, Snapshot, StateCodec,
+    SyncAlgorithm, Verdict,
 };
 
 #[cfg(feature = "parallel")]
-use treelocal_sim::{run_messages_soa_with_threads, run_soa_with_threads};
+use treelocal_sim::{run_messages_with_threads, run_with_threads};
 
 /// One stage of the reduction: colors `< c_in` become colors `< q²` using
 /// degree-`d` polynomials over `F_q`.
@@ -116,7 +116,7 @@ pub struct ColorState {
 }
 
 /// A color is one `u64` lane, so ten million nodes occupy one flat 80 MB
-/// column instead of a `Vec` of `Option`-boxed structs.
+/// column.
 impl StateCodec for ColorState {
     const U32_LANES: usize = 0;
     const U64_LANES: usize = 1;
@@ -134,11 +134,10 @@ struct LinialAlgo {
     schedule: Vec<Stage>,
 }
 
-/// The round logic shared by both state layouts (boxed snapshot and SoA
-/// columns): one stage of [`recolor`] per round, halting at the schedule's
-/// last stage.
-impl LinialAlgo {
-    fn init_verdict<T: Topology>(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<ColorState> {
+impl<T: Topology> SyncAlgorithm<T> for LinialAlgo {
+    type State = ColorState;
+
+    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<ColorState> {
         let color = ctx.topo.local_id(v);
         if self.schedule.is_empty() {
             Verdict::Halted(ColorState { color })
@@ -147,59 +146,22 @@ impl LinialAlgo {
         }
     }
 
-    fn step_verdict(
-        &self,
-        round: u64,
-        own_color: u64,
-        neighbor_colors: impl Iterator<Item = u64>,
-    ) -> Verdict<ColorState> {
-        let stage = self.schedule[(round - 1) as usize];
-        let state = ColorState { color: recolor(stage, own_color, neighbor_colors) };
-        if round as usize == self.schedule.len() {
-            Verdict::Halted(state)
-        } else {
-            Verdict::Active(state)
-        }
-    }
-}
-
-impl<T: Topology> SyncAlgorithm<T> for LinialAlgo {
-    type State = ColorState;
-
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<ColorState> {
-        self.init_verdict(ctx, v)
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: &ColorState,
-        prev: &Snapshot<'_, ColorState>,
-    ) -> Verdict<ColorState> {
-        let neighbor_colors = ctx.topo.neighbor_nodes(v).iter().map(|&w| prev.get(w).color);
-        self.step_verdict(round, own.color, neighbor_colors)
-    }
-}
-
-impl<T: Topology> SoaAlgorithm<T> for LinialAlgo {
-    type State = ColorState;
-
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<ColorState> {
-        self.init_verdict(ctx, v)
-    }
-
     fn step(
         &self,
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
         own: ColorState,
-        prev: &SoaSnapshot<'_, ColorState>,
+        prev: &Snapshot<'_, ColorState>,
     ) -> Verdict<ColorState> {
+        let stage = self.schedule[(round - 1) as usize];
         let neighbor_colors = ctx.topo.neighbor_nodes(v).iter().map(|&w| prev.get(w).color);
-        self.step_verdict(round, own.color, neighbor_colors)
+        let state = ColorState { color: recolor(stage, own.color, neighbor_colors) };
+        if round as usize == self.schedule.len() {
+            Verdict::Halted(state)
+        } else {
+            Verdict::Active(state)
+        }
     }
 }
 
@@ -347,10 +309,8 @@ pub struct LinialOutcome {
 /// Runs the reduction on a topology, producing a proper `O(Δ²)`-coloring in
 /// `log*`-many rounds.
 ///
-/// Colors run through the codec-backed SoA engine ([`run_soa`]): states
-/// live in one flat `u64` column, which is what keeps the 10M-node tier's
-/// peak RSS flat. [`run_linial_boxed`] is the same algorithm on the boxed
-/// engine, kept as the equivalence/bench control.
+/// Colors live in one flat `u64` lane column, which is what keeps the
+/// 10M-node tier's peak RSS flat.
 pub fn run_linial<T: Topology + ParSafe>(ctx: &Ctx<'_, T>) -> LinialOutcome {
     linial_inner(ctx, None)
 }
@@ -372,34 +332,16 @@ fn linial_inner<T: Topology + ParSafe>(ctx: &Ctx<'_, T>, threads: Option<usize>)
     let algo = LinialAlgo { schedule };
     #[cfg(feature = "parallel")]
     let out = match threads {
-        Some(t) => run_soa_with_threads(ctx, &algo, 200, t),
-        None => run_soa(ctx, &algo, 200),
+        Some(t) => run_with_threads(ctx, &algo, 200, t),
+        None => run(ctx, &algo, 200),
     };
     #[cfg(not(feature = "parallel"))]
     let out = {
         let _ = threads;
-        run_soa(ctx, &algo, 200)
+        run(ctx, &algo, 200)
     };
     LinialOutcome {
-        colors: (0..out.index_space())
-            .map(|i| out.try_state(NodeId::new(i)).map(|s| s.color))
-            .collect(),
-        final_bound,
-        rounds: out.rounds,
-    }
-}
-
-/// [`run_linial`] on the boxed-struct engine ([`run`]): identical colors
-/// and round count by the codec equivalence suite. Exists as the measured
-/// control for the `soa` bench and the 10M smoke tier's RSS comparison —
-/// pipelines should call [`run_linial`].
-pub fn run_linial_boxed<T: Topology + ParSafe>(ctx: &Ctx<'_, T>) -> LinialOutcome {
-    let schedule = linial_schedule(ctx.id_space, ctx.max_degree);
-    let final_bound = schedule.last().map_or(ctx.id_space.max(2), |s| s.q * s.q);
-    let algo = LinialAlgo { schedule };
-    let out: RunOutcome<ColorState> = run(ctx, &algo, 200);
-    LinialOutcome {
-        colors: out.states.iter().map(|s| s.as_ref().map(|c| c.color)).collect(),
+        colors: out.states().map(|s| s.map(|st| st.color)).collect(),
         final_bound,
         rounds: out.rounds,
     }
@@ -442,18 +384,16 @@ fn linial_messages_inner<T: Topology + ParSafe>(
     let algo = LinialMsgAlgo { schedule };
     #[cfg(feature = "parallel")]
     let out = match threads {
-        Some(t) => run_messages_soa_with_threads(ctx, &algo, 200, t),
-        None => run_messages_soa(ctx, &algo, 200),
+        Some(t) => run_messages_with_threads(ctx, &algo, 200, t),
+        None => run_messages(ctx, &algo, 200),
     };
     #[cfg(not(feature = "parallel"))]
     let out = {
         let _ = threads;
-        run_messages_soa(ctx, &algo, 200)
+        run_messages(ctx, &algo, 200)
     };
     LinialOutcome {
-        colors: (0..out.index_space())
-            .map(|i| out.try_state(NodeId::new(i)).map(|s| s.color))
-            .collect(),
+        colors: out.states().map(|s| s.map(|st| st.color)).collect(),
         final_bound,
         rounds: out.rounds,
     }
@@ -594,26 +534,10 @@ mod tests {
         assert_eq!(snap.rounds, msgs.rounds);
     }
 
-    #[test]
-    fn soa_form_matches_the_boxed_form() {
-        for (label, g) in [
-            ("path", path(60)),
-            ("star", Graph::from_edges(12, &(1..12).map(|i| (0, i)).collect::<Vec<_>>()).unwrap()),
-            ("tree", treelocal_gen::random_tree(200, 5)),
-        ] {
-            let ctx = Ctx::of(&g);
-            let soa = run_linial(&ctx);
-            let boxed = run_linial_boxed(&ctx);
-            assert_eq!(soa.rounds, boxed.rounds, "{label}: round counts diverge");
-            assert_eq!(soa.final_bound, boxed.final_bound, "{label}");
-            assert_eq!(soa.colors, boxed.colors, "{label}: colors diverge");
-        }
-    }
-
     #[cfg(feature = "parallel")]
     #[test]
-    fn soa_pool_sizes_match_the_boxed_sequential_run() {
-        use treelocal_sim::{par, run_soa_with_threads, run_with_threads};
+    fn pool_sizes_match_the_sequential_run() {
+        use treelocal_sim::par;
         // Above the engine's parallel threshold so worker pools genuinely
         // chunk the frontier.
         let g = treelocal_gen::relabel(
@@ -621,17 +545,11 @@ mod tests {
             treelocal_gen::IdStrategy::Permuted { seed: 9 },
         );
         let ctx = Ctx::of(&g);
-        let schedule = linial_schedule(ctx.id_space, ctx.max_degree);
-        let algo = LinialAlgo { schedule };
-        let reference = run_with_threads(&ctx, &algo, 200, 1);
-        for threads in [1usize, 2, 4, par::auto_threads()] {
-            let soa = run_soa_with_threads(&ctx, &algo, 200, threads);
-            assert_eq!(reference.rounds, soa.rounds, "{threads} threads: rounds diverge");
-            assert_eq!(
-                reference.states,
-                soa.to_run_outcome().states,
-                "{threads} threads: colors diverge"
-            );
+        let reference = run_linial_with_threads(&ctx, 1);
+        for threads in [2usize, 4, par::auto_threads()] {
+            let pooled = run_linial_with_threads(&ctx, threads);
+            assert_eq!(reference.rounds, pooled.rounds, "{threads} threads: rounds diverge");
+            assert_eq!(reference.colors, pooled.colors, "{threads} threads: colors diverge");
         }
     }
 

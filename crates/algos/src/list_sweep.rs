@@ -6,9 +6,7 @@
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{NodeId, Topology};
 use treelocal_problems::Color;
-use treelocal_sim::{
-    run_soa, Ctx, ParSafe, Snapshot, SoaAlgorithm, SoaSnapshot, StateCodec, SyncAlgorithm, Verdict,
-};
+use treelocal_sim::{run, Ctx, ParSafe, Snapshot, StateCodec, SyncAlgorithm, Verdict};
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum LsState {
@@ -53,20 +51,22 @@ struct ListSweep<'c> {
     lists: &'c [Vec<Color>],
 }
 
-impl ListSweep<'_> {
-    fn init_verdict(&self, v: NodeId) -> Verdict<LsState> {
+impl<T: Topology> SyncAlgorithm<T> for ListSweep<'_> {
+    type State = LsState;
+
+    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<LsState> {
         let c = self.initial[v.index()].or_invariant("initial color for every participant");
         debug_assert!(c < self.m);
         Verdict::Active(LsState::Waiting { my_round: self.m - c })
     }
 
-    fn step_verdict<T: Topology>(
+    fn step(
         &self,
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
         own: LsState,
-        read: impl Fn(NodeId) -> LsState,
+        prev: &Snapshot<'_, LsState>,
     ) -> Verdict<LsState> {
         let LsState::Waiting { my_round } = own else { unreachable!("chosen nodes have halted") };
         if round < my_round {
@@ -76,7 +76,7 @@ impl ListSweep<'_> {
             .topo
             .neighbor_nodes(v)
             .iter()
-            .filter_map(|&w| match read(w) {
+            .filter_map(|&w| match prev.get(w) {
                 LsState::Chosen(c) => Some(c),
                 LsState::Waiting { .. } => None,
             })
@@ -88,44 +88,6 @@ impl ListSweep<'_> {
             .find(|c| used.binary_search(c).is_err())
             .or_invariant("lists have deg+1 entries: a free color exists");
         Verdict::Halted(LsState::Chosen(c))
-    }
-}
-
-impl<T: Topology> SyncAlgorithm<T> for ListSweep<'_> {
-    type State = LsState;
-
-    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<LsState> {
-        self.init_verdict(v)
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: &LsState,
-        prev: &Snapshot<'_, LsState>,
-    ) -> Verdict<LsState> {
-        self.step_verdict(ctx, v, round, own.clone(), |w| prev.get(w).clone())
-    }
-}
-
-impl<T: Topology> SoaAlgorithm<T> for ListSweep<'_> {
-    type State = LsState;
-
-    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<LsState> {
-        self.init_verdict(v)
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: LsState,
-        prev: &SoaSnapshot<'_, LsState>,
-    ) -> Verdict<LsState> {
-        self.step_verdict(ctx, v, round, own, |w| prev.get(w))
     }
 }
 
@@ -147,11 +109,12 @@ pub fn list_sweep<T: Topology + ParSafe>(
     lists: &[Vec<Color>],
 ) -> ListSweepOutcome {
     let algo = ListSweep { initial, m: m.max(1), lists };
-    let out = run_soa(ctx, &algo, m + 2);
+    let out = run(ctx, &algo, m + 2);
     ListSweepOutcome {
-        colors: (0..out.index_space())
-            .map(|i| {
-                out.try_state(NodeId::new(i)).map(|st| match st {
+        colors: out
+            .states()
+            .map(|s| {
+                s.map(|st| match st {
                     LsState::Chosen(c) => c,
                     LsState::Waiting { .. } => unreachable!("run drains all nodes"),
                 })
@@ -167,7 +130,6 @@ mod tests {
     use crate::linial::run_linial;
     use treelocal_gen::random_tree;
     use treelocal_graph::Graph;
-    use treelocal_sim::run;
 
     fn lists_for(g: &Graph, offset: u32) -> Vec<Vec<Color>> {
         g.node_ids()
@@ -191,24 +153,6 @@ mod tests {
                 }
             }
             assert!(out.rounds <= lin.final_bound);
-        }
-    }
-
-    /// Migration check: both state stores run the list sweep to the same
-    /// states and round counts.
-    #[test]
-    fn list_sweep_matches_across_state_stores() {
-        for seed in 0..4 {
-            let g = random_tree(150, seed);
-            let lists = lists_for(&g, seed as u32);
-            let ctx = Ctx::of(&g);
-            let lin = run_linial(&ctx);
-            let m = lin.final_bound;
-            let algo = ListSweep { initial: &lin.colors, m, lists: &lists };
-            let boxed = run(&ctx, &algo, m + 2);
-            let soa = run_soa(&ctx, &algo, m + 2);
-            assert_eq!(boxed.rounds, soa.rounds, "seed {seed}: rounds diverge");
-            assert_eq!(boxed.states, soa.to_run_outcome().states, "seed {seed}: states diverge");
         }
     }
 

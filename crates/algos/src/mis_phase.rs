@@ -8,12 +8,10 @@
 
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{narrow_u32, widen_u32, EdgeId, NodeId, Topology};
-use treelocal_sim::{
-    run_soa, Ctx, ParSafe, Snapshot, SoaAlgorithm, SoaSnapshot, StateCodec, SyncAlgorithm, Verdict,
-};
+use treelocal_sim::{run, Ctx, ParSafe, Snapshot, StateCodec, SyncAlgorithm, Verdict};
 
 #[cfg(feature = "parallel")]
-use treelocal_sim::run_soa_with_threads;
+use treelocal_sim::run_with_threads;
 
 /// Per-node MIS decision.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,22 +80,23 @@ struct MisSweep<'c> {
     m: u64,
 }
 
-/// The sweep logic shared by both state layouts.
-impl MisSweep<'_> {
-    fn init_verdict(&self, v: NodeId) -> Verdict<SweepState> {
+impl<T: Topology> SyncAlgorithm<T> for MisSweep<'_> {
+    type State = SweepState;
+
+    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<SweepState> {
         let c = u64::from(self.colors[v.index()].or_invariant("color for every participant"));
         debug_assert!((1..=self.m).contains(&c), "colors are 1-based and ≤ m");
         // Highest class first: class c decides in round m - c + 1.
         Verdict::Active(SweepState::Waiting { my_round: self.m - c + 1 })
     }
 
-    fn step_verdict<T: Topology>(
+    fn step(
         &self,
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
         own: SweepState,
-        member_at: impl Fn(NodeId) -> bool,
+        prev: &Snapshot<'_, SweepState>,
     ) -> Verdict<SweepState> {
         let SweepState::Waiting { my_round } = own else {
             unreachable!("decided nodes have halted")
@@ -106,54 +105,15 @@ impl MisSweep<'_> {
             return Verdict::Active(own);
         }
         debug_assert_eq!(round, my_round);
-        let blocker = ctx.topo.neighbors(v).find(|&(w, _)| member_at(w));
+        let blocker = ctx
+            .topo
+            .neighbors(v)
+            .find(|&(w, _)| matches!(prev.get(w), SweepState::Decided(MisDecision::Member)));
         let decision = match blocker {
             Some((_, e)) => MisDecision::NonMember { witness: e },
             None => MisDecision::Member,
         };
         Verdict::Halted(SweepState::Decided(decision))
-    }
-}
-
-impl<T: Topology> SyncAlgorithm<T> for MisSweep<'_> {
-    type State = SweepState;
-
-    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<SweepState> {
-        self.init_verdict(v)
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: &SweepState,
-        prev: &Snapshot<'_, SweepState>,
-    ) -> Verdict<SweepState> {
-        self.step_verdict(ctx, v, round, own.clone(), |w| {
-            matches!(prev.get(w), SweepState::Decided(MisDecision::Member))
-        })
-    }
-}
-
-impl<T: Topology> SoaAlgorithm<T> for MisSweep<'_> {
-    type State = SweepState;
-
-    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<SweepState> {
-        self.init_verdict(v)
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: SweepState,
-        prev: &SoaSnapshot<'_, SweepState>,
-    ) -> Verdict<SweepState> {
-        self.step_verdict(ctx, v, round, own, |w| {
-            matches!(prev.get(w), SweepState::Decided(MisDecision::Member))
-        })
     }
 }
 
@@ -167,10 +127,6 @@ pub struct MisOutcome {
 }
 
 /// Runs the class sweep from a proper 1-based `m`-coloring.
-///
-/// Sweep states run through the codec-backed SoA engine ([`run_soa`]); the
-/// boxed path survives as [`SyncAlgorithm`] on the same sweep for the
-/// in-module equivalence suite.
 pub fn mis_from_coloring<T: Topology + ParSafe>(
     ctx: &Ctx<'_, T>,
     colors: &[Option<u32>],
@@ -200,18 +156,19 @@ fn mis_inner<T: Topology + ParSafe>(
     let algo = MisSweep { colors, m };
     #[cfg(feature = "parallel")]
     let out = match threads {
-        Some(t) => run_soa_with_threads(ctx, &algo, m + 2, t),
-        None => run_soa(ctx, &algo, m + 2),
+        Some(t) => run_with_threads(ctx, &algo, m + 2, t),
+        None => run(ctx, &algo, m + 2),
     };
     #[cfg(not(feature = "parallel"))]
     let out = {
         let _ = threads;
-        run_soa(ctx, &algo, m + 2)
+        run(ctx, &algo, m + 2)
     };
     MisOutcome {
-        decisions: (0..out.index_space())
-            .map(|i| {
-                out.try_state(NodeId::new(i)).map(|st| match st {
+        decisions: out
+            .states()
+            .map(|s| {
+                s.map(|st| match st {
                     SweepState::Decided(d) => d,
                     SweepState::Waiting { .. } => unreachable!("run drains all nodes"),
                 })
@@ -243,7 +200,6 @@ mod tests {
     use crate::reduce::kw_reduce;
     use treelocal_gen::random_tree;
     use treelocal_graph::Graph;
-    use treelocal_sim::run;
 
     fn full_pipeline(g: &Graph) -> (MisOutcome, u64) {
         let ctx = Ctx::of(g);
@@ -285,30 +241,10 @@ mod tests {
         assert!(is_valid_mis_on(&g, &mis.decisions));
     }
 
-    #[test]
-    fn soa_sweep_matches_the_boxed_sweep() {
-        for seed in 0..4 {
-            let g = random_tree(200, seed);
-            let ctx = Ctx::of(&g);
-            let lin = run_linial(&ctx);
-            let red = kw_reduce(&ctx, &lin.colors, lin.final_bound);
-            let m = u64::from(red.final_colors);
-            let algo = MisSweep { colors: &red.colors, m };
-            let boxed = run(&ctx, &algo, m + 2);
-            let soa = run_soa(&ctx, &algo, m + 2);
-            assert_eq!(boxed.rounds, soa.rounds, "seed {seed}: rounds diverge");
-            assert_eq!(
-                boxed.states,
-                soa.to_run_outcome().states,
-                "seed {seed}: sweep states diverge"
-            );
-        }
-    }
-
     #[cfg(feature = "parallel")]
     #[test]
-    fn soa_sweep_pool_sizes_match_the_boxed_sequential_run() {
-        use treelocal_sim::{par, run_soa_with_threads, run_with_threads};
+    fn sweep_pool_sizes_match_the_sequential_run() {
+        use treelocal_sim::par;
         let g = random_tree(3000, 11);
         let ctx = Ctx::of(&g);
         let lin = run_linial(&ctx);
@@ -316,12 +252,11 @@ mod tests {
         let m = u64::from(red.final_colors);
         let algo = MisSweep { colors: &red.colors, m };
         let reference = run_with_threads(&ctx, &algo, m + 2, 1);
-        for threads in [1usize, 2, 4, par::auto_threads()] {
-            let soa = run_soa_with_threads(&ctx, &algo, m + 2, threads);
-            assert_eq!(reference.rounds, soa.rounds, "{threads} threads: rounds diverge");
-            assert_eq!(
-                reference.states,
-                soa.to_run_outcome().states,
+        for threads in [2usize, 4, par::auto_threads()] {
+            let pooled = run_with_threads(&ctx, &algo, m + 2, threads);
+            assert_eq!(reference.rounds, pooled.rounds, "{threads} threads: rounds diverge");
+            assert!(
+                reference.states().eq(pooled.states()),
                 "{threads} threads: sweep states diverge"
             );
         }

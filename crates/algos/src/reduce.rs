@@ -13,12 +13,10 @@
 
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{NodeId, Topology};
-use treelocal_sim::{
-    run_soa, Ctx, ParSafe, Snapshot, SoaAlgorithm, SoaSnapshot, StateCodec, SyncAlgorithm, Verdict,
-};
+use treelocal_sim::{run, Ctx, ParSafe, Snapshot, StateCodec, SyncAlgorithm, Verdict};
 
 #[cfg(feature = "parallel")]
-use treelocal_sim::run_soa_with_threads;
+use treelocal_sim::run_with_threads;
 
 /// Outcome of a reduction phase: per-node colors (1-based) plus the rounds
 /// used.
@@ -65,21 +63,23 @@ struct SweepAlgo<'c> {
     m: u64,
 }
 
-impl SweepAlgo<'_> {
-    fn init_verdict(&self, v: NodeId) -> Verdict<SweepState> {
+impl<T: Topology> SyncAlgorithm<T> for SweepAlgo<'_> {
+    type State = SweepState;
+
+    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<SweepState> {
         let c = self.initial[v.index()].or_invariant("initial color for every participant");
         debug_assert!(c < self.m);
         // Highest class first: class c re-picks in round m - c.
         Verdict::Active(SweepState { color: self.m + c, my_round: self.m - c })
     }
 
-    fn step_verdict<T: Topology>(
+    fn step(
         &self,
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
         own: SweepState,
-        read: impl Fn(NodeId) -> SweepState,
+        prev: &Snapshot<'_, SweepState>,
     ) -> Verdict<SweepState> {
         if round < own.my_round {
             return Verdict::Active(own);
@@ -92,7 +92,7 @@ impl SweepAlgo<'_> {
             .topo
             .neighbor_nodes(v)
             .iter()
-            .map(|&w| read(w).color)
+            .map(|&w| prev.get(w).color)
             .filter(|&c| c < self.m)
             .collect();
         used.sort_unstable();
@@ -109,44 +109,6 @@ impl SweepAlgo<'_> {
     }
 }
 
-impl<T: Topology> SyncAlgorithm<T> for SweepAlgo<'_> {
-    type State = SweepState;
-
-    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<SweepState> {
-        self.init_verdict(v)
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: &SweepState,
-        prev: &Snapshot<'_, SweepState>,
-    ) -> Verdict<SweepState> {
-        self.step_verdict(ctx, v, round, own.clone(), |w| prev.get(w).clone())
-    }
-}
-
-impl<T: Topology> SoaAlgorithm<T> for SweepAlgo<'_> {
-    type State = SweepState;
-
-    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<SweepState> {
-        self.init_verdict(v)
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: SweepState,
-        prev: &SoaSnapshot<'_, SweepState>,
-    ) -> Verdict<SweepState> {
-        self.step_verdict(ctx, v, round, own, |w| prev.get(w))
-    }
-}
-
 /// Sweep reduction: from a proper 0-based `m`-coloring to a proper
 /// greedy coloring where every node's color is at most its degree
 /// (0-based), i.e. a `(deg+1)`-coloring 1-based. Takes at most `m` rounds.
@@ -160,9 +122,8 @@ pub fn sweep_reduce<T: Topology + ParSafe>(
 ) -> ReduceOutcome {
     assert!(m >= 1);
     let algo = SweepAlgo { initial, m };
-    let out = run_soa(ctx, &algo, m + 2);
-    let colors: Vec<Option<u64>> =
-        (0..out.index_space()).map(|i| out.try_state(NodeId::new(i)).map(|s| s.color)).collect();
+    let out = run(ctx, &algo, m + 2);
+    let colors: Vec<Option<u64>> = out.states().map(|s| s.map(|st| st.color)).collect();
     let max_used = colors.iter().flatten().copied().max().unwrap_or(0);
     ReduceOutcome {
         colors: colors
@@ -207,8 +168,10 @@ struct KwPhase<'c> {
     slots: u64,
 }
 
-impl KwPhase<'_> {
-    fn init_verdict(&self, v: NodeId) -> Verdict<KwState> {
+impl<T: Topology> SyncAlgorithm<T> for KwPhase<'_> {
+    type State = KwState;
+
+    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<KwState> {
         let c = self.initial[v.index()].or_invariant("initial color");
         debug_assert!(c < self.m);
         let rel = c % (2 * self.slots);
@@ -222,13 +185,13 @@ impl KwPhase<'_> {
         }
     }
 
-    fn step_verdict<T: Topology>(
+    fn step(
         &self,
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
         own: KwState,
-        read: impl Fn(NodeId) -> KwState,
+        prev: &Snapshot<'_, KwState>,
     ) -> Verdict<KwState> {
         let group_size = 2 * self.slots;
         let rel = own.color % group_size;
@@ -249,7 +212,7 @@ impl KwPhase<'_> {
             .topo
             .neighbor_nodes(v)
             .iter()
-            .map(|&w| read(w).color)
+            .map(|&w| prev.get(w).color)
             .filter(|&c| c & FINAL_TAG != 0)
             .map(|c| c & !FINAL_TAG)
             .filter(|&c| c / self.slots == group)
@@ -268,44 +231,6 @@ impl KwPhase<'_> {
         }
         debug_assert!(slot < self.slots, "at most Δ same-group neighbors");
         Verdict::Halted(KwState { color: FINAL_TAG | (group * self.slots + slot) })
-    }
-}
-
-impl<T: Topology> SyncAlgorithm<T> for KwPhase<'_> {
-    type State = KwState;
-
-    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<KwState> {
-        self.init_verdict(v)
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: &KwState,
-        prev: &Snapshot<'_, KwState>,
-    ) -> Verdict<KwState> {
-        self.step_verdict(ctx, v, round, own.clone(), |w| prev.get(w).clone())
-    }
-}
-
-impl<T: Topology> SoaAlgorithm<T> for KwPhase<'_> {
-    type State = KwState;
-
-    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<KwState> {
-        self.init_verdict(v)
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: KwState,
-        prev: &SoaSnapshot<'_, KwState>,
-    ) -> Verdict<KwState> {
-        self.step_verdict(ctx, v, round, own, |w| prev.get(w))
     }
 }
 
@@ -352,17 +277,15 @@ fn kw_inner<T: Topology + ParSafe>(
         let phase = KwPhase { initial: &colors, m: m_cur, slots };
         #[cfg(feature = "parallel")]
         let out = match threads {
-            Some(t) => run_soa_with_threads(ctx, &phase, 2 * slots + 2, t),
-            None => run_soa(ctx, &phase, 2 * slots + 2),
+            Some(t) => run_with_threads(ctx, &phase, 2 * slots + 2, t),
+            None => run(ctx, &phase, 2 * slots + 2),
         };
         #[cfg(not(feature = "parallel"))]
-        let out = run_soa(ctx, &phase, 2 * slots + 2);
+        let out = run(ctx, &phase, 2 * slots + 2);
         rounds += out.rounds;
         let groups = m_cur.div_ceil(2 * slots);
         m_cur = groups * slots;
-        colors = (0..out.index_space())
-            .map(|i| out.try_state(NodeId::new(i)).map(|st| st.color & !FINAL_TAG))
-            .collect();
+        colors = out.states().map(|s| s.map(|st| st.color & !FINAL_TAG)).collect();
         // Tag is stripped; ensure the invariant holds.
         debug_assert!(colors.iter().flatten().all(|&c| c < m_cur));
     }
@@ -382,7 +305,6 @@ mod tests {
     use super::*;
     use crate::linial::{is_proper, run_linial};
     use treelocal_graph::Graph;
-    use treelocal_sim::run;
 
     fn check_proper_u32(g: &Graph, colors: &[Option<u32>]) -> bool {
         let as64: Vec<Option<u64>> = colors.iter().map(|c| c.map(u64::from)).collect();
@@ -448,29 +370,6 @@ mod tests {
         let k = kw_reduce(&ctx, &initial, 1);
         assert_eq!(k.colors[0], Some(1));
         assert_eq!(k.rounds, 0);
-    }
-
-    /// Migration check: both state stores run the same phase to the same
-    /// states and round counts.
-    #[test]
-    fn sweep_and_kw_match_across_state_stores() {
-        for seed in 0..4 {
-            let g = treelocal_gen::random_tree(200, seed);
-            let ctx = Ctx::of(&g);
-            let lin = run_linial(&ctx);
-            let m = lin.final_bound;
-            let sweep = SweepAlgo { initial: &lin.colors, m };
-            let boxed = run(&ctx, &sweep, m + 2);
-            let soa = run_soa(&ctx, &sweep, m + 2);
-            assert_eq!(boxed.rounds, soa.rounds, "seed {seed}: sweep rounds diverge");
-            assert_eq!(boxed.states, soa.to_run_outcome().states, "seed {seed}: sweep states");
-            let slots = ctx.max_degree as u64 + 1;
-            let kw = KwPhase { initial: &lin.colors, m, slots };
-            let boxed = run(&ctx, &kw, 2 * slots + 2);
-            let soa = run_soa(&ctx, &kw, 2 * slots + 2);
-            assert_eq!(boxed.rounds, soa.rounds, "seed {seed}: kw rounds diverge");
-            assert_eq!(boxed.states, soa.to_run_outcome().states, "seed {seed}: kw states");
-        }
     }
 
     proptest::proptest! {

@@ -17,9 +17,7 @@
 use crate::order::LayerOrder;
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{narrow_u32, widen_u32, Graph, NodeId, SemiGraph, Topology};
-use treelocal_sim::{
-    ceil_log, run_soa, Ctx, Snapshot, SoaAlgorithm, SoaSnapshot, StateCodec, SyncAlgorithm, Verdict,
-};
+use treelocal_sim::{ceil_log, run, Ctx, Snapshot, StateCodec, SyncAlgorithm, Verdict};
 
 /// The output of Algorithm 3 plus the edge classification.
 #[derive(Clone, Debug)]
@@ -244,8 +242,10 @@ struct ArbDistributed {
     b: usize,
 }
 
-impl ArbDistributed {
-    fn init_verdict<T: Topology>(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<ArbState> {
+impl<T: Topology> SyncAlgorithm<T> for ArbDistributed {
+    type State = ArbState;
+
+    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<ArbState> {
         Verdict::Active(ArbState {
             alive: true,
             deg: ctx.topo.degree(v),
@@ -254,20 +254,20 @@ impl ArbDistributed {
         })
     }
 
-    fn step_verdict<T: Topology>(
+    fn step(
         &self,
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
         own: ArbState,
-        read: impl Fn(NodeId) -> ArbState,
+        prev: &Snapshot<'_, ArbState>,
     ) -> Verdict<ArbState> {
         let iteration = u32::try_from((round - 1) / 2 + 1).or_invariant("round counts fit u32");
         let sub = (round - 1) % 2;
         let mut next = own;
         if sub == 0 {
             // Publish the alive-degree.
-            next.deg = ctx.topo.neighbor_nodes(v).iter().filter(|&&w| read(w).alive).count();
+            next.deg = ctx.topo.neighbor_nodes(v).iter().filter(|&&w| prev.get(w).alive).count();
             if next.deg > self.k {
                 next.last_high = iteration;
             }
@@ -283,7 +283,7 @@ impl ArbDistributed {
             .neighbor_nodes(v)
             .iter()
             .filter(|&&w| {
-                let s = read(w);
+                let s = prev.get(w);
                 s.alive && s.deg > self.k
             })
             .count();
@@ -294,44 +294,6 @@ impl ArbDistributed {
         } else {
             Verdict::Active(next)
         }
-    }
-}
-
-impl<T: Topology> SyncAlgorithm<T> for ArbDistributed {
-    type State = ArbState;
-
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<ArbState> {
-        self.init_verdict(ctx, v)
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: &ArbState,
-        prev: &Snapshot<'_, ArbState>,
-    ) -> Verdict<ArbState> {
-        self.step_verdict(ctx, v, round, own.clone(), |w| prev.get(w).clone())
-    }
-}
-
-impl<T: Topology> SoaAlgorithm<T> for ArbDistributed {
-    type State = ArbState;
-
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<ArbState> {
-        self.init_verdict(ctx, v)
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: ArbState,
-        prev: &SoaSnapshot<'_, ArbState>,
-    ) -> Verdict<ArbState> {
-        self.step_verdict(ctx, v, round, own, |w| prev.get(w))
     }
 }
 
@@ -360,7 +322,7 @@ pub fn arb_decompose_distributed(g: &Graph, a: usize, k: usize) -> ArbDecomposit
     let ctx = Ctx::of(g);
     let algo = ArbDistributed { k, b };
     let cap = (lemma13_bound(n, a, k) * 4 + 16) * 2;
-    let out = run_soa(&ctx, &algo, cap);
+    let out = run(&ctx, &algo, cap);
     let mut iteration_of = vec![0u32; n];
     let mut last_high = vec![0u32; n];
     for v in g.node_ids() {
@@ -384,7 +346,6 @@ pub fn arb_decompose_distributed(g: &Graph, a: usize, k: usize) -> ArbDecomposit
 mod tests {
     use super::*;
     use treelocal_gen::{grid, random_arboricity_graph, random_tree, triangulated_grid};
-    use treelocal_sim::run;
 
     fn check_all(g: &Graph, a: usize, k: usize) {
         let d = arb_decompose(g, a, k);
@@ -452,22 +413,6 @@ mod tests {
             assert_eq!(a.iteration_of, b.iteration_of, "seed {seed}");
             assert_eq!(a.atypical, b.atypical, "seed {seed}");
             assert_eq!(b.rounds, 2 * u64::from(b.iterations));
-        }
-    }
-
-    /// Migration check: both state stores run Algorithm 3 to the same
-    /// states and round counts.
-    #[test]
-    fn distributed_run_matches_across_state_stores() {
-        for seed in 0..4 {
-            let g = random_arboricity_graph(120, 2, seed);
-            let ctx = Ctx::of(&g);
-            let algo = ArbDistributed { k: 10, b: 4 };
-            let cap = (lemma13_bound(g.node_count(), 2, 10) * 4 + 16) * 2;
-            let boxed = run(&ctx, &algo, cap);
-            let soa = run_soa(&ctx, &algo, cap);
-            assert_eq!(boxed.rounds, soa.rounds, "seed {seed}: rounds diverge");
-            assert_eq!(boxed.states, soa.to_run_outcome().states, "seed {seed}: states diverge");
         }
     }
 

@@ -19,9 +19,7 @@
 use crate::order::LayerOrder;
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{narrow_u32, widen_u32, Graph, NodeId, SemiGraph, Topology};
-use treelocal_sim::{
-    ceil_log, run_soa, Ctx, Snapshot, SoaAlgorithm, SoaSnapshot, StateCodec, SyncAlgorithm, Verdict,
-};
+use treelocal_sim::{ceil_log, run, Ctx, Snapshot, StateCodec, SyncAlgorithm, Verdict};
 
 /// Which operation marked a node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -303,9 +301,10 @@ struct RcDistributed {
     k: usize,
 }
 
-/// The 3-sub-round iteration logic shared by both state layouts.
-impl RcDistributed {
-    fn init_verdict<T: Topology>(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<RcState> {
+impl<T: Topology> SyncAlgorithm<T> for RcDistributed {
+    type State = RcState;
+
+    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<RcState> {
         Verdict::Active(RcState {
             alive: true,
             deg: ctx.topo.degree(v),
@@ -314,13 +313,13 @@ impl RcDistributed {
         })
     }
 
-    fn step_verdict<T: Topology>(
+    fn step(
         &self,
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
         own: RcState,
-        read: impl Fn(NodeId) -> RcState,
+        prev: &Snapshot<'_, RcState>,
     ) -> Verdict<RcState> {
         let iteration = u32::try_from((round - 1) / 3 + 1).or_invariant("round counts fit u32");
         let sub = (round - 1) % 3;
@@ -328,7 +327,8 @@ impl RcDistributed {
         match sub {
             0 => {
                 // Publish the current alive-degree.
-                next.deg = ctx.topo.neighbor_nodes(v).iter().filter(|&&w| read(w).alive).count();
+                next.deg =
+                    ctx.topo.neighbor_nodes(v).iter().filter(|&&w| prev.get(w).alive).count();
                 Verdict::Active(next)
             }
             1 => {
@@ -336,7 +336,7 @@ impl RcDistributed {
                 debug_assert!(next.alive);
                 let me_ok = next.deg <= self.k;
                 let nbrs_ok = ctx.topo.neighbor_nodes(v).iter().all(|&w| {
-                    let s = read(w);
+                    let s = prev.get(w);
                     !s.alive || s.deg <= self.k
                 });
                 if me_ok && nbrs_ok {
@@ -357,7 +357,7 @@ impl RcDistributed {
                     .neighbor_nodes(v)
                     .iter()
                     .filter(|&&w| {
-                        let s = read(w);
+                        let s = prev.get(w);
                         s.alive && !s.just_compressed
                     })
                     .count();
@@ -370,44 +370,6 @@ impl RcDistributed {
                 }
             }
         }
-    }
-}
-
-impl<T: Topology> SyncAlgorithm<T> for RcDistributed {
-    type State = RcState;
-
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<RcState> {
-        self.init_verdict(ctx, v)
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: &RcState,
-        prev: &Snapshot<'_, RcState>,
-    ) -> Verdict<RcState> {
-        self.step_verdict(ctx, v, round, own.clone(), |w| prev.get(w).clone())
-    }
-}
-
-impl<T: Topology> SoaAlgorithm<T> for RcDistributed {
-    type State = RcState;
-
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<RcState> {
-        self.init_verdict(ctx, v)
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: RcState,
-        prev: &SoaSnapshot<'_, RcState>,
-    ) -> Verdict<RcState> {
-        self.step_verdict(ctx, v, round, own, |w| prev.get(w))
     }
 }
 
@@ -428,15 +390,13 @@ pub fn rake_compress_distributed(g: &Graph, k: usize) -> RakeCompress {
     let ctx = Ctx::of(g);
     let algo = RcDistributed { k };
     let cap = (lemma9_bound(n, k) * 4 + 16) * 3;
-    // Codec-backed SoA stepping: iteration state lives in three flat u32
-    // columns; the boxed path stays implemented on the same sweep for the
-    // in-module equivalence suite.
-    let out = run_soa(&ctx, &algo, cap);
+    // Iteration state lives in three flat u32 columns.
+    let out = run(&ctx, &algo, cap);
     let mut iteration_of = vec![0u32; n];
     let mut mark_of = vec![Mark::Rake; n];
     let mut iterations = 0u32;
     for v in g.node_ids() {
-        let st = out.try_state(v).or_invariant("every node participated");
+        let st = out.state(v);
         let (it, mark) = st.marked_at.or_invariant("every node marked (Lemma 9)");
         iteration_of[v.index()] = it;
         mark_of[v.index()] = mark;
@@ -449,7 +409,6 @@ pub fn rake_compress_distributed(g: &Graph, k: usize) -> RakeCompress {
 mod tests {
     use super::*;
     use treelocal_gen::{balanced_regular_tree, path, random_tree, star};
-    use treelocal_sim::run;
 
     fn check_all_lemmas(g: &Graph, k: usize) {
         let rc = rake_compress(g, k);
@@ -549,43 +508,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn soa_distributed_sweep_matches_the_boxed_sweep() {
-        for seed in 0..4 {
-            let g = random_tree(150, seed);
-            for k in [2usize, 5] {
-                let ctx = Ctx::of(&g);
-                let algo = RcDistributed { k };
-                let cap = (lemma9_bound(g.node_count(), k) * 4 + 16) * 3;
-                let boxed = run(&ctx, &algo, cap);
-                let soa = run_soa(&ctx, &algo, cap);
-                assert_eq!(boxed.rounds, soa.rounds, "seed {seed} k {k}: rounds diverge");
-                assert_eq!(
-                    boxed.states,
-                    soa.to_run_outcome().states,
-                    "seed {seed} k {k}: states diverge"
-                );
-            }
-        }
-    }
-
     #[cfg(feature = "parallel")]
     #[test]
-    fn soa_pool_sizes_match_the_boxed_sequential_run() {
-        use treelocal_sim::{par, run_soa_with_threads, run_with_threads};
+    fn pool_sizes_match_the_sequential_run() {
+        use treelocal_sim::{par, run_with_threads};
         let g = random_tree(3000, 13);
         let ctx = Ctx::of(&g);
         let algo = RcDistributed { k: 3 };
         let cap = (lemma9_bound(g.node_count(), 3) * 4 + 16) * 3;
         let reference = run_with_threads(&ctx, &algo, cap, 1);
-        for threads in [1usize, 2, 4, par::auto_threads()] {
-            let soa = run_soa_with_threads(&ctx, &algo, cap, threads);
-            assert_eq!(reference.rounds, soa.rounds, "{threads} threads: rounds diverge");
-            assert_eq!(
-                reference.states,
-                soa.to_run_outcome().states,
-                "{threads} threads: states diverge"
-            );
+        for threads in [2usize, 4, par::auto_threads()] {
+            let pooled = run_with_threads(&ctx, &algo, cap, threads);
+            assert_eq!(reference.rounds, pooled.rounds, "{threads} threads: rounds diverge");
+            assert!(reference.states().eq(pooled.states()), "{threads} threads: states diverge");
         }
     }
 

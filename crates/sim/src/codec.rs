@@ -1,26 +1,22 @@
 //! Flat struct-of-arrays state storage behind a fixed-width codec.
 //!
-//! PR 6 flattened *adjacency* into u32 CSR arrays; this module flattens
-//! algorithm *state* the same way. A [`StateCodec`] describes how one
-//! node's state packs into a fixed number of `u32` and `u64` **lanes**;
-//! [`SoaColumns`] stores all nodes' lanes in two flat node-major vectors
-//! (`lanes32[v * U32_LANES ..][..U32_LANES]` is node `v`'s u32 row).
-//! Compared to the boxed `Vec<Option<S>>` double buffer this layout:
+//! A [`StateCodec`] describes how one node's state packs into a fixed
+//! number of `u32` and `u64` **lanes**; [`SoaColumns`] stores all nodes'
+//! lanes in two flat node-major vectors (`lanes32[v * U32_LANES
+//! ..][..U32_LANES]` is node `v`'s u32 row) — the state half of the
+//! engine-scale layout whose adjacency half is the u32 CSR of
+//! `treelocal-graph`. The layout:
 //!
 //! * keeps a round's reads and writes on contiguous, prefetch-friendly
-//!   columns instead of pointer-sized `Option` slots with niche tags,
+//!   columns instead of per-node heap slots,
 //! * freezes halted lanes **in place** — a halted node's lanes are simply
-//!   never rewritten, exactly like the boxed path's moved-once states, and
+//!   never rewritten, and
 //! * makes the verdict scratch buffer a plain column copy committed in
 //!   frontier order, so parallel outcomes stay byte-identical for every
-//!   pool size (the same commit discipline as
-//!   [`ExecCore`](crate::ExecCore)).
+//!   pool size (see [`ExecCore`](crate::ExecCore)).
 //!
-//! The codec path is **opt-in per problem**: algorithms whose state has no
-//! natural fixed-width encoding keep the boxed engine unchanged. Decoding
-//! constructs a fresh state value rather than cloning one, so the engine's
-//! never-clones-states accounting (`crates/sim/tests/clone_accounting.rs`)
-//! holds on this path too.
+//! Decoding constructs a fresh state value, so the engine cannot clone a
+//! state: it only encodes and decodes lanes.
 
 use std::fmt::Debug;
 use std::marker::PhantomData;
@@ -29,10 +25,9 @@ use treelocal_graph::{NodeId, OrInvariant};
 /// Fixed-width lane encoding of a per-node algorithm state.
 ///
 /// `encode` must write every lane it owns and `decode(encode(s)) == s`
-/// must hold for every reachable state — the round-trip property suite
-/// (`crates/sim/tests/soa_equiv.rs` and the per-problem unit suites) pins
-/// this for each implementation. Lane counts are compile-time constants so
-/// column offsets are pure index arithmetic.
+/// must hold for every reachable state — each implementation pins this
+/// with a round-trip property test next to it. Lane counts are
+/// compile-time constants so column offsets are pure index arithmetic.
 pub trait StateCodec: Sized + Debug {
     /// Number of `u32` lanes one state occupies.
     const U32_LANES: usize;
@@ -49,9 +44,36 @@ pub trait StateCodec: Sized + Debug {
     fn decode(lanes32: &[u32], lanes64: &[u64]) -> Self;
 }
 
+/// A bare `u32` is one u32 lane.
+impl StateCodec for u32 {
+    const U32_LANES: usize = 1;
+    const U64_LANES: usize = 0;
+
+    fn encode(&self, lanes32: &mut [u32], _lanes64: &mut [u64]) {
+        lanes32[0] = *self;
+    }
+
+    fn decode(lanes32: &[u32], _lanes64: &[u64]) -> Self {
+        lanes32[0]
+    }
+}
+
+/// A bare `u64` is one u64 lane.
+impl StateCodec for u64 {
+    const U32_LANES: usize = 0;
+    const U64_LANES: usize = 1;
+
+    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
+        lanes64[0] = *self;
+    }
+
+    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
+        lanes64[0]
+    }
+}
+
 /// Node-major flat lane storage: every node's lanes live at a fixed row in
-/// two flat vectors. This is the SoA half of the engine-scale layout (the
-/// CSR arrays of `treelocal-graph` are the adjacency half).
+/// two flat vectors.
 #[derive(Debug)]
 pub(crate) struct SoaColumns<S: StateCodec> {
     lanes32: Vec<u32>,
@@ -104,21 +126,20 @@ impl<S: StateCodec> SoaColumns<S> {
     }
 }
 
-/// Read-only view of the previous round's column state — the codec path's
-/// analogue of [`Snapshot`](crate::Snapshot). Reads **decode by value**:
-/// neighbors get a fresh state constructed from the lanes, not a borrow
-/// into the buffer.
+/// Read-only view of the previous round's states. Reads **decode by
+/// value**: neighbors get a fresh state constructed from the lanes, not a
+/// borrow into the buffer.
 #[derive(Debug)]
-pub struct SoaSnapshot<'a, S: StateCodec> {
+pub struct Snapshot<'a, S: StateCodec> {
     lanes32: &'a [u32],
     lanes64: &'a [u64],
     seeded: &'a [bool],
     _codec: PhantomData<fn() -> S>,
 }
 
-impl<S: StateCodec> SoaSnapshot<'_, S> {
-    pub(crate) fn over<'a>(columns: &'a SoaColumns<S>, seeded: &'a [bool]) -> SoaSnapshot<'a, S> {
-        SoaSnapshot {
+impl<S: StateCodec> Snapshot<'_, S> {
+    pub(crate) fn over<'a>(columns: &'a SoaColumns<S>, seeded: &'a [bool]) -> Snapshot<'a, S> {
+        Snapshot {
             lanes32: &columns.lanes32,
             lanes64: &columns.lanes64,
             seeded,
@@ -133,10 +154,7 @@ impl<S: StateCodec> SoaSnapshot<'_, S> {
     /// Panics if `v` does not participate in the execution. Algorithms only
     /// read states of their topology neighbors, which always participate.
     pub fn get(&self, v: NodeId) -> S {
-        assert!(
-            self.seeded[v.index()],
-            "neighbor {v:?} participates in the execution (codec snapshot)"
-        );
+        assert!(self.seeded[v.index()], "neighbor {v:?} participates in the execution");
         let base32 = v.index() * S::U32_LANES;
         let base64 = v.index() * S::U64_LANES;
         S::decode(
@@ -151,11 +169,11 @@ impl<S: StateCodec> SoaSnapshot<'_, S> {
     }
 }
 
-/// The result of running a codec-backed execution to quiescence: final
-/// states stay in their flat columns (no per-node boxing on the way out —
-/// the 10M-node smoke tier's peak RSS depends on it) and decode on access.
+/// The result of running an algorithm to quiescence: final states stay in
+/// their flat columns (no per-node boxing on the way out — the 10M-node
+/// smoke tier's peak RSS depends on it) and decode on access.
 #[derive(Debug)]
-pub struct SoaOutcome<S: StateCodec> {
+pub struct RunOutcome<S: StateCodec> {
     pub(crate) columns: SoaColumns<S>,
     pub(crate) seeded: Vec<bool>,
     /// Number of communication rounds executed (the maximum halting round
@@ -163,7 +181,7 @@ pub struct SoaOutcome<S: StateCodec> {
     pub rounds: u64,
 }
 
-impl<S: StateCodec> SoaOutcome<S> {
+impl<S: StateCodec> RunOutcome<S> {
     /// The final state of node `v`, decoded from its lanes.
     ///
     /// # Panics
@@ -178,20 +196,10 @@ impl<S: StateCodec> SoaOutcome<S> {
         self.seeded[v.index()].then(|| self.columns.read(v))
     }
 
-    /// Number of state slots (the index space the run was seeded over).
-    pub fn index_space(&self) -> usize {
-        self.seeded.len()
-    }
-
-    /// Decodes every slot into the boxed-path result shape. Costs one
-    /// allocation per participating node — tests and adapters use it to
-    /// compare against [`RunOutcome`](crate::RunOutcome); hot paths should
-    /// read states directly from the columns instead.
-    pub fn to_run_outcome(&self) -> crate::RunOutcome<S> {
-        crate::RunOutcome {
-            states: (0..self.seeded.len()).map(|i| self.try_state(NodeId::new(i))).collect(),
-            rounds: self.rounds,
-        }
+    /// Every slot's final state in index order (`None` for
+    /// non-participants), decoded one at a time.
+    pub fn states(&self) -> impl ExactSizeIterator<Item = Option<S>> + '_ {
+        (0..self.seeded.len()).map(|i| self.try_state(NodeId::new(i)))
     }
 }
 
@@ -269,7 +277,7 @@ mod tests {
         cols.write(NodeId::new(1), &OnlyWide(9));
         assert_eq!(cols.read(NodeId::new(1)), OnlyWide(9));
         let seeded = vec![false, true];
-        let snap = SoaSnapshot::over(&cols, &seeded);
+        let snap = Snapshot::over(&cols, &seeded);
         assert_eq!(snap.try_get(NodeId::new(0)), None);
         assert_eq!(snap.try_get(NodeId::new(1)), Some(OnlyWide(9)));
     }
@@ -279,7 +287,7 @@ mod tests {
     fn snapshot_get_rejects_non_participants() {
         let cols: SoaColumns<Mixed> = SoaColumns::new(1);
         let seeded = vec![false];
-        let snap = SoaSnapshot::over(&cols, &seeded);
+        let snap = Snapshot::over(&cols, &seeded);
         let _ = snap.get(NodeId::new(0));
     }
 }

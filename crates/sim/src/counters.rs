@@ -104,13 +104,13 @@ mod tests {
         core.begin_round(10);
         core.step_snapshot(|v, own, _| {
             if v.index() == 0 {
-                Verdict::Halted(*own)
+                Verdict::Halted(own)
             } else {
                 Verdict::Active(own + 1)
             }
         });
         core.begin_round(10);
-        core.step_snapshot(|_, own, _| Verdict::Halted(*own));
+        core.step_snapshot(|_, own, _| Verdict::Halted(own));
         let (r1, s1, _) = snapshot();
         assert!(r1 >= r0 + 2, "rounds {r0} -> {r1}");
         assert!(s1 >= s0 + 5, "steps {s0} -> {s1}");

@@ -8,8 +8,7 @@
 //! state". Round counts are exactly those of a real deployment of the same
 //! algorithm.
 
-use std::fmt::Debug;
-use treelocal_graph::OrInvariant;
+use crate::codec::{RunOutcome, Snapshot, StateCodec};
 use treelocal_graph::{NodeId, Topology};
 
 /// Everything a node is allowed to know globally (Definition 5): the number
@@ -56,43 +55,18 @@ pub enum Verdict<S> {
     Halted(S),
 }
 
-/// Read-only view of the previous round's states.
-#[derive(Debug)]
-pub struct Snapshot<'a, S> {
-    states: &'a [Option<S>],
-}
-
-impl<S> Snapshot<'_, S> {
-    /// A view over a state buffer (used by the shared execution core).
-    pub(crate) fn over(states: &[Option<S>]) -> Snapshot<'_, S> {
-        Snapshot { states }
-    }
-
-    /// The previous-round state of node `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` does not participate in the execution. Algorithms only
-    /// read states of their topology neighbors, which always participate.
-    pub fn get(&self, v: NodeId) -> &S {
-        self.states[v.index()].as_ref().or_invariant("neighbor participates in the execution")
-    }
-
-    /// The previous-round state of `v`, or `None` when `v` is not running.
-    pub fn try_get(&self, v: NodeId) -> Option<&S> {
-        self.states[v.index()].as_ref()
-    }
-}
-
 /// A deterministic synchronous LOCAL algorithm as a per-node state machine.
 ///
 /// `init` is evaluated before any communication (round 0); each `step`
 /// consumes exactly one communication round, in which the node observes the
-/// previous-round states of its topology neighbors via [`Snapshot`].
+/// previous-round states of its topology neighbors via [`Snapshot`]. States
+/// live in flat lane columns ([`StateCodec`]), so `own` arrives **by
+/// value** — decoded from the node's lanes — and neighbor reads decode by
+/// value too.
 pub trait SyncAlgorithm<T: Topology> {
-    /// Per-node state; its full content is what neighbors can read (LOCAL
-    /// messages are unbounded).
-    type State: Clone + Debug;
+    /// Per-node state with a fixed-width lane encoding; its full content is
+    /// what neighbors can read (LOCAL messages are unbounded).
+    type State: StateCodec;
 
     /// The state of `v` before any communication happened.
     fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<Self::State>;
@@ -103,31 +77,9 @@ pub trait SyncAlgorithm<T: Topology> {
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
-        own: &Self::State,
+        own: Self::State,
         prev: &Snapshot<'_, Self::State>,
     ) -> Verdict<Self::State>;
-}
-
-/// The result of running an algorithm to quiescence.
-#[derive(Clone, Debug)]
-pub struct RunOutcome<S> {
-    /// Final per-node states (indexed by the parent graph's node space;
-    /// `None` for non-participating nodes).
-    pub states: Vec<Option<S>>,
-    /// Number of communication rounds executed (the maximum halting round
-    /// over all nodes).
-    pub rounds: u64,
-}
-
-impl<S> RunOutcome<S> {
-    /// The final state of node `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` did not participate.
-    pub fn state(&self, v: NodeId) -> &S {
-        self.states[v.index()].as_ref().or_invariant("node participated in the run")
-    }
 }
 
 /// Thread-shareability marker used by the engine's generic bounds.
@@ -154,9 +106,9 @@ impl<T: ?Sized> ParSafe for T {}
 /// Runs `algo` on `ctx.topo` until every node halts.
 ///
 /// Built on the shared [`ExecCore`](crate::ExecCore): each round steps only
-/// the active frontier, halted states are moved into place once and never
-/// cloned, and commit happens after every frontier node has read the
-/// previous round — exactly the synchronous semantics of Definition 5.
+/// the active frontier, halted lanes are frozen in place, and commit
+/// happens after every frontier node has read the previous round — exactly
+/// the synchronous semantics of Definition 5.
 ///
 /// With the `parallel` feature, large frontiers are stepped on the
 /// vendored rayon pool ([`crate::par::auto_threads`] sizes it; the
@@ -224,100 +176,6 @@ where
     core.finish()
 }
 
-/// A deterministic synchronous LOCAL algorithm stepping over
-/// codec-encoded state ([`crate::StateCodec`]).
-///
-/// The semantics are exactly [`SyncAlgorithm`]'s — `init` before any
-/// communication, each `step` one synchronous round reading the previous
-/// round through a snapshot — with two signature changes forced by the
-/// flat-column layout: `own` arrives **by value** (decoded from the
-/// node's lanes, not borrowed from a state buffer) and neighbor reads via
-/// [`SoaSnapshot::get`](crate::SoaSnapshot::get) decode by value too.
-/// Problems implement both traits over the same state type and the
-/// equivalence suites assert the two paths agree byte for byte.
-pub trait SoaAlgorithm<T: Topology> {
-    /// Per-node state with a fixed-width lane encoding.
-    type State: crate::StateCodec;
-
-    /// The state of `v` before any communication happened.
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<Self::State>;
-
-    /// One synchronous round at node `v`.
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: Self::State,
-        prev: &crate::SoaSnapshot<'_, Self::State>,
-    ) -> Verdict<Self::State>;
-}
-
-/// Runs a codec-backed algorithm on `ctx.topo` until every node halts —
-/// [`run`] over [`crate::ExecCoreSoa`] instead of the boxed core.
-///
-/// Outcomes, round counts and work counters are identical to running the
-/// same logic through [`run`]; only the state layout (and therefore cache
-/// behavior and peak memory) differs. With the `parallel` feature large
-/// frontiers step on the vendored rayon pool, byte-identically for every
-/// pool size — pinned by `tests/soa_equiv.rs`.
-///
-/// # Panics
-///
-/// As [`run`]: panics if the algorithm has not halted after `max_rounds`.
-pub fn run_soa<T, A>(ctx: &Ctx<'_, T>, algo: &A, max_rounds: u64) -> crate::SoaOutcome<A::State>
-where
-    T: Topology + ParSafe,
-    A: SoaAlgorithm<T> + ParSafe,
-    A::State: ParSafe,
-{
-    #[cfg(feature = "parallel")]
-    {
-        run_soa_with_threads(ctx, algo, max_rounds, crate::par::auto_threads())
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let mut core = crate::ExecCoreSoa::new(ctx.topo.index_space());
-        for v in ctx.topo.nodes() {
-            core.seed(v, algo.init(ctx, v));
-        }
-        while !core.is_done() {
-            let round = core.begin_round(max_rounds);
-            core.step_snapshot(|v, own, snap| algo.step(ctx, v, round, own, snap));
-        }
-        core.finish()
-    }
-}
-
-/// [`run_soa`] with an explicit pool size (1 forces sequential execution);
-/// every size produces the same [`crate::SoaOutcome`].
-///
-/// # Panics
-///
-/// As [`run_soa`].
-#[cfg(feature = "parallel")]
-pub fn run_soa_with_threads<T, A>(
-    ctx: &Ctx<'_, T>,
-    algo: &A,
-    max_rounds: u64,
-    threads: usize,
-) -> crate::SoaOutcome<A::State>
-where
-    T: Topology + ParSafe,
-    A: SoaAlgorithm<T> + ParSafe,
-    A::State: ParSafe,
-{
-    let mut core = crate::ExecCoreSoa::new(ctx.topo.index_space());
-    for v in ctx.topo.nodes() {
-        core.seed(v, algo.init(ctx, v));
-    }
-    while !core.is_done() {
-        let round = core.begin_round(max_rounds);
-        core.step_snapshot_threads(threads, |v, own, snap| algo.step(ctx, v, round, own, snap));
-    }
-    core.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,6 +187,19 @@ mod tests {
 
     #[derive(Clone, Debug, PartialEq)]
     struct Dist(Option<u64>);
+
+    /// `u64::MAX` stands for "no distance yet" (no real hop count gets
+    /// near it).
+    impl StateCodec for Dist {
+        const U32_LANES: usize = 0;
+        const U64_LANES: usize = 1;
+        fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
+            lanes64[0] = self.0.unwrap_or(u64::MAX);
+        }
+        fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
+            Dist((lanes64[0] != u64::MAX).then_some(lanes64[0]))
+        }
+    }
 
     impl<T: Topology> SyncAlgorithm<T> for Flood {
         type State = Dist;
@@ -351,11 +222,11 @@ mod tests {
             ctx: &Ctx<T>,
             v: NodeId,
             _round: u64,
-            own: &Dist,
+            own: Dist,
             prev: &Snapshot<'_, Dist>,
         ) -> Verdict<Dist> {
-            if let Dist(Some(d)) = own {
-                return Verdict::Halted(Dist(Some(*d)));
+            if own.0.is_some() {
+                return Verdict::Halted(own);
             }
             let best = ctx.topo.neighbor_nodes(v).iter().filter_map(|&w| prev.get(w).0).min();
             match best {
@@ -391,17 +262,17 @@ mod tests {
                 _: &Ctx<T>,
                 _: NodeId,
                 _: u64,
-                s: &u64,
+                s: u64,
                 _: &Snapshot<'_, u64>,
             ) -> Verdict<u64> {
-                Verdict::Halted(*s)
+                Verdict::Halted(s)
             }
         }
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
         let ctx = Ctx::of(&g);
         let out = run(&ctx, &Instant, 10);
         assert_eq!(out.rounds, 0);
-        assert_eq!(*out.state(NodeId::new(2)), 3);
+        assert_eq!(out.state(NodeId::new(2)), 3);
     }
 
     #[test]
@@ -409,19 +280,19 @@ mod tests {
     fn runaway_algorithm_is_detected() {
         struct Forever;
         impl<T: Topology> SyncAlgorithm<T> for Forever {
-            type State = ();
-            fn init(&self, _: &Ctx<T>, _: NodeId) -> Verdict<()> {
-                Verdict::Active(())
+            type State = u32;
+            fn init(&self, _: &Ctx<T>, _: NodeId) -> Verdict<u32> {
+                Verdict::Active(0)
             }
             fn step(
                 &self,
                 _: &Ctx<T>,
                 _: NodeId,
                 _: u64,
-                _: &(),
-                _: &Snapshot<'_, ()>,
-            ) -> Verdict<()> {
-                Verdict::Active(())
+                s: u32,
+                _: &Snapshot<'_, u32>,
+            ) -> Verdict<u32> {
+                Verdict::Active(s)
             }
         }
         let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
@@ -435,6 +306,6 @@ mod tests {
         let ctx = Ctx::of(&g);
         let out = run(&ctx, &Flood, 10);
         assert_eq!(out.rounds, 0);
-        assert!(out.states.is_empty());
+        assert_eq!(out.states().len(), 0);
     }
 }

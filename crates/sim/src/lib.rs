@@ -5,8 +5,10 @@
 //! synchronous rounds, unbounded messages (modeled as full state exchange),
 //! unique identifiers, and knowledge of `n` and `Δ`. It provides:
 //!
-//! * [`SyncAlgorithm`] / [`run`] — per-node state machines executed in
-//!   lockstep with exact round counting,
+//! * [`SyncAlgorithm`] / [`run`] — per-node state machines over
+//!   [`StateCodec`] lane columns, executed in lockstep with exact round
+//!   counting, and [`MessageAlgorithm`] / [`run_messages`] — the same
+//!   core driven by explicit per-port messages,
 //! * [`RoundReport`] — per-phase accounting used by every pipeline,
 //! * [`gather_rounds_at`] and the [`GatherPlan`] eccentricity cache — the
 //!   honest cost of the paper's "gather the component at its highest
@@ -18,24 +20,41 @@
 //!
 //! # Examples
 //!
+//! A state is anything with a fixed-width [`StateCodec`]; the engine keeps
+//! it in flat lane columns and hands it to `step` by value.
+//!
 //! ```
 //! use treelocal_graph::{Graph, NodeId, Topology};
-//! use treelocal_sim::{run, Ctx, Snapshot, SyncAlgorithm, Verdict};
+//! use treelocal_sim::{run, Ctx, Snapshot, StateCodec, SyncAlgorithm, Verdict};
+//!
+//! /// The largest identifier seen so far, one u64 lane.
+//! #[derive(Debug)]
+//! struct MaxId(u64);
+//!
+//! impl StateCodec for MaxId {
+//!     const U32_LANES: usize = 0;
+//!     const U64_LANES: usize = 1;
+//!     fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
+//!         lanes64[0] = self.0;
+//!     }
+//!     fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
+//!         MaxId(lanes64[0])
+//!     }
+//! }
 //!
 //! /// Each node halts with the maximum identifier among its neighbors.
 //! struct MaxNeighbor;
 //! impl<T: Topology> SyncAlgorithm<T> for MaxNeighbor {
-//!     type State = u64;
-//!     fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<u64> {
-//!         Verdict::Active(ctx.topo.local_id(v))
+//!     type State = MaxId;
+//!     fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<MaxId> {
+//!         Verdict::Active(MaxId(ctx.topo.local_id(v)))
 //!     }
-//!     fn step(&self, ctx: &Ctx<T>, v: NodeId, _r: u64, own: &u64,
-//!             prev: &Snapshot<'_, u64>) -> Verdict<u64> {
+//!     fn step(&self, ctx: &Ctx<T>, v: NodeId, _r: u64, own: MaxId,
+//!             prev: &Snapshot<'_, MaxId>) -> Verdict<MaxId> {
 //!         let m = ctx.topo.neighbor_nodes(v).iter()
-//!             .map(|&w| *prev.get(w))
-//!             .max()
-//!             .unwrap_or(*own);
-//!         Verdict::Halted(m.max(*own))
+//!             .map(|&w| prev.get(w).0)
+//!             .fold(own.0, u64::max);
+//!         Verdict::Halted(MaxId(m))
 //!     }
 //! }
 //!
@@ -43,7 +62,7 @@
 //! let ctx = Ctx::of(&g);
 //! let out = run(&ctx, &MaxNeighbor, 10);
 //! assert_eq!(out.rounds, 1);
-//! assert_eq!(*out.state(NodeId::new(0)), 2);
+//! assert_eq!(out.state(NodeId::new(0)).0, 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -62,20 +81,18 @@ mod primes;
 mod rounds;
 pub mod transcript;
 
-pub use codec::{SoaOutcome, SoaSnapshot, StateCodec};
-pub use engine::{
-    run, run_soa, Ctx, ParSafe, RunOutcome, Snapshot, SoaAlgorithm, SyncAlgorithm, Verdict,
-};
+pub use codec::{RunOutcome, Snapshot, StateCodec};
 #[cfg(feature = "parallel")]
-pub use engine::{run_soa_with_threads, run_with_threads};
-pub use exec_core::{ExecCore, ExecCoreSoa};
+pub use engine::run_with_threads;
+pub use engine::{run, Ctx, ParSafe, SyncAlgorithm, Verdict};
+pub use exec_core::ExecCore;
 pub use gather::{
     gather_rounds_at, highest_id_center, parallel_gather_rounds, sequential_gather_rounds,
     GatherPlan,
 };
 pub use logstar::{ceil_log, log_star_f64, log_star_u64};
-pub use msg_engine::{run_messages, run_messages_soa, MessageAlgorithm};
 #[cfg(feature = "parallel")]
-pub use msg_engine::{run_messages_soa_with_threads, run_messages_with_threads};
+pub use msg_engine::run_messages_with_threads;
+pub use msg_engine::{run_messages, MessageAlgorithm};
 pub use primes::{is_prime, next_prime};
 pub use rounds::{Phase, RoundReport};

@@ -28,20 +28,21 @@
 //!   observable only through determinism bugs, which
 //!   `tests/msg_parallel_equiv.rs` hunts);
 //! * the **receive phase** rides [`ExecCore::step_owned_threads`]
-//!   (frontier states moved — never cloned — to pool workers, verdicts
-//!   committed sequentially in frontier order), exactly mirroring the
-//!   snapshot engine's threaded stepping path.
+//!   (frontier states decoded on pool workers, verdicts committed
+//!   sequentially in frontier order), exactly mirroring the snapshot
+//!   engine's threaded stepping path.
 
-use crate::codec::{SoaOutcome, StateCodec};
-use crate::engine::{Ctx, ParSafe, RunOutcome, Verdict};
-use crate::{ExecCore, ExecCoreSoa};
+use crate::codec::{RunOutcome, StateCodec};
+use crate::engine::{Ctx, ParSafe, Verdict};
+use crate::ExecCore;
 use std::fmt::Debug;
 use treelocal_graph::{narrow_u32, widen_u32, widen_u64, NodeId, Topology};
 
 /// A deterministic LOCAL algorithm in explicit message-passing form.
 pub trait MessageAlgorithm<T: Topology> {
-    /// Per-node private state (not visible to neighbors).
-    type State: Clone + Debug;
+    /// Per-node private state (not visible to neighbors), stored in the
+    /// core's lane columns.
+    type State: StateCodec;
     /// The message alphabet.
     type Msg: Clone + Debug;
 
@@ -212,65 +213,25 @@ impl<M> Router<M> {
     }
 }
 
-/// The send phase's view of a stepping core: liveness plus scoped access
-/// to a sender's current state. Implemented by both state layouts — the
-/// boxed [`ExecCore`] hands out its stored `&S`, the codec-backed
-/// [`ExecCoreSoa`] decodes the sender's lanes into a fresh value — so the
-/// routing code (and its halted-recipient invariant) is written once and
-/// tested once.
-trait SendView<S> {
-    /// The nodes that will receive this round, in deterministic order.
-    fn frontier(&self) -> &[NodeId];
-    /// Whether `v` is still running (halted recipients drop messages).
-    fn is_active(&self, v: NodeId) -> bool;
-    /// Calls `f` with node `v`'s current state.
-    fn with_state<R, F: FnOnce(&S) -> R>(&self, v: NodeId, f: F) -> R;
-}
-
-impl<S> SendView<S> for ExecCore<S> {
-    fn frontier(&self) -> &[NodeId] {
-        ExecCore::frontier(self)
-    }
-    fn is_active(&self, v: NodeId) -> bool {
-        ExecCore::is_active(self, v)
-    }
-    fn with_state<R, F: FnOnce(&S) -> R>(&self, v: NodeId, f: F) -> R {
-        f(self.state(v))
-    }
-}
-
-impl<S: StateCodec> SendView<S> for ExecCoreSoa<S> {
-    fn frontier(&self) -> &[NodeId] {
-        ExecCoreSoa::frontier(self)
-    }
-    fn is_active(&self, v: NodeId) -> bool {
-        ExecCoreSoa::is_active(self, v)
-    }
-    fn with_state<R, F: FnOnce(&S) -> R>(&self, v: NodeId, f: F) -> R {
-        let s = self.state(v);
-        f(&s)
-    }
-}
-
 /// Collects node `v`'s outgoing messages for this round into `bucket` as
-/// `(flat recipient slot, message)` pairs. Liveness and
-/// state come from `core`, so the halted-recipient rule below is driven by
-/// the engine's own frontier bookkeeping.
+/// `(flat recipient slot, message)` pairs. Liveness and the sender's
+/// decoded state come from `core`, so the halted-recipient rule below is
+/// driven by the engine's own frontier bookkeeping.
 ///
 /// Messages addressed to halted recipients are dropped here — their
 /// inboxes are dead (never cleared, never read again), so routing into
 /// them would be wasted writes that keep dead messages alive until the end
 /// of the run.
-fn outgoing_into<T: Topology, A: MessageAlgorithm<T>, C: SendView<A::State>>(
+fn outgoing_into<T: Topology, A: MessageAlgorithm<T>>(
     ctx: &Ctx<'_, T>,
     algo: &A,
     round: u64,
     v: NodeId,
-    core: &C,
+    core: &ExecCore<A::State>,
     router: &Router<A::Msg>,
     bucket: &mut Vec<(usize, A::Msg)>,
 ) {
-    let out = core.with_state(v, |s| algo.send(ctx, v, round, s));
+    let out = algo.send(ctx, v, round, &core.state(v));
     assert_eq!(out.len(), ctx.topo.degree(v), "one message slot per port");
     let back = &router.back_port[router.range(v)];
     let nbrs = ctx.topo.neighbor_nodes(v);
@@ -291,11 +252,11 @@ fn outgoing_into<T: Topology, A: MessageAlgorithm<T>, C: SendView<A::State>>(
 /// merges the buckets sequentially in frontier order; otherwise the nodes
 /// route inline through one reused scratch bucket — the same write
 /// sequence either way.
-fn send_phase<T, A, C>(
+fn send_phase<T, A>(
     ctx: &Ctx<'_, T>,
     algo: &A,
     round: u64,
-    core: &C,
+    core: &ExecCore<A::State>,
     router: &mut Router<A::Msg>,
     threads: usize,
 ) where
@@ -303,7 +264,6 @@ fn send_phase<T, A, C>(
     A: MessageAlgorithm<T> + ParSafe,
     A::State: ParSafe,
     A::Msg: ParSafe,
-    C: SendView<A::State> + ParSafe,
 {
     #[cfg(feature = "parallel")]
     if threads > 1 && core.frontier().len() >= crate::par::PAR_FRONTIER_MIN {
@@ -372,9 +332,9 @@ where
 /// Built on the shared [`ExecCore`](crate::ExecCore): the send phase walks
 /// the active frontier (terminated nodes are silent by construction, and
 /// messages *to* terminated nodes are dropped unrouted), the receive phase
-/// consumes frontier states by value, and round accounting is the core's —
-/// identical to the snapshot engine's, which is what the cross-engine
-/// equivalence tests assert.
+/// consumes decoded frontier states by value, and round accounting is the
+/// core's — identical to the snapshot engine's, which is what the
+/// cross-engine equivalence tests assert.
 ///
 /// With the `parallel` feature, large frontiers run both phases on the
 /// vendored rayon pool ([`crate::par::auto_threads`] sizes it; the
@@ -428,96 +388,11 @@ where
     run_messages_on_pool(ctx, algo, max_rounds, threads)
 }
 
-/// Shared run loop of the codec-backed message entry points: the same
-/// send/receive cycle as [`run_messages_on_pool`] over an [`ExecCoreSoa`].
-/// The send phase is the identical generic routing code (liveness and
-/// sender states now come from the flat columns); the receive phase rides
-/// the codec core's owned stepping, consuming decoded states by value.
-fn run_messages_soa_on_pool<T, A>(
-    ctx: &Ctx<'_, T>,
-    algo: &A,
-    max_rounds: u64,
-    threads: usize,
-) -> SoaOutcome<A::State>
-where
-    T: Topology + ParSafe,
-    A: MessageAlgorithm<T> + ParSafe,
-    A::State: StateCodec + ParSafe,
-    A::Msg: ParSafe,
-{
-    let mut core = ExecCoreSoa::new(ctx.topo.index_space());
-    for v in ctx.topo.nodes() {
-        core.seed(v, Verdict::Active(algo.init(ctx, v)));
-    }
-    let mut router: Router<A::Msg> = Router::new(ctx.topo);
-    while !core.is_done() {
-        let round = core.begin_round(max_rounds);
-        crate::counters::record_send_round(widen_u64(core.frontier().len()));
-        router.clear_frontier(core.frontier());
-        send_phase(ctx, algo, round, &core, &mut router, threads);
-        let recv = |v: NodeId, state: A::State| algo.receive(ctx, v, round, state, router.inbox(v));
-        #[cfg(feature = "parallel")]
-        core.step_owned_threads(threads, recv);
-        #[cfg(not(feature = "parallel"))]
-        core.step_owned(recv);
-    }
-    core.finish()
-}
-
-/// [`run_messages`] over codec-encoded state: the receive phase consumes
-/// states decoded from flat [`crate::SoaColumns`](crate::SoaSnapshot)
-/// lanes and the outcome keeps them flat. [`MessageAlgorithm::receive`]
-/// already takes the state by value, so any message algorithm whose state
-/// implements [`StateCodec`] runs on this path unchanged — outcomes,
-/// round counts and work counters are byte-identical to [`run_messages`]
-/// for every pool size (pinned by `tests/soa_equiv.rs`).
-///
-/// # Panics
-///
-/// As [`run_messages`].
-pub fn run_messages_soa<T, A>(ctx: &Ctx<'_, T>, algo: &A, max_rounds: u64) -> SoaOutcome<A::State>
-where
-    T: Topology + ParSafe,
-    A: MessageAlgorithm<T> + ParSafe,
-    A::State: StateCodec + ParSafe,
-    A::Msg: ParSafe,
-{
-    #[cfg(feature = "parallel")]
-    {
-        run_messages_soa_with_threads(ctx, algo, max_rounds, crate::par::auto_threads())
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        run_messages_soa_on_pool(ctx, algo, max_rounds, 1)
-    }
-}
-
-/// [`run_messages_soa`] with an explicit pool size (1 forces sequential
-/// execution); every size produces the same [`SoaOutcome`].
-///
-/// # Panics
-///
-/// As [`run_messages`].
-#[cfg(feature = "parallel")]
-pub fn run_messages_soa_with_threads<T, A>(
-    ctx: &Ctx<'_, T>,
-    algo: &A,
-    max_rounds: u64,
-    threads: usize,
-) -> SoaOutcome<A::State>
-where
-    T: Topology + ParSafe,
-    A: MessageAlgorithm<T> + ParSafe,
-    A::State: StateCodec + ParSafe,
-    A::Msg: ParSafe,
-{
-    run_messages_soa_on_pool(ctx, algo, max_rounds, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run, Snapshot, SyncAlgorithm};
+    use crate::engine::{run, SyncAlgorithm};
+    use crate::Snapshot;
     use treelocal_graph::{Graph, OrInvariant};
 
     /// Reference task: every node computes the maximum identifier within
@@ -569,11 +444,10 @@ mod tests {
             ctx: &Ctx<T>,
             v: NodeId,
             round: u64,
-            own: &u64,
+            own: u64,
             prev: &Snapshot<'_, u64>,
         ) -> Verdict<u64> {
-            let best =
-                ctx.topo.neighbor_nodes(v).iter().map(|&w| *prev.get(w)).fold(*own, u64::max);
+            let best = ctx.topo.neighbor_nodes(v).iter().map(|&w| prev.get(w)).fold(own, u64::max);
             if round == R {
                 Verdict::Halted(best)
             } else {
@@ -605,12 +479,12 @@ mod tests {
         /// of received messages.
         struct Selective;
         impl<T: Topology> MessageAlgorithm<T> for Selective {
-            type State = usize;
+            type State = u32;
             type Msg = ();
-            fn init(&self, _: &Ctx<T>, _: NodeId) -> usize {
+            fn init(&self, _: &Ctx<T>, _: NodeId) -> u32 {
                 0
             }
-            fn send(&self, ctx: &Ctx<T>, v: NodeId, _: u64, _: &usize) -> Vec<Option<()>> {
+            fn send(&self, ctx: &Ctx<T>, v: NodeId, _: u64, _: &u32) -> Vec<Option<()>> {
                 let mut out = vec![None; ctx.topo.degree(v)];
                 if let Some(slot) = out.first_mut() {
                     *slot = Some(());
@@ -622,10 +496,10 @@ mod tests {
                 _: &Ctx<T>,
                 _: NodeId,
                 _: u64,
-                _: usize,
+                _: u32,
                 inbox: &[Option<()>],
-            ) -> Verdict<usize> {
-                Verdict::Halted(inbox.iter().flatten().count())
+            ) -> Verdict<u32> {
+                Verdict::Halted(narrow_u32(inbox.iter().flatten().count()))
             }
         }
         // Path 0-1-2: port 0 is the lowest-index neighbor.
@@ -635,9 +509,9 @@ mod tests {
         // Node 0's port 0 -> 1; node 1's port 0 -> 0; node 2's port 0 -> 1.
         // So node 0 receives 1 message (from 1), node 1 receives 2 (from 0
         // and 2), node 2 receives 0.
-        assert_eq!(*out.state(NodeId::new(0)), 1);
-        assert_eq!(*out.state(NodeId::new(1)), 2);
-        assert_eq!(*out.state(NodeId::new(2)), 0);
+        assert_eq!(out.state(NodeId::new(0)), 1);
+        assert_eq!(out.state(NodeId::new(1)), 2);
+        assert_eq!(out.state(NodeId::new(2)), 0);
     }
 
     #[test]
@@ -734,7 +608,7 @@ mod tests {
         );
         assert_eq!(out.rounds, 1);
         // The center heard every leaf, so it holds the maximum id.
-        assert_eq!(*out.state(NodeId::new(0)), 100_000);
+        assert_eq!(out.state(NodeId::new(0)), 100_000);
     }
 
     #[test]
@@ -785,7 +659,7 @@ mod tests {
         let out = run_messages(&ctx, &MaxIdMsg, 100);
         assert_eq!(out.rounds, R);
         for &v in s.nodes() {
-            assert!(out.states[v.index()].is_some());
+            assert!(out.try_state(v).is_some());
         }
     }
 

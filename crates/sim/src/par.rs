@@ -19,8 +19,7 @@
 //! sequential runs byte-identical (pinned by `tests/parallel_equiv.rs`).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
-use treelocal_graph::OrInvariant;
+use std::sync::mpsc;
 
 /// Chunks claimed per worker on average; >1 gives dynamic load balancing
 /// without shrinking chunks so far that claiming dominates.
@@ -105,11 +104,11 @@ where
     })
 }
 
-/// The chunk-claiming driver shared by [`par_map`] and [`par_map_vec`]:
-/// `workers` pool workers claim chunk indices `0..n_chunks` from a shared
-/// atomic counter (self-scheduling, so a slow chunk never stalls the
-/// others), compute each through `compute`, and send results back tagged
-/// with the chunk index. The caller's vector is assembled **by chunk
+/// The chunk-claiming driver behind [`par_map`]: `workers` pool workers
+/// claim chunk indices `0..n_chunks` from a shared atomic counter
+/// (self-scheduling, so a slow chunk never stalls the others), compute
+/// each through `compute`, and send results back tagged with the chunk
+/// index. The caller's vector is assembled **by chunk
 /// index** — identical to a sequential map for every pool size.
 ///
 /// Panics inside `compute` are caught so the original payload (an
@@ -173,60 +172,10 @@ where
     result
 }
 
-/// [`par_map`] for **owned** items: consumes `items`, moving each into `f`
-/// exactly once, and returns results in item order for every pool size.
-///
-/// This is what the message engine's receive phase needs —
-/// [`MessageAlgorithm::receive`](crate::MessageAlgorithm::receive) consumes
-/// the node state by value, and the engines never clone states
-/// (`crates/sim/tests/clone_accounting.rs`), so a by-reference map cannot
-/// express it. The items are pre-split into contiguous chunk vectors;
-/// workers claim chunk indices from the same shared atomic counter as
-/// [`par_map`] and take sole ownership of a claimed chunk through its
-/// mutex. Results are assembled by chunk index, and the lowest-index panic
-/// is re-raised deterministically.
-pub fn par_map_vec<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        return items.into_iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let workers = threads.min(n);
-    let chunk_len = n.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-    // Pre-split into `(base index, chunk)` slots; a worker that claims
-    // chunk `c` takes sole ownership of its items through the mutex (each
-    // index is claimed at most once, so the lock is never contended).
-    type ChunkSlot<T> = Mutex<Option<(usize, Vec<T>)>>;
-    let chunks: Vec<ChunkSlot<T>> = {
-        let mut chunks = Vec::with_capacity(n.div_ceil(chunk_len));
-        let mut items = items.into_iter();
-        let mut base = 0usize;
-        while base < n {
-            let chunk: Vec<T> = items.by_ref().take(chunk_len).collect();
-            let len = chunk.len();
-            chunks.push(Mutex::new(Some((base, chunk))));
-            base += len;
-        }
-        chunks
-    };
-    drive_chunks(chunks.len(), workers, n, |c| {
-        let (base, chunk) = chunks[c]
-            .lock()
-            .or_invariant("chunk mutex is never poisoned (taken at most once)")
-            .take()
-            .or_invariant("each chunk index is claimed exactly once");
-        chunk.into_iter().enumerate().map(|(j, t)| f(base + j, t)).collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treelocal_graph::{widen_u32, widen_u64};
+    use treelocal_graph::widen_u64;
 
     #[test]
     fn matches_sequential_map_for_every_pool_size() {
@@ -266,44 +215,6 @@ mod tests {
         let _ = par_map(&items, 2, |_, x| {
             assert!(*x < 50, "intentional");
             *x
-        });
-    }
-
-    #[test]
-    fn owned_map_matches_sequential_for_every_pool_size() {
-        let expect: Vec<String> =
-            (0..1000u64).enumerate().map(|(i, x)| format!("{i}:{}", x * 7)).collect();
-        for threads in [1usize, 2, 3, 8, 64] {
-            let items: Vec<u64> = (0..1000).collect();
-            let got = par_map_vec(items, threads, |i, x| format!("{i}:{}", x * 7));
-            assert_eq!(got, expect, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn owned_map_moves_each_item_exactly_once() {
-        // A non-Clone item type: the map must move every box through `f`
-        // exactly once (double use would not compile; a skipped item would
-        // shrink the output).
-        let items: Vec<Box<u32>> = (0..500).map(Box::new).collect();
-        let got = par_map_vec(items, 4, |i, b| widen_u32(*b) + i);
-        assert_eq!(got, (0..500).map(|i| 2 * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn owned_map_empty_and_singleton() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(par_map_vec(empty, 4, |_, x| x).is_empty());
-        assert_eq!(par_map_vec(vec![9u32], 4, |i, x| (i, x)), vec![(0, 9)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "owned intentional")]
-    fn owned_map_worker_panics_propagate() {
-        let items: Vec<u32> = (0..100).collect();
-        let _ = par_map_vec(items, 2, |_, x| {
-            assert!(x < 50, "owned intentional");
-            x
         });
     }
 

@@ -16,8 +16,8 @@
 //! thread even in parallel builds (only step closures go to the pool),
 //! which is the same property the engines' determinism story rests on.
 //!
-//! Each engine run constructs exactly one [`ExecCore`](crate::ExecCore)
-//! or [`ExecCoreSoa`](crate::ExecCoreSoa), so a multi-run pipeline
+//! Each engine run constructs exactly one [`ExecCore`](crate::ExecCore),
+//! so a multi-run pipeline
 //! (Linial → KW phases → sweep) records one transcript **segment** per
 //! engine run, with the commitment chain threading across segments.
 //! Zero-round segments (a run whose every node halts at seeding) are
@@ -175,7 +175,8 @@ pub(crate) fn record_round(frontier: &[NodeId]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run, Ctx, Snapshot, SyncAlgorithm, Verdict};
+    use crate::engine::{run, Ctx, SyncAlgorithm, Verdict};
+    use crate::Snapshot;
     use treelocal_graph::{Graph, Topology};
 
     /// Halts node `v` after `v + 1` rounds.
@@ -190,13 +191,13 @@ mod tests {
             _ctx: &Ctx<T>,
             _v: NodeId,
             round: u64,
-            own: &u64,
+            own: u64,
             _prev: &Snapshot<'_, u64>,
         ) -> Verdict<u64> {
-            if round >= *own {
-                Verdict::Halted(*own)
+            if round >= own {
+                Verdict::Halted(own)
             } else {
-                Verdict::Active(*own)
+                Verdict::Active(own)
             }
         }
     }
@@ -270,7 +271,7 @@ mod tests {
                 _ctx: &Ctx<T>,
                 _v: NodeId,
                 _round: u64,
-                _own: &u64,
+                _own: u64,
                 _prev: &Snapshot<'_, u64>,
             ) -> Verdict<u64> {
                 Verdict::Halted(0)

@@ -10,12 +10,29 @@
 
 use treelocal_gen::{random_tree, relabel, IdStrategy};
 use treelocal_graph::{NodeId, Topology};
-use treelocal_sim::{run, run_messages, Ctx, MessageAlgorithm, Snapshot, SyncAlgorithm, Verdict};
+use treelocal_sim::{
+    run, run_messages, Ctx, MessageAlgorithm, Snapshot, StateCodec, SyncAlgorithm, Verdict,
+};
 
 /// Hop distance from the minimum-id node; a node halts the round after it
 /// learns its distance (so the round count equals eccentricity + 1).
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Dist(Option<u64>);
+
+/// `u64::MAX` stands for "no distance yet" (no real hop count gets near
+/// it).
+impl StateCodec for Dist {
+    const U32_LANES: usize = 0;
+    const U64_LANES: usize = 1;
+
+    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
+        lanes64[0] = self.0.unwrap_or(u64::MAX);
+    }
+
+    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
+        Dist((lanes64[0] != u64::MAX).then_some(lanes64[0]))
+    }
+}
 
 struct FloodState;
 
@@ -33,11 +50,11 @@ impl<T: Topology> SyncAlgorithm<T> for FloodState {
         ctx: &Ctx<T>,
         v: NodeId,
         _round: u64,
-        own: &Dist,
+        own: Dist,
         prev: &Snapshot<'_, Dist>,
     ) -> Verdict<Dist> {
         if own.0.is_some() {
-            return Verdict::Halted(own.clone());
+            return Verdict::Halted(own);
         }
         let best = ctx.topo.neighbor_nodes(v).iter().filter_map(|&w| prev.get(w).0).min();
         Verdict::Active(Dist(best.map(|d| d + 1)))

@@ -23,7 +23,7 @@
 //! cargo test --release -p treelocal-sim --test large_smoke -- --ignored
 //! ```
 
-use treelocal_algos::{is_proper, run_linial, run_linial_boxed};
+use treelocal_algos::{is_proper, run_linial};
 use treelocal_core::mis_on_tree;
 use treelocal_gen::{caterpillar, random_tree};
 use treelocal_graph::{Graph, NodeId};
@@ -64,8 +64,8 @@ fn log_over_loglog(n: usize) -> f64 {
     l / l.log2()
 }
 
-/// Peak-RSS instrumentation for the construction and state-layout
-/// comparisons (Linux best-effort, silent no-op elsewhere).
+/// Peak-RSS instrumentation for the construction and engine phases
+/// (Linux best-effort, silent no-op elsewhere).
 /// `reset_peak_rss` clears the kernel's high-water mark between phases so
 /// each [`peak_rss_kb`] reading covers one phase alone:
 ///
@@ -75,11 +75,10 @@ fn log_over_loglog(n: usize) -> f64 {
 ///   materialized edge list alone was ~480 MB at this size, ~1 GB peak
 ///   with the generator's own scratch).
 /// * **engine phase** — reset after `Ctx`/engine setup, read after the
-///   run. This is the state-layout comparison: the flat SoA column vs the
-///   boxed `Option<State>` double buffers.
+///   run: the flat lane columns of the one state store.
 ///
-/// The CI smoke job runs the two Linial variants in separate processes
-/// and greps both phase lines.
+/// The CI smoke job runs the Linial test in its own process and greps
+/// both phase lines.
 fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
@@ -90,9 +89,9 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-fn report_peak(name: &str, mode: &str, phase: &str) {
+fn report_peak(name: &str, phase: &str) {
     if let Some(kb) = peak_rss_kb() {
-        eprintln!("{name}: linial {mode} {phase}-phase peak RSS {kb} kB");
+        eprintln!("{name}: linial {phase}-phase peak RSS {kb} kB");
     }
 }
 
@@ -105,12 +104,12 @@ fn linial_on_ten_million_node_trees_stays_log_star() {
     for (name, build) in ten_million_node_trees() {
         reset_peak_rss();
         let tree = build();
-        report_peak(name, "soa", "generation");
+        report_peak(name, "generation");
         assert_eq!(tree.node_count(), N, "{name}");
         let ctx = Ctx::of(&tree);
         reset_peak_rss();
         let lin = run_linial(&ctx);
-        report_peak(name, "soa", "engine");
+        report_peak(name, "engine");
         assert!(is_proper(&tree, &lin.colors), "{name}: Linial output must be proper");
         let ls = log_star_u64(ctx.id_space);
         // Lin92: log* + O(1) stages, each one round. The schedule has
@@ -124,40 +123,6 @@ fn linial_on_ten_million_node_trees_stays_log_star() {
             ls + 2
         );
         assert!(lin.rounds >= 1, "{name}: ten million nodes cannot color in zero rounds");
-    }
-}
-
-/// The boxed-engine control for the test above: the same instances and
-/// assertions through [`run_linial_boxed`], which steps `Option<State>`
-/// double buffers instead of the codec's flat `u64` column. Only one
-/// engine runs per process, and both tests log their engine-phase peak
-/// RSS (see [`reset_peak_rss`]); the gap between the two logs is the
-/// state-layout memory win. Output equivalence between the engines is
-/// pinned byte-for-byte by the codec suites (`soa_equiv`, the in-crate
-/// `linial` tests), so this tier re-asserts only the paper-bound shape.
-#[test]
-#[ignore = "ten-million-node release-only smoke: cargo test --release -p treelocal-sim --test large_smoke -- --ignored"]
-fn linial_boxed_on_ten_million_node_trees_stays_log_star() {
-    if skip_in_debug() {
-        return;
-    }
-    for (name, build) in ten_million_node_trees() {
-        reset_peak_rss();
-        let tree = build();
-        report_peak(name, "boxed", "generation");
-        let ctx = Ctx::of(&tree);
-        reset_peak_rss();
-        let lin = run_linial_boxed(&ctx);
-        report_peak(name, "boxed", "engine");
-        assert!(is_proper(&tree, &lin.colors), "{name}: boxed Linial output must be proper");
-        let ls = log_star_u64(ctx.id_space);
-        assert!(
-            lin.rounds <= u64::from(ls) + 2,
-            "{name}: {} boxed Linial rounds exceeds log*({}) + 2 = {}",
-            lin.rounds,
-            ctx.id_space,
-            ls + 2
-        );
     }
 }
 

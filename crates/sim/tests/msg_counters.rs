@@ -73,13 +73,13 @@ impl<T: Topology> SyncAlgorithm<T> for HaltAtIdSnap {
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
-        own: &u64,
+        own: u64,
         _prev: &Snapshot<'_, u64>,
     ) -> Verdict<u64> {
         if round >= ctx.topo.local_id(v) {
-            Verdict::Halted(*own)
+            Verdict::Halted(own)
         } else {
-            Verdict::Active(*own)
+            Verdict::Active(own)
         }
     }
 }
@@ -169,7 +169,7 @@ fn counter_totals_are_pool_size_invariant() {
                 after.1 - before.1,
                 after.2 - before.2,
                 out.rounds,
-                out.states,
+                out.states().collect::<Vec<_>>(),
             );
             per_pool.push((threads, delta));
         }
@@ -180,138 +180,4 @@ fn counter_totals_are_pool_size_invariant() {
         // Send and receive phases step the same frontiers.
         assert_eq!(reference.1, reference.2, "send steps must mirror node steps");
     }
-}
-
-/// A codec for the plain `u64` message state, so the same algorithms can
-/// drive the SoA engines (the orphan rule keeps this impl out of the test
-/// files that don't own a newtype).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Packed(u64);
-
-impl treelocal_sim::StateCodec for Packed {
-    const U32_LANES: usize = 0;
-    const U64_LANES: usize = 1;
-
-    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
-        lanes64[0] = self.0;
-    }
-
-    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
-        Packed(lanes64[0])
-    }
-}
-
-/// [`HaltAtId`] over the codec newtype, for both engines' SoA paths.
-struct HaltAtIdPacked;
-
-impl<T: Topology> MessageAlgorithm<T> for HaltAtIdPacked {
-    type State = Packed;
-    type Msg = u64;
-
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Packed {
-        Packed(ctx.topo.local_id(v))
-    }
-
-    fn send(&self, ctx: &Ctx<T>, v: NodeId, _round: u64, state: &Packed) -> Vec<Option<u64>> {
-        vec![Some(state.0); ctx.topo.degree(v)]
-    }
-
-    fn receive(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        state: Packed,
-        inbox: &[Option<u64>],
-    ) -> Verdict<Packed> {
-        let acc = inbox.iter().flatten().fold(state.0, |a, &m| a.wrapping_add(m));
-        if round >= ctx.topo.local_id(v) {
-            Verdict::Halted(Packed(acc))
-        } else {
-            Verdict::Active(Packed(acc))
-        }
-    }
-}
-
-/// [`HaltAtIdSnap`] over the codec newtype, dual-trait so the same
-/// transition drives both snapshot-engine layouts.
-struct HaltAtIdSnapPacked;
-
-impl<T: Topology> SyncAlgorithm<T> for HaltAtIdSnapPacked {
-    type State = Packed;
-
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<Packed> {
-        Verdict::Active(Packed(ctx.topo.local_id(v)))
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: &Packed,
-        prev: &Snapshot<'_, Packed>,
-    ) -> Verdict<Packed> {
-        let acc =
-            ctx.topo.neighbor_nodes(v).iter().fold(own.0, |a, &w| a.wrapping_add(prev.get(w).0));
-        if round >= ctx.topo.local_id(v) {
-            Verdict::Halted(Packed(acc))
-        } else {
-            Verdict::Active(Packed(acc))
-        }
-    }
-}
-
-impl<T: Topology> treelocal_sim::SoaAlgorithm<T> for HaltAtIdSnapPacked {
-    type State = Packed;
-
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<Packed> {
-        Verdict::Active(Packed(ctx.topo.local_id(v)))
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: Packed,
-        prev: &treelocal_sim::SoaSnapshot<'_, Packed>,
-    ) -> Verdict<Packed> {
-        let acc =
-            ctx.topo.neighbor_nodes(v).iter().fold(own.0, |a, &w| a.wrapping_add(prev.get(w).0));
-        if round >= ctx.topo.local_id(v) {
-            Verdict::Halted(Packed(acc))
-        } else {
-            Verdict::Active(Packed(acc))
-        }
-    }
-}
-
-#[test]
-fn soa_runs_record_the_same_counter_totals_as_boxed_runs() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let g = path(5);
-    let ctx = Ctx::of(&g);
-
-    let before = counters::snapshot();
-    let boxed = run(&ctx, &HaltAtIdSnapPacked, 10);
-    let mid = counters::snapshot();
-    let soa = treelocal_sim::run_soa(&ctx, &HaltAtIdSnapPacked, 10);
-    let after = counters::snapshot();
-    let boxed_delta = (mid.0 - before.0, mid.1 - before.1, mid.2 - before.2);
-    let soa_delta = (after.0 - mid.0, after.1 - mid.1, after.2 - mid.2);
-    assert_eq!(boxed.rounds, soa.rounds, "snapshot engines agree on rounds");
-    assert_eq!(boxed_delta, soa_delta, "snapshot-engine counters diverge across layouts");
-    assert_eq!(boxed_delta, (5, 15, 0), "snapshot-engine totals");
-
-    let before = counters::snapshot();
-    let boxed = run_messages(&ctx, &HaltAtIdPacked, 10);
-    let mid = counters::snapshot();
-    let soa = treelocal_sim::run_messages_soa(&ctx, &HaltAtIdPacked, 10);
-    let after = counters::snapshot();
-    let boxed_delta = (mid.0 - before.0, mid.1 - before.1, mid.2 - before.2);
-    let soa_delta = (after.0 - mid.0, after.1 - mid.1, after.2 - mid.2);
-    assert_eq!(boxed.rounds, soa.rounds, "message engines agree on rounds");
-    assert_eq!(boxed_delta, soa_delta, "message-engine counters diverge across layouts");
-    assert_eq!(boxed_delta, (5, 15, 15), "message-engine totals");
 }

@@ -15,7 +15,8 @@
 use treelocal_gen::{caterpillar, random_tree, relabel, IdStrategy};
 use treelocal_graph::{Graph, NodeId, Topology};
 use treelocal_sim::{
-    run, run_messages, Ctx, MessageAlgorithm, RunOutcome, Snapshot, SyncAlgorithm, Verdict,
+    run, run_messages, Ctx, MessageAlgorithm, RunOutcome, Snapshot, StateCodec, SyncAlgorithm,
+    Verdict,
 };
 
 /// Accumulates an order-sensitive hash of the inbox each round — `None`
@@ -31,6 +32,22 @@ struct MsgHash;
 struct HashState {
     value: u64,
     acc: u64,
+}
+
+/// `[value, acc]` u64 lanes.
+#[cfg(feature = "parallel")]
+impl StateCodec for HashState {
+    const U32_LANES: usize = 0;
+    const U64_LANES: usize = 2;
+
+    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
+        lanes64[0] = self.value;
+        lanes64[1] = self.acc;
+    }
+
+    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
+        HashState { value: lanes64[0], acc: lanes64[1] }
+    }
 }
 
 #[cfg(feature = "parallel")]
@@ -68,13 +85,9 @@ impl<T: Topology> MessageAlgorithm<T> for MsgHash {
     }
 }
 
-fn assert_identical<S: PartialEq + std::fmt::Debug>(
-    a: &RunOutcome<S>,
-    b: &RunOutcome<S>,
-    label: &str,
-) {
+fn assert_identical<S: StateCodec + PartialEq>(a: &RunOutcome<S>, b: &RunOutcome<S>, label: &str) {
     assert_eq!(a.rounds, b.rounds, "round counts diverge: {label}");
-    assert_eq!(a.states, b.states, "states diverge: {label}");
+    assert!(a.states().eq(b.states()), "states diverge: {label}");
 }
 
 #[cfg(feature = "parallel")]
@@ -123,6 +136,21 @@ mod pool_sizes {
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Dist(Option<u64>);
 
+/// `u64::MAX` stands for "no distance yet" (no real hop count gets near
+/// it).
+impl StateCodec for Dist {
+    const U32_LANES: usize = 0;
+    const U64_LANES: usize = 1;
+
+    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
+        lanes64[0] = self.0.unwrap_or(u64::MAX);
+    }
+
+    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
+        Dist((lanes64[0] != u64::MAX).then_some(lanes64[0]))
+    }
+}
+
 struct FloodState;
 
 impl<T: Topology> SyncAlgorithm<T> for FloodState {
@@ -139,11 +167,11 @@ impl<T: Topology> SyncAlgorithm<T> for FloodState {
         ctx: &Ctx<T>,
         v: NodeId,
         _round: u64,
-        own: &Dist,
+        own: Dist,
         prev: &Snapshot<'_, Dist>,
     ) -> Verdict<Dist> {
         if own.0.is_some() {
-            return Verdict::Halted(own.clone());
+            return Verdict::Halted(own);
         }
         let best = ctx.topo.neighbor_nodes(v).iter().filter_map(|&w| prev.get(w).0).min();
         Verdict::Active(Dist(best.map(|d| d + 1)))

@@ -11,7 +11,7 @@
 
 use treelocal_graph::{NodeId, Topology};
 use treelocal_sim::{
-    par, run, run_with_threads, Ctx, RunOutcome, Snapshot, SyncAlgorithm, Verdict,
+    par, run, run_with_threads, Ctx, RunOutcome, Snapshot, StateCodec, SyncAlgorithm, Verdict,
 };
 
 /// Accumulates an order-sensitive hash of neighbor states each round;
@@ -23,6 +23,21 @@ struct StaggeredHash;
 struct HashState {
     value: u64,
     acc: u64,
+}
+
+/// `[value, acc]` u64 lanes.
+impl StateCodec for HashState {
+    const U32_LANES: usize = 0;
+    const U64_LANES: usize = 2;
+
+    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
+        lanes64[0] = self.value;
+        lanes64[1] = self.acc;
+    }
+
+    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
+        HashState { value: lanes64[0], acc: lanes64[1] }
+    }
 }
 
 impl<T: Topology> SyncAlgorithm<T> for StaggeredHash {
@@ -37,7 +52,7 @@ impl<T: Topology> SyncAlgorithm<T> for StaggeredHash {
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
-        own: &HashState,
+        own: HashState,
         prev: &Snapshot<'_, HashState>,
     ) -> Verdict<HashState> {
         let mut acc = own.acc;
@@ -57,7 +72,7 @@ impl<T: Topology> SyncAlgorithm<T> for StaggeredHash {
 
 fn assert_identical(a: &RunOutcome<HashState>, b: &RunOutcome<HashState>, label: &str) {
     assert_eq!(a.rounds, b.rounds, "round counts diverge: {label}");
-    assert_eq!(a.states, b.states, "states diverge: {label}");
+    assert!(a.states().eq(b.states()), "states diverge: {label}");
 }
 
 #[test]

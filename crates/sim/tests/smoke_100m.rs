@@ -12,9 +12,9 @@
 //! budget with `/usr/bin/time -v`.
 //!
 //! One instance, one algorithm: the Θ(n)-diameter caterpillar (the
-//! instance where any non-local strategy pays ~50M rounds) through the
-//! codec-backed SoA Linial engine. The heavier Theorem 12 pipeline stays
-//! at the 10M tier — this tier exists to pin construction memory and the
+//! instance where any non-local strategy pays ~50M rounds) colored by
+//! Linial on the engine's flat lane columns. The heavier Theorem 12
+//! pipeline stays at the 10M tier — this tier exists to pin construction memory and the
 //! log* shape at the next decade of scale, not to re-run every suite.
 //!
 //! Release-only, `#[ignore]`d, and non-blocking in CI:
