@@ -131,20 +131,13 @@ impl<S: StateCodec> SoaColumns<S> {
 /// borrow into the buffer.
 #[derive(Debug)]
 pub struct Snapshot<'a, S: StateCodec> {
-    lanes32: &'a [u32],
-    lanes64: &'a [u64],
+    columns: &'a SoaColumns<S>,
     seeded: &'a [bool],
-    _codec: PhantomData<fn() -> S>,
 }
 
 impl<S: StateCodec> Snapshot<'_, S> {
     pub(crate) fn over<'a>(columns: &'a SoaColumns<S>, seeded: &'a [bool]) -> Snapshot<'a, S> {
-        Snapshot {
-            lanes32: &columns.lanes32,
-            lanes64: &columns.lanes64,
-            seeded,
-            _codec: PhantomData,
-        }
+        Snapshot { columns, seeded }
     }
 
     /// The previous-round state of node `v`, decoded from its lanes.
@@ -155,12 +148,7 @@ impl<S: StateCodec> Snapshot<'_, S> {
     /// read states of their topology neighbors, which always participate.
     pub fn get(&self, v: NodeId) -> S {
         assert!(self.seeded[v.index()], "neighbor {v:?} participates in the execution");
-        let base32 = v.index() * S::U32_LANES;
-        let base64 = v.index() * S::U64_LANES;
-        S::decode(
-            &self.lanes32[base32..base32 + S::U32_LANES],
-            &self.lanes64[base64..base64 + S::U64_LANES],
-        )
+        self.columns.read(v)
     }
 
     /// The previous-round state of `v`, or `None` when `v` is not running.
