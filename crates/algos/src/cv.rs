@@ -14,7 +14,7 @@
 
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{NodeId, RootedForest, Topology};
-use treelocal_sim::{run, Ctx, ParSafe, Snapshot, StateCodec, SyncAlgorithm, Verdict};
+use treelocal_sim::{run, Ctx, Snapshot, StateCodec, SyncAlgorithm, Verdict};
 
 /// Outcome of the forest 3-coloring.
 #[derive(Clone, Debug)]
@@ -156,7 +156,7 @@ impl<T: Topology> SyncAlgorithm<T> for CvAlgo<'_> {
 /// 3-colors a rooted forest whose parent edges are part of `ctx.topo`'s
 /// adjacency. Every member of the forest must be a participant of the
 /// topology and vice versa.
-pub fn three_color_rooted<T: Topology + ParSafe>(
+pub fn three_color_rooted<T: Topology + Sync>(
     ctx: &Ctx<'_, T>,
     forest: &RootedForest,
 ) -> CvOutcome {

@@ -45,14 +45,8 @@ pub use linial::{
     is_proper, linial_final_colors, linial_schedule, run_linial, run_linial_messages, ColorState,
     LinialOutcome, Stage,
 };
-#[cfg(feature = "parallel")]
-pub use linial::{run_linial_messages_with_threads, run_linial_with_threads};
 pub use list_sweep::{list_sweep, ListSweepOutcome};
-#[cfg(feature = "parallel")]
-pub use mis_phase::mis_from_coloring_with_threads;
 pub use mis_phase::{is_valid_mis_on, mis_from_coloring, MisDecision, MisOutcome};
 pub use node_solvers::{DegColoringAlgo, DeltaColoringAlgo, ListColoringAlgo, MisAlgo};
-#[cfg(feature = "parallel")]
-pub use reduce::kw_reduce_with_threads;
 pub use reduce::{kw_reduce, sweep_reduce, ReduceOutcome};
 pub use traits::{ChargedModel, GlobalCtx, TrulyLocal};

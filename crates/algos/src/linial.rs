@@ -15,12 +15,9 @@
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{NodeId, Topology};
 use treelocal_sim::{
-    next_prime, run, run_messages, Ctx, MessageAlgorithm, ParSafe, Snapshot, StateCodec,
-    SyncAlgorithm, Verdict,
+    next_prime, run, run_messages, Ctx, MessageAlgorithm, Snapshot, StateCodec, SyncAlgorithm,
+    Verdict,
 };
-
-#[cfg(feature = "parallel")]
-use treelocal_sim::{run_messages_with_threads, run_with_threads};
 
 /// One stage of the reduction: colors `< c_in` become colors `< q²` using
 /// degree-`d` polynomials over `F_q`.
@@ -311,35 +308,10 @@ pub struct LinialOutcome {
 ///
 /// Colors live in one flat `u64` lane column, which is what keeps the
 /// 10M-node tier's peak RSS flat.
-pub fn run_linial<T: Topology + ParSafe>(ctx: &Ctx<'_, T>) -> LinialOutcome {
-    linial_inner(ctx, None)
-}
-
-/// [`run_linial`] on a fixed worker-pool size: identical colors, bound and
-/// rounds for every pool size — the certificate matrix pins byte-identity
-/// of emitted certificates across `threads` ∈ {1, 2, 4, auto}.
-#[cfg(feature = "parallel")]
-pub fn run_linial_with_threads<T: Topology + ParSafe>(
-    ctx: &Ctx<'_, T>,
-    threads: usize,
-) -> LinialOutcome {
-    linial_inner(ctx, Some(threads))
-}
-
-fn linial_inner<T: Topology + ParSafe>(ctx: &Ctx<'_, T>, threads: Option<usize>) -> LinialOutcome {
+pub fn run_linial<T: Topology + Sync>(ctx: &Ctx<'_, T>) -> LinialOutcome {
     let schedule = linial_schedule(ctx.id_space, ctx.max_degree);
     let final_bound = schedule.last().map_or(ctx.id_space.max(2), |s| s.q * s.q);
-    let algo = LinialAlgo { schedule };
-    #[cfg(feature = "parallel")]
-    let out = match threads {
-        Some(t) => run_with_threads(ctx, &algo, 200, t),
-        None => run(ctx, &algo, 200),
-    };
-    #[cfg(not(feature = "parallel"))]
-    let out = {
-        let _ = threads;
-        run(ctx, &algo, 200)
-    };
+    let out = run(ctx, &LinialAlgo { schedule }, 200);
     LinialOutcome {
         colors: out.states().map(|s| s.map(|st| st.color)).collect(),
         final_bound,
@@ -354,24 +326,7 @@ fn linial_inner<T: Topology + ParSafe>(ctx: &Ctx<'_, T>, threads: Option<usize>)
 /// An empty stage schedule needs zero communication; the message trait has
 /// no round-0 halt (a snapshot algorithm halts in `init`), so that case
 /// returns the identity coloring directly instead of burning a round.
-pub fn run_linial_messages<T: Topology + ParSafe>(ctx: &Ctx<'_, T>) -> LinialOutcome {
-    linial_messages_inner(ctx, None)
-}
-
-/// [`run_linial_messages`] on a fixed worker-pool size — the message-engine
-/// half of the certificate pool-size matrix.
-#[cfg(feature = "parallel")]
-pub fn run_linial_messages_with_threads<T: Topology + ParSafe>(
-    ctx: &Ctx<'_, T>,
-    threads: usize,
-) -> LinialOutcome {
-    linial_messages_inner(ctx, Some(threads))
-}
-
-fn linial_messages_inner<T: Topology + ParSafe>(
-    ctx: &Ctx<'_, T>,
-    threads: Option<usize>,
-) -> LinialOutcome {
+pub fn run_linial_messages<T: Topology + Sync>(ctx: &Ctx<'_, T>) -> LinialOutcome {
     let schedule = linial_schedule(ctx.id_space, ctx.max_degree);
     let final_bound = schedule.last().map_or(ctx.id_space.max(2), |s| s.q * s.q);
     if schedule.is_empty() {
@@ -381,17 +336,7 @@ fn linial_messages_inner<T: Topology + ParSafe>(
         }
         return LinialOutcome { colors, final_bound, rounds: 0 };
     }
-    let algo = LinialMsgAlgo { schedule };
-    #[cfg(feature = "parallel")]
-    let out = match threads {
-        Some(t) => run_messages_with_threads(ctx, &algo, 200, t),
-        None => run_messages(ctx, &algo, 200),
-    };
-    #[cfg(not(feature = "parallel"))]
-    let out = {
-        let _ = threads;
-        run_messages(ctx, &algo, 200)
-    };
+    let out = run_messages(ctx, &LinialMsgAlgo { schedule }, 200);
     LinialOutcome {
         colors: out.states().map(|s| s.map(|st| st.color)).collect(),
         final_bound,
@@ -534,7 +479,6 @@ mod tests {
         assert_eq!(snap.rounds, msgs.rounds);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn pool_sizes_match_the_sequential_run() {
         use treelocal_sim::par;
@@ -545,9 +489,9 @@ mod tests {
             treelocal_gen::IdStrategy::Permuted { seed: 9 },
         );
         let ctx = Ctx::of(&g);
-        let reference = run_linial_with_threads(&ctx, 1);
+        let reference = par::with_threads(1, || run_linial(&ctx));
         for threads in [2usize, 4, par::auto_threads()] {
-            let pooled = run_linial_with_threads(&ctx, threads);
+            let pooled = par::with_threads(threads, || run_linial(&ctx));
             assert_eq!(reference.rounds, pooled.rounds, "{threads} threads: rounds diverge");
             assert_eq!(reference.colors, pooled.colors, "{threads} threads: colors diverge");
         }

@@ -6,7 +6,7 @@
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{NodeId, Topology};
 use treelocal_problems::Color;
-use treelocal_sim::{run, Ctx, ParSafe, Snapshot, StateCodec, SyncAlgorithm, Verdict};
+use treelocal_sim::{run, Ctx, Snapshot, StateCodec, SyncAlgorithm, Verdict};
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum LsState {
@@ -102,7 +102,7 @@ pub struct ListSweepOutcome {
 
 /// Runs the list sweep from a proper 0-based `m`-coloring; `lists` is
 /// indexed by the parent node space.
-pub fn list_sweep<T: Topology + ParSafe>(
+pub fn list_sweep<T: Topology + Sync>(
     ctx: &Ctx<'_, T>,
     initial: &[Option<u64>],
     m: u64,

@@ -8,10 +8,7 @@
 
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{narrow_u32, widen_u32, EdgeId, NodeId, Topology};
-use treelocal_sim::{run, Ctx, ParSafe, Snapshot, StateCodec, SyncAlgorithm, Verdict};
-
-#[cfg(feature = "parallel")]
-use treelocal_sim::run_with_threads;
+use treelocal_sim::{run, Ctx, Snapshot, StateCodec, SyncAlgorithm, Verdict};
 
 /// Per-node MIS decision.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,43 +124,12 @@ pub struct MisOutcome {
 }
 
 /// Runs the class sweep from a proper 1-based `m`-coloring.
-pub fn mis_from_coloring<T: Topology + ParSafe>(
+pub fn mis_from_coloring<T: Topology + Sync>(
     ctx: &Ctx<'_, T>,
     colors: &[Option<u32>],
     m: u64,
 ) -> MisOutcome {
-    mis_inner(ctx, colors, m, None)
-}
-
-/// [`mis_from_coloring`] on a fixed worker-pool size — the sweep stage of
-/// the certificate pool-size matrix.
-#[cfg(feature = "parallel")]
-pub fn mis_from_coloring_with_threads<T: Topology + ParSafe>(
-    ctx: &Ctx<'_, T>,
-    colors: &[Option<u32>],
-    m: u64,
-    threads: usize,
-) -> MisOutcome {
-    mis_inner(ctx, colors, m, Some(threads))
-}
-
-fn mis_inner<T: Topology + ParSafe>(
-    ctx: &Ctx<'_, T>,
-    colors: &[Option<u32>],
-    m: u64,
-    threads: Option<usize>,
-) -> MisOutcome {
-    let algo = MisSweep { colors, m };
-    #[cfg(feature = "parallel")]
-    let out = match threads {
-        Some(t) => run_with_threads(ctx, &algo, m + 2, t),
-        None => run(ctx, &algo, m + 2),
-    };
-    #[cfg(not(feature = "parallel"))]
-    let out = {
-        let _ = threads;
-        run(ctx, &algo, m + 2)
-    };
+    let out = run(ctx, &MisSweep { colors, m }, m + 2);
     MisOutcome {
         decisions: out
             .states()
@@ -241,7 +207,6 @@ mod tests {
         assert!(is_valid_mis_on(&g, &mis.decisions));
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn sweep_pool_sizes_match_the_sequential_run() {
         use treelocal_sim::par;
@@ -251,9 +216,9 @@ mod tests {
         let red = kw_reduce(&ctx, &lin.colors, lin.final_bound);
         let m = u64::from(red.final_colors);
         let algo = MisSweep { colors: &red.colors, m };
-        let reference = run_with_threads(&ctx, &algo, m + 2, 1);
+        let reference = par::with_threads(1, || run(&ctx, &algo, m + 2));
         for threads in [2usize, 4, par::auto_threads()] {
-            let pooled = run_with_threads(&ctx, &algo, m + 2, threads);
+            let pooled = par::with_threads(threads, || run(&ctx, &algo, m + 2));
             assert_eq!(reference.rounds, pooled.rounds, "{threads} threads: rounds diverge");
             assert!(
                 reference.states().eq(pooled.states()),

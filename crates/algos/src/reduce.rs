@@ -13,10 +13,7 @@
 
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{NodeId, Topology};
-use treelocal_sim::{run, Ctx, ParSafe, Snapshot, StateCodec, SyncAlgorithm, Verdict};
-
-#[cfg(feature = "parallel")]
-use treelocal_sim::run_with_threads;
+use treelocal_sim::{run, Ctx, Snapshot, StateCodec, SyncAlgorithm, Verdict};
 
 /// Outcome of a reduction phase: per-node colors (1-based) plus the rounds
 /// used.
@@ -115,7 +112,7 @@ impl<T: Topology> SyncAlgorithm<T> for SweepAlgo<'_> {
 ///
 /// The input coloring is shifted by `m` internally so that "not yet
 /// processed" is distinguishable; the shift is invisible to callers.
-pub fn sweep_reduce<T: Topology + ParSafe>(
+pub fn sweep_reduce<T: Topology + Sync>(
     ctx: &Ctx<'_, T>,
     initial: &[Option<u64>],
     m: u64,
@@ -241,46 +238,17 @@ const FINAL_TAG: u64 = 1 << 62;
 /// Kuhn–Wattenhofer reduction from a proper 0-based `m`-coloring to a
 /// proper `(Δ+1)`-coloring (Δ from the context), in `O(Δ · log(m / Δ))`
 /// rounds.
-pub fn kw_reduce<T: Topology + ParSafe>(
+pub fn kw_reduce<T: Topology + Sync>(
     ctx: &Ctx<'_, T>,
     initial: &[Option<u64>],
     m: u64,
 ) -> ReduceOutcome {
-    kw_inner(ctx, initial, m, None)
-}
-
-/// [`kw_reduce`] on a fixed worker-pool size — the MIS-pipeline half of
-/// the certificate pool-size matrix.
-#[cfg(feature = "parallel")]
-pub fn kw_reduce_with_threads<T: Topology + ParSafe>(
-    ctx: &Ctx<'_, T>,
-    initial: &[Option<u64>],
-    m: u64,
-    threads: usize,
-) -> ReduceOutcome {
-    kw_inner(ctx, initial, m, Some(threads))
-}
-
-fn kw_inner<T: Topology + ParSafe>(
-    ctx: &Ctx<'_, T>,
-    initial: &[Option<u64>],
-    m: u64,
-    threads: Option<usize>,
-) -> ReduceOutcome {
-    #[cfg(not(feature = "parallel"))]
-    let _ = threads;
     let slots = ctx.max_degree as u64 + 1;
     let mut colors: Vec<Option<u64>> = initial.to_vec();
     let mut m_cur = m.max(1);
     let mut rounds = 0u64;
     while m_cur > slots {
         let phase = KwPhase { initial: &colors, m: m_cur, slots };
-        #[cfg(feature = "parallel")]
-        let out = match threads {
-            Some(t) => run_with_threads(ctx, &phase, 2 * slots + 2, t),
-            None => run(ctx, &phase, 2 * slots + 2),
-        };
-        #[cfg(not(feature = "parallel"))]
         let out = run(ctx, &phase, 2 * slots + 2);
         rounds += out.rounds;
         let groups = m_cur.div_ceil(2 * slots);

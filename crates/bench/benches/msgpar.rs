@@ -3,12 +3,12 @@
 //! the literal message-passing engine (`run_messages`), on the workload
 //! shapes the experiments use.
 //!
-//! Built without features this times the sequential engine; with
-//! `--features parallel` both phases of a message round run on the pool
-//! (send buckets merged in frontier order, receive via the shared threaded
-//! stepping path) — outcomes are byte-identical either way, which the
-//! bench asserts before timing. `BENCH_msgpar.json` records a pinned run
-//! of both feature modes; see its note for host caveats.
+//! On large frontiers both phases of a message round run on the pool (send
+//! buckets merged in frontier order, receive via the shared pooled
+//! stepping path); `TREELOCAL_THREADS=1` times the inline engine. Outcomes
+//! are byte-identical either way, which the bench asserts before timing.
+//! `BENCH_msgpar.json` records a pinned run of both modes; see its note
+//! for host caveats.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use treelocal_algos::{run_linial, run_linial_messages};

@@ -4,9 +4,8 @@
 //! cargo run --release -p treelocal-bench --bin experiments -- all
 //! cargo run --release -p treelocal-bench --bin experiments -- e8 e10
 //! cargo run --release -p treelocal-bench --bin experiments -- --quick all
-//! # sharded across 8 pool workers (needs --features parallel):
-//! cargo run --release -p treelocal-bench --features parallel \
-//!     --bin experiments -- --threads 8 all
+//! # sharded across 8 pool workers:
+//! cargo run --release -p treelocal-bench --bin experiments -- --threads 8 all
 //! # checkpointed run with progress on stderr; resume after a crash:
 //! cargo run --release -p treelocal-bench --bin experiments -- --journal j.jsonl all
 //! cargo run --release -p treelocal-bench --bin experiments -- --journal j.jsonl --resume all
@@ -34,8 +33,7 @@ const USAGE: &str = "usage: experiments [--quick] [--threads N] [--journal PATH 
 flags:
   --quick         run the small test-sized workloads instead of the Full sweeps
   --threads N     shard each experiment across N pool workers (also
-                  --threads=N; 0 = auto; tables are identical for every N;
-                  needs a build with --features parallel to actually fan out)
+                  --threads=N; 0 = auto; tables are identical for every N)
   --journal PATH  checkpoint every completed job to a JSONL journal (also
                   --journal=PATH) and report progress on stderr; tables are
                   identical with and without a journal
@@ -165,9 +163,6 @@ fn main() -> ExitCode {
         }
     }
     let threads = opts.threads.filter(|&n| n > 0).unwrap_or_else(auto_threads);
-    if opts.threads.is_some() && cfg!(not(feature = "parallel")) {
-        eprintln!("note: built without the `parallel` feature; experiments run sequentially");
-    }
     // Progress reporting accompanies checkpointing: both exist for the
     // long-running batch runs. Tables on stdout stay byte-identical.
     let driver = match Driver::new(DriverConfig {

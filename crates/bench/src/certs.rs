@@ -19,13 +19,7 @@ use treelocal_check::{
 use treelocal_gen::{caterpillar, random_tree, relabel, IdStrategy};
 use treelocal_graph::{widen_u64, Graph, OrInvariant};
 use treelocal_problems::classic::{greedy_matching, greedy_mis};
-use treelocal_sim::{transcript, Ctx};
-
-#[cfg(feature = "parallel")]
-use treelocal_algos::{
-    kw_reduce_with_threads, mis_from_coloring_with_threads, run_linial_messages_with_threads,
-    run_linial_with_threads,
-};
+use treelocal_sim::{par, transcript, Ctx};
 
 use crate::ExperimentSize;
 
@@ -68,19 +62,9 @@ fn instances(size: ExperimentSize) -> Vec<(String, Graph)> {
 }
 
 /// A Linial run on the chosen engine, wrapped in transcript recording.
-fn linial_cert(name: &str, g: &Graph, message_engine: bool, threads: Option<usize>) -> Certificate {
-    #[cfg(not(feature = "parallel"))]
-    let _ = threads;
+fn linial_cert(name: &str, g: &Graph, message_engine: bool) -> Certificate {
     let ctx = Ctx::of(g);
     transcript::begin();
-    #[cfg(feature = "parallel")]
-    let out = match (message_engine, threads) {
-        (false, Some(t)) => run_linial_with_threads(&ctx, t),
-        (false, None) => run_linial(&ctx),
-        (true, Some(t)) => run_linial_messages_with_threads(&ctx, t),
-        (true, None) => run_linial_messages(&ctx),
-    };
-    #[cfg(not(feature = "parallel"))]
     let out = if message_engine { run_linial_messages(&ctx) } else { run_linial(&ctx) };
     let t = transcript::take();
     // Linial colors are 0-based (`< final_bound`); certificate colors are
@@ -102,27 +86,9 @@ fn linial_cert(name: &str, g: &Graph, message_engine: bool, threads: Option<usiz
 
 /// The full Theorem 12 pipeline — Linial, Kuhn–Wattenhofer reduction,
 /// color-class sweep — recorded as one multi-segment transcript.
-fn mis_pipeline_cert(name: &str, g: &Graph, threads: Option<usize>) -> Certificate {
-    #[cfg(not(feature = "parallel"))]
-    let _ = threads;
+fn mis_pipeline_cert(name: &str, g: &Graph) -> Certificate {
     let ctx = Ctx::of(g);
     transcript::begin();
-    #[cfg(feature = "parallel")]
-    let mis = match threads {
-        Some(t) => {
-            let lin = run_linial_with_threads(&ctx, t);
-            let kw = kw_reduce_with_threads(&ctx, &lin.colors, lin.final_bound, t);
-            let m = u64::from(kw.final_colors);
-            mis_from_coloring_with_threads(&ctx, &kw.colors, m, t)
-        }
-        None => {
-            let lin = run_linial(&ctx);
-            let kw = kw_reduce(&ctx, &lin.colors, lin.final_bound);
-            let m = u64::from(kw.final_colors);
-            mis_from_coloring(&ctx, &kw.colors, m)
-        }
-    };
-    #[cfg(not(feature = "parallel"))]
     let mis = {
         let lin = run_linial(&ctx);
         let kw = kw_reduce(&ctx, &lin.colors, lin.final_bound);
@@ -263,20 +229,23 @@ fn solver_cert(
 /// Builds the full certificate suite: Linial on both engines, the MIS
 /// pipeline, and the sequential solver zoo, for every quick instance.
 ///
-/// `threads` pins the engines' pool size (`None` = the build's default);
-/// it changes scheduling only, never bytes — without the `parallel`
-/// feature it is ignored.
+/// `threads` pins the engines' pool size (`None` = [`par::auto_threads`]);
+/// it changes scheduling only, never bytes.
 pub fn cert_suite(size: ExperimentSize, threads: Option<usize>) -> Vec<(String, Certificate)> {
+    par::with_threads(threads.unwrap_or_else(par::auto_threads), || build_suite(size))
+}
+
+fn build_suite(size: ExperimentSize) -> Vec<(String, Certificate)> {
     let mut suite = Vec::new();
     for (label, g) in instances(size) {
         // Both engine certs embed the bare instance label: the emitted
         // bytes must be identical across engines, and the engine name is
         // carried by the file name only.
-        suite.push((format!("linial-snapshot-{label}"), linial_cert(&label, &g, false, threads)));
-        suite.push((format!("linial-message-{label}"), linial_cert(&label, &g, true, threads)));
+        suite.push((format!("linial-snapshot-{label}"), linial_cert(&label, &g, false)));
+        suite.push((format!("linial-message-{label}"), linial_cert(&label, &g, true)));
         suite.push((
             format!("mis-pipeline-{label}"),
-            mis_pipeline_cert(&format!("mis-pipeline-{label}"), &g, threads),
+            mis_pipeline_cert(&format!("mis-pipeline-{label}"), &g),
         ));
         let matching = greedy_matching(&g, &g.edge_ids().collect::<Vec<_>>());
         suite.push((

@@ -8,9 +8,8 @@
 //! 1. jobs whose results are already in the checkpoint journal (see
 //!    [`crate::journal`]) are **skipped** and their recorded [`JobOutput`]
 //!    reused;
-//! 2. the remaining jobs are pulled by worker threads from the existing
-//!    `parallel` pool (via [`crate::shard_map`]; sequential without the
-//!    feature);
+//! 2. the remaining jobs are pulled by worker threads from the vendored
+//!    pool (via [`crate::shard_map`]; one worker runs them inline);
 //! 3. each completed job is appended to the journal (one flushed line) and
 //!    reported on stderr: jobs done / total, simulator rounds and
 //!    node-steps consumed (from [`treelocal_sim::counters`]; message-engine

@@ -164,7 +164,7 @@ fn write_string(out: &mut String, s: &str) {
 
 /// Parses one JSON document (a full line). Errors carry a short reason.
 pub(crate) fn parse_json(input: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -174,9 +174,16 @@ pub(crate) fn parse_json(input: &str) -> Result<Json, String> {
     Ok(v)
 }
 
+/// Deepest array/object nesting the parser accepts. Journal records nest
+/// three deep; the bound keeps a corrupt line from overflowing the stack
+/// of the recursive descent.
+const MAX_DEPTH: usize = 32;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -215,55 +222,70 @@ impl Parser<'_> {
             Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => {
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting too deep at offset {} (limit {MAX_DEPTH})",
+                        self.pos
+                    ));
+                }
                 self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect_byte(b':')?;
-                    let val = self.value()?;
-                    fields.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-                    }
-                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
             }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at offset {}", self.pos)),
+        }
+    }
+
+    /// The rest of an array whose `[` was consumed.
+    fn array(&mut self) -> Result<Json, String> {
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
+            }
+        }
+    }
+
+    /// The rest of an object whose `{` was consumed.
+    fn object(&mut self) -> Result<Json, String> {
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect_byte(b':')?;
+            let val = self.value()?;
+            fields.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(fields));
+                }
+                _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
+            }
         }
     }
 
@@ -604,6 +626,20 @@ mod tests {
             assert!(parse_json(bad).is_err(), "{bad:?} parsed");
         }
         assert!(decode_record("{\"run\":\"e1\"}").is_err(), "incomplete record decoded");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = parse_json(&deep).unwrap_err();
+        assert!(err.contains("nesting too deep"), "{err}");
+        assert!(check_meta(&deep, ExperimentSize::Quick).is_err());
+        assert!(decode_record(&"{\"run\":".repeat(100_000)).is_err());
+        // The limit itself still parses.
+        let at_limit = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse_json(&at_limit).is_ok());
+        let over = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(parse_json(&over).is_err());
     }
 
     #[test]

@@ -19,8 +19,9 @@ mod theorems;
 
 pub use certs::{cert_suite, emit_certs};
 pub use driver::{Driver, DriverConfig, JobOutput};
-pub use shard::{auto_threads, shard_map};
+pub use shard::shard_map;
 pub use table::Table;
+pub use treelocal_sim::par::auto_threads;
 
 /// How large the experiment workloads should be.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,30 +37,19 @@ pub fn all_experiment_ids() -> Vec<&'static str> {
     vec!["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14"]
 }
 
-/// Runs one experiment by id on an automatically sized pool (sequential
-/// without the `parallel` feature), returning its table(s).
-///
-/// # Panics
-///
-/// As [`run_experiment_with_threads`].
-pub fn run_experiment(id: &str, size: ExperimentSize) -> Vec<Table> {
-    run_experiment_with_threads(id, size, shard::auto_threads())
-}
-
-/// Runs one experiment by id with an explicit shard pool size, returning
-/// its table(s).
+/// Runs one experiment by id on a pool of [`auto_threads`] workers
+/// (scope an explicit size with [`treelocal_sim::par::with_threads`]),
+/// returning its table(s).
 ///
 /// The experiment's workload suite is split into independent jobs executed
-/// on `threads` pool workers and aggregated **by job index**, so the
-/// returned tables are identical for every `threads` value (1 forces
-/// sequential execution). Without the `parallel` feature the pool size is
-/// ignored and jobs run sequentially.
+/// on pool workers and aggregated **by job index**, so the returned tables
+/// are identical for every pool size.
 ///
 /// # Panics
 ///
 /// As [`run_experiment_with_driver`].
-pub fn run_experiment_with_threads(id: &str, size: ExperimentSize, threads: usize) -> Vec<Table> {
-    run_experiment_with_driver(id, size, &Driver::with_threads(threads))
+pub fn run_experiment(id: &str, size: ExperimentSize) -> Vec<Table> {
+    run_experiment_with_driver(id, size, &Driver::with_threads(auto_threads()))
 }
 
 /// Runs one experiment by id on `driver`, returning its table(s).
@@ -100,6 +90,7 @@ pub fn run_experiment_with_driver(id: &str, size: ExperimentSize, driver: &Drive
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treelocal_sim::par::with_threads;
 
     #[test]
     fn every_id_dispatches() {
@@ -124,9 +115,9 @@ mod tests {
     #[test]
     fn sharded_tables_are_identical_across_pool_sizes() {
         for id in ["e2", "e7", "e12"] {
-            let sequential = run_experiment_with_threads(id, ExperimentSize::Quick, 1);
-            for threads in [2usize, shard::auto_threads().max(4)] {
-                let sharded = run_experiment_with_threads(id, ExperimentSize::Quick, threads);
+            let sequential = with_threads(1, || run_experiment(id, ExperimentSize::Quick));
+            for threads in [2usize, auto_threads().max(4)] {
+                let sharded = with_threads(threads, || run_experiment(id, ExperimentSize::Quick));
                 assert_eq!(sequential, sharded, "{id} diverged at {threads} threads");
             }
         }

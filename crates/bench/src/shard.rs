@@ -5,22 +5,7 @@
 //! runs the jobs on `threads` pool workers and returns results **by job
 //! index**, so a sharded table is cell-for-cell identical to a sequential
 //! one for every pool size (pinned by the `sharded_tables_are_identical`
-//! test in `lib.rs`). Without the `parallel` feature it degrades to a
-//! plain sequential map.
-
-/// The pool size used when the caller does not force one (1 without the
-/// `parallel` feature; otherwise `TREELOCAL_THREADS` / rayon's default).
-/// Re-exported from the crate root for the `experiments` binary.
-pub fn auto_threads() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        treelocal_sim::par::auto_threads()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
-}
+//! test in `lib.rs`).
 
 /// Maps `f` over `jobs` on `threads` workers, results in job order.
 ///
@@ -34,13 +19,5 @@ where
     R: Send,
     F: Fn(&J) -> R + Sync,
 {
-    #[cfg(feature = "parallel")]
-    {
-        treelocal_sim::par::par_map(jobs, threads, |_, j| f(j))
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = threads; // pool size is meaningless in a sequential build
-        jobs.iter().map(f).collect()
-    }
+    treelocal_sim::par::par_map(jobs, threads, |_, j| f(j))
 }

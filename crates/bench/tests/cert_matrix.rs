@@ -4,9 +4,8 @@
 //!   checker, and round-trips through the text format;
 //! * the snapshot- and message-engine Linial certificates are
 //!   byte-identical;
-//! * (with `--features parallel`) pool sizes 1, 2, 4 and auto emit
-//!   byte-identical certificates — scheduling must never leak into the
-//!   transcript.
+//! * pool sizes 1, 2, 4 and auto emit byte-identical certificates —
+//!   scheduling must never leak into the transcript.
 
 use treelocal_bench::{cert_suite, ExperimentSize};
 use treelocal_check::{check_certificate, check_text, Certificate};
@@ -58,9 +57,7 @@ fn snapshot_and_message_engines_emit_identical_bytes() {
     }
 }
 
-/// Scheduling independence: every pool size emits the same bytes. Without
-/// the `parallel` feature `threads` is ignored, so the assertion is
-/// trivially true there — CI runs this test in both feature modes.
+/// Scheduling independence: every pool size emits the same bytes.
 #[test]
 fn pool_sizes_emit_identical_bytes() {
     let baseline: Vec<(String, String)> = cert_suite(ExperimentSize::Quick, None)

@@ -10,7 +10,8 @@
 //! * a journal with a torn trailing line (crash mid-write) is detected,
 //!   the torn line discarded, and resume proceeds from the last complete
 //!   record;
-//! * mid-file corruption and workload-size mismatches are rejected.
+//! * mid-file corruption, workload-size mismatches and pathologically
+//!   nested lines are rejected.
 
 use std::path::{Path, PathBuf};
 use treelocal_bench::{
@@ -174,5 +175,24 @@ fn workload_size_mismatch_is_rejected() {
     })
     .unwrap_err();
     assert!(err.contains("mix instance sizes"), "{err}");
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn deeply_nested_meta_line_is_rejected_not_a_crash() {
+    // A corrupt journal whose meta line opens 100,000 arrays must come back
+    // as an error (the CLI exits 2), not overflow the parser's stack. A
+    // line follows it, so the meta line cannot pass for a torn tail.
+    let path = tmp_path("deep-meta.jsonl");
+    std::fs::write(&path, "[".repeat(100_000) + "\n{}\n").unwrap();
+    let err = Driver::new(DriverConfig {
+        threads: 1,
+        journal: Some(path.clone()),
+        resume: true,
+        progress: false,
+        size: SIZE,
+    })
+    .unwrap_err();
+    assert!(err.contains("nesting too deep"), "{err}");
     std::fs::remove_file(&path).unwrap();
 }

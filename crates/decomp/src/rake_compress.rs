@@ -508,17 +508,16 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn pool_sizes_match_the_sequential_run() {
-        use treelocal_sim::{par, run_with_threads};
+        use treelocal_sim::par;
         let g = random_tree(3000, 13);
         let ctx = Ctx::of(&g);
         let algo = RcDistributed { k: 3 };
         let cap = (lemma9_bound(g.node_count(), 3) * 4 + 16) * 3;
-        let reference = run_with_threads(&ctx, &algo, cap, 1);
+        let reference = par::with_threads(1, || run(&ctx, &algo, cap));
         for threads in [2usize, 4, par::auto_threads()] {
-            let pooled = run_with_threads(&ctx, &algo, cap, threads);
+            let pooled = par::with_threads(threads, || run(&ctx, &algo, cap));
             assert_eq!(reference.rounds, pooled.rounds, "{threads} threads: rounds diverge");
             assert!(reference.states().eq(pooled.states()), "{threads} threads: states diverge");
         }

@@ -144,8 +144,8 @@ struct SparseBfsScratch {
 
 thread_local! {
     /// Per-thread scratch: `gather_rounds_at`-style callers run this once
-    /// per component, and with the simulator's `parallel` feature several
-    /// threads may gather concurrently.
+    /// per component, and the simulator's worker pool may run several
+    /// gathers concurrently.
     static SPARSE_BFS: std::cell::RefCell<SparseBfsScratch> =
         std::cell::RefCell::new(SparseBfsScratch::default());
 }

@@ -102,7 +102,7 @@ mod tests {
         }
         // Round 1 steps 3 nodes (node 0 halts), round 2 steps 2.
         core.begin_round(10);
-        core.step_snapshot(|v, own, _| {
+        core.step_snapshot(1, |v, own, _| {
             if v.index() == 0 {
                 Verdict::Halted(own)
             } else {
@@ -110,7 +110,7 @@ mod tests {
             }
         });
         core.begin_round(10);
-        core.step_snapshot(|_, own, _| Verdict::Halted(own));
+        core.step_snapshot(1, |_, own, _| Verdict::Halted(own));
         let (r1, s1, _) = snapshot();
         assert!(r1 >= r0 + 2, "rounds {r0} -> {r1}");
         assert!(s1 >= s0 + 5, "steps {s0} -> {s1}");

@@ -82,27 +82,6 @@ pub trait SyncAlgorithm<T: Topology> {
     ) -> Verdict<Self::State>;
 }
 
-/// Thread-shareability marker used by the engine's generic bounds.
-///
-/// With the `parallel` feature this is `Send + Sync` (auto-implemented for
-/// every `Send + Sync` type), which is what lets [`run`] step frontier
-/// chunks on pool workers. Without the feature it is implemented for
-/// **every** type, so the bound is vacuous and sequential builds accept
-/// exactly the types they always did. Generic code that feeds algorithms
-/// or topologies into [`run`] writes `T: ParSafe` once instead of
-/// feature-gated signatures.
-#[cfg(feature = "parallel")]
-pub trait ParSafe: Send + Sync {}
-#[cfg(feature = "parallel")]
-impl<T: Send + Sync + ?Sized> ParSafe for T {}
-
-/// Thread-shareability marker used by the engine's generic bounds (vacuous
-/// without the `parallel` feature; see the feature-gated docs).
-#[cfg(not(feature = "parallel"))]
-pub trait ParSafe {}
-#[cfg(not(feature = "parallel"))]
-impl<T: ?Sized> ParSafe for T {}
-
 /// Runs `algo` on `ctx.topo` until every node halts.
 ///
 /// Built on the shared [`ExecCore`](crate::ExecCore): each round steps only
@@ -110,10 +89,11 @@ impl<T: ?Sized> ParSafe for T {}
 /// happens after every frontier node has read the previous round — exactly
 /// the synchronous semantics of Definition 5.
 ///
-/// With the `parallel` feature, large frontiers are stepped on the
-/// vendored rayon pool ([`crate::par::auto_threads`] sizes it; the
-/// `TREELOCAL_THREADS` environment variable overrides). Outcomes and round
-/// counts are byte-identical to a sequential run — pinned by
+/// Large frontiers are stepped on the vendored rayon pool, sized by
+/// [`crate::par::auto_threads`] (scope an explicit size with
+/// [`crate::par::with_threads`]; the `TREELOCAL_THREADS` environment
+/// variable sets the default). Outcomes and round counts are
+/// byte-identical for every pool size — pinned by
 /// `tests/parallel_equiv.rs`.
 ///
 /// # Panics
@@ -123,55 +103,18 @@ impl<T: ?Sized> ParSafe for T {}
 /// bug, not a runtime condition.
 pub fn run<T, A>(ctx: &Ctx<'_, T>, algo: &A, max_rounds: u64) -> RunOutcome<A::State>
 where
-    T: Topology + ParSafe,
-    A: SyncAlgorithm<T> + ParSafe,
-    A::State: ParSafe,
+    T: Topology + Sync,
+    A: SyncAlgorithm<T> + Sync,
+    A::State: Send,
 {
-    #[cfg(feature = "parallel")]
-    {
-        run_with_threads(ctx, algo, max_rounds, crate::par::auto_threads())
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let mut core = crate::ExecCore::new(ctx.topo.index_space());
-        for v in ctx.topo.nodes() {
-            core.seed(v, algo.init(ctx, v));
-        }
-        while !core.is_done() {
-            let round = core.begin_round(max_rounds);
-            core.step_snapshot(|v, own, snap| algo.step(ctx, v, round, own, snap));
-        }
-        core.finish()
-    }
-}
-
-/// [`run`] with an explicit pool size (1 forces sequential execution).
-///
-/// Exists so tests and harnesses can compare pool sizes; every size
-/// produces the same [`RunOutcome`].
-///
-/// # Panics
-///
-/// As [`run`].
-#[cfg(feature = "parallel")]
-pub fn run_with_threads<T, A>(
-    ctx: &Ctx<'_, T>,
-    algo: &A,
-    max_rounds: u64,
-    threads: usize,
-) -> RunOutcome<A::State>
-where
-    T: Topology + ParSafe,
-    A: SyncAlgorithm<T> + ParSafe,
-    A::State: ParSafe,
-{
+    let threads = crate::par::auto_threads();
     let mut core = crate::ExecCore::new(ctx.topo.index_space());
     for v in ctx.topo.nodes() {
         core.seed(v, algo.init(ctx, v));
     }
     while !core.is_done() {
         let round = core.begin_round(max_rounds);
-        core.step_snapshot_threads(threads, |v, own, snap| algo.step(ctx, v, round, own, snap));
+        core.step_snapshot(threads, |v, own, snap| algo.step(ctx, v, round, own, snap));
     }
     core.finish()
 }

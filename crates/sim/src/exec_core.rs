@@ -12,16 +12,14 @@
 //! * double buffering happens through a scratch set of columns: all
 //!   frontier nodes read the previous round's lanes, then the round
 //!   commits atomically **in frontier order**, preserving the
-//!   synchronous-round semantics of Definition 5 and making sequential
-//!   and parallel rounds produce byte-identical columns.
+//!   synchronous-round semantics of Definition 5 and making inline and
+//!   pooled rounds produce byte-identical columns.
 //!
 //! The core cannot clone a state — it only encodes and decodes lanes.
 
 use crate::codec::{RunOutcome, Snapshot, SoaColumns, StateCodec};
 use crate::engine::Verdict;
-#[cfg(feature = "parallel")]
-use treelocal_graph::OrInvariant;
-use treelocal_graph::{widen_u64, NodeId};
+use treelocal_graph::{widen_u64, NodeId, OrInvariant};
 
 /// Double-buffered frontier executor for synchronous LOCAL rounds.
 ///
@@ -140,11 +138,35 @@ impl<S: StateCodec> ExecCore<S> {
     }
 
     /// Executes one round in snapshot style: every frontier node observes
-    /// the previous round's columns and returns its verdict. Verdicts are
-    /// encoded into the scratch columns, then committed to the main
-    /// columns in frontier order — all reads happen before any main row is
-    /// rewritten.
-    pub fn step_snapshot<F>(&mut self, mut step: F)
+    /// the previous round's columns and returns its verdict.
+    ///
+    /// With `threads > 1` and a frontier of at least `PAR_FRONTIER_MIN`
+    /// nodes, frontier chunks step concurrently on pool workers against the
+    /// shared previous-round columns; verdicts are collected positionally
+    /// and encoded into the main columns **sequentially in frontier
+    /// order**. Otherwise the frontier steps inline into the scratch
+    /// columns, which then commit in frontier order. Either way all reads
+    /// happen before any main row is rewritten, and the same bytes land in
+    /// the same write order for every pool size.
+    pub fn step_snapshot<F>(&mut self, threads: usize, step: F)
+    where
+        F: Fn(NodeId, S, &Snapshot<'_, S>) -> Verdict<S> + Sync,
+        S: Send,
+    {
+        if threads > 1 && self.frontier.len() >= crate::par::PAR_FRONTIER_MIN {
+            let verdicts = {
+                let snap = Snapshot::over(&self.main, &self.seeded);
+                crate::par::par_map(&self.frontier, threads, |_, &v| step(v, snap.get(v), &snap))
+            };
+            self.commit_in_frontier_order(verdicts);
+        } else {
+            self.step_snapshot_inline(step);
+        }
+    }
+
+    /// The inline half of [`ExecCore::step_snapshot`]: verdicts go to the
+    /// scratch columns, then commit in frontier order.
+    fn step_snapshot_inline<F>(&mut self, mut step: F)
     where
         F: FnMut(NodeId, S, &Snapshot<'_, S>) -> Verdict<S>,
     {
@@ -166,37 +188,32 @@ impl<S: StateCodec> ExecCore<S> {
         self.commit();
     }
 
-    /// Executes one round in snapshot style on `threads` pool workers.
-    ///
-    /// Frontier chunks step concurrently against the shared previous-round
-    /// columns; verdicts are collected positionally and encoded into the
-    /// main columns **sequentially in frontier order** — the same bytes in
-    /// the same write order as [`ExecCore::step_snapshot`]'s
-    /// scratch-then-copy commit, for every pool size. Small frontiers (and
-    /// `threads <= 1`) take the sequential path unchanged.
-    #[cfg(feature = "parallel")]
-    pub fn step_snapshot_threads<F>(&mut self, threads: usize, step: F)
-    where
-        F: Fn(NodeId, S, &Snapshot<'_, S>) -> Verdict<S> + Sync,
-        S: Send,
-    {
-        if threads <= 1 || self.frontier.len() < crate::par::PAR_FRONTIER_MIN {
-            self.step_snapshot(step);
-            return;
-        }
-        let verdicts = {
-            let snap = Snapshot::over(&self.main, &self.seeded);
-            crate::par::par_map(&self.frontier, threads, |_, &v| step(v, snap.get(v), &snap))
-        };
-        self.commit_in_frontier_order(verdicts);
-    }
-
     /// Executes one round in owned style (the message engine's receive
     /// phase): every frontier node consumes its decoded state and returns
-    /// its verdict. An owned step reads no neighbor lanes, so verdicts
-    /// commit directly to the main columns as the frontier is walked —
-    /// byte-identical to a scratch commit, one copy cheaper.
-    pub fn step_owned<F>(&mut self, mut step: F)
+    /// its verdict. An owned step reads no neighbor lanes, so inline
+    /// verdicts commit directly to the main columns as the frontier is
+    /// walked — byte-identical to a scratch commit, one copy cheaper. With
+    /// `threads > 1` and a large frontier, states are decoded and stepped
+    /// on pool workers and the verdicts commit sequentially in frontier
+    /// order.
+    pub fn step_owned<F>(&mut self, threads: usize, step: F)
+    where
+        F: Fn(NodeId, S) -> Verdict<S> + Sync,
+        S: Send,
+    {
+        if threads > 1 && self.frontier.len() >= crate::par::PAR_FRONTIER_MIN {
+            let main = &self.main;
+            let verdicts =
+                crate::par::par_map(&self.frontier, threads, |_, &v| step(v, main.read(v)));
+            self.commit_in_frontier_order(verdicts);
+        } else {
+            self.step_owned_inline(step);
+        }
+    }
+
+    /// The inline half of [`ExecCore::step_owned`]: verdicts commit
+    /// straight to the main columns as the frontier is walked.
+    fn step_owned_inline<F>(&mut self, mut step: F)
     where
         F: FnMut(NodeId, S) -> Verdict<S>,
     {
@@ -217,28 +234,9 @@ impl<S: StateCodec> ExecCore<S> {
         });
     }
 
-    /// Executes one round in owned style on `threads` pool workers:
-    /// frontier states are decoded on the workers (an owned step reads no
-    /// neighbor lanes), verdicts commit sequentially in frontier order.
-    #[cfg(feature = "parallel")]
-    pub fn step_owned_threads<F>(&mut self, threads: usize, step: F)
-    where
-        F: Fn(NodeId, S) -> Verdict<S> + Sync,
-        S: Send,
-    {
-        if threads <= 1 || self.frontier.len() < crate::par::PAR_FRONTIER_MIN {
-            self.step_owned(step);
-            return;
-        }
-        let main = &self.main;
-        let verdicts = crate::par::par_map(&self.frontier, threads, |_, &v| step(v, main.read(v)));
-        self.commit_in_frontier_order(verdicts);
-    }
-
     /// Commits a round whose verdicts were collected positionally (one per
     /// frontier node, in frontier order). Identical retain semantics to
     /// [`ExecCore::commit`].
-    #[cfg(feature = "parallel")]
     fn commit_in_frontier_order(&mut self, verdicts: Vec<Verdict<S>>) {
         // Checked in every profile: a mismatched batch would silently pair
         // verdicts with the wrong nodes, breaking byte-identical parallel
@@ -329,7 +327,7 @@ mod tests {
         // Slot 3 was never seeded: not active.
         assert!(!core.is_active(NodeId::new(3)));
         core.begin_round(10);
-        core.step_snapshot(|v, own, _| {
+        core.step_snapshot(1, |v, own, _| {
             if v.index() == 1 {
                 Verdict::Halted(own)
             } else {
@@ -350,7 +348,7 @@ mod tests {
         }
         // Round 1: odd nodes halt, doubling their state.
         core.begin_round(10);
-        core.step_snapshot(|v, own, _| {
+        core.step_snapshot(1, |v, own, _| {
             if v.index() % 2 == 1 {
                 Verdict::Halted(own * 2)
             } else {
@@ -363,7 +361,7 @@ mod tests {
         // Round 2: survivors read a halted neighbor's frozen lanes via the
         // snapshot and halt.
         core.begin_round(10);
-        core.step_snapshot(|_, own, snap| Verdict::Halted(own + snap.get(NodeId::new(1))));
+        core.step_snapshot(1, |_, own, snap| Verdict::Halted(own + snap.get(NodeId::new(1))));
         assert!(core.is_done());
         let out = core.finish();
         assert_eq!(out.rounds, 2);
@@ -382,7 +380,7 @@ mod tests {
         core.seed(NodeId::new(0), Verdict::Active(10));
         core.seed(NodeId::new(1), Verdict::Active(20));
         core.begin_round(10);
-        core.step_snapshot(|v, _, snap| Verdict::Halted(snap.get(NodeId::new(1 - v.index()))));
+        core.step_snapshot(1, |v, _, snap| Verdict::Halted(snap.get(NodeId::new(1 - v.index()))));
         let out = core.finish();
         assert_eq!(out.state(NodeId::new(0)), 20);
         assert_eq!(out.state(NodeId::new(1)), 10);
@@ -415,7 +413,7 @@ mod tests {
         let mut core: ExecCore<u32> = ExecCore::new(1);
         core.seed(NodeId::new(0), Verdict::Active(0));
         core.begin_round(1);
-        core.step_snapshot(|_, own, _| Verdict::Active(own + 1));
+        core.step_snapshot(1, |_, own, _| Verdict::Active(own + 1));
         core.begin_round(1);
     }
 
@@ -432,7 +430,6 @@ mod tests {
     /// The commit-order invariant holds in *every* build profile: this
     /// suite also runs under `--release` in CI, where a `debug_assert`
     /// would compile away.
-    #[cfg(feature = "parallel")]
     #[test]
     #[should_panic(expected = "commit-order invariant")]
     fn short_verdict_batches_are_rejected_in_every_profile() {
@@ -442,7 +439,6 @@ mod tests {
         core.commit_in_frontier_order(vec![Verdict::Active(9)]);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     #[should_panic(expected = "commit-order invariant")]
     fn oversized_verdict_batches_are_rejected_in_every_profile() {
@@ -487,7 +483,7 @@ mod tests {
             core.seed(NodeId::new(i), Verdict::Active(Lane(narrow_u32(i))));
         }
         core.begin_round(10);
-        core.step_snapshot(|v, own, _| {
+        core.step_snapshot(1, |v, own, _| {
             if v.index() % 2 == 1 {
                 Verdict::Halted(Lane(own.0 * 2))
             } else {
@@ -499,7 +495,7 @@ mod tests {
         assert_eq!(core.state(NodeId::new(3)), Lane(6));
         // Survivors read a halted neighbor's frozen lanes via the snapshot.
         core.begin_round(10);
-        core.step_snapshot(|_, own, snap| {
+        core.step_snapshot(1, |_, own, snap| {
             Verdict::Halted(Lane(own.0 + snap.get(NodeId::new(1)).0))
         });
         assert!(core.is_done());
@@ -516,7 +512,7 @@ mod tests {
         core.seed(NodeId::new(0), Verdict::Active(Lane(10)));
         core.seed(NodeId::new(1), Verdict::Active(Lane(20)));
         core.begin_round(10);
-        core.step_snapshot(|v, _, snap| Verdict::Halted(snap.get(NodeId::new(1 - v.index()))));
+        core.step_snapshot(1, |v, _, snap| Verdict::Halted(snap.get(NodeId::new(1 - v.index()))));
         let out = core.finish();
         assert_eq!(out.state(NodeId::new(0)), Lane(20));
         assert_eq!(out.state(NodeId::new(1)), Lane(10));
@@ -529,7 +525,7 @@ mod tests {
             core.seed(NodeId::new(i), Verdict::Active(Lane(narrow_u32(i) + 1)));
         }
         core.begin_round(10);
-        core.step_owned(|_, own| Verdict::Halted(Lane(own.0 * 10)));
+        core.step_owned(1, |_, own| Verdict::Halted(Lane(own.0 * 10)));
         let out = core.finish();
         assert_eq!(out.rounds, 1);
         for i in 0..3 {
@@ -551,7 +547,7 @@ mod tests {
         let mut core: ExecCore<Lane> = ExecCore::new(1);
         core.seed(NodeId::new(0), Verdict::Active(Lane(0)));
         core.begin_round(1);
-        core.step_snapshot(|_, own, _| Verdict::Active(Lane(own.0 + 1)));
+        core.step_snapshot(1, |_, own, _| Verdict::Active(Lane(own.0 + 1)));
         core.begin_round(1);
     }
 

@@ -14,9 +14,11 @@
 //!   honest cost of the paper's "gather the component at its highest
 //!   node" steps, one linear pass per costed component,
 //! * [`log_star_f64`] / [`ceil_log`] — the complexity-function helpers,
-//! * [`next_prime`] — support for Linial-style color reduction, and
+//! * [`next_prime`] — support for Linial-style color reduction,
 //! * [`counters`] — process-wide round/node-step counters that progress
-//!   reporters (the `treelocal-bench` driver) read.
+//!   reporters (the `treelocal-bench` driver) read, and
+//! * [`par`] — the deterministic worker pool and the runtime pool size
+//!   ([`par::with_threads`] scopes an override around any run).
 //!
 //! # Examples
 //!
@@ -75,24 +77,19 @@ mod exec_core;
 mod gather;
 mod logstar;
 mod msg_engine;
-#[cfg(feature = "parallel")]
 pub mod par;
 mod primes;
 mod rounds;
 pub mod transcript;
 
 pub use codec::{RunOutcome, Snapshot, StateCodec};
-#[cfg(feature = "parallel")]
-pub use engine::run_with_threads;
-pub use engine::{run, Ctx, ParSafe, SyncAlgorithm, Verdict};
+pub use engine::{run, Ctx, SyncAlgorithm, Verdict};
 pub use exec_core::ExecCore;
 pub use gather::{
     gather_rounds_at, highest_id_center, parallel_gather_rounds, sequential_gather_rounds,
     GatherPlan,
 };
 pub use logstar::{ceil_log, log_star_f64, log_star_u64};
-#[cfg(feature = "parallel")]
-pub use msg_engine::run_messages_with_threads;
 pub use msg_engine::{run_messages, MessageAlgorithm};
 pub use primes::{is_prime, next_prime};
 pub use rounds::{Phase, RoundReport};

@@ -17,8 +17,8 @@
 //! node's inbox is dead — never cleared, never read — so writing into it
 //! would be pure waste (pinned by `halted_recipients_inboxes_are_never_touched`).
 //!
-//! With the `parallel` feature both phases of a round run on the vendored
-//! rayon pool, **byte-identically** for every pool size:
+//! On large frontiers both phases of a round run on the vendored rayon
+//! pool, **byte-identically** for every pool size:
 //!
 //! * the **send phase** steps frontier chunks on pool workers, each worker
 //!   collecting one routed bucket per sender; the buckets are assembled by
@@ -27,13 +27,13 @@
 //!   slot is owned by one `(recipient, port)` pair, so the merge order is
 //!   observable only through determinism bugs, which
 //!   `tests/msg_parallel_equiv.rs` hunts);
-//! * the **receive phase** rides [`ExecCore::step_owned_threads`]
-//!   (frontier states decoded on pool workers, verdicts committed
-//!   sequentially in frontier order), exactly mirroring the snapshot
-//!   engine's threaded stepping path.
+//! * the **receive phase** rides [`ExecCore::step_owned`] (frontier
+//!   states decoded on pool workers, verdicts committed sequentially in
+//!   frontier order), exactly mirroring the snapshot engine's pooled
+//!   stepping path.
 
 use crate::codec::{RunOutcome, StateCodec};
-use crate::engine::{Ctx, ParSafe, Verdict};
+use crate::engine::{Ctx, Verdict};
 use crate::ExecCore;
 use std::fmt::Debug;
 use treelocal_graph::{narrow_u32, widen_u32, widen_u64, NodeId, Topology};
@@ -260,12 +260,11 @@ fn send_phase<T, A>(
     router: &mut Router<A::Msg>,
     threads: usize,
 ) where
-    T: Topology + ParSafe,
-    A: MessageAlgorithm<T> + ParSafe,
-    A::State: ParSafe,
-    A::Msg: ParSafe,
+    T: Topology + Sync,
+    A: MessageAlgorithm<T> + Sync,
+    A::State: Send,
+    A::Msg: Send + Sync,
 {
-    #[cfg(feature = "parallel")]
     if threads > 1 && core.frontier().len() >= crate::par::PAR_FRONTIER_MIN {
         let mut buckets = {
             let shared: &Router<A::Msg> = router;
@@ -280,8 +279,6 @@ fn send_phase<T, A>(
         }
         return;
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = threads;
     let mut scratch = Vec::new();
     for idx in 0..core.frontier().len() {
         let v = core.frontier()[idx];
@@ -290,20 +287,33 @@ fn send_phase<T, A>(
     }
 }
 
-/// Shared run loop of [`run_messages`] and [`run_messages_with_threads`]
-/// (`threads` is fixed to 1 in sequential builds).
-fn run_messages_on_pool<T, A>(
-    ctx: &Ctx<'_, T>,
-    algo: &A,
-    max_rounds: u64,
-    threads: usize,
-) -> RunOutcome<A::State>
+/// Runs a message-passing algorithm until every node halts.
+///
+/// Built on the shared [`ExecCore`](crate::ExecCore): the send phase walks
+/// the active frontier (terminated nodes are silent by construction, and
+/// messages *to* terminated nodes are dropped unrouted), the receive phase
+/// consumes decoded frontier states by value, and round accounting is the
+/// core's — identical to the snapshot engine's, which is what the
+/// cross-engine equivalence tests assert.
+///
+/// Large frontiers run both phases on the vendored rayon pool, sized by
+/// [`crate::par::auto_threads`] (scope an explicit size with
+/// [`crate::par::with_threads`]). Outcomes, round counts and work counters
+/// are byte-identical for every pool size — pinned by
+/// `tests/msg_parallel_equiv.rs` and `tests/msg_counters.rs`.
+///
+/// # Panics
+///
+/// Panics if the algorithm exceeds `max_rounds` or sends a malformed
+/// message vector (wrong port count).
+pub fn run_messages<T, A>(ctx: &Ctx<'_, T>, algo: &A, max_rounds: u64) -> RunOutcome<A::State>
 where
-    T: Topology + ParSafe,
-    A: MessageAlgorithm<T> + ParSafe,
-    A::State: ParSafe,
-    A::Msg: ParSafe,
+    T: Topology + Sync,
+    A: MessageAlgorithm<T> + Sync,
+    A::State: Send,
+    A::Msg: Send + Sync,
 {
+    let threads = crate::par::auto_threads();
     let mut core = ExecCore::new(ctx.topo.index_space());
     for v in ctx.topo.nodes() {
         core.seed(v, Verdict::Active(algo.init(ctx, v)));
@@ -318,74 +328,9 @@ where
         crate::counters::record_send_round(widen_u64(core.frontier().len()));
         router.clear_frontier(core.frontier());
         send_phase(ctx, algo, round, &core, &mut router, threads);
-        let recv = |v: NodeId, state: A::State| algo.receive(ctx, v, round, state, router.inbox(v));
-        #[cfg(feature = "parallel")]
-        core.step_owned_threads(threads, recv);
-        #[cfg(not(feature = "parallel"))]
-        core.step_owned(recv);
+        core.step_owned(threads, |v, state| algo.receive(ctx, v, round, state, router.inbox(v)));
     }
     core.finish()
-}
-
-/// Runs a message-passing algorithm until every node halts.
-///
-/// Built on the shared [`ExecCore`](crate::ExecCore): the send phase walks
-/// the active frontier (terminated nodes are silent by construction, and
-/// messages *to* terminated nodes are dropped unrouted), the receive phase
-/// consumes decoded frontier states by value, and round accounting is the
-/// core's — identical to the snapshot engine's, which is what the
-/// cross-engine equivalence tests assert.
-///
-/// With the `parallel` feature, large frontiers run both phases on the
-/// vendored rayon pool ([`crate::par::auto_threads`] sizes it; the
-/// `TREELOCAL_THREADS` environment variable overrides). Outcomes, round
-/// counts and work counters are byte-identical to a sequential run —
-/// pinned by `tests/msg_parallel_equiv.rs` and `tests/msg_counters.rs`.
-///
-/// # Panics
-///
-/// Panics if the algorithm exceeds `max_rounds` or sends a malformed
-/// message vector (wrong port count).
-pub fn run_messages<T, A>(ctx: &Ctx<'_, T>, algo: &A, max_rounds: u64) -> RunOutcome<A::State>
-where
-    T: Topology + ParSafe,
-    A: MessageAlgorithm<T> + ParSafe,
-    A::State: ParSafe,
-    A::Msg: ParSafe,
-{
-    #[cfg(feature = "parallel")]
-    {
-        run_messages_with_threads(ctx, algo, max_rounds, crate::par::auto_threads())
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        run_messages_on_pool(ctx, algo, max_rounds, 1)
-    }
-}
-
-/// [`run_messages`] with an explicit pool size (1 forces sequential
-/// execution).
-///
-/// Exists so tests and harnesses can compare pool sizes; every size
-/// produces the same [`RunOutcome`].
-///
-/// # Panics
-///
-/// As [`run_messages`].
-#[cfg(feature = "parallel")]
-pub fn run_messages_with_threads<T, A>(
-    ctx: &Ctx<'_, T>,
-    algo: &A,
-    max_rounds: u64,
-    threads: usize,
-) -> RunOutcome<A::State>
-where
-    T: Topology + ParSafe,
-    A: MessageAlgorithm<T> + ParSafe,
-    A::State: ParSafe,
-    A::Msg: ParSafe,
-{
-    run_messages_on_pool(ctx, algo, max_rounds, threads)
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Deterministic parallel mapping on the vendored rayon pool.
+//! Deterministic parallel mapping on the vendored rayon pool, and the
+//! runtime pool size every engine run reads.
 //!
 //! The LOCAL model is the textbook parallel abstraction: within a round,
 //! every frontier node reads only the *previous* round's state buffer, so
@@ -14,10 +15,13 @@
 //! * the caller's result vector is assembled **by chunk index**, making
 //!   the output identical to a sequential `map` for every pool size.
 //!
-//! This module only exists with the `parallel` feature; the engine commits
-//! verdicts in frontier order afterwards, which is what keeps parallel and
-//! sequential runs byte-identical (pinned by `tests/parallel_equiv.rs`).
+//! The engine commits verdicts in frontier order afterwards, which is what
+//! keeps pooled and inline runs byte-identical (pinned by
+//! `tests/parallel_equiv.rs`). The pool size is a runtime value:
+//! [`auto_threads`] reads it, and [`with_threads`] overrides it for the
+//! duration of a closure.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -27,50 +31,54 @@ const CHUNKS_PER_WORKER: usize = 4;
 
 /// Below this frontier size a round phase is cheaper than the scoped
 /// fork/join, so the engines run it inline. The choice cannot affect
-/// results, only speed — both [`crate::ExecCore`] stepping variants and the
+/// results, only speed — both [`crate::ExecCore`] stepping styles and the
 /// message engine's send phase share this one threshold.
 pub(crate) const PAR_FRONTIER_MIN: usize = 1024;
 
 thread_local! {
-    /// Set while this thread is a [`par_map`] worker. Work launched from
-    /// inside a worker (an experiment job calling [`crate::run`], say)
-    /// must not fan out again: the vendored pool spawns real OS threads,
-    /// so nested auto-sized parallelism would run `W × W` threads. The
-    /// outer layer already owns the machine's parallelism.
-    static IN_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// The pool size forced on this thread by [`with_threads`] (0 = no
+    /// override). Every [`par_map`] worker runs under `with_threads(1)`:
+    /// work launched from inside a worker (an experiment job calling
+    /// [`crate::run`], say) must not fan out again, because the vendored
+    /// pool spawns real OS threads and nested auto-sized parallelism would
+    /// run `W × W` of them. The outer layer already owns the parallelism.
+    static OVERRIDE: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Marks the current thread as a pool worker for its lifetime.
-struct WorkerGuard {
-    prev: bool,
+/// Restores the previous override when dropped, including during unwind.
+struct OverrideGuard {
+    prev: usize,
 }
 
-impl WorkerGuard {
-    fn enter() -> WorkerGuard {
-        WorkerGuard { prev: IN_POOL_WORKER.with(|c| c.replace(true)) }
-    }
-}
-
-impl Drop for WorkerGuard {
+impl Drop for OverrideGuard {
     fn drop(&mut self) {
         let prev = self.prev;
-        IN_POOL_WORKER.with(|c| c.set(prev));
+        OVERRIDE.with(|c| c.set(prev));
     }
 }
 
-/// The pool size used when callers do not force one: **1 inside a pool
-/// worker** (nested work must not oversubscribe — see `IN_POOL_WORKER`),
-/// else the `TREELOCAL_THREADS` environment variable (0 or unset = auto),
-/// else the rayon default (`RAYON_NUM_THREADS`, else available
-/// parallelism).
+/// Runs `f` with [`auto_threads`] returning `threads` on the calling
+/// thread (0 is treated as 1). The previous value is restored when `f`
+/// returns or unwinds, so overrides nest. Outcomes never depend on the
+/// pool size; this only chooses how much of the machine a run uses.
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    let _restore = OverrideGuard { prev: OVERRIDE.with(|c| c.replace(threads.max(1))) };
+    f()
+}
+
+/// The pool size an engine run uses: the innermost [`with_threads`]
+/// override if one is set (always 1 inside a [`par_map`] worker), else the
+/// `TREELOCAL_THREADS` environment variable (0 or unset = auto), else the
+/// rayon default (`RAYON_NUM_THREADS`, else available parallelism).
 ///
 /// The environment probe is computed once per process — like real rayon's
 /// global pool size — both so the environment is stable configuration and
 /// because the probe can touch the filesystem (cgroup quotas), which is
 /// too slow for the per-`run` call sites.
 pub fn auto_threads() -> usize {
-    if IN_POOL_WORKER.with(std::cell::Cell::get) {
-        return 1;
+    let forced = OVERRIDE.with(Cell::get);
+    if forced > 0 {
+        return forced;
     }
     static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *AUTO.get_or_init(|| {
@@ -134,8 +142,7 @@ where
             let poisoned = &poisoned;
             let compute = &compute;
             s.spawn(move |_| {
-                let _in_worker = WorkerGuard::enter();
-                loop {
+                with_threads(1, || loop {
                     let c = next_chunk.fetch_add(1, Ordering::Relaxed);
                     if c >= n_chunks || poisoned.load(Ordering::Relaxed) {
                         break;
@@ -149,7 +156,7 @@ where
                     if tx.send((c, out)).is_err() || failed {
                         break;
                     }
-                }
+                })
             });
         }
     });
@@ -228,5 +235,34 @@ mod tests {
         // ... and the flag is scoped to worker threads, not leaked.
         let inline = par_map(&items[..1], 4, |_, _| auto_threads());
         assert_eq!(inline[0], auto_threads());
+        // An outer override does not reach the workers either.
+        let sizes = with_threads(8, || par_map(&items, 4, |_, _| auto_threads()));
+        assert!(sizes.iter().all(|&n| n == 1), "nested auto size must be 1, got {sizes:?}");
+    }
+
+    #[test]
+    fn with_threads_is_visible_inside_and_restored_after() {
+        let outside = auto_threads();
+        assert_eq!(with_threads(3, auto_threads), 3);
+        assert_eq!(with_threads(0, auto_threads), 1, "0 means a pool of one");
+        // Overrides nest; each level restores the one it replaced.
+        with_threads(5, || {
+            assert_eq!(with_threads(2, auto_threads), 2);
+            assert_eq!(auto_threads(), 5);
+        });
+        assert_eq!(auto_threads(), outside);
+    }
+
+    #[test]
+    fn with_threads_is_restored_after_a_panic_unwinds() {
+        let outside = auto_threads();
+        let caught = std::panic::catch_unwind(|| {
+            with_threads(7, || {
+                assert_eq!(auto_threads(), 7);
+                panic!("intentional");
+            })
+        });
+        assert!(caught.is_err());
+        assert_eq!(auto_threads(), outside);
     }
 }

@@ -14,10 +14,10 @@
 //! serializes on one mutex; keep counter-oblivious tests out of this file.
 
 use std::sync::Mutex;
-use treelocal_gen::path;
+use treelocal_gen::{caterpillar, path, random_tree, relabel, IdStrategy};
 use treelocal_graph::{NodeId, Topology};
 use treelocal_sim::{
-    counters, run, run_messages, Ctx, MessageAlgorithm, Snapshot, SyncAlgorithm, Verdict,
+    counters, par, run, run_messages, Ctx, MessageAlgorithm, Snapshot, SyncAlgorithm, Verdict,
 };
 
 /// Serializes the tests in this binary so counter deltas are attributable.
@@ -116,10 +116,8 @@ fn snapshot_engine_records_no_send_steps() {
 
 /// [`HaltAtId`] with bounded staggering (halt at round `id % 13 + 1`): the
 /// frontier shrinks irregularly but the run stays short on large trees.
-#[cfg(feature = "parallel")]
 struct HaltStaggered;
 
-#[cfg(feature = "parallel")]
 impl<T: Topology> MessageAlgorithm<T> for HaltStaggered {
     type State = u64;
     type Msg = u64;
@@ -149,11 +147,8 @@ impl<T: Topology> MessageAlgorithm<T> for HaltStaggered {
     }
 }
 
-#[cfg(feature = "parallel")]
 #[test]
 fn counter_totals_are_pool_size_invariant() {
-    use treelocal_gen::{caterpillar, random_tree, relabel, IdStrategy};
-    use treelocal_sim::{par, run_messages_with_threads};
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for g in
         [relabel(&random_tree(2500, 23), IdStrategy::Permuted { seed: 23 }), caterpillar(1200, 1)]
@@ -162,7 +157,7 @@ fn counter_totals_are_pool_size_invariant() {
         let mut per_pool = Vec::new();
         for threads in [1usize, 2, 4, par::auto_threads()] {
             let before = counters::snapshot();
-            let out = run_messages_with_threads(&ctx, &HaltStaggered, 100, threads);
+            let out = par::with_threads(threads, || run_messages(&ctx, &HaltStaggered, 100));
             let after = counters::snapshot();
             let delta = (
                 after.0 - before.0,

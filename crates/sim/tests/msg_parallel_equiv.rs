@@ -1,5 +1,5 @@
-//! Message-engine parallel-vs-sequential equivalence: the `parallel`
-//! feature must change wall-clock, never results. For every pool size — 1
+//! Message-engine parallel-vs-sequential equivalence: the pool size must
+//! change wall-clock, never results. For every pool size — 1
 //! (forced sequential), 2, 4, and the machine's auto size — `run_messages`
 //! must produce **byte-identical** outcomes: same final state of every
 //! node and same round count. The trees are sized above the engine's
@@ -8,14 +8,14 @@
 //! double-stepping, misrouted bucket, or torn-commit bug changes the
 //! answer.
 //!
-//! The cross-engine matrix case runs in **both** feature modes: the same
-//! flooding task, written once as a snapshot state machine and once in
-//! message-passing form, across every engine × pool-size cell.
+//! The cross-engine matrix case runs the same flooding task, written once
+//! as a snapshot state machine and once in message-passing form, across
+//! every engine × pool-size cell.
 
 use treelocal_gen::{caterpillar, random_tree, relabel, IdStrategy};
 use treelocal_graph::{Graph, NodeId, Topology};
 use treelocal_sim::{
-    run, run_messages, Ctx, MessageAlgorithm, RunOutcome, Snapshot, StateCodec, SyncAlgorithm,
+    par, run, run_messages, Ctx, MessageAlgorithm, RunOutcome, Snapshot, StateCodec, SyncAlgorithm,
     Verdict,
 };
 
@@ -24,10 +24,8 @@ use treelocal_sim::{
 /// exact placement of every message matters. Nodes halt at staggered
 /// rounds driven by their identifier, exercising the halted-recipient
 /// routing path on every round.
-#[cfg(feature = "parallel")]
 struct MsgHash;
 
-#[cfg(feature = "parallel")]
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct HashState {
     value: u64,
@@ -35,7 +33,6 @@ struct HashState {
 }
 
 /// `[value, acc]` u64 lanes.
-#[cfg(feature = "parallel")]
 impl StateCodec for HashState {
     const U32_LANES: usize = 0;
     const U64_LANES: usize = 2;
@@ -50,7 +47,6 @@ impl StateCodec for HashState {
     }
 }
 
-#[cfg(feature = "parallel")]
 impl<T: Topology> MessageAlgorithm<T> for MsgHash {
     type State = HashState;
     type Msg = u64;
@@ -90,42 +86,36 @@ fn assert_identical<S: StateCodec + PartialEq>(a: &RunOutcome<S>, b: &RunOutcome
     assert!(a.states().eq(b.states()), "states diverge: {label}");
 }
 
-#[cfg(feature = "parallel")]
-mod pool_sizes {
-    use super::*;
-    use treelocal_sim::{par, run_messages_with_threads};
-
-    #[test]
-    fn every_pool_size_matches_the_sequential_message_run() {
-        for seed in 0..6u64 {
-            let n = 1500 + 500 * usize::try_from(seed).unwrap(); // above the parallel threshold
-            let tree = relabel(&random_tree(n, seed), IdStrategy::Permuted { seed });
-            let ctx = Ctx::of(&tree);
-            let sequential = run_messages_with_threads(&ctx, &MsgHash, 100, 1);
-            for threads in [2usize, 4, par::auto_threads()] {
-                let parallel = run_messages_with_threads(&ctx, &MsgHash, 100, threads);
-                assert_identical(&sequential, &parallel, &format!("n {n}, {threads} threads"));
-            }
-            // `run_messages` (auto-sized pool) is the path callers take.
-            assert_identical(&sequential, &run_messages(&ctx, &MsgHash, 100), "auto pool");
+#[test]
+fn every_pool_size_matches_the_sequential_message_run() {
+    for seed in 0..6u64 {
+        let n = 1500 + 500 * usize::try_from(seed).unwrap(); // above the parallel threshold
+        let tree = relabel(&random_tree(n, seed), IdStrategy::Permuted { seed });
+        let ctx = Ctx::of(&tree);
+        let sequential = par::with_threads(1, || run_messages(&ctx, &MsgHash, 100));
+        for threads in [2usize, 4, par::auto_threads()] {
+            let parallel = par::with_threads(threads, || run_messages(&ctx, &MsgHash, 100));
+            assert_identical(&sequential, &parallel, &format!("n {n}, {threads} threads"));
         }
+        // `run_messages` (auto-sized pool) is the path callers take.
+        assert_identical(&sequential, &run_messages(&ctx, &MsgHash, 100), "auto pool");
     }
+}
 
-    #[test]
-    fn pool_size_does_not_leak_into_results_on_degenerate_shapes() {
-        // A path (maximum diameter), a star (one hub touching every chunk
-        // boundary) and a caterpillar (the experiments' staple shape).
-        for (label, tree) in [
-            ("path", treelocal_gen::path(2500)),
-            ("star", treelocal_gen::star(2500)),
-            ("caterpillar", caterpillar(1250, 1)),
-        ] {
-            let ctx = Ctx::of(&tree);
-            let sequential = run_messages_with_threads(&ctx, &MsgHash, 100, 1);
-            for threads in [2usize, 3, 8] {
-                let parallel = run_messages_with_threads(&ctx, &MsgHash, 100, threads);
-                assert_identical(&sequential, &parallel, &format!("{label}, {threads} threads"));
-            }
+#[test]
+fn pool_size_does_not_leak_into_results_on_degenerate_shapes() {
+    // A path (maximum diameter), a star (one hub touching every chunk
+    // boundary) and a caterpillar (the experiments' staple shape).
+    for (label, tree) in [
+        ("path", treelocal_gen::path(2500)),
+        ("star", treelocal_gen::star(2500)),
+        ("caterpillar", caterpillar(1250, 1)),
+    ] {
+        let ctx = Ctx::of(&tree);
+        let sequential = par::with_threads(1, || run_messages(&ctx, &MsgHash, 100));
+        for threads in [2usize, 3, 8] {
+            let parallel = par::with_threads(threads, || run_messages(&ctx, &MsgHash, 100));
+            assert_identical(&sequential, &parallel, &format!("{label}, {threads} threads"));
         }
     }
 }
@@ -218,8 +208,8 @@ fn matrix_graphs() -> Vec<(&'static str, Graph)> {
 }
 
 /// The full engine × pool-size matrix collapses to one equivalence class:
-/// snapshot and message engines agree, and (with the `parallel` feature)
-/// every pool size of either engine agrees with the sequential reference.
+/// snapshot and message engines agree, and every pool size of either
+/// engine agrees with the sequential reference.
 #[test]
 fn cross_engine_matrix_is_one_equivalence_class() {
     for (label, g) in matrix_graphs() {
@@ -228,10 +218,9 @@ fn cross_engine_matrix_is_one_equivalence_class() {
         let via_msgs = run_messages(&ctx, &FloodMsg, 100_000);
         assert_identical(&reference, &via_msgs, &format!("{label}: snapshot vs messages"));
         assert!(g.node_ids().all(|v| reference.state(v).0.is_some()));
-        #[cfg(feature = "parallel")]
-        for threads in [1usize, 2, 4, treelocal_sim::par::auto_threads()] {
-            let snap = treelocal_sim::run_with_threads(&ctx, &FloodState, 100_000, threads);
-            let msgs = treelocal_sim::run_messages_with_threads(&ctx, &FloodMsg, 100_000, threads);
+        for threads in [1usize, 2, 4, par::auto_threads()] {
+            let snap = par::with_threads(threads, || run(&ctx, &FloodState, 100_000));
+            let msgs = par::with_threads(threads, || run_messages(&ctx, &FloodMsg, 100_000));
             assert_identical(&reference, &snap, &format!("{label}: snapshot @ {threads}"));
             assert_identical(&reference, &msgs, &format!("{label}: messages @ {threads}"));
         }

@@ -1,18 +1,13 @@
-//! Parallel-vs-sequential equivalence: the whole point of the `parallel`
-//! feature is that it changes wall-clock, never results. For every pool
-//! size — 1 (forced sequential), 2, 4, and the machine's auto size — the
+//! Parallel-vs-sequential equivalence: the pool size changes wall-clock,
+//! never results. For every pool size — 1 (forced sequential), 2, 4, and the machine's auto size — the
 //! snapshot engine must produce **byte-identical** outcomes: same final
 //! state of every node and same round count. The trees are sized above the
 //! engine's parallel threshold so the pool path genuinely executes, and
 //! the state type folds neighbor values order-sensitively so any
 //! double-stepping, reordering, or torn-commit bug changes the answer.
 
-#![cfg(feature = "parallel")]
-
 use treelocal_graph::{NodeId, Topology};
-use treelocal_sim::{
-    par, run, run_with_threads, Ctx, RunOutcome, Snapshot, StateCodec, SyncAlgorithm, Verdict,
-};
+use treelocal_sim::{par, run, Ctx, RunOutcome, Snapshot, StateCodec, SyncAlgorithm, Verdict};
 
 /// Accumulates an order-sensitive hash of neighbor states each round;
 /// nodes halt at staggered rounds driven by their identifier, so the
@@ -84,9 +79,9 @@ fn every_pool_size_matches_the_sequential_run() {
             treelocal_gen::IdStrategy::Permuted { seed },
         );
         let ctx = Ctx::of(&tree);
-        let sequential = run_with_threads(&ctx, &StaggeredHash, 100, 1);
+        let sequential = par::with_threads(1, || run(&ctx, &StaggeredHash, 100));
         for threads in [2usize, 4, par::auto_threads()] {
-            let parallel = run_with_threads(&ctx, &StaggeredHash, 100, threads);
+            let parallel = par::with_threads(threads, || run(&ctx, &StaggeredHash, 100));
             assert_identical(&sequential, &parallel, &format!("n {n}, {threads} threads"));
         }
         // `run` (auto-sized pool) is the path every pipeline takes.
@@ -101,9 +96,9 @@ fn pool_size_does_not_leak_into_results_on_paths_and_stars() {
     for (label, tree) in [("path", treelocal_gen::path(2500)), ("star", treelocal_gen::star(2500))]
     {
         let ctx = Ctx::of(&tree);
-        let sequential = run_with_threads(&ctx, &StaggeredHash, 100, 1);
+        let sequential = par::with_threads(1, || run(&ctx, &StaggeredHash, 100));
         for threads in [2usize, 3, 8] {
-            let parallel = run_with_threads(&ctx, &StaggeredHash, 100, threads);
+            let parallel = par::with_threads(threads, || run(&ctx, &StaggeredHash, 100));
             assert_identical(&sequential, &parallel, &format!("{label}, {threads} threads"));
         }
     }
