@@ -441,14 +441,21 @@ mod tests {
 
     #[test]
     fn message_form_matches_the_snapshot_form() {
+        use treelocal_gen::{caterpillar, random_tree, relabel, IdStrategy};
+        // The last two inputs start with a frontier above the engine's
+        // parallel threshold, so at two workers both phases of a message
+        // round (the bucketed send and the receive) run on the pool.
         for (label, g) in [
             ("path", path(60)),
             ("star", Graph::from_edges(12, &(1..12).map(|i| (0, i)).collect::<Vec<_>>()).unwrap()),
-            ("tree", treelocal_gen::random_tree(200, 5)),
+            ("tree", random_tree(200, 5)),
+            ("sparse-id tree", relabel(&random_tree(3000, 11), IdStrategy::Sparse { seed: 11 })),
+            ("caterpillar", caterpillar(1500, 1)),
         ] {
             let ctx = Ctx::of(&g);
-            let snap = run_linial(&ctx);
-            let msgs = run_linial_messages(&ctx);
+            let (snap, msgs) = treelocal_sim::par::with_threads(2, || {
+                (run_linial(&ctx), run_linial_messages(&ctx))
+            });
             assert_eq!(snap.rounds, msgs.rounds, "{label}: round counts diverge");
             assert_eq!(snap.final_bound, msgs.final_bound, "{label}");
             assert_eq!(snap.colors, msgs.colors, "{label}: colors diverge");

@@ -57,7 +57,7 @@ fn truncate_to_records(src: &Path, dst: &Path, keep: usize) {
     std::fs::write(dst, prefix.join("\n") + "\n").unwrap();
 }
 
-/// Pool sizes the acceptance criterion names: 1 and auto (deduplicated
+/// Pool sizes the resume requirement names: 1 and auto (deduplicated
 /// when auto is 1).
 fn pool_sizes() -> Vec<usize> {
     let auto = auto_threads();
@@ -79,7 +79,7 @@ fn journaled_run_matches_journal_less_run() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// The acceptance criterion: interrupt at an arbitrary job, resume, and
+/// The resume requirement: interrupt at an arbitrary job, resume, and
 /// the aggregate tables are byte-identical — for pool sizes 1 and auto —
 /// with completed jobs not re-executed.
 #[test]

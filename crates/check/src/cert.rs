@@ -21,7 +21,9 @@
 use crate::commit::{commit_round, COMMITMENT_OFFSET};
 use crate::envelope::{check_envelope, Envelope};
 use crate::error::CheckError;
-use crate::rule::{check_solution, EdgePalette, MisWitness, Palette, Rule, Solution};
+use crate::rule::{
+    check_solution, check_witness_kind, EdgePalette, MisWitness, Palette, Rule, Solution,
+};
 use std::fmt::Write as _;
 use treelocal_graph::{widen_u64, Graph};
 
@@ -480,14 +482,47 @@ fn parse_edge_palette(p: &str, line: usize) -> Result<EdgePalette, CheckError> {
 }
 
 /// Validates all three layers of a certificate. Returns the first
-/// violation found, ordered: instance, solution legality, envelope,
-/// transcript consistency.
+/// violation found, ordered: witness kind, declared node count, instance,
+/// solution legality, envelope, transcript consistency.
 pub fn check_certificate(cert: &Certificate) -> Result<(), CheckError> {
+    check_witness_kind(&cert.rule, &cert.solution)?;
+    check_node_count(cert)?;
     let g = Graph::from_edges(cert.nodes, &cert.edges)
         .map_err(|e| CheckError::BadInstance { what: format!("{e:?}") })?;
     check_solution(&g, &cert.rule, &cert.solution, cert.lists.as_deref())?;
     check_envelope(cert.envelope, cert.id_space, g.max_degree(), cert.rounds)?;
     check_transcript(cert)
+}
+
+/// Rejects a `nodes` count the certificate's own lines cannot account
+/// for, before the graph build allocates per node. A node-indexed
+/// solution carries exactly one entry per node. Under an edge-indexed
+/// rule a node outside every edge carries no data, so at most
+/// `2·edges + 1` nodes may be declared (every emitted certificate is a
+/// tree, and the `+ 1` admits the single-node tree).
+fn check_node_count(cert: &Certificate) -> Result<(), CheckError> {
+    let found = match &cert.solution {
+        Solution::NodeColors(colors) => colors.len(),
+        Solution::NodeSet(set) => set.len(),
+        Solution::MisWitnesses(witnesses) => witnesses.len(),
+        Solution::EdgeSet(_) | Solution::EdgeColors(_) => {
+            let edges = cert.edges.len();
+            let limit = edges.saturating_mul(2).saturating_add(1);
+            if cert.nodes > limit {
+                return Err(CheckError::BadInstance {
+                    what: format!(
+                        "{} nodes declared, but {edges} edges account for at most {limit}",
+                        cert.nodes
+                    ),
+                });
+            }
+            return Ok(());
+        }
+    };
+    if found != cert.nodes {
+        return Err(CheckError::WitnessCount { expected: cert.nodes, found });
+    }
+    Ok(())
 }
 
 /// Parses and validates in one step.

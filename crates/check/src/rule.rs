@@ -141,6 +141,22 @@ pub fn check_solution(
     }
 }
 
+/// Refuses a solution kind that cannot witness `rule` — the pairing
+/// [`check_solution`] dispatches on — before any count or value is read.
+pub(crate) fn check_witness_kind(rule: &Rule, solution: &Solution) -> Result<(), CheckError> {
+    let fits = matches!(
+        (rule, solution),
+        (Rule::Coloring { .. } | Rule::ListColoring, Solution::NodeColors(_))
+            | (Rule::Mis, Solution::NodeSet(_) | Solution::MisWitnesses(_))
+            | (Rule::Matching { .. }, Solution::EdgeSet(_))
+            | (Rule::EdgeColoring { .. }, Solution::EdgeColors(_))
+    );
+    if !fits {
+        return Err(CheckError::WitnessKind { rule: rule.id(), found: solution.kind() });
+    }
+    Ok(())
+}
+
 fn expect_node_count(g: &Graph, found: usize) -> Result<(), CheckError> {
     if found != g.node_count() {
         return Err(CheckError::WitnessCount { expected: g.node_count(), found });

@@ -150,12 +150,14 @@ fn oversized_edge_count_is_rejected_before_streaming() {
 }
 
 /// The largest size the guard admits: counts at the u32 boundary pass the
-/// check (and the lying source is then caught by the count contract, which
-/// proves streaming actually began).
+/// check (and the lying source is then caught by the typed edge-count
+/// check, which proves streaming actually began).
 #[test]
-#[should_panic(expected = "EdgeSource contract")]
 fn boundary_sized_counts_pass_the_guard_and_reach_streaming() {
     let n = widen_u32(u32::MAX);
     let lying = FnEdgeSource::new(n, 1, |_emit| {});
-    let _ = Graph::from_edge_source(&lying);
+    assert_eq!(
+        Graph::from_edge_source(&lying).unwrap_err(),
+        GraphError::EdgeCountMismatch { declared: 1, emitted: 0 }
+    );
 }

@@ -192,11 +192,9 @@ impl Graph {
     ///
     /// Same conditions as [`GraphBuilder::finish`].
     /// [`GraphError::TooLarge`] fires before anything is allocated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source violates its contract by emitting a number of
-    /// edges different from [`EdgeSource::edge_count`].
+    /// [`GraphError::EdgeCountMismatch`] if the source violates its
+    /// contract by emitting a number of edges different from
+    /// [`EdgeSource::edge_count`].
     pub fn from_edge_source<S: EdgeSource + ?Sized>(source: &S) -> Result<Graph, GraphError> {
         check_index_space(source.node_count(), source.edge_count())?;
         Graph::build_streamed(source, LocalIds::Sequential(source.node_count()))
@@ -207,12 +205,9 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`GraphBuilder::finish`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source violates its contract by emitting a number of
-    /// edges different from [`EdgeSource::edge_count`].
+    /// Same conditions as [`GraphBuilder::finish`], plus
+    /// [`GraphError::EdgeCountMismatch`] as in
+    /// [`from_edge_source`](Graph::from_edge_source).
     pub fn from_edge_source_with_ids<S: EdgeSource + ?Sized>(
         source: &S,
         ids: Vec<u64>,
@@ -245,9 +240,15 @@ impl Graph {
         let n = source.node_count();
         let m = source.edge_count();
         let mut endpoints: Vec<[NodeId; 2]> = Vec::with_capacity(m);
+        let mut surplus = 0usize;
         let mut bad: Option<GraphError> = None;
         source.stream(&mut |u, v| {
             if bad.is_some() {
+                return;
+            }
+            // Never grow past the count `check_index_space` approved.
+            if endpoints.len() == m {
+                surplus += 1;
                 return;
             }
             if u >= n || v >= n {
@@ -263,11 +264,10 @@ impl Graph {
         if let Some(err) = bad {
             return Err(err);
         }
-        assert_eq!(
-            endpoints.len(),
-            m,
-            "EdgeSource contract: stream() must emit exactly edge_count() edges"
-        );
+        let emitted = endpoints.len() + surplus;
+        if emitted != m {
+            return Err(GraphError::EdgeCountMismatch { declared: m, emitted });
+        }
         let explicit_id_bytes = match &ids {
             LocalIds::Sequential(_) => 0,
             LocalIds::Explicit(_) => 8 * widen_u64(n),
@@ -658,13 +658,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "EdgeSource contract")]
-    fn streamed_build_panics_on_count_lie() {
+    fn streamed_build_rejects_count_lies() {
         use crate::source::FnEdgeSource;
-        // Claims two edges, emits one: the contract assert must fire rather
-        // than silently building a smaller graph.
-        let lying = FnEdgeSource::new(3, 2, |emit| emit(0, 1));
-        let _ = Graph::from_edge_source(&lying);
+        // Claims two edges, emits one: a typed error rather than a
+        // silently smaller graph.
+        let under = FnEdgeSource::new(3, 2, |emit| emit(0, 1));
+        assert_eq!(
+            Graph::from_edge_source(&under).unwrap_err(),
+            GraphError::EdgeCountMismatch { declared: 2, emitted: 1 }
+        );
+        // Claims one edge, emits three: recording stops at the declared
+        // count and the surplus is still reported.
+        let over = FnEdgeSource::new(3, 1, |emit| {
+            emit(0, 1);
+            emit(1, 2);
+            emit(0, 2);
+        });
+        let err = Graph::from_edge_source_with_ids(&over, vec![7, 8, 9]).unwrap_err();
+        assert_eq!(err, GraphError::EdgeCountMismatch { declared: 1, emitted: 3 });
+        assert_eq!(err.to_string(), "edge source declared 1 edges but emitted 3");
     }
 
     #[test]

@@ -112,6 +112,14 @@ pub enum GraphError {
         /// The requested edge count.
         edges: usize,
     },
+    /// An [`EdgeSource`] emitted a different number of edges than its
+    /// [`edge_count`](EdgeSource::edge_count) declared.
+    EdgeCountMismatch {
+        /// The declared edge count.
+        declared: usize,
+        /// The number of edges the stream emitted.
+        emitted: usize,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -134,6 +142,9 @@ impl fmt::Display for GraphError {
                 u32::MAX,
                 u32::MAX
             ),
+            GraphError::EdgeCountMismatch { declared, emitted } => {
+                write!(f, "edge source declared {declared} edges but emitted {emitted}")
+            }
         }
     }
 }

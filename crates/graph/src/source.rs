@@ -15,8 +15,10 @@
 //! The counts are a *contract*, not a hint: [`node_count`] and
 //! [`edge_count`] size the u32 index-space check (the typed
 //! [`GraphError::TooLarge`](crate::GraphError::TooLarge) fires **before**
-//! any allocation) and the exact allocation of the endpoint array, and the
-//! builder asserts that [`stream`] emits exactly `edge_count` edges.
+//! any allocation) and the exact allocation of the endpoint array. The
+//! builder records at most `edge_count` edges and returns the typed
+//! [`GraphError::EdgeCountMismatch`](crate::GraphError::EdgeCountMismatch)
+//! if [`stream`] emits more or fewer.
 //!
 //! [`node_count`]: EdgeSource::node_count
 //! [`edge_count`]: EdgeSource::edge_count
