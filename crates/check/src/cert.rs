@@ -52,7 +52,8 @@ pub struct Certificate {
     pub instance: String,
     /// The rule the solution claims to satisfy.
     pub rule: Rule,
-    /// Node count of the instance.
+    /// Node count of the instance. The solution must account for it:
+    /// see [`check_certificate`] for the limit under edge-indexed rules.
     pub nodes: usize,
     /// LOCAL identifier space of the instance (drives the envelopes).
     pub id_space: u64,
@@ -484,6 +485,13 @@ fn parse_edge_palette(p: &str, line: usize) -> Result<EdgePalette, CheckError> {
 /// Validates all three layers of a certificate. Returns the first
 /// violation found, ordered: witness kind, declared node count, instance,
 /// solution legality, envelope, transcript consistency.
+///
+/// The declared `nodes` must be accounted for by the certificate's own
+/// lines: a node-indexed solution (`node-colors`, `node-set`,
+/// `mis-witness`) has exactly `nodes` entries, and an edge-indexed one
+/// (`edge-set`, `edge-colors`) may declare at most `2·edges + 1` nodes.
+/// So a matching or edge-coloring certificate cannot carry more isolated
+/// nodes than that; every emitted certificate is a tree and passes.
 pub fn check_certificate(cert: &Certificate) -> Result<(), CheckError> {
     check_witness_kind(&cert.rule, &cert.solution)?;
     check_node_count(cert)?;

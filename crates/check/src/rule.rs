@@ -117,44 +117,53 @@ pub fn check_solution(
     solution: &Solution,
     lists: Option<&[Vec<u64>]>,
 ) -> Result<(), CheckError> {
-    match (rule, solution) {
-        (Rule::Coloring { palette }, Solution::NodeColors(colors)) => {
-            check_node_coloring(g, colors, *palette)
-        }
-        (Rule::ListColoring, Solution::NodeColors(colors)) => {
+    match check_witness_kind(rule, solution)? {
+        Claim::Coloring(colors, palette) => check_node_coloring(g, colors, palette),
+        Claim::ListColoring(colors) => {
             let lists = lists.ok_or(CheckError::MissingLists)?;
             check_list_coloring(g, colors, lists)
         }
-        (Rule::Mis, Solution::NodeSet(in_set)) => {
+        Claim::MisSet(in_set) => {
             expect_node_count(g, in_set.len())?;
             independence(g, in_set)?;
             maximality(g, in_set)
         }
-        (Rule::Mis, Solution::MisWitnesses(witnesses)) => check_mis_witnesses(g, witnesses),
-        (Rule::Matching { b }, Solution::EdgeSet(chosen)) => check_b_matching(g, chosen, *b),
-        (Rule::EdgeColoring { palette }, Solution::EdgeColors(colors)) => {
-            check_edge_coloring(g, colors, *palette)
-        }
-        (rule, solution) => {
-            Err(CheckError::WitnessKind { rule: rule.id(), found: solution.kind() })
-        }
+        Claim::MisWitnesses(witnesses) => check_mis_witnesses(g, witnesses),
+        Claim::Matching(chosen, b) => check_b_matching(g, chosen, b),
+        Claim::EdgeColoring(colors, palette) => check_edge_coloring(g, colors, palette),
     }
 }
 
-/// Refuses a solution kind that cannot witness `rule` — the pairing
-/// [`check_solution`] dispatches on — before any count or value is read.
-pub(crate) fn check_witness_kind(rule: &Rule, solution: &Solution) -> Result<(), CheckError> {
-    let fits = matches!(
-        (rule, solution),
-        (Rule::Coloring { .. } | Rule::ListColoring, Solution::NodeColors(_))
-            | (Rule::Mis, Solution::NodeSet(_) | Solution::MisWitnesses(_))
-            | (Rule::Matching { .. }, Solution::EdgeSet(_))
-            | (Rule::EdgeColoring { .. }, Solution::EdgeColors(_))
-    );
-    if !fits {
-        return Err(CheckError::WitnessKind { rule: rule.id(), found: solution.kind() });
-    }
-    Ok(())
+/// A solution paired with the rule it claims to witness.
+pub(crate) enum Claim<'a> {
+    Coloring(&'a [u64], Palette),
+    ListColoring(&'a [u64]),
+    MisSet(&'a [bool]),
+    MisWitnesses(&'a [MisWitness]),
+    Matching(&'a [bool], u32),
+    EdgeColoring(&'a [u64], EdgePalette),
+}
+
+/// The one rule ↔ solution-kind pairing table. It needs no graph, so a
+/// kind that cannot witness `rule` is refused before any count or value
+/// is read.
+pub(crate) fn check_witness_kind<'a>(
+    rule: &Rule,
+    solution: &'a Solution,
+) -> Result<Claim<'a>, CheckError> {
+    Ok(match (rule, solution) {
+        (Rule::Coloring { palette }, Solution::NodeColors(c)) => Claim::Coloring(c, *palette),
+        (Rule::ListColoring, Solution::NodeColors(c)) => Claim::ListColoring(c),
+        (Rule::Mis, Solution::NodeSet(s)) => Claim::MisSet(s),
+        (Rule::Mis, Solution::MisWitnesses(w)) => Claim::MisWitnesses(w),
+        (Rule::Matching { b }, Solution::EdgeSet(s)) => Claim::Matching(s, *b),
+        (Rule::EdgeColoring { palette }, Solution::EdgeColors(c)) => {
+            Claim::EdgeColoring(c, *palette)
+        }
+        (rule, solution) => {
+            return Err(CheckError::WitnessKind { rule: rule.id(), found: solution.kind() })
+        }
+    })
 }
 
 fn expect_node_count(g: &Graph, found: usize) -> Result<(), CheckError> {
