@@ -23,11 +23,13 @@
 //!
 //! [`ChargedModel`] carries the literature complexity bounds (BBKO22b's
 //! `O(log^12 Δ)` edge coloring etc.) used for round accounting in the
-//! headline experiments; see DESIGN.md §4 for the substitution rationale.
+//! headline experiments; see [`ChargedModel`'s substitutions](ChargedModel#substitutions)
+//! for the rationale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod class_sweep;
 mod cv;
 mod edge_solvers;
 mod line_graph;

@@ -1,4 +1,5 @@
-//! MIS from a proper coloring via the color-class sweep.
+//! MIS from a proper coloring, as a rule on the shared colour-class sweep
+//! ([`crate::class_sweep`]).
 //!
 //! Given a proper `m`-coloring, process classes one per round (highest
 //! first); a node joins the independent set iff none of its neighbors has
@@ -6,9 +7,10 @@
 //! are safe. A node that declines records the edge to the member that
 //! blocked it — the maximality witness used for the `P` pointer label.
 
+use crate::class_sweep::{class_sweep, SweepRule};
 use treelocal_graph::OrInvariant;
-use treelocal_graph::{narrow_u32, widen_u32, EdgeId, NodeId, Topology};
-use treelocal_sim::{run, Ctx, Snapshot, StateCodec, SyncAlgorithm, Verdict};
+use treelocal_graph::{widen_u64, EdgeId, NodeId, Topology};
+use treelocal_sim::Ctx;
 
 /// Per-node MIS decision.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,95 +24,45 @@ pub enum MisDecision {
     },
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum SweepState {
-    Waiting { my_round: u64 },
-    Decided(MisDecision),
-}
+/// The sweep decision of a member. A non-member decides on its witness's
+/// edge index, which stays below `u32::MAX`.
+const MEMBER: u64 = u64::MAX;
 
-/// Lane tags for [`SweepState`]'s codec (lane 0 of the u32 row).
-const TAG_WAITING: u32 = 0;
-const TAG_MEMBER: u32 = 1;
-const TAG_NON_MEMBER: u32 = 2;
-
-/// `[tag, witness]` u32 lanes plus a `my_round` u64 lane. The witness lane
-/// is only meaningful under [`TAG_NON_MEMBER`], `my_round` only under
-/// [`TAG_WAITING`]; both encode as zero otherwise so equal states have
-/// equal lane bytes.
-impl StateCodec for SweepState {
-    const U32_LANES: usize = 2;
-    const U64_LANES: usize = 1;
-
-    fn encode(&self, lanes32: &mut [u32], lanes64: &mut [u64]) {
-        match self {
-            SweepState::Waiting { my_round } => {
-                lanes32[0] = TAG_WAITING;
-                lanes32[1] = 0;
-                lanes64[0] = *my_round;
-            }
-            SweepState::Decided(MisDecision::Member) => {
-                lanes32[0] = TAG_MEMBER;
-                lanes32[1] = 0;
-                lanes64[0] = 0;
-            }
-            SweepState::Decided(MisDecision::NonMember { witness }) => {
-                lanes32[0] = TAG_NON_MEMBER;
-                lanes32[1] = narrow_u32(witness.index());
-                lanes64[0] = 0;
-            }
-        }
-    }
-
-    fn decode(lanes32: &[u32], lanes64: &[u64]) -> Self {
-        match lanes32[0] {
-            TAG_WAITING => SweepState::Waiting { my_round: lanes64[0] },
-            TAG_MEMBER => SweepState::Decided(MisDecision::Member),
-            _ => SweepState::Decided(MisDecision::NonMember {
-                witness: EdgeId::new(widen_u32(lanes32[1])),
-            }),
-        }
-    }
-}
-
+/// Class `c` of a 1-based `m`-coloring decides in round `m - c + 1`: it
+/// joins unless a neighbor already has, and otherwise names the first
+/// member in `neighbors(v)` order as its witness.
 struct MisSweep<'c> {
     colors: &'c [Option<u32>],
     m: u64,
 }
 
-impl<T: Topology> SyncAlgorithm<T> for MisSweep<'_> {
-    type State = SweepState;
-
-    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<SweepState> {
+impl SweepRule for MisSweep<'_> {
+    fn round(&self, v: NodeId) -> u64 {
         let c = u64::from(self.colors[v.index()].or_invariant("color for every participant"));
         debug_assert!((1..=self.m).contains(&c), "colors are 1-based and ≤ m");
-        // Highest class first: class c decides in round m - c + 1.
-        Verdict::Active(SweepState::Waiting { my_round: self.m - c + 1 })
+        self.m - c + 1
     }
 
-    fn step(
+    fn decide<T: Topology>(
         &self,
-        ctx: &Ctx<T>,
+        topo: &T,
         v: NodeId,
-        round: u64,
-        own: SweepState,
-        prev: &Snapshot<'_, SweepState>,
-    ) -> Verdict<SweepState> {
-        let SweepState::Waiting { my_round } = own else {
-            unreachable!("decided nodes have halted")
-        };
-        if round < my_round {
-            return Verdict::Active(own);
+        decided: impl Fn(NodeId) -> Option<u64>,
+    ) -> u64 {
+        topo.neighbors(v)
+            .find(|&(w, _)| decided(w) == Some(MEMBER))
+            .map_or(MEMBER, |(_, e)| widen_u64(e.index()))
+    }
+}
+
+/// Maps a sweep decision back to its [`MisDecision`].
+fn mis_decision(x: u64) -> MisDecision {
+    if x == MEMBER {
+        MisDecision::Member
+    } else {
+        MisDecision::NonMember {
+            witness: EdgeId::new(usize::try_from(x).or_invariant("edge index")),
         }
-        debug_assert_eq!(round, my_round);
-        let blocker = ctx
-            .topo
-            .neighbors(v)
-            .find(|&(w, _)| matches!(prev.get(w), SweepState::Decided(MisDecision::Member)));
-        let decision = match blocker {
-            Some((_, e)) => MisDecision::NonMember { witness: e },
-            None => MisDecision::Member,
-        };
-        Verdict::Halted(SweepState::Decided(decision))
     }
 }
 
@@ -129,19 +81,8 @@ pub fn mis_from_coloring<T: Topology + Sync>(
     colors: &[Option<u32>],
     m: u64,
 ) -> MisOutcome {
-    let out = run(ctx, &MisSweep { colors, m }, m + 2);
-    MisOutcome {
-        decisions: out
-            .states()
-            .map(|s| {
-                s.map(|st| match st {
-                    SweepState::Decided(d) => d,
-                    SweepState::Waiting { .. } => unreachable!("run drains all nodes"),
-                })
-            })
-            .collect(),
-        rounds: out.rounds,
-    }
+    let (decisions, rounds) = class_sweep(ctx, &MisSweep { colors, m }, m + 2, mis_decision);
+    MisOutcome { decisions, rounds }
 }
 
 /// Checks that the decisions form an MIS of the topology (test helper).
@@ -215,38 +156,14 @@ mod tests {
         let lin = run_linial(&ctx);
         let red = kw_reduce(&ctx, &lin.colors, lin.final_bound);
         let m = u64::from(red.final_colors);
-        let algo = MisSweep { colors: &red.colors, m };
-        let reference = par::with_threads(1, || run(&ctx, &algo, m + 2));
+        let reference = par::with_threads(1, || mis_from_coloring(&ctx, &red.colors, m));
         for threads in [2usize, 4, par::auto_threads()] {
-            let pooled = par::with_threads(threads, || run(&ctx, &algo, m + 2));
+            let pooled = par::with_threads(threads, || mis_from_coloring(&ctx, &red.colors, m));
             assert_eq!(reference.rounds, pooled.rounds, "{threads} threads: rounds diverge");
-            assert!(
-                reference.states().eq(pooled.states()),
-                "{threads} threads: sweep states diverge"
+            assert_eq!(
+                reference.decisions, pooled.decisions,
+                "{threads} threads: decisions diverge"
             );
-        }
-    }
-
-    proptest::proptest! {
-        /// The codec law for sweep states, across every tag and the full
-        /// lane value ranges.
-        #[test]
-        fn sweep_state_round_trips_through_its_lanes(
-            tag in 0u32..3,
-            witness in proptest::prelude::any::<u32>(),
-            my_round in proptest::prelude::any::<u64>(),
-        ) {
-            let s = match tag {
-                TAG_WAITING => SweepState::Waiting { my_round },
-                TAG_MEMBER => SweepState::Decided(MisDecision::Member),
-                _ => SweepState::Decided(MisDecision::NonMember {
-                    witness: EdgeId::new(widen_u32(witness)),
-                }),
-            };
-            let mut lanes32 = [0u32; SweepState::U32_LANES];
-            let mut lanes64 = [0u64; SweepState::U64_LANES];
-            s.encode(&mut lanes32, &mut lanes64);
-            proptest::prop_assert_eq!(SweepState::decode(&lanes32, &lanes64), s);
         }
     }
 

@@ -12,7 +12,7 @@
 //!
 //! The literature's sharper bounds (`O(Δ)` \[BEK14\], `O(√Δ log Δ)`
 //! \[MT20\]) are available as [`ChargedModel`]s for round accounting; see
-//! DESIGN.md §4.
+//! [its substitutions section](crate::ChargedModel#substitutions).
 //!
 //! [`ChargedModel`]: crate::ChargedModel
 

@@ -1,7 +1,7 @@
 //! Color-count reduction from a proper `m`-coloring.
 //!
-//! Two classic schemes, both driven by the deterministic "color classes as
-//! a schedule" idea:
+//! Two classic schemes, both rules on the shared colour-class sweep
+//! ([`crate::class_sweep`]):
 //!
 //! * [`sweep_reduce`] — process color classes one per round, highest
 //!   first; each node re-picks the smallest color unused in its
@@ -11,9 +11,10 @@
 //!   parallel (`Δ+1` rounds), halving the color count per phase; lands at
 //!   a `(Δ+1)`-coloring in `O(Δ · log(m / Δ))` rounds total.
 
+use crate::class_sweep::{class_sweep, smallest_free, SweepRule};
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{NodeId, Topology};
-use treelocal_sim::{run, Ctx, Snapshot, StateCodec, SyncAlgorithm, Verdict};
+use treelocal_sim::Ctx;
 
 /// Outcome of a reduction phase: per-node colors (1-based) plus the rounds
 /// used.
@@ -27,213 +28,112 @@ pub struct ReduceOutcome {
     pub rounds: u64,
 }
 
-// ---------------------------------------------------------------------
-// Sweep reduction
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct SweepState {
-    /// Current (possibly original) color, 0-based internally.
-    color: u64,
-    /// The round at which this node re-picks (derived from its original
-    /// class).
-    my_round: u64,
-}
-
-/// `[color, my_round]` u64 lanes.
-impl StateCodec for SweepState {
-    const U32_LANES: usize = 0;
-    const U64_LANES: usize = 2;
-
-    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
-        lanes64[0] = self.color;
-        lanes64[1] = self.my_round;
-    }
-
-    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
-        SweepState { color: lanes64[0], my_round: lanes64[1] }
+impl ReduceOutcome {
+    /// Shifts 0-based colors to the 1-based outcome palette.
+    fn from_zero_based(colors: &[Option<u64>], rounds: u64) -> Self {
+        let max_used = colors.iter().flatten().copied().max().unwrap_or(0);
+        ReduceOutcome {
+            colors: colors
+                .iter()
+                .map(|c| c.map(|x| u32::try_from(x + 1).or_invariant("small color")))
+                .collect(),
+            final_colors: (max_used + 1) as u32,
+            rounds,
+        }
     }
 }
 
-struct SweepAlgo<'c> {
+/// Class `c` of a 0-based `m`-coloring re-picks in round `m - c` the
+/// smallest color its decided neighbors left free.
+struct SweepReduce<'c> {
     initial: &'c [Option<u64>],
     m: u64,
 }
 
-impl<T: Topology> SyncAlgorithm<T> for SweepAlgo<'_> {
-    type State = SweepState;
-
-    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<SweepState> {
+impl SweepRule for SweepReduce<'_> {
+    fn round(&self, v: NodeId) -> u64 {
         let c = self.initial[v.index()].or_invariant("initial color for every participant");
         debug_assert!(c < self.m);
-        // Highest class first: class c re-picks in round m - c.
-        Verdict::Active(SweepState { color: self.m + c, my_round: self.m - c })
+        self.m - c
     }
 
-    fn step(
+    fn decide<T: Topology>(
         &self,
-        ctx: &Ctx<T>,
+        topo: &T,
         v: NodeId,
-        round: u64,
-        own: SweepState,
-        prev: &Snapshot<'_, SweepState>,
-    ) -> Verdict<SweepState> {
-        if round < own.my_round {
-            return Verdict::Active(own);
-        }
-        debug_assert_eq!(round, own.my_round);
-        // Pick the smallest color (0-based, below m) unused by neighbors'
-        // current colors. Unprocessed neighbors hold colors ≥ m (shifted),
-        // so they never block small colors.
-        let mut used: Vec<u64> = ctx
-            .topo
-            .neighbor_nodes(v)
-            .iter()
-            .map(|&w| prev.get(w).color)
-            .filter(|&c| c < self.m)
-            .collect();
-        used.sort_unstable();
-        used.dedup();
-        let mut c = 0u64;
-        for u in used {
-            if u == c {
-                c += 1;
-            } else if u > c {
-                break;
-            }
-        }
-        Verdict::Halted(SweepState { color: c, my_round: own.my_round })
+        decided: impl Fn(NodeId) -> Option<u64>,
+    ) -> u64 {
+        let mut used: Vec<u64> =
+            topo.neighbor_nodes(v).iter().filter_map(|&w| decided(w)).collect();
+        smallest_free(&mut used)
     }
 }
 
 /// Sweep reduction: from a proper 0-based `m`-coloring to a proper
 /// greedy coloring where every node's color is at most its degree
 /// (0-based), i.e. a `(deg+1)`-coloring 1-based. Takes at most `m` rounds.
-///
-/// The input coloring is shifted by `m` internally so that "not yet
-/// processed" is distinguishable; the shift is invisible to callers.
 pub fn sweep_reduce<T: Topology + Sync>(
     ctx: &Ctx<'_, T>,
     initial: &[Option<u64>],
     m: u64,
 ) -> ReduceOutcome {
     assert!(m >= 1);
-    let algo = SweepAlgo { initial, m };
-    let out = run(ctx, &algo, m + 2);
-    let colors: Vec<Option<u64>> = out.states().map(|s| s.map(|st| st.color)).collect();
-    let max_used = colors.iter().flatten().copied().max().unwrap_or(0);
-    ReduceOutcome {
-        colors: colors
-            .iter()
-            .map(|c| c.map(|x| u32::try_from(x + 1).or_invariant("small color")))
-            .collect(),
-        final_colors: (max_used + 1) as u32,
-        rounds: out.rounds,
-    }
+    let (colors, rounds) = class_sweep(ctx, &SweepReduce { initial, m }, m + 2, |c| c);
+    ReduceOutcome::from_zero_based(&colors, rounds)
 }
 
-// ---------------------------------------------------------------------
-// Kuhn–Wattenhofer halving
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct KwState {
-    /// Current color, 0-based, always `< m_current` of the ongoing phase
-    /// interpretation.
-    color: u64,
-}
-
-/// One u64 lane: the color, [`FINAL_TAG`] bit included.
-impl StateCodec for KwState {
-    const U32_LANES: usize = 0;
-    const U64_LANES: usize = 1;
-
-    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
-        lanes64[0] = self.color;
-    }
-
-    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
-        KwState { color: lanes64[0] }
-    }
-}
-
-/// One KW phase: colors `< m` become colors `< ceil(m / (2(Δ+1))) · (Δ+1)`.
+/// One Kuhn–Wattenhofer phase: colors `< m` become colors
+/// `< ceil(m / (2(Δ+1))) · (Δ+1)`. Each group of `2(Δ+1)` colors keeps its
+/// lower `Δ+1` relative colors as slots, settled at seeding; the upper
+/// half moves highest-first (relative color `2s-1` in round 1, `s` in
+/// round `s`) into the smallest slot its settled same-group neighbors
+/// left free.
 struct KwPhase<'c> {
     initial: &'c [Option<u64>],
-    m: u64,
     /// Slots per group: Δ+1.
     slots: u64,
 }
 
-impl<T: Topology> SyncAlgorithm<T> for KwPhase<'_> {
-    type State = KwState;
-
-    fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<KwState> {
+impl KwPhase<'_> {
+    /// `v`'s group and its color relative to the group.
+    fn group_rel(&self, v: NodeId) -> (u64, u64) {
         let c = self.initial[v.index()].or_invariant("initial color");
-        debug_assert!(c < self.m);
-        let rel = c % (2 * self.slots);
-        if rel < self.slots {
-            // Already within the kept slot range: final immediately (tagged
-            // so moving neighbors recognize it as a settled slot).
-            let group = c / (2 * self.slots);
-            Verdict::Halted(KwState { color: FINAL_TAG | (group * self.slots + rel) })
-        } else {
-            Verdict::Active(KwState { color: c })
-        }
-    }
-
-    fn step(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        own: KwState,
-        prev: &Snapshot<'_, KwState>,
-    ) -> Verdict<KwState> {
-        let group_size = 2 * self.slots;
-        let rel = own.color % group_size;
-        let group = own.color / group_size;
-        debug_assert!(rel >= self.slots, "active nodes still need to move");
-        // Relative colors are processed highest-first: rel = 2s-1 moves in
-        // round 1, rel = s moves in round s.
-        let my_round = group_size - rel;
-        if round < my_round {
-            return Verdict::Active(own);
-        }
-        debug_assert_eq!(round, my_round);
-        // Forbidden slots: same-group neighbors already settled in the
-        // compact namespace (recognizable by FINAL_TAG; waiting neighbors
-        // still carry untagged original-namespace colors and block
-        // nothing).
-        let used_slots: Vec<u64> = ctx
-            .topo
-            .neighbor_nodes(v)
-            .iter()
-            .map(|&w| prev.get(w).color)
-            .filter(|&c| c & FINAL_TAG != 0)
-            .map(|c| c & !FINAL_TAG)
-            .filter(|&c| c / self.slots == group)
-            .map(|c| c % self.slots)
-            .collect();
-        let mut slot = 0u64;
-        let mut sorted = used_slots;
-        sorted.sort_unstable();
-        sorted.dedup();
-        for s in sorted {
-            if s == slot {
-                slot += 1;
-            } else if s > slot {
-                break;
-            }
-        }
-        debug_assert!(slot < self.slots, "at most Δ same-group neighbors");
-        Verdict::Halted(KwState { color: FINAL_TAG | (group * self.slots + slot) })
+        (c / (2 * self.slots), c % (2 * self.slots))
     }
 }
 
-/// High-bit tag distinguishing finalized compact-namespace colors from
-/// waiting original-namespace colors during a KW phase.
-const FINAL_TAG: u64 = 1 << 62;
+impl SweepRule for KwPhase<'_> {
+    fn round(&self, v: NodeId) -> u64 {
+        let (_, rel) = self.group_rel(v);
+        if rel < self.slots {
+            0
+        } else {
+            2 * self.slots - rel
+        }
+    }
+
+    fn decide<T: Topology>(
+        &self,
+        topo: &T,
+        v: NodeId,
+        decided: impl Fn(NodeId) -> Option<u64>,
+    ) -> u64 {
+        let (group, rel) = self.group_rel(v);
+        if rel < self.slots {
+            return group * self.slots + rel;
+        }
+        let mut used: Vec<u64> = topo
+            .neighbor_nodes(v)
+            .iter()
+            .filter_map(|&w| decided(w))
+            .filter(|&c| c / self.slots == group)
+            .map(|c| c % self.slots)
+            .collect();
+        let slot = smallest_free(&mut used);
+        debug_assert!(slot < self.slots, "at most Δ same-group neighbors");
+        group * self.slots + slot
+    }
+}
 
 /// Kuhn–Wattenhofer reduction from a proper 0-based `m`-coloring to a
 /// proper `(Δ+1)`-coloring (Δ from the context), in `O(Δ · log(m / Δ))`
@@ -248,24 +148,15 @@ pub fn kw_reduce<T: Topology + Sync>(
     let mut m_cur = m.max(1);
     let mut rounds = 0u64;
     while m_cur > slots {
-        let phase = KwPhase { initial: &colors, m: m_cur, slots };
-        let out = run(ctx, &phase, 2 * slots + 2);
-        rounds += out.rounds;
-        let groups = m_cur.div_ceil(2 * slots);
-        m_cur = groups * slots;
-        colors = out.states().map(|s| s.map(|st| st.color & !FINAL_TAG)).collect();
-        // Tag is stripped; ensure the invariant holds.
         debug_assert!(colors.iter().flatten().all(|&c| c < m_cur));
+        let phase = KwPhase { initial: &colors, slots };
+        let (next, phase_rounds) = class_sweep(ctx, &phase, 2 * slots + 2, |c| c);
+        colors = next;
+        rounds += phase_rounds;
+        m_cur = m_cur.div_ceil(2 * slots) * slots;
     }
-    let max_used = colors.iter().flatten().copied().max().unwrap_or(0);
-    ReduceOutcome {
-        colors: colors
-            .iter()
-            .map(|c| c.map(|x| u32::try_from(x + 1).or_invariant("small color")))
-            .collect(),
-        final_colors: (max_used + 1) as u32,
-        rounds,
-    }
+    debug_assert!(colors.iter().flatten().all(|&c| c < m_cur));
+    ReduceOutcome::from_zero_based(&colors, rounds)
 }
 
 #[cfg(test)]
@@ -338,29 +229,6 @@ mod tests {
         let k = kw_reduce(&ctx, &initial, 1);
         assert_eq!(k.colors[0], Some(1));
         assert_eq!(k.rounds, 0);
-    }
-
-    proptest::proptest! {
-        /// The codec law for sweep states over the full lane range.
-        #[test]
-        fn sweep_state_round_trips_through_its_lanes(
-            color in proptest::prelude::any::<u64>(),
-            my_round in proptest::prelude::any::<u64>(),
-        ) {
-            let s = SweepState { color, my_round };
-            let mut lanes64 = [0u64; SweepState::U64_LANES];
-            s.encode(&mut [], &mut lanes64);
-            proptest::prop_assert_eq!(SweepState::decode(&[], &lanes64), s);
-        }
-
-        /// The codec law for KW states, tagged colors included.
-        #[test]
-        fn kw_state_round_trips_through_its_lanes(color in proptest::prelude::any::<u64>()) {
-            let s = KwState { color };
-            let mut lanes64 = [0u64; KwState::U64_LANES];
-            s.encode(&mut [], &mut lanes64);
-            proptest::prop_assert_eq!(KwState::decode(&[], &lanes64), s);
-        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!    [`crate::journal`]) are **skipped** and their recorded [`JobOutput`]
 //!    reused;
 //! 2. the remaining jobs are pulled by worker threads from the vendored
-//!    pool (via [`crate::shard_map`]; one worker runs them inline);
+//!    pool (via [`treelocal_sim::par::par_map`], which returns results by
+//!    job index; one worker runs them inline);
 //! 3. each completed job is appended to the journal (one flushed line) and
 //!    reported on stderr: jobs done / total, simulator rounds and
 //!    node-steps consumed (from [`treelocal_sim::counters`]; message-engine
@@ -24,12 +25,13 @@
 //! one-shot behavior and tables unchanged.
 
 use crate::journal::{CompletedMap, Journal};
-use crate::{shard_map, ExperimentSize};
+use crate::ExperimentSize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use treelocal_graph::OrInvariant;
+use treelocal_sim::par::par_map;
 
 /// The serializable result of one experiment job: everything a suite needs
 /// to rebuild its table rows and notes without re-executing the job.
@@ -233,7 +235,7 @@ impl Driver {
         let counters0 = treelocal_sim::counters::snapshot();
         let ingested0 = treelocal_sim::counters::bytes_ingested();
         let done = AtomicUsize::new(0);
-        let fresh = shard_map(self.threads, &pending, |&i| {
+        let fresh = par_map(&pending, self.threads, |_, &i| {
             let out = f(&jobs[i]);
             self.checkpoint(run, i, &out);
             let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -257,7 +259,7 @@ impl Driver {
         R: Send,
         F: Fn(&J) -> R + Sync,
     {
-        shard_map(self.threads, jobs, f)
+        par_map(jobs, self.threads, |_, j| f(j))
     }
 
     fn checkpoint(&self, run: &str, job: usize, out: &JobOutput) {

@@ -1,6 +1,5 @@
 //! The experiment harness regenerating every table/figure of the
-//! reproduction (see DESIGN.md's experiment index and EXPERIMENTS.md for
-//! paper-vs-measured records).
+//! reproduction (see the README's "Experiments and benchmarks" section).
 //!
 //! Run `cargo run --release -p treelocal-bench --bin experiments -- all`
 //! to print every table, or pass experiment ids (`e1 e8 e10 ...`).
@@ -13,13 +12,11 @@ pub mod certs;
 pub mod driver;
 mod journal;
 mod lemmas;
-mod shard;
 pub mod table;
 mod theorems;
 
 pub use certs::{cert_suite, emit_certs};
 pub use driver::{Driver, DriverConfig, JobOutput};
-pub use shard::shard_map;
 pub use table::Table;
 pub use treelocal_sim::par::auto_threads;
 
@@ -28,7 +25,8 @@ pub use treelocal_sim::par::auto_threads;
 pub enum ExperimentSize {
     /// Small instances (seconds; used by tests).
     Quick,
-    /// The full sweeps recorded in EXPERIMENTS.md (minutes).
+    /// The full sweeps behind the README's "Experiments and benchmarks"
+    /// section (minutes).
     Full,
 }
 

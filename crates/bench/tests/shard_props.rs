@@ -1,11 +1,11 @@
-//! Property tests for `treelocal_bench::shard_map`, the partition
-//! primitive under the driver's queue: sharding any job list over any pool
+//! Property tests for `treelocal_sim::par::par_map`, the partition
+//! primitive under the experiment driver's queue: sharding any job list over any pool
 //! size is a partition — every job index is executed exactly once — and
 //! aggregation (results by job index) is pool-size-invariant.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use treelocal_bench::shard_map;
+use treelocal_sim::par::par_map;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -19,7 +19,7 @@ proptest! {
         let jobs: Vec<(usize, u64)> =
             (0..len).map(|i| (i, seed.wrapping_mul(i as u64 + 1))).collect();
         let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-        let results = shard_map(threads, &jobs, |&(i, x)| {
+        let results = par_map(&jobs, threads, |_, &(i, x)| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             (i, x.rotate_left(7) ^ 0xA5A5)
         });
@@ -39,9 +39,9 @@ proptest! {
     #[test]
     fn aggregation_is_pool_size_invariant(len in 0usize..200, seed in any::<u64>()) {
         let jobs: Vec<u64> = (0..len as u64).map(|i| i.wrapping_mul(seed | 1)).collect();
-        let expected = shard_map(1, &jobs, |&x| x.wrapping_mul(x).to_string());
+        let expected = par_map(&jobs, 1, |_, &x| x.wrapping_mul(x).to_string());
         for threads in [2usize, 3, 5, 8, 16, 64] {
-            let got = shard_map(threads, &jobs, |&x| x.wrapping_mul(x).to_string());
+            let got = par_map(&jobs, threads, |_, &x| x.wrapping_mul(x).to_string());
             prop_assert_eq!(&got, &expected, "diverged at {} threads", threads);
         }
     }

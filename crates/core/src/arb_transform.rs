@@ -53,7 +53,6 @@ pub struct ArbTransform<'p, P, A> {
     charged: Option<ChargedModel>,
     rho: u32,
     k_override: Option<usize>,
-    distributed_decomposition: bool,
 }
 
 impl<'p, P, A> ArbTransform<'p, P, A>
@@ -64,21 +63,7 @@ where
     /// Creates the pipeline for `problem` with inner algorithm `algo`
     /// (`ρ = 1`; see [`with_rho`](ArbTransform::with_rho)).
     pub fn new(problem: &'p P, algo: &'p A) -> Self {
-        ArbTransform {
-            problem,
-            algo,
-            charged: None,
-            rho: 1,
-            k_override: None,
-            distributed_decomposition: false,
-        }
-    }
-
-    /// Runs Algorithm 3 on the LOCAL simulator instead of the fast
-    /// centralized implementation (identical output, certified rounds).
-    pub fn with_distributed_decomposition(mut self) -> Self {
-        self.distributed_decomposition = true;
-        self
+        ArbTransform { problem, algo, charged: None, rho: 1, k_override: None }
     }
 
     /// Sets Theorem 15's `ρ` parameter (`k = g(n)^ρ`); the paper uses
@@ -126,11 +111,7 @@ where
         let mut executed = RoundReport::new();
 
         // Phase 1: Algorithm 3.
-        let d = if self.distributed_decomposition {
-            treelocal_decomp::arb_decompose_distributed(g, a, k)
-        } else {
-            arb_decompose(g, a, k)
-        };
+        let d = arb_decompose(g, a, k);
         executed.push("decomposition(Alg3)", d.rounds);
 
         // Phase 2: forest split + Cole–Vishkin 3-colorings (parallel).
@@ -139,7 +120,8 @@ where
 
         // Phase 3: A on G[E_2] (degree ≤ k by Lemma 14).
         let e2 = d.typical_semigraph(g);
-        debug_assert!(e2.underlying_max_degree() <= k, "Lemma 14");
+        let sub_max_degree = e2.underlying_max_degree();
+        assert!(sub_max_degree <= k, "Lemma 14");
         let (mut labeling, rep_a) = self.algo.solve(&e2, &gctx, self.problem);
         executed.absorb("A", &rep_a);
 
@@ -167,7 +149,7 @@ where
             let mut r = RoundReport::new();
             r.push("decomposition(Alg3)", d.rounds);
             r.push("forest-split(CV)", split.rounds);
-            r.push("A(model f(Δ))", m.eval(e2.underlying_max_degree() as f64).ceil() as u64);
+            r.push("A(model f(Δ))", m.eval(sub_max_degree as f64).ceil() as u64);
             r.push("A(model log*)", u64::from(log_star_u64(gctx.id_space)));
             r.push("star-groups(Alg4)", star_rounds);
             r
@@ -179,7 +161,7 @@ where
             params: TransformParams { n, g_value, k, a, rho: self.rho },
             stats: TransformStats {
                 decomposition_iterations: d.iterations,
-                sub_max_degree: e2.underlying_max_degree(),
+                sub_max_degree,
                 residual_components: d.atypical_edges().len(),
                 max_gather_rounds: 3,
                 star_groups: nonempty_groups,
@@ -285,20 +267,5 @@ mod tests {
             let out = ArbTransform::new(&MaximalMatching, &MatchingAlgo).run(&tree, 1);
             assert!(out.valid, "n {n}");
         }
-    }
-
-    #[test]
-    fn distributed_decomposition_certifies_rounds() {
-        let g = random_arboricity_graph(150, 2, 8);
-        let fast = ArbTransform::new(&MaximalMatching, &MatchingAlgo).run(&g, 2);
-        let certified = ArbTransform::new(&MaximalMatching, &MatchingAlgo)
-            .with_distributed_decomposition()
-            .run(&g, 2);
-        assert!(fast.valid && certified.valid);
-        assert_eq!(fast.total_rounds(), certified.total_rounds());
-        assert_eq!(
-            MaximalMatching.extract(&g, &fast.labeling),
-            MaximalMatching.extract(&g, &certified.labeling)
-        );
     }
 }

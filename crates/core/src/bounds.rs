@@ -7,7 +7,8 @@
 //! E8 experiment *also* evaluates the exact bound formulas in log-space at
 //! huge `n`, fitting the predicted exponents. These evaluators implement
 //! the formulas of Theorems 12 and 15 with all `O(·)` constants set to 1;
-//! they are clearly labeled as model predictions in EXPERIMENTS.md.
+//! the E8 and E11 model tables label them as model predictions (see the
+//! README's "Experiments and benchmarks" section).
 
 use crate::g_solver::solve_log2_g;
 

@@ -44,7 +44,8 @@ pub struct TransformOutcome<L> {
     /// Honest measured rounds, by phase.
     pub executed: RoundReport,
     /// Round accounting under a literature complexity model for the inner
-    /// algorithm, when one was attached (see DESIGN.md §4).
+    /// algorithm, when one was attached (see
+    /// [`ChargedModel`'s substitutions](treelocal_algos::ChargedModel#substitutions)).
     pub charged: Option<RoundReport>,
     /// Chosen parameters.
     pub params: TransformParams,

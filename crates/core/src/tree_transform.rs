@@ -48,7 +48,6 @@ pub struct TreeTransform<'p, P, A> {
     algo: &'p A,
     charged: Option<ChargedModel>,
     k_override: Option<usize>,
-    distributed_decomposition: bool,
 }
 
 impl<'p, P, A> TreeTransform<'p, P, A>
@@ -58,22 +57,7 @@ where
 {
     /// Creates the pipeline for `problem` with inner algorithm `algo`.
     pub fn new(problem: &'p P, algo: &'p A) -> Self {
-        TreeTransform {
-            problem,
-            algo,
-            charged: None,
-            k_override: None,
-            distributed_decomposition: false,
-        }
-    }
-
-    /// Runs the decomposition on the LOCAL simulator instead of the fast
-    /// centralized implementation. Slower, but certifies the decomposition
-    /// round count by actual execution (the two produce identical
-    /// layerings; property tests assert it).
-    pub fn with_distributed_decomposition(mut self) -> Self {
-        self.distributed_decomposition = true;
-        self
+        TreeTransform { problem, algo, charged: None, k_override: None }
     }
 
     /// Attaches a literature complexity model: `k` is then selected from
@@ -111,17 +95,14 @@ where
         let mut executed = RoundReport::new();
 
         // Phase 1: Algorithm 1.
-        let rc: RakeCompress = if self.distributed_decomposition {
-            treelocal_decomp::rake_compress_distributed(tree, k)
-        } else {
-            rake_compress(tree, k)
-        };
+        let rc: RakeCompress = rake_compress(tree, k);
         executed.push("rake-compress(Alg1)", rc.rounds);
 
         // Phase 2: A on T_C (underlying degree ≤ k by Lemma 10).
         let tc = rc.compressed_semigraph(tree);
         let tr = rc.raked_semigraph(tree);
-        debug_assert!(tc.underlying_max_degree() <= k, "Lemma 10");
+        let sub_max_degree = tc.underlying_max_degree();
+        assert!(sub_max_degree <= k, "Lemma 10");
         let (mut labeling, rep_a) = self.algo.solve(&tc, &gctx, self.problem);
         executed.absorb("A", &rep_a);
 
@@ -152,7 +133,7 @@ where
         let charged = self.charged.as_ref().map(|m| {
             let mut r = RoundReport::new();
             r.push("rake-compress(Alg1)", rc.rounds);
-            r.push("A(model f(Δ))", m.eval(tc.underlying_max_degree() as f64).ceil() as u64);
+            r.push("A(model f(Δ))", m.eval(sub_max_degree as f64).ceil() as u64);
             r.push("A(model log*)", u64::from(log_star_u64(gctx.id_space)));
             r.push("gather-residual(Alg2)", max_gather);
             r
@@ -164,7 +145,7 @@ where
             params: TransformParams { n, g_value, k, a: 1, rho: 1 },
             stats: TransformStats {
                 decomposition_iterations: rc.iterations,
-                sub_max_degree: tc.underlying_max_degree(),
+                sub_max_degree,
                 residual_components: cc.count(),
                 max_gather_rounds: max_gather,
                 star_groups: 0,
@@ -263,25 +244,5 @@ mod tests {
             let out = TreeTransform::new(&Mis, &MisAlgo).run(&tree);
             assert!(out.valid, "n {n}");
         }
-    }
-
-    #[test]
-    fn distributed_decomposition_certifies_rounds() {
-        let tree = random_tree(300, 21);
-        let fast = TreeTransform::new(&Mis, &MisAlgo).run(&tree);
-        let certified =
-            TreeTransform::new(&Mis, &MisAlgo).with_distributed_decomposition().run(&tree);
-        assert!(fast.valid && certified.valid);
-        // Identical layering implies identical pipeline behaviour: the
-        // charged decomposition rounds and the chosen k agree, and the
-        // distributed execution's round count matches the centralized
-        // charge.
-        assert_eq!(fast.params.k, certified.params.k);
-        assert_eq!(
-            fast.executed.rounds_of("rake-compress(Alg1)"),
-            certified.executed.rounds_of("rake-compress(Alg1)")
-        );
-        assert_eq!(fast.total_rounds(), certified.total_rounds());
-        assert_eq!(Mis.extract(&tree, &fast.labeling), Mis.extract(&tree, &certified.labeling));
     }
 }

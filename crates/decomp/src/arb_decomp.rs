@@ -412,6 +412,8 @@ mod tests {
             let b = arb_decompose_distributed(&g, 2, 10);
             assert_eq!(a.iteration_of, b.iteration_of, "seed {seed}");
             assert_eq!(a.atypical, b.atypical, "seed {seed}");
+            // The centralized round charge is what the execution took.
+            assert_eq!(a.rounds, b.rounds, "seed {seed}");
             assert_eq!(b.rounds, 2 * u64::from(b.iterations));
         }
     }

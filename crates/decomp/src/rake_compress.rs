@@ -479,6 +479,8 @@ mod tests {
                 let b = rake_compress_distributed(&g, k);
                 assert_eq!(a.iteration_of, b.iteration_of, "seed {seed} k {k}");
                 assert_eq!(a.mark_of, b.mark_of, "seed {seed} k {k}");
+                // The centralized round charge is what the execution took.
+                assert_eq!(a.rounds, b.rounds, "seed {seed} k {k}");
                 assert!(b.rounds <= 3 * u64::from(b.iterations));
             }
         }

@@ -136,7 +136,7 @@ impl EdgeSequential for EdgeDegreeColoring {
         let c = fresh_color(&used_u, &used_v);
         let a_u = used_u.len() as u32 + 1;
         let a_v = used_v.len() as u32 + 1;
-        debug_assert!(a_u + a_v > c, "Lemma 16: a1 + a2 >= c + 1");
+        assert!(a_u + a_v > c, "Lemma 16: a1 + a2 >= c + 1");
         Some(vec![
             (HalfEdge::new(e, Side::First), EdgeColLabel::C(a_u, c)),
             (HalfEdge::new(e, Side::Second), EdgeColLabel::C(a_v, c)),
