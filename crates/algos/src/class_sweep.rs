@@ -37,7 +37,7 @@ pub(crate) trait SweepRule {
 
 /// One node's sweep state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SweepState {
+pub(crate) enum SweepState {
     /// Decides in this round, which is at least 1.
     Waiting { round: u64 },
     /// Decided on this value.
@@ -140,6 +140,23 @@ pub(crate) fn smallest_free(used: &mut [u64]) -> u64 {
         }
     }
     free
+}
+
+/// `state` encoded into its lanes and decoded back: the codec law each
+/// rule's tests check on the states that rule produces.
+#[cfg(test)]
+pub(crate) fn through_lanes(state: SweepState) -> SweepState {
+    let mut lanes64 = [0u64; SweepState::U64_LANES];
+    state.encode(&mut [], &mut lanes64);
+    SweepState::decode(&[], &lanes64)
+}
+
+/// The state `rule` seeds `v` with on `topo`, as the engine's `init` makes it.
+#[cfg(test)]
+pub(crate) fn seeded<T: Topology, R: SweepRule>(topo: &T, rule: &R, v: NodeId) -> SweepState {
+    match ClassSweep(rule).init(&Ctx::of(topo), v) {
+        Verdict::Active(s) | Verdict::Halted(s) => s,
+    }
 }
 
 #[cfg(test)]

@@ -69,6 +69,7 @@ pub fn list_sweep<T: Topology + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::class_sweep::{seeded, through_lanes, SweepState};
     use crate::linial::run_linial;
     use treelocal_gen::random_tree;
     use treelocal_graph::Graph;
@@ -95,6 +96,28 @@ mod tests {
                 }
             }
             assert!(out.rounds <= lin.final_bound);
+        }
+    }
+
+    proptest::proptest! {
+        /// The codec law for the states the list sweep produces: a seeded
+        /// class waits for a round ≥ 1, and every list color comes back
+        /// decided.
+        #[test]
+        fn ls_state_round_trips_through_its_lanes(
+            color in proptest::prelude::any::<u32>(),
+            initial in proptest::prelude::any::<u64>(),
+            m in 1u64..u64::MAX,
+        ) {
+            let g = Graph::from_edges(1, &[]).unwrap();
+            let initial = [Some(initial % m)];
+            let lists = [vec![color]];
+            let rule = ListSweep { initial: &initial, m, lists: &lists };
+            let seed = seeded(&g, &rule, NodeId::new(0));
+            proptest::prop_assert!(matches!(seed, SweepState::Waiting { .. }));
+            proptest::prop_assert_eq!(through_lanes(seed), seed);
+            let chosen = SweepState::Decided(u64::from(color));
+            proptest::prop_assert_eq!(through_lanes(chosen), chosen);
         }
     }
 }

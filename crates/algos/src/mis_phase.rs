@@ -103,10 +103,11 @@ pub fn is_valid_mis_on<T: Topology>(topo: &T, decisions: &[Option<MisDecision>])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::class_sweep::{seeded, through_lanes, SweepState};
     use crate::linial::run_linial;
     use crate::reduce::kw_reduce;
     use treelocal_gen::random_tree;
-    use treelocal_graph::Graph;
+    use treelocal_graph::{widen_u32, Graph};
 
     fn full_pipeline(g: &Graph) -> (MisOutcome, u64) {
         let ctx = Ctx::of(g);
@@ -164,6 +165,39 @@ mod tests {
                 reference.decisions, pooled.decisions,
                 "{threads} threads: decisions diverge"
             );
+        }
+    }
+
+    proptest::proptest! {
+        /// The codec law for the states the MIS sweep produces: a seeded
+        /// class waits for a round ≥ 1, and both decisions (the member
+        /// sentinel and any witness edge) come back as the same
+        /// [`MisDecision`].
+        #[test]
+        fn sweep_state_round_trips_through_its_lanes(
+            member in proptest::prelude::any::<bool>(),
+            witness in 0..u32::MAX,
+            c in 1u32..u32::MAX,
+        ) {
+            let g = Graph::from_edges(1, &[]).unwrap();
+            let colors = [Some(c)];
+            let m = u64::from(u32::MAX);
+            let seed = seeded(&g, &MisSweep { colors: &colors, m }, NodeId::new(0));
+            proptest::prop_assert!(matches!(seed, SweepState::Waiting { .. }));
+            proptest::prop_assert_eq!(through_lanes(seed), seed);
+            let decision = if member {
+                MisDecision::Member
+            } else {
+                MisDecision::NonMember { witness: EdgeId::new(widen_u32(witness)) }
+            };
+            let word = match decision {
+                MisDecision::Member => MEMBER,
+                MisDecision::NonMember { witness } => widen_u64(witness.index()),
+            };
+            let SweepState::Decided(back) = through_lanes(SweepState::Decided(word)) else {
+                panic!("a decided state decodes as decided");
+            };
+            proptest::prop_assert_eq!(mis_decision(back), decision);
         }
     }
 

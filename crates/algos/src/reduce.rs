@@ -162,6 +162,7 @@ pub fn kw_reduce<T: Topology + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::class_sweep::{seeded, through_lanes, SweepState};
     use crate::linial::{is_proper, run_linial};
     use treelocal_graph::Graph;
 
@@ -229,6 +230,43 @@ mod tests {
         let k = kw_reduce(&ctx, &initial, 1);
         assert_eq!(k.colors[0], Some(1));
         assert_eq!(k.rounds, 0);
+    }
+
+    proptest::proptest! {
+        /// The codec law for the states `sweep_reduce` produces: every
+        /// seeded class waits for a round ≥ 1, and every picked color comes
+        /// back decided.
+        #[test]
+        fn sweep_state_round_trips_through_its_lanes(
+            color in proptest::prelude::any::<u64>(),
+            m in 1u64..u64::MAX,
+        ) {
+            let g = Graph::from_edges(1, &[]).unwrap();
+            let initial = [Some(color % m)];
+            let seed = seeded(&g, &SweepReduce { initial: &initial, m }, NodeId::new(0));
+            proptest::prop_assert!(matches!(seed, SweepState::Waiting { .. }));
+            proptest::prop_assert_eq!(through_lanes(seed), seed);
+            let picked = SweepState::Decided(color);
+            proptest::prop_assert_eq!(through_lanes(picked), picked);
+        }
+
+        /// The codec law for the states a KW phase produces: kept slots
+        /// are decided at seeding, moving colors wait, and every color,
+        /// 0 included, comes back decided.
+        #[test]
+        fn kw_state_round_trips_through_its_lanes(
+            color in proptest::prelude::any::<u64>(),
+            slots in 1u64..1 << 32,
+        ) {
+            let g = Graph::from_edges(1, &[]).unwrap();
+            let initial = [Some(color)];
+            let seed = seeded(&g, &KwPhase { initial: &initial, slots }, NodeId::new(0));
+            let kept = color % (2 * slots) < slots;
+            proptest::prop_assert_eq!(matches!(seed, SweepState::Decided(_)), kept);
+            proptest::prop_assert_eq!(through_lanes(seed), seed);
+            let moved = SweepState::Decided(color);
+            proptest::prop_assert_eq!(through_lanes(moved), moved);
+        }
     }
 
     #[test]

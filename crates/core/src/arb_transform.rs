@@ -268,4 +268,21 @@ mod tests {
             assert!(out.valid, "n {n}");
         }
     }
+
+    #[test]
+    fn distributed_decomposition_certifies_rounds() {
+        // The pipeline charges the centralized Algorithm 3; executing it on
+        // the LOCAL simulator at the pipeline's (a, k) yields the same
+        // decomposition in exactly the charged number of rounds.
+        let g = random_arboricity_graph(150, 2, 8);
+        let out = ArbTransform::new(&MaximalMatching, &MatchingAlgo).run(&g, 2);
+        assert!(out.valid);
+        let (a, k) = (out.params.a, out.params.k);
+        let certified = treelocal_decomp::arb_decompose_distributed(&g, a, k);
+        let central = arb_decompose(&g, a, k);
+        assert_eq!(central.iteration_of, certified.iteration_of);
+        assert_eq!(central.atypical, certified.atypical);
+        assert_eq!(out.stats.decomposition_iterations, certified.iterations);
+        assert_eq!(out.executed.rounds_of("decomposition(Alg3)"), certified.rounds);
+    }
 }

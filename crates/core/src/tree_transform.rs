@@ -245,4 +245,19 @@ mod tests {
             assert!(out.valid, "n {n}");
         }
     }
+
+    #[test]
+    fn distributed_decomposition_certifies_rounds() {
+        // The pipeline charges the centralized Algorithm 1; executing it on
+        // the LOCAL simulator at the pipeline's k yields the same layering
+        // in exactly the charged number of rounds.
+        let tree = random_tree(300, 21);
+        let out = TreeTransform::new(&Mis, &MisAlgo).run(&tree);
+        assert!(out.valid);
+        let k = out.params.k;
+        let certified = treelocal_decomp::rake_compress_distributed(&tree, k);
+        assert_eq!(rake_compress(&tree, k).iteration_of, certified.iteration_of);
+        assert_eq!(out.stats.decomposition_iterations, certified.iterations);
+        assert_eq!(out.executed.rounds_of("rake-compress(Alg1)"), certified.rounds);
+    }
 }
