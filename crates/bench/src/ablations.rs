@@ -6,8 +6,8 @@
 //! | E11 | Theorem 15's `ρ` trade-off (`ρ/(ρ − log_g a)`; paper uses ρ = 2 for Theorem 3's arboricity case) |
 //! | E12 | Substrate: Linial-style coloring and Cole–Vishkin run in `log* n + O(1)` rounds |
 //!
-//! Sweep points are independent jobs on the [`Driver`]'s queue —
-//! checkpointed, resumable, and aggregated in job order.
+//! Sweep points are independent jobs on the [`Driver`]'s queue, aggregated
+//! in job order.
 
 use crate::driver::{collect_rows, Driver, JobOutput};
 use crate::table::{fnum, Table};
@@ -35,7 +35,7 @@ pub fn e10(size: ExperimentSize, driver: &Driver) -> Table {
         &["k", "decomp", "A", "gather", "total", "is-paper-k"],
     );
     let ks: [usize; 12] = [2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128];
-    let results = driver.run_jobs("e10", &ks, |&k| {
+    let results = driver.map(&ks, |&k| {
         let out = TreeTransform::new(&Mis, &MisAlgo).with_k(k).run(&tree);
         assert!(out.valid, "k {k}");
         let total = out.total_rounds();
@@ -83,7 +83,7 @@ pub fn e11(size: ExperimentSize, driver: &Driver) -> Table {
         &["rho", "problem", "k", "decomp", "A", "total", "valid"],
     );
     let rhos: [u32; 4] = [1, 2, 3, 4];
-    let results = driver.run_jobs("e11", &rhos, |&rho| {
+    let results = driver.map(&rhos, |&rho| {
         let m = ArbTransform::new(&MaximalMatching, &MatchingAlgo).with_rho(rho).run(&g, a);
         assert!(m.valid);
         let matching_row = vec![
@@ -153,7 +153,7 @@ pub fn e12(size: ExperimentSize, driver: &Driver) -> Table {
         &["n", "ids", "log*", "linial-rounds", "linial-colors", "cv-rounds"],
     );
     let jobs: Vec<(usize, u8)> = ns.iter().flat_map(|&n| [(n, 0u8), (n, 1)]).collect();
-    let results = driver.run_jobs("e12", &jobs, |&(n, kind)| {
+    let results = driver.map(&jobs, |&(n, kind)| {
         let (label, strat) = match kind {
             0 => ("seq", IdStrategy::Sequential),
             _ => ("sparse", IdStrategy::Sparse { seed: 5 }),
@@ -193,7 +193,7 @@ pub fn e14(size: ExperimentSize, driver: &Driver) -> Table {
         &["delta", "mis-rounds", "mis/(ΔlogΔ)", "matching-rounds"],
     );
     let deltas: [usize; 8] = [3, 4, 6, 8, 12, 16, 24, 32];
-    let results = driver.run_jobs("e14", &deltas, |&delta| {
+    let results = driver.map(&deltas, |&delta| {
         let tree = balanced_regular_tree(delta, n);
         let mis = direct_baseline(&Mis, &MisAlgo, &tree);
         assert!(mis.valid);

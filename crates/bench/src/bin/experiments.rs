@@ -6,9 +6,6 @@
 //! cargo run --release -p treelocal-bench --bin experiments -- --quick all
 //! # sharded across 8 pool workers:
 //! cargo run --release -p treelocal-bench --bin experiments -- --threads 8 all
-//! # checkpointed run with progress on stderr; resume after a crash:
-//! cargo run --release -p treelocal-bench --bin experiments -- --journal j.jsonl all
-//! cargo run --release -p treelocal-bench --bin experiments -- --journal j.jsonl --resume all
 //! # emit checkable run certificates, then validate them independently:
 //! cargo run --release -p treelocal-bench --bin experiments -- --quick --emit-certs certs e2
 //! cargo run --release -p treelocal-check -- certs
@@ -16,30 +13,22 @@
 //!
 //! CSV copies are written to `target/experiments/`. Unknown flags are
 //! rejected with exit code 2 — a typo like `--qick` must not silently run
-//! the minutes-long Full suite.
+//! the Full suite (about 10 s on 2 pool workers, 15 s on one).
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use treelocal_bench::{
-    all_experiment_ids, auto_threads, run_experiment_with_driver, Driver, DriverConfig,
-    ExperimentSize,
+    all_experiment_ids, auto_threads, run_experiment_with_driver, Driver, ExperimentSize,
 };
 
-const USAGE: &str = "usage: experiments [--quick] [--threads N] [--journal PATH [--resume]]
-                   [--emit-certs DIR] [ids...|all]
+const USAGE: &str = "usage: experiments [--quick] [--threads N] [--emit-certs DIR] [ids...|all]
 
 flags:
   --quick         run the small test-sized workloads instead of the Full sweeps
   --threads N     shard each experiment across N pool workers (also
                   --threads=N; 0 = auto; tables are identical for every N)
-  --journal PATH  checkpoint every completed job to a JSONL journal (also
-                  --journal=PATH) and report progress on stderr; tables are
-                  identical with and without a journal
-  --resume        skip jobs already completed in --journal PATH instead of
-                  starting it fresh; the resumed tables are byte-identical
-                  to an uninterrupted run
   --emit-certs DIR
                   additionally emit run certificates to DIR as .cert files
                   (also --emit-certs=DIR); validate them with the
@@ -52,8 +41,6 @@ ids: e1..e14, or `all` (default)";
 struct Options {
     size: ExperimentSize,
     threads: Option<usize>,
-    journal: Option<PathBuf>,
-    resume: bool,
     emit_certs: Option<PathBuf>,
     ids: Vec<&'static str>,
 }
@@ -62,8 +49,6 @@ struct Options {
 fn parse(args: &[String]) -> Result<Options, (String, u8)> {
     let mut quick = false;
     let mut threads: Option<usize> = None;
-    let mut journal: Option<PathBuf> = None;
-    let mut resume = false;
     let mut emit_certs: Option<PathBuf> = None;
     let mut requested: Vec<String> = Vec::new();
     let mut it = args.iter().peekable();
@@ -71,7 +56,6 @@ fn parse(args: &[String]) -> Result<Options, (String, u8)> {
         match arg.as_str() {
             "--help" | "-h" => return Err((USAGE.to_string(), 0)),
             "--quick" => quick = true,
-            "--resume" => resume = true,
             "--threads" => {
                 let value = it
                     .next()
@@ -81,19 +65,10 @@ fn parse(args: &[String]) -> Result<Options, (String, u8)> {
             flag if flag.starts_with("--threads=") => {
                 threads = Some(parse_threads(&flag["--threads=".len()..])?);
             }
-            "--journal" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| ("--journal needs a path\n\n".to_string() + USAGE, 2))?;
-                journal = Some(PathBuf::from(value));
-            }
-            flag if flag.starts_with("--journal=") => {
-                journal = Some(PathBuf::from(&flag["--journal=".len()..]));
-            }
             "--emit-certs" => {
-                // Unlike --journal, a following flag does NOT count as the
-                // directory: `--emit-certs --quick` is a missing argument,
-                // not a directory named "--quick".
+                // A following flag does NOT count as the directory:
+                // `--emit-certs --quick` is a missing argument, not a
+                // directory named "--quick".
                 let value = it
                     .next()
                     .filter(|v| !v.starts_with('-'))
@@ -113,9 +88,6 @@ fn parse(args: &[String]) -> Result<Options, (String, u8)> {
             id => requested.push(id.to_lowercase()),
         }
     }
-    if resume && journal.is_none() {
-        return Err((format!("--resume needs --journal PATH\n\n{USAGE}"), 2));
-    }
     let known = all_experiment_ids();
     let ids: Vec<&'static str> = if requested.is_empty() || requested.iter().any(|a| a == "all") {
         known
@@ -128,7 +100,7 @@ fn parse(args: &[String]) -> Result<Options, (String, u8)> {
         known.into_iter().filter(|id| requested.iter().any(|r| r == id)).collect()
     };
     let size = if quick { ExperimentSize::Quick } else { ExperimentSize::Full };
-    Ok(Options { size, threads, journal, resume, emit_certs, ids })
+    Ok(Options { size, threads, emit_certs, ids })
 }
 
 fn parse_threads(value: &str) -> Result<usize, (String, u8)> {
@@ -151,7 +123,7 @@ fn main() -> ExitCode {
         }
     };
     // Fail on an unusable certificate directory before running anything:
-    // a minutes-long sweep must not discover an unwritable path at the end.
+    // a Full sweep must not discover an unwritable path at the end.
     if let Some(dir) = &opts.emit_certs {
         if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
             let probe = dir.join(".write-probe");
@@ -163,24 +135,7 @@ fn main() -> ExitCode {
         }
     }
     let threads = opts.threads.filter(|&n| n > 0).unwrap_or_else(auto_threads);
-    // Progress reporting accompanies checkpointing: both exist for the
-    // long-running batch runs. Tables on stdout stay byte-identical.
-    let driver = match Driver::new(DriverConfig {
-        threads,
-        journal: opts.journal.clone(),
-        resume: opts.resume,
-        progress: opts.journal.is_some(),
-        size: opts.size,
-    }) {
-        Ok(driver) => driver,
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::from(2);
-        }
-    };
-    if opts.resume {
-        eprintln!("resuming: {} completed jobs found in the journal", driver.jobs_resumed());
-    }
+    let driver = Driver::with_threads(threads);
     let csv_dir = PathBuf::from("target/experiments");
     for id in opts.ids {
         let start = std::time::Instant::now();
@@ -212,39 +167,19 @@ mod tests {
     }
 
     #[test]
-    fn journal_flag_both_spellings() {
-        let o = parse(&argv(&["--quick", "--journal", "j.jsonl", "e2"])).unwrap();
-        assert_eq!(o.journal.as_deref(), Some(std::path::Path::new("j.jsonl")));
-        assert!(!o.resume);
-        let o = parse(&argv(&["--journal=target/j.jsonl", "--resume"])).unwrap();
-        assert_eq!(o.journal.as_deref(), Some(std::path::Path::new("target/j.jsonl")));
-        assert!(o.resume);
-    }
-
-    #[test]
-    fn resume_without_journal_exits_2() {
-        let (message, code) = parse(&argv(&["--resume", "e2"])).unwrap_err();
-        assert_eq!(code, 2);
-        assert!(message.contains("--resume needs --journal PATH"), "{message}");
-        // The error must carry the full usage block, not just the one-liner.
-        assert!(message.contains(USAGE), "{message}");
-        // Flag order must not matter: `--resume` before other flags.
-        let (message, code) = parse(&argv(&["--quick", "--resume"])).unwrap_err();
-        assert_eq!(code, 2);
-        assert!(message.contains("--resume needs --journal PATH"), "{message}");
-    }
-
-    #[test]
-    fn journal_without_path_exits_2() {
-        let (message, code) = parse(&argv(&["--journal"])).unwrap_err();
-        assert_eq!(code, 2);
-        assert!(message.contains("--journal needs a path"), "{message}");
-    }
-
-    #[test]
     fn unknown_flags_still_exit_2() {
-        let (_, code) = parse(&argv(&["--jornal", "j"])).unwrap_err();
-        assert_eq!(code, 2);
+        // The retired checkpoint flags are unknown now: an old script must
+        // fail loudly rather than silently start a Full run.
+        for args in [
+            &["--jornal", "j"][..],
+            &["--journal", "j.jsonl"],
+            &["--journal=j.jsonl"],
+            &["--resume"],
+        ] {
+            let (message, code) = parse(&argv(args)).unwrap_err();
+            assert_eq!(code, 2, "{args:?}");
+            assert!(message.contains("unknown flag"), "{args:?}: {message}");
+        }
     }
 
     #[test]
@@ -266,7 +201,7 @@ mod tests {
         let (message, code) = parse(&argv(&["--emit-certs", "--quick", "e2"])).unwrap_err();
         assert_eq!(code, 2);
         assert!(message.contains("--emit-certs needs a directory"), "{message}");
-        let (message, code) = parse(&argv(&["e2", "--emit-certs", "--journal", "j"])).unwrap_err();
+        let (message, code) = parse(&argv(&["e2", "--emit-certs", "--threads", "2"])).unwrap_err();
         assert_eq!(code, 2);
         assert!(message.contains("--emit-certs needs a directory"), "{message}");
         // The `=` spelling with an empty value is also a missing argument.
@@ -279,8 +214,6 @@ mod tests {
     fn defaults_are_unchanged() {
         let o = parse(&argv(&[])).unwrap();
         assert_eq!(o.size, ExperimentSize::Full);
-        assert!(o.journal.is_none());
-        assert!(!o.resume);
         assert!(o.emit_certs.is_none());
         assert_eq!(o.ids.len(), 14);
     }

@@ -8,12 +8,10 @@
 //! | E4 | Lemma 13: Algorithm 3 marks all nodes within `⌈10·log_{k/a} n⌉ + 1` iterations |
 //! | E5 | Lemma 14 + star property: typical degree ≤ k, ≤ 2a atypical per node, `F_{i,j}` are stars |
 //!
-//! Every experiment is a named resumable run on the [`Driver`]: a list of
-//! independent jobs (a workload paired with its parameter sweep point)
-//! whose [`JobOutput`]s are checkpointed to the driver's journal and
-//! aggregated in job order, so tables are identical for every pool size
-//! and across crash-resume. Workload *generation* runs on the pool but is
-//! never journaled — regenerating a seeded graph is cheap and exact.
+//! Every experiment is a list of independent jobs on the [`Driver`] (a
+//! workload paired with its parameter sweep point) whose [`JobOutput`]s are
+//! aggregated in job order, so tables are identical for every pool size.
+//! Workload *generation* runs on the pool too.
 
 use crate::driver::{collect_rows, Driver, JobOutput};
 use crate::table::{fnum, Table};
@@ -55,7 +53,7 @@ pub fn e1(size: ExperimentSize, driver: &Driver) -> Table {
         &["workload", "n", "k", "iterations", "bound", "holds"],
     );
     let workloads = tree_workloads(size, driver);
-    let results = driver.run_jobs("e1", &k_sweep_jobs(&workloads), |&(w, k)| {
+    let results = driver.map(&k_sweep_jobs(&workloads), |&(w, k)| {
         let (name, g) = &workloads[w];
         let rc = rake_compress(g, k);
         let bound = lemma9_bound(g.node_count(), k);
@@ -83,7 +81,7 @@ pub fn e2(size: ExperimentSize, driver: &Driver) -> Table {
         &["workload", "n", "k", "max-degree", "holds"],
     );
     let workloads = tree_workloads(size, driver);
-    let results = driver.run_jobs("e2", &k_sweep_jobs(&workloads), |&(w, k)| {
+    let results = driver.map(&k_sweep_jobs(&workloads), |&(w, k)| {
         let (name, g) = &workloads[w];
         let rc = rake_compress(g, k);
         let d = compress_edge_max_degree(g, &rc);
@@ -110,7 +108,7 @@ pub fn e3(size: ExperimentSize, driver: &Driver) -> Table {
         &["workload", "n", "k", "max-diameter", "bound", "holds"],
     );
     let workloads = tree_workloads(size, driver);
-    let results = driver.run_jobs("e3", &k_sweep_jobs(&workloads), |&(w, k)| {
+    let results = driver.map(&k_sweep_jobs(&workloads), |&(w, k)| {
         let (name, g) = &workloads[w];
         let rc = rake_compress(g, k);
         let d = raked_component_max_diameter(g, &rc);
@@ -158,7 +156,7 @@ pub fn e4(size: ExperimentSize, driver: &Driver) -> Table {
     let workloads = arb_workloads(size, driver);
     let jobs: Vec<(usize, usize)> =
         (0..workloads.len()).flat_map(|w| [5usize, 8].map(|mult| (w, mult))).collect();
-    let results = driver.run_jobs("e4", &jobs, |&(w, mult)| {
+    let results = driver.map(&jobs, |&(w, mult)| {
         let (name, g, a) = &workloads[w];
         let k = mult * a;
         let d = arb_decompose(g, *a, k);
@@ -188,7 +186,7 @@ pub fn e5(size: ExperimentSize, driver: &Driver) -> Table {
         &["workload", "a", "k", "typ-deg", "atyp/node", "atyp-frac", "stars-ok"],
     );
     let workloads = arb_workloads(size, driver);
-    let results = driver.run_jobs("e5", &workloads, |(name, g, a)| {
+    let results = driver.map(&workloads, |(name, g, a)| {
         let k = 5 * a;
         let d = arb_decompose(g, *a, k);
         let typ = typical_max_degree(g, &d);

@@ -10,23 +10,23 @@
 mod ablations;
 pub mod certs;
 pub mod driver;
-mod journal;
 mod lemmas;
 pub mod table;
 mod theorems;
 
 pub use certs::{cert_suite, emit_certs};
-pub use driver::{Driver, DriverConfig, JobOutput};
+pub use driver::{Driver, JobOutput};
 pub use table::Table;
 pub use treelocal_sim::par::auto_threads;
 
 /// How large the experiment workloads should be.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExperimentSize {
-    /// Small instances (seconds; used by tests).
+    /// Small instances (well under a second; used by tests).
     Quick,
     /// The full sweeps behind the README's "Experiments and benchmarks"
-    /// section (minutes).
+    /// section (about 10 s on 2 pool workers and 15 s on one, on a 2-core
+    /// host).
     Full,
 }
 
@@ -52,17 +52,14 @@ pub fn run_experiment(id: &str, size: ExperimentSize) -> Vec<Table> {
 
 /// Runs one experiment by id on `driver`, returning its table(s).
 ///
-/// Every suite is a named resumable run: the driver pulls its job queue on
-/// pool workers, skips jobs already checkpointed in the driver's journal,
-/// and aggregates by job index — so a resumed run renders byte-identical
-/// tables (pinned by `tests/driver_resume.rs`).
+/// The driver runs each suite's jobs on pool workers and aggregates the
+/// results by job index, so the tables are identical for every pool size.
 ///
 /// # Panics
 ///
 /// Panics on an unknown id (callers validate against
-/// [`all_experiment_ids`]), if a pipeline produces an invalid solution —
-/// an invariant violation, not a reportable outcome — or if the driver's
-/// journal becomes unwritable.
+/// [`all_experiment_ids`]), or if a pipeline produces an invalid solution —
+/// an invariant violation, not a reportable outcome.
 pub fn run_experiment_with_driver(id: &str, size: ExperimentSize, driver: &Driver) -> Vec<Table> {
     match id {
         "e1" => vec![lemmas::e1(size, driver)],

@@ -9,10 +9,9 @@
 //! | E9 | Theorem 3: `O(a + log^{12/13} n)` on bounded arboricity (planar included) |
 //!
 //! The measured experiments run as independent `(instance, pipeline,
-//! seed)` jobs on the [`Driver`]'s queue — checkpointed, resumable, and
-//! aggregated (rows and fit samples alike) in job order, so tables are
-//! identical for every pool size and across crash-resume. The model
-//! tables (E8b) are arithmetic and stay sequential.
+//! seed)` jobs on the [`Driver`]'s queue, aggregated (rows and fit samples
+//! alike) in job order, so tables are identical for every pool size. The
+//! model tables (E8b) are arithmetic and stay sequential.
 
 use crate::driver::{collect_rows, Driver, JobOutput};
 use crate::table::{fnum, Table};
@@ -50,7 +49,7 @@ pub fn e6(size: ExperimentSize, driver: &Driver) -> Table {
     // regular trees, footnote 11).
     let jobs: Vec<(usize, u8)> =
         n_sweep(size).into_iter().flat_map(|n| [(n, 0u8), (n, 1)]).collect();
-    let results = driver.run_jobs("e6", &jobs, |&(n, kind)| {
+    let results = driver.map(&jobs, |&(n, kind)| {
         let (shape, tree) = match kind {
             0 => ("random", random_tree(n, 7)),
             _ => ("bal-d8", treelocal_gen::balanced_regular_tree(8, n)),
@@ -106,7 +105,7 @@ pub fn e13(size: ExperimentSize, driver: &Driver) -> Table {
         &["n", "k", "rounds", "rounds/LL", "valid"],
     );
     let jobs = n_sweep(size);
-    let results = driver.run_jobs("e13", &jobs, |&n| {
+    let results = driver.map(&jobs, |&n| {
         let tree = random_tree(n, 19);
         // Non-contiguous per-node lists with exactly deg+1 entries.
         let lists: Vec<Vec<u32>> = tree
@@ -141,7 +140,7 @@ pub fn e7(size: ExperimentSize, driver: &Driver) -> Table {
         &["n", "k", "executed", "charged(PR01)", "charged/LL", "valid"],
     );
     let jobs = n_sweep(size);
-    let results = driver.run_jobs("e7", &jobs, |&n| {
+    let results = driver.map(&jobs, |&n| {
         let tree = random_tree(n, 11);
         let (out, matching) = matching_on_tree(&tree);
         assert!(out.valid);
@@ -180,7 +179,7 @@ pub fn e8_executed(size: ExperimentSize, driver: &Driver) -> Table {
         &["n", "k", "executed", "charged(BBKO)", "mis-rounds", "valid"],
     );
     let jobs = n_sweep(size);
-    let results = driver.run_jobs("e8a", &jobs, |&n| {
+    let results = driver.map(&jobs, |&n| {
         let tree = random_tree(n, 13);
         let (out, colors) = edge_coloring_on_tree(&tree);
         assert!(out.valid);
@@ -249,7 +248,7 @@ pub fn e9(size: ExperimentSize, driver: &Driver) -> Table {
             2 => (format!("union2/{n}"), random_arboricity_graph(n, 2, 5), 2),
             _ => (format!("union4/{n}"), random_arboricity_graph(n, 4, 5), 4),
         });
-    let results = driver.run_jobs("e9", &workloads, |(name, g, a)| {
+    let results = driver.map(&workloads, |(name, g, a)| {
         let (out, colors) = edge_coloring_bounded_arboricity(g, *a);
         assert!(out.valid, "{name}");
         assert!(classic::is_valid_edge_degree_coloring(g, &colors), "{name}");

@@ -22,7 +22,7 @@ fn missing_directory_argument_exits_2_in_any_flag_order() {
     for args in [
         vec!["--quick", "--emit-certs"],
         vec!["--emit-certs", "--quick", "e2"],
-        vec!["e2", "--emit-certs", "--journal", "j"],
+        vec!["e2", "--emit-certs", "--threads", "2"],
         vec!["--emit-certs="],
     ] {
         let out = Command::new(exe()).args(&args).output().unwrap();

@@ -1,8 +1,8 @@
 //! Construction-path observability counters.
 //!
 //! Generation-heavy suites spend most of their wall clock *building*
-//! graphs, not stepping them; the driver's progress line was blind to that
-//! phase. Every streamed build (see [`crate::source`]) records here:
+//! graphs, not stepping them, and the round/step counters are blind to
+//! that phase. Every streamed build (see [`crate::source`]) records here:
 //!
 //! - [`bytes_ingested`] accumulates the compact endpoint bytes ingested
 //!   from edge streams (8 bytes per edge — the u32 record pair the graph
@@ -13,8 +13,8 @@
 //!   the engine's peak-RSS readings.
 //!
 //! Counters are process-wide relaxed atomics, same discipline as
-//! `treelocal-sim`'s step counters: cheap enough to leave on, and the
-//! driver reads deltas around each job.
+//! `treelocal-sim`'s step counters: cheap enough to leave on. `perfbench`
+//! and the tests read deltas around a run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -9,7 +9,7 @@ use crate::lexer::{lex, Allow, Tok, TokKind};
 
 /// Crates in which iteration order can leak into committed outputs: the
 /// deterministic-LOCAL guarantee (byte-identical results across engines,
-/// pool sizes and crash-resume points) flows through these.
+/// and pool sizes) flows through these.
 const DETERMINISTIC_CRATES: &[&str] =
     &["graph", "sim", "algos", "decomp", "problems", "gen", "check"];
 

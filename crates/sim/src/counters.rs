@@ -1,10 +1,9 @@
-//! Process-wide execution counters for progress reporting.
+//! Process-wide execution counters of simulation work.
 //!
-//! Long experiment runs (the `treelocal-bench` driver, the million-node
-//! smoke tier) want to show *how much simulation work* has happened, not
-//! just how many jobs finished. Every [`ExecCore`](crate::ExecCore) round
-//! — in both the snapshot and the message engine — bumps two global
-//! relaxed atomics:
+//! The `perfbench` benchmark and the counter tests read *how much
+//! simulation work* has happened, not just how many jobs finished. Every
+//! [`ExecCore`](crate::ExecCore) round — in both the snapshot and the
+//! message engine — bumps two global relaxed atomics:
 //!
 //! * **rounds executed** — one per communication round of any run,
 //! * **node steps** — the number of frontier (non-halted) nodes that round
@@ -14,7 +13,7 @@
 //!   the message engine ([`run_messages`](crate::run_messages)) materialized
 //!   and routed. The snapshot engine has no send phase, so for it this
 //!   counter stays flat; for the message engine every round does roughly
-//!   *twice* the per-node work (send + receive), and a progress reporter
+//!   *twice* the per-node work (send + receive), and a reader
 //!   that only saw receive steps would underestimate message-heavy jobs.
 //!
 //! The counters are monotone, cumulative over the whole process, and never
@@ -72,9 +71,10 @@ pub fn snapshot() -> (u64, u64, u64) {
 
 /// Total endpoint bytes ingested by streamed graph builds — the
 /// construction-side work counter, re-exported from
-/// [`treelocal_graph::stats`] so drivers read every counter through one
-/// module. Generation-heavy suites (big Prüfer sweeps) spend most of
-/// their wall clock here, invisible to the round/step counters above.
+/// [`treelocal_graph::stats`] so readers (`perfbench`, the tests) see
+/// every counter through one module. Generation-heavy suites (big Prüfer
+/// sweeps) spend most of their wall clock here, invisible to the
+/// round/step counters above.
 pub fn bytes_ingested() -> u64 {
     treelocal_graph::stats::bytes_ingested()
 }
