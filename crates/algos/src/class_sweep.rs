@@ -11,9 +11,10 @@
 //! [`list_sweep`](crate::list_sweep) are [`SweepRule`]s on this algorithm:
 //! a rule says *when* a node decides and *what*.
 //!
-//! Waiting nodes stay on the frontier every round, so the transcript's
-//! per-round frontier commitment sees them, and a node halts in exactly the
-//! round its rule names.
+//! A waiting node is seeded asleep until its round
+//! ([`Verdict::SleepUntil`]), so the engine steps it exactly once, in that
+//! round, and it halts there. A sleeper is still running, so the
+//! transcript's per-round frontier commitment sees it every round it waits.
 
 use treelocal_graph::{NodeId, OrInvariant, Topology};
 use treelocal_sim::{run, Ctx, Snapshot, StateCodec, SyncAlgorithm, Verdict};
@@ -21,9 +22,10 @@ use treelocal_sim::{run, Ctx, Snapshot, StateCodec, SyncAlgorithm, Verdict};
 /// What one class sweep computes. Decisions are `u64` words; each rule's
 /// caller maps them to its outcome type.
 pub(crate) trait SweepRule {
-    /// The round in which `v` decides. Round 0 means `v` decides at
-    /// seeding, before any communication.
-    fn round(&self, v: NodeId) -> u64;
+    /// The round in which `v` decides, or `None` when `v`'s colour lies
+    /// outside the rule's schedule. Round 0 means `v` decides at seeding,
+    /// before any communication.
+    fn round(&self, v: NodeId) -> Option<u64>;
 
     /// `v`'s decision. `decided(w)` is neighbour `w`'s decision when `w`
     /// decided in an earlier round, and `None` while `w` still waits.
@@ -76,15 +78,27 @@ impl SweepState {
     }
 }
 
-struct ClassSweep<'r, R>(&'r R);
+/// Names the invariant that every node's round is on its rule's schedule
+/// and within the sweep's round budget.
+const WAKE_ROUND_IN_BUDGET: &str =
+    "every sweep round is on the rule's schedule and within the round budget (wake-round bound)";
+
+struct ClassSweep<'r, R> {
+    rule: &'r R,
+    max_rounds: u64,
+}
 
 impl<T: Topology, R: SweepRule> SyncAlgorithm<T> for ClassSweep<'_, R> {
     type State = SweepState;
 
+    /// Checked in every profile: an out-of-range colour must not become a
+    /// wake round past the budget, or one near `u64::MAX` by wrapping.
     fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<SweepState> {
-        match self.0.round(v) {
-            0 => Verdict::Halted(SweepState::Decided(self.0.decide(ctx.topo, v, |_| None))),
-            round => Verdict::Active(SweepState::Waiting { round }),
+        let round =
+            self.rule.round(v).filter(|&r| r <= self.max_rounds).or_invariant(WAKE_ROUND_IN_BUDGET);
+        match round {
+            0 => Verdict::Halted(SweepState::Decided(self.rule.decide(ctx.topo, v, |_| None))),
+            round => Verdict::SleepUntil(SweepState::Waiting { round }, round),
         }
     }
 
@@ -99,11 +113,10 @@ impl<T: Topology, R: SweepRule> SyncAlgorithm<T> for ClassSweep<'_, R> {
         let SweepState::Waiting { round: mine } = own else {
             unreachable!("decided nodes have halted")
         };
-        if round < mine {
-            return Verdict::Active(own);
-        }
-        debug_assert_eq!(round, mine);
-        Verdict::Halted(SweepState::Decided(self.0.decide(ctx.topo, v, |w| prev.get(w).decision())))
+        assert_eq!(round, mine, "a sleeper is stepped only in its wake round");
+        Verdict::Halted(SweepState::Decided(
+            self.rule.decide(ctx.topo, v, |w| prev.get(w).decision()),
+        ))
     }
 }
 
@@ -120,7 +133,7 @@ where
     T: Topology + Sync,
     R: SweepRule + Sync,
 {
-    let out = run(ctx, &ClassSweep(rule), max_rounds);
+    let out = run(ctx, &ClassSweep { rule, max_rounds }, max_rounds);
     let decisions = out
         .states()
         .map(|s| s.map(|st| output(st.decision().or_invariant("the sweep drains every node"))))
@@ -151,17 +164,57 @@ pub(crate) fn through_lanes(state: SweepState) -> SweepState {
     SweepState::decode(&[], &lanes64)
 }
 
-/// The state `rule` seeds `v` with on `topo`, as the engine's `init` makes it.
+/// The state `rule` seeds `v` with on `topo`, as the engine's `init` makes
+/// it under an unbounded round budget.
 #[cfg(test)]
 pub(crate) fn seeded<T: Topology, R: SweepRule>(topo: &T, rule: &R, v: NodeId) -> SweepState {
-    match ClassSweep(rule).init(&Ctx::of(topo), v) {
-        Verdict::Active(s) | Verdict::Halted(s) => s,
+    let sweep = ClassSweep { rule, max_rounds: u64::MAX };
+    match sweep.init(&Ctx::of(topo), v) {
+        Verdict::Active(s) | Verdict::Halted(s) | Verdict::SleepUntil(s, _) => s,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treelocal_graph::Graph;
+
+    /// Runs `sweep` and asserts it fails the wake-round bound.
+    fn assert_fails_wake_round_bound(label: &str, sweep: impl FnOnce()) {
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(sweep)).expect_err(label);
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("<non-string panic payload>");
+        assert!(msg.contains("(wake-round bound)"), "{label}: unexpected panic: {msg}");
+    }
+
+    /// Out-of-range colours fail the wake-round bound in every profile:
+    /// `m - c` and `m - c + 1` would otherwise wrap to a round near
+    /// `u64::MAX`, or land on round 0 or on a round the schedule lacks.
+    #[test]
+    fn out_of_range_colours_fail_the_wake_round_bound() {
+        let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
+        let ctx = Ctx::of(&g);
+        let m = 3;
+        assert_fails_wake_round_bound("sweep_reduce, c = m", || {
+            crate::sweep_reduce(&ctx, &[Some(0), Some(m)], m);
+        });
+        assert_fails_wake_round_bound("sweep_reduce, c > m", || {
+            crate::sweep_reduce(&ctx, &[Some(m + 5), Some(0)], m);
+        });
+        assert_fails_wake_round_bound("mis, c = 0", || {
+            crate::mis_from_coloring(&ctx, &[Some(0), Some(1)], m);
+        });
+        assert_fails_wake_round_bound("mis, c > m", || {
+            crate::mis_from_coloring(&ctx, &[Some(1), Some(4)], m);
+        });
+        assert_fails_wake_round_bound("list_sweep, c = m", || {
+            crate::list_sweep(&ctx, &[Some(m), Some(0)], m, &[vec![1, 2], vec![1, 2]]);
+        });
+    }
 
     proptest::proptest! {
         /// The codec law for sweep states: every waiting round (≥ 1) and

@@ -37,10 +37,9 @@ struct MisSweep<'c> {
 }
 
 impl SweepRule for MisSweep<'_> {
-    fn round(&self, v: NodeId) -> u64 {
+    fn round(&self, v: NodeId) -> Option<u64> {
         let c = u64::from(self.colors[v.index()].or_invariant("color for every participant"));
-        debug_assert!((1..=self.m).contains(&c), "colors are 1-based and ≤ m");
-        self.m - c + 1
+        (1..=self.m).contains(&c).then(|| self.m - c + 1)
     }
 
     fn decide<T: Topology>(

@@ -51,10 +51,9 @@ struct SweepReduce<'c> {
 }
 
 impl SweepRule for SweepReduce<'_> {
-    fn round(&self, v: NodeId) -> u64 {
+    fn round(&self, v: NodeId) -> Option<u64> {
         let c = self.initial[v.index()].or_invariant("initial color for every participant");
-        debug_assert!(c < self.m);
-        self.m - c
+        (c < self.m).then(|| self.m - c)
     }
 
     fn decide<T: Topology>(
@@ -103,13 +102,9 @@ impl KwPhase<'_> {
 }
 
 impl SweepRule for KwPhase<'_> {
-    fn round(&self, v: NodeId) -> u64 {
+    fn round(&self, v: NodeId) -> Option<u64> {
         let (_, rel) = self.group_rel(v);
-        if rel < self.slots {
-            0
-        } else {
-            2 * self.slots - rel
-        }
+        Some(if rel < self.slots { 0 } else { 2 * self.slots - rel })
     }
 
     fn decide<T: Topology>(

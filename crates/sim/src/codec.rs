@@ -9,10 +9,10 @@
 //!
 //! * keeps a round's reads and writes on contiguous, prefetch-friendly
 //!   columns instead of per-node heap slots,
-//! * freezes halted lanes **in place** — a halted node's lanes are simply
-//!   never rewritten, and
+//! * freezes halted and sleeping lanes **in place** — a node's lanes are
+//!   simply never rewritten while it does not step, and
 //! * makes the verdict scratch buffer a plain column copy committed in
-//!   frontier order, so parallel outcomes stay byte-identical for every
+//!   awake order, so parallel outcomes stay byte-identical for every
 //!   pool size (see [`ExecCore`](crate::ExecCore)).
 //!
 //! Decoding constructs a fresh state value, so the engine cannot clone a

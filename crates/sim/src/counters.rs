@@ -6,9 +6,9 @@
 //! message engine — bumps two global relaxed atomics:
 //!
 //! * **rounds executed** — one per communication round of any run,
-//! * **node steps** — the number of frontier (non-halted) nodes that round
-//!   visited, i.e. the actual unit of simulation work after frontier
-//!   shrinking, and
+//! * **node steps** — the number of awake nodes that round stepped, i.e.
+//!   the actual unit of simulation work: halted nodes and nodes asleep
+//!   until a later wake round are not counted, and
 //! * **send steps** — the number of frontier nodes whose outgoing messages
 //!   the message engine ([`run_messages`](crate::run_messages)) materialized
 //!   and routed. The snapshot engine has no send phase, so for it this
@@ -31,11 +31,11 @@ static ROUNDS: AtomicU64 = AtomicU64::new(0);
 static NODE_STEPS: AtomicU64 = AtomicU64::new(0);
 static SEND_STEPS: AtomicU64 = AtomicU64::new(0);
 
-/// Records one executed round that stepped `frontier` nodes (called by
+/// Records one executed round that stepped `awake` nodes (called by
 /// [`ExecCore::begin_round`](crate::ExecCore::begin_round)).
-pub(crate) fn record_round(frontier: u64) {
+pub(crate) fn record_round(awake: u64) {
     ROUNDS.fetch_add(1, Ordering::Relaxed);
-    NODE_STEPS.fetch_add(frontier, Ordering::Relaxed);
+    NODE_STEPS.fetch_add(awake, Ordering::Relaxed);
 }
 
 /// Total communication rounds executed by this process so far, across all
@@ -51,8 +51,8 @@ pub(crate) fn record_send_round(frontier: u64) {
     SEND_STEPS.fetch_add(frontier, Ordering::Relaxed);
 }
 
-/// Total frontier-node steps executed by this process so far (the sum of
-/// frontier sizes over all executed rounds).
+/// Total node steps executed by this process so far (the sum of awake
+/// list sizes over all executed rounds; sleepers are not counted).
 pub fn node_steps() -> u64 {
     NODE_STEPS.load(Ordering::Relaxed)
 }

@@ -45,14 +45,21 @@ impl<'t, T: Topology> Ctx<'t, T> {
     }
 }
 
-/// A node's per-round decision: keep running or fix the output and stop.
+/// A node's decision: keep running, fix the output and stop, or (at
+/// seeding only) sleep until a known round.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Verdict<S> {
-    /// Continue with the given state.
+    /// Continue with the given state: the node steps in the next round.
     Active(S),
     /// Terminate with the given (final) state. The state stays visible to
     /// neighbors for the remainder of the execution.
     Halted(S),
+    /// Sleep with the given state until the given round, which is the
+    /// node's first step. A sleeping node is not stepped, its state stays
+    /// visible to neighbors, and it still counts as running. Only a seed
+    /// verdict ([`SyncAlgorithm::init`]) may sleep; a step that returns
+    /// it fails the run's sleep-at-seed invariant in every profile.
+    SleepUntil(S, u64),
 }
 
 /// A deterministic synchronous LOCAL algorithm as a per-node state machine.
@@ -85,9 +92,10 @@ pub trait SyncAlgorithm<T: Topology> {
 /// Runs `algo` on `ctx.topo` until every node halts.
 ///
 /// Built on the shared [`ExecCore`](crate::ExecCore): each round steps only
-/// the active frontier, halted lanes are frozen in place, and commit
-/// happens after every frontier node has read the previous round — exactly
-/// the synchronous semantics of Definition 5.
+/// the awake nodes, halted and sleeping lanes are frozen in place, and
+/// commit happens after every awake node has read the previous round —
+/// exactly the synchronous semantics of Definition 5. A node seeded
+/// [`Verdict::SleepUntil`] is first stepped in its wake round.
 ///
 /// Large frontiers are stepped on the vendored rayon pool, sized by
 /// [`crate::par::auto_threads`] (scope an explicit size with

@@ -3,25 +3,37 @@
 //!
 //! [`ExecCore`] owns one run loop for both engines:
 //!
-//! * it tracks the **active frontier** — the (deterministically ordered)
-//!   list of nodes that have not halted — so a round only visits and only
-//!   rewrites the lanes of live nodes;
+//! * a node is **live** until it halts, and a live node is either awake or
+//!   asleep. The **awake list** holds the nodes a round steps, in
+//!   deterministic order, so a round only visits and only rewrites the
+//!   lanes of nodes that act in it. A node seeded
+//!   [`Verdict::SleepUntil`] sleeps in a per-round bucket until its wake
+//!   round and then joins the awake list, so a node that only waits costs
+//!   nothing per round;
 //! * states live in node-major u32/u64 lane columns ([`StateCodec`]);
-//!   reads decode a fresh value, writes encode in place, and halted lanes
-//!   are **frozen in place** — never rewritten after the halting round;
-//! * double buffering happens through a scratch set of columns: all
-//!   frontier nodes read the previous round's lanes, then the round
-//!   commits atomically **in frontier order**, preserving the
-//!   synchronous-round semantics of Definition 5 and making inline and
-//!   pooled rounds produce byte-identical columns.
+//!   reads decode a fresh value, writes encode in place, and the lanes of
+//!   halted and sleeping nodes are **frozen in place**: neighbours read
+//!   them through the [`Snapshot`], and they are never rewritten while the
+//!   node does not step;
+//! * double buffering happens through a scratch set of columns: all awake
+//!   nodes read the previous round's lanes, then the round commits
+//!   atomically **in awake order**, preserving the synchronous-round
+//!   semantics of Definition 5 and making inline and pooled rounds produce
+//!   byte-identical columns.
+//!
+//! The transcript's per-round frontier is every live node, sleepers
+//! included, in seeding order. The core keeps that list only while the
+//! transcript recorder is armed, so an unarmed run never passes over its
+//! sleepers.
 //!
 //! The core cannot clone a state — it only encodes and decodes lanes.
 
 use crate::codec::{RunOutcome, Snapshot, SoaColumns, StateCodec};
 use crate::engine::Verdict;
+use std::collections::BTreeMap;
 use treelocal_graph::{widen_u64, NodeId, OrInvariant};
 
-/// Double-buffered frontier executor for synchronous LOCAL rounds.
+/// Double-buffered executor for synchronous LOCAL rounds.
 ///
 /// The lifecycle is: [`ExecCore::new`] → one [`ExecCore::seed`] per
 /// participating node → repeat { [`ExecCore::begin_round`] +
@@ -32,73 +44,113 @@ pub struct ExecCore<S: StateCodec> {
     /// Current lane columns. During a step these hold the *previous*
     /// round's states.
     main: SoaColumns<S>,
-    /// Verdict scratch columns, written for frontier rows only.
+    /// Verdict scratch columns, written for awake rows only.
     scratch: SoaColumns<S>,
-    /// Whether the scratch row of a frontier node carries a halting
-    /// verdict this round.
+    /// Whether the scratch row of an awake node carries a halting verdict
+    /// this round.
     scratch_halted: Vec<bool>,
     /// `seeded[i]` iff slot `i` participates.
     seeded: Vec<bool>,
-    /// `active[i]` iff slot `i` holds a frontier node.
+    /// `active[i]` iff slot `i` holds a live (awake or sleeping) node.
     active: Vec<bool>,
-    /// Nodes still running, in seeding order.
-    frontier: Vec<NodeId>,
+    /// The nodes the current round steps: the awake survivors of earlier
+    /// rounds in their order, then the nodes woken this round in seeding
+    /// order.
+    awake: Vec<NodeId>,
+    /// Sleeping nodes by wake round, each bucket in seeding order.
+    asleep: BTreeMap<u64, Vec<NodeId>>,
+    /// Every live node in seeding order, the transcript's frontier; kept
+    /// only while the transcript recorder is armed.
+    recorded_frontier: Option<Vec<NodeId>>,
     /// Communication rounds executed so far.
     rounds: u64,
+}
+
+/// Names the invariant that only seeding puts a node to sleep.
+const SLEEP_AT_SEED: &str = "a node sleeps only from seeding, never from a step (sleep-at-seed)";
+
+/// A step's verdict as `(state, halts)`. Checked in every profile: a step
+/// that returned [`Verdict::SleepUntil`] would drop an awake node from
+/// every later round without halting it.
+fn stepped<S>(verdict: Verdict<S>) -> (S, bool) {
+    match verdict {
+        Verdict::Active(s) => Some((s, false)),
+        Verdict::Halted(s) => Some((s, true)),
+        Verdict::SleepUntil(..) => None,
+    }
+    .or_invariant(SLEEP_AT_SEED)
 }
 
 impl<S: StateCodec> ExecCore<S> {
     /// An empty core over `index_space` state slots.
     pub fn new(index_space: usize) -> Self {
-        crate::transcript::segment_start();
+        let recording = crate::transcript::segment_start();
         ExecCore {
             main: SoaColumns::new(index_space),
             scratch: SoaColumns::new(index_space),
             scratch_halted: vec![false; index_space],
             seeded: vec![false; index_space],
             active: vec![false; index_space],
-            frontier: Vec::new(),
+            awake: Vec::new(),
+            asleep: BTreeMap::new(),
+            recorded_frontier: recording.then(Vec::new),
             rounds: 0,
         }
     }
 
     /// Registers node `v` with its round-0 verdict. A node seeded
-    /// [`Verdict::Halted`] contributes its lanes but never enters the
-    /// frontier.
+    /// [`Verdict::Halted`] contributes its lanes but never steps; a node
+    /// seeded [`Verdict::SleepUntil`] first steps in its wake round.
     ///
     /// # Panics
     ///
-    /// Panics if `v` was already seeded. This is a hard invariant, not a
-    /// `debug_assert`: a re-seeded Active node would sit on the frontier
-    /// twice and be stepped twice per round, corrupting release-build
-    /// executions silently.
+    /// Panics if `v` was already seeded, or if its wake round is not a
+    /// round still to come. Both are hard invariants, not `debug_assert`s:
+    /// a re-seeded live node would be stepped twice per round, and a
+    /// sleeper whose wake round has passed would never wake, corrupting
+    /// release-build executions silently.
     pub fn seed(&mut self, v: NodeId, verdict: Verdict<S>) {
         assert!(!self.seeded[v.index()], "node {v:?} seeded twice");
         self.seeded[v.index()] = true;
-        match verdict {
-            Verdict::Active(s) => {
-                self.main.write(v, &s);
-                self.active[v.index()] = true;
-                self.frontier.push(v);
-            }
+        let (state, wake) = match verdict {
             Verdict::Halted(s) => {
                 self.main.write(v, &s);
                 crate::transcript::record_halt(v, 0);
+                return;
+            }
+            Verdict::Active(s) => (s, None),
+            Verdict::SleepUntil(s, round) => (s, Some(round)),
+        };
+        self.main.write(v, &state);
+        self.active[v.index()] = true;
+        if let Some(frontier) = &mut self.recorded_frontier {
+            frontier.push(v);
+        }
+        match wake {
+            None => self.awake.push(v),
+            Some(round) => {
+                assert!(
+                    round > self.rounds,
+                    "node {v:?} sleeps until round {round}, which is not a round to come \
+                     (wake-round invariant)"
+                );
+                self.asleep.entry(round).or_default().push(v);
             }
         }
     }
 
-    /// `true` once every node has halted.
+    /// `true` once every node has halted: none is awake and none sleeps.
     pub fn is_done(&self) -> bool {
-        self.frontier.is_empty()
+        self.awake.is_empty() && self.asleep.is_empty()
     }
 
-    /// The nodes that will execute the next round, in deterministic order.
-    pub fn frontier(&self) -> &[NodeId] {
-        &self.frontier
+    /// The awake list: after [`ExecCore::begin_round`], the nodes this
+    /// round steps, in deterministic order. Sleepers are not on it.
+    pub fn awake(&self) -> &[NodeId] {
+        &self.awake
     }
 
-    /// Whether `v` is still running — frontier membership in O(1).
+    /// Whether `v` is still running (awake or asleep) in O(1).
     pub fn is_active(&self, v: NodeId) -> bool {
         self.active[v.index()]
     }
@@ -118,101 +170,102 @@ impl<S: StateCodec> ExecCore<S> {
         self.main.read(v)
     }
 
-    /// Starts a communication round, returning its 1-based number.
+    /// Starts a communication round, returning its 1-based number. The
+    /// sleepers whose wake round this is join the end of the awake list.
+    /// A round in which no node is awake still counts.
     ///
     /// # Panics
     ///
     /// Panics when the round budget is exhausted — a deterministic LOCAL
     /// algorithm exceeding a generous budget is a bug, not a runtime
-    /// condition.
+    /// condition. Sleepers count: a wake round beyond the budget trips it.
     pub fn begin_round(&mut self, max_rounds: u64) -> u64 {
         assert!(
             self.rounds < max_rounds,
             "algorithm did not halt within {max_rounds} rounds (still {} active)",
-            self.frontier.len()
+            self.awake.len() + self.asleep.values().map(Vec::len).sum::<usize>()
         );
-        crate::counters::record_round(widen_u64(self.frontier.len()));
-        crate::transcript::record_round(&self.frontier);
         self.rounds += 1;
+        if let Some(woken) = self.asleep.remove(&self.rounds) {
+            self.awake.extend(woken);
+        }
+        crate::counters::record_round(widen_u64(self.awake.len()));
+        if let Some(frontier) = &mut self.recorded_frontier {
+            let active = &self.active;
+            frontier.retain(|v| active[v.index()]);
+            crate::transcript::record_round(frontier);
+        }
         self.rounds
     }
 
-    /// Executes one round in snapshot style: every frontier node observes
-    /// the previous round's columns and returns its verdict.
+    /// Executes one round in snapshot style: every awake node observes the
+    /// previous round's columns and returns its verdict.
     ///
-    /// With `threads > 1` and a frontier of at least `PAR_FRONTIER_MIN`
-    /// nodes, frontier chunks step concurrently on pool workers against the
-    /// shared previous-round columns; verdicts are collected positionally
-    /// and encoded into the main columns **sequentially in frontier
-    /// order**. Otherwise the frontier steps inline into the scratch
-    /// columns, which then commit in frontier order. Either way all reads
-    /// happen before any main row is rewritten, and the same bytes land in
-    /// the same write order for every pool size.
+    /// With `threads > 1` and at least `PAR_FRONTIER_MIN` awake nodes,
+    /// chunks of the awake list step concurrently on pool workers against
+    /// the shared previous-round columns; verdicts are collected
+    /// positionally and encoded into the main columns **sequentially in
+    /// awake order**. Otherwise the awake nodes step inline into the
+    /// scratch columns, which then commit in awake order. Either way all
+    /// reads happen before any main row is rewritten, and the same bytes
+    /// land in the same write order for every pool size.
     pub fn step_snapshot<F>(&mut self, threads: usize, step: F)
     where
         F: Fn(NodeId, S, &Snapshot<'_, S>) -> Verdict<S> + Sync,
         S: Send,
     {
-        if threads > 1 && self.frontier.len() >= crate::par::PAR_FRONTIER_MIN {
+        if threads > 1 && self.awake.len() >= crate::par::PAR_FRONTIER_MIN {
             let verdicts = {
                 let snap = Snapshot::over(&self.main, &self.seeded);
-                crate::par::par_map(&self.frontier, threads, |_, &v| step(v, snap.get(v), &snap))
+                crate::par::par_map(&self.awake, threads, |_, &v| step(v, snap.get(v), &snap))
             };
-            self.commit_in_frontier_order(verdicts);
+            self.commit_in_awake_order(verdicts);
         } else {
             self.step_snapshot_inline(step);
         }
     }
 
     /// The inline half of [`ExecCore::step_snapshot`]: verdicts go to the
-    /// scratch columns, then commit in frontier order.
+    /// scratch columns, then commit in awake order.
     fn step_snapshot_inline<F>(&mut self, mut step: F)
     where
         F: FnMut(NodeId, S, &Snapshot<'_, S>) -> Verdict<S>,
     {
         let snap = Snapshot::over(&self.main, &self.seeded);
-        for idx in 0..self.frontier.len() {
-            let v = self.frontier[idx];
+        for idx in 0..self.awake.len() {
+            let v = self.awake[idx];
             let own = self.main.read(v);
-            match step(v, own, &snap) {
-                Verdict::Active(s) => {
-                    self.scratch.write(v, &s);
-                    self.scratch_halted[v.index()] = false;
-                }
-                Verdict::Halted(s) => {
-                    self.scratch.write(v, &s);
-                    self.scratch_halted[v.index()] = true;
-                }
-            }
+            let (s, halts) = stepped(step(v, own, &snap));
+            self.scratch.write(v, &s);
+            self.scratch_halted[v.index()] = halts;
         }
         self.commit();
     }
 
     /// Executes one round in owned style (the message engine's receive
-    /// phase): every frontier node consumes its decoded state and returns
-    /// its verdict. An owned step reads no neighbor lanes, so inline
-    /// verdicts commit directly to the main columns as the frontier is
-    /// walked — byte-identical to a scratch commit, one copy cheaper. With
-    /// `threads > 1` and a large frontier, states are decoded and stepped
-    /// on pool workers and the verdicts commit sequentially in frontier
-    /// order.
+    /// phase): every awake node consumes its decoded state and returns its
+    /// verdict. An owned step reads no neighbor lanes, so inline verdicts
+    /// commit directly to the main columns as the awake list is walked —
+    /// byte-identical to a scratch commit, one copy cheaper. With
+    /// `threads > 1` and a large awake list, states are decoded and
+    /// stepped on pool workers and the verdicts commit sequentially in
+    /// awake order.
     pub fn step_owned<F>(&mut self, threads: usize, step: F)
     where
         F: Fn(NodeId, S) -> Verdict<S> + Sync,
         S: Send,
     {
-        if threads > 1 && self.frontier.len() >= crate::par::PAR_FRONTIER_MIN {
+        if threads > 1 && self.awake.len() >= crate::par::PAR_FRONTIER_MIN {
             let main = &self.main;
-            let verdicts =
-                crate::par::par_map(&self.frontier, threads, |_, &v| step(v, main.read(v)));
-            self.commit_in_frontier_order(verdicts);
+            let verdicts = crate::par::par_map(&self.awake, threads, |_, &v| step(v, main.read(v)));
+            self.commit_in_awake_order(verdicts);
         } else {
             self.step_owned_inline(step);
         }
     }
 
     /// The inline half of [`ExecCore::step_owned`]: verdicts commit
-    /// straight to the main columns as the frontier is walked.
+    /// straight to the main columns as the awake list is walked.
     fn step_owned_inline<F>(&mut self, mut step: F)
     where
         F: FnMut(NodeId, S) -> Verdict<S>,
@@ -220,62 +273,54 @@ impl<S: StateCodec> ExecCore<S> {
         let main = &mut self.main;
         let active = &mut self.active;
         let rounds = self.rounds;
-        self.frontier.retain(|&v| match step(v, main.read(v)) {
-            Verdict::Active(s) => {
-                main.write(v, &s);
-                true
-            }
-            Verdict::Halted(s) => {
-                main.write(v, &s);
+        self.awake.retain(|&v| {
+            let (s, halts) = stepped(step(v, main.read(v)));
+            main.write(v, &s);
+            if halts {
                 active[v.index()] = false;
                 crate::transcript::record_halt(v, rounds);
-                false
             }
+            !halts
         });
     }
 
     /// Commits a round whose verdicts were collected positionally (one per
-    /// frontier node, in frontier order). Identical retain semantics to
+    /// awake node, in awake order). Identical retain semantics to
     /// [`ExecCore::commit`].
-    fn commit_in_frontier_order(&mut self, verdicts: Vec<Verdict<S>>) {
+    fn commit_in_awake_order(&mut self, verdicts: Vec<Verdict<S>>) {
         // Checked in every profile: a mismatched batch would silently pair
         // verdicts with the wrong nodes, breaking byte-identical parallel
         // equivalence in exactly the builds that run large instances.
         assert_eq!(
             verdicts.len(),
-            self.frontier.len(),
-            "one verdict per frontier node, in frontier order (commit-order invariant)"
+            self.awake.len(),
+            "one verdict per awake node, in awake order (commit-order invariant)"
         );
         let main = &mut self.main;
         let active = &mut self.active;
         let rounds = self.rounds;
         let mut verdicts = verdicts.into_iter();
-        self.frontier.retain(|&v| {
-            match verdicts.next().or_invariant("one verdict per frontier node") {
-                Verdict::Active(s) => {
-                    main.write(v, &s);
-                    true
-                }
-                Verdict::Halted(s) => {
-                    main.write(v, &s);
-                    active[v.index()] = false;
-                    crate::transcript::record_halt(v, rounds);
-                    false
-                }
+        self.awake.retain(|&v| {
+            let (s, halts) = stepped(verdicts.next().or_invariant("one verdict per awake node"));
+            main.write(v, &s);
+            if halts {
+                active[v.index()] = false;
+                crate::transcript::record_halt(v, rounds);
             }
+            !halts
         });
     }
 
-    /// Commits the round: copies every frontier node's scratch row into
-    /// the main columns (in frontier order) and drops newly halted nodes
-    /// from the frontier (order preserved).
+    /// Commits the round: copies every awake node's scratch row into the
+    /// main columns (in awake order) and drops newly halted nodes from the
+    /// awake list (order preserved).
     fn commit(&mut self) {
         let main = &mut self.main;
         let scratch = &self.scratch;
         let scratch_halted = &self.scratch_halted;
         let active = &mut self.active;
         let rounds = self.rounds;
-        self.frontier.retain(|&v| {
+        self.awake.retain(|&v| {
             main.copy_row_from(scratch, v);
             if scratch_halted[v.index()] {
                 active[v.index()] = false;
@@ -293,9 +338,9 @@ impl<S: StateCodec> ExecCore<S> {
     ///
     /// # Panics
     ///
-    /// Panics if called while nodes are still active.
+    /// Panics if called while nodes are still awake or asleep.
     pub fn finish(self) -> RunOutcome<S> {
-        assert!(self.frontier.is_empty(), "finish() before quiescence");
+        assert!(self.is_done(), "finish() before quiescence");
         RunOutcome { columns: self.main, seeded: self.seeded, rounds: self.rounds }
     }
 }
@@ -311,7 +356,7 @@ mod tests {
         core.seed(NodeId::new(0), Verdict::Halted(7));
         core.seed(NodeId::new(1), Verdict::Active(1));
         core.seed(NodeId::new(2), Verdict::Active(2));
-        assert_eq!(core.frontier(), &[NodeId::new(1), NodeId::new(2)]);
+        assert_eq!(core.awake(), &[NodeId::new(1), NodeId::new(2)]);
         assert!(!core.is_done());
         assert_eq!(core.state(NodeId::new(0)), 7);
         assert!(!core.is_active(NodeId::new(0)));
@@ -336,7 +381,7 @@ mod tests {
         });
         for i in 0..4 {
             let v = NodeId::new(i);
-            assert_eq!(core.is_active(v), core.frontier().contains(&v), "slot {i}");
+            assert_eq!(core.is_active(v), core.awake().contains(&v), "slot {i}");
         }
     }
 
@@ -355,7 +400,7 @@ mod tests {
                 Verdict::Active(own + 1)
             }
         });
-        assert_eq!(core.frontier(), &[NodeId::new(0), NodeId::new(2)]);
+        assert_eq!(core.awake(), &[NodeId::new(0), NodeId::new(2)]);
         assert_eq!(core.state(NodeId::new(1)), 2);
         assert_eq!(core.state(NodeId::new(3)), 6);
         // Round 2: survivors read a halted neighbor's frozen lanes via the
@@ -427,6 +472,96 @@ mod tests {
         assert_eq!(out.state(NodeId::new(0)), 5);
     }
 
+    #[test]
+    fn a_sleeper_is_stepped_only_from_its_wake_round() {
+        let mut core: ExecCore<u32> = ExecCore::new(3);
+        core.seed(NodeId::new(0), Verdict::Active(0));
+        core.seed(NodeId::new(1), Verdict::SleepUntil(10, 3));
+        core.seed(NodeId::new(2), Verdict::SleepUntil(20, 2));
+        assert_eq!(core.awake(), &[NodeId::new(0)]);
+        let mut stepped_by_round = Vec::new();
+        while !core.is_done() {
+            let round = core.begin_round(10);
+            stepped_by_round.push(core.awake().to_vec());
+            core.step_snapshot(1, |v, own, _| {
+                if round == 4 {
+                    Verdict::Halted(own)
+                } else {
+                    assert!(v.index() == 0 || round >= [0, 3, 2][v.index()], "{v:?} in {round}");
+                    Verdict::Active(own + 1)
+                }
+            });
+        }
+        let (n0, n1, n2) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        // Woken nodes join the end of the awake list, in seeding order.
+        assert_eq!(stepped_by_round, [vec![n0], vec![n0, n2], vec![n0, n2, n1], vec![n0, n2, n1]]);
+        let out = core.finish();
+        assert_eq!(out.rounds, 4);
+        assert_eq!(out.states().collect::<Vec<_>>(), [Some(3), Some(11), Some(22)]);
+    }
+
+    #[test]
+    fn awake_neighbours_read_a_sleepers_seeded_lanes() {
+        let mut core: ExecCore<u32> = ExecCore::new(2);
+        core.seed(NodeId::new(0), Verdict::Active(1));
+        core.seed(NodeId::new(1), Verdict::SleepUntil(40, 2));
+        assert!(core.is_active(NodeId::new(1)), "a sleeper is still running");
+        core.begin_round(10);
+        core.step_snapshot(1, |_, own, snap| Verdict::Halted(own + snap.get(NodeId::new(1))));
+        assert_eq!(core.state(NodeId::new(0)), 41);
+        core.begin_round(10);
+        core.step_snapshot(1, |_, own, _| Verdict::Halted(own + 1));
+        let out = core.finish();
+        assert_eq!(out.state(NodeId::new(1)), 41);
+    }
+
+    #[test]
+    fn a_round_with_only_sleepers_still_counts() {
+        let mut core: ExecCore<u32> = ExecCore::new(1);
+        core.seed(NodeId::new(0), Verdict::SleepUntil(5, 3));
+        for round in 1..=2 {
+            assert!(!core.is_done(), "only a sleeper remains before round {round}");
+            assert_eq!(core.begin_round(10), round);
+            assert!(core.awake().is_empty());
+            core.step_snapshot(1, |v, _, _| unreachable!("{v:?} stepped while asleep"));
+            assert_eq!(core.rounds(), round);
+        }
+        assert!(!core.is_done());
+        assert_eq!(core.begin_round(10), 3);
+        core.step_owned(1, |_, own| Verdict::Halted(own * 2));
+        assert!(core.is_done());
+        let out = core.finish();
+        assert_eq!(out.rounds, 3);
+        assert_eq!(out.state(NodeId::new(0)), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "did not halt within 3 rounds (still 1 active)")]
+    fn a_wake_round_beyond_the_budget_trips_it() {
+        let mut core: ExecCore<u32> = ExecCore::new(1);
+        core.seed(NodeId::new(0), Verdict::SleepUntil(0, 5));
+        while !core.is_done() {
+            core.begin_round(3);
+            core.step_snapshot(1, |_, own, _| Verdict::Halted(own));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wake-round invariant")]
+    fn a_sleeper_must_wake_in_a_round_to_come() {
+        let mut core: ExecCore<u32> = ExecCore::new(1);
+        core.seed(NodeId::new(0), Verdict::SleepUntil(0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "sleep-at-seed")]
+    fn a_step_cannot_put_a_node_to_sleep() {
+        let mut core: ExecCore<u32> = ExecCore::new(1);
+        core.seed(NodeId::new(0), Verdict::Active(0));
+        core.begin_round(10);
+        core.step_owned(1, |_, own| Verdict::SleepUntil(own, 5));
+    }
+
     /// The commit-order invariant holds in *every* build profile: this
     /// suite also runs under `--release` in CI, where a `debug_assert`
     /// would compile away.
@@ -436,7 +571,7 @@ mod tests {
         let mut core: ExecCore<u32> = ExecCore::new(2);
         core.seed(NodeId::new(0), Verdict::Active(1));
         core.seed(NodeId::new(1), Verdict::Active(2));
-        core.commit_in_frontier_order(vec![Verdict::Active(9)]);
+        core.commit_in_awake_order(vec![Verdict::Active(9)]);
     }
 
     #[test]
@@ -444,7 +579,7 @@ mod tests {
     fn oversized_verdict_batches_are_rejected_in_every_profile() {
         let mut core: ExecCore<u32> = ExecCore::new(1);
         core.seed(NodeId::new(0), Verdict::Active(1));
-        core.commit_in_frontier_order(vec![Verdict::Active(9), Verdict::Active(8)]);
+        core.commit_in_awake_order(vec![Verdict::Active(9), Verdict::Active(8)]);
     }
 
     /// A one-u32-lane newtype state: the tests below pin the same
@@ -469,7 +604,7 @@ mod tests {
         core.seed(NodeId::new(0), Verdict::Halted(Lane(7)));
         core.seed(NodeId::new(1), Verdict::Active(Lane(1)));
         core.seed(NodeId::new(2), Verdict::Active(Lane(2)));
-        assert_eq!(core.frontier(), &[NodeId::new(1), NodeId::new(2)]);
+        assert_eq!(core.awake(), &[NodeId::new(1), NodeId::new(2)]);
         assert!(!core.is_done());
         assert_eq!(core.state(NodeId::new(0)), Lane(7));
         assert!(!core.is_active(NodeId::new(0)));
@@ -490,7 +625,7 @@ mod tests {
                 Verdict::Active(Lane(own.0 + 1))
             }
         });
-        assert_eq!(core.frontier(), &[NodeId::new(0), NodeId::new(2)]);
+        assert_eq!(core.awake(), &[NodeId::new(0), NodeId::new(2)]);
         assert_eq!(core.state(NodeId::new(1)), Lane(2));
         assert_eq!(core.state(NodeId::new(3)), Lane(6));
         // Survivors read a halted neighbor's frozen lanes via the snapshot.

@@ -265,10 +265,10 @@ fn send_phase<T, A>(
     A::State: Send,
     A::Msg: Send + Sync,
 {
-    if threads > 1 && core.frontier().len() >= crate::par::PAR_FRONTIER_MIN {
+    if threads > 1 && core.awake().len() >= crate::par::PAR_FRONTIER_MIN {
         let mut buckets = {
             let shared: &Router<A::Msg> = router;
-            crate::par::par_map(core.frontier(), threads, |_, &v| {
+            crate::par::par_map(core.awake(), threads, |_, &v| {
                 let mut bucket = Vec::new();
                 outgoing_into(ctx, algo, round, v, core, shared, &mut bucket);
                 bucket
@@ -280,8 +280,8 @@ fn send_phase<T, A>(
         return;
     }
     let mut scratch = Vec::new();
-    for idx in 0..core.frontier().len() {
-        let v = core.frontier()[idx];
+    for idx in 0..core.awake().len() {
+        let v = core.awake()[idx];
         outgoing_into(ctx, algo, round, v, core, router, &mut scratch);
         router.deliver(&mut scratch);
     }
@@ -289,8 +289,9 @@ fn send_phase<T, A>(
 
 /// Runs a message-passing algorithm until every node halts.
 ///
-/// Built on the shared [`ExecCore`](crate::ExecCore): the send phase walks
-/// the active frontier (terminated nodes are silent by construction, and
+/// Built on the shared [`ExecCore`](crate::ExecCore). Every node is seeded
+/// awake, so the core's awake list is the whole frontier of running nodes:
+/// the send phase walks it (terminated nodes are silent by construction, and
 /// messages *to* terminated nodes are dropped unrouted), the receive phase
 /// consumes decoded frontier states by value, and round accounting is the
 /// core's — identical to the snapshot engine's, which is what the
@@ -325,8 +326,8 @@ where
         // node); account it so driver ETAs stay honest on message-heavy
         // suites. Counted per phase, never per worker, so totals are
         // pool-size-invariant.
-        crate::counters::record_send_round(widen_u64(core.frontier().len()));
-        router.clear_frontier(core.frontier());
+        crate::counters::record_send_round(widen_u64(core.awake().len()));
+        router.clear_frontier(core.awake());
         send_phase(ctx, algo, round, &core, &mut router, threads);
         core.step_owned(threads, |v, state| algo.receive(ctx, v, round, state, router.inbox(v)));
     }
@@ -573,10 +574,10 @@ mod tests {
         let range0 = router.range(NodeId::new(0));
         router.slots[range0.start] = Some(99);
         for round in 1..=3u64 {
-            router.clear_frontier(core.frontier());
+            router.clear_frontier(core.awake());
             let mut scratch = Vec::new();
-            for idx in 0..core.frontier().len() {
-                let v = core.frontier()[idx];
+            for idx in 0..core.awake().len() {
+                let v = core.awake()[idx];
                 // MaxIdMsg sends `Some(state)` on every port, so node 1
                 // addresses node 0 each round; the message must be dropped.
                 outgoing_into(&ctx, &MaxIdMsg, round, v, &core, &router, &mut scratch);

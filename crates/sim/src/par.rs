@@ -29,8 +29,8 @@ use std::sync::mpsc;
 /// without shrinking chunks so far that claiming dominates.
 const CHUNKS_PER_WORKER: usize = 4;
 
-/// Below this frontier size a round phase is cheaper than the scoped
-/// fork/join, so the engines run it inline. The choice cannot affect
+/// Below this many awake nodes (sleepers do not count) a round phase is
+/// cheaper than the scoped fork/join, so the engines run it inline. The choice cannot affect
 /// results, only speed — both [`crate::ExecCore`] stepping styles and the
 /// message engine's send phase share this one threshold.
 pub(crate) const PAR_FRONTIER_MIN: usize = 1024;

@@ -142,8 +142,14 @@ fn with_recorder(f: impl FnOnce(&mut Recorder)) {
 }
 
 /// A new engine run (one per core construction) starts a fresh segment.
-pub(crate) fn segment_start() {
-    with_recorder(|rec| rec.segments.push(RawSegment::default()));
+/// Returns whether the run is recorded.
+pub(crate) fn segment_start() -> bool {
+    let mut recording = false;
+    with_recorder(|rec| {
+        rec.segments.push(RawSegment::default());
+        recording = true;
+    });
+    recording
 }
 
 /// Records that `v` halted after `round` rounds (0 = halted at seeding).
@@ -251,6 +257,44 @@ mod tests {
             assert_eq!(c, h, "round {round}");
             chain = h;
         }
+    }
+
+    /// [`Countdown`] with every node asleep until its halting round.
+    struct SleepyCountdown;
+    impl<T: Topology> SyncAlgorithm<T> for SleepyCountdown {
+        type State = u64;
+        fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<u64> {
+            let round = widen_u64(v.index()) + 1;
+            Verdict::SleepUntil(round, round)
+        }
+        fn step(
+            &self,
+            _ctx: &Ctx<T>,
+            _v: NodeId,
+            round: u64,
+            own: u64,
+            _prev: &Snapshot<'_, u64>,
+        ) -> Verdict<u64> {
+            assert_eq!(round, own, "stepped only in its wake round");
+            Verdict::Halted(own)
+        }
+    }
+
+    #[test]
+    fn sleepers_stay_on_the_committed_frontier() {
+        // A sleeper is still running: every round commits the same
+        // frontier whether its nodes poll or sleep until they halt.
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let ctx = Ctx::of(&g);
+        begin();
+        let polled = run(&ctx, &Countdown, 10);
+        let polled_t = take();
+        begin();
+        let slept = run(&ctx, &SleepyCountdown, 10);
+        let slept_t = take();
+        assert_eq!(polled.rounds, slept.rounds);
+        assert!(polled.states().eq(slept.states()));
+        assert_eq!(polled_t, slept_t);
     }
 
     #[test]

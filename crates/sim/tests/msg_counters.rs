@@ -1,14 +1,16 @@
 //! Exact work-counter accounting for the message engine.
 //!
 //! The process-wide counters (`treelocal_sim::counters`) are what the
-//! bench driver's progress/ETA lines report, so two properties are pinned
+//! bench driver's progress/ETA lines report, so three properties are pinned
 //! *exactly* here:
 //!
 //! * a message run records its send-phase work — one send step per
 //!   frontier node per round, symmetric with the receive-side node steps —
 //!   while the snapshot engine records none;
 //! * every counter total is **pool-size-invariant**: phases count once per
-//!   round, never per worker.
+//!   round, never per worker;
+//! * node steps count only awake nodes: a sleeper counts in the one round
+//!   it steps, not in the rounds it waits.
 //!
 //! The counters are global and monotone, so every test in this binary
 //! serializes on one mutex; keep counter-oblivious tests out of this file.
@@ -112,6 +114,43 @@ fn snapshot_engine_records_no_send_steps() {
     assert_eq!(r1 - r0, 5, "rounds");
     assert_eq!(s1 - s0, 15, "node steps");
     assert_eq!(m1 - m0, 0, "the snapshot engine has no send phase");
+}
+
+/// [`HaltAtIdSnap`] with every node asleep until its halting round.
+struct SleepUntilId;
+
+impl<T: Topology> SyncAlgorithm<T> for SleepUntilId {
+    type State = u64;
+
+    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<u64> {
+        let id = ctx.topo.local_id(v);
+        Verdict::SleepUntil(id, id)
+    }
+
+    fn step(
+        &self,
+        _ctx: &Ctx<T>,
+        _v: NodeId,
+        _round: u64,
+        own: u64,
+        _prev: &Snapshot<'_, u64>,
+    ) -> Verdict<u64> {
+        Verdict::Halted(own)
+    }
+}
+
+#[test]
+fn sleepers_count_only_the_round_they_step() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let g = path(5);
+    let ctx = Ctx::of(&g);
+    let (r0, s0, _) = counters::snapshot();
+    let out = run(&ctx, &SleepUntilId, 10);
+    let (r1, s1, _) = counters::snapshot();
+    // The same five rounds as the polling run above, one step each.
+    assert_eq!(out.rounds, 5);
+    assert_eq!(r1 - r0, 5, "rounds");
+    assert_eq!(s1 - s0, 5, "node steps");
 }
 
 /// [`HaltAtId`] with bounded staggering (halt at round `id % 13 + 1`): the

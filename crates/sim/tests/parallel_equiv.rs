@@ -50,14 +50,60 @@ impl<T: Topology> SyncAlgorithm<T> for StaggeredHash {
         own: HashState,
         prev: &Snapshot<'_, HashState>,
     ) -> Verdict<HashState> {
-        let mut acc = own.acc;
-        for &w in ctx.topo.neighbor_nodes(v) {
-            let s = prev.get(w);
-            acc = acc.wrapping_mul(0x100000001b3).wrapping_add(s.value ^ s.acc);
-        }
-        let value = own.value.wrapping_mul(6364136223846793005).wrapping_add(acc | 1);
-        let next = HashState { value, acc };
+        let next = hash_neighbors(ctx, v, own, prev);
         if round >= 3 + ctx.topo.local_id(v) % 7 {
+            Verdict::Halted(next)
+        } else {
+            Verdict::Active(next)
+        }
+    }
+}
+
+/// Folds the neighbors' previous-round states into `own`, in neighbor order.
+fn hash_neighbors<T: Topology>(
+    ctx: &Ctx<T>,
+    v: NodeId,
+    own: HashState,
+    prev: &Snapshot<'_, HashState>,
+) -> HashState {
+    let mut acc = own.acc;
+    for &w in ctx.topo.neighbor_nodes(v) {
+        let s = prev.get(w);
+        acc = acc.wrapping_mul(0x100000001b3).wrapping_add(s.value ^ s.acc);
+    }
+    let value = own.value.wrapping_mul(6364136223846793005).wrapping_add(acc | 1);
+    HashState { value, acc }
+}
+
+/// [`StaggeredHash`] with three in four nodes seeded asleep until round 1,
+/// 2 or 3: awake nodes fold their sleeping neighbors' frozen lanes, woken
+/// nodes join the awake list mid-run, and from round 3 every live node is
+/// awake, so the pooled path runs on a list assembled from wake buckets.
+struct StaggeredSleep;
+
+impl<T: Topology> SyncAlgorithm<T> for StaggeredSleep {
+    type State = HashState;
+
+    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<HashState> {
+        let id = ctx.topo.local_id(v);
+        let state = HashState { value: id, acc: 0 };
+        if id.is_multiple_of(4) {
+            Verdict::Active(state)
+        } else {
+            Verdict::SleepUntil(state, 1 + id % 3)
+        }
+    }
+
+    fn step(
+        &self,
+        ctx: &Ctx<T>,
+        v: NodeId,
+        round: u64,
+        own: HashState,
+        prev: &Snapshot<'_, HashState>,
+    ) -> Verdict<HashState> {
+        let next = hash_neighbors(ctx, v, own, prev);
+        if round >= 4 + ctx.topo.local_id(v) % 5 {
             Verdict::Halted(next)
         } else {
             Verdict::Active(next)
@@ -100,6 +146,24 @@ fn pool_size_does_not_leak_into_results_on_paths_and_stars() {
         for threads in [2usize, 3, 8] {
             let parallel = par::with_threads(threads, || run(&ctx, &StaggeredHash, 100));
             assert_identical(&sequential, &parallel, &format!("{label}, {threads} threads"));
+        }
+    }
+}
+
+#[test]
+fn sleeper_seeding_runs_match_the_sequential_run() {
+    for seed in 0..3u64 {
+        let n = 1500 + 1000 * usize::try_from(seed).unwrap(); // every node awake in round 3
+        let tree = treelocal_gen::relabel(
+            &treelocal_gen::random_tree(n, seed),
+            treelocal_gen::IdStrategy::Permuted { seed },
+        );
+        let ctx = Ctx::of(&tree);
+        let sequential = par::with_threads(1, || run(&ctx, &StaggeredSleep, 100));
+        assert_eq!(sequential.rounds, 8);
+        for threads in [2usize, 4] {
+            let parallel = par::with_threads(threads, || run(&ctx, &StaggeredSleep, 100));
+            assert_identical(&sequential, &parallel, &format!("n {n}, {threads} threads"));
         }
     }
 }

@@ -34,7 +34,7 @@ fn double_seeding_is_rejected_in_every_profile() {
         // Pre-fix, in release builds, this second seed went through and
         // node 0 sat on the frontier twice.
         core.seed(NodeId::new(0), Verdict::Active(2));
-        core.frontier().len()
+        core.awake().len()
     });
     match result {
         Err(payload) => {
@@ -57,6 +57,26 @@ fn reseeding_a_halted_node_is_rejected_in_every_profile() {
     });
     let payload = result.expect_err("re-seeding a halted node must panic");
     assert!(panic_message(payload.as_ref()).contains("seeded twice"));
+}
+
+/// Only seeding may put a node to sleep. A step that returned
+/// `SleepUntil` would drop an awake node from every later round without
+/// halting it, so the run fails a named invariant in every profile.
+#[test]
+fn a_step_that_sleeps_fails_its_invariant_in_every_profile() {
+    for threads in [1, 2] {
+        let result = std::panic::catch_unwind(|| {
+            let mut core: ExecCore<u32> = ExecCore::new(2048);
+            for i in 0..2048 {
+                core.seed(NodeId::new(i), Verdict::Active(0));
+            }
+            core.begin_round(10);
+            core.step_snapshot(threads, |_, own, _| Verdict::SleepUntil(own, 5));
+        });
+        let payload = result.expect_err("a sleeping step verdict must be rejected");
+        let msg = panic_message(payload.as_ref());
+        assert!(msg.contains("(sleep-at-seed)"), "unexpected panic with {threads} threads: {msg}");
+    }
 }
 
 /// Two components; every pick below returns a node from the wrong one.

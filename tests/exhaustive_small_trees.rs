@@ -1,13 +1,20 @@
 //! Exhaustive verification on *every* labeled tree with up to 6 nodes
-//! (enumerated via Cayley's bijection: all Prüfer sequences). Both
-//! transformation pipelines must produce verified solutions on every
-//! single tree — no sampling, no seeds.
+//! (enumerated via Cayley's bijection: all Prüfer sequences). The four
+//! public tree pipelines (Theorem 1's MIS and `(deg+1)`-colouring, Theorem
+//! 3's maximal matching and `(edge-degree+1)`-edge colouring) must produce
+//! solutions that both the `classic` validators and the engine-blind
+//! checker's rule table accept on every single tree — no sampling, no
+//! seeds. Between them the pipelines run all four colour-class sweep
+//! rules.
 
-use treelocal::algos::{EdgeColoringAlgo, MatchingAlgo, MisAlgo};
-use treelocal::core::{ArbTransform, TreeTransform};
+use treelocal::check::{check_solution, EdgePalette, Palette, Rule, Solution};
+use treelocal::core::{coloring_on_tree, edge_coloring_on_tree, matching_on_tree, mis_on_tree};
 use treelocal::gen::decode_prufer;
 use treelocal::graph::Graph;
-use treelocal::problems::{classic, EdgeDegreeColoring, MaximalMatching, Mis};
+use treelocal::problems::classic;
+
+/// Cayley's count of labeled trees on `2..=6` nodes: `n^(n-2)`.
+const TREES_UP_TO_6: usize = 1 + 3 + 16 + 125 + 1296;
 
 fn all_trees(n: usize) -> Vec<Graph> {
     assert!(n >= 2);
@@ -30,44 +37,69 @@ fn all_trees(n: usize) -> Vec<Graph> {
     out
 }
 
-#[test]
-fn mis_transform_on_every_tree_up_to_6() {
+/// Runs `judge` on every labeled tree with 2 to 6 nodes.
+fn for_every_tree_up_to_6(mut judge: impl FnMut(usize, &Graph)) {
     let mut total = 0usize;
     for n in 2..=6 {
         for tree in all_trees(n) {
-            let out = TreeTransform::new(&Mis, &MisAlgo).run(&tree);
-            assert!(out.valid, "n = {n}");
-            let set = Mis.extract(&tree, &out.labeling);
-            assert!(classic::is_valid_mis(&tree, &set), "n = {n}");
+            judge(n, &tree);
             total += 1;
         }
     }
-    // 1 + 3 + 16 + 125 + 1296 labeled trees (Cayley: n^(n-2)).
-    assert_eq!(total, 1 + 3 + 16 + 125 + 1296);
+    assert_eq!(total, TREES_UP_TO_6);
+}
+
+/// The checker's rule table accepts `solution` on `tree`.
+fn assert_checked(tree: &Graph, rule: &Rule, solution: Solution, n: usize) {
+    if let Err(e) = check_solution(tree, rule, &solution, None) {
+        panic!("n = {n}: {} rejected: {e}", rule.id());
+    }
+}
+
+fn widen(xs: &[u32]) -> Vec<u64> {
+    xs.iter().map(|&x| u64::from(x)).collect()
+}
+
+#[test]
+fn mis_transform_on_every_tree_up_to_6() {
+    for_every_tree_up_to_6(|n, tree| {
+        let (out, set) = mis_on_tree(tree);
+        assert!(out.valid, "n = {n}");
+        assert!(classic::is_valid_mis(tree, &set), "n = {n}");
+        assert_checked(tree, &Rule::Mis, Solution::NodeSet(set), n);
+    });
+}
+
+#[test]
+fn coloring_transform_on_every_tree_up_to_6() {
+    for_every_tree_up_to_6(|n, tree| {
+        let (out, colors) = coloring_on_tree(tree);
+        assert!(out.valid, "n = {n}");
+        assert!(classic::is_valid_deg_plus_one_coloring(tree, &colors), "n = {n}");
+        let rule = Rule::Coloring { palette: Palette::DegreePlusOne };
+        assert_checked(tree, &rule, Solution::NodeColors(widen(&colors)), n);
+    });
 }
 
 #[test]
 fn matching_transform_on_every_tree_up_to_6() {
-    for n in 2..=6 {
-        for tree in all_trees(n) {
-            let out = ArbTransform::new(&MaximalMatching, &MatchingAlgo).run(&tree, 1);
-            assert!(out.valid, "n = {n}");
-            let m = MaximalMatching.extract(&tree, &out.labeling);
-            assert!(classic::is_valid_maximal_matching(&tree, &m), "n = {n}");
-        }
-    }
+    for_every_tree_up_to_6(|n, tree| {
+        let (out, matching) = matching_on_tree(tree);
+        assert!(out.valid, "n = {n}");
+        assert!(classic::is_valid_maximal_matching(tree, &matching), "n = {n}");
+        assert_checked(tree, &Rule::Matching { b: 1 }, Solution::EdgeSet(matching), n);
+    });
 }
 
 #[test]
-fn edge_coloring_transform_on_every_tree_up_to_5() {
-    for n in 2..=5 {
-        for tree in all_trees(n) {
-            let out = ArbTransform::new(&EdgeDegreeColoring, &EdgeColoringAlgo).run(&tree, 1);
-            assert!(out.valid, "n = {n}");
-            let colors = EdgeDegreeColoring.extract(&tree, &out.labeling);
-            assert!(classic::is_valid_edge_degree_coloring(&tree, &colors), "n = {n}");
-        }
-    }
+fn edge_coloring_transform_on_every_tree_up_to_6() {
+    for_every_tree_up_to_6(|n, tree| {
+        let (out, colors) = edge_coloring_on_tree(tree);
+        assert!(out.valid, "n = {n}");
+        assert!(classic::is_valid_edge_degree_coloring(tree, &colors), "n = {n}");
+        let rule = Rule::EdgeColoring { palette: EdgePalette::EdgeDegreePlusOne };
+        assert_checked(tree, &rule, Solution::EdgeColors(widen(&colors)), n);
+    });
 }
 
 #[test]
