@@ -13,15 +13,15 @@
 //!    rounds;
 //! 4. solve the edge-list variant `Π×` on each connected component of
 //!    `T_R` by gathering it at its highest node (diameter ≤
-//!    `4(log_k n + 1) + 2` by Lemma 11) and completing the labeling with
-//!    the `P1` sequential process.
+//!    `4(log_k n + 1) + 2` by Lemma 11, asserted on every run) and
+//!    completing the labeling with the `P1` sequential process.
 //!
 //! Total: `O(f(g(n)) + log* n)` rounds, the Theorem 1 bound.
 
 use crate::g_solver::{k_for, solve_g};
 use crate::report::{TransformOutcome, TransformParams, TransformStats};
 use treelocal_algos::{ChargedModel, GlobalCtx, TrulyLocal};
-use treelocal_decomp::{rake_compress, RakeCompress};
+use treelocal_decomp::{lemma11_bound, rake_compress, RakeCompress};
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{components, Graph, NodeId};
 use treelocal_problems::{solve_nodes_sequential, verify_graph, NodeSequential, Problem};
@@ -115,6 +115,7 @@ where
         let cc = components(&tr);
         let gather_plan = GatherPlan::new(&tr);
         let mut max_gather = 0u64;
+        let mut max_diameter = 0u32;
         for c in 0..cc.count() {
             let mut members: Vec<NodeId> = cc.members(c).to_vec();
             members.sort_by(|&x, &y| {
@@ -124,9 +125,14 @@ where
             });
             let center = members[0];
             max_gather = max_gather.max(gather_plan.rounds_at(center));
+            // The center's query cached every member's eccentricity, and a
+            // tree component's diameter is the largest of them.
+            max_diameter =
+                members.iter().map(|&v| gather_plan.eccentricity(v)).fold(max_diameter, u32::max);
             solve_nodes_sequential(self.problem, tree, &members, &mut labeling)
                 .or_invariant("P1 guarantees the edge-list variant is solvable");
         }
+        assert!(max_diameter <= lemma11_bound(n, k), "Lemma 11");
         executed.push("gather-residual(Alg2)", max_gather);
 
         let valid = verify_graph(self.problem, tree, &labeling).is_ok();

@@ -28,22 +28,16 @@ pub(crate) fn record_build(ingested: u64, footprint: u64) {
     PEAK_BUILD_BYTES.fetch_max(footprint, Ordering::Relaxed);
 }
 
-/// Total endpoint bytes ingested from edge streams since process start
-/// (or the last [`reset`]), at 8 bytes per edge.
+/// Total endpoint bytes ingested from edge streams since process start,
+/// at 8 bytes per edge.
 pub fn bytes_ingested() -> u64 {
     BYTES_INGESTED.load(Ordering::Relaxed)
 }
 
 /// Largest single-build allocation footprint (bytes) seen since process
-/// start (or the last [`reset`]).
+/// start.
 pub fn peak_build_bytes() -> u64 {
     PEAK_BUILD_BYTES.load(Ordering::Relaxed)
-}
-
-/// Resets both counters to zero (tests and per-run baselines).
-pub fn reset() {
-    BYTES_INGESTED.store(0, Ordering::Relaxed);
-    PEAK_BUILD_BYTES.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]

@@ -11,9 +11,9 @@
 //!   columns instead of per-node heap slots,
 //! * freezes halted and sleeping lanes **in place** — a node's lanes are
 //!   simply never rewritten while it does not step, and
-//! * makes the verdict scratch buffer a plain column copy committed in
-//!   awake order, so parallel outcomes stay byte-identical for every
-//!   pool size (see [`ExecCore`](crate::ExecCore)).
+//! * encodes a round's verdicts into the one set of columns in awake
+//!   order, so parallel outcomes stay byte-identical for every pool size
+//!   (see [`ExecCore`](crate::ExecCore)).
 //!
 //! Decoding constructs a fresh state value, so the engine cannot clone a
 //! state: it only encodes and decodes lanes.
@@ -113,16 +113,6 @@ impl<S: StateCodec> SoaColumns<S> {
     #[inline]
     pub(crate) fn read(&self, v: NodeId) -> S {
         S::decode(&self.lanes32[Self::row32(v)], &self.lanes64[Self::row64(v)])
-    }
-
-    /// Copies node `v`'s lane rows from `other` (the scratch-to-main
-    /// commit step — a plain lane copy, no decode/encode round trip).
-    #[inline]
-    pub(crate) fn copy_row_from(&mut self, other: &SoaColumns<S>, v: NodeId) {
-        let r32 = Self::row32(v);
-        self.lanes32[r32.clone()].copy_from_slice(&other.lanes32[r32]);
-        let r64 = Self::row64(v);
-        self.lanes64[r64.clone()].copy_from_slice(&other.lanes64[r64]);
     }
 }
 
@@ -230,21 +220,6 @@ mod tests {
         assert_eq!(cols.read(NodeId::new(3)), b);
         // Untouched rows decode the zero state, not a neighbor's lanes.
         assert_eq!(cols.read(NodeId::new(2)), Mixed { small: 0, flag: false, big: 0, wide: 0 });
-    }
-
-    #[test]
-    fn copy_row_moves_exactly_one_row() {
-        let mut main: SoaColumns<Mixed> = SoaColumns::new(3);
-        let mut scratch: SoaColumns<Mixed> = SoaColumns::new(3);
-        let a = Mixed { small: 1, flag: true, big: 2, wide: 3 };
-        let b = Mixed { small: 4, flag: false, big: 5, wide: 6 };
-        main.write(NodeId::new(0), &a);
-        scratch.write(NodeId::new(0), &b);
-        scratch.write(NodeId::new(1), &b);
-        main.copy_row_from(&scratch, NodeId::new(0));
-        assert_eq!(main.read(NodeId::new(0)), b);
-        // Row 1 of main was not committed.
-        assert_eq!(main.read(NodeId::new(1)), Mixed { small: 0, flag: false, big: 0, wide: 0 });
     }
 
     #[test]

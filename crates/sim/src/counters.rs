@@ -3,7 +3,8 @@
 //! The `perfbench` benchmark and the counter tests read *how much
 //! simulation work* has happened, not just how many jobs finished. Every
 //! [`ExecCore`](crate::ExecCore) round — in both the snapshot and the
-//! message engine — bumps two global relaxed atomics:
+//! message engine — bumps the first two of three global relaxed atomics,
+//! and every message-engine send phase bumps the third:
 //!
 //! * **rounds executed** — one per communication round of any run,
 //! * **node steps** — the number of awake nodes that round stepped, i.e.
@@ -102,15 +103,18 @@ mod tests {
         }
         // Round 1 steps 3 nodes (node 0 halts), round 2 steps 2.
         core.begin_round(10);
-        core.step_snapshot(1, |v, own, _| {
-            if v.index() == 0 {
-                Verdict::Halted(own)
-            } else {
-                Verdict::Active(own + 1)
-            }
-        });
+        core.step(
+            1,
+            |v, own, _| {
+                if v.index() == 0 {
+                    Verdict::Halted(own)
+                } else {
+                    Verdict::Active(own + 1)
+                }
+            },
+        );
         core.begin_round(10);
-        core.step_snapshot(1, |_, own, _| Verdict::Halted(own));
+        core.step(1, |_, own, _| Verdict::Halted(own));
         let (r1, s1, _) = snapshot();
         assert!(r1 >= r0 + 2, "rounds {r0} -> {r1}");
         assert!(s1 >= s0 + 5, "steps {s0} -> {s1}");

@@ -122,7 +122,7 @@ where
     }
     while !core.is_done() {
         let round = core.begin_round(max_rounds);
-        core.step_snapshot(threads, |v, own, snap| algo.step(ctx, v, round, own, snap));
+        core.step(threads, |v, own, snap| algo.step(ctx, v, round, own, snap));
     }
     core.finish()
 }

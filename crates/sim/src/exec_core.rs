@@ -15,11 +15,13 @@
 //!   halted and sleeping nodes are **frozen in place**: neighbours read
 //!   them through the [`Snapshot`], and they are never rewritten while the
 //!   node does not step;
-//! * double buffering happens through a scratch set of columns: all awake
-//!   nodes read the previous round's lanes, then the round commits
-//!   atomically **in awake order**, preserving the synchronous-round
-//!   semantics of Definition 5 and making inline and pooled rounds produce
-//!   byte-identical columns.
+//! * a round has one path, [`ExecCore::step`]: the awake list is mapped
+//!   through [`crate::par::par_map_into`] (inline below the pool
+//!   threshold) into one verdict buffer reused across rounds, so every
+//!   awake node reads the previous round's lanes; then the round commits
+//!   **in awake order**, preserving the synchronous-round semantics of
+//!   Definition 5 and making inline and pooled rounds produce
+//!   byte-identical columns. No run allocates a second set of lanes.
 //!
 //! The transcript's per-round frontier is every live node, sleepers
 //! included, in seeding order. The core keeps that list only while the
@@ -37,18 +39,15 @@ use treelocal_graph::{widen_u64, NodeId, OrInvariant};
 ///
 /// The lifecycle is: [`ExecCore::new`] → one [`ExecCore::seed`] per
 /// participating node → repeat { [`ExecCore::begin_round`] +
-/// [`ExecCore::step_snapshot`] or [`ExecCore::step_owned`] } until
-/// [`ExecCore::is_done`] → [`ExecCore::finish`].
+/// [`ExecCore::step`] } until [`ExecCore::is_done`] → [`ExecCore::finish`].
 #[derive(Debug)]
 pub struct ExecCore<S: StateCodec> {
     /// Current lane columns. During a step these hold the *previous*
     /// round's states.
     main: SoaColumns<S>,
-    /// Verdict scratch columns, written for awake rows only.
-    scratch: SoaColumns<S>,
-    /// Whether the scratch row of an awake node carries a halting verdict
-    /// this round.
-    scratch_halted: Vec<bool>,
+    /// This round's verdicts as `(state, halts)`, one per awake node in
+    /// awake order; emptied by each commit and reused across rounds.
+    verdicts: Vec<(S, bool)>,
     /// `seeded[i]` iff slot `i` participates.
     seeded: Vec<bool>,
     /// `active[i]` iff slot `i` holds a live (awake or sleeping) node.
@@ -87,8 +86,7 @@ impl<S: StateCodec> ExecCore<S> {
         let recording = crate::transcript::segment_start();
         ExecCore {
             main: SoaColumns::new(index_space),
-            scratch: SoaColumns::new(index_space),
-            scratch_halted: vec![false; index_space],
+            verdicts: Vec::new(),
             seeded: vec![false; index_space],
             active: vec![false; index_space],
             awake: Vec::new(),
@@ -198,110 +196,61 @@ impl<S: StateCodec> ExecCore<S> {
         self.rounds
     }
 
-    /// Executes one round in snapshot style: every awake node observes the
-    /// previous round's columns and returns its verdict.
+    /// The pool size for one phase over this round's awake list: `threads`
+    /// once the list holds at least `PAR_FRONTIER_MIN` nodes, else 1 (a
+    /// pool of one maps inline). Stepping and the message engine's send
+    /// phase both size themselves here; the choice never changes results.
+    pub(crate) fn phase_threads(&self, threads: usize) -> usize {
+        if self.awake.len() >= crate::par::PAR_FRONTIER_MIN {
+            threads
+        } else {
+            1
+        }
+    }
+
+    /// Executes one round: every awake node gets its decoded state and a
+    /// [`Snapshot`] of the previous round's columns and returns its
+    /// verdict. The message engine's receive phase ignores the snapshot.
     ///
-    /// With `threads > 1` and at least `PAR_FRONTIER_MIN` awake nodes,
-    /// chunks of the awake list step concurrently on pool workers against
-    /// the shared previous-round columns; verdicts are collected
-    /// positionally and encoded into the main columns **sequentially in
-    /// awake order**. Otherwise the awake nodes step inline into the
-    /// scratch columns, which then commit in awake order. Either way all
-    /// reads happen before any main row is rewritten, and the same bytes
-    /// land in the same write order for every pool size.
-    pub fn step_snapshot<F>(&mut self, threads: usize, step: F)
+    /// The awake list is mapped through [`crate::par::par_map_into`] at
+    /// `threads` (at 1 below the pool threshold) into the core's reused
+    /// verdict buffer; the verdicts then commit **sequentially in awake
+    /// order**. All reads happen before any lane is rewritten, and the
+    /// same bytes land in the same write order for every pool size.
+    pub fn step<F>(&mut self, threads: usize, step: F)
     where
         F: Fn(NodeId, S, &Snapshot<'_, S>) -> Verdict<S> + Sync,
         S: Send,
     {
-        if threads > 1 && self.awake.len() >= crate::par::PAR_FRONTIER_MIN {
-            let verdicts = {
-                let snap = Snapshot::over(&self.main, &self.seeded);
-                crate::par::par_map(&self.awake, threads, |_, &v| step(v, snap.get(v), &snap))
-            };
-            self.commit_in_awake_order(verdicts);
-        } else {
-            self.step_snapshot_inline(step);
-        }
+        let main = &self.main;
+        let snap = Snapshot::over(main, &self.seeded);
+        crate::par::par_map_into(
+            &self.awake,
+            self.phase_threads(threads),
+            &mut self.verdicts,
+            |_, &v| stepped(step(v, main.read(v), &snap)),
+        );
+        self.commit_in_awake_order();
     }
 
-    /// The inline half of [`ExecCore::step_snapshot`]: verdicts go to the
-    /// scratch columns, then commit in awake order.
-    fn step_snapshot_inline<F>(&mut self, mut step: F)
-    where
-        F: FnMut(NodeId, S, &Snapshot<'_, S>) -> Verdict<S>,
-    {
-        let snap = Snapshot::over(&self.main, &self.seeded);
-        for idx in 0..self.awake.len() {
-            let v = self.awake[idx];
-            let own = self.main.read(v);
-            let (s, halts) = stepped(step(v, own, &snap));
-            self.scratch.write(v, &s);
-            self.scratch_halted[v.index()] = halts;
-        }
-        self.commit();
-    }
-
-    /// Executes one round in owned style (the message engine's receive
-    /// phase): every awake node consumes its decoded state and returns its
-    /// verdict. An owned step reads no neighbor lanes, so inline verdicts
-    /// commit directly to the main columns as the awake list is walked —
-    /// byte-identical to a scratch commit, one copy cheaper. With
-    /// `threads > 1` and a large awake list, states are decoded and
-    /// stepped on pool workers and the verdicts commit sequentially in
-    /// awake order.
-    pub fn step_owned<F>(&mut self, threads: usize, step: F)
-    where
-        F: Fn(NodeId, S) -> Verdict<S> + Sync,
-        S: Send,
-    {
-        if threads > 1 && self.awake.len() >= crate::par::PAR_FRONTIER_MIN {
-            let main = &self.main;
-            let verdicts = crate::par::par_map(&self.awake, threads, |_, &v| step(v, main.read(v)));
-            self.commit_in_awake_order(verdicts);
-        } else {
-            self.step_owned_inline(step);
-        }
-    }
-
-    /// The inline half of [`ExecCore::step_owned`]: verdicts commit
-    /// straight to the main columns as the awake list is walked.
-    fn step_owned_inline<F>(&mut self, mut step: F)
-    where
-        F: FnMut(NodeId, S) -> Verdict<S>,
-    {
-        let main = &mut self.main;
-        let active = &mut self.active;
-        let rounds = self.rounds;
-        self.awake.retain(|&v| {
-            let (s, halts) = stepped(step(v, main.read(v)));
-            main.write(v, &s);
-            if halts {
-                active[v.index()] = false;
-                crate::transcript::record_halt(v, rounds);
-            }
-            !halts
-        });
-    }
-
-    /// Commits a round whose verdicts were collected positionally (one per
-    /// awake node, in awake order). Identical retain semantics to
-    /// [`ExecCore::commit`].
-    fn commit_in_awake_order(&mut self, verdicts: Vec<Verdict<S>>) {
+    /// Commits the round: encodes each awake node's buffered verdict into
+    /// the main columns in awake order and drops newly halted nodes from
+    /// the awake list (order preserved).
+    fn commit_in_awake_order(&mut self) {
         // Checked in every profile: a mismatched batch would silently pair
         // verdicts with the wrong nodes, breaking byte-identical parallel
         // equivalence in exactly the builds that run large instances.
         assert_eq!(
-            verdicts.len(),
+            self.verdicts.len(),
             self.awake.len(),
             "one verdict per awake node, in awake order (commit-order invariant)"
         );
         let main = &mut self.main;
         let active = &mut self.active;
         let rounds = self.rounds;
-        let mut verdicts = verdicts.into_iter();
+        let mut verdicts = self.verdicts.drain(..);
         self.awake.retain(|&v| {
-            let (s, halts) = stepped(verdicts.next().or_invariant("one verdict per awake node"));
+            let (s, halts) = verdicts.next().or_invariant("one verdict per awake node");
             main.write(v, &s);
             if halts {
                 active[v.index()] = false;
@@ -311,30 +260,8 @@ impl<S: StateCodec> ExecCore<S> {
         });
     }
 
-    /// Commits the round: copies every awake node's scratch row into the
-    /// main columns (in awake order) and drops newly halted nodes from the
-    /// awake list (order preserved).
-    fn commit(&mut self) {
-        let main = &mut self.main;
-        let scratch = &self.scratch;
-        let scratch_halted = &self.scratch_halted;
-        let active = &mut self.active;
-        let rounds = self.rounds;
-        self.awake.retain(|&v| {
-            main.copy_row_from(scratch, v);
-            if scratch_halted[v.index()] {
-                active[v.index()] = false;
-                crate::transcript::record_halt(v, rounds);
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    /// Consumes the core into the run's outcome. The scratch columns are
-    /// dropped here, so a finished run holds exactly one set of lanes —
-    /// the peak-RSS half of the engine-scale story.
+    /// Consumes the core into the run's outcome, dropping the verdict
+    /// buffer, so a finished run holds exactly one set of lanes.
     ///
     /// # Panics
     ///
@@ -372,13 +299,16 @@ mod tests {
         // Slot 3 was never seeded: not active.
         assert!(!core.is_active(NodeId::new(3)));
         core.begin_round(10);
-        core.step_snapshot(1, |v, own, _| {
-            if v.index() == 1 {
-                Verdict::Halted(own)
-            } else {
-                Verdict::Active(own)
-            }
-        });
+        core.step(
+            1,
+            |v, own, _| {
+                if v.index() == 1 {
+                    Verdict::Halted(own)
+                } else {
+                    Verdict::Active(own)
+                }
+            },
+        );
         for i in 0..4 {
             let v = NodeId::new(i);
             assert_eq!(core.is_active(v), core.awake().contains(&v), "slot {i}");
@@ -393,7 +323,7 @@ mod tests {
         }
         // Round 1: odd nodes halt, doubling their state.
         core.begin_round(10);
-        core.step_snapshot(1, |v, own, _| {
+        core.step(1, |v, own, _| {
             if v.index() % 2 == 1 {
                 Verdict::Halted(own * 2)
             } else {
@@ -406,7 +336,7 @@ mod tests {
         // Round 2: survivors read a halted neighbor's frozen lanes via the
         // snapshot and halt.
         core.begin_round(10);
-        core.step_snapshot(1, |_, own, snap| Verdict::Halted(own + snap.get(NodeId::new(1))));
+        core.step(1, |_, own, snap| Verdict::Halted(own + snap.get(NodeId::new(1))));
         assert!(core.is_done());
         let out = core.finish();
         assert_eq!(out.rounds, 2);
@@ -425,7 +355,7 @@ mod tests {
         core.seed(NodeId::new(0), Verdict::Active(10));
         core.seed(NodeId::new(1), Verdict::Active(20));
         core.begin_round(10);
-        core.step_snapshot(1, |v, _, snap| Verdict::Halted(snap.get(NodeId::new(1 - v.index()))));
+        core.step(1, |v, _, snap| Verdict::Halted(snap.get(NodeId::new(1 - v.index()))));
         let out = core.finish();
         assert_eq!(out.state(NodeId::new(0)), 20);
         assert_eq!(out.state(NodeId::new(1)), 10);
@@ -458,7 +388,7 @@ mod tests {
         let mut core: ExecCore<u32> = ExecCore::new(1);
         core.seed(NodeId::new(0), Verdict::Active(0));
         core.begin_round(1);
-        core.step_snapshot(1, |_, own, _| Verdict::Active(own + 1));
+        core.step(1, |_, own, _| Verdict::Active(own + 1));
         core.begin_round(1);
     }
 
@@ -483,7 +413,7 @@ mod tests {
         while !core.is_done() {
             let round = core.begin_round(10);
             stepped_by_round.push(core.awake().to_vec());
-            core.step_snapshot(1, |v, own, _| {
+            core.step(1, |v, own, _| {
                 if round == 4 {
                     Verdict::Halted(own)
                 } else {
@@ -507,10 +437,10 @@ mod tests {
         core.seed(NodeId::new(1), Verdict::SleepUntil(40, 2));
         assert!(core.is_active(NodeId::new(1)), "a sleeper is still running");
         core.begin_round(10);
-        core.step_snapshot(1, |_, own, snap| Verdict::Halted(own + snap.get(NodeId::new(1))));
+        core.step(1, |_, own, snap| Verdict::Halted(own + snap.get(NodeId::new(1))));
         assert_eq!(core.state(NodeId::new(0)), 41);
         core.begin_round(10);
-        core.step_snapshot(1, |_, own, _| Verdict::Halted(own + 1));
+        core.step(1, |_, own, _| Verdict::Halted(own + 1));
         let out = core.finish();
         assert_eq!(out.state(NodeId::new(1)), 41);
     }
@@ -523,12 +453,12 @@ mod tests {
             assert!(!core.is_done(), "only a sleeper remains before round {round}");
             assert_eq!(core.begin_round(10), round);
             assert!(core.awake().is_empty());
-            core.step_snapshot(1, |v, _, _| unreachable!("{v:?} stepped while asleep"));
+            core.step(1, |v, _, _| unreachable!("{v:?} stepped while asleep"));
             assert_eq!(core.rounds(), round);
         }
         assert!(!core.is_done());
         assert_eq!(core.begin_round(10), 3);
-        core.step_owned(1, |_, own| Verdict::Halted(own * 2));
+        core.step(1, |_, own, _| Verdict::Halted(own * 2));
         assert!(core.is_done());
         let out = core.finish();
         assert_eq!(out.rounds, 3);
@@ -542,7 +472,7 @@ mod tests {
         core.seed(NodeId::new(0), Verdict::SleepUntil(0, 5));
         while !core.is_done() {
             core.begin_round(3);
-            core.step_snapshot(1, |_, own, _| Verdict::Halted(own));
+            core.step(1, |_, own, _| Verdict::Halted(own));
         }
     }
 
@@ -559,7 +489,7 @@ mod tests {
         let mut core: ExecCore<u32> = ExecCore::new(1);
         core.seed(NodeId::new(0), Verdict::Active(0));
         core.begin_round(10);
-        core.step_owned(1, |_, own| Verdict::SleepUntil(own, 5));
+        core.step(1, |_, own, _| Verdict::SleepUntil(own, 5));
     }
 
     /// The commit-order invariant holds in *every* build profile: this
@@ -571,7 +501,8 @@ mod tests {
         let mut core: ExecCore<u32> = ExecCore::new(2);
         core.seed(NodeId::new(0), Verdict::Active(1));
         core.seed(NodeId::new(1), Verdict::Active(2));
-        core.commit_in_awake_order(vec![Verdict::Active(9)]);
+        core.verdicts.push((9, false));
+        core.commit_in_awake_order();
     }
 
     #[test]
@@ -579,7 +510,8 @@ mod tests {
     fn oversized_verdict_batches_are_rejected_in_every_profile() {
         let mut core: ExecCore<u32> = ExecCore::new(1);
         core.seed(NodeId::new(0), Verdict::Active(1));
-        core.commit_in_awake_order(vec![Verdict::Active(9), Verdict::Active(8)]);
+        core.verdicts.extend([(9, false), (8, false)]);
+        core.commit_in_awake_order();
     }
 
     /// A one-u32-lane newtype state: the tests below pin the same
@@ -618,7 +550,7 @@ mod tests {
             core.seed(NodeId::new(i), Verdict::Active(Lane(narrow_u32(i))));
         }
         core.begin_round(10);
-        core.step_snapshot(1, |v, own, _| {
+        core.step(1, |v, own, _| {
             if v.index() % 2 == 1 {
                 Verdict::Halted(Lane(own.0 * 2))
             } else {
@@ -630,9 +562,7 @@ mod tests {
         assert_eq!(core.state(NodeId::new(3)), Lane(6));
         // Survivors read a halted neighbor's frozen lanes via the snapshot.
         core.begin_round(10);
-        core.step_snapshot(1, |_, own, snap| {
-            Verdict::Halted(Lane(own.0 + snap.get(NodeId::new(1)).0))
-        });
+        core.step(1, |_, own, snap| Verdict::Halted(Lane(own.0 + snap.get(NodeId::new(1)).0)));
         assert!(core.is_done());
         let out = core.finish();
         assert_eq!(out.rounds, 2);
@@ -647,7 +577,7 @@ mod tests {
         core.seed(NodeId::new(0), Verdict::Active(Lane(10)));
         core.seed(NodeId::new(1), Verdict::Active(Lane(20)));
         core.begin_round(10);
-        core.step_snapshot(1, |v, _, snap| Verdict::Halted(snap.get(NodeId::new(1 - v.index()))));
+        core.step(1, |v, _, snap| Verdict::Halted(snap.get(NodeId::new(1 - v.index()))));
         let out = core.finish();
         assert_eq!(out.state(NodeId::new(0)), Lane(20));
         assert_eq!(out.state(NodeId::new(1)), Lane(10));
@@ -660,7 +590,7 @@ mod tests {
             core.seed(NodeId::new(i), Verdict::Active(Lane(narrow_u32(i) + 1)));
         }
         core.begin_round(10);
-        core.step_owned(1, |_, own| Verdict::Halted(Lane(own.0 * 10)));
+        core.step(1, |_, own, _| Verdict::Halted(Lane(own.0 * 10)));
         let out = core.finish();
         assert_eq!(out.rounds, 1);
         for i in 0..3 {
@@ -682,7 +612,7 @@ mod tests {
         let mut core: ExecCore<Lane> = ExecCore::new(1);
         core.seed(NodeId::new(0), Verdict::Active(Lane(0)));
         core.begin_round(1);
-        core.step_snapshot(1, |_, own, _| Verdict::Active(Lane(own.0 + 1)));
+        core.step(1, |_, own, _| Verdict::Active(Lane(own.0 + 1)));
         core.begin_round(1);
     }
 

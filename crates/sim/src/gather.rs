@@ -20,7 +20,6 @@
 //! both enforce.
 
 use std::cell::RefCell;
-use treelocal_graph::OrInvariant;
 use treelocal_graph::{component_eccentricities, eccentricity_sparse, NodeId, Topology};
 
 /// Rounds for one component gathered at `center`: `2 · ecc(center)`.
@@ -106,108 +105,12 @@ impl<'t, T: Topology> GatherPlan<'t, T> {
     pub fn rounds_at(&self, center: NodeId) -> u64 {
         2 * u64::from(self.eccentricity(center))
     }
-
-    /// Applies `pick_center` to one component and enforces membership (a
-    /// foreign center would silently charge the wrong component's
-    /// eccentricity — a hard error in every build profile).
-    fn checked_center(
-        comp: &[NodeId],
-        pick_center: &mut impl FnMut(&[NodeId]) -> NodeId,
-    ) -> NodeId {
-        let center = pick_center(comp);
-        assert!(
-            comp.contains(&center),
-            "gather center {center:?} is not a member of its component \
-             (pick_center must choose within the component it is given)"
-        );
-        center
-    }
-
-    /// Cached variant of [`parallel_gather_rounds`]: the worst
-    /// single-component cost over the family.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pick_center` returns a node outside its component.
-    pub fn parallel_rounds(
-        &self,
-        components: impl IntoIterator<Item = Vec<NodeId>>,
-        mut pick_center: impl FnMut(&[NodeId]) -> NodeId,
-    ) -> u64 {
-        let mut worst = 0u64;
-        for comp in components {
-            worst = worst.max(self.rounds_at(Self::checked_center(&comp, &mut pick_center)));
-        }
-        worst
-    }
-
-    /// Cached variant of [`sequential_gather_rounds`]: the sum of
-    /// per-component costs, each at least one coordination round.
-    ///
-    /// # Panics
-    ///
-    /// As [`parallel_rounds`](GatherPlan::parallel_rounds).
-    pub fn sequential_rounds(
-        &self,
-        components: impl IntoIterator<Item = Vec<NodeId>>,
-        mut pick_center: impl FnMut(&[NodeId]) -> NodeId,
-    ) -> u64 {
-        let mut total = 0u64;
-        for comp in components {
-            total += self.rounds_at(Self::checked_center(&comp, &mut pick_center)).max(1);
-        }
-        total
-    }
-}
-
-/// Rounds for solving a family of components *in parallel*, each gathered at
-/// the center chosen by `pick_center`: the maximum single-component cost.
-///
-/// `component_members` must list each component's nodes; centers must be
-/// members of their component. Costed through a [`GatherPlan`], so the
-/// family is filled one component-pass at a time instead of one BFS per
-/// center; results are byte-identical to the uncached loop.
-///
-/// # Panics
-///
-/// Panics if `pick_center` returns a node outside its component.
-pub fn parallel_gather_rounds<T: Topology>(
-    topo: &T,
-    components: impl IntoIterator<Item = Vec<NodeId>>,
-    pick_center: impl FnMut(&[NodeId]) -> NodeId,
-) -> u64 {
-    GatherPlan::new(topo).parallel_rounds(components, pick_center)
-}
-
-/// Rounds for solving a family of components *sequentially* (one after the
-/// other, as Algorithm 4 does with the `2a · 3` star-forest groups): the sum
-/// of the per-component costs, where each gather costs at least one round of
-/// coordination even for singleton components. Costed through a
-/// [`GatherPlan`] like [`parallel_gather_rounds`].
-///
-/// # Panics
-///
-/// Panics if `pick_center` returns a node outside its component.
-pub fn sequential_gather_rounds<T: Topology>(
-    topo: &T,
-    components: impl IntoIterator<Item = Vec<NodeId>>,
-    pick_center: impl FnMut(&[NodeId]) -> NodeId,
-) -> u64 {
-    GatherPlan::new(topo).sequential_rounds(components, pick_center)
-}
-
-/// Picks the component member with the maximum LOCAL identifier — the
-/// paper's "highest node" tie-break within a layer.
-pub fn highest_id_center<T: Topology>(topo: &T) -> impl FnMut(&[NodeId]) -> NodeId + '_ {
-    move |comp: &[NodeId]| {
-        *comp.iter().max_by_key(|&&v| topo.local_id(v)).or_invariant("components are non-empty")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treelocal_graph::{components, Graph, SemiGraph};
+    use treelocal_graph::{Graph, SemiGraph};
 
     #[test]
     fn gather_on_path_component() {
@@ -215,20 +118,6 @@ mod tests {
         // Gathering at an endpoint costs 2*4, at the middle 2*2.
         assert_eq!(gather_rounds_at(&g, NodeId::new(0)), 8);
         assert_eq!(gather_rounds_at(&g, NodeId::new(2)), 4);
-    }
-
-    #[test]
-    fn parallel_takes_max_sequential_takes_sum() {
-        // Two components: a path of 3 and an isolated node.
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2)]).unwrap();
-        let cc = components(&g);
-        let comps: Vec<Vec<NodeId>> = cc.iter().map(|m| m.to_vec()).collect();
-        let par = parallel_gather_rounds(&g, comps.clone(), |c| c[0]);
-        // Path gathered at node 0: ecc 2 -> 4 rounds; singleton: 0.
-        assert_eq!(par, 4);
-        let seq = sequential_gather_rounds(&g, comps, |c| c[0]);
-        // 4 + max(0,1) = 5.
-        assert_eq!(seq, 5);
     }
 
     #[test]
@@ -263,15 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn highest_id_center_picks_max_id() {
-        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-        let mut pick = highest_id_center(&g);
-        let comp = vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)];
-        // ids are index + 1, so node 2 has the highest id.
-        assert_eq!(pick(&comp), NodeId::new(2));
-    }
-
-    #[test]
     fn gather_on_semigraph_component_uses_rank2_distance() {
         // Path 0-1-2-3 restricted to {0,1}: component {0,1}, ecc 1.
         let g = Graph::from_edges(4, &(0..3).map(|i| (i, i + 1)).collect::<Vec<_>>()).unwrap();
@@ -279,23 +159,5 @@ mod tests {
         assert_eq!(gather_rounds_at(&s, NodeId::new(0)), 2);
         let plan = GatherPlan::new(&s);
         assert_eq!(plan.rounds_at(NodeId::new(0)), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a member of its component")]
-    fn parallel_rejects_foreign_center() {
-        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        let _ = parallel_gather_rounds(&g, vec![vec![NodeId::new(0), NodeId::new(1)]], |_| {
-            NodeId::new(3)
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "not a member of its component")]
-    fn sequential_rejects_foreign_center() {
-        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        let _ = sequential_gather_rounds(&g, vec![vec![NodeId::new(2), NodeId::new(3)]], |_| {
-            NodeId::new(0)
-        });
     }
 }

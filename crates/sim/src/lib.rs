@@ -15,8 +15,8 @@
 //!   node" steps, one linear pass per costed component,
 //! * [`log_star_f64`] / [`ceil_log`] — the complexity-function helpers,
 //! * [`next_prime`] — support for Linial-style color reduction,
-//! * [`counters`] — process-wide round/node-step counters that progress
-//!   reporters (the `treelocal-bench` driver) read, and
+//! * [`counters`] — process-wide round/node-step counters that the
+//!   `perfbench` benchmark and the counter tests read, and
 //! * [`par`] — the deterministic worker pool and the runtime pool size
 //!   ([`par::with_threads`] scopes an override around any run).
 //!
@@ -85,10 +85,7 @@ pub mod transcript;
 pub use codec::{RunOutcome, Snapshot, StateCodec};
 pub use engine::{run, Ctx, SyncAlgorithm, Verdict};
 pub use exec_core::ExecCore;
-pub use gather::{
-    gather_rounds_at, highest_id_center, parallel_gather_rounds, sequential_gather_rounds,
-    GatherPlan,
-};
+pub use gather::{gather_rounds_at, GatherPlan};
 pub use logstar::{ceil_log, log_star_f64, log_star_u64};
 pub use msg_engine::{run_messages, MessageAlgorithm};
 pub use primes::{is_prime, next_prime};

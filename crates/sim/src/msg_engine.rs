@@ -17,20 +17,18 @@
 //! node's inbox is dead — never cleared, never read — so writing into it
 //! would be pure waste (pinned by `halted_recipients_inboxes_are_never_touched`).
 //!
-//! On large frontiers both phases of a round run on the vendored rayon
-//! pool, **byte-identically** for every pool size:
+//! Both phases of a round map the awake list through the pool (inline
+//! below the pool threshold), **byte-identically** for every pool size:
 //!
-//! * the **send phase** steps frontier chunks on pool workers, each worker
-//!   collecting one routed bucket per sender; the buckets are assembled by
-//!   chunk index and merged sequentially in frontier order, so every inbox
+//! * the **send phase** collects one routed bucket per sender; the buckets
+//!   come back in awake order and are merged sequentially, so every inbox
 //!   slot is filled by the same unique sender as in a sequential send (a
 //!   slot is owned by one `(recipient, port)` pair, so the merge order is
 //!   observable only through determinism bugs, which
 //!   `tests/msg_parallel_equiv.rs` hunts);
-//! * the **receive phase** rides [`ExecCore::step_owned`] (frontier
-//!   states decoded on pool workers, verdicts committed sequentially in
-//!   frontier order), exactly mirroring the snapshot engine's pooled
-//!   stepping path.
+//! * the **receive phase** is [`ExecCore::step`], the snapshot engine's
+//!   own round path, with the snapshot ignored: verdicts commit
+//!   sequentially in awake order.
 
 use crate::codec::{RunOutcome, StateCodec};
 use crate::engine::{Ctx, Verdict};
@@ -195,12 +193,11 @@ impl<M> Router<M> {
         }
     }
 
-    /// Drains one bucket of routed messages into the flat inbox slots (the
-    /// bucket keeps its capacity for reuse). Each slot is owned by one
-    /// `(recipient, port)` pair with a unique sender, so delivery order
-    /// across buckets cannot influence the final inbox contents; merging
-    /// buckets in frontier order makes the write sequence byte-identical
-    /// to a sequential send anyway.
+    /// Drains one bucket of routed messages into the flat inbox slots.
+    /// Each slot is owned by one `(recipient, port)` pair with a unique
+    /// sender, so delivery order across buckets cannot influence the final
+    /// inbox contents; merging buckets in awake order makes the write
+    /// sequence byte-identical to a sequential send anyway.
     fn deliver(&mut self, bucket: &mut Vec<(usize, M)>) {
         for (slot, m) in bucket.drain(..) {
             self.slots[slot] = Some(m);
@@ -246,12 +243,11 @@ fn outgoing_into<T: Topology, A: MessageAlgorithm<T>>(
     }
 }
 
-/// The send phase: every frontier node's messages are collected and
-/// delivered. With `threads > 1` and a large frontier, collection runs on
-/// pool workers (one bucket per sender, assembled by chunk) and delivery
-/// merges the buckets sequentially in frontier order; otherwise the nodes
-/// route inline through one reused scratch bucket — the same write
-/// sequence either way.
+/// The send phase: every awake node's messages are collected into one
+/// bucket per sender by [`crate::par::par_map`], at the pool size
+/// `ExecCore::phase_threads` picks for the round, and delivery merges the
+/// buckets sequentially in awake order — the same write sequence for
+/// every pool size.
 fn send_phase<T, A>(
     ctx: &Ctx<'_, T>,
     algo: &A,
@@ -262,28 +258,19 @@ fn send_phase<T, A>(
 ) where
     T: Topology + Sync,
     A: MessageAlgorithm<T> + Sync,
-    A::State: Send,
+    A::State: Send + Sync,
     A::Msg: Send + Sync,
 {
-    if threads > 1 && core.awake().len() >= crate::par::PAR_FRONTIER_MIN {
-        let mut buckets = {
-            let shared: &Router<A::Msg> = router;
-            crate::par::par_map(core.awake(), threads, |_, &v| {
-                let mut bucket = Vec::new();
-                outgoing_into(ctx, algo, round, v, core, shared, &mut bucket);
-                bucket
-            })
-        };
-        for bucket in &mut buckets {
-            router.deliver(bucket);
-        }
-        return;
-    }
-    let mut scratch = Vec::new();
-    for idx in 0..core.awake().len() {
-        let v = core.awake()[idx];
-        outgoing_into(ctx, algo, round, v, core, router, &mut scratch);
-        router.deliver(&mut scratch);
+    let mut buckets = {
+        let shared: &Router<A::Msg> = router;
+        crate::par::par_map(core.awake(), core.phase_threads(threads), |_, &v| {
+            let mut bucket = Vec::new();
+            outgoing_into(ctx, algo, round, v, core, shared, &mut bucket);
+            bucket
+        })
+    };
+    for bucket in &mut buckets {
+        router.deliver(bucket);
     }
 }
 
@@ -311,7 +298,7 @@ pub fn run_messages<T, A>(ctx: &Ctx<'_, T>, algo: &A, max_rounds: u64) -> RunOut
 where
     T: Topology + Sync,
     A: MessageAlgorithm<T> + Sync,
-    A::State: Send,
+    A::State: Send + Sync,
     A::Msg: Send + Sync,
 {
     let threads = crate::par::auto_threads();
@@ -322,14 +309,14 @@ where
     let mut router: Router<A::Msg> = Router::new(ctx.topo);
     while !core.is_done() {
         let round = core.begin_round(max_rounds);
-        // Send-phase work is real simulation work (one `send` per frontier
-        // node); account it so driver ETAs stay honest on message-heavy
-        // suites. Counted per phase, never per worker, so totals are
-        // pool-size-invariant.
+        // Send-phase work is real simulation work (one `send` per awake
+        // node); account it so the counters see the full cost of
+        // message-heavy jobs. Counted per phase, never per worker, so
+        // totals are pool-size-invariant.
         crate::counters::record_send_round(widen_u64(core.awake().len()));
         router.clear_frontier(core.awake());
         send_phase(ctx, algo, round, &core, &mut router, threads);
-        core.step_owned(threads, |v, state| algo.receive(ctx, v, round, state, router.inbox(v)));
+        core.step(threads, |v, state, _| algo.receive(ctx, v, round, state, router.inbox(v)));
     }
     core.finish()
 }

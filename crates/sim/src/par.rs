@@ -15,7 +15,7 @@
 //! * the caller's result vector is assembled **by chunk index**, making
 //!   the output identical to a sequential `map` for every pool size.
 //!
-//! The engine commits verdicts in frontier order afterwards, which is what
+//! The engine commits verdicts in awake order afterwards, which is what
 //! keeps pooled and inline runs byte-identical (pinned by
 //! `tests/parallel_equiv.rs`). The pool size is a runtime value:
 //! [`auto_threads`] reads it, and [`with_threads`] overrides it for the
@@ -30,9 +30,10 @@ use std::sync::mpsc;
 const CHUNKS_PER_WORKER: usize = 4;
 
 /// Below this many awake nodes (sleepers do not count) a round phase is
-/// cheaper than the scoped fork/join, so the engines run it inline. The choice cannot affect
-/// results, only speed — both [`crate::ExecCore`] stepping styles and the
-/// message engine's send phase share this one threshold.
+/// cheaper than the scoped fork/join, so it maps at pool size 1, which runs
+/// inline. The choice cannot affect results, only speed; every round phase
+/// (stepping and the message engine's send phase) takes its pool size from
+/// one helper, `ExecCore::phase_threads`.
 pub(crate) const PAR_FRONTIER_MIN: usize = 1024;
 
 thread_local! {
@@ -98,26 +99,43 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    let mut out = Vec::new();
+    par_map_into(items, threads, &mut out, f);
+    out
+}
+
+/// [`par_map`] into a caller-owned vector: `out` is cleared first and then
+/// holds the results in item order, so a caller mapping every round reuses
+/// one allocation.
+pub fn par_map_into<T, R, F>(items: &[T], threads: usize, out: &mut Vec<R>, f: F)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    out.clear();
     let n = items.len();
     if threads <= 1 || n <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        out.extend(items.iter().enumerate().map(|(i, t)| f(i, t)));
+        return;
     }
+    out.reserve(n);
     let workers = threads.min(n);
     let chunk_len = n.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
     let n_chunks = n.div_ceil(chunk_len);
-    drive_chunks(n_chunks, workers, n, |c| {
+    drive_chunks(n_chunks, workers, out, |c| {
         let lo = c * chunk_len;
         let hi = (lo + chunk_len).min(n);
         items[lo..hi].iter().enumerate().map(|(j, t)| f(lo + j, t)).collect()
-    })
+    });
 }
 
-/// The chunk-claiming driver behind [`par_map`]: `workers` pool workers
-/// claim chunk indices `0..n_chunks` from a shared atomic counter
+/// The chunk-claiming driver behind [`par_map_into`]: `workers` pool
+/// workers claim chunk indices `0..n_chunks` from a shared atomic counter
 /// (self-scheduling, so a slow chunk never stalls the others), compute
 /// each through `compute`, and send results back tagged with the chunk
-/// index. The caller's vector is assembled **by chunk
-/// index** — identical to a sequential map for every pool size.
+/// index. `out` is filled **by chunk index** — identical to a sequential
+/// map for every pool size.
 ///
 /// Panics inside `compute` are caught so the original payload (an
 /// algorithm's assertion message, say) reaches the caller instead of std's
@@ -126,7 +144,7 @@ where
 /// panic re-raises deterministically (skipped chunks always have higher
 /// indices than the first panicked chunk, because the claim counter is
 /// monotone).
-fn drive_chunks<R, F>(n_chunks: usize, workers: usize, capacity: usize, compute: F) -> Vec<R>
+fn drive_chunks<R, F>(n_chunks: usize, workers: usize, out: &mut Vec<R>, compute: F)
 where
     R: Send,
     F: Fn(usize) -> Vec<R> + Sync,
@@ -147,13 +165,13 @@ where
                     if c >= n_chunks || poisoned.load(Ordering::Relaxed) {
                         break;
                     }
-                    let out: Computed<R> =
+                    let computed: Computed<R> =
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| compute(c)));
-                    if out.is_err() {
+                    if computed.is_err() {
                         poisoned.store(true, Ordering::Relaxed);
                     }
-                    let failed = out.is_err();
-                    if tx.send((c, out)).is_err() || failed {
+                    let failed = computed.is_err();
+                    if tx.send((c, computed)).is_err() || failed {
                         break;
                     }
                 })
@@ -162,21 +180,19 @@ where
     });
     drop(tx);
     let mut by_chunk: Vec<Option<Computed<R>>> = (0..n_chunks).map(|_| None).collect();
-    for (c, out) in rx {
-        by_chunk[c] = Some(out);
+    for (c, computed) in rx {
+        by_chunk[c] = Some(computed);
     }
-    let mut result = Vec::with_capacity(capacity);
     for slot in by_chunk {
         match slot {
             // Only possible after poisoning: a skipped chunk, whose index
             // is above the panicked chunk's — the `Err` arm re-raises
             // before assembly would miss anything.
             None => continue,
-            Some(Ok(out)) => result.extend(out),
+            Some(Ok(chunk)) => out.extend(chunk),
             Some(Err(payload)) => std::panic::resume_unwind(payload),
         }
     }
-    result
 }
 
 #[cfg(test)]
@@ -193,6 +209,20 @@ mod tests {
             let got = par_map(&items, threads, |i, x| x * 3 + widen_u64(i));
             assert_eq!(got, expect, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn map_into_clears_and_reuses_the_callers_vector() {
+        let items: Vec<u64> = (0..1000).collect();
+        let mut out = vec![u64::MAX; 5];
+        for threads in [1usize, 2, 3] {
+            par_map_into(&items, threads, &mut out, |i, x| x + widen_u64(i));
+            assert_eq!(out, par_map(&items, 1, |i, x| x + widen_u64(i)), "threads = {threads}");
+        }
+        let capacity = out.capacity();
+        par_map_into(&items[..10], 2, &mut out, |_, x| *x);
+        assert_eq!(out, (0..10).collect::<Vec<_>>());
+        assert_eq!(out.capacity(), capacity, "a shorter map keeps the allocation");
     }
 
     #[test]

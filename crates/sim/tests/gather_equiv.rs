@@ -3,39 +3,16 @@
 //!
 //! The cache replaces one sparse BFS per gather center with one rerooting
 //! pass per component, so every number it feeds into round accounting must
-//! match the BFS **exactly** — eccentricities, the farthest-node
-//! tie-break, and the aggregate parallel/sequential costs under every
-//! center-picking rule. These properties exercise random Prüfer forests,
+//! match the BFS **exactly** — eccentricities and the farthest-node
+//! tie-break, for every node. These properties exercise random Prüfer forests,
 //! caterpillars, stars and paths (with permuted identifier assignments so
 //! "highest id" is not node order), semi-graph restrictions, and
 //! cyclic topologies (the non-tree fallback path).
 
 use proptest::prelude::*;
 use treelocal_gen::{caterpillar, path, random_forest, relabel, star, IdStrategy};
-use treelocal_graph::{components, sparse_bfs_farthest, Graph, NodeId, SemiGraph, Topology};
-use treelocal_sim::{
-    gather_rounds_at, highest_id_center, parallel_gather_rounds, sequential_gather_rounds,
-    GatherPlan,
-};
-
-/// The pre-cache implementation of `parallel_gather_rounds`: one BFS per
-/// center, worst component wins.
-fn parallel_uncached<T: Topology>(
-    topo: &T,
-    comps: &[Vec<NodeId>],
-    mut pick: impl FnMut(&[NodeId]) -> NodeId,
-) -> u64 {
-    comps.iter().map(|c| gather_rounds_at(topo, pick(c))).max().unwrap_or(0)
-}
-
-/// The pre-cache implementation of `sequential_gather_rounds`.
-fn sequential_uncached<T: Topology>(
-    topo: &T,
-    comps: &[Vec<NodeId>],
-    mut pick: impl FnMut(&[NodeId]) -> NodeId,
-) -> u64 {
-    comps.iter().map(|c| gather_rounds_at(topo, pick(c)).max(1)).sum()
-}
+use treelocal_graph::{sparse_bfs_farthest, Graph, NodeId, SemiGraph, Topology};
+use treelocal_sim::{gather_rounds_at, GatherPlan};
 
 /// Asserts the full equivalence contract on one topology (the vendored
 /// proptest's `prop_assert!` panics on failure, so this returns unit).
@@ -47,37 +24,6 @@ fn assert_gather_equivalence<T: Topology>(topo: &T) {
         prop_assert_eq!(plan.rounds_at(v), gather_rounds_at(topo, v), "center {:?}", v);
         prop_assert_eq!(plan.farthest(v), sparse_bfs_farthest(topo, v), "farthest {:?}", v);
     }
-    // Aggregates: cached free functions equal the uncached loops under
-    // both center strategies (paper's highest-id rule and a positional
-    // rule that often lands on component boundaries).
-    let comps: Vec<Vec<NodeId>> = components(topo).iter().map(<[NodeId]>::to_vec).collect();
-    let first = |c: &[NodeId]| c[0];
-    prop_assert_eq!(
-        parallel_gather_rounds(topo, comps.clone(), highest_id_center(topo)),
-        parallel_uncached(topo, &comps, highest_id_center(topo))
-    );
-    prop_assert_eq!(
-        parallel_gather_rounds(topo, comps.clone(), first),
-        parallel_uncached(topo, &comps, first)
-    );
-    prop_assert_eq!(
-        sequential_gather_rounds(topo, comps.clone(), highest_id_center(topo)),
-        sequential_uncached(topo, &comps, highest_id_center(topo))
-    );
-    prop_assert_eq!(
-        sequential_gather_rounds(topo, comps.clone(), first),
-        sequential_uncached(topo, &comps, first)
-    );
-    // One shared plan across both aggregates reuses component fills.
-    let shared = GatherPlan::new(topo);
-    prop_assert_eq!(
-        shared.parallel_rounds(comps.clone(), highest_id_center(topo)),
-        parallel_uncached(topo, &comps, highest_id_center(topo))
-    );
-    prop_assert_eq!(
-        shared.sequential_rounds(comps.clone(), highest_id_center(topo)),
-        sequential_uncached(topo, &comps, highest_id_center(topo))
-    );
 }
 
 proptest! {

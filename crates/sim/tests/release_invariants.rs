@@ -6,17 +6,9 @@
 //! guard is now a hard `assert!`; this test verifies the rejection without
 //! relying on `cfg(debug_assertions)` in any way, so it pins the release
 //! behavior too (CI additionally runs the sim tests under `--release`).
-//!
-//! The gather costing functions carry the same precedent: `pick_center`
-//! returning a node outside its component used to be a `debug_assert!`,
-//! so a release build silently charged the wrong component's
-//! eccentricity. Both aggregate entry points (and their `GatherPlan`
-//! equivalents) now reject it in every profile.
 
-use treelocal_graph::{Graph, NodeId};
-use treelocal_sim::{
-    parallel_gather_rounds, sequential_gather_rounds, ExecCore, GatherPlan, Verdict,
-};
+use treelocal_graph::NodeId;
+use treelocal_sim::{ExecCore, Verdict};
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     payload
@@ -71,58 +63,10 @@ fn a_step_that_sleeps_fails_its_invariant_in_every_profile() {
                 core.seed(NodeId::new(i), Verdict::Active(0));
             }
             core.begin_round(10);
-            core.step_snapshot(threads, |_, own, _| Verdict::SleepUntil(own, 5));
+            core.step(threads, |_, own, _| Verdict::SleepUntil(own, 5));
         });
         let payload = result.expect_err("a sleeping step verdict must be rejected");
         let msg = panic_message(payload.as_ref());
         assert!(msg.contains("(sleep-at-seed)"), "unexpected panic with {threads} threads: {msg}");
     }
-}
-
-/// Two components; every pick below returns a node from the wrong one.
-fn two_component_graph() -> Graph {
-    Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]).unwrap()
-}
-
-// lint:allow(no-raw-spawn): names std::thread::Result only to type
-// catch_unwind's payload; no thread is spawned here.
-fn assert_rejects_foreign_center(result: std::thread::Result<u64>) {
-    let payload = result.expect_err("a foreign gather center must be rejected in every profile");
-    let msg = panic_message(payload.as_ref());
-    assert!(msg.contains("not a member of its component"), "unexpected panic message: {msg}");
-}
-
-#[test]
-fn parallel_gather_rejects_foreign_center_in_every_profile() {
-    let g = two_component_graph();
-    assert_rejects_foreign_center(std::panic::catch_unwind(|| {
-        // Pre-fix, in release builds, this silently cost component {0,1,2}
-        // at node 4's eccentricity (wrong component, wrong rounds).
-        parallel_gather_rounds(
-            &g,
-            vec![vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)]],
-            |_| NodeId::new(4),
-        )
-    }));
-}
-
-#[test]
-fn sequential_gather_rejects_foreign_center_in_every_profile() {
-    let g = two_component_graph();
-    assert_rejects_foreign_center(std::panic::catch_unwind(|| {
-        sequential_gather_rounds(&g, vec![vec![NodeId::new(3), NodeId::new(4)]], |_| NodeId::new(0))
-    }));
-}
-
-#[test]
-fn gather_plan_aggregates_reject_foreign_centers_in_every_profile() {
-    let g = two_component_graph();
-    assert_rejects_foreign_center(std::panic::catch_unwind(|| {
-        GatherPlan::new(&g)
-            .parallel_rounds(vec![vec![NodeId::new(3), NodeId::new(4)]], |_| NodeId::new(2))
-    }));
-    assert_rejects_foreign_center(std::panic::catch_unwind(|| {
-        GatherPlan::new(&g)
-            .sequential_rounds(vec![vec![NodeId::new(0), NodeId::new(1)]], |_| NodeId::new(3))
-    }));
 }

@@ -5,13 +5,16 @@
 //! solutions that both the `classic` validators and the engine-blind
 //! checker's rule table accept on every single tree — no sampling, no
 //! seeds. Between them the pipelines run all four colour-class sweep
-//! rules.
+//! rules. The MIS pipeline also runs at every forced `k ∈ {2, 3, 4}`.
 
+use treelocal::algos::MisAlgo;
 use treelocal::check::{check_solution, EdgePalette, Palette, Rule, Solution};
-use treelocal::core::{coloring_on_tree, edge_coloring_on_tree, matching_on_tree, mis_on_tree};
+use treelocal::core::{
+    coloring_on_tree, edge_coloring_on_tree, matching_on_tree, mis_on_tree, TreeTransform,
+};
 use treelocal::gen::decode_prufer;
 use treelocal::graph::Graph;
-use treelocal::problems::classic;
+use treelocal::problems::{classic, Mis};
 
 /// Cayley's count of labeled trees on `2..=6` nodes: `n^(n-2)`.
 const TREES_UP_TO_6: usize = 1 + 3 + 16 + 125 + 1296;
@@ -67,6 +70,27 @@ fn mis_transform_on_every_tree_up_to_6() {
         assert!(out.valid, "n = {n}");
         assert!(classic::is_valid_mis(tree, &set), "n = {n}");
         assert_checked(tree, &Rule::Mis, Solution::NodeSet(set), n);
+    });
+}
+
+/// Theorem 12's MIS pipeline at every forced decomposition parameter `k`
+/// in `{2, 3, 4}`: small `k` gives the deepest rake-and-compress layering,
+/// so this drives the release Lemma 10 and Lemma 11 asserts over every
+/// small tree at every such `k`.
+#[test]
+fn mis_transform_at_forced_k_on_every_tree_up_to_6() {
+    for_every_tree_up_to_6(|n, tree| {
+        for k in [2, 3, 4] {
+            let out = TreeTransform::new(&Mis, &MisAlgo).with_k(k).run(tree);
+            assert!(out.valid, "n = {n}, k = {k}");
+            assert_eq!(out.params.k, k);
+            assert_checked(
+                tree,
+                &Rule::Mis,
+                Solution::NodeSet(Mis.extract(tree, &out.labeling)),
+                n,
+            );
+        }
     });
 }
 
