@@ -18,14 +18,15 @@
 //!    with halt round `>= r`, so a matching commitment chain proves the
 //!    engine's frontier shrank exactly as the halt records say.
 
-use crate::commit::{commit_round, COMMITMENT_OFFSET};
+use crate::commit::{commit_frontier, COMMITMENT_OFFSET};
 use crate::envelope::{check_envelope, Envelope};
 use crate::error::CheckError;
 use crate::rule::{
     check_solution, check_witness_kind, EdgePalette, MisWitness, Palette, Rule, Solution,
 };
-use std::fmt::Write as _;
-use treelocal_graph::{widen_u64, Graph};
+use std::iter::Peekable;
+use std::str::Lines;
+use treelocal_graph::{widen_u32, widen_u64, Graph, OrInvariant};
 
 /// The format-version line every certificate must open with.
 pub const FORMAT_VERSION: &str = "treelocal-cert v1";
@@ -74,72 +75,108 @@ pub struct Certificate {
 impl Certificate {
     /// Serializes to the canonical `treelocal-cert v1` text. The output
     /// is byte-deterministic: equal certificates serialize identically.
+    ///
+    /// Every line is written straight into one buffer sized up front from
+    /// the certificate's counts; numbers are formatted digit by digit,
+    /// with no per-line formatting machinery.
     pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{FORMAT_VERSION}");
-        let _ = writeln!(s, "instance {}", self.instance);
-        let _ = writeln!(s, "rule {}", rule_text(&self.rule));
-        let _ = writeln!(s, "nodes {}", self.nodes);
-        let _ = writeln!(s, "idspace {}", self.id_space);
-        let _ = writeln!(s, "edges {}", self.edges.len());
+        let mut out = TextBuf(Vec::with_capacity(self.text_len_hint()));
+        out.str(FORMAT_VERSION).end_line();
+        out.str("instance ").str(&self.instance).end_line();
+        out.str("rule ").str(&rule_text(&self.rule)).end_line();
+        out.str("nodes ").dec(widen_u64(self.nodes)).end_line();
+        out.str("idspace ").dec(self.id_space).end_line();
+        out.str("edges ").dec(widen_u64(self.edges.len())).end_line();
         for &(u, v) in &self.edges {
-            let _ = writeln!(s, "e {u} {v}");
+            out.str("e ").dec(widen_u64(u)).space().dec(widen_u64(v)).end_line();
         }
         if let Some(lists) = &self.lists {
-            let _ = writeln!(s, "lists {}", lists.len());
+            out.str("lists ").dec(widen_u64(lists.len())).end_line();
             for (i, list) in lists.iter().enumerate() {
-                let _ = write!(s, "l {i}");
-                for c in list {
-                    let _ = write!(s, " {c}");
+                out.str("l ").dec(widen_u64(i));
+                for &c in list {
+                    out.space().dec(c);
                 }
-                s.push('\n');
+                out.end_line();
             }
         }
-        let _ = writeln!(s, "solution {}", self.solution.kind());
+        out.str("solution ").str(self.solution.kind()).end_line();
         match &self.solution {
             Solution::NodeColors(colors) | Solution::EdgeColors(colors) => {
-                for (i, c) in colors.iter().enumerate() {
-                    let _ = writeln!(s, "s {i} {c}");
+                for (i, &c) in colors.iter().enumerate() {
+                    out.str("s ").dec(widen_u64(i)).space().dec(c).end_line();
                 }
             }
             Solution::NodeSet(set) | Solution::EdgeSet(set) => {
                 for (i, &b) in set.iter().enumerate() {
-                    let _ = writeln!(s, "s {i} {}", u8::from(b));
+                    out.str("s ").dec(widen_u64(i)).str(if b { " 1" } else { " 0" }).end_line();
                 }
             }
             Solution::MisWitnesses(witnesses) => {
                 for (i, w) in witnesses.iter().enumerate() {
+                    out.str("s ").dec(widen_u64(i));
                     match w {
-                        MisWitness::Member => {
-                            let _ = writeln!(s, "s {i} M");
-                        }
+                        MisWitness::Member => out.str(" M"),
                         MisWitness::NonMember { witness } => {
-                            let _ = writeln!(s, "s {i} P {witness}");
+                            out.str(" P ").dec(widen_u64(*witness))
                         }
-                    }
+                    };
+                    out.end_line();
                 }
             }
         }
-        let _ = writeln!(s, "envelope {}", self.envelope.id());
-        let _ = writeln!(s, "rounds {}", self.rounds);
-        let _ = writeln!(s, "segments {}", self.segments.len());
+        out.str("envelope ").str(self.envelope.id()).end_line();
+        out.str("rounds ").dec(self.rounds).end_line();
+        out.str("segments ").dec(widen_u64(self.segments.len())).end_line();
         for seg in &self.segments {
-            let _ = writeln!(s, "segment {} {}", seg.rounds, seg.participants);
+            out.str("segment ").dec(seg.rounds).space().dec(widen_u64(seg.participants));
+            out.end_line();
             for &(v, r) in &seg.halts {
-                let _ = writeln!(s, "h {v} {r}");
+                out.str("h ").dec(widen_u64(v)).space().dec(r).end_line();
             }
-            for (i, c) in seg.commitments.iter().enumerate() {
-                let _ = writeln!(s, "c {} {c:016x}", i + 1);
+            for (i, &c) in seg.commitments.iter().enumerate() {
+                out.str("c ").dec(widen_u64(i) + 1).space().hex16(c).end_line();
             }
         }
-        s.push_str("end\n");
-        s
+        out.str("end").end_line();
+        String::from_utf8(out.0).or_invariant("certificate text is UTF-8")
     }
 
-    /// Parses canonical certificate text.
+    /// An upper bound on the length of [`Certificate::to_text`] while
+    /// every node index is below `nodes`, every edge index below the edge
+    /// count and every halt round at most its segment's rounds; only an
+    /// estimate otherwise (the buffer then grows as usual).
+    fn text_len_hint(&self) -> usize {
+        let node = dec_len(widen_u64(self.nodes.saturating_sub(1)));
+        let edge = dec_len(widen_u64(self.edges.len().saturating_sub(1)));
+        let mut len = 256 + self.instance.len();
+        len += self.edges.len() * (4 + 2 * node);
+        if let Some(lists) = &self.lists {
+            len += lists.iter().map(|l| 3 + node + 21 * l.len()).sum::<usize>();
+        }
+        len += match &self.solution {
+            Solution::NodeColors(c) | Solution::EdgeColors(c) => {
+                c.iter().map(|&c| 4 + node + dec_len(c)).sum::<usize>()
+            }
+            Solution::NodeSet(s) | Solution::EdgeSet(s) => s.len() * (5 + node),
+            Solution::MisWitnesses(w) => w.len() * (7 + node + edge),
+        };
+        for seg in &self.segments {
+            let round = dec_len(seg.rounds);
+            len += 10 + round + dec_len(widen_u64(seg.participants));
+            len += seg.halts.len() * (4 + node + round);
+            len += seg.commitments.len() * (20 + round);
+        }
+        len
+    }
+
+    /// Parses canonical certificate text in one forward pass over its
+    /// lines. Beyond the parsed certificate itself, memory stays bounded
+    /// by the input: no line table, no per-line allocation, and every
+    /// count-driven reservation capped by the lines still unread.
     pub fn parse(text: &str) -> Result<Certificate, CheckError> {
-        let mut p = Parser { lines: text.lines().collect(), pos: 0 };
-        let version = p.next("the format-version line")?;
+        let mut p = Parser::new(text);
+        let version = p.line("the format-version line")?;
         if version != FORMAT_VERSION {
             return Err(CheckError::VersionMismatch { found: version.to_string() });
         }
@@ -179,16 +216,19 @@ impl Certificate {
         } else {
             None
         };
-        let kind = p.keyword_rest("solution")?.trim().to_string();
+        let kind = p.keyword_rest("solution")?.trim();
         let kind_line = p.pos;
-        let mut entries: Vec<(usize, usize, String)> = Vec::new();
+        // Witness lines are consecutive: entry `k` sits on line
+        // `kind_line + 1 + k`.
+        let mut entries: Vec<(usize, &str)> = Vec::with_capacity(nodes.min(p.remaining()));
         while p.peek_keyword("s") {
             let rest = p.keyword_rest("s")?;
-            let (i, value) = split_index(rest, p.pos)?;
-            entries.push((i, p.pos, value));
+            entries.push(split_index(rest, p.pos)?);
         }
         dense(&entries)?;
-        let solution = parse_solution(&kind, kind_line, &entries)?;
+        let solution = parse_solution(kind, kind_line, &entries)?;
+        // The witness table goes before the transcript's buffers grow.
+        drop(entries);
         let envelope = match p.keyword_rest("envelope")?.trim() {
             "none" => Envelope::None,
             "linial" => Envelope::Linial,
@@ -205,14 +245,16 @@ impl Certificate {
         let mut segments = Vec::with_capacity(segment_count.min(p.remaining()));
         for _ in 0..segment_count {
             let rest = p.keyword_rest("segment")?;
-            let (seg_rounds, participants) = parse_pair(rest, p.pos, "segment header")?;
-            let mut halts = Vec::new();
+            let (seg_rounds, participants): (u64, usize) =
+                parse_pair(rest, p.pos, "segment header")?;
+            let mut halts = Vec::with_capacity(participants.min(p.remaining()));
             while p.peek_keyword("h") {
                 let rest = p.keyword_rest("h")?;
                 let (v, r) = parse_pair(rest, p.pos, "halt record")?;
                 halts.push((v, r));
             }
-            let mut commitments = Vec::new();
+            let claimed = usize::try_from(seg_rounds).unwrap_or(usize::MAX);
+            let mut commitments = Vec::with_capacity(claimed.min(p.remaining()));
             while p.peek_keyword("c") {
                 let rest = p.keyword_rest("c")?;
                 let mut toks = rest.split_ascii_whitespace();
@@ -235,12 +277,15 @@ impl Certificate {
             }
             segments.push(Segment { rounds: seg_rounds, participants, halts, commitments });
         }
-        let end = p.next("the end line")?;
+        let end = p.line("the end line")?;
         if end != "end" {
             return Err(CheckError::Format { line: p.pos, what: "the end line".to_string() });
         }
-        if p.pos != p.lines.len() && p.lines[p.pos..].iter().any(|l| !l.trim().is_empty()) {
-            return Err(CheckError::Format { line: p.pos + 1, what: "end of file".to_string() });
+        if let Some(offset) = p.lines.position(|l| !l.trim().is_empty()) {
+            return Err(CheckError::Format {
+                line: p.pos + 1 + offset,
+                what: "end of file".to_string(),
+            });
         }
         Ok(Certificate {
             instance,
@@ -257,18 +302,80 @@ impl Certificate {
     }
 }
 
+/// The certificate text under construction: keywords, decimal and hex
+/// digits appended straight into one byte buffer.
+struct TextBuf(Vec<u8>);
+
+impl TextBuf {
+    fn str(&mut self, s: &str) -> &mut Self {
+        self.0.extend_from_slice(s.as_bytes());
+        self
+    }
+
+    fn space(&mut self) -> &mut Self {
+        self.0.push(b' ');
+        self
+    }
+
+    fn end_line(&mut self) {
+        self.0.push(b'\n');
+    }
+
+    /// `x` in decimal, as `{x}` formats it.
+    fn dec(&mut self, mut x: u64) -> &mut Self {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (x % 10).to_le_bytes()[0];
+            x /= 10;
+            if x == 0 {
+                break;
+            }
+        }
+        self.0.extend_from_slice(&digits[start..]);
+        self
+    }
+
+    /// `x` as 16 lowercase hex digits, as `{x:016x}` formats it.
+    fn hex16(&mut self, x: u64) -> &mut Self {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        for byte in x.to_be_bytes() {
+            self.0.push(HEX[usize::from(byte >> 4)]);
+            self.0.push(HEX[usize::from(byte & 0xf)]);
+        }
+        self
+    }
+}
+
+/// Decimal digits of `x`.
+fn dec_len(x: u64) -> usize {
+    x.checked_ilog10().map_or(1, |d| 1 + widen_u32(d))
+}
+
+/// A forward cursor over the text's lines, split exactly as
+/// [`str::lines`] splits them (`\n` or `\r\n`, final newline optional).
 struct Parser<'a> {
-    lines: Vec<&'a str>,
+    lines: Peekable<Lines<'a>>,
     /// Lines consumed so far == 1-based number of the last consumed line.
     pos: usize,
+    /// Lines in the whole text, counted once up front.
+    total: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn next(&mut self, what: &str) -> Result<&'a str, CheckError> {
+    fn new(text: &'a str) -> Self {
+        let newlines = text.bytes().filter(|&b| b == b'\n').count();
+        let unterminated = usize::from(!text.is_empty() && !text.ends_with('\n'));
+        Parser { lines: text.lines().peekable(), pos: 0, total: newlines + unterminated }
+    }
+
+    /// Consumes the next line; a missing line is a format error naming
+    /// `what` at the line number it should have had.
+    fn line(&mut self, what: &str) -> Result<&'a str, CheckError> {
         let line = self
             .lines
-            .get(self.pos)
-            .copied()
+            .next()
             .ok_or_else(|| CheckError::Format { line: self.pos + 1, what: what.to_string() })?;
         self.pos += 1;
         Ok(line)
@@ -276,20 +383,25 @@ impl<'a> Parser<'a> {
 
     /// Consumes a `keyword rest...` line, returning `rest`.
     fn keyword_rest(&mut self, keyword: &str) -> Result<&'a str, CheckError> {
-        let line = self.next(&format!("a {keyword:?} line"))?;
-        match line.strip_prefix(keyword) {
-            Some(rest) if rest.starts_with(' ') || rest.is_empty() => Ok(rest.trim_start()),
-            _ => Err(CheckError::Format { line: self.pos, what: format!("a {keyword:?} line") }),
-        }
+        let rest = self
+            .lines
+            .next()
+            .and_then(|line| line.strip_prefix(keyword))
+            .filter(|rest| rest.starts_with(' ') || rest.is_empty());
+        self.pos += 1;
+        rest.map(str::trim_start).ok_or_else(|| CheckError::Format {
+            line: self.pos,
+            what: format!("a {keyword:?} line"),
+        })
     }
 
     /// Lines not yet consumed — the cap on any count-driven reservation.
     fn remaining(&self) -> usize {
-        self.lines.len() - self.pos
+        self.total - self.pos
     }
 
-    fn peek_keyword(&self, keyword: &str) -> bool {
-        self.lines.get(self.pos).is_some_and(|l| l.split_ascii_whitespace().next() == Some(keyword))
+    fn peek_keyword(&mut self, keyword: &str) -> bool {
+        self.lines.peek().is_some_and(|l| l.split_ascii_whitespace().next() == Some(keyword))
     }
 
     /// Consumes `keyword <number>`.
@@ -322,23 +434,23 @@ fn parse_pair<A: std::str::FromStr, B: std::str::FromStr>(
     Ok((a, b))
 }
 
-fn split_index(rest: &str, line: usize) -> Result<(usize, String), CheckError> {
+fn split_index(rest: &str, line: usize) -> Result<(usize, &str), CheckError> {
     let mut toks = rest.splitn(2, ' ');
     let i = parse_tok(toks.next(), line, "a witness index")?;
     let value = toks
         .next()
         .ok_or_else(|| CheckError::Format { line, what: "a witness value".to_string() })?;
-    Ok((i, value.trim().to_string()))
+    Ok((i, value.trim()))
 }
 
 /// Witness indices must be exactly `0, 1, 2, ...` — a gap is a dropped
 /// witness, a repeat a duplicated one.
-fn dense(entries: &[(usize, usize, String)]) -> Result<(), CheckError> {
-    for (want, &(i, _, _)) in entries.iter().enumerate() {
+fn dense(entries: &[(usize, &str)]) -> Result<(), CheckError> {
+    for (want, &(i, _)) in entries.iter().enumerate() {
         if i == want {
             continue;
         }
-        if entries.iter().filter(|&&(j, _, _)| j == i).count() > 1 {
+        if entries.iter().filter(|&&(j, _)| j == i).count() > 1 {
             return Err(CheckError::DuplicateWitness { index: i });
         }
         return Err(CheckError::MissingWitness { index: want });
@@ -349,12 +461,13 @@ fn dense(entries: &[(usize, usize, String)]) -> Result<(), CheckError> {
 fn parse_solution(
     kind: &str,
     kind_line: usize,
-    entries: &[(usize, usize, String)],
+    entries: &[(usize, &str)],
 ) -> Result<Solution, CheckError> {
+    let values = entries.iter().enumerate().map(|(k, &(_, value))| (kind_line + 1 + k, value));
     match kind {
         "node-colors" | "edge-colors" => {
             let mut colors = Vec::with_capacity(entries.len());
-            for &(_, line, ref value) in entries {
+            for (line, value) in values {
                 colors.push(parse_tok(Some(value), line, "a color")?);
             }
             if kind == "node-colors" {
@@ -365,8 +478,8 @@ fn parse_solution(
         }
         "node-set" | "edge-set" => {
             let mut set = Vec::with_capacity(entries.len());
-            for &(_, line, ref value) in entries {
-                match value.as_str() {
+            for (line, value) in values {
+                match value {
                     "0" => set.push(false),
                     "1" => set.push(true),
                     _ => {
@@ -385,7 +498,7 @@ fn parse_solution(
         }
         "mis-witness" => {
             let mut witnesses = Vec::with_capacity(entries.len());
-            for &(_, line, ref value) in entries {
+            for (line, value) in values {
                 let mut toks = value.split_ascii_whitespace();
                 match toks.next() {
                     Some("M") => witnesses.push(MisWitness::Member),
@@ -541,6 +654,7 @@ pub fn check_text(text: &str) -> Result<(), CheckError> {
 fn check_transcript(cert: &Certificate) -> Result<(), CheckError> {
     let mut chain = COMMITMENT_OFFSET;
     let mut total: u64 = 0;
+    let mut frontier: Vec<(u64, u64)> = Vec::new();
     for (si, seg) in cert.segments.iter().enumerate() {
         if seg.participants != seg.halts.len() {
             return Err(CheckError::ParticipantCountMismatch {
@@ -582,18 +696,16 @@ fn check_transcript(cert: &Certificate) -> Result<(), CheckError> {
                 derived,
             });
         }
+        // The round-`r` frontier, re-derived from the halt records: every
+        // participant still running at round `r`, in ascending (= commit)
+        // order. It only shrinks, so one buffer per segment is filtered
+        // down round by round.
+        frontier.clear();
+        frontier.extend(seg.halts.iter().map(|&(v, hr)| (widen_u64(v), hr)));
         for (i, &found) in seg.commitments.iter().enumerate() {
             let round = widen_u64(i) + 1;
-            // The round-`r` frontier, re-derived from the halt records:
-            // every participant still running at round `r`, in ascending
-            // (= commit) order.
-            let frontier: Vec<u64> = seg
-                .halts
-                .iter()
-                .filter(|&&(_, hr)| hr >= round)
-                .map(|&(v, _)| widen_u64(v))
-                .collect();
-            let expected = commit_round(chain, round, &frontier);
+            frontier.retain(|&(_, hr)| hr >= round);
+            let expected = commit_frontier(chain, round, frontier.iter().map(|&(v, _)| v));
             if expected != found {
                 return Err(CheckError::CommitmentMismatch { segment: si, round, expected, found });
             }
@@ -610,6 +722,7 @@ fn check_transcript(cert: &Certificate) -> Result<(), CheckError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commit::commit_round;
 
     /// A hand-built, fully consistent MIS certificate on a 3-path: all
     /// three nodes run one round, then halt together.
@@ -744,5 +857,249 @@ end
         assert_eq!(check_certificate(&cert), Ok(()));
         let text = cert.to_text();
         assert_eq!(Certificate::parse(&text).unwrap(), cert);
+    }
+
+    /// The `writeln!`-based serializer [`Certificate::to_text`] replaced,
+    /// kept as the byte oracle for the direct emitter.
+    fn reference_text(cert: &Certificate) -> String {
+        use std::fmt::Write as _;
+        let mut s = String::new();
+        let _ = writeln!(s, "{FORMAT_VERSION}");
+        let _ = writeln!(s, "instance {}", cert.instance);
+        let _ = writeln!(s, "rule {}", rule_text(&cert.rule));
+        let _ = writeln!(s, "nodes {}", cert.nodes);
+        let _ = writeln!(s, "idspace {}", cert.id_space);
+        let _ = writeln!(s, "edges {}", cert.edges.len());
+        for &(u, v) in &cert.edges {
+            let _ = writeln!(s, "e {u} {v}");
+        }
+        if let Some(lists) = &cert.lists {
+            let _ = writeln!(s, "lists {}", lists.len());
+            for (i, list) in lists.iter().enumerate() {
+                let _ = write!(s, "l {i}");
+                for c in list {
+                    let _ = write!(s, " {c}");
+                }
+                s.push('\n');
+            }
+        }
+        let _ = writeln!(s, "solution {}", cert.solution.kind());
+        match &cert.solution {
+            Solution::NodeColors(colors) | Solution::EdgeColors(colors) => {
+                for (i, c) in colors.iter().enumerate() {
+                    let _ = writeln!(s, "s {i} {c}");
+                }
+            }
+            Solution::NodeSet(set) | Solution::EdgeSet(set) => {
+                for (i, &b) in set.iter().enumerate() {
+                    let _ = writeln!(s, "s {i} {}", u8::from(b));
+                }
+            }
+            Solution::MisWitnesses(witnesses) => {
+                for (i, w) in witnesses.iter().enumerate() {
+                    match w {
+                        MisWitness::Member => {
+                            let _ = writeln!(s, "s {i} M");
+                        }
+                        MisWitness::NonMember { witness } => {
+                            let _ = writeln!(s, "s {i} P {witness}");
+                        }
+                    }
+                }
+            }
+        }
+        let _ = writeln!(s, "envelope {}", cert.envelope.id());
+        let _ = writeln!(s, "rounds {}", cert.rounds);
+        let _ = writeln!(s, "segments {}", cert.segments.len());
+        for seg in &cert.segments {
+            let _ = writeln!(s, "segment {} {}", seg.rounds, seg.participants);
+            for &(v, r) in &seg.halts {
+                let _ = writeln!(s, "h {v} {r}");
+            }
+            for (i, c) in seg.commitments.iter().enumerate() {
+                let _ = writeln!(s, "c {} {c:016x}", i + 1);
+            }
+        }
+        s.push_str("end\n");
+        s
+    }
+
+    /// A deterministic stream of test values, biased to the edges of the
+    /// digit code: 0, 1, `u64::MAX`, values with leading zero nibbles,
+    /// and powers of ten and their predecessors.
+    struct Values(u64);
+
+    impl Values {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn count(&mut self, max: usize) -> usize {
+            usize::try_from(self.below(widen_u64(max) + 1)).unwrap()
+        }
+
+        fn value(&mut self) -> u64 {
+            match self.below(7) {
+                0 => 0,
+                1 => 1,
+                2 => u64::MAX,
+                3 => {
+                    let shift = self.below(64);
+                    self.next() >> shift
+                }
+                4 => 10u64.pow(u32::try_from(self.below(20)).unwrap()),
+                5 => 10u64.pow(u32::try_from(self.below(20)).unwrap()) - 1,
+                _ => self.next(),
+            }
+        }
+
+        fn index(&mut self) -> usize {
+            usize::try_from(self.value()).unwrap()
+        }
+    }
+
+    /// An arbitrary certificate, valid or not: the emitter and parser
+    /// must round-trip every one.
+    fn arbitrary_cert(seed: u64, kind: u64, size: usize) -> Certificate {
+        let mut r = Values(seed);
+        let instance: String = (0..r.count(8))
+            .map(|i| match r.below(5) {
+                0 if i > 0 => ' ',
+                1 => 'é',
+                2 => '-',
+                _ => char::from(b'a' + r.next().to_le_bytes()[0] % 26),
+            })
+            .collect();
+        let rule = match r.below(7) {
+            0 => Rule::Coloring { palette: Palette::AtMost(r.value()) },
+            1 => Rule::Coloring { palette: Palette::DegreePlusOne },
+            2 => Rule::ListColoring,
+            3 => Rule::Mis,
+            4 => Rule::Matching { b: u32::try_from(r.value() >> 32).unwrap() },
+            5 => Rule::EdgeColoring { palette: EdgePalette::AtMost(r.value()) },
+            _ => Rule::EdgeColoring { palette: EdgePalette::EdgeDegreePlusOne },
+        };
+        let edges = (0..r.count(size)).map(|_| (r.index(), r.index())).collect();
+        let lists = (r.below(2) == 0).then(|| {
+            (0..r.count(size)).map(|_| (0..r.count(3)).map(|_| r.value()).collect()).collect()
+        });
+        let entries = r.count(size);
+        let solution = match kind {
+            0 => Solution::NodeColors((0..entries).map(|_| r.value()).collect()),
+            1 => Solution::EdgeColors((0..entries).map(|_| r.value()).collect()),
+            2 => Solution::NodeSet((0..entries).map(|_| r.below(2) == 1).collect()),
+            3 => Solution::EdgeSet((0..entries).map(|_| r.below(2) == 1).collect()),
+            _ => Solution::MisWitnesses(
+                (0..entries)
+                    .map(|_| match r.below(2) {
+                        0 => MisWitness::Member,
+                        _ => MisWitness::NonMember { witness: r.index() },
+                    })
+                    .collect(),
+            ),
+        };
+        let envelope = [Envelope::None, Envelope::Linial, Envelope::MisPipeline]
+            [usize::try_from(r.below(3)).unwrap()];
+        let segments = (0..r.count(3))
+            .map(|_| Segment {
+                rounds: r.value(),
+                participants: r.index(),
+                halts: (0..r.count(size)).map(|_| (r.index(), r.value())).collect(),
+                commitments: (0..r.count(size)).map(|_| r.value()).collect(),
+            })
+            .collect();
+        Certificate {
+            instance,
+            rule,
+            nodes: r.index(),
+            id_space: r.value(),
+            edges,
+            lists,
+            solution,
+            envelope,
+            rounds: r.value(),
+            segments,
+        }
+    }
+
+    proptest::proptest! {
+        /// The direct emitter writes exactly the bytes of the `writeln!`
+        /// reference, and the parser reads every emitted certificate back.
+        #[test]
+        fn emitter_matches_the_writeln_reference_and_round_trips(
+            seed in proptest::prelude::any::<u64>(),
+            kind in 0u64..5,
+            size in 0u64..6,
+        ) {
+            let cert = arbitrary_cert(seed, kind, usize::try_from(size).unwrap());
+            let text = cert.to_text();
+            proptest::prop_assert_eq!(&text, &reference_text(&cert));
+            proptest::prop_assert_eq!(Certificate::parse(&text), Ok(cert));
+        }
+    }
+
+    #[test]
+    fn crlf_line_endings_parse_to_the_same_certificate() {
+        let cert = tiny_mis_cert();
+        let crlf = cert.to_text().replace('\n', "\r\n");
+        assert_eq!(Certificate::parse(&crlf), Ok(cert));
+    }
+
+    #[test]
+    fn a_missing_final_newline_still_parses() {
+        let cert = tiny_mis_cert();
+        let text = cert.to_text();
+        let unterminated = text.strip_suffix('\n').unwrap();
+        assert_eq!(Certificate::parse(unterminated), Ok(cert));
+    }
+
+    /// Cutting the text after any line leaves the parser one line short:
+    /// it reports a format error at the first line that is missing.
+    #[test]
+    fn every_truncation_is_a_format_error_at_the_missing_line() {
+        let text = tiny_mis_cert().to_text();
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        for kept in 0..lines.len() {
+            let truncated = lines[..kept].concat();
+            match Certificate::parse(&truncated) {
+                Err(CheckError::Format { line, .. }) => {
+                    assert_eq!(line, kept + 1, "cut after line {kept}")
+                }
+                other => panic!("cut after line {kept}: {other:?}"),
+            }
+        }
+    }
+
+    /// Every number goes through `str::parse`, so the accepted language is
+    /// exactly what `FromStr` accepts: a `+` sign and leading zeros parse.
+    #[test]
+    fn numbers_accept_what_from_str_accepts() {
+        assert_eq!("+0".parse::<usize>(), Ok(0));
+        assert_eq!("00".parse::<usize>(), Ok(0));
+        let cert = tiny_mis_cert();
+        let text = cert.to_text();
+        let signed = text.replace("e 0 1\n", "e +0 1\n");
+        assert_eq!(Certificate::parse(&signed), Ok(cert.clone()));
+        let padded = text.replace("s 0 M\n", "s 00 M\n");
+        assert_eq!(Certificate::parse(&padded), Ok(cert));
+    }
+
+    #[test]
+    fn trailing_content_is_reported_at_its_own_line() {
+        let text = tiny_mis_cert().to_text();
+        let end_line = text.lines().count();
+        assert_eq!(Certificate::parse(&format!("{text}\n\n")), Ok(tiny_mis_cert()));
+        assert_eq!(
+            Certificate::parse(&format!("{text}\n\nx\n")),
+            Err(CheckError::Format { line: end_line + 3, what: "end of file".to_string() })
+        );
     }
 }

@@ -29,9 +29,18 @@ pub fn commitment_fold(mut h: u64, x: u64) -> u64 {
 /// Advances the chain by one round: fold the 1-based round number, the
 /// frontier size, then every frontier node index in commit order.
 pub fn commit_round(chain: u64, round: u64, frontier: &[u64]) -> u64 {
+    commit_frontier(chain, round, frontier.iter().copied())
+}
+
+/// [`commit_round`] over any exactly sized frontier iterator.
+pub(crate) fn commit_frontier(
+    chain: u64,
+    round: u64,
+    frontier: impl ExactSizeIterator<Item = u64>,
+) -> u64 {
     let mut h = commitment_fold(chain, round);
     h = commitment_fold(h, treelocal_graph::widen_u64(frontier.len()));
-    for &v in frontier {
+    for v in frontier {
         h = commitment_fold(h, v);
     }
     h
