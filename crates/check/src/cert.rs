@@ -26,7 +26,7 @@ use crate::rule::{
 };
 use std::iter::Peekable;
 use std::str::Lines;
-use treelocal_graph::{widen_u32, widen_u64, Graph, OrInvariant};
+use treelocal_graph::{widen_u64, Graph, OrInvariant};
 
 /// The format-version line every certificate must open with.
 pub const FORMAT_VERSION: &str = "treelocal-cert v1";
@@ -76,11 +76,11 @@ impl Certificate {
     /// Serializes to the canonical `treelocal-cert v1` text. The output
     /// is byte-deterministic: equal certificates serialize identically.
     ///
-    /// Every line is written straight into one buffer sized up front from
-    /// the certificate's counts; numbers are formatted digit by digit,
-    /// with no per-line formatting machinery.
+    /// Every line is written straight into one growing buffer; numbers
+    /// are formatted digit by digit, with no per-line formatting
+    /// machinery.
     pub fn to_text(&self) -> String {
-        let mut out = TextBuf(Vec::with_capacity(self.text_len_hint()));
+        let mut out = TextBuf(Vec::new());
         out.str(FORMAT_VERSION).end_line();
         out.str("instance ").str(&self.instance).end_line();
         out.str("rule ").str(&rule_text(&self.rule)).end_line();
@@ -142,38 +142,10 @@ impl Certificate {
         String::from_utf8(out.0).or_invariant("certificate text is UTF-8")
     }
 
-    /// An upper bound on the length of [`Certificate::to_text`] while
-    /// every node index is below `nodes`, every edge index below the edge
-    /// count and every halt round at most its segment's rounds; only an
-    /// estimate otherwise (the buffer then grows as usual).
-    fn text_len_hint(&self) -> usize {
-        let node = dec_len(widen_u64(self.nodes.saturating_sub(1)));
-        let edge = dec_len(widen_u64(self.edges.len().saturating_sub(1)));
-        let mut len = 256 + self.instance.len();
-        len += self.edges.len() * (4 + 2 * node);
-        if let Some(lists) = &self.lists {
-            len += lists.iter().map(|l| 3 + node + 21 * l.len()).sum::<usize>();
-        }
-        len += match &self.solution {
-            Solution::NodeColors(c) | Solution::EdgeColors(c) => {
-                c.iter().map(|&c| 4 + node + dec_len(c)).sum::<usize>()
-            }
-            Solution::NodeSet(s) | Solution::EdgeSet(s) => s.len() * (5 + node),
-            Solution::MisWitnesses(w) => w.len() * (7 + node + edge),
-        };
-        for seg in &self.segments {
-            let round = dec_len(seg.rounds);
-            len += 10 + round + dec_len(widen_u64(seg.participants));
-            len += seg.halts.len() * (4 + node + round);
-            len += seg.commitments.len() * (20 + round);
-        }
-        len
-    }
-
     /// Parses canonical certificate text in one forward pass over its
     /// lines. Beyond the parsed certificate itself, memory stays bounded
-    /// by the input: no line table, no per-line allocation, and every
-    /// count-driven reservation capped by the lines still unread.
+    /// by the input: no line table, no per-line allocation, and all
+    /// count-driven reservations together capped by the line count.
     pub fn parse(text: &str) -> Result<Certificate, CheckError> {
         let mut p = Parser::new(text);
         let version = p.line("the format-version line")?;
@@ -185,9 +157,9 @@ impl Certificate {
         let nodes: usize = p.parse_field("nodes")?;
         let id_space: u64 = p.parse_field("idspace")?;
         let edge_count: usize = p.parse_field("edges")?;
-        // Every count is untrusted: reserve at most one slot per line still
-        // unread, so a lying header cannot force a huge allocation.
-        let mut edges = Vec::with_capacity(edge_count.min(p.remaining()));
+        // Every count is untrusted: reservations come out of one budget of
+        // a slot per line, so lying headers cannot force a huge allocation.
+        let mut edges = p.reserve(edge_count);
         for _ in 0..edge_count {
             let rest = p.keyword_rest("e")?;
             let (u, v) = parse_pair(rest, p.pos, "edge endpoints")?;
@@ -195,7 +167,7 @@ impl Certificate {
         }
         let lists = if p.peek_keyword("lists") {
             let count: usize = p.parse_field("lists")?;
-            let mut lists: Vec<Vec<u64>> = Vec::with_capacity(count.min(p.remaining()));
+            let mut lists: Vec<Vec<u64>> = p.reserve(count);
             for want in 0..count {
                 let rest = p.keyword_rest("l")?;
                 let mut toks = rest.split_ascii_whitespace();
@@ -220,7 +192,7 @@ impl Certificate {
         let kind_line = p.pos;
         // Witness lines are consecutive: entry `k` sits on line
         // `kind_line + 1 + k`.
-        let mut entries: Vec<(usize, &str)> = Vec::with_capacity(nodes.min(p.remaining()));
+        let mut entries: Vec<(usize, &str)> = p.reserve(nodes);
         while p.peek_keyword("s") {
             let rest = p.keyword_rest("s")?;
             entries.push(split_index(rest, p.pos)?);
@@ -242,19 +214,19 @@ impl Certificate {
         };
         let rounds: u64 = p.parse_field("rounds")?;
         let segment_count: usize = p.parse_field("segments")?;
-        let mut segments = Vec::with_capacity(segment_count.min(p.remaining()));
+        let mut segments = p.reserve(segment_count);
         for _ in 0..segment_count {
             let rest = p.keyword_rest("segment")?;
             let (seg_rounds, participants): (u64, usize) =
                 parse_pair(rest, p.pos, "segment header")?;
-            let mut halts = Vec::with_capacity(participants.min(p.remaining()));
+            let mut halts = p.reserve(participants);
             while p.peek_keyword("h") {
                 let rest = p.keyword_rest("h")?;
                 let (v, r) = parse_pair(rest, p.pos, "halt record")?;
                 halts.push((v, r));
             }
             let claimed = usize::try_from(seg_rounds).unwrap_or(usize::MAX);
-            let mut commitments = Vec::with_capacity(claimed.min(p.remaining()));
+            let mut commitments = p.reserve(claimed);
             while p.peek_keyword("c") {
                 let rest = p.keyword_rest("c")?;
                 let mut toks = rest.split_ascii_whitespace();
@@ -348,26 +320,22 @@ impl TextBuf {
     }
 }
 
-/// Decimal digits of `x`.
-fn dec_len(x: u64) -> usize {
-    x.checked_ilog10().map_or(1, |d| 1 + widen_u32(d))
-}
-
 /// A forward cursor over the text's lines, split exactly as
 /// [`str::lines`] splits them (`\n` or `\r\n`, final newline optional).
 struct Parser<'a> {
     lines: Peekable<Lines<'a>>,
     /// Lines consumed so far == 1-based number of the last consumed line.
     pos: usize,
-    /// Lines in the whole text, counted once up front.
-    total: usize,
+    /// Slots the count-driven reservations may still take: one per line
+    /// of the whole text, counted once up front and shared by all of them.
+    budget: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         let newlines = text.bytes().filter(|&b| b == b'\n').count();
         let unterminated = usize::from(!text.is_empty() && !text.ends_with('\n'));
-        Parser { lines: text.lines().peekable(), pos: 0, total: newlines + unterminated }
+        Parser { lines: text.lines().peekable(), pos: 0, budget: newlines + unterminated }
     }
 
     /// Consumes the next line; a missing line is a format error naming
@@ -395,9 +363,14 @@ impl<'a> Parser<'a> {
         })
     }
 
-    /// Lines not yet consumed — the cap on any count-driven reservation.
-    fn remaining(&self) -> usize {
-        self.total - self.pos
+    /// An empty vector with room for up to `count` elements, taken out of
+    /// the budget. Every slot a valid certificate's counts reserve is
+    /// filled from a line of its own, so those counts fit the budget in
+    /// full; lying headers reserve at most one slot per line between them.
+    fn reserve<T>(&mut self, count: usize) -> Vec<T> {
+        let slots = count.min(self.budget);
+        self.budget -= slots;
+        Vec::with_capacity(slots)
     }
 
     fn peek_keyword(&mut self, keyword: &str) -> bool {

@@ -1,25 +1,34 @@
-//! The parser's memory pin: parsing a large certificate may grow the
-//! process's resident-set high-water mark by at most a fixed multiple of
-//! the text length.
+//! The parser's memory pin: parsing a large certificate, or a hostile one
+//! whose headers claim huge counts, may grow the process's resident-set
+//! high-water mark by at most a fixed multiple of the text length.
 //!
-//! This is a test target of its own so that no other test allocates in
-//! the same process while the high-water mark is read. The mark is reset
-//! through `/proc/self/clear_refs` (Linux); where `/proc` is unavailable
-//! the test has nothing to measure and returns after the round trip.
+//! This is a test target of its own, and its tests take one lock, so that
+//! no other test allocates in the same process while the high-water mark
+//! is read. The mark is reset through `/proc/self/clear_refs` (Linux);
+//! where `/proc` is unavailable the tests have nothing to measure and
+//! return after parsing.
 
+use std::sync::{Mutex, PoisonError};
 use treelocal_check::{
-    check_certificate, commit_round, Certificate, Envelope, MisWitness, Rule, Segment, Solution,
-    COMMITMENT_OFFSET,
+    check_certificate, commit_round, Certificate, CheckError, Envelope, MisWitness, Rule, Segment,
+    Solution, COMMITMENT_OFFSET,
 };
 use treelocal_graph::widen_u64;
+
+/// Held by each test for its whole run: one measurement at a time.
+static PROBE: Mutex<()> = Mutex::new(());
 
 /// Nodes of the test instance: a 12 MB certificate.
 const NODES: usize = 200_000;
 
+/// Segment headers of the hostile instance: a 1 MB certificate.
+const HOSTILE_SEGMENTS: usize = 20_000;
+
 /// Resident-set growth allowed while parsing, per byte of text. The
-/// parsed certificate itself takes about 1.3 bytes per byte of this
-/// text; a table of every line (16 bytes a line) or an allocation per
-/// witness line on top breaks the bound.
+/// parsed certificate itself takes about 1.3 bytes per byte of either
+/// test's text; a table of every line (16 bytes a line), an allocation
+/// per witness line or a reservation per lying header on top breaks the
+/// bound.
 const MAX_GROWTH_PER_TEXT_BYTE: f64 = 2.0;
 
 fn splitmix(seed: u64) -> u64 {
@@ -107,31 +116,68 @@ fn rss_kb() -> Option<(u64, u64)> {
     Some((field("VmHWM:")?, field("VmRSS:")?))
 }
 
+/// Parses `text` between a reset of the high-water mark and a read of it.
+/// Returns the parse and, where `/proc` is available, how many times the
+/// text's length the high-water mark grew.
+fn parse_growth(text: &str) -> (Result<Certificate, CheckError>, Option<f64>) {
+    reset_peak_rss();
+    let before = rss_kb();
+    let parsed = Certificate::parse(text);
+    let after = rss_kb();
+    let ratio = before.zip(after).map(|((_, rss_before), (peak_after, _))| {
+        peak_after.saturating_sub(rss_before) as f64 * 1024.0 / text.len() as f64
+    });
+    if let Some(ratio) = ratio {
+        eprintln!("parse of {} bytes grew the peak RSS by {ratio:.2}x the text", text.len());
+    }
+    (parsed, ratio)
+}
+
+fn assert_bounded(ratio: Option<f64>) {
+    if let Some(ratio) = ratio {
+        assert!(
+            ratio <= MAX_GROWTH_PER_TEXT_BYTE,
+            "parsing grew the peak RSS by {ratio:.2}x the text (bound {MAX_GROWTH_PER_TEXT_BYTE}x)"
+        );
+    }
+}
+
 #[test]
 fn parsing_grows_peak_memory_by_a_bounded_multiple_of_the_text() {
+    let _probe = PROBE.lock().unwrap_or_else(PoisonError::into_inner);
     // The source certificate stays alive and is checked only afterwards,
     // so the parse cannot reuse freed pages: the growth counts every
     // byte the parse touches.
     let cert = large_mis_cert(NODES);
     let text = cert.to_text();
-    reset_peak_rss();
-    let before = rss_kb();
-    let parsed = Certificate::parse(&text).unwrap();
-    let after = rss_kb();
+    let (parsed, ratio) = parse_growth(&text);
+    let parsed = parsed.unwrap();
     assert!(parsed == cert);
     assert_eq!(check_certificate(&parsed), Ok(()));
-    let (Some((_, rss_before)), Some((peak_after, _))) = (before, after) else {
-        return;
-    };
-    let growth = peak_after.saturating_sub(rss_before) as f64 * 1024.0;
-    let ratio = growth / text.len() as f64;
-    eprintln!(
-        "parse of {} bytes grew the peak RSS by {:.0} bytes: {ratio:.2}x the text",
-        text.len(),
-        growth
+    assert_bounded(ratio);
+}
+
+/// Every segment header claims `usize::MAX` participants and `u64::MAX`
+/// rounds and is followed by no halt or commitment line. Reserving each
+/// claim up to the lines still unread would reserve memory quadratic in
+/// the text; the parser's one budget of a slot per line keeps it linear.
+#[test]
+fn lying_segment_headers_cannot_reserve_more_than_the_text() {
+    let _probe = PROBE.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut text = format!(
+        "treelocal-cert v1\ninstance hostile\nrule mis\nnodes 1\nidspace 1\nedges 0\n\
+         solution mis-witness\ns 0 M\nenvelope none\nrounds 0\nsegments {HOSTILE_SEGMENTS}\n"
     );
-    assert!(
-        ratio <= MAX_GROWTH_PER_TEXT_BYTE,
-        "parsing grew the peak RSS by {ratio:.2}x the text (bound {MAX_GROWTH_PER_TEXT_BYTE}x)"
+    for _ in 0..HOSTILE_SEGMENTS {
+        text.push_str(&format!("segment {} {}\n", u64::MAX, usize::MAX));
+    }
+    text.push_str("end\n");
+    let (parsed, ratio) = parse_growth(&text);
+    let parsed = parsed.unwrap();
+    assert_eq!(parsed.segments.len(), HOSTILE_SEGMENTS);
+    assert_eq!(
+        check_certificate(&parsed),
+        Err(CheckError::ParticipantCountMismatch { segment: 0, claimed: usize::MAX, found: 0 })
     );
+    assert_bounded(ratio);
 }

@@ -83,7 +83,7 @@ fn stepped<S>(verdict: Verdict<S>) -> (S, bool) {
 impl<S: StateCodec> ExecCore<S> {
     /// An empty core over `index_space` state slots.
     pub fn new(index_space: usize) -> Self {
-        let recording = crate::transcript::segment_start(index_space);
+        let recording = crate::transcript::segment_start();
         ExecCore {
             main: SoaColumns::new(index_space),
             verdicts: Vec::new(),

@@ -71,9 +71,8 @@ impl Transcript {
     }
 }
 
+#[derive(Default)]
 struct RawSegment {
-    /// The core's node index space: every halted node is below it.
-    index_space: usize,
     /// `(node, halt_round)` in halt order.
     halts: Vec<(NodeId, u64)>,
     commitments: Vec<u64>,
@@ -118,7 +117,7 @@ pub fn take() -> Transcript {
                         .filter(|s| !s.commitments.is_empty())
                         .map(|s| TranscriptSegment {
                             rounds: widen_u64(s.commitments.len()),
-                            halts: by_node(s.halts, s.index_space),
+                            halts: by_node(s.halts),
                             commitments: s.commitments,
                         })
                         .collect(),
@@ -130,14 +129,16 @@ pub fn take() -> Transcript {
 }
 
 /// Orders one segment's halt records by node in one linear pass over
-/// the halts and the index space, reusing the record buffer.
+/// the halts and the nodes up to the largest halted one, reusing the
+/// record buffer.
 ///
 /// # Panics
 ///
 /// Panics if a node halted twice in the segment: a core halts each node
 /// at most once, so a repeat is a recording bug, not a transcript.
-fn by_node(mut halts: Vec<(NodeId, u64)>, index_space: usize) -> Vec<(NodeId, u64)> {
-    let mut round_of: Vec<Option<u64>> = vec![None; index_space];
+fn by_node(mut halts: Vec<(NodeId, u64)>) -> Vec<(NodeId, u64)> {
+    let nodes = halts.iter().map(|(v, _)| v.index() + 1).max().unwrap_or(0);
+    let mut round_of: Vec<Option<u64>> = vec![None; nodes];
     for &(v, round) in &halts {
         let slot = &mut round_of[v.index()];
         assert!(slot.is_none(), "node {v:?} halted twice in one segment (one-halt invariant)");
@@ -159,12 +160,12 @@ fn with_recorder(f: impl FnOnce(&mut Recorder)) {
     });
 }
 
-/// A new engine run (one per core construction, over `index_space` node
-/// slots) starts a fresh segment. Returns whether the run is recorded.
-pub(crate) fn segment_start(index_space: usize) -> bool {
+/// A new engine run (one per core construction) starts a fresh segment.
+/// Returns whether the run is recorded.
+pub(crate) fn segment_start() -> bool {
     let mut recording = false;
     with_recorder(|rec| {
-        rec.segments.push(RawSegment { index_space, halts: Vec::new(), commitments: Vec::new() });
+        rec.segments.push(RawSegment::default());
         recording = true;
     });
     recording
@@ -319,16 +320,16 @@ mod tests {
     fn halts_are_ordered_by_node_whatever_order_they_were_recorded_in() {
         let halts = vec![(NodeId::new(3), 2), (NodeId::new(0), 0), (NodeId::new(1), 1)];
         assert_eq!(
-            by_node(halts, 5),
+            by_node(halts),
             vec![(NodeId::new(0), 0), (NodeId::new(1), 1), (NodeId::new(3), 2)]
         );
-        assert_eq!(by_node(Vec::new(), 5), Vec::new());
+        assert_eq!(by_node(Vec::new()), Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "one-halt invariant")]
     fn a_node_halting_twice_in_one_segment_is_a_recording_bug() {
-        by_node(vec![(NodeId::new(1), 1), (NodeId::new(1), 2)], 2);
+        by_node(vec![(NodeId::new(1), 1), (NodeId::new(1), 2)]);
     }
 
     #[test]
