@@ -353,7 +353,7 @@ pub fn is_proper<T: Topology>(topo: &T, colors: &[Option<u64>]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treelocal_graph::Graph;
+    use treelocal_graph::{Graph, SliceEdges};
 
     fn path(n: usize) -> Graph {
         Graph::from_edges(n, &(0..n - 1).map(|i| (i, i + 1)).collect::<Vec<_>>()).unwrap()
@@ -398,13 +398,9 @@ mod tests {
     fn reduction_with_sparse_ids() {
         // Huge identifier space exercises multiple stages.
         let n = 40;
-        let mut b = treelocal_graph::GraphBuilder::new(n);
-        for i in 0..n - 1 {
-            b.add_edge(i, i + 1);
-        }
+        let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         let ids: Vec<u64> = (0..n as u64).map(|i| i * i * 131 + 17).collect();
-        b.local_ids(ids);
-        let g = b.finish().unwrap();
+        let g = Graph::from_edge_source_with_ids(&SliceEdges::new(n, &edges), ids).unwrap();
         let ctx = Ctx::of(&g);
         let out = run_linial(&ctx);
         assert!(is_proper(&g, &out.colors));
@@ -468,12 +464,9 @@ mod tests {
         // Sparse ids exercise multi-stage schedules; the semi-graph
         // restriction exercises partial index spaces.
         let n = 48;
-        let mut b = treelocal_graph::GraphBuilder::new(n);
-        for i in 0..n - 1 {
-            b.add_edge(i, i + 1);
-        }
-        b.local_ids((0..n as u64).map(|i| i * i * 131 + 17).collect());
-        let g = b.finish().unwrap();
+        let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        let ids: Vec<u64> = (0..n as u64).map(|i| i * i * 131 + 17).collect();
+        let g = Graph::from_edge_source_with_ids(&SliceEdges::new(n, &edges), ids).unwrap();
         let snap_whole = run_linial(&Ctx::of(&g));
         let msgs_whole = run_linial_messages(&Ctx::of(&g));
         assert_eq!(snap_whole.colors, msgs_whole.colors);

@@ -8,6 +8,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use treelocal_check::CheckError;
 
 const USAGE: &str = "usage: treelocal-check DIR|FILE...
 
@@ -42,6 +43,15 @@ fn collect(args: &[String]) -> Result<Vec<PathBuf>, String> {
     Ok(certs)
 }
 
+/// The certificate text in `bytes`; invalid UTF-8 is a `Format` error at
+/// the line of the first bad byte.
+fn as_text(bytes: &[u8]) -> Result<&str, CheckError> {
+    std::str::from_utf8(bytes).map_err(|e| {
+        let line = 1 + bytes[..e.valid_up_to()].iter().filter(|&&b| b == b'\n').count();
+        CheckError::Format { line, what: "UTF-8 text".to_string() }
+    })
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
@@ -58,14 +68,14 @@ fn main() -> ExitCode {
     let mut failures = 0usize;
     for path in &certs {
         let name = path.display();
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
             Err(e) => {
                 eprintln!("cannot read {name}: {e}");
                 return ExitCode::from(2);
             }
         };
-        match treelocal_check::check_text(&text) {
+        match as_text(&bytes).and_then(treelocal_check::check_text) {
             Ok(()) => println!("OK   {name}"),
             Err(e) => {
                 println!("FAIL {name}: {e}");

@@ -5,7 +5,9 @@
 //! still unread, `treelocal-check` died reserving 16 TB for it. The two
 //! eleven-line certificates announce 4,294,967,295 nodes; before the
 //! checker bounded `nodes` by the certificate's own lines, building their
-//! graph died reserving 16 GB.
+//! graph died reserving 16 GB. A certificate that is not UTF-8 text is a
+//! `FAIL` line like any other malformed one, and the files after it are
+//! still checked.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -78,4 +80,32 @@ fn a_four_billion_node_header_is_rejected_with_exit_1() {
     assert_cli_rejects("hostile-node-count-mis.cert", HOSTILE_NODES_MIS);
     assert!(matches!(check_text(HOSTILE_NODES_MATCHING), Err(CheckError::BadInstance { .. })));
     assert_cli_rejects("hostile-node-count-matching.cert", HOSTILE_NODES_MATCHING);
+}
+
+#[test]
+fn a_non_utf8_certificate_fails_and_the_next_file_is_still_checked() {
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../bench/tests/golden/quick_certs/mis-pipeline-tree.cert");
+    let text = std::fs::read(&golden).expect("read the golden certificate");
+    // One invalid byte at the start of line 3.
+    let line3 = text.iter().enumerate().filter(|&(_, &b)| b == b'\n').nth(1).unwrap().0 + 1;
+    let mut bad = text.clone();
+    bad[line3] = 0xFF;
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("non-utf8");
+    std::fs::create_dir_all(&dir).expect("create the certificate directory");
+    std::fs::write(dir.join("a-bad.cert"), &bad).expect("write the bad certificate");
+    std::fs::write(dir.join("b-golden.cert"), &text).expect("write the golden certificate");
+    let out = Command::new(env!("CARGO_BIN_EXE_treelocal-check"))
+        .arg(&dir)
+        .output()
+        .expect("run treelocal-check");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert!(
+        lines[0].starts_with("FAIL ")
+            && lines[0].ends_with("a-bad.cert: line 3: expected UTF-8 text")
+    );
+    assert!(lines[1].starts_with("OK ") && lines[1].ends_with("b-golden.cert"));
 }

@@ -15,12 +15,12 @@
 use crate::report::{TransformOutcome, TransformParams, TransformStats};
 use treelocal_algos::{GlobalCtx, TrulyLocal};
 use treelocal_graph::OrInvariant;
-use treelocal_graph::{eccentricity, Graph, NodeId, SemiGraph};
+use treelocal_graph::{Graph, NodeId, SemiGraph};
 use treelocal_problems::{
     solve_edges_sequential, solve_nodes_sequential, verify_graph, EdgeSequential, HalfEdgeLabeling,
     NodeSequential, Problem,
 };
-use treelocal_sim::RoundReport;
+use treelocal_sim::{gather_rounds_at, RoundReport};
 
 /// Runs the truly local algorithm directly on the whole instance.
 pub fn direct_baseline<P: Problem, A: TrulyLocal<P>>(
@@ -62,7 +62,7 @@ pub fn gather_baseline_node<P: Problem + NodeSequential>(
     g: &Graph,
 ) -> TransformOutcome<P::Label> {
     let center = gather_center(g);
-    let rounds = 2 * u64::from(eccentricity(g, center));
+    let rounds = gather_rounds_at(g, center);
     let mut labeling = HalfEdgeLabeling::for_graph(g);
     let order: Vec<NodeId> = g.node_ids().collect();
     solve_nodes_sequential(problem, g, &order, &mut labeling)
@@ -84,7 +84,7 @@ pub fn gather_baseline_edge<P: Problem + EdgeSequential>(
     g: &Graph,
 ) -> TransformOutcome<P::Label> {
     let center = gather_center(g);
-    let rounds = 2 * u64::from(eccentricity(g, center));
+    let rounds = gather_rounds_at(g, center);
     let mut labeling = HalfEdgeLabeling::for_graph(g);
     let order: Vec<_> = g.edge_ids().collect();
     solve_edges_sequential(problem, g, &order, &mut labeling)

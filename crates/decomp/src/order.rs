@@ -49,24 +49,6 @@ impl LayerOrder {
     pub fn rank(&self, v: NodeId) -> u32 {
         self.layer_rank[v.index()]
     }
-
-    /// Number of distinct layer ranks in use.
-    pub fn layer_count(&self) -> u32 {
-        self.layer_rank.iter().copied().max().map_or(0, |m| m + 1)
-    }
-
-    /// Nodes sorted from highest to lowest — the "adversarial-friendly"
-    /// processing order used when solving list variants component by
-    /// component (the paper lets the highest node collect its component).
-    pub fn nodes_highest_first(&self, g: &Graph) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = g.node_ids().collect();
-        nodes.sort_by(|&a, &b| {
-            let ka = (self.layer_rank[a.index()], g.local_id(a));
-            let kb = (self.layer_rank[b.index()], g.local_id(b));
-            kb.cmp(&ka)
-        });
-        nodes
-    }
 }
 
 #[cfg(test)]
@@ -100,16 +82,5 @@ mod tests {
         let e01 = treelocal_graph::EdgeId::new(0);
         assert_eq!(order.lower_endpoint(&g, e01), NodeId::new(1));
         assert_eq!(order.higher_endpoint(&g, e01), NodeId::new(0));
-        assert_eq!(order.layer_count(), 2);
-    }
-
-    #[test]
-    fn highest_first_ordering() {
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let order = LayerOrder { layer_rank: vec![0, 2, 1, 2] };
-        let nodes = order.nodes_highest_first(&g);
-        // Layer 2 first (ids 4 then 2), then layer 1, then layer 0.
-        let idx: Vec<usize> = nodes.iter().map(|v| v.index()).collect();
-        assert_eq!(idx, vec![3, 1, 2, 0]);
     }
 }

@@ -1,11 +1,13 @@
 //! Simple undirected graphs with LOCAL-model identifiers.
 //!
-//! A [`Graph`] is an immutable simple undirected graph built through a
-//! [`GraphBuilder`]. Every node carries a *LOCAL identifier*: the globally
-//! unique value from `{1, ..., n^c}` that the LOCAL model (Definition 5 of
-//! the paper) makes visible to the node's algorithm. Node indices
-//! ([`NodeId`]) are a packed `0..n` representation used for storage and are
-//! never exposed to simulated algorithms.
+//! A [`Graph`] is an immutable simple undirected graph, built in one pass
+//! over an [`EdgeSource`] by [`Graph::from_edge_source`] (an edge slice is
+//! wrapped as a [`SliceEdges`] by [`Graph::from_edges`]). Every node
+//! carries a *LOCAL identifier*: the globally unique value from
+//! `{1, ..., n^c}` that the LOCAL model (Definition 5 of the paper) makes
+//! visible to the node's algorithm. Node indices ([`NodeId`]) are a packed
+//! `0..n` representation used for storage and are never exposed to
+//! simulated algorithms.
 //!
 //! Adjacency is stored in flat CSR/struct-of-arrays form (see
 //! [`crate::csr`]): one u32 offsets table over a flat neighbor array and a
@@ -86,85 +88,13 @@ impl LocalIds {
     }
 }
 
-/// Incrementally builds a [`Graph`].
-///
-/// The builder validates simplicity: self-loops and parallel edges are
-/// rejected when [`finish`](GraphBuilder::finish) is called.
-///
-/// # Examples
-///
-/// ```
-/// use treelocal_graph::GraphBuilder;
-///
-/// let mut b = GraphBuilder::new(4);
-/// b.add_edge(0, 1);
-/// b.add_edge(1, 2);
-/// b.add_edge(2, 3);
-/// let g = b.finish().unwrap();
-/// assert_eq!(g.edge_count(), 3);
-/// ```
-#[derive(Clone, Debug)]
-pub struct GraphBuilder {
-    n: usize,
-    ids: Option<Vec<u64>>,
-    edges: Vec<(usize, usize)>,
-}
-
-impl GraphBuilder {
-    /// Creates a builder for a graph on `n` nodes with no edges yet.
-    pub fn new(n: usize) -> Self {
-        GraphBuilder { n, ids: None, edges: Vec::new() }
-    }
-
-    /// Adds an undirected edge `{u, v}` (given as raw node indices).
-    pub fn add_edge(&mut self, u: usize, v: usize) -> &mut Self {
-        self.edges.push((u, v));
-        self
-    }
-
-    /// Adds every edge from an iterator of index pairs.
-    pub fn add_edges<I: IntoIterator<Item = (usize, usize)>>(&mut self, it: I) -> &mut Self {
-        self.edges.extend(it);
-        self
-    }
-
-    /// Sets explicit LOCAL identifiers (one per node, all distinct).
-    ///
-    /// Without this call, node `i` receives identifier `i + 1` (identifiers
-    /// are positive as in the paper's `{1, ..., n^c}` convention).
-    pub fn local_ids(&mut self, ids: Vec<u64>) -> &mut Self {
-        self.ids = Some(ids);
-        self
-    }
-
-    /// Number of edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Validates and produces the immutable [`Graph`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the node or edge count exceeds the u32 index
-    /// space ([`GraphError::TooLarge`]), if an edge references a node index
-    /// `>= n`, if a self-loop or parallel edge is present, or if
-    /// identifiers are malformed (wrong length, duplicate, or zero).
-    pub fn finish(self) -> Result<Graph, GraphError> {
-        let source = SliceEdges::new(self.n, &self.edges);
-        match self.ids {
-            Some(ids) => Graph::from_edge_source_with_ids(&source, ids),
-            None => Graph::from_edge_source(&source),
-        }
-    }
-}
-
 impl Graph {
-    /// Builds a graph directly from `(u, v)` index pairs.
+    /// Builds a graph from `(u, v)` index pairs: the slice is streamed as
+    /// a [`SliceEdges`] source through [`from_edge_source`](Graph::from_edge_source).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`GraphBuilder::finish`].
+    /// Same conditions as [`from_edge_source`](Graph::from_edge_source).
     ///
     /// # Examples
     ///
@@ -174,9 +104,7 @@ impl Graph {
     /// assert!(g.edge_between(treelocal_graph::NodeId::new(0), treelocal_graph::NodeId::new(1)).is_some());
     /// ```
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Result<Graph, GraphError> {
-        let mut b = GraphBuilder::new(n);
-        b.add_edges(edges.iter().copied());
-        b.finish()
+        Graph::from_edge_source(&SliceEdges::new(n, edges))
     }
 
     /// Builds a graph by streaming an [`EdgeSource`] once — no edge list is
@@ -190,11 +118,15 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`GraphBuilder::finish`].
-    /// [`GraphError::TooLarge`] fires before anything is allocated.
-    /// [`GraphError::EdgeCountMismatch`] if the source violates its
-    /// contract by emitting a number of edges different from
-    /// [`EdgeSource::edge_count`].
+    /// * [`GraphError::TooLarge`] if the node or edge count exceeds the u32
+    ///   index space; it fires before anything is allocated.
+    /// * [`GraphError::NodeOutOfRange`] if an edge references a node index
+    ///   `>= n`.
+    /// * [`GraphError::SelfLoop`] or [`GraphError::ParallelEdge`] if the
+    ///   edges do not form a simple graph.
+    /// * [`GraphError::EdgeCountMismatch`] if the source violates its
+    ///   contract by emitting a number of edges different from
+    ///   [`EdgeSource::edge_count`].
     pub fn from_edge_source<S: EdgeSource + ?Sized>(source: &S) -> Result<Graph, GraphError> {
         check_index_space(source.node_count(), source.edge_count())?;
         Graph::build_streamed(source, LocalIds::Sequential(source.node_count()))
@@ -205,9 +137,9 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`GraphBuilder::finish`], plus
-    /// [`GraphError::EdgeCountMismatch`] as in
-    /// [`from_edge_source`](Graph::from_edge_source).
+    /// Same conditions as [`from_edge_source`](Graph::from_edge_source),
+    /// plus [`GraphError::IdCountMismatch`], [`GraphError::DuplicateId`] or
+    /// [`GraphError::ZeroId`] if the identifiers are malformed.
     pub fn from_edge_source_with_ids<S: EdgeSource + ?Sized>(
         source: &S,
         ids: Vec<u64>,
@@ -279,6 +211,12 @@ impl Graph {
         let adj = CsrPairs::from_endpoints(n, &endpoints)?;
         let max_degree = adj.max_degree();
         Ok(Graph { ids, endpoints, adj, max_degree })
+    }
+
+    /// The CSR adjacency, for restrictions that filter it.
+    #[inline]
+    pub(crate) fn csr(&self) -> &CsrPairs {
+        &self.adj
     }
 
     /// A rewindable [`EdgeSource`] view over this graph's endpoint records,
@@ -554,36 +492,39 @@ mod tests {
         // One past the u32 index space. The check fires before the O(n)
         // identifier table is allocated, so this is cheap to test.
         let n = widen_u32(u32::MAX) + 1;
-        let err = GraphBuilder::new(n).finish().unwrap_err();
+        let err = Graph::from_edges(n, &[]).unwrap_err();
         assert!(matches!(err, GraphError::TooLarge { nodes, edges: 0 } if nodes == n));
         assert!(err.to_string().contains("u32 index space"));
-        // At the boundary the count check passes (edge validation then
-        // rejects the out-of-range endpoints, proving we got past it).
-        let mut b = GraphBuilder::new(widen_u32(u32::MAX));
-        b.local_ids(vec![]); // wrong length: fails fast after the size check
-        assert!(matches!(b.finish(), Err(GraphError::IdCountMismatch { .. })));
+        // At the boundary the count check passes (the identifier check
+        // then rejects the empty table, proving we got past it).
+        let boundary = SliceEdges::new(widen_u32(u32::MAX), &[]);
+        assert!(matches!(
+            Graph::from_edge_source_with_ids(&boundary, vec![]),
+            Err(GraphError::IdCountMismatch { .. })
+        ));
     }
 
     #[test]
     fn rejects_bad_ids() {
-        let mut b = GraphBuilder::new(2);
-        b.add_edge(0, 1).local_ids(vec![7]);
-        assert!(matches!(b.finish(), Err(GraphError::IdCountMismatch { .. })));
-
-        let mut b = GraphBuilder::new(2);
-        b.add_edge(0, 1).local_ids(vec![7, 7]);
-        assert!(matches!(b.finish(), Err(GraphError::DuplicateId)));
-
-        let mut b = GraphBuilder::new(2);
-        b.add_edge(0, 1).local_ids(vec![0, 1]);
-        assert!(matches!(b.finish(), Err(GraphError::ZeroId)));
+        let edge = SliceEdges::new(2, &[(0, 1)]);
+        assert!(matches!(
+            Graph::from_edge_source_with_ids(&edge, vec![7]),
+            Err(GraphError::IdCountMismatch { .. })
+        ));
+        assert!(matches!(
+            Graph::from_edge_source_with_ids(&edge, vec![7, 7]),
+            Err(GraphError::DuplicateId)
+        ));
+        assert!(matches!(
+            Graph::from_edge_source_with_ids(&edge, vec![0, 1]),
+            Err(GraphError::ZeroId)
+        ));
     }
 
     #[test]
     fn custom_ids_and_id_space() {
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1).add_edge(1, 2).local_ids(vec![10, 4, 99]);
-        let g = b.finish().unwrap();
+        let path = SliceEdges::new(3, &[(0, 1), (1, 2)]);
+        let g = Graph::from_edge_source_with_ids(&path, vec![10, 4, 99]).unwrap();
         assert_eq!(g.local_id(NodeId::new(2)), 99);
         assert_eq!(g.id_space(), 100);
     }

@@ -9,8 +9,6 @@
 //!   `a(G) ≤ d ≤ 2·a(G) - 1` always holds.
 //! * [`forest_partition`] constructively partitions the edges into at most
 //!   `d` forests, witnessing `a(G) ≤ d`.
-//! * [`density_lower_bound`] is the Nash-Williams density `⌈m/(n-1)⌉` of the
-//!   whole graph, a lower bound on `a(G)`.
 
 use crate::adjacency::Graph;
 use crate::forest::is_forest;
@@ -160,15 +158,6 @@ pub fn is_forest_partition(g: &Graph, p: &ForestPartition) -> bool {
     true
 }
 
-/// The Nash-Williams density `⌈m / (n - 1)⌉` of the whole graph — a lower
-/// bound on the arboricity (0 for graphs with fewer than 2 nodes).
-pub fn density_lower_bound(g: &Graph) -> usize {
-    if g.node_count() < 2 || g.edge_count() == 0 {
-        return if g.edge_count() > 0 { 1 } else { 0 };
-    }
-    g.edge_count().div_ceil(g.node_count() - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,7 +170,6 @@ mod tests {
         let fp = forest_partition(&g);
         assert_eq!(fp.count, 1);
         assert!(is_forest_partition(&g, &fp));
-        assert_eq!(density_lower_bound(&g), 1);
     }
 
     #[test]
@@ -189,8 +177,7 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).unwrap();
         let p = degeneracy(&g);
         assert_eq!(p.degeneracy, 3);
-        // Arboricity of K4 is 2; density bound ⌈6/3⌉ = 2; degeneracy bound 3.
-        assert_eq!(density_lower_bound(&g), 2);
+        // Arboricity of K4 is 2; the degeneracy bound is 3.
         let fp = forest_partition(&g);
         assert!(fp.count <= 3);
         assert!(is_forest_partition(&g, &fp));
@@ -230,7 +217,6 @@ mod tests {
     fn empty_and_trivial_graphs() {
         let g = Graph::from_edges(0, &[]).unwrap();
         assert_eq!(degeneracy(&g).degeneracy, 0);
-        assert_eq!(density_lower_bound(&g), 0);
         let g1 = Graph::from_edges(1, &[]).unwrap();
         assert_eq!(degeneracy(&g1).degeneracy, 0);
         let fp = forest_partition(&g1);

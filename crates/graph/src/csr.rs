@@ -15,7 +15,7 @@
 //! build into a typed [`GraphError::TooLarge`] instead of a silent
 //! truncation.
 
-use crate::ids::{widen_u32, EdgeId, NodeId};
+use crate::ids::{narrow_u32, widen_u32, EdgeId, NodeId};
 use crate::GraphError;
 
 /// Maximum node count of the u32 index space.
@@ -61,48 +61,6 @@ pub(crate) struct CsrPairs {
 }
 
 impl CsrPairs {
-    /// Builds the CSR over `n` nodes from undirected `(u, v, e)` edges by
-    /// counting sort (two passes, no per-node allocation); each node's
-    /// slice is then sorted by neighbor index, pinning the exact order the
-    /// old nested-Vec adjacency produced (neighbors are unique in a simple
-    /// graph, so the order is fully determined).
-    ///
-    /// The caller must have validated the index space via
-    /// [`check_index_space`]; `2m` half-edge slots are assumed to fit u32.
-    pub(crate) fn from_undirected_edges<I>(n: usize, edge_iter: I) -> Self
-    where
-        I: Iterator<Item = (NodeId, NodeId, EdgeId)> + Clone,
-    {
-        let mut offsets = vec![0u32; n + 1];
-        for (u, v, _) in edge_iter.clone() {
-            offsets[u.index() + 1] += 1;
-            offsets[v.index() + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let total = widen_u32(offsets[n]);
-        let mut pairs: Vec<(NodeId, EdgeId)> = vec![(NodeId::new(0), EdgeId::new(0)); total];
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        for (u, v, e) in edge_iter {
-            pairs[widen_u32(cursor[u.index()])] = (v, e);
-            cursor[u.index()] += 1;
-            pairs[widen_u32(cursor[v.index()])] = (u, e);
-            cursor[v.index()] += 1;
-        }
-        for i in 0..n {
-            pairs[widen_u32(offsets[i])..widen_u32(offsets[i + 1])]
-                .sort_unstable_by_key(|&(w, _)| w);
-        }
-        let mut nodes = Vec::with_capacity(total);
-        let mut edges = Vec::with_capacity(total);
-        for &(w, e) in &pairs {
-            nodes.push(w);
-            edges.push(e);
-        }
-        CsrPairs { offsets, nodes, edges }
-    }
-
     /// Builds the CSR **directly from the endpoint records** a streaming
     /// build keeps anyway: degree count + counting-sort fill into the
     /// final flat arrays, then a per-slice tandem sort through one reused
@@ -111,11 +69,10 @@ impl CsrPairs {
     /// is the `4n`-byte cursor table (and the `O(Δ)` scratch).
     ///
     /// Parallel edges are detected *after* the per-slice sort as adjacent
-    /// duplicates in a neighbor slice — the streaming replacement for the
-    /// builder's old sorted-canonical-pair scan, reporting the same
-    /// lexicographically-first offending pair. Slot-for-slot equality with
-    /// [`from_undirected_edges`](CsrPairs::from_undirected_edges) is pinned
-    /// by `csr_equiv` and the streaming equivalence suite.
+    /// duplicates in a neighbor slice, reporting the lexicographically
+    /// first offending pair. Slot-for-slot equality with a naive
+    /// push-and-sort nested adjacency is pinned by `csr_equiv` and the
+    /// streaming equivalence suite.
     ///
     /// The caller must have validated the index space via
     /// [`check_index_space`]; `2m` half-edge slots are assumed to fit u32.
@@ -170,6 +127,27 @@ impl CsrPairs {
             }
         }
         Ok(CsrPairs { offsets, nodes, edges })
+    }
+
+    /// The restriction of this adjacency to the slots whose edge satisfies
+    /// `keep`, in the same order: every node's kept slice stays sorted by
+    /// neighbor index, so no re-sort is needed. `slots` is the exact number
+    /// of kept slots (it sizes the two flat arrays).
+    pub(crate) fn filter(&self, slots: usize, keep: impl Fn(EdgeId) -> bool) -> Self {
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        let mut nodes = Vec::with_capacity(slots);
+        let mut edges = Vec::with_capacity(slots);
+        offsets.push(0);
+        for w in self.offsets.windows(2) {
+            for slot in widen_u32(w[0])..widen_u32(w[1]) {
+                if keep(self.edges[slot]) {
+                    nodes.push(self.nodes[slot]);
+                    edges.push(self.edges[slot]);
+                }
+            }
+            offsets.push(narrow_u32(edges.len()));
+        }
+        CsrPairs { offsets, nodes, edges }
     }
 
     /// The adjacency slot range of node `v`.
@@ -287,32 +265,45 @@ mod tests {
 
     #[test]
     fn counting_sort_matches_push_and_sort() {
-        // Path 0-1-2-3 with shuffled edge insertion.
-        let edges = [
-            (NodeId::new(2), NodeId::new(3), EdgeId::new(0)),
-            (NodeId::new(0), NodeId::new(1), EdgeId::new(1)),
-            (NodeId::new(1), NodeId::new(2), EdgeId::new(2)),
-        ];
-        let csr = CsrPairs::from_undirected_edges(4, edges.iter().copied());
-        assert_eq!(csr.nodes_of(NodeId::new(1)), &[NodeId::new(0), NodeId::new(2)]);
-        assert_eq!(csr.edges_of(NodeId::new(1)), &[EdgeId::new(1), EdgeId::new(2)]);
-        assert_eq!(csr.degree(NodeId::new(0)), 1);
-        assert_eq!(csr.degree(NodeId::new(2)), 2);
+        // Path 0-1-2-3 with shuffled edge insertion (edge i is record i).
+        let n = NodeId::new;
+        let csr = CsrPairs::from_endpoints(4, &[[n(2), n(3)], [n(0), n(1)], [n(1), n(2)]]).unwrap();
+        assert_eq!(csr.nodes_of(n(1)), &[n(0), n(2)]);
+        assert_eq!(csr.edges_of(n(1)), &[EdgeId::new(1), EdgeId::new(2)]);
+        assert_eq!(csr.degree(n(0)), 1);
+        assert_eq!(csr.degree(n(2)), 2);
         assert_eq!(csr.max_degree(), 2);
         assert_eq!(csr.slot_count(), 6);
     }
 
     #[test]
     fn empty_and_isolated_nodes() {
-        let csr = CsrPairs::from_undirected_edges(3, std::iter::empty());
+        let csr = CsrPairs::from_endpoints(3, &[]).unwrap();
         for i in 0..3 {
             assert!(csr.nodes_of(NodeId::new(i)).is_empty());
             assert_eq!(csr.degree(NodeId::new(i)), 0);
         }
         assert_eq!(csr.max_degree(), 0);
-        let zero = CsrPairs::from_undirected_edges(0, std::iter::empty());
+        let zero = CsrPairs::from_endpoints(0, &[]).unwrap();
         assert_eq!(zero.max_degree(), 0);
         assert_eq!(zero.slot_count(), 0);
+        assert_eq!(zero.filter(0, |_| true).slot_count(), 0);
+    }
+
+    #[test]
+    fn filter_keeps_slot_order() {
+        // Star centred at 0 with shuffled edge insertion; drop edge 1 (0-1).
+        let n = NodeId::new;
+        let star =
+            CsrPairs::from_endpoints(5, &[[n(0), n(3)], [n(1), n(0)], [n(0), n(4)], [n(2), n(0)]])
+                .unwrap();
+        let kept = star.filter(6, |e| e != EdgeId::new(1));
+        assert_eq!(kept.nodes_of(n(0)), &[n(2), n(3), n(4)]);
+        assert_eq!(kept.edges_of(n(0)), &[EdgeId::new(3), EdgeId::new(0), EdgeId::new(2)]);
+        assert_eq!(kept.degree(n(1)), 0);
+        assert_eq!(kept.nodes_of(n(4)), &[n(0)]);
+        assert_eq!(kept.max_degree(), 3);
+        assert_eq!(kept.slot_count(), 6);
     }
 
     #[test]

@@ -46,10 +46,7 @@ impl RootedForest {
     /// Builds a rooted forest from explicit parent pointers.
     ///
     /// `member[v]` must be true for every node with a parent and for every
-    /// root. No cycle checking is performed here; use [`is_acyclic`] in
-    /// tests.
-    ///
-    /// [`is_acyclic`]: RootedForest::is_acyclic
+    /// root. No cycle checking is performed here.
     pub fn from_parents(parent: Vec<Option<NodeId>>, member: Vec<bool>) -> Self {
         assert_eq!(parent.len(), member.len());
         let roots = member
@@ -92,24 +89,6 @@ impl RootedForest {
     /// Whether the forest has no members.
     pub fn is_empty(&self) -> bool {
         !self.member.iter().any(|&m| m)
-    }
-
-    /// Checks that following parent pointers never cycles (test helper).
-    pub fn is_acyclic(&self) -> bool {
-        let n = self.parent.len();
-        // Depth-bounded walk: a cycle would exceed n steps.
-        for v in self.members() {
-            let mut cur = v;
-            let mut steps = 0;
-            while let Some(p) = self.parent(cur) {
-                cur = p;
-                steps += 1;
-                if steps > n {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// The depth of `v` (distance to its root).
@@ -212,7 +191,6 @@ mod tests {
         assert_eq!(f.parent(NodeId::new(1)), Some(NodeId::new(0)));
         assert_eq!(f.parent(NodeId::new(3)), Some(NodeId::new(2)));
         assert_eq!(f.depth(NodeId::new(3)), 3);
-        assert!(f.is_acyclic());
         assert_eq!(f.len(), 4);
     }
 

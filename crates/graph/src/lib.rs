@@ -12,7 +12,9 @@
 //!   realized as restrictions of a parent graph,
 //! * [`Topology`] — the abstraction over which the simulator and all
 //!   distributed algorithms are generic,
-//! * traversal ([`components`], [`bfs_distances`], eccentricity/diameter),
+//! * traversal: [`components`], the sparse single-source BFS
+//!   [`sparse_bfs_farthest`], and the all-node eccentricity pass
+//!   [`all_eccentricities`],
 //! * forest utilities ([`is_tree`], [`root_forest`]), and
 //! * arboricity tooling ([`degeneracy`], [`forest_partition`]).
 //!
@@ -46,11 +48,8 @@ pub mod stats;
 mod topology;
 mod traversal;
 
-pub use adjacency::{Graph, GraphBuilder, GraphEdges};
-pub use arboricity::{
-    degeneracy, density_lower_bound, forest_partition, is_forest_partition, ForestPartition,
-    Peeling,
-};
+pub use adjacency::{Graph, GraphEdges};
+pub use arboricity::{degeneracy, forest_partition, is_forest_partition, ForestPartition, Peeling};
 pub use csr::Neighbors;
 pub use eccentricity::{
     all_eccentricities, component_eccentricities, Eccentricities, ECC_UNCOMPUTED,
@@ -61,11 +60,7 @@ pub use invariant::OrInvariant;
 pub use semigraph::SemiGraph;
 pub use source::{EdgeSource, FnEdgeSource, SliceEdges};
 pub use topology::{NodeIter, Topology};
-pub use traversal::{
-    bfs_distances, component_diameter_double_sweep, component_diameter_exact, components,
-    eccentricity, eccentricity_sparse, farthest_from, sparse_bfs_farthest,
-    tree_component_diameter_sparse, Components,
-};
+pub use traversal::{components, eccentricity_sparse, sparse_bfs_farthest, Components};
 
 use std::error::Error;
 use std::fmt;

@@ -36,15 +36,16 @@ pub struct SemiGraph<'g> {
     graph: &'g Graph,
     node_in: Vec<bool>,
     nodes: Vec<NodeId>,
-    edge_in: Vec<bool>,
     edges: Vec<EdgeId>,
-    /// Which half-edges are present, per parent edge (only meaningful for
-    /// edges contained in the semi-graph).
+    /// Which half-edges are present, per parent edge. A parent edge is
+    /// contained iff at least one of its halves is present: both
+    /// constructors build edges of rank 1 or 2 only.
     half: Vec<[bool; 2]>,
     /// Half-edge incidence (CSR): for each node, the contained edges whose
     /// half at this node is present, in ascending edge order.
     inc: CsrEdges,
-    /// Rank-2 adjacency (CSR): the communication graph / underlying graph.
+    /// Rank-2 adjacency (CSR): the communication graph / underlying graph,
+    /// the parent's adjacency with every slot of a rank < 2 edge dropped.
     adj2: CsrPairs,
     max_underlying_degree: usize,
 }
@@ -64,18 +65,9 @@ impl<'g> SemiGraph<'g> {
     pub fn induced_by_nodes<F: Fn(NodeId) -> bool>(graph: &'g Graph, in_set: F) -> Self {
         let n = graph.node_count();
         let node_in: Vec<bool> = (0..n).map(|i| in_set(NodeId::new(i))).collect();
-        let mut edge_in = vec![false; graph.edge_count()];
-        let mut half = vec![[false, false]; graph.edge_count()];
-        for e in graph.edge_ids() {
-            let [u, v] = graph.endpoints(e);
-            let hu = node_in[u.index()];
-            let hv = node_in[v.index()];
-            if hu || hv {
-                edge_in[e.index()] = true;
-                half[e.index()] = [hu, hv];
-            }
-        }
-        Self::assemble(graph, node_in, edge_in, half)
+        let half =
+            graph.edge_ids().map(|e| graph.endpoints(e).map(|v| node_in[v.index()])).collect();
+        Self::assemble(graph, node_in, half)
     }
 
     /// The semi-graph induced by an edge set `Q` (used by Theorem 15).
@@ -85,29 +77,23 @@ impl<'g> SemiGraph<'g> {
     /// is present (so all contained edges have rank 2).
     pub fn induced_by_edges<F: Fn(EdgeId) -> bool>(graph: &'g Graph, in_set: F) -> Self {
         let mut node_in = vec![false; graph.node_count()];
-        let mut edge_in = vec![false; graph.edge_count()];
         let mut half = vec![[false, false]; graph.edge_count()];
         for e in graph.edge_ids() {
             if in_set(e) {
-                edge_in[e.index()] = true;
                 half[e.index()] = [true, true];
                 let [u, v] = graph.endpoints(e);
                 node_in[u.index()] = true;
                 node_in[v.index()] = true;
             }
         }
-        Self::assemble(graph, node_in, edge_in, half)
+        Self::assemble(graph, node_in, half)
     }
 
-    fn assemble(
-        graph: &'g Graph,
-        node_in: Vec<bool>,
-        edge_in: Vec<bool>,
-        half: Vec<[bool; 2]>,
-    ) -> Self {
+    fn assemble(graph: &'g Graph, node_in: Vec<bool>, half: Vec<[bool; 2]>) -> Self {
         let n = graph.node_count();
         let nodes: Vec<NodeId> = (0..n).map(NodeId::new).filter(|v| node_in[v.index()]).collect();
-        let edges: Vec<EdgeId> = graph.edge_ids().filter(|e| edge_in[e.index()]).collect();
+        let edges: Vec<EdgeId> =
+            graph.edge_ids().filter(|e| half[e.index()] != [false, false]).collect();
         // Incidences fed in ascending edge order; the stable counting fill
         // keeps each per-node list ascending.
         let inc = CsrEdges::from_incidences(
@@ -118,15 +104,10 @@ impl<'g> SemiGraph<'g> {
                 hu.then_some((u, e)).into_iter().chain(hv.then_some((v, e)))
             }),
         );
-        let adj2 = CsrPairs::from_undirected_edges(
-            n,
-            edges.iter().filter(|&&e| half[e.index()] == [true, true]).map(|&e| {
-                let [u, v] = graph.endpoints(e);
-                (u, v, e)
-            }),
-        );
-        let max_underlying_degree = nodes.iter().map(|&v| adj2.degree(v)).max().unwrap_or(0);
-        SemiGraph { graph, node_in, nodes, edge_in, edges, half, inc, adj2, max_underlying_degree }
+        let rank2 = edges.iter().filter(|&&e| half[e.index()] == [true, true]).count();
+        let adj2 = graph.csr().filter(2 * rank2, |e| half[e.index()] == [true, true]);
+        let max_underlying_degree = adj2.max_degree();
+        SemiGraph { graph, node_in, nodes, edges, half, inc, adj2, max_underlying_degree }
     }
 
     /// The parent graph this semi-graph is a view of.
@@ -156,13 +137,13 @@ impl<'g> SemiGraph<'g> {
     /// Whether parent edge `e` belongs to the semi-graph.
     #[inline]
     pub fn contains_edge(&self, e: EdgeId) -> bool {
-        self.edge_in[e.index()]
+        self.half[e.index()] != [false, false]
     }
 
     /// Whether the half-edge of `e` on `side` is present.
     #[inline]
     pub fn half_present(&self, e: EdgeId, side: Side) -> bool {
-        self.edge_in[e.index()] && self.half[e.index()][side.index()]
+        self.half[e.index()][side.index()]
     }
 
     /// The rank of a contained edge: its number of present half-edges.
@@ -172,7 +153,7 @@ impl<'g> SemiGraph<'g> {
     /// Panics if `e` is not contained in the semi-graph.
     #[inline]
     pub fn rank(&self, e: EdgeId) -> usize {
-        assert!(self.edge_in[e.index()], "{e:?} not in semi-graph");
+        assert!(self.contains_edge(e), "{e:?} not in semi-graph");
         let [a, b] = self.half[e.index()];
         usize::from(a) + usize::from(b)
     }
@@ -241,19 +222,6 @@ impl<'g> SemiGraph<'g> {
     #[inline]
     pub fn underlying_max_degree(&self) -> usize {
         self.max_underlying_degree
-    }
-
-    /// The *edge degree* of a contained edge within the semi-graph's
-    /// underlying graph: number of adjacent rank-2 edges.
-    pub fn underlying_edge_degree(&self, e: EdgeId) -> usize {
-        let [u, v] = self.graph.endpoints(e);
-        let du = if self.half_present(e, Side::First) { self.underlying_degree(u) } else { 0 };
-        let dv = if self.half_present(e, Side::Second) { self.underlying_degree(v) } else { 0 };
-        match self.rank(e) {
-            2 => du + dv - 2,
-            1 => du.max(dv),
-            _ => 0,
-        }
     }
 
     /// Total number of present half-edges.
@@ -347,15 +315,6 @@ mod tests {
         let sr = SemiGraph::induced_by_nodes(&g, |v| !in_c(v));
         let total = 2 * g.edge_count();
         assert_eq!(sc.half_edge_count() + sr.half_edge_count(), total);
-    }
-
-    #[test]
-    fn underlying_edge_degree_on_star() {
-        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
-        let s = SemiGraph::whole(&g);
-        for &e in s.edges() {
-            assert_eq!(s.underlying_edge_degree(e), 2);
-        }
     }
 
     #[test]

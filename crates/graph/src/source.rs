@@ -1,22 +1,22 @@
 //! Streaming edge ingestion: build graphs without a materialized edge list.
 //!
-//! Before this module existed every generator materialized a
-//! `Vec<(usize, usize)>` of its edges — 16 bytes per edge of pure
-//! transient, ~160 MB for a ten-million-node tree, *before* the CSR
-//! adjacency was even allocated. An [`EdgeSource`] replaces that list with
-//! a **rewindable** edge stream plus exact counts: the graph builder
-//! streams it once, validating and recording compact u32 endpoint records
-//! as they arrive, and derives everything else (degree counts, CSR fill)
-//! from those records. Generators describe their edges arithmetically
+//! Every [`Graph`](crate::Graph) is built by one function,
+//! [`Graph::from_edge_source`](crate::Graph::from_edge_source) (or its
+//! explicit-identifier twin `from_edge_source_with_ids`), from an
+//! [`EdgeSource`]: an edge stream plus exact counts. The build streams it
+//! once, validating and recording compact u32 endpoint records as they
+//! arrive, and derives everything else (degree counts, CSR fill) from
+//! those records. Generators describe their edges arithmetically
 //! ([`FnEdgeSource`]) or decode them on the fly (the streaming Prüfer
-//! decoder in `treelocal-gen`), so the only per-edge memory the build pays
-//! is the 8-byte record the finished [`Graph`](crate::Graph) keeps anyway.
+//! decoder in `treelocal-gen`); callers that hold an edge list wrap it in
+//! a [`SliceEdges`]. Either way the build itself allocates, per edge, only
+//! the 8-byte record the finished graph keeps.
 //!
 //! The counts are a *contract*, not a hint: [`node_count`] and
 //! [`edge_count`] size the u32 index-space check (the typed
 //! [`GraphError::TooLarge`](crate::GraphError::TooLarge) fires **before**
 //! any allocation) and the exact allocation of the endpoint array. The
-//! builder records at most `edge_count` edges and returns the typed
+//! build records at most `edge_count` edges and returns the typed
 //! [`GraphError::EdgeCountMismatch`](crate::GraphError::EdgeCountMismatch)
 //! if [`stream`] emits more or fewer.
 //!
@@ -26,8 +26,8 @@
 
 /// A rewindable stream of undirected edges with exact counts.
 ///
-/// Implementors take `&self` in [`stream`](EdgeSource::stream), so the
-/// builder may replay the stream any number of times; each replay must
+/// Implementors take `&self` in [`stream`](EdgeSource::stream), so a
+/// caller may replay the stream any number of times; each replay must
 /// emit the **same** edges in the **same** order (edge ids are assigned in
 /// emission order, and every consumer of this crate pins byte-identical
 /// outputs).
@@ -87,8 +87,8 @@ impl<S: EdgeSource + ?Sized> EdgeSource for &S {
 /// An [`EdgeSource`] over an already-materialized edge slice.
 ///
 /// The bridge for callers that genuinely hold an edge list (test fixtures,
-/// [`GraphBuilder`](crate::GraphBuilder)): wrapping the slice costs
-/// nothing, and both passes of the build just re-walk it.
+/// [`Graph::from_edges`](crate::Graph::from_edges)): wrapping the slice
+/// costs nothing, and the build walks it once.
 #[derive(Clone, Copy, Debug)]
 pub struct SliceEdges<'a> {
     n: usize,

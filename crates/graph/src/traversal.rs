@@ -1,11 +1,14 @@
-//! Breadth-first traversal, connected components and distance utilities.
+//! Breadth-first traversal: connected components and the sparse
+//! single-source BFS every distance question goes through.
 //!
 //! All functions are generic over [`Topology`] so they apply equally to
 //! whole graphs and to semi-graph restrictions (where "connected" means
-//! connected in the underlying graph, as in the paper).
+//! connected in the underlying graph, as in the paper). Eccentricities of
+//! many nodes at once come from the rerooting DP in
+//! [`all_eccentricities`](crate::all_eccentricities), which reproduces
+//! [`sparse_bfs_farthest`] per node.
 
 use crate::ids::NodeId;
-use crate::invariant::OrInvariant;
 use crate::topology::Topology;
 use std::collections::VecDeque;
 
@@ -96,33 +99,6 @@ pub fn components<T: Topology>(topo: &T) -> Components {
     Components { component_of, members }
 }
 
-/// Single-source BFS distances within a topology.
-///
-/// Returns a vector over the node index space with `None` for unreachable
-/// (or non-participating) nodes.
-pub fn bfs_distances<T: Topology>(topo: &T, source: NodeId) -> Vec<Option<u32>> {
-    let mut dist = vec![None; topo.index_space()];
-    let mut queue = VecDeque::new();
-    dist[source.index()] = Some(0);
-    queue.push_back(source);
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v.index()].or_invariant("queued node has a distance");
-        for &w in topo.neighbor_nodes(v) {
-            if dist[w.index()].is_none() {
-                dist[w.index()] = Some(d + 1);
-                queue.push_back(w);
-            }
-        }
-    }
-    dist
-}
-
-/// The eccentricity of `v` within its connected component: the maximum BFS
-/// distance from `v` to any reachable node.
-pub fn eccentricity<T: Topology>(topo: &T, v: NodeId) -> u32 {
-    bfs_distances(topo, v).into_iter().flatten().max().unwrap_or(0)
-}
-
 /// The eccentricity of `v`, computed with memory proportional to `v`'s
 /// component rather than the whole index space — use when processing many
 /// small components of a large parent graph.
@@ -201,64 +177,6 @@ pub fn sparse_bfs_farthest<T: Topology>(topo: &T, v: NodeId) -> (NodeId, u32) {
     })
 }
 
-/// The exact diameter of the **tree-shaped** component containing `start`,
-/// by sparse double sweep (`O(component)` time and memory). On components
-/// with cycles the double sweep is only a lower bound; use the exact
-/// variants for those.
-pub fn tree_component_diameter_sparse<T: Topology>(topo: &T, start: NodeId) -> u32 {
-    let (far, _) = sparse_bfs_farthest(topo, start);
-    sparse_bfs_farthest(topo, far).1
-}
-
-/// The exact diameter of the component containing `start`.
-///
-/// Uses repeated BFS from the farthest node found; exact on trees, and on
-/// general graphs falls back to a full per-node sweep when `exact` is
-/// requested via [`component_diameter_exact`]. This double-sweep variant is
-/// a lower bound on general graphs but exact on trees/forests, which is
-/// where the paper's Lemma 11 applies.
-pub fn component_diameter_double_sweep<T: Topology>(topo: &T, start: NodeId) -> u32 {
-    let dist = bfs_distances(topo, start);
-    let (far, _) = farthest(&dist, start);
-    let dist2 = bfs_distances(topo, far);
-    let (_, d) = farthest(&dist2, far);
-    d
-}
-
-/// The exact diameter of the component containing `start`, by BFS from every
-/// member. Quadratic in the component size; intended for checkers and tests.
-pub fn component_diameter_exact<T: Topology>(topo: &T, start: NodeId) -> u32 {
-    let dist = bfs_distances(topo, start);
-    let mut best = 0;
-    for v in topo.nodes() {
-        if dist[v.index()].is_some() {
-            best = best.max(eccentricity(topo, v));
-        }
-    }
-    best
-}
-
-fn farthest(dist: &[Option<u32>], default: NodeId) -> (NodeId, u32) {
-    let mut far = default;
-    let mut best = 0;
-    for (i, d) in dist.iter().enumerate() {
-        if let Some(d) = *d {
-            if d > best {
-                best = d;
-                far = NodeId::new(i);
-            }
-        }
-    }
-    (far, best)
-}
-
-/// A node of maximum BFS-distance from `source` (used to pick gather
-/// centers and for diameter arguments).
-pub fn farthest_from<T: Topology>(topo: &T, source: NodeId) -> (NodeId, u32) {
-    let dist = bfs_distances(topo, source);
-    farthest(&dist, source)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,38 +207,6 @@ mod tests {
         let cc = components(&s);
         assert_eq!(cc.count(), 2);
         assert_eq!(cc.component_of(NodeId::new(1)), None);
-    }
-
-    #[test]
-    fn bfs_distance_on_path() {
-        let g = path(5);
-        let d = bfs_distances(&g, NodeId::new(0));
-        let got: Vec<_> = d.into_iter().map(|x| x.unwrap()).collect();
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn eccentricity_and_diameter_on_path() {
-        let g = path(6);
-        assert_eq!(eccentricity(&g, NodeId::new(0)), 5);
-        assert_eq!(eccentricity(&g, NodeId::new(2)), 3);
-        assert_eq!(component_diameter_double_sweep(&g, NodeId::new(3)), 5);
-        assert_eq!(component_diameter_exact(&g, NodeId::new(3)), 5);
-    }
-
-    #[test]
-    fn diameter_on_star_is_two() {
-        let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]).unwrap();
-        assert_eq!(component_diameter_double_sweep(&g, NodeId::new(0)), 2);
-        assert_eq!(component_diameter_exact(&g, NodeId::new(2)), 2);
-    }
-
-    #[test]
-    fn farthest_from_endpoint() {
-        let g = path(4);
-        let (far, d) = farthest_from(&g, NodeId::new(0));
-        assert_eq!(far, NodeId::new(3));
-        assert_eq!(d, 3);
     }
 
     #[test]
@@ -390,18 +276,52 @@ mod tests {
     }
 
     #[test]
+    fn bfs_distance_on_path() {
+        let g = path(5);
+        let ecc: Vec<u32> = g.node_ids().map(|v| eccentricity_sparse(&g, v)).collect();
+        assert_eq!(ecc, vec![4, 3, 2, 3, 4]);
+    }
+
+    #[test]
+    fn eccentricity_and_diameter_on_path() {
+        let g = path(6);
+        assert_eq!(eccentricity_sparse(&g, NodeId::new(0)), 5);
+        assert_eq!(eccentricity_sparse(&g, NodeId::new(2)), 3);
+        // Double sweep: the farthest node from anywhere is a diameter end.
+        let (end, _) = sparse_bfs_farthest(&g, NodeId::new(3));
+        assert_eq!(eccentricity_sparse(&g, end), 5);
+    }
+
+    #[test]
+    fn diameter_on_star_is_two() {
+        let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]).unwrap();
+        let (leaf, _) = sparse_bfs_farthest(&g, NodeId::new(0));
+        assert_eq!(eccentricity_sparse(&g, leaf), 2);
+    }
+
+    #[test]
+    fn farthest_from_endpoint() {
+        let g = path(4);
+        assert_eq!(sparse_bfs_farthest(&g, NodeId::new(0)), (NodeId::new(3), 3));
+    }
+
+    #[test]
     fn sparse_eccentricity_matches_dense() {
+        // The all-node pass fills a dense index-space table; it must agree
+        // with one sparse BFS per node.
         let g = Graph::from_edges(8, &[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]).unwrap();
+        let dense = crate::all_eccentricities(&g);
         for v in g.node_ids() {
-            assert_eq!(eccentricity(&g, v), eccentricity_sparse(&g, v), "{v:?}");
+            assert_eq!(dense.eccentricity(v), eccentricity_sparse(&g, v), "{v:?}");
         }
     }
 
     #[test]
     fn unreachable_nodes_have_no_distance() {
-        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        let d = bfs_distances(&g, NodeId::new(0));
-        assert!(d[2].is_none());
-        assert!(d[3].is_none());
+        // The BFS stays inside the source's component.
+        let g = Graph::from_edges(8, &[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]).unwrap();
+        assert_eq!(sparse_bfs_farthest(&g, NodeId::new(0)), (NodeId::new(3), 3));
+        assert_eq!(sparse_bfs_farthest(&g, NodeId::new(5)), (NodeId::new(4), 1));
+        assert_eq!(sparse_bfs_farthest(&g, NodeId::new(7)), (NodeId::new(7), 0));
     }
 }

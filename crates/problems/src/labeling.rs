@@ -91,12 +91,6 @@ impl<L: Copy> HalfEdgeLabeling<L> {
         g.neighbor_edges(v).iter().filter_map(|&e| self.get_at(e, g.side_of(e, v))).collect()
     }
 
-    /// The number of *unassigned* half-edges incident to `v` in the parent
-    /// graph.
-    pub fn unassigned_at_node(&self, g: &Graph, v: NodeId) -> usize {
-        g.neighbor_edges(v).iter().filter(|&&e| self.get_at(e, g.side_of(e, v)).is_none()).count()
-    }
-
     /// The assigned labels on the semi-graph's half-edges at `v`.
     pub fn labels_at_node_in(&self, s: &SemiGraph<'_>, v: NodeId) -> Vec<L> {
         s.half_edges_of(v).filter_map(|h| self.get(h)).collect()
@@ -105,37 +99,6 @@ impl<L: Copy> HalfEdgeLabeling<L> {
     /// Total number of assigned half-edges.
     pub fn assigned_count(&self) -> usize {
         self.labels.iter().map(|[a, b]| usize::from(a.is_some()) + usize::from(b.is_some())).sum()
-    }
-
-    /// Whether every half-edge of semi-graph `s` carries a label.
-    pub fn is_complete_on(&self, s: &SemiGraph<'_>) -> bool {
-        s.half_edges().all(|h| self.get(h).is_some())
-    }
-
-    /// Whether every half-edge of graph `g` carries a label.
-    pub fn is_complete_on_graph(&self, g: &Graph) -> bool {
-        (0..g.edge_count()).all(|e| {
-            let [a, b] = self.labels[e];
-            a.is_some() && b.is_some()
-        })
-    }
-
-    /// Copies every assigned label of `other` into `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the labelings overlap on some half-edge (phases must label
-    /// disjoint half-edge sets) or have different edge spaces.
-    pub fn merge_disjoint(&mut self, other: &HalfEdgeLabeling<L>) {
-        assert_eq!(self.labels.len(), other.labels.len(), "edge spaces differ");
-        for (e, pair) in other.labels.iter().enumerate() {
-            for (side, slot) in pair.iter().enumerate() {
-                if let Some(l) = slot {
-                    let h = HalfEdge::new(EdgeId::new(e), Side::from_index(side));
-                    self.set_fresh(h, *l);
-                }
-            }
-        }
     }
 
     /// Iterates over all assigned `(half-edge, label)` pairs.
@@ -186,50 +149,6 @@ mod tests {
             l.set(HalfEdge::new(e, g.side_of(e, v)), e.index() as u32);
         }
         assert_eq!(l.labels_at_node(&g, v), vec![0, 1]);
-        assert_eq!(l.unassigned_at_node(&g, v), 0);
-        assert_eq!(l.unassigned_at_node(&g, NodeId::new(0)), 1);
-    }
-
-    #[test]
-    fn completeness_on_semigraph_restriction() {
-        let g = path(4);
-        let s = SemiGraph::induced_by_nodes(&g, |v| v.index() <= 1);
-        let mut l = HalfEdgeLabeling::for_graph(&g);
-        for h in s.half_edges() {
-            assert!(!l.is_complete_on(&s));
-            l.set(h, 0u8);
-        }
-        assert!(l.is_complete_on(&s));
-        assert!(!l.is_complete_on_graph(&g));
-    }
-
-    #[test]
-    fn merge_disjoint_unions_labels() {
-        let g = path(4);
-        let sc = SemiGraph::induced_by_nodes(&g, |v| v.index() % 2 == 0);
-        let sr = SemiGraph::induced_by_nodes(&g, |v| v.index() % 2 == 1);
-        let mut a = HalfEdgeLabeling::for_graph(&g);
-        for h in sc.half_edges() {
-            a.set(h, 1u8);
-        }
-        let mut b = HalfEdgeLabeling::for_graph(&g);
-        for h in sr.half_edges() {
-            b.set(h, 2u8);
-        }
-        a.merge_disjoint(&b);
-        assert!(a.is_complete_on_graph(&g));
-        assert_eq!(a.iter().count(), 2 * g.edge_count());
-    }
-
-    #[test]
-    #[should_panic(expected = "labeled twice")]
-    fn merge_overlapping_panics() {
-        let g = path(2);
-        let mut a = HalfEdgeLabeling::for_graph(&g);
-        let mut b = HalfEdgeLabeling::for_graph(&g);
-        let h = HalfEdge::new(EdgeId::new(0), Side::First);
-        a.set(h, 1u8);
-        b.set(h, 2u8);
-        a.merge_disjoint(&b);
+        assert!(l.labels_at_node(&g, NodeId::new(0)).is_empty());
     }
 }

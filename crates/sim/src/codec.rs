@@ -140,11 +140,6 @@ impl<S: StateCodec> Snapshot<'_, S> {
         assert!(self.seeded[v.index()], "neighbor {v:?} participates in the execution");
         self.columns.read(v)
     }
-
-    /// The previous-round state of `v`, or `None` when `v` is not running.
-    pub fn try_get(&self, v: NodeId) -> Option<S> {
-        self.seeded[v.index()].then(|| self.get(v))
-    }
 }
 
 /// The result of running an algorithm to quiescence: final states stay in
@@ -241,8 +236,7 @@ mod tests {
         assert_eq!(cols.read(NodeId::new(1)), OnlyWide(9));
         let seeded = vec![false, true];
         let snap = Snapshot::over(&cols, &seeded);
-        assert_eq!(snap.try_get(NodeId::new(0)), None);
-        assert_eq!(snap.try_get(NodeId::new(1)), Some(OnlyWide(9)));
+        assert_eq!(snap.get(NodeId::new(1)), OnlyWide(9));
     }
 
     #[test]

@@ -5,49 +5,60 @@
 //! solutions that both the `classic` validators and the engine-blind
 //! checker's rule table accept on every single tree — no sampling, no
 //! seeds. Between them the pipelines run all four colour-class sweep
-//! rules. The MIS pipeline also runs at every forced `k ∈ {2, 3, 4}`.
+//! rules. The MIS and `(deg+1)`-colouring pipelines also run at every
+//! forced `k ∈ {2, 3, 4}`. Every pipeline restricts its tree to semi-graphs
+//! (`T_C`, `T_R`, `G[E_2]`), so this suite also judges the semi-graph
+//! adjacency on every small tree.
+//!
+//! The release tier runs the four pipelines on all 16,807 + 262,144 trees
+//! with `n ∈ {7, 8}`; it is `#[ignore]`d in the debug run:
+//!
+//! ```text
+//! cargo test -q --release --test exhaustive_small_trees -- --ignored
+//! ```
 
-use treelocal::algos::MisAlgo;
+use treelocal::algos::{DegColoringAlgo, MisAlgo};
 use treelocal::check::{check_solution, EdgePalette, Palette, Rule, Solution};
 use treelocal::core::{
     coloring_on_tree, edge_coloring_on_tree, matching_on_tree, mis_on_tree, TreeTransform,
 };
 use treelocal::gen::decode_prufer;
 use treelocal::graph::Graph;
-use treelocal::problems::{classic, Mis};
+use treelocal::problems::{classic, extract_coloring, DegPlusOneColoring, Mis};
 
 /// Cayley's count of labeled trees on `2..=6` nodes: `n^(n-2)`.
 const TREES_UP_TO_6: usize = 1 + 3 + 16 + 125 + 1296;
 
-fn all_trees(n: usize) -> Vec<Graph> {
-    assert!(n >= 2);
-    if n == 2 {
-        return vec![Graph::from_edges(2, &[(0, 1)]).unwrap()];
-    }
-    let len = n - 2;
-    let count = n.pow(len as u32);
-    let mut out = Vec::with_capacity(count);
-    for code in 0..count {
-        let mut seq = Vec::with_capacity(len);
-        let mut c = code;
-        for _ in 0..len {
-            seq.push(c % n);
+/// The Prüfer sequence with index `code` in `0..n^(n-2)` (base-`n` digits).
+fn prufer_code(n: usize, code: usize) -> Vec<usize> {
+    let mut c = code;
+    (0..n - 2)
+        .map(|_| {
+            let digit = c % n;
             c /= n;
-        }
-        let edges = decode_prufer(n, &seq);
-        out.push(Graph::from_edges(n, &edges).unwrap());
+            digit
+        })
+        .collect()
+}
+
+/// Calls `judge(prufer, tree)` on every labelled tree with `n >= 2` nodes,
+/// decoding one Prüfer sequence at a time.
+fn for_every_tree(n: usize, mut judge: impl FnMut(&[usize], &Graph)) {
+    for code in 0..n.pow((n - 2) as u32) {
+        let seq = prufer_code(n, code);
+        let tree = Graph::from_edges(n, &decode_prufer(n, &seq)).unwrap();
+        judge(&seq, &tree);
     }
-    out
 }
 
 /// Runs `judge` on every labeled tree with 2 to 6 nodes.
 fn for_every_tree_up_to_6(mut judge: impl FnMut(usize, &Graph)) {
     let mut total = 0usize;
     for n in 2..=6 {
-        for tree in all_trees(n) {
-            judge(n, &tree);
+        for_every_tree(n, |_, tree| {
+            judge(n, tree);
             total += 1;
-        }
+        });
     }
     assert_eq!(total, TREES_UP_TO_6);
 }
@@ -105,6 +116,22 @@ fn coloring_transform_on_every_tree_up_to_6() {
     });
 }
 
+/// Theorem 12's `(deg+1)`-colouring pipeline at every forced `k ∈ {2, 3, 4}`,
+/// the deepest rake-and-compress layerings of every small tree.
+#[test]
+fn coloring_transform_at_forced_k_on_every_tree_up_to_6() {
+    for_every_tree_up_to_6(|n, tree| {
+        for k in [2, 3, 4] {
+            let out = TreeTransform::new(&DegPlusOneColoring, &DegColoringAlgo).with_k(k).run(tree);
+            assert!(out.valid, "n = {n}, k = {k}");
+            assert_eq!(out.params.k, k);
+            let colors = extract_coloring(tree, &out.labeling);
+            let rule = Rule::Coloring { palette: Palette::DegreePlusOne };
+            assert_checked(tree, &rule, Solution::NodeColors(widen(&colors)), n);
+        }
+    });
+}
+
 #[test]
 fn matching_transform_on_every_tree_up_to_6() {
     for_every_tree_up_to_6(|n, tree| {
@@ -126,24 +153,52 @@ fn edge_coloring_transform_on_every_tree_up_to_6() {
     });
 }
 
+/// The four public pipelines on every labelled tree with 7 or 8 nodes,
+/// each solution judged by the checker's rule table. A failure names the
+/// tree by its Prüfer sequence.
+#[test]
+#[ignore = "release tier: 279,000 trees, run with --release -- --ignored"]
+fn every_pipeline_on_every_tree_with_7_or_8_nodes() {
+    let mut total = 0usize;
+    for n in [7, 8] {
+        for_every_tree(n, |seq, tree| {
+            let judge = |rule: &Rule, valid: bool, solution: Solution| {
+                assert!(valid, "n = {n}, Prüfer {seq:?}: {} pipeline invalid", rule.id());
+                if let Err(e) = check_solution(tree, rule, &solution, None) {
+                    panic!("n = {n}, Prüfer {seq:?}: {} rejected: {e}", rule.id());
+                }
+            };
+            let (out, set) = mis_on_tree(tree);
+            judge(&Rule::Mis, out.valid, Solution::NodeSet(set));
+            let (out, colors) = coloring_on_tree(tree);
+            let rule = Rule::Coloring { palette: Palette::DegreePlusOne };
+            judge(&rule, out.valid, Solution::NodeColors(widen(&colors)));
+            let (out, matching) = matching_on_tree(tree);
+            judge(&Rule::Matching { b: 1 }, out.valid, Solution::EdgeSet(matching));
+            let (out, colors) = edge_coloring_on_tree(tree);
+            let rule = Rule::EdgeColoring { palette: EdgePalette::EdgeDegreePlusOne };
+            judge(&rule, out.valid, Solution::EdgeColors(widen(&colors)));
+            total += 1;
+        });
+    }
+    assert_eq!(total, 16_807 + 262_144);
+}
+
 #[test]
 fn distinct_trees_are_enumerated() {
     // Sanity on the enumerator itself: 125 distinct trees at n = 5.
-    let trees = all_trees(5);
-    let mut canon: Vec<Vec<(usize, usize)>> = trees
-        .iter()
-        .map(|g| {
-            let mut es: Vec<(usize, usize)> = g
-                .edge_ids()
-                .map(|e| {
-                    let [u, v] = g.endpoints(e);
-                    (u.index().min(v.index()), u.index().max(v.index()))
-                })
-                .collect();
-            es.sort_unstable();
-            es
-        })
-        .collect();
+    let mut canon: Vec<Vec<(usize, usize)>> = Vec::new();
+    for_every_tree(5, |_, g| {
+        let mut es: Vec<(usize, usize)> = g
+            .edge_ids()
+            .map(|e| {
+                let [u, v] = g.endpoints(e);
+                (u.index().min(v.index()), u.index().max(v.index()))
+            })
+            .collect();
+        es.sort_unstable();
+        canon.push(es);
+    });
     canon.sort();
     canon.dedup();
     assert_eq!(canon.len(), 125);
