@@ -16,7 +16,7 @@
 //! round, and it halts there. A sleeper is still running, so the
 //! transcript's per-round frontier commitment sees it every round it waits.
 
-use treelocal_graph::{NodeId, OrInvariant, Topology};
+use treelocal_graph::{widen_u64, NodeId, OrInvariant, Topology};
 use treelocal_sim::{run, Ctx, Snapshot, StateCodec, SyncAlgorithm, Verdict};
 
 /// What one class sweep computes. Decisions are `u64` words; each rule's
@@ -141,18 +141,44 @@ where
     (decisions, out.rounds)
 }
 
-/// The smallest value missing from `used` (which it sorts in place).
-pub(crate) fn smallest_free(used: &mut [u64]) -> u64 {
-    used.sort_unstable();
-    let mut free = 0u64;
-    for &u in used.iter() {
-        if u == free {
-            free += 1;
-        } else if u > free {
-            break;
+/// The smallest value missing from `used`, which holds at most `bound`
+/// values (a node's degree, when `used` is what its decided neighbours
+/// took).
+///
+/// The answer is then at most `bound`, so a bitset over `0..=bound`
+/// settles it with no sort and no allocation: one stack word below 64,
+/// a reused thread-local buffer above.
+pub(crate) fn smallest_free(bound: usize, used: impl IntoIterator<Item = u64>) -> u64 {
+    if bound < 64 {
+        let mut taken = 0u64;
+        for u in used.into_iter().filter(|&u| u < 64) {
+            taken |= 1 << u;
         }
+        return u64::from(taken.trailing_ones());
     }
-    free
+    TAKEN_WORDS.with(|cell| {
+        let words = &mut *cell.borrow_mut();
+        words.clear();
+        words.resize(bound / 64 + 1, 0);
+        for u in used {
+            if let Some(i) = usize::try_from(u).ok().filter(|&i| i <= bound) {
+                words[i / 64] |= 1 << (i % 64);
+            }
+        }
+        let (w, word) = words
+            .iter()
+            .enumerate()
+            .find(|(_, &word)| word != u64::MAX)
+            .or_invariant("at most `bound` values leave a gap in 0..=bound");
+        widen_u64(w * 64) + u64::from(word.trailing_ones())
+    })
+}
+
+thread_local! {
+    /// The bitset [`smallest_free`] uses for 64 or more values. Cleared on
+    /// entry, so reuse across nodes and rounds cannot leak state.
+    static TAKEN_WORDS: std::cell::RefCell<Vec<u64>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// `state` encoded into its lanes and decoded back: the codec law each
@@ -216,7 +242,48 @@ mod tests {
         });
     }
 
+    /// The smallest value missing from `used`, by sorting it.
+    fn smallest_free_by_sorting(mut used: Vec<u64>) -> u64 {
+        used.sort_unstable();
+        let mut free = 0u64;
+        for u in used {
+            if u == free {
+                free += 1;
+            } else if u > free {
+                break;
+            }
+        }
+        free
+    }
+
     proptest::proptest! {
+        /// The bitset answer equals the sorted one on multisets of up to 100
+        /// values below 201. A dense multiset holds every value below `len`
+        /// but the one at `gap`, so answers of 64 and more, which take the
+        /// reused buffer, come up as often as small ones.
+        #[test]
+        fn smallest_free_matches_a_sort(
+            len in 0usize..101,
+            gap in 0usize..101,
+            dense in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut x = seed;
+            let mut next_below_201 = || {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (x >> 33) % 201
+            };
+            let used: Vec<u64> = (0..len)
+                .map(|i| if dense && i != gap { i as u64 } else { next_below_201() })
+                .collect();
+            proptest::prop_assert_eq!(
+                smallest_free(len, used.iter().copied()),
+                smallest_free_by_sorting(used.clone()),
+                "{:?}",
+                used
+            );
+        }
+
         /// The codec law for sweep states: every waiting round (≥ 1) and
         /// every decided value over the full lane range.
         #[test]

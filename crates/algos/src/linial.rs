@@ -11,6 +11,14 @@
 //! Iterating with a deterministic schedule of `(d, q)` stages reaches a
 //! proper `O(Δ²)`-coloring after `log*`-many rounds; the schedule is a pure
 //! function of `(id_space, Δ)`, so all nodes compute it locally.
+//!
+//! The search for `x` runs in increasing order from `x = 0`, and `p(0)` is
+//! the constant coefficient, the color's lowest base-`q` digit `c % q`. So
+//! a node first compares `own % q` with every neighbor's `c % q`; nearly
+//! always they all differ and the node adopts `(0, own % q)` without
+//! expanding a digit row or evaluating a polynomial. Only on a collision
+//! at 0 does it build the rows and go on from `x = 1`. That is the first
+//! point of the same search computed exactly, so no color changes.
 
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{NodeId, Topology};
@@ -166,42 +174,60 @@ impl<T: Topology> SyncAlgorithm<T> for LinialAlgo {
 /// degree-`d` polynomial over `F_q`, pick the first evaluation point `x`
 /// disagreeing with every neighbor polynomial, adopt `(x, p(x))`.
 ///
+/// The search starts at `x = 0`, where a polynomial's value is its
+/// constant coefficient: the lowest base-`q` digit of its color, `c % q`.
+/// So `x = 0` is settled from `own % q` and each neighbor's `c % q`, with
+/// no digit rows and no Horner pass. Only when a neighbor agrees at 0 are
+/// the rows built and the same search continued from `x = 1`. Both paths
+/// evaluate the same polynomials at the same points in the same order, so
+/// the shortcut cannot change a color.
+///
 /// Shared verbatim by the snapshot form (neighbor colors read through the
 /// state snapshot) and the message form (neighbor colors received through
 /// ports), which is what makes the two engines produce identical colorings
 /// round for round.
 fn recolor(stage: Stage, own: u64, neighbor_colors: impl Iterator<Item = u64>) -> u64 {
-    // `best_stage` caps d at 48, so a stack row holds any polynomial and
-    // the flat neighbor scratch (one `width`-sized row per neighbor) is
-    // reused across every node and round on this thread: the hot loop
-    // allocates nothing after the first node warms the scratch up to the
-    // maximum degree seen.
+    let Stage { q, .. } = stage;
     let width = stage.d as usize + 1;
-    let mut my_poly = [0u64; MAX_STAGE_DEGREE + 1];
-    digits_into(own, stage.q, &mut my_poly[..width]);
-    NEIGHBOR_POLY_SCRATCH.with(|cell| {
-        let polys = &mut *cell.borrow_mut();
-        polys.clear();
+    debug_assert!(fits_in_digits(own, stage), "color must fit in d+1 digits base q");
+    let mine_at_0 = own % q;
+    NEIGHBOR_SCRATCH.with(|cell| {
+        // One reused thread-local buffer: the neighbor colors, then (only
+        // after a collision at 0) one `width`-sized digit row per
+        // neighbor. The hot loop allocates nothing once it has warmed up
+        // to the maximum degree seen.
+        let scratch = &mut *cell.borrow_mut();
+        scratch.clear();
+        let mut agree_at_0 = false;
         for c in neighbor_colors {
-            let row = polys.len();
-            polys.resize(row + width, 0);
-            digits_into(c, stage.q, &mut polys[row..row + width]);
+            debug_assert!(fits_in_digits(c, stage), "color must fit in d+1 digits base q");
+            agree_at_0 |= c % q == mine_at_0;
+            scratch.push(c);
         }
-        // Find an evaluation point disagreeing with every neighbor.
-        let mut x_found = None;
-        'outer: for x in 0..stage.q {
-            let mine = eval_poly(&my_poly[..width], x, stage.q);
-            for theirs in polys.chunks_exact(width) {
-                if eval_poly(theirs, x, stage.q) == mine {
-                    continue 'outer;
-                }
-            }
-            x_found = Some((x, mine));
-            break;
+        if !agree_at_0 {
+            return mine_at_0;
         }
-        let (x, px) = x_found.or_invariant("q > d*Delta guarantees an evaluation point");
-        let color = x * stage.q + px;
-        debug_assert!(color < stage.q * stage.q);
+        let degree = scratch.len();
+        scratch.resize(degree * (width + 1), 0);
+        let (colors, polys) = scratch.split_at_mut(degree);
+        for (&c, row) in colors.iter().zip(polys.chunks_exact_mut(width)) {
+            digits_into(c, q, row);
+        }
+        // `best_stage` caps d at 48, so a stack row holds any polynomial.
+        let mut my_poly = [0u64; MAX_STAGE_DEGREE + 1];
+        digits_into(own, q, &mut my_poly[..width]);
+        let mine = &my_poly[..width];
+        let (x, px) = (1..q)
+            .find_map(|x| {
+                let px = eval_poly(mine, x, q);
+                polys
+                    .chunks_exact(width)
+                    .all(|theirs| eval_poly(theirs, x, q) != px)
+                    .then_some((x, px))
+            })
+            .or_invariant("q > d*Delta guarantees an evaluation point");
+        let color = x * q + px;
+        debug_assert!(u128::from(color) < u128::from(q) * u128::from(q));
         color
     })
 }
@@ -211,11 +237,10 @@ fn recolor(stage: Stage, own: u64, neighbor_colors: impl Iterator<Item = u64>) -
 const MAX_STAGE_DEGREE: usize = 48;
 
 thread_local! {
-    /// Flat neighbor-polynomial scratch for [`recolor`]: row `i` of width
-    /// `d + 1` holds neighbor `i`'s digits. Purely per-call scratch — it is
-    /// cleared on entry, so reuse across nodes/rounds/engines cannot leak
-    /// state or perturb results.
-    static NEIGHBOR_POLY_SCRATCH: std::cell::RefCell<Vec<u64>> =
+    /// Per-call scratch for [`recolor`]: the neighbor colors, then their
+    /// digit rows. It is cleared on entry, so reuse across
+    /// nodes/rounds/engines cannot leak state or perturb results.
+    static NEIGHBOR_SCRATCH: std::cell::RefCell<Vec<u64>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -267,6 +292,11 @@ fn digits_into(mut c: u64, q: u64, out: &mut [u64]) {
         c /= q;
     }
     debug_assert_eq!(c, 0, "color must fit in d+1 digits base q");
+}
+
+/// Whether `c` has at most `d + 1` base-`q` digits, i.e. `q^{d+1} > c`.
+fn fits_in_digits(c: u64, stage: Stage) -> bool {
+    c.checked_add(1).is_some_and(|above| pow_at_least(stage.q, stage.d + 1, above))
 }
 
 fn eval_poly(coeffs: &[u64], x: u64, q: u64) -> u64 {
@@ -506,6 +536,105 @@ mod tests {
             let mut lanes64 = [0u64; ColorState::U64_LANES];
             s.encode(&mut [], &mut lanes64);
             proptest::prop_assert_eq!(ColorState::decode(&[], &lanes64), s);
+        }
+    }
+
+    /// The search without the `x = 0` shortcut: every color expanded into
+    /// its digit row and every point evaluated from `x = 0`.
+    fn recolor_full_search(stage: Stage, own: u64, neighbors: &[u64]) -> u64 {
+        let Stage { q, .. } = stage;
+        let digits = |c| {
+            let mut row = vec![0; stage.d as usize + 1];
+            digits_into(c, q, &mut row);
+            row
+        };
+        let mine = digits(own);
+        let theirs: Vec<Vec<u64>> = neighbors.iter().map(|&c| digits(c)).collect();
+        (0..q)
+            .find_map(|x| {
+                let px = eval_poly(&mine, x, q);
+                theirs.iter().all(|row| eval_poly(row, x, q) != px).then(|| x * q + px)
+            })
+            .expect("q > d*Delta guarantees an evaluation point")
+    }
+
+    /// Every stage of the schedules for four id spaces and Δ ∈ 1..=16,
+    /// each with its Δ, plus a stage whose field exceeds `u32::MAX`, which
+    /// takes `eval_poly`'s `u128` branch.
+    fn stages_under_test() -> Vec<(Stage, usize)> {
+        let mut stages = Vec::new();
+        for id_space in [1 << 10, 1_000_000, 1_000_000_000_000, u64::MAX] {
+            for delta in 1..=16 {
+                stages.extend(linial_schedule(id_space, delta).into_iter().map(|s| (s, delta)));
+            }
+        }
+        let q = next_prime(u64::from(u32::MAX) + 1);
+        stages.push((Stage { d: 1, q, c_in: u64::MAX }, 16));
+        stages
+    }
+
+    /// A proper neighborhood at `stage`: `own` and at most `delta` neighbor
+    /// colors, all below `c_in` and none equal to `own`. Where `c_in`
+    /// leaves room, about half the neighbors share `own`'s residue mod `q`,
+    /// so they agree with `own` at `x = 0` and the search goes on.
+    fn neighborhood(stage: Stage, delta: usize, seed: u64) -> (u64, Vec<u64>) {
+        let Stage { q, c_in, .. } = stage;
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let own = next() % c_in;
+        let residue = own % q;
+        // Colors below `c_in` congruent to `own`: residue + q·k, k < same.
+        let same = (c_in - 1 - residue) / q + 1;
+        let degree = next() % (delta as u64 + 1);
+        let neighbors = (0..degree)
+            .map(|_| {
+                if same >= 2 && next() % 2 == 0 {
+                    let k = next() % same;
+                    let c = residue + q * k;
+                    if c == own {
+                        residue + q * ((k + 1) % same)
+                    } else {
+                        c
+                    }
+                } else {
+                    let c = next() % c_in;
+                    if c == own {
+                        (c + 1) % c_in
+                    } else {
+                        c
+                    }
+                }
+            })
+            .collect();
+        (own, neighbors)
+    }
+
+    proptest::proptest! {
+        /// The `x = 0` shortcut picks the color the full search picks, at
+        /// every stage under test, including neighbors that collide with
+        /// `own` at 0.
+        #[test]
+        fn recolor_matches_the_full_search(seed in proptest::prelude::any::<u64>()) {
+            let mut collisions = 0;
+            for (i, (stage, delta)) in stages_under_test().into_iter().enumerate() {
+                let (own, neighbors) = neighborhood(stage, delta, seed ^ ((i as u64) << 40));
+                collisions += usize::from(neighbors.iter().any(|&c| c % stage.q == own % stage.q));
+                let fast = recolor(stage, own, neighbors.iter().copied());
+                proptest::prop_assert_eq!(
+                    fast,
+                    recolor_full_search(stage, own, &neighbors),
+                    "stage {:?}, own {}, neighbors {:?}",
+                    stage,
+                    own,
+                    neighbors
+                );
+            }
+            proptest::prop_assert!(collisions > 0, "no neighborhood reached x >= 1");
         }
     }
 

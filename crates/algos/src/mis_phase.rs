@@ -85,17 +85,24 @@ pub fn mis_from_coloring<T: Topology + Sync>(
 }
 
 /// Checks that the decisions form an MIS of the topology (test helper).
+/// A witness edge that does not exist or does not touch its node makes
+/// the decisions invalid.
 pub fn is_valid_mis_on<T: Topology>(topo: &T, decisions: &[Option<MisDecision>]) -> bool {
+    let g = topo.graph();
     topo.nodes().all(|v| match decisions[v.index()] {
         Some(MisDecision::Member) => topo
             .neighbor_nodes(v)
             .iter()
             .all(|&w| !matches!(decisions[w.index()], Some(MisDecision::Member))),
-        Some(MisDecision::NonMember { witness }) => {
-            let other = topo.graph().other_endpoint(witness, v);
-            matches!(decisions[other.index()], Some(MisDecision::Member))
+        Some(MisDecision::NonMember { witness }) if witness.index() < g.edge_count() => {
+            match g.endpoints(witness) {
+                [a, other] | [other, a] if a == v => {
+                    matches!(decisions[other.index()], Some(MisDecision::Member))
+                }
+                _ => false,
+            }
         }
-        None => false,
+        Some(MisDecision::NonMember { .. }) | None => false,
     })
 }
 
@@ -198,6 +205,28 @@ mod tests {
             };
             proptest::prop_assert_eq!(mis_decision(back), decision);
         }
+    }
+
+    #[test]
+    fn a_witness_edge_away_from_its_node_is_invalid() {
+        // Path 0 - 1 - 2 - 3 with members 0 and 3. Node 2's honest witness
+        // is edge 2 = {2, 3}; edge 0 = {0, 1} leads to a member too, but
+        // does not touch node 2.
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let non_member = |e| Some(MisDecision::NonMember { witness: EdgeId::new(e) });
+        let member = Some(MisDecision::Member);
+        let mut decisions = vec![member, non_member(0), non_member(2), member];
+        assert!(is_valid_mis_on(&g, &decisions), "the honest decisions are valid");
+        decisions[2] = non_member(0);
+        assert!(!is_valid_mis_on(&g, &decisions));
+    }
+
+    #[test]
+    fn a_witness_edge_out_of_range_is_invalid() {
+        let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
+        let decisions =
+            [Some(MisDecision::Member), Some(MisDecision::NonMember { witness: EdgeId::new(7) })];
+        assert!(!is_valid_mis_on(&g, &decisions));
     }
 
     #[test]

@@ -62,9 +62,8 @@ impl SweepRule for SweepReduce<'_> {
         v: NodeId,
         decided: impl Fn(NodeId) -> Option<u64>,
     ) -> u64 {
-        let mut used: Vec<u64> =
-            topo.neighbor_nodes(v).iter().filter_map(|&w| decided(w)).collect();
-        smallest_free(&mut used)
+        let neighbors = topo.neighbor_nodes(v);
+        smallest_free(neighbors.len(), neighbors.iter().filter_map(|&w| decided(w)))
     }
 }
 
@@ -117,14 +116,15 @@ impl SweepRule for KwPhase<'_> {
         if rel < self.slots {
             return group * self.slots + rel;
         }
-        let mut used: Vec<u64> = topo
-            .neighbor_nodes(v)
-            .iter()
-            .filter_map(|&w| decided(w))
-            .filter(|&c| c / self.slots == group)
-            .map(|c| c % self.slots)
-            .collect();
-        let slot = smallest_free(&mut used);
+        let neighbors = topo.neighbor_nodes(v);
+        let slot = smallest_free(
+            neighbors.len(),
+            neighbors
+                .iter()
+                .filter_map(|&w| decided(w))
+                .filter(|&c| c / self.slots == group)
+                .map(|c| c % self.slots),
+        );
         debug_assert!(slot < self.slots, "at most Δ same-group neighbors");
         group * self.slots + slot
     }
@@ -202,6 +202,23 @@ mod tests {
                 g.max_degree() + 1
             );
         }
+    }
+
+    #[test]
+    fn reductions_on_a_star_with_100_leaves() {
+        // The centre decides from 100 neighbours, past one bitset word.
+        let g = Graph::from_edges(101, &(1..101).map(|i| (0, i)).collect::<Vec<_>>()).unwrap();
+        let ctx = Ctx::of(&g);
+        let lin = run_linial(&ctx);
+        let sweep = sweep_reduce(&ctx, &lin.colors, lin.final_bound);
+        assert!(check_proper_u32(&g, &sweep.colors), "sweep: improper");
+        for v in g.node_ids() {
+            let c = sweep.colors[v.index()].unwrap();
+            assert!(c as usize <= g.degree(v) + 1, "sweep: node {v} has color {c}");
+        }
+        let kw = kw_reduce(&ctx, &lin.colors, lin.final_bound);
+        assert!(check_proper_u32(&g, &kw.colors), "kw: improper");
+        assert!(kw.final_colors <= 101, "kw: {} colors > Δ+1 = 101", kw.final_colors);
     }
 
     #[test]

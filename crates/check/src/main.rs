@@ -39,7 +39,10 @@ fn collect(args: &[String]) -> Result<Vec<PathBuf>, String> {
             return Err(format!("no such file or directory: {arg}"));
         }
     }
+    // A path named twice (a directory repeated, or a file also reached
+    // through its directory) is checked and counted once.
     certs.sort();
+    certs.dedup();
     Ok(certs)
 }
 

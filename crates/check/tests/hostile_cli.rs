@@ -7,7 +7,7 @@
 //! checker bounded `nodes` by the certificate's own lines, building their
 //! graph died reserving 16 GB. A certificate that is not UTF-8 text is a
 //! `FAIL` line like any other malformed one, and the files after it are
-//! still checked.
+//! still checked. A directory named twice is checked once.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -108,4 +108,28 @@ fn a_non_utf8_certificate_fails_and_the_next_file_is_still_checked() {
             && lines[0].ends_with("a-bad.cert: line 3: expected UTF-8 text")
     );
     assert!(lines[1].starts_with("OK ") && lines[1].ends_with("b-golden.cert"));
+}
+
+#[test]
+fn a_directory_named_twice_is_checked_once() {
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../bench/tests/golden/quick_certs/mis-pipeline-tree.cert");
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("named-twice");
+    std::fs::create_dir_all(&dir).expect("create the certificate directory");
+    std::fs::write(dir.join("a-hostile.cert"), HOSTILE).expect("write the hostile certificate");
+    std::fs::copy(&golden, dir.join("b-golden.cert")).expect("copy the golden certificate");
+    let out = Command::new(env!("CARGO_BIN_EXE_treelocal-check"))
+        .arg(&dir)
+        .arg(&dir)
+        .arg(dir.join("b-golden.cert"))
+        .output()
+        .expect("run treelocal-check");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert!(lines[0].starts_with("FAIL ") && lines[0].contains("a-hostile.cert"));
+    assert!(lines[1].starts_with("OK ") && lines[1].ends_with("b-golden.cert"));
+    assert_eq!(stderr.trim(), "1 of 2 certificates rejected");
 }

@@ -8,7 +8,7 @@
 //! be written into one shared structure — exactly how Algorithms 2 and 4
 //! assemble their final outputs.
 
-use treelocal_graph::{EdgeId, Graph, HalfEdge, NodeId, SemiGraph, Side};
+use treelocal_graph::{EdgeId, Graph, HalfEdge, NodeId, Side};
 
 /// A partial assignment of labels to half-edges of a parent graph.
 ///
@@ -89,11 +89,6 @@ impl<L: Copy> HalfEdgeLabeling<L> {
     /// graph, in neighbor order. Unassigned halves are skipped.
     pub fn labels_at_node(&self, g: &Graph, v: NodeId) -> Vec<L> {
         g.neighbor_edges(v).iter().filter_map(|&e| self.get_at(e, g.side_of(e, v))).collect()
-    }
-
-    /// The assigned labels on the semi-graph's half-edges at `v`.
-    pub fn labels_at_node_in(&self, s: &SemiGraph<'_>, v: NodeId) -> Vec<L> {
-        s.half_edges_of(v).filter_map(|h| self.get(h)).collect()
     }
 
     /// Total number of assigned half-edges.

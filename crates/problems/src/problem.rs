@@ -12,12 +12,17 @@
 //! i.e. by carrying the already-fixed partial multiset `ψ` and testing the
 //! *combined* configuration. The helpers [`node_list_ok`] and
 //! [`edge_list_ok`] implement exactly this.
+//!
+//! [`verify_graph`] and [`verify_semigraph`] share one pass over the
+//! instance they are given, with one reused label buffer. A whole graph is
+//! walked as it is: verification makes no semi-graph copy of it and
+//! allocates nothing per edge or node, only the payload of a violation.
 
 use crate::labeling::HalfEdgeLabeling;
 use std::fmt::Debug;
 use std::hash::Hash;
 use treelocal_graph::OrInvariant;
-use treelocal_graph::{EdgeId, Graph, NodeId, SemiGraph};
+use treelocal_graph::{EdgeId, Graph, HalfEdge, NodeId, SemiGraph, Side};
 
 /// A node-edge-checkable problem: membership predicates for the collections
 /// `N^i_Π` and `E^i_Π` of Definition 6.
@@ -101,62 +106,138 @@ pub enum Violation<L> {
 ///
 /// # Errors
 ///
-/// Returns the first [`Violation`] encountered (missing labels are reported
-/// before constraint violations).
+/// Returns the first [`Violation`] encountered: a missing label on any
+/// present half-edge first, then the first failed edge, then the first
+/// failed node, each in index order.
 pub fn verify_semigraph<P: Problem>(
     p: &P,
     s: &SemiGraph<'_>,
     labeling: &HalfEdgeLabeling<P::Label>,
 ) -> Result<(), Violation<P::Label>> {
-    // Completeness first.
-    for &e in s.edges() {
-        for h in [treelocal_graph::Side::First, treelocal_graph::Side::Second] {
-            if s.half_present(e, h) && labeling.get_at(e, h).is_none() {
-                return Err(Violation::Missing { edge: e });
-            }
-        }
-    }
-    // Edge constraints.
-    for &e in s.edges() {
-        let labels: Vec<P::Label> = [treelocal_graph::Side::First, treelocal_graph::Side::Second]
-            .into_iter()
-            .filter(|&side| s.half_present(e, side))
-            .map(|side| labeling.get_at(e, side).or_invariant("checked complete"))
-            .collect();
-        if !p.edge_ok(&labels) {
-            return Err(Violation::EdgeConstraint { edge: e, labels });
-        }
-    }
-    // Node constraints.
-    for &v in s.nodes() {
-        let labels = labeling.labels_at_node_in(s, v);
-        debug_assert_eq!(labels.len(), s.half_degree(v));
-        if !p.node_ok_at(v, &labels) {
-            return Err(Violation::NodeConstraint { node: v, labels });
-        }
-    }
-    Ok(())
+    walk(p, s, labeling)
 }
 
 /// Checks that `labeling` is a complete, valid solution of `p` on the whole
-/// graph `g`.
+/// graph `g`. It walks `g` itself: no semi-graph copy of `g` is built.
 ///
 /// # Errors
 ///
-/// Same as [`verify_semigraph`].
+/// Same as [`verify_semigraph`] on `SemiGraph::whole(g)`.
 pub fn verify_graph<P: Problem>(
     p: &P,
     g: &Graph,
     labeling: &HalfEdgeLabeling<P::Label>,
 ) -> Result<(), Violation<P::Label>> {
-    let s = SemiGraph::whole(g);
-    verify_semigraph(p, &s, labeling)
+    walk(p, g, labeling)
+}
+
+/// The instance a verification pass walks: its edges with their present
+/// halves, and its nodes with their half-edges. The impls are `#[inline]`
+/// so that the pass, instantiated in the caller's crate, stays one plain
+/// loop with no call per edge or node.
+trait HalfEdges {
+    /// The contained edges, in increasing index order.
+    fn edges(&self) -> impl Iterator<Item = EdgeId> + '_;
+    /// Which halves of contained edge `e` are present, by [`Side`].
+    fn present(&self, e: EdgeId) -> [bool; 2];
+    /// The contained nodes, in increasing index order.
+    fn nodes(&self) -> impl Iterator<Item = NodeId> + '_;
+    /// The present half-edges at `v`, in any order.
+    fn halves_at(&self, v: NodeId) -> impl Iterator<Item = HalfEdge> + '_;
+}
+
+impl HalfEdges for Graph {
+    #[inline]
+    fn edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
+        self.edge_ids()
+    }
+
+    #[inline]
+    fn present(&self, _e: EdgeId) -> [bool; 2] {
+        [true, true]
+    }
+
+    #[inline]
+    fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.node_ids()
+    }
+
+    #[inline]
+    fn halves_at(&self, v: NodeId) -> impl Iterator<Item = HalfEdge> + '_ {
+        self.neighbor_edges(v).iter().map(move |&e| HalfEdge::new(e, self.side_of(e, v)))
+    }
+}
+
+impl HalfEdges for SemiGraph<'_> {
+    #[inline]
+    fn edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
+        SemiGraph::edges(self).iter().copied()
+    }
+
+    #[inline]
+    fn present(&self, e: EdgeId) -> [bool; 2] {
+        [self.half_present(e, Side::First), self.half_present(e, Side::Second)]
+    }
+
+    #[inline]
+    fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        SemiGraph::nodes(self).iter().copied()
+    }
+
+    #[inline]
+    fn halves_at(&self, v: NodeId) -> impl Iterator<Item = HalfEdge> + '_ {
+        self.half_edges_of(v)
+    }
+}
+
+/// The one verification pass behind [`verify_graph`] and
+/// [`verify_semigraph`], with one label buffer reused for every edge and
+/// node.
+fn walk<P: Problem, H: HalfEdges>(
+    p: &P,
+    instance: &H,
+    labeling: &HalfEdgeLabeling<P::Label>,
+) -> Result<(), Violation<P::Label>> {
+    let mut labels = Vec::new();
+    // Completeness and edge constraints share one pass over the edges. A
+    // missing label anywhere outranks a failed edge, so the first failed
+    // edge waits for the end of the pass.
+    let mut failed_edge = None;
+    for e in instance.edges() {
+        labels.clear();
+        for (present, label) in instance.present(e).into_iter().zip(labeling.edge_labels(e)) {
+            if present {
+                labels.push(label.ok_or(Violation::Missing { edge: e })?);
+            }
+        }
+        if failed_edge.is_none() && !p.edge_ok(&labels) {
+            failed_edge = Some(Violation::EdgeConstraint { edge: e, labels: labels.clone() });
+        }
+    }
+    if let Some(violation) = failed_edge {
+        return Err(violation);
+    }
+    let label_of = |h: HalfEdge| labeling.get(h).or_invariant("checked complete");
+    for v in instance.nodes() {
+        labels.clear();
+        labels.extend(instance.halves_at(v).map(label_of));
+        if !p.node_ok_at(v, &labels) {
+            // The check takes a multiset; the reported labels follow the
+            // half-edges in ascending edge order, as a semi-graph lists them.
+            let mut halves: Vec<HalfEdge> = instance.halves_at(v).collect();
+            halves.sort_unstable();
+            return Err(Violation::NodeConstraint {
+                node: v,
+                labels: halves.into_iter().map(label_of).collect(),
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treelocal_graph::{HalfEdge, Side};
 
     /// Toy problem: every half-edge gets a bit; an edge is happy iff its
     /// halves differ; a node is happy with at most one incident 1-bit.
