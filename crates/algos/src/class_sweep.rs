@@ -15,9 +15,11 @@
 //! ([`Verdict::SleepUntil`]), so the engine steps it exactly once, in that
 //! round, and it halts there. A sleeper is still running, so the
 //! transcript's per-round frontier commitment sees it every round it waits.
+//! A rule sees the decided neighbours in port order, the order of
+//! `neighbor_nodes(v)` and `neighbor_edges(v)`.
 
 use treelocal_graph::{widen_u64, NodeId, OrInvariant, Topology};
-use treelocal_sim::{run, Ctx, Snapshot, StateCodec, SyncAlgorithm, Verdict};
+use treelocal_sim::{run, Ctx, Ports, StateCodec, SyncAlgorithm, Verdict};
 
 /// What one class sweep computes. Decisions are `u64` words; each rule's
 /// caller maps them to its outcome type.
@@ -27,13 +29,14 @@ pub(crate) trait SweepRule {
     /// before any communication.
     fn round(&self, v: NodeId) -> Option<u64>;
 
-    /// `v`'s decision. `decided(w)` is neighbour `w`'s decision when `w`
-    /// decided in an earlier round, and `None` while `w` still waits.
+    /// `v`'s decision. `decided` yields one entry per port: the
+    /// neighbour's decision when it decided in an earlier round, and
+    /// `None` while it still waits.
     fn decide<T: Topology>(
         &self,
         topo: &T,
         v: NodeId,
-        decided: impl Fn(NodeId) -> Option<u64>,
+        decided: impl ExactSizeIterator<Item = Option<u64>>,
     ) -> u64;
 }
 
@@ -97,7 +100,10 @@ impl<T: Topology, R: SweepRule> SyncAlgorithm<T> for ClassSweep<'_, R> {
         let round =
             self.rule.round(v).filter(|&r| r <= self.max_rounds).or_invariant(WAKE_ROUND_IN_BUDGET);
         match round {
-            0 => Verdict::Halted(SweepState::Decided(self.rule.decide(ctx.topo, v, |_| None))),
+            0 => {
+                let none = std::iter::repeat_n(None, ctx.topo.degree(v));
+                Verdict::Halted(SweepState::Decided(self.rule.decide(ctx.topo, v, none)))
+            }
             round => Verdict::SleepUntil(SweepState::Waiting { round }, round),
         }
     }
@@ -108,15 +114,14 @@ impl<T: Topology, R: SweepRule> SyncAlgorithm<T> for ClassSweep<'_, R> {
         v: NodeId,
         round: u64,
         own: SweepState,
-        prev: &Snapshot<'_, SweepState>,
+        prev: &Ports<'_, SweepState>,
     ) -> Verdict<SweepState> {
         let SweepState::Waiting { round: mine } = own else {
             unreachable!("decided nodes have halted")
         };
         assert_eq!(round, mine, "a sleeper is stepped only in its wake round");
-        Verdict::Halted(SweepState::Decided(
-            self.rule.decide(ctx.topo, v, |w| prev.get(w).decision()),
-        ))
+        let decided = prev.iter().map(SweepState::decision);
+        Verdict::Halted(SweepState::Decided(self.rule.decide(ctx.topo, v, decided)))
     }
 }
 
@@ -188,6 +193,16 @@ pub(crate) fn through_lanes(state: SweepState) -> SweepState {
     let mut lanes64 = [0u64; SweepState::U64_LANES];
     state.encode(&mut [], &mut lanes64);
     SweepState::decode(&[], &lanes64)
+}
+
+/// [`crate::assert_engines_agree`] for the sweep of `rule`.
+#[cfg(test)]
+pub(crate) fn assert_sweep_engines_agree<T, R>(ctx: &Ctx<'_, T>, rule: &R, max_rounds: u64)
+where
+    T: Topology + Sync,
+    R: SweepRule + Sync,
+{
+    crate::assert_engines_agree(ctx, &ClassSweep { rule, max_rounds }, max_rounds);
 }
 
 /// The state `rule` seeds `v` with on `topo`, as the engine's `init` makes

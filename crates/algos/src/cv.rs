@@ -13,8 +13,8 @@
 //! `F_i` into the star forests `F_{i,j}` (Section 4 of the paper).
 
 use treelocal_graph::OrInvariant;
-use treelocal_graph::{NodeId, RootedForest, Topology};
-use treelocal_sim::{run, Ctx, Snapshot, StateCodec, SyncAlgorithm, Verdict};
+use treelocal_graph::{narrow_u32, widen_u32, NodeId, RootedForest, Topology};
+use treelocal_sim::{run, Ctx, Ports, StateCodec, SyncAlgorithm, Verdict};
 
 /// Outcome of the forest 3-coloring.
 #[derive(Clone, Debug)]
@@ -45,10 +45,31 @@ impl StateCodec for CvState {
     }
 }
 
-struct CvAlgo<'f> {
-    forest: &'f RootedForest,
+struct CvAlgo {
+    /// Each node's parent port, [`NO_PARENT`] at a root, indexed by node.
+    parent_ports: Vec<u32>,
     /// Rounds of bit reduction before the constant-color cleanup.
     reduce_rounds: u64,
+}
+
+/// The parent port of a root (no node has that many ports).
+const NO_PARENT: u32 = u32::MAX;
+
+impl CvAlgo {
+    /// Each node of `forest` finds its parent's port once, by binary
+    /// search in its own sorted neighbour slice of `topo`.
+    fn new<T: Topology>(topo: &T, forest: &RootedForest, reduce_rounds: u64) -> Self {
+        let mut parent_ports = vec![NO_PARENT; topo.index_space()];
+        for v in topo.nodes() {
+            debug_assert!(forest.contains(v));
+            if let Some(p) = forest.parent(v) {
+                let port = topo.neighbor_nodes(v).binary_search(&p);
+                parent_ports[v.index()] =
+                    narrow_u32(port.or_invariant("the parent is a neighbour"));
+            }
+        }
+        CvAlgo { parent_ports, reduce_rounds }
+    }
 }
 
 /// The synthetic parent color used by roots: differs from the own color at
@@ -79,27 +100,26 @@ pub fn cv_reduce_rounds(id_space: u64) -> u64 {
     rounds
 }
 
-impl<T: Topology> SyncAlgorithm<T> for CvAlgo<'_> {
+impl<T: Topology> SyncAlgorithm<T> for CvAlgo {
     type State = CvState;
 
     fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<CvState> {
-        debug_assert!(self.forest.contains(v));
         Verdict::Active(CvState { color: ctx.topo.local_id(v) })
     }
 
     fn step(
         &self,
-        ctx: &Ctx<T>,
+        _ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
         own: CvState,
-        prev: &Snapshot<'_, CvState>,
+        prev: &Ports<'_, CvState>,
     ) -> Verdict<CvState> {
-        let parent = self.forest.parent(v);
+        let parent = Some(self.parent_ports[v.index()]).filter(|&p| p != NO_PARENT).map(widen_u32);
         if round <= self.reduce_rounds {
             // Bit-reduction rounds.
             let parent_color = match parent {
-                Some(p) => prev.get(p).color,
+                Some(p) => prev.port(p).color,
                 None => root_parent_color(own.color),
             };
             let c = cv_step_color(own.color, parent_color);
@@ -119,7 +139,7 @@ impl<T: Topology> SyncAlgorithm<T> for CvAlgo<'_> {
             // Shift-down: adopt the parent's (pre-shift) color; roots pick
             // the smallest color in {0,1,2} different from their own.
             let c = match parent {
-                Some(p) => prev.get(p).color,
+                Some(p) => prev.port(p).color,
                 None => (0..3).find(|&c| c != own.color).or_invariant("three candidates"),
             };
             CvState { color: c }
@@ -127,19 +147,14 @@ impl<T: Topology> SyncAlgorithm<T> for CvAlgo<'_> {
             let target = 5 - iteration;
             if own.color == target {
                 // Forbidden: parent's current color and the children's
-                // common current color; at most two distinct values.
-                let mut forbidden = Vec::with_capacity(2);
-                if let Some(p) = parent {
-                    forbidden.push(prev.get(p).color);
-                }
-                for &w in ctx.topo.neighbor_nodes(v) {
-                    if Some(w) != parent {
-                        forbidden.push(prev.get(w).color);
-                        break; // children are monochromatic after shift-down
-                    }
-                }
-                let c =
-                    (0..3u64).find(|c| !forbidden.contains(c)).or_invariant("a free color exists");
+                // common current color (children are monochromatic after
+                // shift-down, so the first child port speaks for all).
+                let parent_color = parent.map(|p| prev.port(p).color);
+                let child_color =
+                    (0..prev.len()).find(|&q| Some(q) != parent).map(|q| prev.port(q).color);
+                let c = (0..3u64)
+                    .find(|&c| parent_color != Some(c) && child_color != Some(c))
+                    .or_invariant("a free color exists");
                 CvState { color: c }
             } else {
                 own
@@ -161,7 +176,7 @@ pub fn three_color_rooted<T: Topology + Sync>(
     forest: &RootedForest,
 ) -> CvOutcome {
     let reduce_rounds = cv_reduce_rounds(ctx.id_space);
-    let algo = CvAlgo { forest, reduce_rounds };
+    let algo = CvAlgo::new(ctx.topo, forest, reduce_rounds);
     let out = run(ctx, &algo, reduce_rounds + 8);
     CvOutcome {
         colors: out
@@ -199,6 +214,17 @@ mod tests {
         assert!(is_proper_on_forest(&forest, &out.colors), "improper");
         for v in g.node_ids() {
             assert!(out.colors[v.index()].unwrap() < 3);
+        }
+    }
+
+    #[test]
+    fn engines_agree_on_the_cross_check_trees() {
+        for g in treelocal_gen::cross_check_trees() {
+            let forest = root_forest(&g);
+            let ctx = Ctx::of(&g);
+            let reduce_rounds = cv_reduce_rounds(ctx.id_space);
+            let algo = CvAlgo::new(&g, &forest, reduce_rounds);
+            crate::assert_engines_agree(&ctx, &algo, reduce_rounds + 8);
         }
     }
 

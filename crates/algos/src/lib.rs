@@ -5,7 +5,7 @@
 //!
 //! * [`run_linial`] — Linial-style color reduction to `O(Δ²)` colors in
 //!   `log* n + O(1)` rounds (polynomial construction over `F_q`), also
-//!   available in explicit Definition 5 message-passing form
+//!   run on the explicit Definition 5 message engine
 //!   ([`run_linial_messages`], identical colors and round counts),
 //! * [`kw_reduce`] — Kuhn–Wattenhofer parallel halving to `Δ+1` colors in
 //!   `O(Δ log Δ)` rounds,
@@ -20,6 +20,12 @@
 //! * [`MisAlgo`], [`DeltaColoringAlgo`], [`DegColoringAlgo`] — class `P1`,
 //! * [`MatchingAlgo`], [`EdgeColoringAlgo`], [`PaletteEdgeColoringAlgo`] —
 //!   class `P2` (via line graphs).
+//!
+//! Every engine algorithm here is one [`treelocal_sim::SyncAlgorithm`]
+//! whose step reads its neighbours by port, so each runs unchanged on both
+//! engines; its module tests run it under `run` and `run_messages` on
+//! every labelled tree with up to 6 nodes plus a random corpus and compare
+//! states and rounds.
 //!
 //! [`ChargedModel`] carries the literature complexity bounds (BBKO22b's
 //! `O(log^12 Δ)` edge coloring etc.) used for round accounting in the
@@ -52,3 +58,19 @@ pub use mis_phase::{is_valid_mis_on, mis_from_coloring, MisDecision, MisOutcome}
 pub use node_solvers::{DegColoringAlgo, DeltaColoringAlgo, ListColoringAlgo, MisAlgo};
 pub use reduce::{kw_reduce, sweep_reduce, ReduceOutcome};
 pub use traits::{ChargedModel, GlobalCtx, TrulyLocal};
+
+/// Runs `algo` on `ctx` under both engines and asserts that the round
+/// counts and every final state agree: the Definition 5 cross-check each
+/// algorithm's tests run on [`treelocal_gen::cross_check_trees`].
+#[cfg(test)]
+fn assert_engines_agree<T, A>(ctx: &treelocal_sim::Ctx<'_, T>, algo: &A, max_rounds: u64)
+where
+    T: treelocal_graph::Topology + Sync,
+    A: treelocal_sim::SyncAlgorithm<T> + Sync,
+    A::State: Send + PartialEq,
+{
+    let snapshot = treelocal_sim::run(ctx, algo, max_rounds);
+    let messages = treelocal_sim::run_messages(ctx, algo, max_rounds);
+    assert_eq!(snapshot.rounds, messages.rounds, "round counts diverge");
+    assert!(snapshot.states().eq(messages.states()), "states diverge");
+}

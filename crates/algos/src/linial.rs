@@ -19,12 +19,15 @@
 //! expanding a digit row or evaluating a polynomial. Only on a collision
 //! at 0 does it build the rows and go on from `x = 1`. That is the first
 //! point of the same search computed exactly, so no color changes.
+//!
+//! A step reads its neighbors' colors from its ports, so one algorithm
+//! runs on both engines: [`run_linial`] on the snapshot engine and
+//! [`run_linial_messages`] with every color sent as a message.
 
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{NodeId, Topology};
 use treelocal_sim::{
-    next_prime, run, run_messages, Ctx, MessageAlgorithm, Snapshot, StateCodec, SyncAlgorithm,
-    Verdict,
+    next_prime, run, run_messages, Ctx, Ports, RunOutcome, StateCodec, SyncAlgorithm, Verdict,
 };
 
 /// One stage of the reduction: colors `< c_in` become colors `< q²` using
@@ -153,15 +156,14 @@ impl<T: Topology> SyncAlgorithm<T> for LinialAlgo {
 
     fn step(
         &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
+        _ctx: &Ctx<T>,
+        _v: NodeId,
         round: u64,
         own: ColorState,
-        prev: &Snapshot<'_, ColorState>,
+        prev: &Ports<'_, ColorState>,
     ) -> Verdict<ColorState> {
         let stage = self.schedule[(round - 1) as usize];
-        let neighbor_colors = ctx.topo.neighbor_nodes(v).iter().map(|&w| prev.get(w).color);
-        let state = ColorState { color: recolor(stage, own.color, neighbor_colors) };
+        let state = ColorState { color: recolor(stage, own.color, prev.iter().map(|s| s.color)) };
         if round as usize == self.schedule.len() {
             Verdict::Halted(state)
         } else {
@@ -182,10 +184,6 @@ impl<T: Topology> SyncAlgorithm<T> for LinialAlgo {
 /// evaluate the same polynomials at the same points in the same order, so
 /// the shortcut cannot change a color.
 ///
-/// Shared verbatim by the snapshot form (neighbor colors read through the
-/// state snapshot) and the message form (neighbor colors received through
-/// ports), which is what makes the two engines produce identical colorings
-/// round for round.
 fn recolor(stage: Stage, own: u64, neighbor_colors: impl Iterator<Item = u64>) -> u64 {
     let Stage { q, .. } = stage;
     let width = stage.d as usize + 1;
@@ -244,46 +242,6 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// The reduction in explicit Definition 5 message-passing form: each round
-/// every active node sends its current color on every port and recolors
-/// from the received colors. All nodes run the same stage schedule and
-/// halt together at its last stage, so every inbox is fully populated in
-/// every round and the colors computed are identical to [`LinialAlgo`]'s.
-struct LinialMsgAlgo {
-    schedule: Vec<Stage>,
-}
-
-impl<T: Topology> MessageAlgorithm<T> for LinialMsgAlgo {
-    type State = ColorState;
-    type Msg = u64;
-
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> ColorState {
-        ColorState { color: ctx.topo.local_id(v) }
-    }
-
-    fn send(&self, ctx: &Ctx<T>, v: NodeId, _round: u64, state: &ColorState) -> Vec<Option<u64>> {
-        vec![Some(state.color); ctx.topo.degree(v)]
-    }
-
-    fn receive(
-        &self,
-        _ctx: &Ctx<T>,
-        _v: NodeId,
-        round: u64,
-        state: ColorState,
-        inbox: &[Option<u64>],
-    ) -> Verdict<ColorState> {
-        let stage = self.schedule[(round - 1) as usize];
-        let state =
-            ColorState { color: recolor(stage, state.color, inbox.iter().flatten().copied()) };
-        if round as usize == self.schedule.len() {
-            Verdict::Halted(state)
-        } else {
-            Verdict::Active(state)
-        }
-    }
-}
-
 /// Writes the `out.len()` base-`q` digits of `c` into `out` (little-endian
 /// coefficient order, matching [`eval_poly`]).
 fn digits_into(mut c: u64, q: u64, out: &mut [u64]) {
@@ -339,34 +297,26 @@ pub struct LinialOutcome {
 /// Colors live in one flat `u64` lane column, which is what keeps the
 /// 10M-node tier's peak RSS flat.
 pub fn run_linial<T: Topology + Sync>(ctx: &Ctx<'_, T>) -> LinialOutcome {
-    let schedule = linial_schedule(ctx.id_space, ctx.max_degree);
-    let final_bound = schedule.last().map_or(ctx.id_space.max(2), |s| s.q * s.q);
-    let out = run(ctx, &LinialAlgo { schedule }, 200);
-    LinialOutcome {
-        colors: out.states().map(|s| s.map(|st| st.color)).collect(),
-        final_bound,
-        rounds: out.rounds,
-    }
+    linial_on(ctx, run)
 }
 
 /// [`run_linial`] through the literal Definition 5 message-passing engine
-/// ([`run_messages`]): identical colors, final bound and round count — the
-/// cross-engine parity the `msgpar` bench asserts before timing.
-///
-/// An empty stage schedule needs zero communication; the message trait has
-/// no round-0 halt (a snapshot algorithm halts in `init`), so that case
-/// returns the identity coloring directly instead of burning a round.
+/// ([`run_messages`]): the same algorithm, with every color sent as a
+/// message. Identical colors, final bound and round count — the
+/// `linial-message-*` certificates equal the `linial-snapshot-*` ones.
 pub fn run_linial_messages<T: Topology + Sync>(ctx: &Ctx<'_, T>) -> LinialOutcome {
+    linial_on(ctx, run_messages)
+}
+
+/// The reduction on `engine`, either [`run`] or [`run_messages`]. An empty
+/// stage schedule halts every node at seeding, after zero rounds.
+fn linial_on<'t, T: Topology + Sync>(
+    ctx: &Ctx<'t, T>,
+    engine: impl FnOnce(&Ctx<'t, T>, &LinialAlgo, u64) -> RunOutcome<ColorState>,
+) -> LinialOutcome {
     let schedule = linial_schedule(ctx.id_space, ctx.max_degree);
     let final_bound = schedule.last().map_or(ctx.id_space.max(2), |s| s.q * s.q);
-    if schedule.is_empty() {
-        let mut colors = vec![None; ctx.topo.index_space()];
-        for v in ctx.topo.nodes() {
-            colors[v.index()] = Some(ctx.topo.local_id(v));
-        }
-        return LinialOutcome { colors, final_bound, rounds: 0 };
-    }
-    let out = run_messages(ctx, &LinialMsgAlgo { schedule }, 200);
+    let out = engine(ctx, &LinialAlgo { schedule }, 200);
     LinialOutcome {
         colors: out.states().map(|s| s.map(|st| st.color)).collect(),
         final_bound,
@@ -467,25 +417,23 @@ mod tests {
 
     #[test]
     fn message_form_matches_the_snapshot_form() {
-        use treelocal_gen::{caterpillar, random_tree, relabel, IdStrategy};
-        // The last two inputs start with a frontier above the engine's
-        // parallel threshold, so at two workers both phases of a message
-        // round (the bucketed send and the receive) run on the pool.
-        for (label, g) in [
-            ("path", path(60)),
-            ("star", Graph::from_edges(12, &(1..12).map(|i| (0, i)).collect::<Vec<_>>()).unwrap()),
-            ("tree", random_tree(200, 5)),
-            ("sparse-id tree", relabel(&random_tree(3000, 11), IdStrategy::Sparse { seed: 11 })),
-            ("caterpillar", caterpillar(1500, 1)),
-        ] {
+        use treelocal_gen::{caterpillar, cross_check_trees, random_tree, relabel, IdStrategy};
+        // After every small tree and the random corpus, two inputs start
+        // with a frontier above the engine's parallel threshold, so at two
+        // workers the receive phase runs on the pool.
+        let big = [
+            relabel(&random_tree(3000, 11), IdStrategy::Sparse { seed: 11 }),
+            caterpillar(1500, 1),
+        ];
+        for (i, g) in cross_check_trees().chain(big).enumerate() {
             let ctx = Ctx::of(&g);
             let (snap, msgs) = treelocal_sim::par::with_threads(2, || {
                 (run_linial(&ctx), run_linial_messages(&ctx))
             });
-            assert_eq!(snap.rounds, msgs.rounds, "{label}: round counts diverge");
-            assert_eq!(snap.final_bound, msgs.final_bound, "{label}");
-            assert_eq!(snap.colors, msgs.colors, "{label}: colors diverge");
-            assert!(is_proper(&g, &msgs.colors), "{label}: improper");
+            assert_eq!(snap.rounds, msgs.rounds, "tree {i}: round counts diverge");
+            assert_eq!(snap.final_bound, msgs.final_bound, "tree {i}");
+            assert_eq!(snap.colors, msgs.colors, "tree {i}: colors diverge");
+            assert!(is_proper(&g, &msgs.colors), "tree {i}: improper");
         }
     }
 

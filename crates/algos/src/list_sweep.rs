@@ -25,20 +25,31 @@ impl SweepRule for ListSweep<'_> {
 
     fn decide<T: Topology>(
         &self,
-        topo: &T,
+        _topo: &T,
         v: NodeId,
-        decided: impl Fn(NodeId) -> Option<u64>,
+        decided: impl ExactSizeIterator<Item = Option<u64>>,
     ) -> u64 {
-        let mut used: Vec<u64> =
-            topo.neighbor_nodes(v).iter().filter_map(|&w| decided(w)).collect();
-        used.sort_unstable();
-        let c = self.lists[v.index()]
-            .iter()
-            .copied()
-            .find(|&c| used.binary_search(&u64::from(c)).is_err())
-            .or_invariant("lists have deg+1 entries: a free color exists");
-        u64::from(c)
+        USED.with(|cell| {
+            let used = &mut *cell.borrow_mut();
+            used.clear();
+            used.extend(decided.flatten());
+            used.sort_unstable();
+            let c = self.lists[v.index()]
+                .iter()
+                .copied()
+                .find(|&c| used.binary_search(&u64::from(c)).is_err())
+                .or_invariant("lists have deg+1 entries: a free color exists");
+            u64::from(c)
+        })
     }
+}
+
+thread_local! {
+    /// The colors [`ListSweep::decide`]'s decided neighbours took, sorted.
+    /// Cleared on entry, so reuse across nodes and rounds cannot leak
+    /// state, and a decision allocates nothing once the buffer has grown
+    /// to the largest degree seen.
+    static USED: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Outcome of the list sweep.
@@ -68,7 +79,7 @@ pub fn list_sweep<T: Topology + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::class_sweep::{seeded, through_lanes, SweepState};
+    use crate::class_sweep::{assert_sweep_engines_agree, seeded, through_lanes, SweepState};
     use crate::linial::run_linial;
     use treelocal_gen::random_tree;
     use treelocal_graph::Graph;
@@ -77,6 +88,17 @@ mod tests {
         g.node_ids()
             .map(|v| (0..=(g.degree(v) as Color)).map(|i| offset + 3 * i + 1).collect())
             .collect()
+    }
+
+    #[test]
+    fn the_list_rule_agrees_across_engines() {
+        for g in treelocal_gen::cross_check_trees() {
+            let ctx = Ctx::of(&g);
+            let lin = run_linial(&ctx);
+            let (m, lists) = (lin.final_bound, lists_for(&g, 0));
+            let rule = ListSweep { initial: &lin.colors, m, lists: &lists };
+            assert_sweep_engines_agree(&ctx, &rule, m + 2);
+        }
     }
 
     #[test]

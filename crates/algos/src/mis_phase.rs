@@ -29,8 +29,8 @@ pub enum MisDecision {
 const MEMBER: u64 = u64::MAX;
 
 /// Class `c` of a 1-based `m`-coloring decides in round `m - c + 1`: it
-/// joins unless a neighbor already has, and otherwise names the first
-/// member in `neighbors(v)` order as its witness.
+/// joins unless a neighbor already has, and otherwise names the edge of
+/// its first member port as its witness.
 struct MisSweep<'c> {
     colors: &'c [Option<u32>],
     m: u64,
@@ -46,11 +46,13 @@ impl SweepRule for MisSweep<'_> {
         &self,
         topo: &T,
         v: NodeId,
-        decided: impl Fn(NodeId) -> Option<u64>,
+        decided: impl ExactSizeIterator<Item = Option<u64>>,
     ) -> u64 {
-        topo.neighbors(v)
-            .find(|&(w, _)| decided(w) == Some(MEMBER))
-            .map_or(MEMBER, |(_, e)| widen_u64(e.index()))
+        topo.neighbor_edges(v)
+            .iter()
+            .zip(decided)
+            .find(|&(_, d)| d == Some(MEMBER))
+            .map_or(MEMBER, |(e, _)| widen_u64(e.index()))
     }
 }
 
@@ -109,7 +111,7 @@ pub fn is_valid_mis_on<T: Topology>(topo: &T, decisions: &[Option<MisDecision>])
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::class_sweep::{seeded, through_lanes, SweepState};
+    use crate::class_sweep::{assert_sweep_engines_agree, seeded, through_lanes, SweepState};
     use crate::linial::run_linial;
     use crate::reduce::kw_reduce;
     use treelocal_gen::random_tree;
@@ -122,6 +124,17 @@ mod tests {
         let mis = mis_from_coloring(&ctx, &red.colors, u64::from(red.final_colors));
         let total = lin.rounds + red.rounds + mis.rounds;
         (mis, total)
+    }
+
+    #[test]
+    fn the_mis_rule_agrees_across_engines() {
+        for g in treelocal_gen::cross_check_trees() {
+            let ctx = Ctx::of(&g);
+            let lin = run_linial(&ctx);
+            let red = kw_reduce(&ctx, &lin.colors, lin.final_bound);
+            let m = u64::from(red.final_colors);
+            assert_sweep_engines_agree(&ctx, &MisSweep { colors: &red.colors, m }, m + 2);
+        }
     }
 
     #[test]

@@ -58,12 +58,11 @@ impl SweepRule for SweepReduce<'_> {
 
     fn decide<T: Topology>(
         &self,
-        topo: &T,
-        v: NodeId,
-        decided: impl Fn(NodeId) -> Option<u64>,
+        _topo: &T,
+        _v: NodeId,
+        decided: impl ExactSizeIterator<Item = Option<u64>>,
     ) -> u64 {
-        let neighbors = topo.neighbor_nodes(v);
-        smallest_free(neighbors.len(), neighbors.iter().filter_map(|&w| decided(w)))
+        smallest_free(decided.len(), decided.flatten())
     }
 }
 
@@ -108,22 +107,17 @@ impl SweepRule for KwPhase<'_> {
 
     fn decide<T: Topology>(
         &self,
-        topo: &T,
+        _topo: &T,
         v: NodeId,
-        decided: impl Fn(NodeId) -> Option<u64>,
+        decided: impl ExactSizeIterator<Item = Option<u64>>,
     ) -> u64 {
         let (group, rel) = self.group_rel(v);
         if rel < self.slots {
             return group * self.slots + rel;
         }
-        let neighbors = topo.neighbor_nodes(v);
         let slot = smallest_free(
-            neighbors.len(),
-            neighbors
-                .iter()
-                .filter_map(|&w| decided(w))
-                .filter(|&c| c / self.slots == group)
-                .map(|c| c % self.slots),
+            decided.len(),
+            decided.flatten().filter(|&c| c / self.slots == group).map(|c| c % self.slots),
         );
         debug_assert!(slot < self.slots, "at most Δ same-group neighbors");
         group * self.slots + slot
@@ -157,7 +151,7 @@ pub fn kw_reduce<T: Topology + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::class_sweep::{seeded, through_lanes, SweepState};
+    use crate::class_sweep::{assert_sweep_engines_agree, seeded, through_lanes, SweepState};
     use crate::linial::{is_proper, run_linial};
     use treelocal_graph::Graph;
 
@@ -168,6 +162,22 @@ mod tests {
 
     fn path(n: usize) -> Graph {
         Graph::from_edges(n, &(0..n - 1).map(|i| (i, i + 1)).collect::<Vec<_>>()).unwrap()
+    }
+
+    #[test]
+    fn both_rules_agree_across_engines() {
+        for g in treelocal_gen::cross_check_trees() {
+            let ctx = Ctx::of(&g);
+            let lin = run_linial(&ctx);
+            let m = lin.final_bound;
+            assert_sweep_engines_agree(&ctx, &SweepReduce { initial: &lin.colors, m }, m + 2);
+            let slots = ctx.max_degree as u64 + 1;
+            assert_sweep_engines_agree(
+                &ctx,
+                &KwPhase { initial: &lin.colors, slots },
+                2 * slots + 2,
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::order::LayerOrder;
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{narrow_u32, widen_u32, Graph, NodeId, SemiGraph, Topology};
-use treelocal_sim::{ceil_log, run, Ctx, Snapshot, StateCodec, SyncAlgorithm, Verdict};
+use treelocal_sim::{ceil_log, run, Ctx, Ports, StateCodec, SyncAlgorithm, Verdict};
 
 /// The output of Algorithm 3 plus the edge classification.
 #[derive(Clone, Debug)]
@@ -256,18 +256,18 @@ impl<T: Topology> SyncAlgorithm<T> for ArbDistributed {
 
     fn step(
         &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
+        _ctx: &Ctx<T>,
+        _v: NodeId,
         round: u64,
         own: ArbState,
-        prev: &Snapshot<'_, ArbState>,
+        prev: &Ports<'_, ArbState>,
     ) -> Verdict<ArbState> {
         let iteration = u32::try_from((round - 1) / 2 + 1).or_invariant("round counts fit u32");
         let sub = (round - 1) % 2;
         let mut next = own;
         if sub == 0 {
             // Publish the alive-degree.
-            next.deg = ctx.topo.neighbor_nodes(v).iter().filter(|&&w| prev.get(w).alive).count();
+            next.deg = prev.iter().filter(|s| s.alive).count();
             if next.deg > self.k {
                 next.last_high = iteration;
             }
@@ -278,15 +278,7 @@ impl<T: Topology> SyncAlgorithm<T> for ArbDistributed {
         if next.deg > self.k {
             return Verdict::Active(next);
         }
-        let high = ctx
-            .topo
-            .neighbor_nodes(v)
-            .iter()
-            .filter(|&&w| {
-                let s = prev.get(w);
-                s.alive && s.deg > self.k
-            })
-            .count();
+        let high = prev.iter().filter(|s| s.alive && s.deg > self.k).count();
         if high <= self.b {
             next.alive = false;
             next.marked_at = Some(iteration);
@@ -402,6 +394,15 @@ mod tests {
         assert!(d.atypical.iter().all(|&x| x));
         assert!(check_lemma14(&g, &d));
         assert_eq!(typical_max_degree(&g, &d), 0);
+    }
+
+    #[test]
+    fn engines_agree_on_the_cross_check_trees() {
+        for g in treelocal_gen::cross_check_trees() {
+            let ctx = Ctx::of(&g);
+            let cap = (lemma13_bound(g.node_count(), 1, 5) * 4 + 16) * 2;
+            crate::assert_engines_agree(&ctx, &ArbDistributed { k: 5, b: 2 }, cap);
+        }
     }
 
     #[test]

@@ -34,3 +34,19 @@ pub use rake_compress::{
     lemma9_bound, rake_compress, rake_compress_distributed, raked_component_max_diameter, Mark,
     RakeCompress,
 };
+
+/// Runs `algo` on `ctx` under both engines and asserts that the round
+/// counts and every final state agree: the Definition 5 cross-check each
+/// algorithm's tests run on [`treelocal_gen::cross_check_trees`].
+#[cfg(test)]
+fn assert_engines_agree<T, A>(ctx: &treelocal_sim::Ctx<'_, T>, algo: &A, max_rounds: u64)
+where
+    T: treelocal_graph::Topology + Sync,
+    A: treelocal_sim::SyncAlgorithm<T> + Sync,
+    A::State: Send + PartialEq,
+{
+    let snapshot = treelocal_sim::run(ctx, algo, max_rounds);
+    let messages = treelocal_sim::run_messages(ctx, algo, max_rounds);
+    assert_eq!(snapshot.rounds, messages.rounds, "round counts diverge");
+    assert!(snapshot.states().eq(messages.states()), "states diverge");
+}

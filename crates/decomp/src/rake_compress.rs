@@ -19,7 +19,7 @@
 use crate::order::LayerOrder;
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{narrow_u32, widen_u32, Graph, NodeId, SemiGraph, Topology};
-use treelocal_sim::{ceil_log, run, Ctx, Snapshot, StateCodec, SyncAlgorithm, Verdict};
+use treelocal_sim::{ceil_log, run, Ctx, Ports, StateCodec, SyncAlgorithm, Verdict};
 
 /// Which operation marked a node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -315,11 +315,11 @@ impl<T: Topology> SyncAlgorithm<T> for RcDistributed {
 
     fn step(
         &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
+        _ctx: &Ctx<T>,
+        _v: NodeId,
         round: u64,
         own: RcState,
-        prev: &Snapshot<'_, RcState>,
+        prev: &Ports<'_, RcState>,
     ) -> Verdict<RcState> {
         let iteration = u32::try_from((round - 1) / 3 + 1).or_invariant("round counts fit u32");
         let sub = (round - 1) % 3;
@@ -327,18 +327,14 @@ impl<T: Topology> SyncAlgorithm<T> for RcDistributed {
         match sub {
             0 => {
                 // Publish the current alive-degree.
-                next.deg =
-                    ctx.topo.neighbor_nodes(v).iter().filter(|&&w| prev.get(w).alive).count();
+                next.deg = prev.iter().filter(|s| s.alive).count();
                 Verdict::Active(next)
             }
             1 => {
                 // Compress decision.
                 debug_assert!(next.alive);
                 let me_ok = next.deg <= self.k;
-                let nbrs_ok = ctx.topo.neighbor_nodes(v).iter().all(|&w| {
-                    let s = prev.get(w);
-                    !s.alive || s.deg <= self.k
-                });
+                let nbrs_ok = prev.iter().all(|s| !s.alive || s.deg <= self.k);
                 if me_ok && nbrs_ok {
                     next.just_compressed = true;
                     next.marked_at = Some((iteration, Mark::Compress));
@@ -352,15 +348,7 @@ impl<T: Topology> SyncAlgorithm<T> for RcDistributed {
                     next.just_compressed = false;
                     return Verdict::Halted(next);
                 }
-                let d = ctx
-                    .topo
-                    .neighbor_nodes(v)
-                    .iter()
-                    .filter(|&&w| {
-                        let s = prev.get(w);
-                        s.alive && !s.just_compressed
-                    })
-                    .count();
+                let d = prev.iter().filter(|s| s.alive && !s.just_compressed).count();
                 if d <= 1 {
                     next.alive = false;
                     next.marked_at = Some((iteration, Mark::Rake));
@@ -482,6 +470,17 @@ mod tests {
                 // The centralized round charge is what the execution took.
                 assert_eq!(a.rounds, b.rounds, "seed {seed} k {k}");
                 assert!(b.rounds <= 3 * u64::from(b.iterations));
+            }
+        }
+    }
+
+    #[test]
+    fn engines_agree_on_the_cross_check_trees() {
+        for g in treelocal_gen::cross_check_trees() {
+            let ctx = Ctx::of(&g);
+            for k in [2usize, 3] {
+                let cap = (lemma9_bound(g.node_count(), k) * 4 + 16) * 3;
+                crate::assert_engines_agree(&ctx, &RcDistributed { k }, cap);
             }
         }
     }

@@ -3,7 +3,8 @@
 //! Everything is seeded and reproducible. Provided families:
 //!
 //! * [`random_tree`] — uniformly random labeled trees, decoded by the
-//!   streaming [`PruferEdges`] source (no materialized edge list),
+//!   streaming [`PruferEdges`] source (no materialized edge list), and
+//!   [`labelled_trees`] — every labelled tree on `n` nodes,
 //! * [`balanced_regular_tree`] — the paper's lower-bound instances
 //!   (footnote 11 variant that exists for every `n`),
 //! * structured trees: [`path`], [`star`], [`caterpillar`], [`spider`],
@@ -25,6 +26,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use treelocal_graph::OrInvariant;
+
 mod arb;
 mod ids;
 mod prufer;
@@ -35,7 +38,7 @@ pub use arb::{
     KnownArboricity,
 };
 pub use ids::{assign_ids, relabel, IdStrategy};
-pub use prufer::{decode_prufer, random_tree, PruferEdges};
+pub use prufer::{decode_prufer, labelled_trees, random_tree, PruferEdges};
 pub use shapes::{
     balanced_regular_tree, balanced_regular_tree_of_depth, broom, caterpillar,
     complete_binary_tree, path, spider, star,
@@ -57,6 +60,23 @@ pub fn tree_suite(n: usize, seed: u64) -> Vec<(String, treelocal_graph::Graph)> 
         v.push(("spider".to_string(), spider(legs, (n - 1) / legs.max(1))));
     }
     v
+}
+
+/// The trees every engine cross-check runs on: every labelled tree on 1
+/// to 6 nodes (1,442 of them), then 60 random trees on 2 to 120 nodes
+/// whose identifiers cycle through sequential, permuted and sparse, so the
+/// minimum identifier sits anywhere relative to the index order.
+pub fn cross_check_trees() -> impl Iterator<Item = treelocal_graph::Graph> {
+    let random = (0..60u64).map(|seed| {
+        let n = 2 + usize::try_from(seed * 7 % 119).or_invariant("a small tree size");
+        let strategy = match seed % 3 {
+            0 => IdStrategy::Sequential,
+            1 => IdStrategy::Permuted { seed },
+            _ => IdStrategy::Sparse { seed },
+        };
+        relabel(&random_tree(n, seed), strategy)
+    });
+    (1..=6).flat_map(labelled_trees).chain(random)
 }
 
 #[cfg(test)]

@@ -128,11 +128,69 @@ pub fn random_tree(n: usize, seed: u64) -> Graph {
         .or_invariant("Prüfer decoding yields a tree")
 }
 
+/// Every labelled tree on `n` nodes, one per Prüfer sequence: Cayley's
+/// `n^(n-2)` trees for `n ≥ 2`, the one-node tree for `n = 1` and none for
+/// `n = 0`. Tree `i` decodes the sequence whose digits, least significant
+/// first, are `i` written in base `n`.
+///
+/// # Panics
+///
+/// Panics if `n^(n-2)` overflows `usize` (from `n = 16` on 64-bit hosts).
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(treelocal_gen::labelled_trees(5).count(), 125);
+/// ```
+pub fn labelled_trees(n: usize) -> impl Iterator<Item = Graph> {
+    let count = match n {
+        0 | 1 => n,
+        _ => n.checked_pow(narrow_u32(n - 2)).or_invariant("n^(n-2) labelled trees fit usize"),
+    };
+    (0..count).map(move |code| {
+        let mut rest = code;
+        let seq: Vec<usize> = (2..n)
+            .map(|_| {
+                let digit = rest % n;
+                rest /= n;
+                digit
+            })
+            .collect();
+        let edges = if n < 2 { Vec::new() } else { decode_prufer(n, &seq) };
+        Graph::from_edges(n, &edges).or_invariant("a Prüfer sequence decodes to a tree")
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
     use treelocal_graph::is_tree;
+
+    #[test]
+    fn labelled_trees_are_distinct_trees_in_cayley_numbers() {
+        for n in 0..=6usize {
+            let mut canon: Vec<Vec<(usize, usize)>> = labelled_trees(n)
+                .map(|g| {
+                    assert!(is_tree(&g), "n = {n}");
+                    let mut es: Vec<(usize, usize)> = g
+                        .edge_ids()
+                        .map(|e| {
+                            let [u, v] = g.endpoints(e);
+                            (u.index().min(v.index()), u.index().max(v.index()))
+                        })
+                        .collect();
+                    es.sort_unstable();
+                    es
+                })
+                .collect();
+            let total = canon.len();
+            canon.sort();
+            canon.dedup();
+            assert_eq!(canon.len(), total, "n = {n}: a tree repeats");
+            assert_eq!(total, [0, 1, 1, 3, 16, 125, 1296][n], "n = {n}");
+        }
+    }
 
     #[test]
     fn decode_known_sequence() {

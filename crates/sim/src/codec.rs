@@ -72,8 +72,9 @@ impl StateCodec for u64 {
     }
 }
 
-/// Node-major flat lane storage: every node's lanes live at a fixed row in
-/// two flat vectors.
+/// Node-major flat lane storage: every row's lanes live at a fixed offset
+/// in two flat vectors. A row is a node's state in the engine's columns,
+/// and one `(recipient, port)` slot in the message engine's inbox.
 #[derive(Debug)]
 pub(crate) struct SoaColumns<S: StateCodec> {
     lanes32: Vec<u32>,
@@ -82,63 +83,118 @@ pub(crate) struct SoaColumns<S: StateCodec> {
 }
 
 impl<S: StateCodec> SoaColumns<S> {
-    /// Zero-initialized columns over `slots` node rows.
-    pub(crate) fn new(slots: usize) -> Self {
+    /// Zero-initialized columns over `rows` rows.
+    pub(crate) fn new(rows: usize) -> Self {
         SoaColumns {
-            lanes32: vec![0u32; slots * S::U32_LANES],
-            lanes64: vec![0u64; slots * S::U64_LANES],
+            lanes32: vec![0u32; rows * S::U32_LANES],
+            lanes64: vec![0u64; rows * S::U64_LANES],
             _codec: PhantomData,
         }
     }
 
     #[inline]
-    fn row32(v: NodeId) -> std::ops::Range<usize> {
-        let base = v.index() * S::U32_LANES;
-        base..base + S::U32_LANES
+    fn row32(row: usize) -> std::ops::Range<usize> {
+        row * S::U32_LANES..(row + 1) * S::U32_LANES
     }
 
     #[inline]
-    fn row64(v: NodeId) -> std::ops::Range<usize> {
-        let base = v.index() * S::U64_LANES;
-        base..base + S::U64_LANES
+    fn row64(row: usize) -> std::ops::Range<usize> {
+        row * S::U64_LANES..(row + 1) * S::U64_LANES
     }
 
-    /// Encodes `s` into node `v`'s lane rows.
+    /// Encodes `s` into row `row`.
     #[inline]
-    pub(crate) fn write(&mut self, v: NodeId, s: &S) {
-        s.encode(&mut self.lanes32[Self::row32(v)], &mut self.lanes64[Self::row64(v)]);
+    pub(crate) fn write(&mut self, row: usize, s: &S) {
+        s.encode(&mut self.lanes32[Self::row32(row)], &mut self.lanes64[Self::row64(row)]);
     }
 
-    /// Decodes node `v`'s lane rows into a fresh state value.
+    /// Decodes row `row` into a fresh state value.
     #[inline]
-    pub(crate) fn read(&self, v: NodeId) -> S {
-        S::decode(&self.lanes32[Self::row32(v)], &self.lanes64[Self::row64(v)])
+    pub(crate) fn read(&self, row: usize) -> S {
+        S::decode(&self.lanes32[Self::row32(row)], &self.lanes64[Self::row64(row)])
+    }
+
+    /// Copies row `from` of `src` into row `to`, lane for lane, without
+    /// decoding: the message engine's delivery of a state as a message.
+    #[inline]
+    pub(crate) fn copy_row(&mut self, to: usize, src: &SoaColumns<S>, from: usize) {
+        self.lanes32[Self::row32(to)].copy_from_slice(&src.lanes32[Self::row32(from)]);
+        self.lanes64[Self::row64(to)].copy_from_slice(&src.lanes64[Self::row64(from)]);
     }
 }
 
-/// Read-only view of the previous round's states. Reads **decode by
-/// value**: neighbors get a fresh state constructed from the lanes, not a
-/// borrow into the buffer.
+/// What a step sees of the previous round: one state per **port**. Port
+/// `p` of node `v` is `ctx.topo.neighbor_nodes(v)[p]`, the same order as
+/// `neighbor_edges(v)`. Reads decode by value.
+///
+/// No read names a node, so a step can only see its own neighbours: the
+/// locality of Definition 5 holds by construction. The snapshot engine
+/// reads each neighbour's row in place; the message engine reads the rows
+/// delivered into the node's inbox. Both are this one type.
 #[derive(Debug)]
-pub struct Snapshot<'a, S: StateCodec> {
+pub struct Ports<'a, S: StateCodec> {
     columns: &'a SoaColumns<S>,
-    seeded: &'a [bool],
+    rows: PortRows<'a>,
 }
 
-impl<S: StateCodec> Snapshot<'_, S> {
-    pub(crate) fn over<'a>(columns: &'a SoaColumns<S>, seeded: &'a [bool]) -> Snapshot<'a, S> {
-        Snapshot { columns, seeded }
+/// Which rows of the columns a node's ports read.
+#[derive(Debug)]
+enum PortRows<'a> {
+    /// Port `p` reads the row of neighbour `p` (the snapshot engine).
+    Neighbors(&'a [NodeId]),
+    /// Port `p` reads inbox slot `start + p` (the message engine).
+    Inbox(std::ops::Range<usize>),
+}
+
+impl<'a, S: StateCodec> Ports<'a, S> {
+    /// The neighbours' own rows of `columns`, in port order.
+    #[inline]
+    pub(crate) fn neighbors(columns: &'a SoaColumns<S>, nodes: &'a [NodeId]) -> Self {
+        Ports { columns, rows: PortRows::Neighbors(nodes) }
     }
 
-    /// The previous-round state of node `v`, decoded from its lanes.
+    /// The inbox slots `slots` of `columns`, one per port.
+    #[inline]
+    pub(crate) fn inbox(columns: &'a SoaColumns<S>, slots: std::ops::Range<usize>) -> Self {
+        Ports { columns, rows: PortRows::Inbox(slots) }
+    }
+
+    /// The number of ports: the node's degree.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match &self.rows {
+            PortRows::Neighbors(nodes) => nodes.len(),
+            PortRows::Inbox(slots) => slots.len(),
+        }
+    }
+
+    /// Whether the node has no neighbours.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The previous-round state of the neighbour at port `p`.
     ///
     /// # Panics
     ///
-    /// Panics if `v` does not participate in the execution. Algorithms only
-    /// read states of their topology neighbors, which always participate.
-    pub fn get(&self, v: NodeId) -> S {
-        assert!(self.seeded[v.index()], "neighbor {v:?} participates in the execution");
-        self.columns.read(v)
+    /// Panics if `p >= self.len()`.
+    #[inline]
+    pub fn port(&self, p: usize) -> S {
+        let row = match &self.rows {
+            PortRows::Neighbors(nodes) => nodes[p].index(),
+            PortRows::Inbox(slots) => {
+                assert!(p < slots.len(), "port {p} of a node with {} ports", slots.len());
+                slots.start + p
+            }
+        };
+        self.columns.read(row)
+    }
+
+    /// Every port's state, in port order.
+    #[inline]
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = S> + '_ {
+        (0..self.len()).map(|p| self.port(p))
     }
 }
 
@@ -166,7 +222,7 @@ impl<S: StateCodec> RunOutcome<S> {
 
     /// The final state of `v`, or `None` for non-participants.
     pub fn try_state(&self, v: NodeId) -> Option<S> {
-        self.seeded[v.index()].then(|| self.columns.read(v))
+        self.seeded[v.index()].then(|| self.columns.read(v.index()))
     }
 
     /// Every slot's final state in index order (`None` for
@@ -209,12 +265,16 @@ mod tests {
         let mut cols: SoaColumns<Mixed> = SoaColumns::new(4);
         let a = Mixed { small: 7, flag: true, big: u64::MAX, wide: 1 };
         let b = Mixed { small: u32::MAX, flag: false, big: 0, wide: 42 };
-        cols.write(NodeId::new(1), &a);
-        cols.write(NodeId::new(3), &b);
-        assert_eq!(cols.read(NodeId::new(1)), a);
-        assert_eq!(cols.read(NodeId::new(3)), b);
+        cols.write(1, &a);
+        cols.write(3, &b);
+        assert_eq!(cols.read(1), a);
+        assert_eq!(cols.read(3), b);
         // Untouched rows decode the zero state, not a neighbor's lanes.
-        assert_eq!(cols.read(NodeId::new(2)), Mixed { small: 0, flag: false, big: 0, wide: 0 });
+        assert_eq!(cols.read(2), Mixed { small: 0, flag: false, big: 0, wide: 0 });
+        // A copied row carries every lane of both axes.
+        let mut inbox: SoaColumns<Mixed> = SoaColumns::new(2);
+        inbox.copy_row(0, &cols, 3);
+        assert_eq!(inbox.read(0), b);
     }
 
     #[test]
@@ -232,19 +292,31 @@ mod tests {
             }
         }
         let mut cols: SoaColumns<OnlyWide> = SoaColumns::new(2);
-        cols.write(NodeId::new(1), &OnlyWide(9));
-        assert_eq!(cols.read(NodeId::new(1)), OnlyWide(9));
-        let seeded = vec![false, true];
-        let snap = Snapshot::over(&cols, &seeded);
-        assert_eq!(snap.get(NodeId::new(1)), OnlyWide(9));
+        cols.write(1, &OnlyWide(9));
+        assert_eq!(cols.read(1), OnlyWide(9));
+        let nodes = [NodeId::new(1)];
+        assert_eq!(Ports::neighbors(&cols, &nodes).port(0), OnlyWide(9));
     }
 
     #[test]
-    #[should_panic(expected = "participates in the execution")]
-    fn snapshot_get_rejects_non_participants() {
-        let cols: SoaColumns<Mixed> = SoaColumns::new(1);
-        let seeded = vec![false];
-        let snap = Snapshot::over(&cols, &seeded);
-        let _ = snap.get(NodeId::new(0));
+    fn both_port_forms_read_rows_in_port_order() {
+        let mut cols: SoaColumns<u32> = SoaColumns::new(5);
+        for row in 0..5 {
+            cols.write(row, &(10 * u32::try_from(row).unwrap()));
+        }
+        let nodes = [NodeId::new(4), NodeId::new(0), NodeId::new(2)];
+        let by_node = Ports::neighbors(&cols, &nodes);
+        assert_eq!(by_node.iter().collect::<Vec<_>>(), [40, 0, 20]);
+        let by_slot = Ports::inbox(&cols, 1..4);
+        assert_eq!((by_slot.len(), by_slot.port(2)), (3, 30));
+        assert_eq!(by_slot.iter().collect::<Vec<_>>(), [10, 20, 30]);
+        assert!(Ports::inbox(&cols, 2..2).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "port 3 of a node with 3 ports")]
+    fn an_inbox_port_past_the_degree_is_rejected() {
+        let cols: SoaColumns<u32> = SoaColumns::new(5);
+        let _ = Ports::inbox(&cols, 1..4).port(3);
     }
 }

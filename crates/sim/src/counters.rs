@@ -10,21 +10,21 @@
 //! * **node steps** — the number of awake nodes that round stepped, i.e.
 //!   the actual unit of simulation work: halted nodes and nodes asleep
 //!   until a later wake round are not counted, and
-//! * **send steps** — the number of frontier nodes whose outgoing messages
-//!   the message engine ([`run_messages`](crate::run_messages)) materialized
-//!   and routed. The snapshot engine has no send phase, so for it this
-//!   counter stays flat; for the message engine every round does roughly
-//!   *twice* the per-node work (send + receive), and a reader
-//!   that only saw receive steps would underestimate message-heavy jobs.
+//! * **send steps** — the number of lane rows the message engine
+//!   ([`run_messages`](crate::run_messages)) sent, one per sender: every
+//!   participant once at seeding, then every node once per round it
+//!   steps. A message run therefore records its participant count plus
+//!   its node steps. The snapshot engine sends nothing, so for it this
+//!   counter stays flat.
 //!
 //! The counters are monotone, cumulative over the whole process, and never
 //! reset (concurrent runs interleave their increments); callers that want
 //! a per-phase figure take a [`snapshot`] before and after and subtract.
 //! One `fetch_add` per *round phase* (not per node) keeps the overhead
 //! unmeasurable next to stepping even a single node, and makes every
-//! counter independent of the pool size: a parallel send or receive phase
-//! records exactly the same totals as a sequential one
-//! (`crates/sim/tests/msg_counters.rs` pins this).
+//! counter independent of the pool size: a parallel round records exactly
+//! the same totals as a sequential one (`crates/sim/tests/msg_counters.rs`
+//! pins this).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -45,11 +45,10 @@ pub fn rounds_executed() -> u64 {
     ROUNDS.load(Ordering::Relaxed)
 }
 
-/// Records one message-engine send phase that materialized and routed the
-/// outgoing messages of `frontier` nodes (called once per round by
-/// [`run_messages`](crate::run_messages)).
-pub(crate) fn record_send_round(frontier: u64) {
-    SEND_STEPS.fetch_add(frontier, Ordering::Relaxed);
+/// Records one message-engine delivery that sent the rows of `senders`
+/// nodes (called at seeding and after every commit of a message run).
+pub(crate) fn record_send_round(senders: u64) {
+    SEND_STEPS.fetch_add(senders, Ordering::Relaxed);
 }
 
 /// Total node steps executed by this process so far (the sum of awake
@@ -58,9 +57,9 @@ pub fn node_steps() -> u64 {
     NODE_STEPS.load(Ordering::Relaxed)
 }
 
-/// Total message-engine send-phase node steps executed by this process so
-/// far (the sum of frontier sizes over all executed send phases; zero in a
-/// process that only ran the snapshot engine).
+/// Total lane rows sent by the message engine in this process so far (per
+/// message run: its participants plus its node steps; zero in a process
+/// that only ran the snapshot engine).
 pub fn send_steps() -> u64 {
     SEND_STEPS.load(Ordering::Relaxed)
 }
@@ -103,18 +102,16 @@ mod tests {
         }
         // Round 1 steps 3 nodes (node 0 halts), round 2 steps 2.
         core.begin_round(10);
-        core.step(
-            1,
-            |v, own, _| {
-                if v.index() == 0 {
-                    Verdict::Halted(own)
-                } else {
-                    Verdict::Active(own + 1)
-                }
-            },
-        );
+        let g = treelocal_gen::path(3);
+        core.step(1, &g, |v, own, _| {
+            if v.index() == 0 {
+                Verdict::Halted(own)
+            } else {
+                Verdict::Active(own + 1)
+            }
+        });
         core.begin_round(10);
-        core.step(1, |_, own, _| Verdict::Halted(own));
+        core.step(1, &g, |_, own, _| Verdict::Halted(own));
         let (r1, s1, _) = snapshot();
         assert!(r1 >= r0 + 2, "rounds {r0} -> {r1}");
         assert!(s1 >= s0 + 5, "steps {s0} -> {s1}");

@@ -4,11 +4,13 @@
 //! arbitrary size to its neighbors, receives theirs, and computes. Because
 //! message size is unbounded, exchanging full local state is equivalent to
 //! arbitrary messaging; the engine therefore models a round as "every node
-//! reads the previous-round state of each neighbor and computes a new
-//! state". Round counts are exactly those of a real deployment of the same
-//! algorithm.
+//! reads the previous-round state of each neighbor, port by port, and
+//! computes a new state". Round counts are exactly those of a real
+//! deployment of the same algorithm, and [`run_messages`](crate::run_messages)
+//! runs the same algorithm with the states sent as messages.
 
-use crate::codec::{RunOutcome, Snapshot, StateCodec};
+use crate::codec::{Ports, RunOutcome, StateCodec};
+use crate::ExecCore;
 use treelocal_graph::{NodeId, Topology};
 
 /// Everything a node is allowed to know globally (Definition 5): the number
@@ -66,13 +68,15 @@ pub enum Verdict<S> {
 ///
 /// `init` is evaluated before any communication (round 0); each `step`
 /// consumes exactly one communication round, in which the node observes the
-/// previous-round states of its topology neighbors via [`Snapshot`]. States
-/// live in flat lane columns ([`StateCodec`]), so `own` arrives **by
-/// value** — decoded from the node's lanes — and neighbor reads decode by
-/// value too.
+/// previous-round states of its topology neighbors through [`Ports`]: port
+/// `p` is `ctx.topo.neighbor_nodes(v)[p]`. No read names a node, so a step
+/// cannot see past its neighbours. States live in flat lane columns
+/// ([`StateCodec`]), so `own` arrives **by value** — decoded from the
+/// node's lanes — and port reads decode by value too.
 pub trait SyncAlgorithm<T: Topology> {
     /// Per-node state with a fixed-width lane encoding; its full content is
-    /// what neighbors can read (LOCAL messages are unbounded).
+    /// what neighbors can read, and what the message engine sends (LOCAL
+    /// messages are unbounded).
     type State: StateCodec;
 
     /// The state of `v` before any communication happened.
@@ -85,7 +89,7 @@ pub trait SyncAlgorithm<T: Topology> {
         v: NodeId,
         round: u64,
         own: Self::State,
-        prev: &Snapshot<'_, Self::State>,
+        prev: &Ports<'_, Self::State>,
     ) -> Verdict<Self::State>;
 }
 
@@ -115,14 +119,39 @@ where
     A: SyncAlgorithm<T> + Sync,
     A::State: Send,
 {
-    let threads = crate::par::auto_threads();
-    let mut core = crate::ExecCore::new(ctx.topo.index_space());
+    drain(ctx, algo, max_rounds, seeded_core(ctx, algo))
+}
+
+/// A core with every node of `ctx.topo` seeded by `algo.init`.
+pub(crate) fn seeded_core<T, A>(ctx: &Ctx<'_, T>, algo: &A) -> ExecCore<A::State>
+where
+    T: Topology,
+    A: SyncAlgorithm<T>,
+{
+    let mut core = ExecCore::new(ctx.topo.index_space());
     for v in ctx.topo.nodes() {
         core.seed(v, algo.init(ctx, v));
     }
+    core
+}
+
+/// Steps `core` round by round until every node has halted: the one run
+/// loop of both engines.
+pub(crate) fn drain<T, A>(
+    ctx: &Ctx<'_, T>,
+    algo: &A,
+    max_rounds: u64,
+    mut core: ExecCore<A::State>,
+) -> RunOutcome<A::State>
+where
+    T: Topology + Sync,
+    A: SyncAlgorithm<T> + Sync,
+    A::State: Send,
+{
+    let threads = crate::par::auto_threads();
     while !core.is_done() {
         let round = core.begin_round(max_rounds);
-        core.step(threads, |v, own, snap| algo.step(ctx, v, round, own, snap));
+        core.step(threads, ctx.topo, |v, own, ports| algo.step(ctx, v, round, own, ports));
     }
     core.finish()
 }
@@ -170,16 +199,16 @@ mod tests {
 
         fn step(
             &self,
-            ctx: &Ctx<T>,
-            v: NodeId,
+            _ctx: &Ctx<T>,
+            _v: NodeId,
             _round: u64,
             own: Dist,
-            prev: &Snapshot<'_, Dist>,
+            prev: &Ports<'_, Dist>,
         ) -> Verdict<Dist> {
             if own.0.is_some() {
                 return Verdict::Halted(own);
             }
-            let best = ctx.topo.neighbor_nodes(v).iter().filter_map(|&w| prev.get(w).0).min();
+            let best = prev.iter().filter_map(|d| d.0).min();
             match best {
                 Some(d) => Verdict::Active(Dist(Some(d + 1))),
                 None => Verdict::Active(Dist(None)),
@@ -214,7 +243,7 @@ mod tests {
                 _: NodeId,
                 _: u64,
                 s: u64,
-                _: &Snapshot<'_, u64>,
+                _: &Ports<'_, u64>,
             ) -> Verdict<u64> {
                 Verdict::Halted(s)
             }
@@ -241,7 +270,7 @@ mod tests {
                 _: NodeId,
                 _: u64,
                 s: u32,
-                _: &Snapshot<'_, u32>,
+                _: &Ports<'_, u32>,
             ) -> Verdict<u32> {
                 Verdict::Active(s)
             }

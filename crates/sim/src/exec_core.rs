@@ -1,5 +1,5 @@
 //! The execution core shared by the snapshot engine ([`crate::run`]) and
-//! the message-passing engine ([`crate::run_messages`]).
+//! the message engine ([`crate::run_messages`]).
 //!
 //! [`ExecCore`] owns one run loop for both engines:
 //!
@@ -12,9 +12,13 @@
 //!   nothing per round;
 //! * states live in node-major u32/u64 lane columns ([`StateCodec`]);
 //!   reads decode a fresh value, writes encode in place, and the lanes of
-//!   halted and sleeping nodes are **frozen in place**: neighbours read
-//!   them through the [`Snapshot`], and they are never rewritten while the
-//!   node does not step;
+//!   halted and sleeping nodes are **frozen in place**: neighbours still
+//!   read them, and they are never rewritten while the node does not step;
+//! * a step reads its neighbours only through [`Ports`], in port order.
+//!   Without an inbox the ports read the neighbours' rows of the previous
+//!   round in place; once the message engine has routed the core, they
+//!   read the rows delivered into the node's inbox (see
+//!   [`crate::run_messages`]);
 //! * a round has one path, [`ExecCore::step`]: the awake list is mapped
 //!   through [`crate::par::par_map_into`] (inline below the pool
 //!   threshold) into one verdict buffer reused across rounds, so every
@@ -28,12 +32,14 @@
 //! transcript recorder is armed, so an unarmed run never passes over its
 //! sleepers.
 //!
-//! The core cannot clone a state — it only encodes and decodes lanes.
+//! The core cannot clone a state — it only encodes, decodes and copies
+//! lanes.
 
-use crate::codec::{RunOutcome, Snapshot, SoaColumns, StateCodec};
+use crate::codec::{Ports, RunOutcome, SoaColumns, StateCodec};
 use crate::engine::Verdict;
+use crate::msg_engine::Router;
 use std::collections::BTreeMap;
-use treelocal_graph::{widen_u64, NodeId, OrInvariant};
+use treelocal_graph::{widen_u64, NodeId, OrInvariant, Topology};
 
 /// Double-buffered executor for synchronous LOCAL rounds.
 ///
@@ -61,6 +67,9 @@ pub struct ExecCore<S: StateCodec> {
     /// Every live node in seeding order, the transcript's frontier; kept
     /// only while the transcript recorder is armed.
     recorded_frontier: Option<Vec<NodeId>>,
+    /// The message engine's inboxes, once [`ExecCore::route_messages`]
+    /// has run; steps then read their ports from here.
+    inbox: Option<Router<S>>,
     /// Communication rounds executed so far.
     rounds: u64,
 }
@@ -92,6 +101,7 @@ impl<S: StateCodec> ExecCore<S> {
             awake: Vec::new(),
             asleep: BTreeMap::new(),
             recorded_frontier: recording.then(Vec::new),
+            inbox: None,
             rounds: 0,
         }
     }
@@ -112,14 +122,14 @@ impl<S: StateCodec> ExecCore<S> {
         self.seeded[v.index()] = true;
         let (state, wake) = match verdict {
             Verdict::Halted(s) => {
-                self.main.write(v, &s);
+                self.main.write(v.index(), &s);
                 crate::transcript::record_halt(v, 0);
                 return;
             }
             Verdict::Active(s) => (s, None),
             Verdict::SleepUntil(s, round) => (s, Some(round)),
         };
-        self.main.write(v, &state);
+        self.main.write(v.index(), &state);
         self.active[v.index()] = true;
         if let Some(frontier) = &mut self.recorded_frontier {
             frontier.push(v);
@@ -135,6 +145,16 @@ impl<S: StateCodec> ExecCore<S> {
                 self.asleep.entry(round).or_default().push(v);
             }
         }
+    }
+
+    /// Switches the core to explicit messages once every node is seeded:
+    /// builds the inboxes of `topo` and delivers every participant's
+    /// seeded row, halted and sleeping nodes' included, to its running
+    /// neighbours. From here on every step reads its inbox.
+    pub(crate) fn route_messages<T: Topology>(&mut self, topo: &T) {
+        let mut router = Router::new(topo);
+        router.deliver(topo, topo.nodes(), &self.main, &self.active);
+        self.inbox = Some(router);
     }
 
     /// `true` once every node has halted: none is awake and none sleeps.
@@ -156,16 +176,6 @@ impl<S: StateCodec> ExecCore<S> {
     /// Rounds executed so far.
     pub fn rounds(&self) -> u64 {
         self.rounds
-    }
-
-    /// The current state of node `v`, decoded from its lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` was never seeded.
-    pub fn state(&self, v: NodeId) -> S {
-        assert!(self.seeded[v.index()], "node {v:?} participates in the execution");
-        self.main.read(v)
     }
 
     /// Starts a communication round, returning its 1-based number. The
@@ -196,47 +206,37 @@ impl<S: StateCodec> ExecCore<S> {
         self.rounds
     }
 
-    /// The pool size for one phase over this round's awake list: `threads`
-    /// once the list holds at least `PAR_FRONTIER_MIN` nodes, else 1 (a
-    /// pool of one maps inline). Stepping and the message engine's send
-    /// phase both size themselves here; the choice never changes results.
-    pub(crate) fn phase_threads(&self, threads: usize) -> usize {
-        if self.awake.len() >= crate::par::PAR_FRONTIER_MIN {
-            threads
-        } else {
-            1
-        }
-    }
-
-    /// Executes one round: every awake node gets its decoded state and a
-    /// [`Snapshot`] of the previous round's columns and returns its
-    /// verdict. The message engine's receive phase ignores the snapshot.
+    /// Executes one round on `topo`: every awake node gets its decoded
+    /// state and its [`Ports`] and returns its verdict.
     ///
     /// The awake list is mapped through [`crate::par::par_map_into`] at
     /// `threads` (at 1 below the pool threshold) into the core's reused
     /// verdict buffer; the verdicts then commit **sequentially in awake
     /// order**. All reads happen before any lane is rewritten, and the
     /// same bytes land in the same write order for every pool size.
-    pub fn step<F>(&mut self, threads: usize, step: F)
+    pub fn step<T, F>(&mut self, threads: usize, topo: &T, step: F)
     where
-        F: Fn(NodeId, S, &Snapshot<'_, S>) -> Verdict<S> + Sync,
+        T: Topology + Sync,
+        F: Fn(NodeId, S, &Ports<'_, S>) -> Verdict<S> + Sync,
         S: Send,
     {
-        let main = &self.main;
-        let snap = Snapshot::over(main, &self.seeded);
-        crate::par::par_map_into(
-            &self.awake,
-            self.phase_threads(threads),
-            &mut self.verdicts,
-            |_, &v| stepped(step(v, main.read(v), &snap)),
-        );
-        self.commit_in_awake_order();
+        let threads = if self.awake.len() >= crate::par::PAR_FRONTIER_MIN { threads } else { 1 };
+        let (main, inbox) = (&self.main, self.inbox.as_ref());
+        crate::par::par_map_into(&self.awake, threads, &mut self.verdicts, |_, &v| {
+            let ports = match inbox {
+                None => Ports::neighbors(main, topo.neighbor_nodes(v)),
+                Some(router) => router.ports(v),
+            };
+            stepped(step(v, main.read(v.index()), &ports))
+        });
+        self.commit_in_awake_order(topo);
     }
 
     /// Commits the round: encodes each awake node's buffered verdict into
-    /// the main columns in awake order and drops newly halted nodes from
-    /// the awake list (order preserved).
-    fn commit_in_awake_order(&mut self) {
+    /// the main columns in awake order, delivers the new rows when the
+    /// core routes messages, and drops newly halted nodes from the awake
+    /// list (order preserved).
+    fn commit_in_awake_order<T: Topology>(&mut self, topo: &T) {
         // Checked in every profile: a mismatched batch would silently pair
         // verdicts with the wrong nodes, breaking byte-identical parallel
         // equivalence in exactly the builds that run large instances.
@@ -245,23 +245,28 @@ impl<S: StateCodec> ExecCore<S> {
             self.awake.len(),
             "one verdict per awake node, in awake order (commit-order invariant)"
         );
-        let main = &mut self.main;
-        let active = &mut self.active;
-        let rounds = self.rounds;
+        // A message run delivers the rows of every node that stepped,
+        // halted ones included, so it keeps the list the retain shrinks.
+        let stepped = self.inbox.is_some().then(|| self.awake.clone());
+        let (main, active, rounds) = (&mut self.main, &mut self.active, self.rounds);
         let mut verdicts = self.verdicts.drain(..);
         self.awake.retain(|&v| {
             let (s, halts) = verdicts.next().or_invariant("one verdict per awake node");
-            main.write(v, &s);
+            main.write(v.index(), &s);
             if halts {
                 active[v.index()] = false;
                 crate::transcript::record_halt(v, rounds);
             }
             !halts
         });
+        if let (Some(router), Some(stepped)) = (&mut self.inbox, stepped) {
+            router.deliver(topo, stepped.into_iter(), &self.main, &self.active);
+        }
     }
 
     /// Consumes the core into the run's outcome, dropping the verdict
-    /// buffer, so a finished run holds exactly one set of lanes.
+    /// buffer and the inboxes, so a finished run holds exactly one set of
+    /// lanes.
     ///
     /// # Panics
     ///
@@ -275,7 +280,16 @@ impl<S: StateCodec> ExecCore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treelocal_gen::path;
     use treelocal_graph::narrow_u32;
+
+    impl<S: StateCodec> ExecCore<S> {
+        /// The current state of node `v`, decoded from its lanes.
+        fn state(&self, v: NodeId) -> S {
+            assert!(self.seeded[v.index()], "node {v:?} participates in the execution");
+            self.main.read(v.index())
+        }
+    }
 
     #[test]
     fn seeded_halted_nodes_never_enter_the_frontier() {
@@ -293,6 +307,7 @@ mod tests {
     #[test]
     fn is_active_tracks_frontier_membership_exactly() {
         let mut core: ExecCore<u32> = ExecCore::new(4);
+        let g = path(4);
         for i in 0..3 {
             core.seed(NodeId::new(i), Verdict::Active(narrow_u32(i)));
         }
@@ -301,6 +316,7 @@ mod tests {
         core.begin_round(10);
         core.step(
             1,
+            &g,
             |v, own, _| {
                 if v.index() == 1 {
                     Verdict::Halted(own)
@@ -318,12 +334,13 @@ mod tests {
     #[test]
     fn frontier_shrinks_in_order_and_halted_states_stay_readable() {
         let mut core: ExecCore<u32> = ExecCore::new(5);
+        let g = path(5);
         for i in 0..4 {
             core.seed(NodeId::new(i), Verdict::Active(narrow_u32(i)));
         }
         // Round 1: odd nodes halt, doubling their state.
         core.begin_round(10);
-        core.step(1, |v, own, _| {
+        core.step(1, &g, |v, own, _| {
             if v.index() % 2 == 1 {
                 Verdict::Halted(own * 2)
             } else {
@@ -333,10 +350,10 @@ mod tests {
         assert_eq!(core.awake(), &[NodeId::new(0), NodeId::new(2)]);
         assert_eq!(core.state(NodeId::new(1)), 2);
         assert_eq!(core.state(NodeId::new(3)), 6);
-        // Round 2: survivors read a halted neighbor's frozen lanes via the
-        // snapshot and halt.
+        // Round 2: survivors read halted node 1's frozen lanes on port 0
+        // and halt.
         core.begin_round(10);
-        core.step(1, |_, own, snap| Verdict::Halted(own + snap.get(NodeId::new(1))));
+        core.step(1, &g, |_, own, ports| Verdict::Halted(own + ports.port(0)));
         assert!(core.is_done());
         let out = core.finish();
         assert_eq!(out.rounds, 2);
@@ -352,10 +369,11 @@ mod tests {
         // both must see the *previous* value even though one row is
         // committed before the other.
         let mut core: ExecCore<u32> = ExecCore::new(2);
+        let g = path(2);
         core.seed(NodeId::new(0), Verdict::Active(10));
         core.seed(NodeId::new(1), Verdict::Active(20));
         core.begin_round(10);
-        core.step(1, |v, _, snap| Verdict::Halted(snap.get(NodeId::new(1 - v.index()))));
+        core.step(1, &g, |_, _, ports| Verdict::Halted(ports.port(0)));
         let out = core.finish();
         assert_eq!(out.state(NodeId::new(0)), 20);
         assert_eq!(out.state(NodeId::new(1)), 10);
@@ -386,9 +404,10 @@ mod tests {
     #[should_panic(expected = "did not halt")]
     fn round_budget_is_enforced() {
         let mut core: ExecCore<u32> = ExecCore::new(1);
+        let g = path(1);
         core.seed(NodeId::new(0), Verdict::Active(0));
         core.begin_round(1);
-        core.step(1, |_, own, _| Verdict::Active(own + 1));
+        core.step(1, &g, |_, own, _| Verdict::Active(own + 1));
         core.begin_round(1);
     }
 
@@ -405,6 +424,7 @@ mod tests {
     #[test]
     fn a_sleeper_is_stepped_only_from_its_wake_round() {
         let mut core: ExecCore<u32> = ExecCore::new(3);
+        let g = path(3);
         core.seed(NodeId::new(0), Verdict::Active(0));
         core.seed(NodeId::new(1), Verdict::SleepUntil(10, 3));
         core.seed(NodeId::new(2), Verdict::SleepUntil(20, 2));
@@ -413,7 +433,7 @@ mod tests {
         while !core.is_done() {
             let round = core.begin_round(10);
             stepped_by_round.push(core.awake().to_vec());
-            core.step(1, |v, own, _| {
+            core.step(1, &g, |v, own, _| {
                 if round == 4 {
                     Verdict::Halted(own)
                 } else {
@@ -433,14 +453,15 @@ mod tests {
     #[test]
     fn awake_neighbours_read_a_sleepers_seeded_lanes() {
         let mut core: ExecCore<u32> = ExecCore::new(2);
+        let g = path(2);
         core.seed(NodeId::new(0), Verdict::Active(1));
         core.seed(NodeId::new(1), Verdict::SleepUntil(40, 2));
         assert!(core.is_active(NodeId::new(1)), "a sleeper is still running");
         core.begin_round(10);
-        core.step(1, |_, own, snap| Verdict::Halted(own + snap.get(NodeId::new(1))));
+        core.step(1, &g, |_, own, ports| Verdict::Halted(own + ports.port(0)));
         assert_eq!(core.state(NodeId::new(0)), 41);
         core.begin_round(10);
-        core.step(1, |_, own, _| Verdict::Halted(own + 1));
+        core.step(1, &g, |_, own, _| Verdict::Halted(own + 1));
         let out = core.finish();
         assert_eq!(out.state(NodeId::new(1)), 41);
     }
@@ -448,17 +469,18 @@ mod tests {
     #[test]
     fn a_round_with_only_sleepers_still_counts() {
         let mut core: ExecCore<u32> = ExecCore::new(1);
+        let g = path(1);
         core.seed(NodeId::new(0), Verdict::SleepUntil(5, 3));
         for round in 1..=2 {
             assert!(!core.is_done(), "only a sleeper remains before round {round}");
             assert_eq!(core.begin_round(10), round);
             assert!(core.awake().is_empty());
-            core.step(1, |v, _, _| unreachable!("{v:?} stepped while asleep"));
+            core.step(1, &g, |v, _, _| unreachable!("{v:?} stepped while asleep"));
             assert_eq!(core.rounds(), round);
         }
         assert!(!core.is_done());
         assert_eq!(core.begin_round(10), 3);
-        core.step(1, |_, own, _| Verdict::Halted(own * 2));
+        core.step(1, &g, |_, own, _| Verdict::Halted(own * 2));
         assert!(core.is_done());
         let out = core.finish();
         assert_eq!(out.rounds, 3);
@@ -469,10 +491,11 @@ mod tests {
     #[should_panic(expected = "did not halt within 3 rounds (still 1 active)")]
     fn a_wake_round_beyond_the_budget_trips_it() {
         let mut core: ExecCore<u32> = ExecCore::new(1);
+        let g = path(1);
         core.seed(NodeId::new(0), Verdict::SleepUntil(0, 5));
         while !core.is_done() {
             core.begin_round(3);
-            core.step(1, |_, own, _| Verdict::Halted(own));
+            core.step(1, &g, |_, own, _| Verdict::Halted(own));
         }
     }
 
@@ -487,9 +510,10 @@ mod tests {
     #[should_panic(expected = "sleep-at-seed")]
     fn a_step_cannot_put_a_node_to_sleep() {
         let mut core: ExecCore<u32> = ExecCore::new(1);
+        let g = path(1);
         core.seed(NodeId::new(0), Verdict::Active(0));
         core.begin_round(10);
-        core.step(1, |_, own, _| Verdict::SleepUntil(own, 5));
+        core.step(1, &g, |_, own, _| Verdict::SleepUntil(own, 5));
     }
 
     /// The commit-order invariant holds in *every* build profile: this
@@ -502,7 +526,7 @@ mod tests {
         core.seed(NodeId::new(0), Verdict::Active(1));
         core.seed(NodeId::new(1), Verdict::Active(2));
         core.verdicts.push((9, false));
-        core.commit_in_awake_order();
+        core.commit_in_awake_order(&path(2));
     }
 
     #[test]
@@ -511,7 +535,7 @@ mod tests {
         let mut core: ExecCore<u32> = ExecCore::new(1);
         core.seed(NodeId::new(0), Verdict::Active(1));
         core.verdicts.extend([(9, false), (8, false)]);
-        core.commit_in_awake_order();
+        core.commit_in_awake_order(&path(2));
     }
 
     /// A one-u32-lane newtype state: the tests below pin the same
@@ -546,11 +570,12 @@ mod tests {
     #[test]
     fn soa_frontier_shrinks_in_order_and_halted_lanes_stay_frozen() {
         let mut core: ExecCore<Lane> = ExecCore::new(4);
+        let g = path(4);
         for i in 0..4 {
             core.seed(NodeId::new(i), Verdict::Active(Lane(narrow_u32(i))));
         }
         core.begin_round(10);
-        core.step(1, |v, own, _| {
+        core.step(1, &g, |v, own, _| {
             if v.index() % 2 == 1 {
                 Verdict::Halted(Lane(own.0 * 2))
             } else {
@@ -560,9 +585,9 @@ mod tests {
         assert_eq!(core.awake(), &[NodeId::new(0), NodeId::new(2)]);
         assert_eq!(core.state(NodeId::new(1)), Lane(2));
         assert_eq!(core.state(NodeId::new(3)), Lane(6));
-        // Survivors read a halted neighbor's frozen lanes via the snapshot.
+        // Survivors read halted node 1's frozen lanes on port 0.
         core.begin_round(10);
-        core.step(1, |_, own, snap| Verdict::Halted(Lane(own.0 + snap.get(NodeId::new(1)).0)));
+        core.step(1, &g, |_, own, ports| Verdict::Halted(Lane(own.0 + ports.port(0).0)));
         assert!(core.is_done());
         let out = core.finish();
         assert_eq!(out.rounds, 2);
@@ -574,10 +599,11 @@ mod tests {
     #[test]
     fn soa_snapshot_reads_previous_round_lanes_mid_round() {
         let mut core: ExecCore<Lane> = ExecCore::new(2);
+        let g = path(2);
         core.seed(NodeId::new(0), Verdict::Active(Lane(10)));
         core.seed(NodeId::new(1), Verdict::Active(Lane(20)));
         core.begin_round(10);
-        core.step(1, |v, _, snap| Verdict::Halted(snap.get(NodeId::new(1 - v.index()))));
+        core.step(1, &g, |_, _, ports| Verdict::Halted(ports.port(0)));
         let out = core.finish();
         assert_eq!(out.state(NodeId::new(0)), Lane(20));
         assert_eq!(out.state(NodeId::new(1)), Lane(10));
@@ -586,11 +612,12 @@ mod tests {
     #[test]
     fn soa_owned_stepping_consumes_decoded_states() {
         let mut core: ExecCore<Lane> = ExecCore::new(3);
+        let g = path(3);
         for i in 0..3 {
             core.seed(NodeId::new(i), Verdict::Active(Lane(narrow_u32(i) + 1)));
         }
         core.begin_round(10);
-        core.step(1, |_, own, _| Verdict::Halted(Lane(own.0 * 10)));
+        core.step(1, &g, |_, own, _| Verdict::Halted(Lane(own.0 * 10)));
         let out = core.finish();
         assert_eq!(out.rounds, 1);
         for i in 0..3 {
@@ -610,9 +637,10 @@ mod tests {
     #[should_panic(expected = "did not halt")]
     fn soa_round_budget_is_enforced() {
         let mut core: ExecCore<Lane> = ExecCore::new(1);
+        let g = path(1);
         core.seed(NodeId::new(0), Verdict::Active(Lane(0)));
         core.begin_round(1);
-        core.step(1, |_, own, _| Verdict::Active(Lane(own.0 + 1)));
+        core.step(1, &g, |_, own, _| Verdict::Active(Lane(own.0 + 1)));
         core.begin_round(1);
     }
 

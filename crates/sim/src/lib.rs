@@ -7,8 +7,10 @@
 //!
 //! * [`SyncAlgorithm`] / [`run`] — per-node state machines over
 //!   [`StateCodec`] lane columns, executed in lockstep with exact round
-//!   counting, and [`MessageAlgorithm`] / [`run_messages`] — the same
-//!   core driven by explicit per-port messages,
+//!   counting. A step reads its neighbours only through [`Ports`], in
+//!   port order, so every algorithm is local by construction; and
+//!   [`run_messages`] runs any such algorithm with explicit per-port
+//!   messages, the state itself being the message,
 //! * [`RoundReport`] — per-phase accounting used by every pipeline,
 //! * [`gather_rounds_at`] and the [`GatherPlan`] eccentricity cache — the
 //!   honest cost of the paper's "gather the component at its highest
@@ -23,11 +25,12 @@
 //! # Examples
 //!
 //! A state is anything with a fixed-width [`StateCodec`]; the engine keeps
-//! it in flat lane columns and hands it to `step` by value.
+//! it in flat lane columns and hands it to `step` by value, with the
+//! neighbours' states on its ports.
 //!
 //! ```
 //! use treelocal_graph::{Graph, NodeId, Topology};
-//! use treelocal_sim::{run, Ctx, Snapshot, StateCodec, SyncAlgorithm, Verdict};
+//! use treelocal_sim::{run, run_messages, Ctx, Ports, StateCodec, SyncAlgorithm, Verdict};
 //!
 //! /// The largest identifier seen so far, one u64 lane.
 //! #[derive(Debug)]
@@ -51,11 +54,9 @@
 //!     fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<MaxId> {
 //!         Verdict::Active(MaxId(ctx.topo.local_id(v)))
 //!     }
-//!     fn step(&self, ctx: &Ctx<T>, v: NodeId, _r: u64, own: MaxId,
-//!             prev: &Snapshot<'_, MaxId>) -> Verdict<MaxId> {
-//!         let m = ctx.topo.neighbor_nodes(v).iter()
-//!             .map(|&w| prev.get(w).0)
-//!             .fold(own.0, u64::max);
+//!     fn step(&self, _ctx: &Ctx<T>, _v: NodeId, _r: u64, own: MaxId,
+//!             prev: &Ports<'_, MaxId>) -> Verdict<MaxId> {
+//!         let m = prev.iter().map(|s| s.0).fold(own.0, u64::max);
 //!         Verdict::Halted(MaxId(m))
 //!     }
 //! }
@@ -65,6 +66,10 @@
 //! let out = run(&ctx, &MaxNeighbor, 10);
 //! assert_eq!(out.rounds, 1);
 //! assert_eq!(out.state(NodeId::new(0)).0, 2);
+//! // The same algorithm with every state sent as a message.
+//! let sent = run_messages(&ctx, &MaxNeighbor, 10);
+//! assert_eq!(sent.rounds, 1);
+//! assert_eq!(sent.state(NodeId::new(0)).0, 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -82,11 +87,11 @@ mod primes;
 mod rounds;
 pub mod transcript;
 
-pub use codec::{RunOutcome, Snapshot, StateCodec};
+pub use codec::{Ports, RunOutcome, StateCodec};
 pub use engine::{run, Ctx, SyncAlgorithm, Verdict};
 pub use exec_core::ExecCore;
 pub use gather::{gather_rounds_at, GatherPlan};
 pub use logstar::{ceil_log, log_star_f64, log_star_u64};
-pub use msg_engine::{run_messages, MessageAlgorithm};
+pub use msg_engine::run_messages;
 pub use primes::{is_prime, next_prime};
 pub use rounds::{Phase, RoundReport};

@@ -29,11 +29,10 @@ use std::sync::mpsc;
 /// without shrinking chunks so far that claiming dominates.
 const CHUNKS_PER_WORKER: usize = 4;
 
-/// Below this many awake nodes (sleepers do not count) a round phase is
-/// cheaper than the scoped fork/join, so it maps at pool size 1, which runs
-/// inline. The choice cannot affect results, only speed; every round phase
-/// (stepping and the message engine's send phase) takes its pool size from
-/// one helper, `ExecCore::phase_threads`.
+/// Below this many awake nodes (sleepers do not count) a round is cheaper
+/// than the scoped fork/join, so it maps at pool size 1, which runs
+/// inline. The choice cannot affect results, only speed; `ExecCore::step`
+/// is the one place that makes it.
 pub(crate) const PAR_FRONTIER_MIN: usize = 1024;
 
 thread_local! {

@@ -22,9 +22,8 @@
 //! engine run, with the commitment chain threading across segments.
 //! Zero-round segments (a run whose every node halts at seeding) are
 //! dropped when the transcript is taken: they contribute no rounds and
-//! no commitments, and dropping them keeps snapshot and message runs of
-//! the same algorithm byte-identical even when one of them short-circuits
-//! an empty schedule without entering the engine.
+//! no commitments, so a pipeline's transcript does not depend on whether
+//! a stage with nothing to do entered the engine.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -201,7 +200,7 @@ pub(crate) fn record_round(frontier: &[NodeId]) {
 mod tests {
     use super::*;
     use crate::engine::{run, Ctx, SyncAlgorithm, Verdict};
-    use crate::Snapshot;
+    use crate::Ports;
     use treelocal_graph::{Graph, Topology};
 
     /// Halts node `v` after `v + 1` rounds.
@@ -217,7 +216,7 @@ mod tests {
             _v: NodeId,
             round: u64,
             own: u64,
-            _prev: &Snapshot<'_, u64>,
+            _prev: &Ports<'_, u64>,
         ) -> Verdict<u64> {
             if round >= own {
                 Verdict::Halted(own)
@@ -292,7 +291,7 @@ mod tests {
             _v: NodeId,
             round: u64,
             own: u64,
-            _prev: &Snapshot<'_, u64>,
+            _prev: &Ports<'_, u64>,
         ) -> Verdict<u64> {
             assert_eq!(round, own, "stepped only in its wake round");
             Verdict::Halted(own)
@@ -351,7 +350,7 @@ mod tests {
                 _v: NodeId,
                 _round: u64,
                 _own: u64,
-                _prev: &Snapshot<'_, u64>,
+                _prev: &Ports<'_, u64>,
             ) -> Verdict<u64> {
                 Verdict::Halted(0)
             }

@@ -4,9 +4,9 @@
 //! bench driver's progress/ETA lines report, so three properties are pinned
 //! *exactly* here:
 //!
-//! * a message run records its send-phase work — one send step per
-//!   frontier node per round, symmetric with the receive-side node steps —
-//!   while the snapshot engine records none;
+//! * a message run records the rows it sends — one per participant at
+//!   seeding, then one per node step — while the snapshot engine records
+//!   none;
 //! * every counter total is **pool-size-invariant**: phases count once per
 //!   round, never per worker;
 //! * node steps count only awake nodes: a sleeper counts in the one round
@@ -17,10 +17,8 @@
 
 use std::sync::Mutex;
 use treelocal_gen::{caterpillar, path, random_tree, relabel, IdStrategy};
-use treelocal_graph::{NodeId, Topology};
-use treelocal_sim::{
-    counters, par, run, run_messages, Ctx, MessageAlgorithm, Snapshot, SyncAlgorithm, Verdict,
-};
+use treelocal_graph::{widen_u64, NodeId, Topology};
+use treelocal_sim::{counters, par, run, run_messages, Ctx, Ports, SyncAlgorithm, Verdict};
 
 /// Serializes the tests in this binary so counter deltas are attributable.
 /// `unwrap_or_else(into_inner)` keeps later tests meaningful if an earlier
@@ -32,38 +30,7 @@ static LOCK: Mutex<()> = Mutex::new(());
 /// counter total a closed-form number.
 struct HaltAtId;
 
-impl<T: Topology> MessageAlgorithm<T> for HaltAtId {
-    type State = u64;
-    type Msg = u64;
-
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> u64 {
-        ctx.topo.local_id(v)
-    }
-
-    fn send(&self, ctx: &Ctx<T>, v: NodeId, _round: u64, state: &u64) -> Vec<Option<u64>> {
-        vec![Some(*state); ctx.topo.degree(v)]
-    }
-
-    fn receive(
-        &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
-        round: u64,
-        state: u64,
-        inbox: &[Option<u64>],
-    ) -> Verdict<u64> {
-        let acc = inbox.iter().flatten().fold(state, |a, &m| a.wrapping_add(m));
-        if round >= ctx.topo.local_id(v) {
-            Verdict::Halted(acc)
-        } else {
-            Verdict::Active(acc)
-        }
-    }
-}
-
-struct HaltAtIdSnap;
-
-impl<T: Topology> SyncAlgorithm<T> for HaltAtIdSnap {
+impl<T: Topology> SyncAlgorithm<T> for HaltAtId {
     type State = u64;
 
     fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<u64> {
@@ -76,12 +43,13 @@ impl<T: Topology> SyncAlgorithm<T> for HaltAtIdSnap {
         v: NodeId,
         round: u64,
         own: u64,
-        _prev: &Snapshot<'_, u64>,
+        prev: &Ports<'_, u64>,
     ) -> Verdict<u64> {
+        let acc = prev.iter().fold(own, u64::wrapping_add);
         if round >= ctx.topo.local_id(v) {
-            Verdict::Halted(own)
+            Verdict::Halted(acc)
         } else {
-            Verdict::Active(own)
+            Verdict::Active(acc)
         }
     }
 }
@@ -95,11 +63,11 @@ fn message_run_counter_totals_are_exact() {
     let out = run_messages(&ctx, &HaltAtId, 10);
     let (r1, s1, m1) = counters::snapshot();
     assert_eq!(out.rounds, 5);
-    // Frontier sizes 5, 4, 3, 2, 1: one round each, stepped once in the
-    // send phase and once in the receive phase.
+    // Frontier sizes 5, 4, 3, 2, 1: one round each. Every node sends its
+    // seeded row, then its new row after each round it steps.
     assert_eq!(r1 - r0, 5, "rounds");
-    assert_eq!(s1 - s0, 15, "receive-side node steps");
-    assert_eq!(m1 - m0, 15, "send steps");
+    assert_eq!(s1 - s0, 15, "node steps");
+    assert_eq!(m1 - m0, 5 + 15, "send steps");
 }
 
 #[test]
@@ -108,15 +76,15 @@ fn snapshot_engine_records_no_send_steps() {
     let g = path(5);
     let ctx = Ctx::of(&g);
     let (r0, s0, m0) = counters::snapshot();
-    let out = run(&ctx, &HaltAtIdSnap, 10);
+    let out = run(&ctx, &HaltAtId, 10);
     let (r1, s1, m1) = counters::snapshot();
     assert_eq!(out.rounds, 5);
     assert_eq!(r1 - r0, 5, "rounds");
     assert_eq!(s1 - s0, 15, "node steps");
-    assert_eq!(m1 - m0, 0, "the snapshot engine has no send phase");
+    assert_eq!(m1 - m0, 0, "the snapshot engine sends nothing");
 }
 
-/// [`HaltAtIdSnap`] with every node asleep until its halting round.
+/// [`HaltAtId`] with every node asleep until its halting round.
 struct SleepUntilId;
 
 impl<T: Topology> SyncAlgorithm<T> for SleepUntilId {
@@ -133,7 +101,7 @@ impl<T: Topology> SyncAlgorithm<T> for SleepUntilId {
         _v: NodeId,
         _round: u64,
         own: u64,
-        _prev: &Snapshot<'_, u64>,
+        _prev: &Ports<'_, u64>,
     ) -> Verdict<u64> {
         Verdict::Halted(own)
     }
@@ -146,38 +114,37 @@ fn sleepers_count_only_the_round_they_step() {
     let ctx = Ctx::of(&g);
     let (r0, s0, _) = counters::snapshot();
     let out = run(&ctx, &SleepUntilId, 10);
-    let (r1, s1, _) = counters::snapshot();
+    let (r1, s1, m1) = counters::snapshot();
     // The same five rounds as the polling run above, one step each.
     assert_eq!(out.rounds, 5);
     assert_eq!(r1 - r0, 5, "rounds");
     assert_eq!(s1 - s0, 5, "node steps");
+    // A sleeper sends its seeded row once, then nothing until it steps.
+    run_messages(&ctx, &SleepUntilId, 10);
+    let (r2, s2, m2) = counters::snapshot();
+    assert_eq!((r2 - r1, s2 - s1, m2 - m1), (5, 5, 5 + 5), "message run");
 }
 
 /// [`HaltAtId`] with bounded staggering (halt at round `id % 13 + 1`): the
 /// frontier shrinks irregularly but the run stays short on large trees.
 struct HaltStaggered;
 
-impl<T: Topology> MessageAlgorithm<T> for HaltStaggered {
+impl<T: Topology> SyncAlgorithm<T> for HaltStaggered {
     type State = u64;
-    type Msg = u64;
 
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> u64 {
-        ctx.topo.local_id(v)
+    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<u64> {
+        Verdict::Active(ctx.topo.local_id(v))
     }
 
-    fn send(&self, ctx: &Ctx<T>, v: NodeId, _round: u64, state: &u64) -> Vec<Option<u64>> {
-        vec![Some(*state); ctx.topo.degree(v)]
-    }
-
-    fn receive(
+    fn step(
         &self,
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
-        state: u64,
-        inbox: &[Option<u64>],
+        own: u64,
+        prev: &Ports<'_, u64>,
     ) -> Verdict<u64> {
-        let acc = inbox.iter().flatten().fold(state, |a, &m| a.wrapping_add(m));
+        let acc = prev.iter().fold(own, u64::wrapping_add);
         if round > ctx.topo.local_id(v) % 13 {
             Verdict::Halted(acc)
         } else {
@@ -211,7 +178,7 @@ fn counter_totals_are_pool_size_invariant() {
         for (threads, delta) in &per_pool {
             assert_eq!(delta, reference, "counters diverge at pool size {threads}");
         }
-        // Send and receive phases step the same frontiers.
-        assert_eq!(reference.1, reference.2, "send steps must mirror node steps");
+        // Every node sends at seeding and after each of its steps.
+        assert_eq!(reference.2, widen_u64(g.node_count()) + reference.1, "send steps");
     }
 }

@@ -4,26 +4,24 @@
 //! must produce **byte-identical** outcomes: same final state of every
 //! node and same round count. The trees are sized above the engine's
 //! parallel threshold so the pool path genuinely executes, and the state
-//! type folds inbox slots order-sensitively (silent ports included) so any
-//! double-stepping, misrouted bucket, or torn-commit bug changes the
-//! answer.
+//! type folds every port order-sensitively, with some nodes halted at
+//! seeding and some asleep, so any misrouted row, missed delivery or
+//! torn-commit bug changes the answer.
 //!
-//! The cross-engine matrix case runs the same flooding task, written once
-//! as a snapshot state machine and once in message-passing form, across
-//! every engine × pool-size cell.
+//! The cross-engine matrix case runs one flooding algorithm across every
+//! engine × pool-size cell.
 
 use treelocal_gen::{caterpillar, random_tree, relabel, IdStrategy};
 use treelocal_graph::{Graph, NodeId, Topology};
 use treelocal_sim::{
-    par, run, run_messages, Ctx, MessageAlgorithm, RunOutcome, Snapshot, StateCodec, SyncAlgorithm,
-    Verdict,
+    par, run, run_messages, Ctx, Ports, RunOutcome, StateCodec, SyncAlgorithm, Verdict,
 };
 
-/// Accumulates an order-sensitive hash of the inbox each round — `None`
-/// slots (silent or halted neighbors) fold in as a distinct token, so the
-/// exact placement of every message matters. Nodes halt at staggered
-/// rounds driven by their identifier, exercising the halted-recipient
-/// routing path on every round.
+/// Accumulates an order-sensitive hash of the ports each round. One node
+/// in eight halts at seeding and one in four sleeps until round 2, so
+/// frozen rows (a halted sender's, a sleeper's) sit on ports next to fresh
+/// ones; the rest halt at staggered rounds driven by their identifier,
+/// exercising the halted-recipient rule every round.
 struct MsgHash;
 
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,31 +45,32 @@ impl StateCodec for HashState {
     }
 }
 
-impl<T: Topology> MessageAlgorithm<T> for MsgHash {
+impl<T: Topology> SyncAlgorithm<T> for MsgHash {
     type State = HashState;
-    type Msg = u64;
 
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> HashState {
-        HashState { value: ctx.topo.local_id(v), acc: 0 }
+    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<HashState> {
+        let id = ctx.topo.local_id(v);
+        let state = HashState { value: id, acc: 0 };
+        match id % 8 {
+            0 => Verdict::Halted(state),
+            1 | 5 => Verdict::SleepUntil(state, 2),
+            _ => Verdict::Active(state),
+        }
     }
 
-    fn send(&self, ctx: &Ctx<T>, v: NodeId, _round: u64, state: &HashState) -> Vec<Option<u64>> {
-        vec![Some(state.value ^ state.acc); ctx.topo.degree(v)]
-    }
-
-    fn receive(
+    fn step(
         &self,
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
-        state: HashState,
-        inbox: &[Option<u64>],
+        own: HashState,
+        prev: &Ports<'_, HashState>,
     ) -> Verdict<HashState> {
-        let mut acc = state.acc;
-        for m in inbox {
-            acc = acc.wrapping_mul(0x100000001b3).wrapping_add(m.unwrap_or(0xDEAD_BEEF));
+        let mut acc = own.acc;
+        for s in prev.iter() {
+            acc = acc.wrapping_mul(0x100000001b3).wrapping_add(s.value ^ s.acc);
         }
-        let value = state.value.wrapping_mul(6364136223846793005).wrapping_add(acc | 1);
+        let value = own.value.wrapping_mul(6364136223846793005).wrapping_add(acc | 1);
         let next = HashState { value, acc };
         if round >= 3 + ctx.topo.local_id(v) % 7 {
             Verdict::Halted(next)
@@ -97,8 +96,10 @@ fn every_pool_size_matches_the_sequential_message_run() {
             let parallel = par::with_threads(threads, || run_messages(&ctx, &MsgHash, 100));
             assert_identical(&sequential, &parallel, &format!("n {n}, {threads} threads"));
         }
-        // `run_messages` (auto-sized pool) is the path callers take.
+        // `run_messages` (auto-sized pool) is the path callers take, and
+        // the snapshot engine reads the same rows in place.
         assert_identical(&sequential, &run_messages(&ctx, &MsgHash, 100), "auto pool");
+        assert_identical(&sequential, &run(&ctx, &MsgHash, 100), "snapshot engine");
     }
 }
 
@@ -120,9 +121,8 @@ fn pool_size_does_not_leak_into_results_on_degenerate_shapes() {
     }
 }
 
-/// Hop distance from the minimum-id node, written in both engine forms: a
-/// node halts the round after it learns its distance, so halting staggers
-/// across the whole execution and both forms agree by construction.
+/// Hop distance from the minimum-id node: a node halts the round after it
+/// learns its distance, so halting staggers across the whole execution.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Dist(Option<u64>);
 
@@ -141,9 +141,9 @@ impl StateCodec for Dist {
     }
 }
 
-struct FloodState;
+struct Flood;
 
-impl<T: Topology> SyncAlgorithm<T> for FloodState {
+impl<T: Topology> SyncAlgorithm<T> for Flood {
     type State = Dist;
 
     fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<Dist> {
@@ -154,48 +154,16 @@ impl<T: Topology> SyncAlgorithm<T> for FloodState {
 
     fn step(
         &self,
-        ctx: &Ctx<T>,
-        v: NodeId,
+        _ctx: &Ctx<T>,
+        _v: NodeId,
         _round: u64,
         own: Dist,
-        prev: &Snapshot<'_, Dist>,
+        prev: &Ports<'_, Dist>,
     ) -> Verdict<Dist> {
         if own.0.is_some() {
             return Verdict::Halted(own);
         }
-        let best = ctx.topo.neighbor_nodes(v).iter().filter_map(|&w| prev.get(w).0).min();
-        Verdict::Active(Dist(best.map(|d| d + 1)))
-    }
-}
-
-struct FloodMsg;
-
-impl<T: Topology> MessageAlgorithm<T> for FloodMsg {
-    type State = Dist;
-    type Msg = u64;
-
-    fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Dist {
-        let my = ctx.topo.local_id(v);
-        let is_min = ctx.topo.nodes().all(|w| ctx.topo.local_id(w) >= my);
-        Dist(if is_min { Some(0) } else { None })
-    }
-
-    fn send(&self, ctx: &Ctx<T>, v: NodeId, _round: u64, state: &Dist) -> Vec<Option<u64>> {
-        vec![state.0; ctx.topo.degree(v)]
-    }
-
-    fn receive(
-        &self,
-        _ctx: &Ctx<T>,
-        _v: NodeId,
-        _round: u64,
-        state: Dist,
-        inbox: &[Option<u64>],
-    ) -> Verdict<Dist> {
-        if state.0.is_some() {
-            return Verdict::Halted(state);
-        }
-        let best = inbox.iter().flatten().min().copied();
+        let best = prev.iter().filter_map(|d| d.0).min();
         Verdict::Active(Dist(best.map(|d| d + 1)))
     }
 }
@@ -214,13 +182,11 @@ fn matrix_graphs() -> Vec<(&'static str, Graph)> {
 fn cross_engine_matrix_is_one_equivalence_class() {
     for (label, g) in matrix_graphs() {
         let ctx = Ctx::of(&g);
-        let reference = run(&ctx, &FloodState, 100_000);
-        let via_msgs = run_messages(&ctx, &FloodMsg, 100_000);
-        assert_identical(&reference, &via_msgs, &format!("{label}: snapshot vs messages"));
+        let reference = run(&ctx, &Flood, 100_000);
         assert!(g.node_ids().all(|v| reference.state(v).0.is_some()));
         for threads in [1usize, 2, 4, par::auto_threads()] {
-            let snap = par::with_threads(threads, || run(&ctx, &FloodState, 100_000));
-            let msgs = par::with_threads(threads, || run_messages(&ctx, &FloodMsg, 100_000));
+            let snap = par::with_threads(threads, || run(&ctx, &Flood, 100_000));
+            let msgs = par::with_threads(threads, || run_messages(&ctx, &Flood, 100_000));
             assert_identical(&reference, &snap, &format!("{label}: snapshot @ {threads}"));
             assert_identical(&reference, &msgs, &format!("{label}: messages @ {threads}"));
         }

@@ -7,7 +7,7 @@
 //! double-stepping, reordering, or torn-commit bug changes the answer.
 
 use treelocal_graph::{NodeId, Topology};
-use treelocal_sim::{par, run, Ctx, RunOutcome, Snapshot, StateCodec, SyncAlgorithm, Verdict};
+use treelocal_sim::{par, run, Ctx, Ports, RunOutcome, StateCodec, SyncAlgorithm, Verdict};
 
 /// Accumulates an order-sensitive hash of neighbor states each round;
 /// nodes halt at staggered rounds driven by their identifier, so the
@@ -48,9 +48,9 @@ impl<T: Topology> SyncAlgorithm<T> for StaggeredHash {
         v: NodeId,
         round: u64,
         own: HashState,
-        prev: &Snapshot<'_, HashState>,
+        prev: &Ports<'_, HashState>,
     ) -> Verdict<HashState> {
-        let next = hash_neighbors(ctx, v, own, prev);
+        let next = hash_neighbors(own, prev);
         if round >= 3 + ctx.topo.local_id(v) % 7 {
             Verdict::Halted(next)
         } else {
@@ -59,16 +59,10 @@ impl<T: Topology> SyncAlgorithm<T> for StaggeredHash {
     }
 }
 
-/// Folds the neighbors' previous-round states into `own`, in neighbor order.
-fn hash_neighbors<T: Topology>(
-    ctx: &Ctx<T>,
-    v: NodeId,
-    own: HashState,
-    prev: &Snapshot<'_, HashState>,
-) -> HashState {
+/// Folds the neighbors' previous-round states into `own`, in port order.
+fn hash_neighbors(own: HashState, prev: &Ports<'_, HashState>) -> HashState {
     let mut acc = own.acc;
-    for &w in ctx.topo.neighbor_nodes(v) {
-        let s = prev.get(w);
+    for s in prev.iter() {
         acc = acc.wrapping_mul(0x100000001b3).wrapping_add(s.value ^ s.acc);
     }
     let value = own.value.wrapping_mul(6364136223846793005).wrapping_add(acc | 1);
@@ -100,9 +94,9 @@ impl<T: Topology> SyncAlgorithm<T> for StaggeredSleep {
         v: NodeId,
         round: u64,
         own: HashState,
-        prev: &Snapshot<'_, HashState>,
+        prev: &Ports<'_, HashState>,
     ) -> Verdict<HashState> {
-        let next = hash_neighbors(ctx, v, own, prev);
+        let next = hash_neighbors(own, prev);
         if round >= 4 + ctx.topo.local_id(v) % 5 {
             Verdict::Halted(next)
         } else {

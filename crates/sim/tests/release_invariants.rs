@@ -58,12 +58,13 @@ fn reseeding_a_halted_node_is_rejected_in_every_profile() {
 fn a_step_that_sleeps_fails_its_invariant_in_every_profile() {
     for threads in [1, 2] {
         let result = std::panic::catch_unwind(|| {
+            let g = treelocal_gen::path(2048);
             let mut core: ExecCore<u32> = ExecCore::new(2048);
             for i in 0..2048 {
                 core.seed(NodeId::new(i), Verdict::Active(0));
             }
             core.begin_round(10);
-            core.step(threads, |_, own, _| Verdict::SleepUntil(own, 5));
+            core.step(threads, &g, |_, own, _| Verdict::SleepUntil(own, 5));
         });
         let payload = result.expect_err("a sleeping step verdict must be rejected");
         let msg = panic_message(payload.as_ref());

@@ -1,5 +1,6 @@
 //! Exhaustive verification on *every* labeled tree with up to 6 nodes
-//! (enumerated via Cayley's bijection: all Prüfer sequences). The four
+//! (enumerated by `labelled_trees`: all Prüfer sequences, via Cayley's
+//! bijection). The four
 //! public tree pipelines (Theorem 1's MIS and `(deg+1)`-colouring, Theorem
 //! 3's maximal matching and `(edge-degree+1)`-edge colouring) must produce
 //! solutions that both the `classic` validators and the engine-blind
@@ -22,43 +23,21 @@ use treelocal::check::{check_solution, EdgePalette, Palette, Rule, Solution};
 use treelocal::core::{
     coloring_on_tree, edge_coloring_on_tree, matching_on_tree, mis_on_tree, TreeTransform,
 };
-use treelocal::gen::decode_prufer;
+use treelocal::gen::labelled_trees;
 use treelocal::graph::Graph;
 use treelocal::problems::{classic, extract_coloring, DegPlusOneColoring, Mis};
 
 /// Cayley's count of labeled trees on `2..=6` nodes: `n^(n-2)`.
 const TREES_UP_TO_6: usize = 1 + 3 + 16 + 125 + 1296;
 
-/// The Prüfer sequence with index `code` in `0..n^(n-2)` (base-`n` digits).
-fn prufer_code(n: usize, code: usize) -> Vec<usize> {
-    let mut c = code;
-    (0..n - 2)
-        .map(|_| {
-            let digit = c % n;
-            c /= n;
-            digit
-        })
-        .collect()
-}
-
-/// Calls `judge(prufer, tree)` on every labelled tree with `n >= 2` nodes,
-/// decoding one Prüfer sequence at a time.
-fn for_every_tree(n: usize, mut judge: impl FnMut(&[usize], &Graph)) {
-    for code in 0..n.pow((n - 2) as u32) {
-        let seq = prufer_code(n, code);
-        let tree = Graph::from_edges(n, &decode_prufer(n, &seq)).unwrap();
-        judge(&seq, &tree);
-    }
-}
-
 /// Runs `judge` on every labeled tree with 2 to 6 nodes.
 fn for_every_tree_up_to_6(mut judge: impl FnMut(usize, &Graph)) {
     let mut total = 0usize;
     for n in 2..=6 {
-        for_every_tree(n, |_, tree| {
-            judge(n, tree);
+        for tree in labelled_trees(n) {
+            judge(n, &tree);
             total += 1;
-        });
+        }
     }
     assert_eq!(total, TREES_UP_TO_6);
 }
@@ -155,17 +134,19 @@ fn edge_coloring_transform_on_every_tree_up_to_6() {
 
 /// The four public pipelines on every labelled tree with 7 or 8 nodes,
 /// each solution judged by the checker's rule table. A failure names the
-/// tree by its Prüfer sequence.
+/// tree by its position `i` in `labelled_trees(n)`: its Prüfer sequence
+/// is `i` in base `n`, least significant digit first.
 #[test]
 #[ignore = "release tier: 279,000 trees, run with --release -- --ignored"]
 fn every_pipeline_on_every_tree_with_7_or_8_nodes() {
     let mut total = 0usize;
     for n in [7, 8] {
-        for_every_tree(n, |seq, tree| {
+        for (i, tree) in labelled_trees(n).enumerate() {
+            let tree = &tree;
             let judge = |rule: &Rule, valid: bool, solution: Solution| {
-                assert!(valid, "n = {n}, Prüfer {seq:?}: {} pipeline invalid", rule.id());
+                assert!(valid, "n = {n}, tree {i}: {} pipeline invalid", rule.id());
                 if let Err(e) = check_solution(tree, rule, &solution, None) {
-                    panic!("n = {n}, Prüfer {seq:?}: {} rejected: {e}", rule.id());
+                    panic!("n = {n}, tree {i}: {} rejected: {e}", rule.id());
                 }
             };
             let (out, set) = mis_on_tree(tree);
@@ -179,7 +160,7 @@ fn every_pipeline_on_every_tree_with_7_or_8_nodes() {
             let rule = Rule::EdgeColoring { palette: EdgePalette::EdgeDegreePlusOne };
             judge(&rule, out.valid, Solution::EdgeColors(widen(&colors)));
             total += 1;
-        });
+        }
     }
     assert_eq!(total, 16_807 + 262_144);
 }
@@ -188,7 +169,7 @@ fn every_pipeline_on_every_tree_with_7_or_8_nodes() {
 fn distinct_trees_are_enumerated() {
     // Sanity on the enumerator itself: 125 distinct trees at n = 5.
     let mut canon: Vec<Vec<(usize, usize)>> = Vec::new();
-    for_every_tree(5, |_, g| {
+    for g in labelled_trees(5) {
         let mut es: Vec<(usize, usize)> = g
             .edge_ids()
             .map(|e| {
@@ -198,7 +179,7 @@ fn distinct_trees_are_enumerated() {
             .collect();
         es.sort_unstable();
         canon.push(es);
-    });
+    }
     canon.sort();
     canon.dedup();
     assert_eq!(canon.len(), 125);

@@ -8,7 +8,7 @@
 
 use treelocal::algos::{MatchingAlgo, MisAlgo};
 use treelocal::core::{ArbTransform, TreeTransform};
-use treelocal::gen::{decode_prufer, random_tree};
+use treelocal::gen::{labelled_trees, random_tree};
 use treelocal::graph::{EdgeId, Graph, HalfEdge, SemiGraph, Side};
 use treelocal::problems::{
     classic, solve_edges_sequential, solve_nodes_sequential, verify_graph, verify_semigraph,
@@ -144,13 +144,7 @@ fn verify_in_three_passes<P: Problem>(
 
 /// Every labelled tree with 1 to 6 nodes, by Prüfer sequence.
 fn trees_up_to_6() -> Vec<Graph> {
-    let mut trees = vec![Graph::from_edges(1, &[]).unwrap()];
-    for n in 2..=6usize {
-        for code in 0..n.pow(n as u32 - 2) {
-            let seq: Vec<usize> = (0..n - 2).map(|i| code / n.pow(i as u32) % n).collect();
-            trees.push(Graph::from_edges(n, &decode_prufer(n, &seq)).unwrap());
-        }
-    }
+    let trees: Vec<Graph> = (1..=6).flat_map(labelled_trees).collect();
     assert_eq!(trees.len(), 1 + 1 + 3 + 16 + 125 + 1296);
     trees
 }
