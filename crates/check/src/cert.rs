@@ -17,6 +17,19 @@
 //!    structural here: the round-`r` frontier is *defined* as the nodes
 //!    with halt round `>= r`, so a matching commitment chain proves the
 //!    engine's frontier shrank exactly as the halt records say.
+//!
+//! The text layer is built for size: a 1M-node certificate is about
+//! 92 MB. [`Certificate::parse`] is one forward cursor over the text's
+//! bytes: it finds each line end once, matches keywords as bytes, and
+//! reads numbers digit by digit straight into the certificate's vectors,
+//! with no line table and no per-line allocation. The line-iterator
+//! parser it replaced is kept in the tests as `reference_parse`, and pins
+//! the accepted language: on every input, golden or mutated, the two
+//! return the same certificate or the same error, down to its line and
+//! message. [`Certificate::to_text`] computes the exact text length
+//! first and writes every line into that one allocation; the tests keep
+//! the `writeln!` emitter it replaced as `reference_text`, its byte
+//! oracle.
 
 use crate::commit::{commit_frontier, COMMITMENT_OFFSET};
 use crate::envelope::{check_envelope, Envelope};
@@ -24,9 +37,7 @@ use crate::error::CheckError;
 use crate::rule::{
     check_solution, check_witness_kind, EdgePalette, MisWitness, Palette, Rule, Solution,
 };
-use std::iter::Peekable;
-use std::str::Lines;
-use treelocal_graph::{widen_u64, Graph, OrInvariant};
+use treelocal_graph::{widen_u32, widen_u64, Graph, OrInvariant};
 
 /// The format-version line every certificate must open with.
 pub const FORMAT_VERSION: &str = "treelocal-cert v1";
@@ -76,14 +87,15 @@ impl Certificate {
     /// Serializes to the canonical `treelocal-cert v1` text. The output
     /// is byte-deterministic: equal certificates serialize identically.
     ///
-    /// Every line is written straight into one growing buffer; numbers
-    /// are formatted digit by digit, with no per-line formatting
-    /// machinery.
+    /// The exact length is computed first ([`Certificate::text_len`]),
+    /// then every line is written into that one allocation; numbers are
+    /// formatted digit by digit, with no per-line formatting machinery.
     pub fn to_text(&self) -> String {
-        let mut out = TextBuf(Vec::new());
+        let rule = rule_text(&self.rule);
+        let mut out = TextBuf::new(self.text_len(&rule));
         out.str(FORMAT_VERSION).end_line();
         out.str("instance ").str(&self.instance).end_line();
-        out.str("rule ").str(&rule_text(&self.rule)).end_line();
+        out.str("rule ").str(&rule).end_line();
         out.str("nodes ").dec(widen_u64(self.nodes)).end_line();
         out.str("idspace ").dec(self.id_space).end_line();
         out.str("edges ").dec(widen_u64(self.edges.len())).end_line();
@@ -139,125 +151,208 @@ impl Certificate {
             }
         }
         out.str("end").end_line();
-        String::from_utf8(out.0).or_invariant("certificate text is UTF-8")
+        out.finish()
     }
 
-    /// Parses canonical certificate text in one forward pass over its
-    /// lines. Beyond the parsed certificate itself, memory stays bounded
-    /// by the input: no line table, no per-line allocation, and all
-    /// count-driven reservations together capped by the line count.
+    /// The byte length of [`Certificate::to_text`] for a certificate
+    /// whose rule renders as `rule`, summed line by line.
+    fn text_len(&self, rule: &str) -> usize {
+        // `keyword value\n`, and the digits of an index or count.
+        let line = |keyword: &str, value: usize| keyword.len() + value + 2;
+        let idx = |x: usize| dec_len(widen_u64(x));
+        let mut len = FORMAT_VERSION.len() + 1;
+        len += line("instance", self.instance.len()) + line("rule", rule.len());
+        len += line("nodes", idx(self.nodes)) + line("idspace", dec_len(self.id_space));
+        len += line("edges", idx(self.edges.len()));
+        len += self.edges.iter().map(|&(u, v)| line("e", idx(u) + 1 + idx(v))).sum::<usize>();
+        if let Some(lists) = &self.lists {
+            len += line("lists", idx(lists.len()));
+            for (i, list) in lists.iter().enumerate() {
+                len += line("l", idx(i) + list.iter().map(|&c| 1 + dec_len(c)).sum::<usize>());
+            }
+        }
+        len += line("solution", self.solution.kind().len());
+        len += match &self.solution {
+            Solution::NodeColors(colors) | Solution::EdgeColors(colors) => colors
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| line("s", idx(i) + 1 + dec_len(c)))
+                .sum::<usize>(),
+            Solution::NodeSet(set) | Solution::EdgeSet(set) => {
+                (0..set.len()).map(|i| line("s", idx(i) + 2)).sum()
+            }
+            Solution::MisWitnesses(witnesses) => witnesses
+                .iter()
+                .enumerate()
+                .map(|(i, w)| match w {
+                    MisWitness::Member => line("s", idx(i) + 2),
+                    MisWitness::NonMember { witness } => line("s", idx(i) + 3 + idx(*witness)),
+                })
+                .sum(),
+        };
+        len += line("envelope", self.envelope.id().len()) + line("rounds", dec_len(self.rounds));
+        len += line("segments", idx(self.segments.len()));
+        for seg in &self.segments {
+            len += line("segment", dec_len(seg.rounds) + 1 + idx(seg.participants));
+            len +=
+                seg.halts.iter().map(|&(v, r)| line("h", idx(v) + 1 + dec_len(r))).sum::<usize>();
+            len += (1..=seg.commitments.len()).map(|r| line("c", idx(r) + 1 + 16)).sum::<usize>();
+        }
+        len + "end\n".len()
+    }
+
+    /// Parses canonical certificate text in one forward byte cursor over
+    /// `text.as_bytes()`: each line end is found once, keywords are
+    /// matched as bytes, and numbers are read digit by digit straight
+    /// into the certificate's vectors. Beyond the parsed certificate
+    /// itself, memory stays bounded by the input: no line table, no
+    /// per-line allocation, and all count-driven reservations together
+    /// capped by the line count.
+    ///
+    /// Edge, witness and halt lines in the canonical form `to_text` writes
+    /// are read straight off the bytes; any other line takes the general
+    /// path, which gives it the same meaning.
+    ///
+    /// The accepted language and every error (variant, line and message)
+    /// are exactly those of the line-iterator parser this one replaced,
+    /// which the tests keep as `reference_parse`: lines split as
+    /// [`str::lines`] splits them, tokens at ASCII white space, numbers
+    /// as [`std::str::FromStr`] reads them (a `+` sign and leading zeros
+    /// included), and Unicode [`str::trim`] applied to header fields, the
+    /// solution kind and witness values.
     pub fn parse(text: &str) -> Result<Certificate, CheckError> {
-        let mut p = Parser::new(text);
+        let mut p = Cursor::new(text);
         let version = p.line("the format-version line")?;
         if version != FORMAT_VERSION {
             return Err(CheckError::VersionMismatch { found: version.to_string() });
         }
         let instance = p.keyword_rest("instance")?.to_string();
         let rule = parse_rule(p.keyword_rest("rule")?, p.pos)?;
-        let nodes: usize = p.parse_field("nodes")?;
-        let id_space: u64 = p.parse_field("idspace")?;
-        let edge_count: usize = p.parse_field("edges")?;
+        let nodes: usize = p.count("nodes")?;
+        let id_space: u64 = p.count("idspace")?;
+        let edge_count: usize = p.count("edges")?;
         // Every count is untrusted: reservations come out of one budget of
         // a slot per line, so lying headers cannot force a huge allocation.
         let mut edges = p.reserve(edge_count);
         for _ in 0..edge_count {
-            let rest = p.keyword_rest("e")?;
-            let (u, v) = parse_pair(rest, p.pos, "edge endpoints")?;
-            edges.push((u, v));
+            edges.push(p.pair_rest("e", "edge endpoints")?);
         }
-        let lists = if p.peek_keyword("lists") {
-            let count: usize = p.parse_field("lists")?;
-            let mut lists: Vec<Vec<u64>> = p.reserve(count);
-            for want in 0..count {
-                let rest = p.keyword_rest("l")?;
-                let mut toks = rest.split_ascii_whitespace();
-                let i: usize = parse_tok(toks.next(), p.pos, "list node index")?;
-                if i != want {
-                    return Err(CheckError::Format {
-                        line: p.pos,
-                        what: format!("list for node {want}"),
-                    });
+        let lists = match p.keyword_line("lists")? {
+            Some(rest) => {
+                let count: usize =
+                    number(trim_end(rest)).ok_or_else(|| p.error("a lists count"))?;
+                let mut lists: Vec<Vec<u64>> = p.reserve(count);
+                for want in 0..count {
+                    let rest = p.keyword_rest("l")?.as_bytes();
+                    let mut at = 0;
+                    let i: usize = token(rest, &mut at)
+                        .and_then(number)
+                        .ok_or_else(|| p.error("list node index"))?;
+                    if i != want {
+                        return Err(p.error(&format!("list for node {want}")));
+                    }
+                    let mut list = Vec::new();
+                    while let Some(t) = token(rest, &mut at) {
+                        list.push(number(t).ok_or_else(|| p.error("list color"))?);
+                    }
+                    lists.push(list);
                 }
-                let mut list = Vec::new();
-                for t in toks {
-                    list.push(parse_tok(Some(t), p.pos, "list color")?);
-                }
-                lists.push(list);
+                Some(lists)
             }
-            Some(lists)
-        } else {
-            None
+            None => None,
         };
         let kind = p.keyword_rest("solution")?.trim();
         let kind_line = p.pos;
-        // Witness lines are consecutive: entry `k` sits on line
-        // `kind_line + 1 + k`.
-        let mut entries: Vec<(usize, &str)> = p.reserve(nodes);
-        while p.peek_keyword("s") {
-            let rest = p.keyword_rest("s")?;
-            entries.push(split_index(rest, p.pos)?);
+        let mut solution = match kind {
+            "node-colors" => Some(Solution::NodeColors(p.reserve(nodes))),
+            "edge-colors" => Some(Solution::EdgeColors(p.reserve(nodes))),
+            "node-set" => Some(Solution::NodeSet(p.reserve(nodes))),
+            "edge-set" => Some(Solution::EdgeSet(p.reserve(nodes))),
+            "mis-witness" => Some(Solution::MisWitnesses(p.reserve(nodes))),
+            _ => None,
+        };
+        // Witness lines are read in one pass, and their errors rank as
+        // follows: a malformed index or a missing value at once, then a
+        // gap or repeat in the indices, then an unknown kind, then the
+        // first malformed value.
+        let mut entries = 0usize;
+        let mut gap: Option<Gap> = None;
+        let mut bad_value: Option<CheckError> = None;
+        loop {
+            let (index, value) = match p.canonical_witness() {
+                Some(witness) => witness,
+                None => match p.keyword_line("s")? {
+                    Some(rest) => split_witness(rest).map_err(|what| p.error(what))?,
+                    None => break,
+                },
+            };
+            match &mut gap {
+                None if index != entries => {
+                    gap = Some(Gap { want: entries, index, repeated: index < entries })
+                }
+                Some(g) if g.index == index => g.repeated = true,
+                _ => {}
+            }
+            entries += 1;
+            if let (None, None, Some(solution)) = (&gap, &bad_value, solution.as_mut()) {
+                if let Err(what) = push_witness(solution, value) {
+                    bad_value = Some(p.error(what));
+                }
+            }
         }
-        dense(&entries)?;
-        let solution = parse_solution(kind, kind_line, &entries)?;
-        // The witness table goes before the transcript's buffers grow.
-        drop(entries);
+        if let Some(Gap { want, index, repeated }) = gap {
+            return Err(if repeated {
+                CheckError::DuplicateWitness { index }
+            } else {
+                CheckError::MissingWitness { index: want }
+            });
+        }
+        let solution = solution.ok_or_else(|| CheckError::Format {
+            line: kind_line,
+            what: format!("a known solution kind, not {kind:?}"),
+        })?;
+        if let Some(e) = bad_value {
+            return Err(e);
+        }
         let envelope = match p.keyword_rest("envelope")?.trim() {
             "none" => Envelope::None,
             "linial" => Envelope::Linial,
             "mis-pipeline" => Envelope::MisPipeline,
-            other => {
-                return Err(CheckError::Format {
-                    line: p.pos,
-                    what: format!("a known envelope, not {other:?}"),
-                })
-            }
+            other => return Err(p.error(&format!("a known envelope, not {other:?}"))),
         };
-        let rounds: u64 = p.parse_field("rounds")?;
-        let segment_count: usize = p.parse_field("segments")?;
+        let rounds: u64 = p.count("rounds")?;
+        let segment_count: usize = p.count("segments")?;
         let mut segments = p.reserve(segment_count);
         for _ in 0..segment_count {
-            let rest = p.keyword_rest("segment")?;
             let (seg_rounds, participants): (u64, usize) =
-                parse_pair(rest, p.pos, "segment header")?;
+                p.pair_rest("segment", "segment header")?;
             let mut halts = p.reserve(participants);
-            while p.peek_keyword("h") {
-                let rest = p.keyword_rest("h")?;
-                let (v, r) = parse_pair(rest, p.pos, "halt record")?;
-                halts.push((v, r));
+            while let Some(halt) = p.pair_line("h", "halt record")? {
+                halts.push(halt);
             }
             let claimed = usize::try_from(seg_rounds).unwrap_or(usize::MAX);
             let mut commitments = p.reserve(claimed);
-            while p.peek_keyword("c") {
-                let rest = p.keyword_rest("c")?;
-                let mut toks = rest.split_ascii_whitespace();
-                let r: usize = parse_tok(toks.next(), p.pos, "commitment round")?;
+            while let Some(rest) = p.keyword_line("c")? {
+                let rest = rest.as_bytes();
+                let mut at = 0;
+                let r: usize = token(rest, &mut at)
+                    .and_then(number)
+                    .ok_or_else(|| p.error("commitment round"))?;
                 if r != commitments.len() + 1 {
-                    return Err(CheckError::Format {
-                        line: p.pos,
-                        what: format!("commitment for round {}", commitments.len() + 1),
-                    });
+                    return Err(p.error(&format!("commitment for round {}", commitments.len() + 1)));
                 }
-                let hex = toks.next().ok_or_else(|| CheckError::Format {
-                    line: p.pos,
-                    what: "a commitment value".to_string(),
-                })?;
-                let c = u64::from_str_radix(hex, 16).map_err(|_| CheckError::Format {
-                    line: p.pos,
-                    what: "a hex commitment value".to_string(),
-                })?;
-                commitments.push(c);
+                let hex = token(rest, &mut at).ok_or_else(|| p.error("a commitment value"))?;
+                commitments.push(radix(hex, 16).ok_or_else(|| p.error("a hex commitment value"))?);
             }
             segments.push(Segment { rounds: seg_rounds, participants, halts, commitments });
         }
-        let end = p.line("the end line")?;
-        if end != "end" {
-            return Err(CheckError::Format { line: p.pos, what: "the end line".to_string() });
+        if p.line("the end line")? != "end" {
+            return Err(p.error("the end line"));
         }
-        if let Some(offset) = p.lines.position(|l| !l.trim().is_empty()) {
-            return Err(CheckError::Format {
-                line: p.pos + 1 + offset,
-                what: "end of file".to_string(),
-            });
+        while let Some(line) = p.next_line() {
+            if !line.trim().is_empty() {
+                return Err(p.error("end of file"));
+            }
         }
         Ok(Certificate {
             instance,
@@ -274,56 +369,105 @@ impl Certificate {
     }
 }
 
-/// The certificate text under construction: keywords, decimal and hex
-/// digits appended straight into one byte buffer.
-struct TextBuf(Vec<u8>);
+/// Digits of `x` in decimal, from its bit length: `1233 / 4096` is just
+/// above `log10(2)`, so `estimate` is `floor(log10(x))` or one more, and
+/// one comparison with a power of ten settles which.
+fn dec_len(x: u64) -> usize {
+    const POW10: [u64; 20] = {
+        let mut pow = [1; 20];
+        let mut i = 1;
+        while i < 20 {
+            pow[i] = pow[i - 1] * 10;
+            i += 1;
+        }
+        pow
+    };
+    let x = x | 1;
+    let estimate = widen_u32(((64 - x.leading_zeros()) * 1233) >> 12);
+    estimate + 1 - usize::from(x < POW10[estimate])
+}
+
+/// The certificate text under construction, in one buffer of exactly
+/// its final length: keywords and decimal and hex digits are stored
+/// straight at their offsets, with no regrowth and no per-line copy.
+struct TextBuf {
+    text: Vec<u8>,
+    at: usize,
+}
 
 impl TextBuf {
+    fn new(len: usize) -> Self {
+        TextBuf { text: vec![0; len], at: 0 }
+    }
+
     fn str(&mut self, s: &str) -> &mut Self {
-        self.0.extend_from_slice(s.as_bytes());
+        self.text[self.at..self.at + s.len()].copy_from_slice(s.as_bytes());
+        self.at += s.len();
         self
     }
 
     fn space(&mut self) -> &mut Self {
-        self.0.push(b' ');
-        self
+        self.str(" ")
     }
 
     fn end_line(&mut self) {
-        self.0.push(b'\n');
+        self.str("\n");
     }
 
-    /// `x` in decimal, as `{x}` formats it.
+    /// `x` in decimal, as `{x}` formats it: two digits at a time, from
+    /// the last.
     fn dec(&mut self, mut x: u64) -> &mut Self {
-        let mut digits = [0u8; 20];
-        let mut start = digits.len();
-        loop {
-            start -= 1;
-            digits[start] = b'0' + (x % 10).to_le_bytes()[0];
-            x /= 10;
-            if x == 0 {
-                break;
-            }
+        const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+                                    2021222324252627282930313233343536373839\
+                                    4041424344454647484950515253545556575859\
+                                    6061626364656667686970717273747576777879\
+                                    8081828384858687888990919293949596979899";
+        let digits = &mut self.text[self.at..self.at + dec_len(x)];
+        self.at += digits.len();
+        let mut end = digits.len();
+        while x >= 100 {
+            let pair = usize::from((x % 100).to_le_bytes()[0]) * 2;
+            digits[end - 2..end].copy_from_slice(&PAIRS[pair..pair + 2]);
+            end -= 2;
+            x /= 100;
         }
-        self.0.extend_from_slice(&digits[start..]);
+        let last = x.to_le_bytes()[0];
+        if last >= 10 {
+            let pair = usize::from(last) * 2;
+            digits[end - 2..end].copy_from_slice(&PAIRS[pair..pair + 2]);
+        } else {
+            digits[end - 1] = b'0' + last;
+        }
         self
     }
 
     /// `x` as 16 lowercase hex digits, as `{x:016x}` formats it.
     fn hex16(&mut self, x: u64) -> &mut Self {
         const HEX: &[u8; 16] = b"0123456789abcdef";
-        for byte in x.to_be_bytes() {
-            self.0.push(HEX[usize::from(byte >> 4)]);
-            self.0.push(HEX[usize::from(byte & 0xf)]);
+        let digits = &mut self.text[self.at..self.at + 16];
+        for (pair, byte) in digits.chunks_exact_mut(2).zip(x.to_be_bytes()) {
+            pair[0] = HEX[usize::from(byte >> 4)];
+            pair[1] = HEX[usize::from(byte & 0xf)];
         }
+        self.at += 16;
         self
+    }
+
+    /// The finished text; every byte of the buffer must be written.
+    fn finish(self) -> String {
+        assert_eq!(self.at, self.text.len(), "the certificate text fills its exact length");
+        String::from_utf8(self.text).or_invariant("certificate text is UTF-8")
     }
 }
 
-/// A forward cursor over the text's lines, split exactly as
-/// [`str::lines`] splits them (`\n` or `\r\n`, final newline optional).
-struct Parser<'a> {
-    lines: Peekable<Lines<'a>>,
+/// A forward cursor over the text's bytes that hands out one line at a
+/// time, split exactly as [`str::lines`] splits them (`\n` or `\r\n`,
+/// final newline optional). Line ends sit on ASCII bytes, so every line
+/// is a `str` slice of the text.
+struct Cursor<'a> {
+    text: &'a str,
+    /// Byte offset at which the next unread line starts.
+    at: usize,
     /// Lines consumed so far == 1-based number of the last consumed line.
     pos: usize,
     /// Slots the count-driven reservations may still take: one per line
@@ -331,36 +475,165 @@ struct Parser<'a> {
     budget: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Cursor<'a> {
     fn new(text: &'a str) -> Self {
-        let newlines = text.bytes().filter(|&b| b == b'\n').count();
+        // Counted per 255-byte chunk, so that each chunk sums in byte lanes.
+        let newlines: usize = text
+            .as_bytes()
+            .chunks(255)
+            .map(|chunk| usize::from(chunk.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>()))
+            .sum();
         let unterminated = usize::from(!text.is_empty() && !text.ends_with('\n'));
-        Parser { lines: text.lines().peekable(), pos: 0, budget: newlines + unterminated }
+        Cursor { text, at: 0, pos: 0, budget: newlines + unterminated }
+    }
+
+    /// The next line without its line ending, and the offset of the line
+    /// after it; `None` at the end of the text.
+    fn peek(&self) -> Option<(&'a str, usize)> {
+        let bytes = self.text.as_bytes();
+        let rest = bytes.get(self.at..).filter(|rest| !rest.is_empty())?;
+        Some(match rest.iter().position(|&b| b == b'\n') {
+            Some(len) => {
+                let end = self.at + len;
+                let cr = usize::from(len > 0 && bytes[end - 1] == b'\r');
+                (&self.text[self.at..end - cr], end + 1)
+            }
+            None => (&self.text[self.at..], bytes.len()),
+        })
+    }
+
+    fn next_line(&mut self) -> Option<&'a str> {
+        let (line, next) = self.peek()?;
+        self.at = next;
+        self.pos += 1;
+        Some(line)
+    }
+
+    /// A format error at the last consumed line.
+    fn error(&self, what: &str) -> CheckError {
+        CheckError::Format { line: self.pos, what: what.to_string() }
     }
 
     /// Consumes the next line; a missing line is a format error naming
     /// `what` at the line number it should have had.
     fn line(&mut self, what: &str) -> Result<&'a str, CheckError> {
-        let line = self
-            .lines
-            .next()
-            .ok_or_else(|| CheckError::Format { line: self.pos + 1, what: what.to_string() })?;
-        self.pos += 1;
-        Ok(line)
+        self.next_line()
+            .ok_or_else(|| CheckError::Format { line: self.pos + 1, what: what.to_string() })
     }
 
-    /// Consumes a `keyword rest...` line, returning `rest`.
+    /// Consumes a `keyword rest...` line, returning `rest` without its
+    /// leading white space.
     fn keyword_rest(&mut self, keyword: &str) -> Result<&'a str, CheckError> {
-        let rest = self
-            .lines
-            .next()
-            .and_then(|line| line.strip_prefix(keyword))
-            .filter(|rest| rest.starts_with(' ') || rest.is_empty());
-        self.pos += 1;
-        rest.map(str::trim_start).ok_or_else(|| CheckError::Format {
-            line: self.pos,
+        let line = self.next_line();
+        line.and_then(|line| strip_keyword(line, keyword)).ok_or_else(|| CheckError::Format {
+            line: self.pos + usize::from(line.is_none()),
             what: format!("a {keyword:?} line"),
         })
+    }
+
+    /// Consumes the next line if its first ASCII-white-space token is
+    /// `keyword`, then reads it as [`Cursor::keyword_rest`] does; leaves
+    /// any other line unread.
+    fn keyword_line(&mut self, keyword: &str) -> Result<Option<&'a str>, CheckError> {
+        match self.peek() {
+            Some((line, next)) if first_token_is(line.as_bytes(), keyword.as_bytes()) => {
+                self.at = next;
+                self.pos += 1;
+                strip_keyword(line, keyword)
+                    .map(Some)
+                    .ok_or_else(|| self.error(&format!("a {keyword:?} line")))
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// Consumes the next line if it is a canonical `keyword a b` line,
+    /// the form of every emitted edge and halt line: the keyword, a space,
+    /// 1 to 19 digits, a space, 1 to 19 digits and `\n`. Such a line is
+    /// read straight off the bytes, and means what the general path would
+    /// read it as; any other line is left unread for the general path.
+    fn canonical_pair<A: TryFrom<u64>, B: TryFrom<u64>>(
+        &mut self,
+        keyword: &str,
+    ) -> Option<(A, B)> {
+        let bytes = self.text.as_bytes();
+        let mut at = self.at + keyword.len();
+        if !bytes[self.at..].starts_with(keyword.as_bytes()) || bytes.get(at) != Some(&b' ') {
+            return None;
+        }
+        at += 1;
+        let a = A::try_from(digits(bytes, &mut at)?).ok()?;
+        if bytes.get(at) != Some(&b' ') {
+            return None;
+        }
+        at += 1;
+        let b = B::try_from(digits(bytes, &mut at)?).ok()?;
+        if bytes.get(at) != Some(&b'\n') {
+            return None;
+        }
+        self.at = at + 1;
+        self.pos += 1;
+        Some((a, b))
+    }
+
+    /// Consumes a `keyword a b` line.
+    fn pair_rest<A: TryFrom<u64>, B: TryFrom<u64>>(
+        &mut self,
+        keyword: &str,
+        what: &str,
+    ) -> Result<(A, B), CheckError> {
+        if let Some(pair) = self.canonical_pair(keyword) {
+            return Ok(pair);
+        }
+        let rest = self.keyword_rest(keyword)?;
+        pair(rest).ok_or_else(|| self.error(what))
+    }
+
+    /// Consumes a `keyword a b` line if the next line's first token is
+    /// `keyword`, as [`Cursor::keyword_line`] does.
+    fn pair_line<A: TryFrom<u64>, B: TryFrom<u64>>(
+        &mut self,
+        keyword: &str,
+        what: &str,
+    ) -> Result<Option<(A, B)>, CheckError> {
+        if let Some(pair) = self.canonical_pair(keyword) {
+            return Ok(Some(pair));
+        }
+        match self.keyword_line(keyword)? {
+            Some(rest) => pair(rest).map(Some).ok_or_else(|| self.error(what)),
+            None => Ok(None),
+        }
+    }
+
+    /// Consumes the next line if it is a canonical witness line: `s`, a
+    /// space, 1 to 19 digits, a space, and a value whose first and last
+    /// bytes are visible ASCII, then `\n`. Returns its index and value,
+    /// as the general path would split them.
+    fn canonical_witness(&mut self) -> Option<(usize, &'a str)> {
+        let bytes = self.text.as_bytes();
+        let mut at = self.at + 2;
+        if !bytes[self.at..].starts_with(b"s ") {
+            return None;
+        }
+        let index = usize::try_from(digits(bytes, &mut at)?).ok()?;
+        if bytes.get(at) != Some(&b' ') {
+            return None;
+        }
+        let start = at + 1;
+        let len = bytes[start..].iter().position(|&b| b == b'\n')?;
+        let value = &self.text[start..start + len];
+        if !value.bytes().next()?.is_ascii_graphic() || !value.bytes().last()?.is_ascii_graphic() {
+            return None;
+        }
+        self.at = start + len + 1;
+        self.pos += 1;
+        Some((index, value))
+    }
+
+    /// Consumes `keyword <number>`.
+    fn count<T: TryFrom<u64>>(&mut self, keyword: &str) -> Result<T, CheckError> {
+        let rest = self.keyword_rest(keyword)?;
+        number(trim_end(rest)).ok_or_else(|| self.error(&format!("a {keyword} count")))
     }
 
     /// An empty vector with room for up to `count` elements, taken out of
@@ -372,128 +645,138 @@ impl<'a> Parser<'a> {
         self.budget -= slots;
         Vec::with_capacity(slots)
     }
+}
 
-    fn peek_keyword(&mut self, keyword: &str) -> bool {
-        self.lines.peek().is_some_and(|l| l.split_ascii_whitespace().next() == Some(keyword))
+/// `rest` of a `keyword rest` line (the keyword followed by a space or
+/// by nothing), without leading white space.
+fn strip_keyword<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
+    let rest = line.strip_prefix(keyword)?;
+    (rest.is_empty() || rest.starts_with(' ')).then(|| trim_start(rest))
+}
+
+/// Whether the first ASCII-white-space token of `line` is `keyword`.
+fn first_token_is(line: &[u8], keyword: &[u8]) -> bool {
+    let start = line.iter().position(|b| !b.is_ascii_whitespace()).unwrap_or(line.len());
+    let tail = &line[start..];
+    tail.starts_with(keyword) && tail.get(keyword.len()).is_none_or(u8::is_ascii_whitespace)
+}
+
+/// [`str::trim_start`], byte by byte while the text is ASCII.
+fn trim_start(s: &str) -> &str {
+    let bytes = s.as_bytes();
+    let start = bytes.iter().position(|&b| !matches!(b, b' ' | b'\t'..=b'\r')).unwrap_or(s.len());
+    match bytes.get(start) {
+        // A multi-byte character may be Unicode white space.
+        Some(&b) if !b.is_ascii() => s[start..].trim_start(),
+        _ => &s[start..],
     }
+}
 
-    /// Consumes `keyword <number>`.
-    fn parse_field<T: std::str::FromStr>(&mut self, keyword: &str) -> Result<T, CheckError> {
-        let rest = self.keyword_rest(keyword)?;
-        parse_tok(Some(rest.trim()), self.pos, &format!("a {keyword} count"))
+/// [`str::trim_end`], byte by byte while the text is ASCII.
+fn trim_end(s: &str) -> &str {
+    let bytes = s.as_bytes();
+    let end = bytes.iter().rposition(|&b| !matches!(b, b' ' | b'\t'..=b'\r')).map_or(0, |i| i + 1);
+    match end.checked_sub(1).map(|i| bytes[i]) {
+        Some(b) if !b.is_ascii() => s[..end].trim_end(),
+        _ => &s[..end],
     }
 }
 
-fn parse_tok<T: std::str::FromStr>(
-    tok: Option<&str>,
-    line: usize,
-    what: &str,
-) -> Result<T, CheckError> {
-    tok.and_then(|t| t.parse().ok())
-        .ok_or_else(|| CheckError::Format { line, what: what.to_string() })
-}
-
-fn parse_pair<A: std::str::FromStr, B: std::str::FromStr>(
-    rest: &str,
-    line: usize,
-    what: &str,
-) -> Result<(A, B), CheckError> {
-    let mut toks = rest.split_ascii_whitespace();
-    let a = parse_tok(toks.next(), line, what)?;
-    let b = parse_tok(toks.next(), line, what)?;
-    if toks.next().is_some() {
-        return Err(CheckError::Format { line, what: what.to_string() });
+/// 1 to 19 decimal digits from `bytes[*at..]`, as many as are there;
+/// advances past them. `None` for none or more than 19, so that the
+/// value never overflows.
+fn digits(bytes: &[u8], at: &mut usize) -> Option<u64> {
+    let start = *at;
+    let mut x: u64 = 0;
+    while let Some(d) = bytes.get(*at).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10) {
+        x = x.wrapping_mul(10).wrapping_add(u64::from(d));
+        *at += 1;
     }
-    Ok((a, b))
+    (1..=19).contains(&(*at - start)).then_some(x)
 }
 
-fn split_index(rest: &str, line: usize) -> Result<(usize, &str), CheckError> {
-    let mut toks = rest.splitn(2, ' ');
-    let i = parse_tok(toks.next(), line, "a witness index")?;
-    let value = toks
-        .next()
-        .ok_or_else(|| CheckError::Format { line, what: "a witness value".to_string() })?;
-    Ok((i, value.trim()))
+/// The next token of `bytes` from `*at`, split as
+/// [`str::split_ascii_whitespace`] splits them; advances past it.
+fn token<'b>(bytes: &'b [u8], at: &mut usize) -> Option<&'b [u8]> {
+    let start = *at + bytes.get(*at..)?.iter().position(|b| !b.is_ascii_whitespace())?;
+    let len =
+        bytes[start..].iter().position(u8::is_ascii_whitespace).unwrap_or(bytes.len() - start);
+    *at = start + len;
+    Some(&bytes[start..start + len])
 }
 
-/// Witness indices must be exactly `0, 1, 2, ...` — a gap is a dropped
-/// witness, a repeat a duplicated one.
-fn dense(entries: &[(usize, &str)]) -> Result<(), CheckError> {
-    for (want, &(i, _)) in entries.iter().enumerate() {
-        if i == want {
-            continue;
+/// `digits` in base `radix` as [`u64::from_str_radix`] reads them: an
+/// optional `+`, then at least one digit, and no overflow.
+fn radix(digits: &[u8], radix: u32) -> Option<u64> {
+    let digits = digits.strip_prefix(b"+").unwrap_or(digits);
+    if digits.is_empty() {
+        return None;
+    }
+    let mut x: u64 = 0;
+    for &b in digits {
+        let d = char::from(b).to_digit(radix)?;
+        x = x.checked_mul(u64::from(radix))?.checked_add(u64::from(d))?;
+    }
+    Some(x)
+}
+
+/// A decimal token as `FromStr` reads it into `T`.
+fn number<T: TryFrom<u64>>(digits: impl AsRef<[u8]>) -> Option<T> {
+    radix(digits.as_ref(), 10).and_then(|x| T::try_from(x).ok())
+}
+
+/// Exactly two decimal tokens.
+fn pair<A: TryFrom<u64>, B: TryFrom<u64>>(rest: &str) -> Option<(A, B)> {
+    let bytes = rest.as_bytes();
+    let mut at = 0;
+    let a = number(token(bytes, &mut at)?)?;
+    let b = number(token(bytes, &mut at)?)?;
+    token(bytes, &mut at).is_none().then_some((a, b))
+}
+
+/// A witness line's `index value`: the index ends at the first space, and
+/// the value is the trimmed rest.
+fn split_witness(rest: &str) -> Result<(usize, &str), &'static str> {
+    let space = rest.bytes().position(|b| b == b' ');
+    let index = number(&rest.as_bytes()[..space.unwrap_or(rest.len())]).ok_or("a witness index")?;
+    let space = space.ok_or("a witness value")?;
+    Ok((index, trim_end(trim_start(&rest[space + 1..]))))
+}
+
+/// The first break in a witness block's `0, 1, 2, ...` indices.
+struct Gap {
+    /// The position at which the indices first break.
+    want: usize,
+    /// The index found there.
+    index: usize,
+    /// Whether `index` occurs on more than one line of the block.
+    repeated: bool,
+}
+
+/// Appends one witness value of the solution's kind.
+fn push_witness(solution: &mut Solution, value: &str) -> Result<(), &'static str> {
+    match solution {
+        Solution::NodeColors(colors) | Solution::EdgeColors(colors) => {
+            colors.push(number(value).ok_or("a color")?);
         }
-        if entries.iter().filter(|&&(j, _)| j == i).count() > 1 {
-            return Err(CheckError::DuplicateWitness { index: i });
+        Solution::NodeSet(set) | Solution::EdgeSet(set) => set.push(match value {
+            "0" => false,
+            "1" => true,
+            _ => return Err("a 0/1 membership"),
+        }),
+        Solution::MisWitnesses(witnesses) => {
+            let value = value.as_bytes();
+            let mut at = 0;
+            witnesses.push(match token(value, &mut at) {
+                Some(b"M") => MisWitness::Member,
+                Some(b"P") => MisWitness::NonMember {
+                    witness: token(value, &mut at).and_then(number).ok_or("a witness edge")?,
+                },
+                _ => return Err("an M or P witness"),
+            });
         }
-        return Err(CheckError::MissingWitness { index: want });
     }
     Ok(())
-}
-
-fn parse_solution(
-    kind: &str,
-    kind_line: usize,
-    entries: &[(usize, &str)],
-) -> Result<Solution, CheckError> {
-    let values = entries.iter().enumerate().map(|(k, &(_, value))| (kind_line + 1 + k, value));
-    match kind {
-        "node-colors" | "edge-colors" => {
-            let mut colors = Vec::with_capacity(entries.len());
-            for (line, value) in values {
-                colors.push(parse_tok(Some(value), line, "a color")?);
-            }
-            if kind == "node-colors" {
-                Ok(Solution::NodeColors(colors))
-            } else {
-                Ok(Solution::EdgeColors(colors))
-            }
-        }
-        "node-set" | "edge-set" => {
-            let mut set = Vec::with_capacity(entries.len());
-            for (line, value) in values {
-                match value {
-                    "0" => set.push(false),
-                    "1" => set.push(true),
-                    _ => {
-                        return Err(CheckError::Format {
-                            line,
-                            what: "a 0/1 membership".to_string(),
-                        })
-                    }
-                }
-            }
-            if kind == "node-set" {
-                Ok(Solution::NodeSet(set))
-            } else {
-                Ok(Solution::EdgeSet(set))
-            }
-        }
-        "mis-witness" => {
-            let mut witnesses = Vec::with_capacity(entries.len());
-            for (line, value) in values {
-                let mut toks = value.split_ascii_whitespace();
-                match toks.next() {
-                    Some("M") => witnesses.push(MisWitness::Member),
-                    Some("P") => {
-                        let witness = parse_tok(toks.next(), line, "a witness edge")?;
-                        witnesses.push(MisWitness::NonMember { witness });
-                    }
-                    _ => {
-                        return Err(CheckError::Format {
-                            line,
-                            what: "an M or P witness".to_string(),
-                        })
-                    }
-                }
-            }
-            Ok(Solution::MisWitnesses(witnesses))
-        }
-        other => Err(CheckError::Format {
-            line: kind_line,
-            what: format!("a known solution kind, not {other:?}"),
-        }),
-    }
 }
 
 fn rule_text(rule: &Rule) -> String {
@@ -529,43 +812,34 @@ fn parse_rule(rest: &str, line: usize) -> Result<Rule, CheckError> {
     let head = toks.next().unwrap_or("");
     let arg = toks.next();
     let bad = || CheckError::Format { line, what: "a known rule".to_string() };
+    let limit = |k| {
+        number(k).ok_or_else(|| CheckError::Format { line, what: "a palette limit".to_string() })
+    };
     let rule = match head {
-        "coloring" => {
-            let p = arg.and_then(|a| a.strip_prefix("palette=")).ok_or_else(bad)?;
-            Rule::Coloring { palette: parse_palette(p, line)? }
-        }
+        "coloring" => match arg.and_then(|a| a.strip_prefix("palette=")).ok_or_else(bad)? {
+            "any" => Rule::Coloring { palette: Palette::Any },
+            "deg+1" => Rule::Coloring { palette: Palette::DegreePlusOne },
+            k => Rule::Coloring { palette: Palette::AtMost(limit(k)?) },
+        },
         "list-coloring" => Rule::ListColoring,
         "mis" => Rule::Mis,
         "matching" => {
             let b = arg.and_then(|a| a.strip_prefix("b=")).ok_or_else(bad)?;
-            Rule::Matching { b: parse_tok(Some(b), line, "a matching bound")? }
+            let b = number(b)
+                .ok_or_else(|| CheckError::Format { line, what: "a matching bound".to_string() })?;
+            Rule::Matching { b }
         }
-        "edge-coloring" => {
-            let p = arg.and_then(|a| a.strip_prefix("palette=")).ok_or_else(bad)?;
-            Rule::EdgeColoring { palette: parse_edge_palette(p, line)? }
-        }
+        "edge-coloring" => match arg.and_then(|a| a.strip_prefix("palette=")).ok_or_else(bad)? {
+            "any" => Rule::EdgeColoring { palette: EdgePalette::Any },
+            "edgedeg+1" => Rule::EdgeColoring { palette: EdgePalette::EdgeDegreePlusOne },
+            k => Rule::EdgeColoring { palette: EdgePalette::AtMost(limit(k)?) },
+        },
         _ => return Err(bad()),
     };
     if toks.next().is_some() {
         return Err(bad());
     }
     Ok(rule)
-}
-
-fn parse_palette(p: &str, line: usize) -> Result<Palette, CheckError> {
-    Ok(match p {
-        "any" => Palette::Any,
-        "deg+1" => Palette::DegreePlusOne,
-        k => Palette::AtMost(parse_tok(Some(k), line, "a palette limit")?),
-    })
-}
-
-fn parse_edge_palette(p: &str, line: usize) -> Result<EdgePalette, CheckError> {
-    Ok(match p {
-        "any" => EdgePalette::Any,
-        "edgedeg+1" => EdgePalette::EdgeDegreePlusOne,
-        k => EdgePalette::AtMost(parse_tok(Some(k), line, "a palette limit")?),
-    })
 }
 
 /// Validates all three layers of a certificate. Returns the first
@@ -691,6 +965,9 @@ fn check_transcript(cert: &Certificate) -> Result<(), CheckError> {
     }
     Ok(())
 }
+
+/// The replaced line-iterator parser, the oracle of the accepted language.
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -1019,6 +1296,43 @@ end
         }
     }
 
+    proptest::proptest! {
+        /// `to_text` reserves exactly the length it writes: the text's
+        /// buffer is never regrown and holds no slack.
+        #[test]
+        fn text_len_is_the_exact_length_of_the_text(
+            seed in proptest::prelude::any::<u64>(),
+            kind in 0u64..5,
+            size in 0u64..6,
+        ) {
+            let cert = arbitrary_cert(seed, kind, usize::try_from(size).unwrap());
+            let text = cert.to_text();
+            proptest::prop_assert_eq!(cert.text_len(&rule_text(&cert.rule)), text.len());
+            proptest::prop_assert_eq!(text.capacity(), text.len());
+        }
+    }
+
+    #[test]
+    fn text_len_is_exact_on_every_golden_certificate() {
+        for (name, text) in super::reference::goldens() {
+            let cert = Certificate::parse(&text).unwrap();
+            assert_eq!(cert.text_len(&rule_text(&cert.rule)), text.len(), "{name}");
+            let emitted = cert.to_text();
+            assert_eq!(emitted.capacity(), emitted.len(), "{name}");
+        }
+    }
+
+    /// The digit count at both sides of every power of ten and of two.
+    #[test]
+    fn dec_len_counts_the_digits_of_every_width() {
+        let powers = (0..20).map(|k| 10u64.pow(k)).chain((0..64).map(|k| 1u64 << k));
+        for p in powers.chain([0, u64::MAX]) {
+            for x in [p.saturating_sub(1), p, p.saturating_add(1)] {
+                assert_eq!(dec_len(x), x.to_string().len(), "{x}");
+            }
+        }
+    }
+
     #[test]
     fn crlf_line_endings_parse_to_the_same_certificate() {
         let cert = tiny_mis_cert();
@@ -1051,8 +1365,8 @@ end
         }
     }
 
-    /// Every number goes through `str::parse`, so the accepted language is
-    /// exactly what `FromStr` accepts: a `+` sign and leading zeros parse.
+    /// Every number is read as `FromStr` reads it, so the accepted language
+    /// is exactly what `FromStr` accepts: a `+` sign and leading zeros parse.
     #[test]
     fn numbers_accept_what_from_str_accepts() {
         assert_eq!("+0".parse::<usize>(), Ok(0));

@@ -6,6 +6,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use treelocal_check::CheckError;
@@ -39,11 +40,20 @@ fn collect(args: &[String]) -> Result<Vec<PathBuf>, String> {
             return Err(format!("no such file or directory: {arg}"));
         }
     }
-    // A path named twice (a directory repeated, or a file also reached
-    // through its directory) is checked and counted once.
-    certs.sort();
-    certs.dedup();
-    Ok(certs)
+    // A file reached twice (a directory repeated, a file also reached
+    // through its directory, or two spellings of one path) is checked and
+    // counted once, under the spelling that reached it first.
+    let mut seen = BTreeSet::new();
+    let mut unique = Vec::with_capacity(certs.len());
+    for path in certs {
+        let canonical = std::fs::canonicalize(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        if seen.insert(canonical) {
+            unique.push(path);
+        }
+    }
+    unique.sort();
+    Ok(unique)
 }
 
 /// The certificate text in `bytes`; invalid UTF-8 is a `Format` error at

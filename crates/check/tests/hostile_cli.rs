@@ -133,3 +133,36 @@ fn a_directory_named_twice_is_checked_once() {
     assert!(lines[1].starts_with("OK ") && lines[1].ends_with("b-golden.cert"));
     assert_eq!(stderr.trim(), "1 of 2 certificates rejected");
 }
+
+#[test]
+fn a_certificate_reached_by_two_spellings_is_checked_once() {
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../bench/tests/golden/quick_certs/mis-pipeline-tree.cert");
+    let parent = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let dir = parent.join("two-spellings");
+    std::fs::create_dir_all(&dir).expect("create the certificate directory");
+    std::fs::write(dir.join("a-hostile.cert"), HOSTILE).expect("write the hostile certificate");
+    std::fs::copy(&golden, dir.join("b-golden.cert")).expect("copy the golden certificate");
+    // The directory by a relative name, then `b-golden.cert` once with a
+    // `./` prefix and once by an absolute path through `..`.
+    let out = Command::new(env!("CARGO_BIN_EXE_treelocal-check"))
+        .current_dir(&parent)
+        .arg("two-spellings")
+        .arg("./two-spellings/b-golden.cert")
+        .arg(dir.join("../two-spellings/b-golden.cert"))
+        .output()
+        .expect("run treelocal-check");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(
+        lines,
+        [
+            "FAIL two-spellings/a-hostile.cert: line 8: expected a \"e\" line",
+            "OK   two-spellings/b-golden.cert"
+        ],
+        "{stdout}"
+    );
+    assert_eq!(stderr.trim(), "1 of 2 certificates rejected");
+}

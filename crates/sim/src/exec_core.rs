@@ -168,11 +168,6 @@ impl<S: StateCodec> ExecCore<S> {
         &self.awake
     }
 
-    /// Whether `v` is still running (awake or asleep) in O(1).
-    pub fn is_active(&self, v: NodeId) -> bool {
-        self.active[v.index()]
-    }
-
     /// Rounds executed so far.
     pub fn rounds(&self) -> u64 {
         self.rounds
@@ -288,6 +283,11 @@ mod tests {
         fn state(&self, v: NodeId) -> S {
             assert!(self.seeded[v.index()], "node {v:?} participates in the execution");
             self.main.read(v.index())
+        }
+
+        /// Whether `v` is still running (awake or asleep) in O(1).
+        fn is_active(&self, v: NodeId) -> bool {
+            self.active[v.index()]
         }
     }
 
