@@ -26,10 +26,9 @@
 //! parser it replaced is kept in the tests as `reference_parse`, and pins
 //! the accepted language: on every input, golden or mutated, the two
 //! return the same certificate or the same error, down to its line and
-//! message. [`Certificate::to_text`] computes the exact text length
-//! first and writes every line into that one allocation; the tests keep
-//! the `writeln!` emitter it replaced as `reference_text`, its byte
-//! oracle.
+//! message. [`Certificate::to_text`] writes every line straight into one
+//! byte buffer, numbers two digits at a time; the tests keep the
+//! `writeln!` emitter it replaced as `reference_text`, its byte oracle.
 
 use crate::commit::{commit_frontier, COMMITMENT_OFFSET};
 use crate::envelope::{check_envelope, Envelope};
@@ -37,7 +36,7 @@ use crate::error::CheckError;
 use crate::rule::{
     check_solution, check_witness_kind, EdgePalette, MisWitness, Palette, Rule, Solution,
 };
-use treelocal_graph::{widen_u32, widen_u64, Graph, OrInvariant};
+use treelocal_graph::{widen_u64, Graph, OrInvariant};
 
 /// The format-version line every certificate must open with.
 pub const FORMAT_VERSION: &str = "treelocal-cert v1";
@@ -87,12 +86,12 @@ impl Certificate {
     /// Serializes to the canonical `treelocal-cert v1` text. The output
     /// is byte-deterministic: equal certificates serialize identically.
     ///
-    /// The exact length is computed first ([`Certificate::text_len`]),
-    /// then every line is written into that one allocation; numbers are
-    /// formatted digit by digit, with no per-line formatting machinery.
+    /// Every line is written straight into one byte buffer; numbers are
+    /// formatted two digits at a time, with no per-line formatting
+    /// machinery.
     pub fn to_text(&self) -> String {
         let rule = rule_text(&self.rule);
-        let mut out = TextBuf::new(self.text_len(&rule));
+        let mut out = TextBuf::default();
         out.str(FORMAT_VERSION).end_line();
         out.str("instance ").str(&self.instance).end_line();
         out.str("rule ").str(&rule).end_line();
@@ -154,53 +153,6 @@ impl Certificate {
         out.finish()
     }
 
-    /// The byte length of [`Certificate::to_text`] for a certificate
-    /// whose rule renders as `rule`, summed line by line.
-    fn text_len(&self, rule: &str) -> usize {
-        // `keyword value\n`, and the digits of an index or count.
-        let line = |keyword: &str, value: usize| keyword.len() + value + 2;
-        let idx = |x: usize| dec_len(widen_u64(x));
-        let mut len = FORMAT_VERSION.len() + 1;
-        len += line("instance", self.instance.len()) + line("rule", rule.len());
-        len += line("nodes", idx(self.nodes)) + line("idspace", dec_len(self.id_space));
-        len += line("edges", idx(self.edges.len()));
-        len += self.edges.iter().map(|&(u, v)| line("e", idx(u) + 1 + idx(v))).sum::<usize>();
-        if let Some(lists) = &self.lists {
-            len += line("lists", idx(lists.len()));
-            for (i, list) in lists.iter().enumerate() {
-                len += line("l", idx(i) + list.iter().map(|&c| 1 + dec_len(c)).sum::<usize>());
-            }
-        }
-        len += line("solution", self.solution.kind().len());
-        len += match &self.solution {
-            Solution::NodeColors(colors) | Solution::EdgeColors(colors) => colors
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| line("s", idx(i) + 1 + dec_len(c)))
-                .sum::<usize>(),
-            Solution::NodeSet(set) | Solution::EdgeSet(set) => {
-                (0..set.len()).map(|i| line("s", idx(i) + 2)).sum()
-            }
-            Solution::MisWitnesses(witnesses) => witnesses
-                .iter()
-                .enumerate()
-                .map(|(i, w)| match w {
-                    MisWitness::Member => line("s", idx(i) + 2),
-                    MisWitness::NonMember { witness } => line("s", idx(i) + 3 + idx(*witness)),
-                })
-                .sum(),
-        };
-        len += line("envelope", self.envelope.id().len()) + line("rounds", dec_len(self.rounds));
-        len += line("segments", idx(self.segments.len()));
-        for seg in &self.segments {
-            len += line("segment", dec_len(seg.rounds) + 1 + idx(seg.participants));
-            len +=
-                seg.halts.iter().map(|&(v, r)| line("h", idx(v) + 1 + dec_len(r))).sum::<usize>();
-            len += (1..=seg.commitments.len()).map(|r| line("c", idx(r) + 1 + 16)).sum::<usize>();
-        }
-        len + "end\n".len()
-    }
-
     /// Parses canonical certificate text in one forward byte cursor over
     /// `text.as_bytes()`: each line end is found once, keywords are
     /// matched as bytes, and numbers are read digit by digit straight
@@ -209,9 +161,11 @@ impl Certificate {
     /// per-line allocation, and all count-driven reservations together
     /// capped by the line count.
     ///
-    /// Edge, witness and halt lines in the canonical form `to_text` writes
+    /// Edge, segment and halt lines in the canonical form `to_text` writes
     /// are read straight off the bytes; any other line takes the general
-    /// path, which gives it the same meaning.
+    /// path, which gives it the same meaning. Such lines are most of a
+    /// certificate, and the general path alone parses a 92 MB one more
+    /// than twice as slowly.
     ///
     /// The accepted language and every error (variant, line and message)
     /// are exactly those of the line-iterator parser this one replaced,
@@ -278,14 +232,8 @@ impl Certificate {
         let mut entries = 0usize;
         let mut gap: Option<Gap> = None;
         let mut bad_value: Option<CheckError> = None;
-        loop {
-            let (index, value) = match p.canonical_witness() {
-                Some(witness) => witness,
-                None => match p.keyword_line("s")? {
-                    Some(rest) => split_witness(rest).map_err(|what| p.error(what))?,
-                    None => break,
-                },
-            };
+        while let Some(rest) = p.keyword_line("s")? {
+            let (index, value) = split_witness(rest).map_err(|what| p.error(what))?;
             match &mut gap {
                 None if index != entries => {
                     gap = Some(Gap { want: entries, index, repeated: index < entries })
@@ -369,40 +317,17 @@ impl Certificate {
     }
 }
 
-/// Digits of `x` in decimal, from its bit length: `1233 / 4096` is just
-/// above `log10(2)`, so `estimate` is `floor(log10(x))` or one more, and
-/// one comparison with a power of ten settles which.
-fn dec_len(x: u64) -> usize {
-    const POW10: [u64; 20] = {
-        let mut pow = [1; 20];
-        let mut i = 1;
-        while i < 20 {
-            pow[i] = pow[i - 1] * 10;
-            i += 1;
-        }
-        pow
-    };
-    let x = x | 1;
-    let estimate = widen_u32(((64 - x.leading_zeros()) * 1233) >> 12);
-    estimate + 1 - usize::from(x < POW10[estimate])
-}
-
-/// The certificate text under construction, in one buffer of exactly
-/// its final length: keywords and decimal and hex digits are stored
-/// straight at their offsets, with no regrowth and no per-line copy.
+/// The certificate text under construction: keywords and decimal and
+/// hex digits are appended straight to one byte buffer, with no
+/// per-line copy.
+#[derive(Default)]
 struct TextBuf {
     text: Vec<u8>,
-    at: usize,
 }
 
 impl TextBuf {
-    fn new(len: usize) -> Self {
-        TextBuf { text: vec![0; len], at: 0 }
-    }
-
     fn str(&mut self, s: &str) -> &mut Self {
-        self.text[self.at..self.at + s.len()].copy_from_slice(s.as_bytes());
-        self.at += s.len();
+        self.text.extend_from_slice(s.as_bytes());
         self
     }
 
@@ -422,40 +347,40 @@ impl TextBuf {
                                     4041424344454647484950515253545556575859\
                                     6061626364656667686970717273747576777879\
                                     8081828384858687888990919293949596979899";
-        let digits = &mut self.text[self.at..self.at + dec_len(x)];
-        self.at += digits.len();
-        let mut end = digits.len();
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
         while x >= 100 {
             let pair = usize::from((x % 100).to_le_bytes()[0]) * 2;
-            digits[end - 2..end].copy_from_slice(&PAIRS[pair..pair + 2]);
-            end -= 2;
+            start -= 2;
+            digits[start..start + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
             x /= 100;
         }
         let last = x.to_le_bytes()[0];
         if last >= 10 {
             let pair = usize::from(last) * 2;
-            digits[end - 2..end].copy_from_slice(&PAIRS[pair..pair + 2]);
+            start -= 2;
+            digits[start..start + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
         } else {
-            digits[end - 1] = b'0' + last;
+            start -= 1;
+            digits[start] = b'0' + last;
         }
+        self.text.extend_from_slice(&digits[start..]);
         self
     }
 
     /// `x` as 16 lowercase hex digits, as `{x:016x}` formats it.
     fn hex16(&mut self, x: u64) -> &mut Self {
         const HEX: &[u8; 16] = b"0123456789abcdef";
-        let digits = &mut self.text[self.at..self.at + 16];
+        let mut digits = [0u8; 16];
         for (pair, byte) in digits.chunks_exact_mut(2).zip(x.to_be_bytes()) {
             pair[0] = HEX[usize::from(byte >> 4)];
             pair[1] = HEX[usize::from(byte & 0xf)];
         }
-        self.at += 16;
+        self.text.extend_from_slice(&digits);
         self
     }
 
-    /// The finished text; every byte of the buffer must be written.
     fn finish(self) -> String {
-        assert_eq!(self.at, self.text.len(), "the certificate text fills its exact length");
         String::from_utf8(self.text).or_invariant("certificate text is UTF-8")
     }
 }
@@ -548,10 +473,11 @@ impl<'a> Cursor<'a> {
     }
 
     /// Consumes the next line if it is a canonical `keyword a b` line,
-    /// the form of every emitted edge and halt line: the keyword, a space,
-    /// 1 to 19 digits, a space, 1 to 19 digits and `\n`. Such a line is
-    /// read straight off the bytes, and means what the general path would
-    /// read it as; any other line is left unread for the general path.
+    /// the form of every emitted edge, segment and halt line: the keyword,
+    /// a space, 1 to 19 digits, a space, 1 to 19 digits and `\n`. Such a
+    /// line is read straight off the bytes, and means what the general
+    /// path would read it as; any other line is left unread for the
+    /// general path.
     fn canonical_pair<A: TryFrom<u64>, B: TryFrom<u64>>(
         &mut self,
         keyword: &str,
@@ -603,31 +529,6 @@ impl<'a> Cursor<'a> {
             Some(rest) => pair(rest).map(Some).ok_or_else(|| self.error(what)),
             None => Ok(None),
         }
-    }
-
-    /// Consumes the next line if it is a canonical witness line: `s`, a
-    /// space, 1 to 19 digits, a space, and a value whose first and last
-    /// bytes are visible ASCII, then `\n`. Returns its index and value,
-    /// as the general path would split them.
-    fn canonical_witness(&mut self) -> Option<(usize, &'a str)> {
-        let bytes = self.text.as_bytes();
-        let mut at = self.at + 2;
-        if !bytes[self.at..].starts_with(b"s ") {
-            return None;
-        }
-        let index = usize::try_from(digits(bytes, &mut at)?).ok()?;
-        if bytes.get(at) != Some(&b' ') {
-            return None;
-        }
-        let start = at + 1;
-        let len = bytes[start..].iter().position(|&b| b == b'\n')?;
-        let value = &self.text[start..start + len];
-        if !value.bytes().next()?.is_ascii_graphic() || !value.bytes().last()?.is_ascii_graphic() {
-            return None;
-        }
-        self.at = start + len + 1;
-        self.pos += 1;
-        Some((index, value))
     }
 
     /// Consumes `keyword <number>`.
@@ -1293,43 +1194,6 @@ end
             let text = cert.to_text();
             proptest::prop_assert_eq!(&text, &reference_text(&cert));
             proptest::prop_assert_eq!(Certificate::parse(&text), Ok(cert));
-        }
-    }
-
-    proptest::proptest! {
-        /// `to_text` reserves exactly the length it writes: the text's
-        /// buffer is never regrown and holds no slack.
-        #[test]
-        fn text_len_is_the_exact_length_of_the_text(
-            seed in proptest::prelude::any::<u64>(),
-            kind in 0u64..5,
-            size in 0u64..6,
-        ) {
-            let cert = arbitrary_cert(seed, kind, usize::try_from(size).unwrap());
-            let text = cert.to_text();
-            proptest::prop_assert_eq!(cert.text_len(&rule_text(&cert.rule)), text.len());
-            proptest::prop_assert_eq!(text.capacity(), text.len());
-        }
-    }
-
-    #[test]
-    fn text_len_is_exact_on_every_golden_certificate() {
-        for (name, text) in super::reference::goldens() {
-            let cert = Certificate::parse(&text).unwrap();
-            assert_eq!(cert.text_len(&rule_text(&cert.rule)), text.len(), "{name}");
-            let emitted = cert.to_text();
-            assert_eq!(emitted.capacity(), emitted.len(), "{name}");
-        }
-    }
-
-    /// The digit count at both sides of every power of ten and of two.
-    #[test]
-    fn dec_len_counts_the_digits_of_every_width() {
-        let powers = (0..20).map(|k| 10u64.pow(k)).chain((0..64).map(|k| 1u64 << k));
-        for p in powers.chain([0, u64::MAX]) {
-            for x in [p.saturating_sub(1), p, p.saturating_add(1)] {
-                assert_eq!(dec_len(x), x.to_string().len(), "{x}");
-            }
         }
     }
 

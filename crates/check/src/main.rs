@@ -33,6 +33,8 @@ fn collect(args: &[String]) -> Result<Vec<PathBuf>, String> {
             if found.is_empty() {
                 return Err(format!("no .cert files in {arg}"));
             }
+            // `read_dir` order is not fixed; name order is.
+            found.sort();
             certs.extend(found);
         } else if path.is_file() {
             certs.push(path.to_path_buf());
@@ -42,7 +44,8 @@ fn collect(args: &[String]) -> Result<Vec<PathBuf>, String> {
     }
     // A file reached twice (a directory repeated, a file also reached
     // through its directory, or two spellings of one path) is checked and
-    // counted once, under the spelling that reached it first.
+    // counted once, under the spelling that reached it first: arguments
+    // in order, a directory's entries in name order.
     let mut seen = BTreeSet::new();
     let mut unique = Vec::with_capacity(certs.len());
     for path in certs {

@@ -143,6 +143,14 @@ fn a_certificate_reached_by_two_spellings_is_checked_once() {
     std::fs::create_dir_all(&dir).expect("create the certificate directory");
     std::fs::write(dir.join("a-hostile.cert"), HOSTILE).expect("write the hostile certificate");
     std::fs::copy(&golden, dir.join("b-golden.cert")).expect("copy the golden certificate");
+    // A third spelling inside the directory: whichever of the two names
+    // the directory lists first, the smaller one is kept.
+    #[cfg(unix)]
+    {
+        let link = dir.join("c-link.cert");
+        let _ = std::fs::remove_file(&link);
+        std::os::unix::fs::symlink("b-golden.cert", &link).expect("link the golden certificate");
+    }
     // The directory by a relative name, then `b-golden.cert` once with a
     // `./` prefix and once by an absolute path through `..`.
     let out = Command::new(env!("CARGO_BIN_EXE_treelocal-check"))
