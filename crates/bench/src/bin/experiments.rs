@@ -22,13 +22,15 @@ use std::process::ExitCode;
 use treelocal_bench::{
     all_experiment_ids, auto_threads, run_experiment_with_driver, Driver, ExperimentSize,
 };
+use treelocal_sim::par::clamp_to_machine;
 
 const USAGE: &str = "usage: experiments [--quick] [--threads N] [--emit-certs DIR] [ids...|all]
 
 flags:
   --quick         run the small test-sized workloads instead of the Full sweeps
   --threads N     shard each experiment across N pool workers (also
-                  --threads=N; 0 = auto; tables are identical for every N)
+                  --threads=N; 0 = auto; at most the machine's cores;
+                  tables are identical for every N)
   --emit-certs DIR
                   additionally emit run certificates to DIR as .cert files
                   (also --emit-certs=DIR); validate them with the
@@ -40,6 +42,7 @@ ids: e1..e14, or `all` (default)";
 #[derive(Debug)]
 struct Options {
     size: ExperimentSize,
+    /// The requested pool size, clamped to the machine (`None` = auto).
     threads: Option<usize>,
     emit_certs: Option<PathBuf>,
     ids: Vec<&'static str>,
@@ -60,10 +63,10 @@ fn parse(args: &[String]) -> Result<Options, (String, u8)> {
                 let value = it
                     .next()
                     .ok_or_else(|| ("--threads needs a value\n\n".to_string() + USAGE, 2))?;
-                threads = Some(parse_threads(value)?);
+                threads = parse_threads(value)?;
             }
             flag if flag.starts_with("--threads=") => {
-                threads = Some(parse_threads(&flag["--threads=".len()..])?);
+                threads = parse_threads(&flag["--threads=".len()..])?;
             }
             "--emit-certs" => {
                 // A following flag does NOT count as the directory:
@@ -103,10 +106,13 @@ fn parse(args: &[String]) -> Result<Options, (String, u8)> {
     Ok(Options { size, threads, emit_certs, ids })
 }
 
-fn parse_threads(value: &str) -> Result<usize, (String, u8)> {
-    value
+/// Parses a `--threads` value: 0 is auto (`None`), anything else is
+/// clamped to the machine's cores.
+fn parse_threads(value: &str) -> Result<Option<usize>, (String, u8)> {
+    let n = value
         .parse::<usize>()
-        .map_err(|_| (format!("--threads needs a non-negative integer, got {value:?}"), 2))
+        .map_err(|_| (format!("--threads needs a non-negative integer, got {value:?}"), 2))?;
+    Ok((n > 0).then(|| clamp_to_machine(n)))
 }
 
 fn main() -> ExitCode {
@@ -134,8 +140,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    let threads = opts.threads.filter(|&n| n > 0).unwrap_or_else(auto_threads);
-    let driver = Driver::with_threads(threads);
+    let driver = Driver::with_threads(opts.threads.unwrap_or_else(auto_threads));
     let csv_dir = PathBuf::from("target/experiments");
     for id in opts.ids {
         let start = std::time::Instant::now();
@@ -148,7 +153,7 @@ fn main() -> ExitCode {
         println!("[{id} done in {:.1?}]\n", start.elapsed());
     }
     if let Some(dir) = &opts.emit_certs {
-        let suite = treelocal_bench::cert_suite(opts.size, opts.threads.filter(|&n| n > 0));
+        let suite = treelocal_bench::cert_suite(opts.size, opts.threads);
         if let Err(e) = treelocal_bench::emit_certs(dir, &suite) {
             eprintln!("--emit-certs: cannot write to {}: {e}", dir.display());
             return ExitCode::from(2);
@@ -208,6 +213,22 @@ mod tests {
         let (message, code) = parse(&argv(&["--emit-certs="])).unwrap_err();
         assert_eq!(code, 2);
         assert!(message.contains("--emit-certs needs a directory"), "{message}");
+    }
+
+    #[test]
+    fn threads_are_clamped_to_the_machine() {
+        // Parsed only: no pool is started.
+        let machine = clamp_to_machine(0);
+        for (value, expect) in [
+            ("0".to_string(), None),
+            ("1".to_string(), Some(1)),
+            (machine.to_string(), Some(machine)),
+            (usize::MAX.to_string(), Some(machine)),
+        ] {
+            assert_eq!(parse(&argv(&["--threads", &value])).unwrap().threads, expect, "{value}");
+            let spelled = format!("--threads={value}");
+            assert_eq!(parse(&argv(&[&spelled])).unwrap().threads, expect, "{spelled}");
+        }
     }
 
     #[test]

@@ -229,25 +229,8 @@ fn check_mis_witnesses(g: &Graph, witnesses: &[MisWitness]) -> Result<(), CheckE
 /// The `b`-matching judgment: no node saturated past `b`, and no edge
 /// addable (both endpoints below `b`) left unchosen.
 fn check_b_matching(g: &Graph, chosen: &[bool], b: u32) -> Result<(), CheckError> {
-    expect_edge_count(g, chosen.len())?;
-    let mut saturation = vec![0u64; g.node_count()];
-    for e in g.edge_ids() {
-        if chosen[e.index()] {
-            let [u, v] = g.endpoints(e);
-            saturation[u.index()] += 1;
-            saturation[v.index()] += 1;
-        }
-    }
+    let saturation = saturation_within(g, chosen, b)?;
     let limit = u64::from(b);
-    for v in g.node_ids() {
-        if saturation[v.index()] > limit {
-            return Err(CheckError::OverSaturated {
-                node: v.index(),
-                chosen: saturation[v.index()],
-                limit,
-            });
-        }
-    }
     for e in g.edge_ids() {
         if !chosen[e.index()] {
             let [u, v] = g.endpoints(e);
@@ -261,6 +244,12 @@ fn check_b_matching(g: &Graph, chosen: &[bool], b: u32) -> Result<(), CheckError
 
 /// Whether `chosen` is a valid (not necessarily maximal) `b`-matching.
 pub fn matching_validity(g: &Graph, chosen: &[bool], b: u32) -> Result<(), CheckError> {
+    saturation_within(g, chosen, b).map(drop)
+}
+
+/// Each node's count of chosen incident edges, after checking the edge
+/// count and that no node exceeds `b` (else the first such node errs).
+fn saturation_within(g: &Graph, chosen: &[bool], b: u32) -> Result<Vec<u64>, CheckError> {
     expect_edge_count(g, chosen.len())?;
     let mut saturation = vec![0u64; g.node_count()];
     for e in g.edge_ids() {
@@ -280,7 +269,7 @@ pub fn matching_validity(g: &Graph, chosen: &[bool], b: u32) -> Result<(), Check
             });
         }
     }
-    Ok(())
+    Ok(saturation)
 }
 
 fn properness(g: &Graph, colors: &[u64]) -> Result<(), CheckError> {

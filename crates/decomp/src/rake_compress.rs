@@ -19,7 +19,7 @@
 use crate::order::LayerOrder;
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{narrow_u32, widen_u32, Graph, NodeId, SemiGraph, Topology};
-use treelocal_sim::{ceil_log, run, Ctx, Ports, StateCodec, SyncAlgorithm, Verdict};
+use treelocal_sim::{ceil_log, run, Ctx, GatherPlan, Ports, StateCodec, SyncAlgorithm, Verdict};
 
 /// Which operation marked a node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -210,13 +210,15 @@ pub fn check_lemma10(g: &Graph, rc: &RakeCompress) -> bool {
 /// of the graph induced by the raked nodes.
 ///
 /// Exact: raked components are subtrees of the input tree, and a tree
-/// component's diameter is the maximum eccentricity over its members, so
-/// one all-node eccentricity pass (the same rerooting DP backing the
-/// gather costing cache) covers every component in linear total time —
-/// no per-component double sweep, and no `components()` partition at all.
+/// component's diameter is the maximum eccentricity over its members. The
+/// eccentricities come from a [`GatherPlan`] over `T_R` — the same cache
+/// that costs Algorithm 2's gathers — which fills each component with one
+/// rerooting-DP pass on its first query, so every component costs linear
+/// time: no per-component double sweep, and no `components()` partition.
 pub fn raked_component_max_diameter(g: &Graph, rc: &RakeCompress) -> u32 {
     let tr = rc.raked_semigraph(g);
-    treelocal_graph::all_eccentricities(&tr).max()
+    let plan = GatherPlan::new(&tr);
+    tr.nodes().iter().map(|&v| plan.eccentricity(v)).max().unwrap_or(0)
 }
 
 /// The Lemma 11 bound `4(log_k n + 1) + 2`.
@@ -412,6 +414,32 @@ mod tests {
             check_all_lemmas(&star(50), k);
             check_all_lemmas(&balanced_regular_tree(3, 80), k);
             check_all_lemmas(&balanced_regular_tree(8, 80), k);
+        }
+    }
+
+    #[test]
+    fn raked_diameter_matches_a_double_sweep_per_component() {
+        // Double sweep: the farthest node from any member of a tree
+        // component is an end of its diameter.
+        let small = (1..=6).flat_map(treelocal_gen::labelled_trees);
+        let large = (1..=20usize).map(|i| random_tree(100 * i, treelocal_graph::widen_u64(i)));
+        for g in small.chain(large) {
+            for k in [2usize, 3, 4] {
+                let rc = rake_compress(&g, k);
+                let tr = rc.raked_semigraph(&g);
+                let cc = treelocal_graph::components(&tr);
+                let swept = cc.iter().map(|members| {
+                    let (end, _) = treelocal_graph::sparse_bfs_farthest(&tr, members[0]);
+                    treelocal_graph::eccentricity_sparse(&tr, end)
+                });
+                let edges: Vec<_> = g.edge_ids().map(|e| g.endpoints(e)).collect();
+                assert_eq!(
+                    raked_component_max_diameter(&g, &rc),
+                    swept.max().unwrap_or(0),
+                    "k = {k}, n = {}, edges {edges:?}",
+                    g.node_count()
+                );
+            }
         }
     }
 

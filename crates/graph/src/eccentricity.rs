@@ -8,8 +8,9 @@
 //! BFS would report — for **every** node of a component in `O(component)`
 //! total. [`component_eccentricities`] runs that pass for one component
 //! (falling back to one [`sparse_bfs_farthest`] per member on components
-//! with cycles, where the tree DP does not apply), and
-//! [`all_eccentricities`] sweeps a whole topology.
+//! with cycles, where the tree DP does not apply). The one cache of its
+//! results is `treelocal_sim::GatherPlan`, which fills a component on its
+//! first query.
 //!
 //! # Determinism contract
 //!
@@ -32,81 +33,6 @@ use std::cell::RefCell;
 /// the required initial value of the `ecc` buffer handed to
 /// [`component_eccentricities`]).
 pub const ECC_UNCOMPUTED: u32 = u32::MAX;
-
-/// All-node eccentricities (and matching farthest nodes) of a topology,
-/// as computed by [`all_eccentricities`].
-#[derive(Clone, Debug)]
-pub struct Eccentricities {
-    ecc: Vec<u32>,
-    far: Vec<NodeId>,
-}
-
-impl Eccentricities {
-    /// The eccentricity of `v` within its component.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` does not participate in the topology the pass ran on.
-    pub fn eccentricity(&self, v: NodeId) -> u32 {
-        let e = self.ecc[v.index()];
-        assert!(e != ECC_UNCOMPUTED, "node {v:?} does not participate in the topology");
-        e
-    }
-
-    /// The farthest node from `v` and its distance — the exact pair
-    /// [`sparse_bfs_farthest`] returns, tie-break included.
-    ///
-    /// # Panics
-    ///
-    /// As [`eccentricity`](Eccentricities::eccentricity).
-    pub fn farthest(&self, v: NodeId) -> (NodeId, u32) {
-        (self.far[v.index()], self.eccentricity(v))
-    }
-
-    /// The eccentricity of `v`, or `None` for non-participating nodes.
-    pub fn get(&self, v: NodeId) -> Option<u32> {
-        match self.ecc.get(v.index()) {
-            Some(&e) if e != ECC_UNCOMPUTED => Some(e),
-            _ => None,
-        }
-    }
-
-    /// The maximum eccentricity over all participating nodes (0 if there
-    /// are none) — on forests this is the exact maximum component
-    /// diameter.
-    pub fn max(&self) -> u32 {
-        self.ecc.iter().copied().filter(|&e| e != ECC_UNCOMPUTED).max().unwrap_or(0)
-    }
-}
-
-/// Computes the eccentricity and farthest node of **every** node of a
-/// topology in one pass per component.
-///
-/// Tree components cost `O(component)` total via the rerooting DP;
-/// components with cycles fall back to one sparse BFS per member (the DP's
-/// height decomposition needs a unique path structure). Results are
-/// per-node identical to calling [`sparse_bfs_farthest`] in a loop.
-///
-/// # Examples
-///
-/// ```
-/// use treelocal_graph::{all_eccentricities, Graph, NodeId};
-/// let path = Graph::from_edges(5, &(0..4).map(|i| (i, i + 1)).collect::<Vec<_>>()).unwrap();
-/// let ecc = all_eccentricities(&path);
-/// assert_eq!(ecc.eccentricity(NodeId::new(0)), 4);
-/// assert_eq!(ecc.farthest(NodeId::new(2)), (NodeId::new(0), 2));
-/// assert_eq!(ecc.max(), 4); // the path's diameter
-/// ```
-pub fn all_eccentricities<T: Topology>(topo: &T) -> Eccentricities {
-    let mut ecc = vec![ECC_UNCOMPUTED; topo.index_space()];
-    let mut far: Vec<NodeId> = (0..topo.index_space()).map(NodeId::new).collect();
-    for v in topo.nodes() {
-        if ecc[v.index()] == ECC_UNCOMPUTED {
-            component_eccentricities(topo, v, &mut ecc, &mut far);
-        }
-    }
-    Eccentricities { ecc, far }
-}
 
 /// Reusable per-thread scratch for the rerooting DP. All node-indexed
 /// tables are epoch-stamped (`seen`), so nothing needs resetting between
@@ -308,10 +234,23 @@ mod tests {
     use crate::semigraph::SemiGraph;
     use crate::traversal::sparse_bfs_farthest;
 
-    fn assert_matches_sparse<T: Topology>(topo: &T) {
-        let all = all_eccentricities(topo);
+    /// The pass run once per component, as a gather plan fills its cache.
+    fn every_component<T: Topology>(topo: &T) -> (Vec<u32>, Vec<NodeId>) {
+        let mut ecc = vec![ECC_UNCOMPUTED; topo.index_space()];
+        let mut far = vec![NodeId::new(0); topo.index_space()];
         for v in topo.nodes() {
-            assert_eq!(all.farthest(v), sparse_bfs_farthest(topo, v), "node {v:?}");
+            if ecc[v.index()] == ECC_UNCOMPUTED {
+                component_eccentricities(topo, v, &mut ecc, &mut far);
+            }
+        }
+        (ecc, far)
+    }
+
+    fn assert_matches_sparse<T: Topology>(topo: &T) {
+        let (ecc, far) = every_component(topo);
+        for v in topo.nodes() {
+            let pair = (far[v.index()], ecc[v.index()]);
+            assert_eq!(pair, sparse_bfs_farthest(topo, v), "node {v:?}");
         }
     }
 
@@ -341,9 +280,9 @@ mod tests {
     fn matches_sparse_on_forests_and_isolated_nodes() {
         let g = Graph::from_edges(8, &[(0, 1), (1, 2), (4, 5), (5, 6), (5, 7)]).unwrap();
         assert_matches_sparse(&g);
-        let all = all_eccentricities(&g);
-        assert_eq!(all.farthest(NodeId::new(3)), (NodeId::new(3), 0));
-        assert_eq!(all.max(), 2);
+        let (ecc, far) = every_component(&g);
+        assert_eq!((far[3], ecc[3]), (NodeId::new(3), 0));
+        assert_eq!(ecc.iter().max(), Some(&2));
     }
 
     #[test]
@@ -353,8 +292,7 @@ mod tests {
             Graph::from_edges(9, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (6, 7), (7, 8)])
                 .unwrap();
         assert_matches_sparse(&g);
-        let all = all_eccentricities(&g);
-        assert_eq!(all.eccentricity(NodeId::new(5)), 3);
+        assert_eq!(every_component(&g).0[5], 3);
     }
 
     #[test]
@@ -364,19 +302,10 @@ mod tests {
         let g = path(10);
         let s = SemiGraph::induced_by_nodes(&g, |v| v.index() != 4);
         assert_matches_sparse(&s);
-        let all = all_eccentricities(&s);
-        assert_eq!(all.eccentricity(NodeId::new(0)), 3);
-        assert_eq!(all.eccentricity(NodeId::new(9)), 4);
-        assert_eq!(all.get(NodeId::new(4)), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not participate")]
-    fn absent_node_panics() {
-        let g = path(4);
-        let s = SemiGraph::induced_by_nodes(&g, |v| v.index() < 2);
-        let all = all_eccentricities(&s);
-        let _ = all.eccentricity(NodeId::new(3));
+        let (ecc, _) = every_component(&s);
+        assert_eq!(ecc[0], 3);
+        assert_eq!(ecc[9], 4);
+        assert_eq!(ecc[4], ECC_UNCOMPUTED, "a non-participant is never written");
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! * [`Topology`] — the abstraction over which the simulator and all
 //!   distributed algorithms are generic,
 //! * traversal: [`components`], the sparse single-source BFS
-//!   [`sparse_bfs_farthest`], and the all-node eccentricity pass
-//!   [`all_eccentricities`],
+//!   [`sparse_bfs_farthest`], and the per-component eccentricity pass
+//!   [`component_eccentricities`],
 //! * forest utilities ([`is_tree`], [`root_forest`]), and
 //! * arboricity tooling ([`degeneracy`], [`forest_partition`]).
 //!
@@ -51,9 +51,7 @@ mod traversal;
 pub use adjacency::{Graph, GraphEdges};
 pub use arboricity::{degeneracy, forest_partition, is_forest_partition, ForestPartition, Peeling};
 pub use csr::Neighbors;
-pub use eccentricity::{
-    all_eccentricities, component_eccentricities, Eccentricities, ECC_UNCOMPUTED,
-};
+pub use eccentricity::{component_eccentricities, ECC_UNCOMPUTED};
 pub use forest::{is_forest, is_tree, root_forest, RootedForest};
 pub use ids::{narrow_u32, widen_u32, widen_u64, EdgeId, HalfEdge, NodeId, NodeRange, Side};
 pub use invariant::OrInvariant;

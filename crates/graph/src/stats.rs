@@ -2,7 +2,7 @@
 //!
 //! Generation-heavy suites spend most of their wall clock *building*
 //! graphs, not stepping them, and the round/step counters are blind to
-//! that phase. Every streamed build (see [`crate::source`]) records here:
+//! that phase. Every streamed build (see [`crate::EdgeSource`]) records here:
 //!
 //! - [`bytes_ingested`] accumulates the compact endpoint bytes ingested
 //!   from edge streams (8 bytes per edge — the u32 record pair the graph

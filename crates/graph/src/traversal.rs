@@ -3,9 +3,9 @@
 //!
 //! All functions are generic over [`Topology`] so they apply equally to
 //! whole graphs and to semi-graph restrictions (where "connected" means
-//! connected in the underlying graph, as in the paper). Eccentricities of
-//! many nodes at once come from the rerooting DP in
-//! [`all_eccentricities`](crate::all_eccentricities), which reproduces
+//! connected in the underlying graph, as in the paper). The rerooting DP
+//! in [`component_eccentricities`](crate::component_eccentricities) gives
+//! every node of a component its eccentricity at once, reproducing
 //! [`sparse_bfs_farthest`] per node.
 
 use crate::ids::NodeId;
@@ -133,9 +133,10 @@ thread_local! {
 /// maximum distance**, where neighbors are visited in adjacency-list
 /// order — deterministic, and identical to the previous hash-map-keyed
 /// implementation (the map only ever gated visitation; the queue order
-/// decided ties). The all-node eccentricity pass
-/// ([`all_eccentricities`](crate::all_eccentricities)) pins its own
-/// tie-break to this function, so the two are interchangeable per node.
+/// decided ties). The per-component eccentricity pass
+/// ([`component_eccentricities`](crate::component_eccentricities)) pins
+/// its own tie-break to this function, so the two are interchangeable per
+/// node.
 pub fn sparse_bfs_farthest<T: Topology>(topo: &T, v: NodeId) -> (NodeId, u32) {
     SPARSE_BFS.with(|cell| {
         let scratch = &mut *cell.borrow_mut();
@@ -307,12 +308,16 @@ mod tests {
 
     #[test]
     fn sparse_eccentricity_matches_dense() {
-        // The all-node pass fills a dense index-space table; it must agree
-        // with one sparse BFS per node.
+        // The per-component pass fills a dense index-space table; it must
+        // agree with one sparse BFS per node.
         let g = Graph::from_edges(8, &[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]).unwrap();
-        let dense = crate::all_eccentricities(&g);
+        let mut ecc = vec![crate::ECC_UNCOMPUTED; g.node_count()];
+        let mut far = vec![NodeId::new(0); g.node_count()];
         for v in g.node_ids() {
-            assert_eq!(dense.eccentricity(v), eccentricity_sparse(&g, v), "{v:?}");
+            if ecc[v.index()] == crate::ECC_UNCOMPUTED {
+                crate::component_eccentricities(&g, v, &mut ecc, &mut far);
+            }
+            assert_eq!(ecc[v.index()], eccentricity_sparse(&g, v), "{v:?}");
         }
     }
 

@@ -104,8 +104,8 @@ pub trait SyncAlgorithm<T: Topology> {
 /// Large frontiers are stepped on the vendored rayon pool, sized by
 /// [`crate::par::auto_threads`] (scope an explicit size with
 /// [`crate::par::with_threads`]; the `TREELOCAL_THREADS` environment
-/// variable sets the default). Outcomes and round counts are
-/// byte-identical for every pool size — pinned by
+/// variable sets the default, clamped to the machine). Outcomes and round
+/// counts are byte-identical for every pool size — pinned by
 /// `tests/parallel_equiv.rs`.
 ///
 /// # Panics

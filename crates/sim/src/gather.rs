@@ -8,12 +8,13 @@
 //! its component. This module computes that cost exactly.
 //!
 //! [`gather_rounds_at`] is the uncached single-query primitive (one sparse
-//! BFS per call). Pipelines that cost a whole *family* of components —
-//! Theorem 12's residual loop, the experiment suites — go through a
-//! [`GatherPlan`]: a component-keyed eccentricity cache that fills each
+//! BFS per call). Everything that reads many eccentricities of one
+//! topology — Theorem 12's residual loop, the experiment suites, the
+//! Lemma 11 diameter of the raked components — goes through a
+//! [`GatherPlan`], the workspace's one eccentricity cache. It fills each
 //! component with one linear pass (the rerooting DP of
 //! [`treelocal_graph::component_eccentricities`]) the first time any of
-//! its members is queried, after which every further center in that
+//! its members is queried, after which every further query in that
 //! component is O(1). The costs are **byte-identical** to the uncached
 //! BFS per center — the DP pins the same farthest-node tie-break — which
 //! the `gather_equiv` property suite and the golden round-count fixture
@@ -79,7 +80,14 @@ impl<'t, T: Topology> GatherPlan<'t, T> {
 
     /// The eccentricity of `v` within its component, filling the
     /// component's cache entries on first touch.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build profile, if `v` does not participate in the
+    /// plan's topology; so do [`farthest`](GatherPlan::farthest) and
+    /// [`rounds_at`](GatherPlan::rounds_at).
     pub fn eccentricity(&self, v: NodeId) -> u32 {
+        assert!(self.topo.contains_node(v), "node {v:?} does not participate in the topology");
         let mut ecc = self.ecc.borrow_mut();
         if ecc.is_empty() {
             // First query: materialize the index-keyed tables. `far` gets
@@ -159,5 +167,16 @@ mod tests {
         assert_eq!(gather_rounds_at(&s, NodeId::new(0)), 2);
         let plan = GatherPlan::new(&s);
         assert_eq!(plan.rounds_at(NodeId::new(0)), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not participate")]
+    fn absent_node_panics() {
+        // Node 3 lies outside the restriction: no pass ever writes its entry.
+        let g = Graph::from_edges(4, &(0..3).map(|i| (i, i + 1)).collect::<Vec<_>>()).unwrap();
+        let s = SemiGraph::induced_by_nodes(&g, |v| v.index() < 2);
+        let plan = GatherPlan::new(&s);
+        assert_eq!(plan.eccentricity(NodeId::new(0)), 1);
+        let _ = plan.eccentricity(NodeId::new(3));
     }
 }

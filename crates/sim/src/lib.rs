@@ -14,12 +14,12 @@
 //! * [`RoundReport`] — per-phase accounting used by every pipeline,
 //! * [`gather_rounds_at`] and the [`GatherPlan`] eccentricity cache — the
 //!   honest cost of the paper's "gather the component at its highest
-//!   node" steps, one linear pass per costed component,
+//!   node" steps and every other eccentricity read, one pass per component,
 //! * [`log_star_f64`] / [`ceil_log`] — the complexity-function helpers,
 //! * [`next_prime`] — support for Linial-style color reduction,
 //! * [`counters`] — process-wide round/node-step counters that the
 //!   `perfbench` benchmark and the counter tests read, and
-//! * [`par`] — the deterministic worker pool and the runtime pool size
+//! * [`par`] — the deterministic worker pool and the one pool-size source
 //!   ([`par::with_threads`] scopes an override around any run).
 //!
 //! # Examples

@@ -10,8 +10,9 @@
 //! algorithm is cross-checked under both engines next to its own code.
 //!
 //! A message is a lane row. The inbox holds one row per `(recipient,
-//! port)` slot, and [`Router`] routes a sender's port `p` to the slot of
-//! the neighbour behind it in O(1):
+//! port)` slot, and [`Router`], keyed by node index like every other
+//! engine table, routes a sender's port `p` to the slot of the neighbour
+//! behind it in O(1):
 //!
 //! * at seeding, every participant delivers its seeded row, halted nodes
 //!   and sleepers included;
@@ -34,74 +35,41 @@ use crate::engine::{drain, seeded_core, Ctx, SyncAlgorithm};
 use treelocal_graph::{narrow_u32, widen_u32, widen_u64, NodeId, Topology};
 
 /// Flat routing tables and inboxes for one message run, in the same CSR
-/// shape as the graph's adjacency — but **dense over the participants**,
-/// not the index space.
+/// shape as the graph's adjacency and keyed by node index like every other
+/// engine table.
 ///
-/// A [`Remap`] ranks each participating node into `0..k` (`k` =
-/// participant count); `offsets[rank(v)]..offsets[rank(v) + 1]` delimits
-/// node `v`'s port range in both flat arrays: `slots` holds the inbox row
-/// per port and `back_port[offsets[rank(v)] + p]` is the port of the
-/// neighbor behind `v`'s port `p` that leads back to `v`. Routing is pure
-/// offset arithmetic over contiguous memory; sparse participant sets
-/// (semi-graph restrictions inside a large parent index space) pay for
-/// their own nodes only, never for the index space.
+/// `offsets[v]..offsets[v + 1]` delimits node `v`'s port range in both
+/// flat arrays (`offsets` spans the index space plus one; a
+/// non-participant's range is empty): `slots` holds the inbox row per port
+/// and `back_port[offsets[v] + p]` is the port of the neighbor behind
+/// `v`'s port `p` that leads back to `v`. Routing is pure offset
+/// arithmetic over contiguous memory.
 #[derive(Debug)]
 pub(crate) struct Router<S: StateCodec> {
-    remap: Remap,
     offsets: Vec<u32>,
     back_port: Vec<u32>,
     slots: SoaColumns<S>,
 }
 
-/// Dense ranking of the participating node indices.
-///
-/// Topologies enumerate participants in ascending index order (CSR node
-/// ranges and semi-graph restrictions both do), so when every index in
-/// `0..index_space` participates the rank *is* the index and nothing is
-/// stored; otherwise the sorted participant list ranks by binary search.
-#[derive(Debug)]
-enum Remap {
-    /// Participants are exactly `0..index_space`.
-    Identity,
-    /// Sorted participant indices; rank = position in this list.
-    Dense(Vec<u32>),
-}
-
-impl Remap {
-    #[inline]
-    fn rank(&self, v: NodeId) -> usize {
-        match self {
-            Remap::Identity => v.index(),
-            Remap::Dense(ids) => {
-                ids.binary_search(&narrow_u32(v.index())).unwrap_or_else(|_| {
-                    // lint:allow(no-panic-in-lib): routing to a node outside
-                    // the participant set is an engine bug with no meaningful
-                    // slot to return.
-                    panic!("{v:?} is not a participant of this run")
-                })
-            }
-        }
-    }
-}
-
 impl<S: StateCodec> Router<S> {
     /// Builds every routing table in **one pass** over the adjacency.
     ///
-    /// Each participant appends its rank, its prefix-sum offset and its
-    /// back ports as it streams by; the reverse port of `v`'s port `p`
-    /// towards `w` is found by binary search in `w`'s sorted neighbor
-    /// slice, so the whole build is O(Σ deg · log Δ) with no edge-space or
-    /// index-space transients (pinned by `high_degree_star_setup_is_linear`).
+    /// Each participant appends its prefix-sum offset and its back ports
+    /// as it streams by; the reverse port of `v`'s port `p` towards `w` is
+    /// found by binary search in `w`'s sorted neighbor slice, so the whole
+    /// build is O(index space + Σ deg · log Δ) with no edge-space
+    /// transients (pinned by `high_degree_star_setup_is_linear`).
     pub(crate) fn new<T: Topology>(topo: &T) -> Self {
-        let mut participants: Vec<u32> = Vec::new();
         let mut offsets: Vec<u32> = vec![0];
         let mut back_port: Vec<u32> = Vec::new();
         for v in topo.nodes() {
-            debug_assert!(
-                participants.last().is_none_or(|&p| widen_u32(p) < v.index()),
+            // Checked in every profile: out of order, `resize` cuts ranges.
+            assert!(
+                offsets.len() <= v.index() + 1,
                 "topologies enumerate nodes in ascending index order"
             );
-            participants.push(narrow_u32(v.index()));
+            // Every skipped index below `v` is a non-participant: empty range.
+            offsets.resize(v.index() + 1, narrow_u32(back_port.len()));
             for &w in topo.neighbor_nodes(v) {
                 // Checked in every profile: a neighbor that does not list us
                 // back means the topology's adjacency is not symmetric, and
@@ -119,22 +87,15 @@ impl<S: StateCodec> Router<S> {
             }
             offsets.push(narrow_u32(back_port.len()));
         }
-        let remap = if participants.len() == topo.index_space() {
-            // Distinct ascending indices below the index space filling it
-            // completely are exactly 0..index_space: rank = index.
-            Remap::Identity
-        } else {
-            Remap::Dense(participants)
-        };
+        offsets.resize(topo.index_space() + 1, narrow_u32(back_port.len()));
         let slots = SoaColumns::new(back_port.len());
-        Router { remap, offsets, back_port, slots }
+        Router { offsets, back_port, slots }
     }
 
     /// The flat slot range of node `v`'s inbox (and of its back-port row).
     #[inline]
     fn range(&self, v: NodeId) -> std::ops::Range<usize> {
-        let r = self.remap.rank(v);
-        widen_u32(self.offsets[r])..widen_u32(self.offsets[r + 1])
+        widen_u32(self.offsets[v.index()])..widen_u32(self.offsets[v.index() + 1])
     }
 
     /// Node `v`'s inbox, one delivered row per port.
@@ -277,24 +238,27 @@ mod tests {
     }
 
     #[test]
-    fn router_tables_are_dense_over_participants() {
-        // A sparse restriction inside a large parent index space must pay
-        // for its own nodes only: offsets are participant-sized (not
-        // index-space-sized) and ranks are dense.
+    fn router_tables_are_keyed_by_node_index() {
+        // A sparse restriction: offsets span the whole index space, every
+        // non-participant's range is empty, and the participants' ranges
+        // tile `back_port` in node order.
         let g = treelocal_gen::random_tree(200, 4);
         let s = treelocal_graph::SemiGraph::induced_by_nodes(&g, |v| v.index() % 5 == 0);
-        let k = s.nodes().len();
-        assert!(k < s.index_space(), "restriction must be sparse for this test");
+        assert!(s.nodes().len() < s.index_space(), "restriction must be sparse for this test");
         let router: Router<u32> = Router::new(&s);
-        assert_eq!(router.offsets.len(), k + 1);
-        assert!(matches!(router.remap, Remap::Dense(ref ids) if ids.len() == k));
-        for (rank, &v) in s.nodes().iter().enumerate() {
-            assert_eq!(router.remap.rank(v), rank);
+        assert_eq!(router.offsets.len(), s.index_space() + 1);
+        let mut end = 0;
+        for v in g.node_ids() {
+            let range = router.range(v);
+            if s.contains_node(v) {
+                assert_eq!(range.start, end, "{v:?} starts where the previous range ended");
+                assert_eq!(range.len(), s.degree(v), "{v:?} has one slot per port");
+                end = range.end;
+            } else {
+                assert!(range.is_empty(), "non-participant {v:?} owns slots {range:?}");
+            }
         }
-        // The full graph fills its index space: no participant list at all.
-        let router: Router<u32> = Router::new(&g);
-        assert!(matches!(router.remap, Remap::Identity));
-        assert_eq!(router.offsets.len(), g.node_count() + 1);
+        assert_eq!(end, router.back_port.len(), "the ranges cover every back port");
     }
 
     #[test]

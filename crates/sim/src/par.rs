@@ -17,9 +17,10 @@
 //!
 //! The engine commits verdicts in awake order afterwards, which is what
 //! keeps pooled and inline runs byte-identical (pinned by
-//! `tests/parallel_equiv.rs`). The pool size is a runtime value:
-//! [`auto_threads`] reads it, and [`with_threads`] overrides it for the
-//! duration of a closure.
+//! `tests/parallel_equiv.rs`). This module is the one owner of the pool
+//! size, a runtime value: [`auto_threads`] reads it, [`with_threads`]
+//! overrides it for the duration of a closure, and a size from outside the
+//! program goes through [`clamp_to_machine`] first.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -68,13 +69,12 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 
 /// The pool size an engine run uses: the innermost [`with_threads`]
 /// override if one is set (always 1 inside a [`par_map`] worker), else the
-/// `TREELOCAL_THREADS` environment variable (0 or unset = auto), else the
-/// rayon default (`RAYON_NUM_THREADS`, else available parallelism).
+/// `TREELOCAL_THREADS` environment variable through [`clamp_to_machine`]
+/// (0, unset or unparsable = the machine's available parallelism).
 ///
-/// The environment probe is computed once per process — like real rayon's
-/// global pool size — both so the environment is stable configuration and
-/// because the probe can touch the filesystem (cgroup quotas), which is
-/// too slow for the per-`run` call sites.
+/// The probe runs once per process: the environment is stable
+/// configuration, and the probe can touch the filesystem (cgroup quotas),
+/// which is too slow for the per-`run` call sites.
 pub fn auto_threads() -> usize {
     let forced = OVERRIDE.with(Cell::get);
     if forced > 0 {
@@ -82,11 +82,26 @@ pub fn auto_threads() -> usize {
     }
     static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *AUTO.get_or_init(|| {
-        match std::env::var("TREELOCAL_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) if n > 0 => n,
-            _ => rayon::current_num_threads(),
-        }
+        let requested = std::env::var("TREELOCAL_THREADS").ok().and_then(|v| v.parse().ok());
+        clamp_to_machine(requested.unwrap_or(0))
     })
+}
+
+/// A pool size requested from outside the program, bounded by the
+/// machine's available parallelism (probed once per process): 0 means the
+/// whole machine, and larger requests are cut down to it. A pooled round
+/// spawns `min(threads, awake nodes)` OS threads, so an unbounded request
+/// would start one per awake node. [`with_threads`] sizes are the
+/// caller's and are not clamped.
+pub fn clamp_to_machine(requested: usize) -> usize {
+    static MACHINE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let machine =
+        *MACHINE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    if requested == 0 {
+        machine
+    } else {
+        requested.min(machine)
+    }
 }
 
 /// Maps `f` over `items` with `threads` workers, returning results in item
@@ -280,6 +295,17 @@ mod tests {
             assert_eq!(auto_threads(), 5);
         });
         assert_eq!(auto_threads(), outside);
+    }
+
+    #[test]
+    fn outside_requests_are_clamped_to_the_machine() {
+        let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for (requested, expect) in [(0, machine), (1, 1), (machine, machine), (usize::MAX, machine)]
+        {
+            assert_eq!(clamp_to_machine(requested), expect, "requested {requested}");
+        }
+        // The variable-driven default never exceeds the machine.
+        assert!((1..=machine).contains(&auto_threads()));
     }
 
     #[test]
