@@ -14,7 +14,8 @@
 //! A waiting node is seeded asleep until its round
 //! ([`Verdict::SleepUntil`]), so the engine steps it exactly once, in that
 //! round, and it halts there. A sleeper is still running, so the
-//! transcript's per-round frontier commitment sees it every round it waits.
+//! transcript's per-round commitment counts it live every round it waits,
+//! without listing it.
 //! A rule sees the decided neighbours in port order, the order of
 //! `neighbor_nodes(v)` and `neighbor_edges(v)`.
 

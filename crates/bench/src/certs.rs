@@ -1,13 +1,13 @@
 //! Certificate emission: runs the quick-profile pipelines with transcript
-//! recording armed and packages the results as `treelocal-cert v1`
+//! recording armed and packages the results as `treelocal-cert v2`
 //! certificates for the engine-blind `treelocal-check` verifier.
 //!
 //! Every certificate is fully deterministic — instances are seeded, runs
 //! are deterministic for every pool size, and the transcript recorder
-//! hashes frontiers in commit order — so the emitted bytes are identical
-//! across pool sizes and (for Linial) across the snapshot and message
-//! engines. `tests/cert_matrix.rs` pins both identities; the `check` CI
-//! job replays the emission and validates every file.
+//! hashes each round's halts in node order — so the emitted bytes are
+//! identical across pool sizes and (for Linial) across the snapshot and
+//! message engines. `tests/cert_matrix.rs` pins both identities; the
+//! `check` CI job replays the emission and validates every file.
 
 use std::io::Write as _;
 use std::path::Path;

@@ -5,7 +5,7 @@
 //! engines, chained frontier commitments), so any engine or transcript
 //! change that moves a halt round, a commitment, or a single output color
 //! fails this test loudly instead of silently re-signing the run. The
-//! fixtures also pin the `treelocal-cert v1` wire format itself: a parser
+//! fixtures also pin the `treelocal-cert v2` wire format itself: a parser
 //! or serializer change that alters bytes is a format break and must bump
 //! the version line.
 //!
@@ -85,10 +85,24 @@ fn future_format_versions_are_rejected() {
     let dir = fixture_dir();
     let sample = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
     let text = std::fs::read_to_string(&sample).unwrap();
-    let bumped = text.replacen("treelocal-cert v1", "treelocal-cert v2", 1);
+    let bumped = text.replacen("treelocal-cert v2", "treelocal-cert v3", 1);
     assert_eq!(
         check_text(&bumped),
-        Err(CheckError::VersionMismatch { found: "treelocal-cert v2".to_string() }),
+        Err(CheckError::VersionMismatch { found: "treelocal-cert v3".to_string() }),
         "a bumped version line must be rejected, not guessed at"
+    );
+}
+
+/// A v1 certificate commits whole frontiers per round: read as v2, every
+/// one of its commitments would mismatch. It is rejected by its version
+/// line instead.
+#[test]
+fn v1_certificates_are_rejected_by_version() {
+    let path = fixture_dir().join("mis-pipeline-tree.cert");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let v1 = text.replacen("treelocal-cert v2", "treelocal-cert v1", 1);
+    assert_eq!(
+        check_text(&v1),
+        Err(CheckError::VersionMismatch { found: "treelocal-cert v1".to_string() })
     );
 }

@@ -1,10 +1,10 @@
-//! The versioned certificate format (`treelocal-cert v1`) — parse,
+//! The versioned certificate format (`treelocal-cert v2`) — parse,
 //! serialize, and the three-layer check.
 //!
 //! A certificate is self-contained line-oriented text: it carries the
 //! instance (edge list + identifier space), the rule, the per-node or
 //! per-edge output witnesses, the claimed envelope and round count, and
-//! the run transcript (per-segment halt rounds + chained frontier
+//! the run transcript (per-segment halt rounds + chained per-round
 //! commitments). [`check_certificate`] validates:
 //!
 //! 1. **solution legality** against the typed rule table
@@ -13,10 +13,13 @@
 //!    ([`crate::check_envelope`]),
 //! 3. **transcript consistency** — commitments re-derivable from the
 //!    halt records alone, segment rounds equal to the latest halt, and
-//!    the claimed total equal to the sum of segments. Monotone halting is
-//!    structural here: the round-`r` frontier is *defined* as the nodes
-//!    with halt round `>= r`, so a matching commitment chain proves the
-//!    engine's frontier shrank exactly as the halt records say.
+//!    the claimed total equal to the sum of segments. Round `r`'s
+//!    commitment folds the engine's live count and the nodes that halted
+//!    in `r`; the checker derives the live count as the participants with
+//!    halt round `>= r`, so a matching chain proves the engine ran exactly
+//!    the nodes the halt records say, round by round, and halted each in
+//!    its recorded round. Both sides bucket the halts by round in one
+//!    counting pass, so a segment is checked in O(participants + rounds).
 //!
 //! The text layer is built for size: a 1M-node certificate is about
 //! 92 MB. [`Certificate::parse`] is one forward cursor over the text's
@@ -30,7 +33,7 @@
 //! byte buffer, numbers two digits at a time; the tests keep the
 //! `writeln!` emitter it replaced as `reference_text`, its byte oracle.
 
-use crate::commit::{commit_frontier, COMMITMENT_OFFSET};
+use crate::commit::{commit_round, COMMITMENT_OFFSET};
 use crate::envelope::{check_envelope, Envelope};
 use crate::error::CheckError;
 use crate::rule::{
@@ -39,7 +42,7 @@ use crate::rule::{
 use treelocal_graph::{widen_u64, Graph, OrInvariant};
 
 /// The format-version line every certificate must open with.
-pub const FORMAT_VERSION: &str = "treelocal-cert v1";
+pub const FORMAT_VERSION: &str = "treelocal-cert v2";
 
 /// One engine run's transcript inside a certificate.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,7 +55,7 @@ pub struct Segment {
     /// `(node, halt_round)`, ascending by node; round 0 = halted at
     /// seeding.
     pub halts: Vec<(usize, u64)>,
-    /// One chained frontier commitment per round.
+    /// One chained commitment per round.
     pub commitments: Vec<u64>,
 }
 
@@ -83,7 +86,7 @@ pub struct Certificate {
 }
 
 impl Certificate {
-    /// Serializes to the canonical `treelocal-cert v1` text. The output
+    /// Serializes to the canonical `treelocal-cert v2` text. The output
     /// is byte-deterministic: equal certificates serialize identically.
     ///
     /// Every line is written straight into one byte buffer; numbers are
@@ -291,6 +294,9 @@ impl Certificate {
                 }
                 let hex = token(rest, &mut at).ok_or_else(|| p.error("a commitment value"))?;
                 commitments.push(radix(hex, 16).ok_or_else(|| p.error("a hex commitment value"))?);
+                if token(rest, &mut at).is_some() {
+                    return Err(p.error(AFTER_COMMITMENT));
+                }
             }
             segments.push(Segment { rounds: seg_rounds, participants, halts, commitments });
         }
@@ -644,6 +650,12 @@ fn split_witness(rest: &str) -> Result<(usize, &str), &'static str> {
     Ok((index, trim_end(trim_start(&rest[space + 1..]))))
 }
 
+/// What a witness line must end with: a witness carries no more tokens.
+const AFTER_WITNESS: &str = "the end of the line after the witness";
+
+/// What a commitment line must end with.
+const AFTER_COMMITMENT: &str = "the end of the line after the commitment";
+
 /// The first break in a witness block's `0, 1, 2, ...` indices.
 struct Gap {
     /// The position at which the indices first break.
@@ -675,6 +687,9 @@ fn push_witness(solution: &mut Solution, value: &str) -> Result<(), &'static str
                 },
                 _ => return Err("an M or P witness"),
             });
+            if token(value, &mut at).is_some() {
+                return Err(AFTER_WITNESS);
+            }
         }
     }
     Ok(())
@@ -722,8 +737,8 @@ fn parse_rule(rest: &str, line: usize) -> Result<Rule, CheckError> {
             "deg+1" => Rule::Coloring { palette: Palette::DegreePlusOne },
             k => Rule::Coloring { palette: Palette::AtMost(limit(k)?) },
         },
-        "list-coloring" => Rule::ListColoring,
-        "mis" => Rule::Mis,
+        "list-coloring" if arg.is_none() => Rule::ListColoring,
+        "mis" if arg.is_none() => Rule::Mis,
         "matching" => {
             let b = arg.and_then(|a| a.strip_prefix("b=")).ok_or_else(bad)?;
             let b = number(b)
@@ -802,7 +817,10 @@ pub fn check_text(text: &str) -> Result<(), CheckError> {
 fn check_transcript(cert: &Certificate) -> Result<(), CheckError> {
     let mut chain = COMMITMENT_OFFSET;
     let mut total: u64 = 0;
-    let mut frontier: Vec<(u64, u64)> = Vec::new();
+    // Reused across segments: per-round bucket ends, and the halted nodes
+    // bucketed by round.
+    let mut end: Vec<usize> = Vec::new();
+    let mut by_round: Vec<u64> = Vec::new();
     for (si, seg) in cert.segments.iter().enumerate() {
         if seg.participants != seg.halts.len() {
             return Err(CheckError::ParticipantCountMismatch {
@@ -844,16 +862,34 @@ fn check_transcript(cert: &Certificate) -> Result<(), CheckError> {
                 derived,
             });
         }
-        // The round-`r` frontier, re-derived from the halt records: every
-        // participant still running at round `r`, in ascending (= commit)
-        // order. It only shrinks, so one buffer per segment is filtered
-        // down round by round.
-        frontier.clear();
-        frontier.extend(seg.halts.iter().map(|&(v, hr)| (widen_u64(v), hr)));
+        // Bucket the halts by round with one counting pass, each bucket in
+        // node order as the halts are. Once they are placed, `end[r]` is
+        // the number of halts in rounds `0..=r`: round `r`'s bucket is
+        // `end[r - 1]..end[r]`, and the nodes live in round `r` are the
+        // `halts.len() - end[r - 1]` that halt in it or later.
+        let rounds = seg.commitments.len();
+        end.clear();
+        end.resize(rounds + 1, 0);
+        for &(_, r) in &seg.halts {
+            end[round_index(r)] += 1;
+        }
+        let mut before = 0;
+        for slot in end.iter_mut() {
+            let count = *slot;
+            *slot = before;
+            before += count;
+        }
+        by_round.clear();
+        by_round.resize(seg.halts.len(), 0);
+        for &(v, r) in &seg.halts {
+            let at = &mut end[round_index(r)];
+            by_round[*at] = widen_u64(v);
+            *at += 1;
+        }
         for (i, &found) in seg.commitments.iter().enumerate() {
             let round = widen_u64(i) + 1;
-            frontier.retain(|&(_, hr)| hr >= round);
-            let expected = commit_frontier(chain, round, frontier.iter().map(|&(v, _)| v));
+            let live = widen_u64(seg.halts.len() - end[i]);
+            let expected = commit_round(chain, round, live, &by_round[end[i]..end[i + 1]]);
             if expected != found {
                 return Err(CheckError::CommitmentMismatch { segment: si, round, expected, found });
             }
@@ -867,18 +903,23 @@ fn check_transcript(cert: &Certificate) -> Result<(), CheckError> {
     Ok(())
 }
 
+/// A halt round already checked to lie within its segment, whose rounds
+/// equal its commitment count, as an index.
+fn round_index(round: u64) -> usize {
+    usize::try_from(round).or_invariant("a checked halt round indexes its segment's rounds")
+}
+
 /// The replaced line-iterator parser, the oracle of the accepted language.
 mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::commit::commit_round;
 
     /// A hand-built, fully consistent MIS certificate on a 3-path: all
     /// three nodes run one round, then halt together.
     pub(crate) fn tiny_mis_cert() -> Certificate {
-        let commitment = commit_round(COMMITMENT_OFFSET, 1, &[0, 1, 2]);
+        let commitment = commit_round(COMMITMENT_OFFSET, 1, 3, &[0, 1, 2]);
         Certificate {
             instance: "tiny-path".to_string(),
             rule: Rule::Mis,
@@ -915,10 +956,12 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let text = tiny_mis_cert().to_text().replace("treelocal-cert v1", "treelocal-cert v2");
+        // A v1 file commits whole frontiers: it is rejected by version,
+        // not read as a run whose commitments all mismatch.
+        let text = tiny_mis_cert().to_text().replace("treelocal-cert v2", "treelocal-cert v1");
         assert_eq!(
             check_text(&text),
-            Err(CheckError::VersionMismatch { found: "treelocal-cert v2".to_string() })
+            Err(CheckError::VersionMismatch { found: "treelocal-cert v1".to_string() })
         );
     }
 
@@ -930,7 +973,7 @@ mod tests {
 
     /// Nine lines announcing a trillion edges: parsing must fail on the
     /// missing second edge line, not abort reserving 16 TB for the count.
-    const HOSTILE_EDGE_COUNT: &str = "treelocal-cert v1
+    const HOSTILE_EDGE_COUNT: &str = "treelocal-cert v2
 instance hostile
 rule mis
 nodes 2
@@ -1241,6 +1284,52 @@ end
         assert_eq!(Certificate::parse(&signed), Ok(cert.clone()));
         let padded = text.replace("s 0 M\n", "s 00 M\n");
         assert_eq!(Certificate::parse(&padded), Ok(cert));
+    }
+
+    /// `tiny_mis_cert`'s text with `suffix` appended to the line that
+    /// starts with `prefix`, and that line's 1-based number.
+    fn with_trailing_text(prefix: &str, suffix: &str) -> (String, usize) {
+        let text = tiny_mis_cert().to_text();
+        let line = text.lines().position(|l| l.starts_with(prefix)).expect("a matching line");
+        let edited: Vec<String> = text
+            .lines()
+            .enumerate()
+            .map(|(i, l)| if i == line { format!("{l}{suffix}\n") } else { format!("{l}\n") })
+            .collect();
+        (edited.concat(), line + 1)
+    }
+
+    /// Both parsers reject `text` with a format error at `line`.
+    fn assert_format_error(text: &str, line: usize, what: &str) {
+        let expected = Err(CheckError::Format { line, what: what.to_string() });
+        assert_eq!(Certificate::parse(text), expected);
+        assert_eq!(super::reference::reference_parse(text), expected);
+    }
+
+    #[test]
+    fn text_after_a_member_witness_is_a_format_error() {
+        let (text, line) = with_trailing_text("s 0 M", " junk");
+        assert_format_error(&text, line, AFTER_WITNESS);
+    }
+
+    #[test]
+    fn text_after_a_non_member_witness_is_a_format_error() {
+        let (text, line) = with_trailing_text("s 1 P 0", " junk");
+        assert_format_error(&text, line, AFTER_WITNESS);
+    }
+
+    #[test]
+    fn text_after_a_commitment_is_a_format_error() {
+        let (text, line) = with_trailing_text("c 1 ", " junk");
+        assert_format_error(&text, line, AFTER_COMMITMENT);
+    }
+
+    #[test]
+    fn text_after_an_argument_free_rule_is_a_format_error() {
+        let (text, line) = with_trailing_text("rule mis", " foo");
+        assert_format_error(&text, line, "a known rule");
+        let list = tiny_mis_cert().to_text().replace("rule mis\n", "rule list-coloring foo\n");
+        assert_format_error(&list, line, "a known rule");
     }
 
     #[test]

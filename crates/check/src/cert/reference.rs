@@ -1,7 +1,9 @@
-//! The line-iterator parser that [`Certificate::parse`] replaced, kept
-//! verbatim as the oracle of the accepted language: for every text, the
-//! byte cursor must return exactly the `Result` this parser returns, down
-//! to the error variant, line and message.
+//! The line-iterator parser that [`Certificate::parse`] replaced, kept as
+//! the oracle of the accepted language: for every text, the byte cursor
+//! must return exactly the `Result` this parser returns, down to the error
+//! variant, line and message. It changes only in lockstep with the cursor:
+//! since `treelocal-cert v2`, both reject text after a witness, after a
+//! commitment value and after an argument-free rule.
 
 #![cfg(test)]
 
@@ -107,6 +109,9 @@ pub(super) fn reference_parse(text: &str) -> Result<Certificate, CheckError> {
                 line: p.pos,
                 what: "a hex commitment value".to_string(),
             })?;
+            if toks.next().is_some() {
+                return Err(CheckError::Format { line: p.pos, what: AFTER_COMMITMENT.to_string() });
+            }
             commitments.push(c);
         }
         segments.push(Segment { rounds: seg_rounds, participants, halts, commitments });
@@ -301,6 +306,9 @@ fn parse_solution(
                         })
                     }
                 }
+                if toks.next().is_some() {
+                    return Err(CheckError::Format { line, what: AFTER_WITNESS.to_string() });
+                }
             }
             Ok(Solution::MisWitnesses(witnesses))
         }
@@ -321,8 +329,8 @@ fn parse_rule(rest: &str, line: usize) -> Result<Rule, CheckError> {
             let p = arg.and_then(|a| a.strip_prefix("palette=")).ok_or_else(bad)?;
             Rule::Coloring { palette: parse_palette(p, line)? }
         }
-        "list-coloring" => Rule::ListColoring,
-        "mis" => Rule::Mis,
+        "list-coloring" if arg.is_none() => Rule::ListColoring,
+        "mis" if arg.is_none() => Rule::Mis,
         "matching" => {
             let b = arg.and_then(|a| a.strip_prefix("b=")).ok_or_else(bad)?;
             Rule::Matching { b: parse_tok(Some(b), line, "a matching bound")? }

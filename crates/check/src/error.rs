@@ -218,7 +218,7 @@ pub enum CheckError {
         /// Halt lines present.
         found: usize,
     },
-    /// A re-derived frontier commitment disagrees with the recorded one.
+    /// A re-derived round commitment disagrees with the recorded one.
     CommitmentMismatch {
         /// The offending segment (0-based).
         segment: usize,

@@ -1,7 +1,7 @@
 //! `treelocal-check` — an engine-blind certificate checker.
 //!
 //! Runs of the `treelocal` engines can emit versioned certificates
-//! (per-node output witnesses, round counts, chained frontier
+//! (per-node output witnesses, round counts, chained per-round
 //! commitments; see `treelocal-sim`'s `transcript` module). This crate
 //! validates them without touching engine internals, in three
 //! independent layers:
@@ -17,9 +17,10 @@
 //!    for MIS) from the instance alone and rejects round claims above
 //!    them.
 //! 3. **Transcript consistency** — [`check_certificate`] re-derives
-//!    every frontier commitment from the halt records alone; the hash is
-//!    an independent implementation of the recorder's chain, so engine
-//!    and checker cross-validate.
+//!    every round commitment (the round, its live count and the nodes
+//!    that halted in it) from the halt records alone, in time linear in
+//!    the transcript; the hash is an independent implementation of the
+//!    recorder's chain, so engine and checker cross-validate.
 //!
 //! The `treelocal-check` binary validates a directory of `.cert` files.
 //!

@@ -11,8 +11,8 @@
 //! * truncate the transcript (remove a commitment),
 //! * perturb a commitment value,
 //! * tamper with halt records (single halt, order, unknown node,
-//!   participant count) — caught structurally or by the chained
-//!   commitments.
+//!   participant count, two halt rounds swapped, one halt moved a round
+//!   later) — caught structurally or by the chained commitments.
 
 use treelocal_check::{
     check_text, commit_round, Certificate, CheckError, EdgePalette, Envelope, MisWitness, Palette,
@@ -26,17 +26,33 @@ fn path_edges(n: usize) -> Vec<(usize, usize)> {
     (0..n - 1).map(|i| (i, i + 1)).collect()
 }
 
-/// A one-round transcript in which all `n` nodes halt together: the
-/// round-1 frontier is everyone, so the single commitment is derivable by
-/// hand.
+/// A one-round transcript in which all `n` nodes halt together: all `n`
+/// are live in round 1 and all halt in it, so the single commitment is
+/// derivable by hand.
 fn one_round_segment(n: usize) -> Segment {
-    let frontier: Vec<u64> = (0..n).map(widen_u64).collect();
+    let halted: Vec<u64> = (0..n).map(widen_u64).collect();
     Segment {
         rounds: 1,
         participants: n,
         halts: (0..n).map(|v| (v, 1u64)).collect(),
-        commitments: vec![commit_round(COMMITMENT_OFFSET, 1, &frontier)],
+        commitments: vec![commit_round(COMMITMENT_OFFSET, 1, widen_u64(n), &halted)],
     }
+}
+
+/// The commitment chain of one segment starting at the offset, derived
+/// from `halts` by the spec: round `r` folds the nodes with halt round
+/// `>= r` as its live count and the nodes with halt round `r`.
+fn chain_of(halts: &[(usize, u64)], rounds: u64) -> Vec<u64> {
+    let mut chain = COMMITMENT_OFFSET;
+    (1..=rounds)
+        .map(|r| {
+            let live = halts.iter().filter(|&&(_, h)| h >= r).count();
+            let halted: Vec<u64> =
+                halts.iter().filter(|&&(_, h)| h == r).map(|&(v, _)| widen_u64(v)).collect();
+            chain = commit_round(chain, r, widen_u64(live), &halted);
+            chain
+        })
+        .collect()
 }
 
 fn base_cert(
@@ -198,7 +214,8 @@ fn transcript_battery(cert: &Certificate, delta: u64) {
 
     // Tamper with a single halt record: node n-1 claims to have halted at
     // seeding. The header still derives 1 round, so only the re-derived
-    // frontier commitment can catch it — and does.
+    // round commitment can catch it — and does: one node fewer is live in
+    // round 1 and halts in it.
     let last = n - 1;
     let tampered = set_line(&text, &format!("h {last} "), &format!("h {last} 0"));
     let shrunk: Vec<u64> = (0..last).map(widen_u64).collect();
@@ -207,7 +224,7 @@ fn transcript_battery(cert: &Certificate, delta: u64) {
         Err(CheckError::CommitmentMismatch {
             segment: 0,
             round: 1,
-            expected: commit_round(COMMITMENT_OFFSET, 1, &shrunk),
+            expected: commit_round(COMMITMENT_OFFSET, 1, widen_u64(last), &shrunk),
             found: valid,
         })
     );
@@ -411,6 +428,71 @@ fn seeded_commitment_perturbations_are_always_located() {
             "seed {seed}"
         );
     }
+}
+
+/// A three-round MIS certificate on a 6-path: node `v` halts in round
+/// `v % 3 + 1`, so every round has halts of its own.
+fn three_round_mis_cert() -> Certificate {
+    let halts: Vec<(usize, u64)> = (0..6).map(|v| (v, widen_u64(v % 3) + 1)).collect();
+    let commitments = chain_of(&halts, 3);
+    Certificate {
+        rounds: 3,
+        segments: vec![Segment { rounds: 3, participants: 6, halts, commitments }],
+        ..base_cert(
+            Rule::Mis,
+            6,
+            Solution::MisWitnesses(vec![
+                MisWitness::Member,
+                MisWitness::NonMember { witness: 0 },
+                MisWitness::Member,
+                MisWitness::NonMember { witness: 2 },
+                MisWitness::Member,
+                MisWitness::NonMember { witness: 4 },
+            ]),
+            None,
+        )
+    }
+}
+
+/// The mismatch `tampered` halts give against `cert`'s recorded chain,
+/// at `round`.
+fn mismatch_at(cert: &Certificate, tampered: &[(usize, u64)], round: u64) -> CheckError {
+    let i = usize::try_from(round - 1).unwrap();
+    CheckError::CommitmentMismatch {
+        segment: 0,
+        round,
+        expected: chain_of(tampered, cert.rounds)[i],
+        found: cert.segments[0].commitments[i],
+    }
+}
+
+/// Two nodes that halted in different rounds trade their halt rounds. The
+/// live counts and the per-round halt counts are unchanged, so only the
+/// halted nodes themselves can tell — at the earlier of the two rounds.
+#[test]
+fn swapped_halt_rounds_mismatch_at_the_earlier_round() {
+    let cert = three_round_mis_cert();
+    let text = cert.to_text();
+    assert_eq!(check_text(&text), Ok(()));
+    // Node 1 halts in round 2 and node 2 in round 3.
+    let swapped = set_line(&set_line(&text, "h 1 ", "h 1 3"), "h 2 ", "h 2 2");
+    let mut tampered = cert.segments[0].halts.clone();
+    tampered[1].1 = 3;
+    tampered[2].1 = 2;
+    assert_eq!(check_text(&swapped), Err(mismatch_at(&cert, &tampered, 2)));
+}
+
+/// One halt moves one round later: the rounds before it are untouched,
+/// and its true round is the first to mismatch.
+#[test]
+fn a_halt_moved_one_round_later_mismatches_at_its_true_round() {
+    let cert = three_round_mis_cert();
+    let text = cert.to_text();
+    // Node 4 halts in round 2; the record claims round 3.
+    let later = set_line(&text, "h 4 ", "h 4 3");
+    let mut tampered = cert.segments[0].halts.clone();
+    tampered[4].1 = 3;
+    assert_eq!(check_text(&later), Err(mismatch_at(&cert, &tampered, 2)));
 }
 
 /// Seeded witness-line drops are always a `MissingWitness` at exactly the

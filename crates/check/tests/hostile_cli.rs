@@ -7,13 +7,15 @@
 //! checker bounded `nodes` by the certificate's own lines, building their
 //! graph died reserving 16 GB. A certificate that is not UTF-8 text is a
 //! `FAIL` line like any other malformed one, and the files after it are
-//! still checked. A directory named twice is checked once.
+//! still checked. A directory named twice is checked once. A certificate
+//! of the retired `treelocal-cert v1` format is one `FAIL` line naming its
+//! version.
 
 use std::path::PathBuf;
 use std::process::Command;
 use treelocal_check::{check_text, CheckError};
 
-const HOSTILE: &str = "treelocal-cert v1
+const HOSTILE: &str = "treelocal-cert v2
 instance hostile
 rule mis
 nodes 2
@@ -25,7 +27,7 @@ end
 ";
 
 /// Node-indexed: one solution entry per node is required, none given.
-const HOSTILE_NODES_MIS: &str = "treelocal-cert v1
+const HOSTILE_NODES_MIS: &str = "treelocal-cert v2
 instance hostile
 rule mis
 nodes 4294967295
@@ -39,7 +41,7 @@ end
 ";
 
 /// Edge-indexed: no edge can cover the declared nodes.
-const HOSTILE_NODES_MATCHING: &str = "treelocal-cert v1
+const HOSTILE_NODES_MATCHING: &str = "treelocal-cert v2
 instance hostile
 rule matching b=1
 nodes 4294967295
@@ -80,6 +82,30 @@ fn a_four_billion_node_header_is_rejected_with_exit_1() {
     assert_cli_rejects("hostile-node-count-mis.cert", HOSTILE_NODES_MIS);
     assert!(matches!(check_text(HOSTILE_NODES_MATCHING), Err(CheckError::BadInstance { .. })));
     assert_cli_rejects("hostile-node-count-matching.cert", HOSTILE_NODES_MATCHING);
+}
+
+#[test]
+fn a_v1_certificate_is_one_fail_line_naming_the_version() {
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../bench/tests/golden/quick_certs/mis-pipeline-tree.cert");
+    let text = std::fs::read_to_string(&golden).expect("read the golden certificate");
+    let v1 = text.replacen("treelocal-cert v2", "treelocal-cert v1", 1);
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("v1-header.cert");
+    std::fs::write(&path, v1).expect("write the v1 certificate");
+    let out = Command::new(env!("CARGO_BIN_EXE_treelocal-check"))
+        .arg(&path)
+        .output()
+        .expect("run treelocal-check");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 1, "{stdout}");
+    assert!(lines[0].starts_with("FAIL "), "{stdout}");
+    assert!(
+        lines[0]
+            .ends_with("v1-header.cert: unsupported certificate version: \"treelocal-cert v1\""),
+        "{stdout}"
+    );
 }
 
 #[test]

@@ -76,12 +76,13 @@ fn large_mis_cert(n: usize) -> Certificate {
                 .collect();
             let commitments = (1..=rounds)
                 .map(|round| {
-                    let frontier: Vec<u64> = halts
+                    let live = halts.iter().filter(|&&(_, hr)| hr >= round).count();
+                    let halted: Vec<u64> = halts
                         .iter()
-                        .filter(|&&(_, hr)| hr >= round)
+                        .filter(|&&(_, hr)| hr == round)
                         .map(|&(v, _)| widen_u64(v))
                         .collect();
-                    chain = commit_round(chain, round, &frontier);
+                    chain = commit_round(chain, round, widen_u64(live), &halted);
                     chain
                 })
                 .collect();
@@ -165,7 +166,7 @@ fn parsing_grows_peak_memory_by_a_bounded_multiple_of_the_text() {
 fn lying_segment_headers_cannot_reserve_more_than_the_text() {
     let _probe = PROBE.lock().unwrap_or_else(PoisonError::into_inner);
     let mut text = format!(
-        "treelocal-cert v1\ninstance hostile\nrule mis\nnodes 1\nidspace 1\nedges 0\n\
+        "treelocal-cert v2\ninstance hostile\nrule mis\nnodes 1\nidspace 1\nedges 0\n\
          solution mis-witness\ns 0 M\nenvelope none\nrounds 0\nsegments {HOSTILE_SEGMENTS}\n"
     );
     for _ in 0..HOSTILE_SEGMENTS {

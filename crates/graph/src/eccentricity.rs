@@ -4,29 +4,23 @@
 //! are costed by the eccentricity of the gather center within its
 //! component. Computing that with one BFS per queried center is
 //! `O(component)` *per center*; on trees the classic downward/upward
-//! rerooting DP produces the eccentricity — and the same farthest node the
-//! BFS would report — for **every** node of a component in `O(component)`
-//! total. [`component_eccentricities`] runs that pass for one component
-//! (falling back to one [`sparse_bfs_farthest`] per member on components
-//! with cycles, where the tree DP does not apply). The one cache of its
-//! results is `treelocal_sim::GatherPlan`, which fills a component on its
-//! first query.
+//! rerooting DP produces the eccentricity of **every** node of a
+//! component in `O(component)` total. [`component_eccentricities`] runs
+//! that pass for one component (falling back to one
+//! [`eccentricity_sparse`] per member on components with cycles, where the
+//! tree DP does not apply). The one cache of its results is
+//! `treelocal_sim::GatherPlan`, which fills a component on its first
+//! query.
 //!
 //! # Determinism contract
 //!
-//! For every participating node `v`, the `(farthest, eccentricity)` pair
-//! equals `sparse_bfs_farthest(topo, v)` **exactly**, including the
-//! farthest-node tie-break (first node reached at maximum distance by a
-//! BFS that expands adjacency lists in sorted order). In a tree that BFS
-//! visits each depth level in lexicographic path order, so the tie-break
-//! is reproduced by always descending into the smallest-index direction
-//! among those of maximum remaining depth — which is what the DP does.
-//! The equivalence is pinned per node by property tests
-//! (`crates/sim/tests/gather_equiv.rs`).
+//! For every participating node `v`, the eccentricity equals
+//! `eccentricity_sparse(topo, v)` **exactly**. The equivalence is pinned
+//! per node by property tests (`crates/sim/tests/gather_equiv.rs`).
 
 use crate::ids::NodeId;
 use crate::topology::Topology;
-use crate::traversal::sparse_bfs_farthest;
+use crate::traversal::eccentricity_sparse;
 use std::cell::RefCell;
 
 /// Sentinel marking a node whose eccentricity has not been computed (also
@@ -49,45 +43,39 @@ struct EccScratch {
     /// BFS parent within the component (self for the start node).
     parent: Vec<NodeId>,
     /// Height of the subtree below each node (edge count to the deepest
-    /// descendant) and the matching lex-min deepest node.
+    /// descendant).
     down_h: Vec<u32>,
-    down_f: Vec<NodeId>,
     /// Distance from each non-root node to the farthest node *outside* its
-    /// subtree (via its parent) and that node.
+    /// subtree (via its parent).
     up_h: Vec<u32>,
-    up_f: Vec<NodeId>,
     /// Transient per-node adjacency tables for the exclude-one-direction
     /// prefix/suffix maxima.
-    entries: Vec<(u32, NodeId)>,
-    prefix: Vec<(u32, NodeId)>,
-    suffix: Vec<(u32, NodeId)>,
+    entries: Vec<u32>,
+    prefix: Vec<u32>,
+    suffix: Vec<u32>,
 }
 
 thread_local! {
     static ECC_SCRATCH: RefCell<EccScratch> = RefCell::new(EccScratch::default());
 }
 
-/// Computes `(farthest, eccentricity)` for every node of the component
-/// containing `start`, writing into the index-keyed `ecc`/`far` buffers
-/// (entries of other components are left untouched).
+/// Computes the eccentricity of every node of the component containing
+/// `start`, writing into the index-keyed `ecc` buffer (entries of other
+/// components are left untouched).
 ///
-/// `ecc` entries of the component must hold [`ECC_UNCOMPUTED`] on entry;
-/// both buffers must span the topology's index space. Tree components run
-/// the linear rerooting DP, others one [`sparse_bfs_farthest`] per member;
-/// either way the written pairs equal `sparse_bfs_farthest` per node.
+/// `ecc` entries of the component must hold [`ECC_UNCOMPUTED`] on entry,
+/// and the buffer must span the topology's index space. Tree components
+/// run the linear rerooting DP, others one [`eccentricity_sparse`] per
+/// member; either way the written values equal `eccentricity_sparse` per
+/// node.
 ///
 /// # Panics
 ///
-/// Panics if the buffers are shorter than the topology's index space.
-pub fn component_eccentricities<T: Topology>(
-    topo: &T,
-    start: NodeId,
-    ecc: &mut [u32],
-    far: &mut [NodeId],
-) {
+/// Panics if the buffer is shorter than the topology's index space.
+pub fn component_eccentricities<T: Topology>(topo: &T, start: NodeId, ecc: &mut [u32]) {
     assert!(
-        ecc.len() >= topo.index_space() && far.len() >= topo.index_space(),
-        "eccentricity buffers must span the topology's index space"
+        ecc.len() >= topo.index_space(),
+        "the eccentricity buffer must span the topology's index space"
     );
     ECC_SCRATCH.with(|cell| {
         let scratch = &mut *cell.borrow_mut();
@@ -96,9 +84,7 @@ pub fn component_eccentricities<T: Topology>(
             scratch.seen.resize(n, 0);
             scratch.parent.resize(n, NodeId::new(0));
             scratch.down_h.resize(n, 0);
-            scratch.down_f.resize(n, NodeId::new(0));
             scratch.up_h.resize(n, 0);
-            scratch.up_f.resize(n, NodeId::new(0));
         }
         scratch.epoch += 1;
         let epoch = scratch.epoch;
@@ -126,103 +112,73 @@ pub fn component_eccentricities<T: Topology>(
             // Cycles: the height decomposition below needs unique paths,
             // so fall back to one sparse BFS per member.
             for &v in &scratch.order {
-                let (f, d) = sparse_bfs_farthest(topo, v);
-                ecc[v.index()] = d;
-                far[v.index()] = f;
+                ecc[v.index()] = eccentricity_sparse(topo, v);
             }
             return;
         }
 
         // Downward pass (children precede parents in reverse BFS order):
-        // subtree height plus the deepest descendant, ties resolved toward
-        // the first child in adjacency order — the BFS level order.
+        // subtree height.
         for idx in (0..scratch.order.len()).rev() {
             let v = scratch.order[idx];
             let mut h = 0u32;
-            let mut f = v;
             for &c in topo.neighbor_nodes(v) {
                 if scratch.parent[c.index()] == v && c != v && scratch.parent[v.index()] != c {
-                    let cand = 1 + scratch.down_h[c.index()];
-                    if cand > h {
-                        h = cand;
-                        f = scratch.down_f[c.index()];
-                    }
+                    h = h.max(1 + scratch.down_h[c.index()]);
                 }
             }
             scratch.down_h[v.index()] = h;
-            scratch.down_f[v.index()] = f;
         }
 
         // Upward pass (parents precede children in BFS order): for each
-        // child `c` of `p`, the farthest node reachable from `c` through
-        // `p` is one step beyond the best direction out of `p` other than
-        // `c` itself. Prefix/suffix maxima over `p`'s adjacency list give
-        // every child its exclude-one answer in O(deg(p)) total; "earlier
-        // adjacency position wins ties" reproduces the BFS tie-break.
+        // child `c` of `p`, the farthest distance from `c` through `p` is
+        // one step beyond the best direction out of `p` other than `c`
+        // itself (or just the step to `p`). Prefix/suffix maxima over
+        // `p`'s adjacency list give every child its exclude-one answer in
+        // O(deg(p)) total.
         for idx in 0..scratch.order.len() {
             let p = scratch.order[idx];
             let nbrs = topo.neighbor_nodes(p);
             scratch.entries.clear();
             for &y in nbrs {
-                let e = if idx != 0 && scratch.parent[p.index()] == y {
-                    (scratch.up_h[p.index()], scratch.up_f[p.index()])
+                scratch.entries.push(if idx != 0 && scratch.parent[p.index()] == y {
+                    scratch.up_h[p.index()]
                 } else {
-                    (1 + scratch.down_h[y.index()], scratch.down_f[y.index()])
-                };
-                scratch.entries.push(e);
+                    1 + scratch.down_h[y.index()]
+                });
             }
             let deg = scratch.entries.len();
             scratch.prefix.clear();
             scratch.suffix.clear();
-            scratch.prefix.resize(deg + 1, (0, p));
-            scratch.suffix.resize(deg + 1, (0, p));
+            scratch.prefix.resize(deg + 1, 0);
+            scratch.suffix.resize(deg + 1, 0);
             for i in 0..deg {
-                let best = scratch.prefix[i];
-                let e = scratch.entries[i];
-                scratch.prefix[i + 1] = if e.0 > best.0 { e } else { best };
+                scratch.prefix[i + 1] = scratch.prefix[i].max(scratch.entries[i]);
             }
             for i in (0..deg).rev() {
-                let best = scratch.suffix[i + 1];
-                let e = scratch.entries[i];
-                // `>=`: on ties the earlier adjacency position wins.
-                scratch.suffix[i] = if e.0 >= best.0 { e } else { best };
+                scratch.suffix[i] = scratch.suffix[i + 1].max(scratch.entries[i]);
             }
             for (i, &y) in nbrs.iter().enumerate() {
                 if idx != 0 && scratch.parent[p.index()] == y {
                     continue; // the edge toward p's own parent
                 }
                 // y is a child of p: combine all directions except y.
-                let pre = scratch.prefix[i];
-                let suf = scratch.suffix[i + 1];
-                let best = if pre.0 >= suf.0 { pre } else { suf };
-                if best.0 == 0 {
-                    // p has no direction other than y.
-                    scratch.up_h[y.index()] = 1;
-                    scratch.up_f[y.index()] = p;
-                } else {
-                    scratch.up_h[y.index()] = 1 + best.0;
-                    scratch.up_f[y.index()] = best.1;
-                }
+                scratch.up_h[y.index()] = 1 + scratch.prefix[i].max(scratch.suffix[i + 1]);
             }
         }
 
-        // Combine per node, scanning its adjacency in order with a
-        // strictly-greater update — exactly the BFS's first-at-max rule.
+        // Combine per node: the farthest of its directions.
         for idx in 0..scratch.order.len() {
             let v = scratch.order[idx];
-            let mut best = (0u32, v);
+            let mut best = 0u32;
             for &y in topo.neighbor_nodes(v) {
-                let cand = if idx != 0 && scratch.parent[v.index()] == y {
-                    (scratch.up_h[v.index()], scratch.up_f[v.index()])
+                best = best.max(if idx != 0 && scratch.parent[v.index()] == y {
+                    scratch.up_h[v.index()]
                 } else {
-                    (1 + scratch.down_h[y.index()], scratch.down_f[y.index()])
-                };
-                if cand.0 > best.0 {
-                    best = cand;
-                }
+                    1 + scratch.down_h[y.index()]
+                });
             }
-            ecc[v.index()] = best.0;
-            far[v.index()] = best.1;
+            ecc[v.index()] = best;
         }
     });
 }
@@ -232,25 +188,22 @@ mod tests {
     use super::*;
     use crate::adjacency::Graph;
     use crate::semigraph::SemiGraph;
-    use crate::traversal::sparse_bfs_farthest;
 
     /// The pass run once per component, as a gather plan fills its cache.
-    fn every_component<T: Topology>(topo: &T) -> (Vec<u32>, Vec<NodeId>) {
+    fn every_component<T: Topology>(topo: &T) -> Vec<u32> {
         let mut ecc = vec![ECC_UNCOMPUTED; topo.index_space()];
-        let mut far = vec![NodeId::new(0); topo.index_space()];
         for v in topo.nodes() {
             if ecc[v.index()] == ECC_UNCOMPUTED {
-                component_eccentricities(topo, v, &mut ecc, &mut far);
+                component_eccentricities(topo, v, &mut ecc);
             }
         }
-        (ecc, far)
+        ecc
     }
 
     fn assert_matches_sparse<T: Topology>(topo: &T) {
-        let (ecc, far) = every_component(topo);
+        let ecc = every_component(topo);
         for v in topo.nodes() {
-            let pair = (far[v.index()], ecc[v.index()]);
-            assert_eq!(pair, sparse_bfs_farthest(topo, v), "node {v:?}");
+            assert_eq!(ecc[v.index()], eccentricity_sparse(topo, v), "node {v:?}");
         }
     }
 
@@ -280,8 +233,8 @@ mod tests {
     fn matches_sparse_on_forests_and_isolated_nodes() {
         let g = Graph::from_edges(8, &[(0, 1), (1, 2), (4, 5), (5, 6), (5, 7)]).unwrap();
         assert_matches_sparse(&g);
-        let (ecc, far) = every_component(&g);
-        assert_eq!((far[3], ecc[3]), (NodeId::new(3), 0));
+        let ecc = every_component(&g);
+        assert_eq!(ecc[3], 0);
         assert_eq!(ecc.iter().max(), Some(&2));
     }
 
@@ -292,7 +245,7 @@ mod tests {
             Graph::from_edges(9, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (6, 7), (7, 8)])
                 .unwrap();
         assert_matches_sparse(&g);
-        assert_eq!(every_component(&g).0[5], 3);
+        assert_eq!(every_component(&g)[5], 3);
     }
 
     #[test]
@@ -302,7 +255,7 @@ mod tests {
         let g = path(10);
         let s = SemiGraph::induced_by_nodes(&g, |v| v.index() != 4);
         assert_matches_sparse(&s);
-        let (ecc, _) = every_component(&s);
+        let ecc = every_component(&s);
         assert_eq!(ecc[0], 3);
         assert_eq!(ecc[9], 4);
         assert_eq!(ecc[4], ECC_UNCOMPUTED, "a non-participant is never written");
@@ -322,8 +275,7 @@ mod tests {
     fn component_pass_leaves_other_components_untouched() {
         let g = Graph::from_edges(5, &[(0, 1), (3, 4)]).unwrap();
         let mut ecc = vec![ECC_UNCOMPUTED; g.node_count()];
-        let mut far: Vec<NodeId> = (0..g.node_count()).map(NodeId::new).collect();
-        component_eccentricities(&g, NodeId::new(0), &mut ecc, &mut far);
+        component_eccentricities(&g, NodeId::new(0), &mut ecc);
         assert_eq!(&ecc[..2], &[1, 1]);
         assert_eq!(&ecc[2..], &[ECC_UNCOMPUTED; 3]);
     }

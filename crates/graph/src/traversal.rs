@@ -6,7 +6,7 @@
 //! connected in the underlying graph, as in the paper). The rerooting DP
 //! in [`component_eccentricities`](crate::component_eccentricities) gives
 //! every node of a component its eccentricity at once, reproducing
-//! [`sparse_bfs_farthest`] per node.
+//! [`eccentricity_sparse`] per node.
 
 use crate::ids::NodeId;
 use crate::topology::Topology;
@@ -134,9 +134,8 @@ thread_local! {
 /// order — deterministic, and identical to the previous hash-map-keyed
 /// implementation (the map only ever gated visitation; the queue order
 /// decided ties). The per-component eccentricity pass
-/// ([`component_eccentricities`](crate::component_eccentricities)) pins
-/// its own tie-break to this function, so the two are interchangeable per
-/// node.
+/// ([`component_eccentricities`](crate::component_eccentricities))
+/// reproduces the distance per node.
 pub fn sparse_bfs_farthest<T: Topology>(topo: &T, v: NodeId) -> (NodeId, u32) {
     SPARSE_BFS.with(|cell| {
         let scratch = &mut *cell.borrow_mut();
@@ -312,10 +311,9 @@ mod tests {
         // agree with one sparse BFS per node.
         let g = Graph::from_edges(8, &[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]).unwrap();
         let mut ecc = vec![crate::ECC_UNCOMPUTED; g.node_count()];
-        let mut far = vec![NodeId::new(0); g.node_count()];
         for v in g.node_ids() {
             if ecc[v.index()] == crate::ECC_UNCOMPUTED {
-                crate::component_eccentricities(&g, v, &mut ecc, &mut far);
+                crate::component_eccentricities(&g, v, &mut ecc);
             }
             assert_eq!(ecc[v.index()], eccentricity_sparse(&g, v), "{v:?}");
         }

@@ -27,10 +27,11 @@
 //!   Definition 5 and making inline and pooled rounds produce
 //!   byte-identical columns. No run allocates a second set of lanes.
 //!
-//! The transcript's per-round frontier is every live node, sleepers
-//! included, in seeding order. The core keeps that list only while the
-//! transcript recorder is armed, so an unarmed run never passes over its
-//! sleepers.
+//! While the transcript recorder is armed, the core keeps a halt-round
+//! column and the live count (awake plus asleep) of every round, and
+//! hands both to the recorder when the run finishes (see
+//! [`crate::transcript`]). Sleepers are counted, never listed: no round,
+//! armed or not, passes over them.
 //!
 //! The core cannot clone a state — it only encodes, decodes and copies
 //! lanes.
@@ -38,6 +39,7 @@
 use crate::codec::{Ports, RunOutcome, SoaColumns, StateCodec};
 use crate::engine::Verdict;
 use crate::msg_engine::Router;
+use crate::transcript::SegmentLog;
 use std::collections::BTreeMap;
 use treelocal_graph::{widen_u64, NodeId, OrInvariant, Topology};
 
@@ -64,9 +66,11 @@ pub struct ExecCore<S: StateCodec> {
     awake: Vec<NodeId>,
     /// Sleeping nodes by wake round, each bucket in seeding order.
     asleep: BTreeMap<u64, Vec<NodeId>>,
-    /// Every live node in seeding order, the transcript's frontier; kept
-    /// only while the transcript recorder is armed.
-    recorded_frontier: Option<Vec<NodeId>>,
+    /// How many nodes sleep, over all buckets.
+    sleeping: usize,
+    /// The run's transcript record; kept only while the transcript
+    /// recorder is armed.
+    log: Option<SegmentLog>,
     /// The message engine's inboxes, once [`ExecCore::route_messages`]
     /// has run; steps then read their ports from here.
     inbox: Option<Router<S>>,
@@ -92,7 +96,6 @@ fn stepped<S>(verdict: Verdict<S>) -> (S, bool) {
 impl<S: StateCodec> ExecCore<S> {
     /// An empty core over `index_space` state slots.
     pub fn new(index_space: usize) -> Self {
-        let recording = crate::transcript::segment_start();
         ExecCore {
             main: SoaColumns::new(index_space),
             verdicts: Vec::new(),
@@ -100,7 +103,8 @@ impl<S: StateCodec> ExecCore<S> {
             active: vec![false; index_space],
             awake: Vec::new(),
             asleep: BTreeMap::new(),
-            recorded_frontier: recording.then(Vec::new),
+            sleeping: 0,
+            log: crate::transcript::segment_start(index_space),
             inbox: None,
             rounds: 0,
         }
@@ -123,7 +127,9 @@ impl<S: StateCodec> ExecCore<S> {
         let (state, wake) = match verdict {
             Verdict::Halted(s) => {
                 self.main.write(v.index(), &s);
-                crate::transcript::record_halt(v, 0);
+                if let Some(log) = &mut self.log {
+                    log.halt(v, 0);
+                }
                 return;
             }
             Verdict::Active(s) => (s, None),
@@ -131,9 +137,6 @@ impl<S: StateCodec> ExecCore<S> {
         };
         self.main.write(v.index(), &state);
         self.active[v.index()] = true;
-        if let Some(frontier) = &mut self.recorded_frontier {
-            frontier.push(v);
-        }
         match wake {
             None => self.awake.push(v),
             Some(round) => {
@@ -143,6 +146,7 @@ impl<S: StateCodec> ExecCore<S> {
                      (wake-round invariant)"
                 );
                 self.asleep.entry(round).or_default().push(v);
+                self.sleeping += 1;
             }
         }
     }
@@ -186,17 +190,16 @@ impl<S: StateCodec> ExecCore<S> {
         assert!(
             self.rounds < max_rounds,
             "algorithm did not halt within {max_rounds} rounds (still {} active)",
-            self.awake.len() + self.asleep.values().map(Vec::len).sum::<usize>()
+            self.awake.len() + self.sleeping
         );
         self.rounds += 1;
         if let Some(woken) = self.asleep.remove(&self.rounds) {
+            self.sleeping -= woken.len();
             self.awake.extend(woken);
         }
         crate::counters::record_round(widen_u64(self.awake.len()));
-        if let Some(frontier) = &mut self.recorded_frontier {
-            let active = &self.active;
-            frontier.retain(|v| active[v.index()]);
-            crate::transcript::record_round(frontier);
+        if let Some(log) = &mut self.log {
+            log.round(self.awake.len() + self.sleeping);
         }
         self.rounds
     }
@@ -243,14 +246,17 @@ impl<S: StateCodec> ExecCore<S> {
         // A message run delivers the rows of every node that stepped,
         // halted ones included, so it keeps the list the retain shrinks.
         let stepped = self.inbox.is_some().then(|| self.awake.clone());
-        let (main, active, rounds) = (&mut self.main, &mut self.active, self.rounds);
+        let (main, active, log, rounds) =
+            (&mut self.main, &mut self.active, &mut self.log, self.rounds);
         let mut verdicts = self.verdicts.drain(..);
         self.awake.retain(|&v| {
             let (s, halts) = verdicts.next().or_invariant("one verdict per awake node");
             main.write(v.index(), &s);
             if halts {
                 active[v.index()] = false;
-                crate::transcript::record_halt(v, rounds);
+                if let Some(log) = log {
+                    log.halt(v, rounds);
+                }
             }
             !halts
         });
@@ -261,13 +267,17 @@ impl<S: StateCodec> ExecCore<S> {
 
     /// Consumes the core into the run's outcome, dropping the verdict
     /// buffer and the inboxes, so a finished run holds exactly one set of
-    /// lanes.
+    /// lanes. An armed core hands its record to the transcript recorder
+    /// as the run's segment.
     ///
     /// # Panics
     ///
     /// Panics if called while nodes are still awake or asleep.
     pub fn finish(self) -> RunOutcome<S> {
         assert!(self.is_done(), "finish() before quiescence");
+        if let Some(log) = self.log {
+            crate::transcript::segment_finish(log);
+        }
         RunOutcome { columns: self.main, seeded: self.seeded, rounds: self.rounds }
     }
 }

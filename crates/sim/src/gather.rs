@@ -16,9 +16,8 @@
 //! [`treelocal_graph::component_eccentricities`]) the first time any of
 //! its members is queried, after which every further query in that
 //! component is O(1). The costs are **byte-identical** to the uncached
-//! BFS per center — the DP pins the same farthest-node tie-break — which
-//! the `gather_equiv` property suite and the golden round-count fixture
-//! both enforce.
+//! BFS per center, which the `gather_equiv` property suite and the golden
+//! round-count fixture both enforce.
 
 use std::cell::RefCell;
 use treelocal_graph::{component_eccentricities, eccentricity_sparse, NodeId, Topology};
@@ -41,10 +40,9 @@ pub fn gather_rounds_at<T: Topology>(topo: &T, center: NodeId) -> u64 {
 ///
 /// # Determinism contract
 ///
-/// For every node, the cached eccentricity (and farthest node) equals
-/// what [`gather_rounds_at`]'s sparse BFS would report — tie-break
-/// included — so swapping a plan into a costing loop never changes a
-/// reported round count. Property tests
+/// For every node, the cached eccentricity equals what
+/// [`gather_rounds_at`]'s sparse BFS would report, so swapping a plan into
+/// a costing loop never changes a reported round count. Property tests
 /// (`crates/sim/tests/gather_equiv.rs`) pin this per node; the bench
 /// crate's golden fixture pins it end-to-end through the E-tables.
 ///
@@ -63,19 +61,18 @@ pub struct GatherPlan<'t, T: Topology> {
     /// Index-keyed cache; `ECC_UNCOMPUTED` marks untouched components.
     /// Interior mutability keeps the costing API `&self` like the free
     /// functions it replaces (plans are per-thread values, not shared).
-    /// Both tables stay **empty** until the first query: "building a plan
+    /// The table stays **empty** until the first query: "building a plan
     /// is free" is literal — a never-queried plan over a 100M-node index
     /// space allocates nothing.
     ecc: RefCell<Vec<u32>>,
-    far: RefCell<Vec<NodeId>>,
 }
 
 impl<'t, T: Topology> GatherPlan<'t, T> {
     /// Creates an empty plan over `topo` (no eccentricities are computed —
-    /// and no index-space tables are allocated — until a component is
-    /// first queried).
+    /// and no index-space table is allocated — until a component is first
+    /// queried).
     pub fn new(topo: &'t T) -> Self {
-        GatherPlan { topo, ecc: RefCell::new(Vec::new()), far: RefCell::new(Vec::new()) }
+        GatherPlan { topo, ecc: RefCell::new(Vec::new()) }
     }
 
     /// The eccentricity of `v` within its component, filling the
@@ -84,29 +81,18 @@ impl<'t, T: Topology> GatherPlan<'t, T> {
     /// # Panics
     ///
     /// Panics, in every build profile, if `v` does not participate in the
-    /// plan's topology; so do [`farthest`](GatherPlan::farthest) and
-    /// [`rounds_at`](GatherPlan::rounds_at).
+    /// plan's topology; so does [`rounds_at`](GatherPlan::rounds_at).
     pub fn eccentricity(&self, v: NodeId) -> u32 {
         assert!(self.topo.contains_node(v), "node {v:?} does not participate in the topology");
         let mut ecc = self.ecc.borrow_mut();
         if ecc.is_empty() {
-            // First query: materialize the index-keyed tables. `far` gets
-            // placeholder entries — `component_eccentricities` writes every
-            // member's farthest node before `farthest` can read it.
+            // First query: materialize the index-keyed table.
             ecc.resize(self.topo.index_space(), treelocal_graph::ECC_UNCOMPUTED);
-            self.far.borrow_mut().resize(self.topo.index_space(), NodeId::new(0));
         }
         if ecc[v.index()] == treelocal_graph::ECC_UNCOMPUTED {
-            component_eccentricities(self.topo, v, &mut ecc, &mut self.far.borrow_mut());
+            component_eccentricities(self.topo, v, &mut ecc);
         }
         ecc[v.index()]
-    }
-
-    /// The farthest node from `v` and its distance — identical to
-    /// [`treelocal_graph::sparse_bfs_farthest`], tie-break included.
-    pub fn farthest(&self, v: NodeId) -> (NodeId, u32) {
-        let e = self.eccentricity(v);
-        (self.far.borrow()[v.index()], e)
     }
 
     /// Rounds for one component gathered at `center`: `2 · ecc(center)`.
@@ -141,8 +127,7 @@ mod tests {
     fn plan_allocates_nothing_until_queried() {
         let g = Graph::from_edges(5, &[(0, 1), (2, 3)]).unwrap();
         let plan = GatherPlan::new(&g);
-        assert!(plan.ecc.borrow().is_empty(), "tables must stay empty before the first query");
-        assert!(plan.far.borrow().is_empty());
+        assert!(plan.ecc.borrow().is_empty(), "the table must stay empty before the first query");
         assert_eq!(plan.rounds_at(NodeId::new(0)), 2);
         assert_eq!(plan.ecc.borrow().len(), g.node_count());
     }
@@ -156,7 +141,7 @@ mod tests {
         assert_eq!(plan.rounds_at(NodeId::new(2)), 4);
         assert_eq!(plan.rounds_at(NodeId::new(1)), 2);
         assert_eq!(plan.rounds_at(NodeId::new(4)), 2);
-        assert_eq!(plan.farthest(NodeId::new(3)), (NodeId::new(5), 2));
+        assert_eq!(plan.eccentricity(NodeId::new(3)), 2);
     }
 
     #[test]

@@ -1,57 +1,86 @@
 //! Optional run transcripts for certificate emission.
 //!
 //! When armed (per thread, via [`begin`]), the execution cores record a
-//! **transcript**: which nodes halted in which round, and a chained
-//! commitment hash over every round's frontier in commit order. A
-//! certificate built from the transcript can be re-checked by the
-//! engine-blind `treelocal-check` crate, which re-derives the commitment
-//! chain from the halt rounds alone — the checker carries its own
-//! independent implementation of the hash, so the two sides genuinely
-//! cross-validate.
+//! **transcript**: which nodes halted in which round, and one chained
+//! commitment hash per round. A certificate built from the transcript can
+//! be re-checked by the engine-blind `treelocal-check` crate, which
+//! re-derives the commitment chain from the halt rounds alone — the
+//! checker carries its own independent implementation of the hash, so
+//! the two sides genuinely cross-validate.
 //!
-//! Recording is zero-cost when off: every hook starts with one relaxed
-//! load of a process-wide armed counter and returns immediately while it
-//! is zero. When armed, state lives in a thread-local — sound because
-//! `begin_round`, `seed`, and every commit path run on the calling
-//! thread even in parallel builds (only step closures go to the pool),
-//! which is the same property the engines' determinism story rests on.
+//! Round `r`'s commitment (1-based within its segment) folds, into the
+//! chain so far, the round number `r`, the engine's **live count** at
+//! round `r` (awake plus asleep nodes), how many nodes halted in round
+//! `r`, and those nodes in ascending index. Each node is folded once, in
+//! the round it halts, so a segment costs O(participants + rounds) to
+//! commit, and no pass touches a sleeper. The live count comes from the
+//! engine's own bookkeeping, while the checker derives it from the halt
+//! records (the participants with halt round `>= r`); a halt record that
+//! moves a node in or out of the running set changes one or the other.
+//!
+//! Recording is zero-cost when off: a core asks once, at construction,
+//! whether the calling thread's recorder is armed (one relaxed load of a
+//! process-wide armed counter while none is). An armed core keeps a
+//! halt-round column and one live count per round, and hands the
+//! recorder the finished segment when the run finishes; nothing is
+//! recorded per node during the run. The recorder is a thread-local —
+//! sound because a core is built, seeded, committed and finished on the
+//! calling thread even in parallel builds (only step closures go to the
+//! pool), which is the same property the engines' determinism story rests
+//! on.
 //!
 //! Each engine run constructs exactly one [`ExecCore`](crate::ExecCore),
 //! so a multi-run pipeline
 //! (Linial → KW phases → sweep) records one transcript **segment** per
 //! engine run, with the commitment chain threading across segments.
 //! Zero-round segments (a run whose every node halts at seeding) are
-//! dropped when the transcript is taken: they contribute no rounds and
-//! no commitments, so a pipeline's transcript does not depend on whether
-//! a stage with nothing to do entered the engine.
+//! dropped when their run finishes: they contribute no rounds and no
+//! commitments, so a pipeline's transcript does not depend on whether a
+//! stage with nothing to do entered the engine.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use treelocal_graph::{widen_u64, NodeId};
+use treelocal_graph::{widen_u32, widen_u64, NodeId, OrInvariant};
 
 /// FNV-1a 64-bit offset basis — the start of every commitment chain.
 pub const COMMITMENT_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 pub const COMMITMENT_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Folds one `u64` into an FNV-1a 64-bit hash, little-endian byte order.
-pub fn commitment_fold(mut h: u64, x: u64) -> u64 {
-    for shift in 0..8u32 {
-        let byte = (x >> (8 * shift)) & 0xff;
-        h = (h ^ byte).wrapping_mul(COMMITMENT_PRIME);
+/// `PRIME_POWERS[k]` is [`COMMITMENT_PRIME`] to the `k`-th power, wrapping.
+const PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        powers[k] = powers[k - 1].wrapping_mul(COMMITMENT_PRIME);
+        k += 1;
     }
-    h
+    powers
+};
+
+/// Folds one `u64` into an FNV-1a 64-bit hash, little-endian byte order.
+///
+/// A zero byte only multiplies the hash by the prime, so the zero high
+/// bytes of a small word (a node index, a count) fold as one
+/// multiplication by a power of the prime: the same value in half the
+/// dependent steps for a node index below 2^24.
+pub fn commitment_fold(mut h: u64, x: u64) -> u64 {
+    let zeros = widen_u32(x.leading_zeros() / 8);
+    for &byte in &x.to_le_bytes()[..8 - zeros] {
+        h = (h ^ u64::from(byte)).wrapping_mul(COMMITMENT_PRIME);
+    }
+    h.wrapping_mul(PRIME_POWERS[zeros])
 }
 
 /// One engine run's worth of transcript.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TranscriptSegment {
     /// `(node, halt_round)` pairs, ascending by node index. Round `0`
-    /// means the node was seeded halted and never entered the frontier.
+    /// means the node was seeded halted and never ran.
     pub halts: Vec<(NodeId, u64)>,
     /// Communication rounds this segment executed.
     pub rounds: u64,
-    /// One chained frontier commitment per round, in round order.
+    /// One chained commitment per round, in round order.
     pub commitments: Vec<u64>,
 }
 
@@ -70,23 +99,74 @@ impl Transcript {
     }
 }
 
-#[derive(Default)]
-struct RawSegment {
-    /// `(node, halt_round)` in halt order.
-    halts: Vec<(NodeId, u64)>,
-    commitments: Vec<u64>,
+/// The halt-round entry of a slot that has not halted (or never ran).
+const NOT_HALTED: u64 = u64::MAX;
+
+/// What an armed core records during one run: a halt-round column and
+/// the engine's live count per round.
+#[derive(Debug)]
+pub(crate) struct SegmentLog {
+    /// Halt round per index slot, `0` for a node seeded halted;
+    /// [`NOT_HALTED`] for a slot that is still live or never seeded.
+    halt_round: Vec<u64>,
+    /// Halted nodes so far.
+    halted: usize,
+    /// The live count (awake plus asleep) of round `r` at `r - 1`.
+    live: Vec<u64>,
 }
 
-struct Recorder {
-    segments: Vec<RawSegment>,
-    chain: u64,
+impl SegmentLog {
+    fn new(index_space: usize) -> Self {
+        SegmentLog { halt_round: vec![NOT_HALTED; index_space], halted: 0, live: Vec::new() }
+    }
+
+    /// Records that `v` halted in `round` (0 = at seeding).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` already halted in this run: a core halts each node
+    /// at most once, so a repeat is a recording bug, not a transcript.
+    pub(crate) fn halt(&mut self, v: NodeId, round: u64) {
+        let slot = &mut self.halt_round[v.index()];
+        assert!(*slot == NOT_HALTED, "node {v:?} halted twice in one segment (one-halt invariant)");
+        *slot = round;
+        self.halted += 1;
+    }
+
+    /// Records the engine's live count at the round just begun.
+    pub(crate) fn round(&mut self, live: usize) {
+        self.live.push(widen_u64(live));
+    }
+
+    /// The halts in node order, read off the column in one pass.
+    fn into_segment(self) -> RawSegment {
+        let mut halts = Vec::with_capacity(self.halted);
+        halts.extend(
+            self.halt_round
+                .iter()
+                .enumerate()
+                .filter(|&(_, &r)| r != NOT_HALTED)
+                .map(|(i, &r)| (NodeId::new(i), r)),
+        );
+        RawSegment { halts, live: self.live }
+    }
+}
+
+/// A finished run, not yet committed.
+struct RawSegment {
+    /// `(node, halt_round)`, ascending by node.
+    halts: Vec<(NodeId, u64)>,
+    /// The live count of round `r` at `r - 1`.
+    live: Vec<u64>,
 }
 
 /// Number of threads with an armed recorder — the hooks' fast-path gate.
 static ARMED: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    static RECORDER: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+    /// The calling thread's finished segments, in execution order, while
+    /// its recorder is armed.
+    static RECORDER: RefCell<Option<Vec<RawSegment>>> = const { RefCell::new(None) };
 }
 
 /// Arms transcript recording on the calling thread. Any previously armed
@@ -97,58 +177,81 @@ pub fn begin() {
         if slot.is_none() {
             ARMED.fetch_add(1, Ordering::Relaxed);
         }
-        *slot = Some(Recorder { segments: Vec::new(), chain: COMMITMENT_OFFSET });
+        *slot = Some(Vec::new());
     });
 }
 
 /// Disarms recording on the calling thread and returns the transcript
-/// (empty if [`begin`] was never called).
+/// (empty if [`begin`] was never called). The commitment chain is folded
+/// here, segment by segment in execution order.
 pub fn take() -> Transcript {
-    RECORDER.with(|r| {
-        let mut slot = r.borrow_mut();
-        match slot.take() {
-            Some(rec) => {
-                ARMED.fetch_sub(1, Ordering::Relaxed);
-                Transcript {
-                    segments: rec
-                        .segments
-                        .into_iter()
-                        .filter(|s| !s.commitments.is_empty())
-                        .map(|s| TranscriptSegment {
-                            rounds: widen_u64(s.commitments.len()),
-                            halts: by_node(s.halts),
-                            commitments: s.commitments,
-                        })
-                        .collect(),
-                }
-            }
-            None => Transcript::default(),
-        }
-    })
+    let Some(recorded) = RECORDER.with(|r| r.borrow_mut().take()) else {
+        return Transcript::default();
+    };
+    ARMED.fetch_sub(1, Ordering::Relaxed);
+    let mut chain = COMMITMENT_OFFSET;
+    let mut by_round = Vec::new();
+    let segments = recorded
+        .into_iter()
+        .map(|s| {
+            let commitments = commit_segment(&mut chain, &s, &mut by_round);
+            TranscriptSegment { rounds: widen_u64(s.live.len()), halts: s.halts, commitments }
+        })
+        .collect();
+    Transcript { segments }
 }
 
-/// Orders one segment's halt records by node in one linear pass over
-/// the halts and the nodes up to the largest halted one, reusing the
-/// record buffer.
+/// Extends `chain` by one commitment per round of `seg`: the halts are
+/// bucketed by round in one counting pass (each bucket in node order,
+/// since the halts are), then every round folds its number, its live
+/// count, its bucket's size and the bucket.
+fn commit_segment(chain: &mut u64, seg: &RawSegment, by_round: &mut Vec<NodeId>) -> Vec<u64> {
+    let rounds = seg.live.len();
+    // `start[r]..start[r + 1]` will be round `r`'s bucket.
+    let mut start = vec![0usize; rounds + 2];
+    for &(_, r) in &seg.halts {
+        start[halt_slot(r, rounds) + 1] += 1;
+    }
+    for r in 1..start.len() {
+        start[r] += start[r - 1];
+    }
+    by_round.clear();
+    by_round.resize(seg.halts.len(), NodeId::new(0));
+    let mut next = start.clone();
+    for &(v, r) in &seg.halts {
+        let at = &mut next[halt_slot(r, rounds)];
+        by_round[*at] = v;
+        *at += 1;
+    }
+    (1..=rounds)
+        .map(|r| {
+            let halted = &by_round[start[r]..start[r + 1]];
+            let mut h = commitment_fold(*chain, widen_u64(r));
+            h = commitment_fold(h, seg.live[r - 1]);
+            h = commitment_fold(h, widen_u64(halted.len()));
+            for v in halted {
+                h = commitment_fold(h, widen_u64(v.index()));
+            }
+            *chain = h;
+            h
+        })
+        .collect()
+}
+
+/// A recorded halt round as a bucket index.
 ///
 /// # Panics
 ///
-/// Panics if a node halted twice in the segment: a core halts each node
-/// at most once, so a repeat is a recording bug, not a transcript.
-fn by_node(mut halts: Vec<(NodeId, u64)>) -> Vec<(NodeId, u64)> {
-    let nodes = halts.iter().map(|(v, _)| v.index() + 1).max().unwrap_or(0);
-    let mut round_of: Vec<Option<u64>> = vec![None; nodes];
-    for &(v, round) in &halts {
-        let slot = &mut round_of[v.index()];
-        assert!(slot.is_none(), "node {v:?} halted twice in one segment (one-halt invariant)");
-        *slot = Some(round);
-    }
-    halts.clear();
-    halts.extend(round_of.into_iter().enumerate().filter_map(|(i, r)| Some((NodeId::new(i), r?))));
-    halts
+/// Panics if the round lies past the segment's last round: a core halts a
+/// node only in a round it executed, so that is a recording bug.
+fn halt_slot(round: u64, rounds: usize) -> usize {
+    usize::try_from(round)
+        .ok()
+        .filter(|&r| r <= rounds)
+        .or_invariant("a node halts in a round its segment ran (halt-round invariant)")
 }
 
-fn with_recorder(f: impl FnOnce(&mut Recorder)) {
+fn with_recorder(f: impl FnOnce(&mut Vec<RawSegment>)) {
     if ARMED.load(Ordering::Relaxed) == 0 {
         return;
     }
@@ -159,41 +262,24 @@ fn with_recorder(f: impl FnOnce(&mut Recorder)) {
     });
 }
 
-/// A new engine run (one per core construction) starts a fresh segment.
-/// Returns whether the run is recorded.
-pub(crate) fn segment_start() -> bool {
-    let mut recording = false;
-    with_recorder(|rec| {
-        rec.segments.push(RawSegment::default());
-        recording = true;
-    });
-    recording
+/// A new engine run (one per core construction) over `index_space`
+/// slots: the log its core keeps, if the calling thread's recorder is
+/// armed.
+pub(crate) fn segment_start(index_space: usize) -> Option<SegmentLog> {
+    let mut log = None;
+    with_recorder(|_| log = Some(SegmentLog::new(index_space)));
+    log
 }
 
-/// Records that `v` halted after `round` rounds (0 = halted at seeding).
-pub(crate) fn record_halt(v: NodeId, round: u64) {
-    with_recorder(|rec| {
-        if let Some(seg) = rec.segments.last_mut() {
-            seg.halts.push((v, round));
-        }
-    });
-}
-
-/// Extends the commitment chain with this round's frontier, in commit
-/// order, and records the resulting per-round commitment.
-pub(crate) fn record_round(frontier: &[NodeId]) {
-    with_recorder(|rec| {
-        if let Some(seg) = rec.segments.last_mut() {
-            let round = widen_u64(seg.commitments.len()) + 1;
-            let mut h = commitment_fold(rec.chain, round);
-            h = commitment_fold(h, widen_u64(frontier.len()));
-            for v in frontier {
-                h = commitment_fold(h, widen_u64(v.index()));
-            }
-            rec.chain = h;
-            seg.commitments.push(h);
-        }
-    });
+/// Hands a finished run's log to the calling thread's recorder, as the
+/// next segment. A run that executed no round is dropped (see the module
+/// docs).
+pub(crate) fn segment_finish(log: SegmentLog) {
+    if log.live.is_empty() {
+        return;
+    }
+    let seg = log.into_segment();
+    with_recorder(|segments| segments.push(seg));
 }
 
 #[cfg(test)]
@@ -222,6 +308,65 @@ mod tests {
                 Verdict::Halted(own)
             } else {
                 Verdict::Active(own)
+            }
+        }
+    }
+
+    /// The live count of every round of `seg`, derived from its halts:
+    /// the participants whose halt round is at least the round.
+    fn derived_live(seg: &TranscriptSegment) -> Vec<u64> {
+        (1..=seg.rounds)
+            .map(|r| widen_u64(seg.halts.iter().filter(|&&(_, hr)| hr >= r).count()))
+            .collect()
+    }
+
+    /// The commitment chain of `t`, re-derived from its halts alone with
+    /// the spec's fold: round, live count, halted count, halted nodes.
+    fn derived_chain(t: &Transcript) -> Vec<Vec<u64>> {
+        let mut chain = COMMITMENT_OFFSET;
+        t.segments
+            .iter()
+            .map(|seg| {
+                let live = derived_live(seg);
+                (1..=seg.rounds)
+                    .map(|r| {
+                        let halted: Vec<NodeId> =
+                            seg.halts.iter().filter(|&&(_, hr)| hr == r).map(|&(v, _)| v).collect();
+                        let mut h = commitment_fold(chain, r);
+                        h = commitment_fold(h, live[usize::try_from(r - 1).unwrap()]);
+                        h = commitment_fold(h, widen_u64(halted.len()));
+                        for v in &halted {
+                            h = commitment_fold(h, widen_u64(v.index()));
+                        }
+                        chain = h;
+                        h
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The engine's live counts the armed recorder holds, per segment.
+    fn recorded_live_counts() -> Vec<Vec<u64>> {
+        RECORDER
+            .with(|r| {
+                let rec = r.borrow();
+                rec.as_ref().map(|segments| segments.iter().map(|s| s.live.clone()).collect())
+            })
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn the_fold_equals_byte_at_a_time_fnv1a() {
+        for bits in 0..64 {
+            for x in [0, 1u64 << bits, (1u64 << bits) - 1, u64::MAX >> bits, 0xa5 << (bits / 8 * 8)]
+            {
+                let h = COMMITMENT_OFFSET.rotate_left(bits);
+                let reference = x
+                    .to_le_bytes()
+                    .iter()
+                    .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(COMMITMENT_PRIME));
+                assert_eq!(commitment_fold(h, x), reference, "x = {x:#x}");
             }
         }
     }
@@ -256,25 +401,10 @@ mod tests {
         let ctx = Ctx::of(&g);
         begin();
         run(&ctx, &Countdown, 10);
+        run(&ctx, &Countdown, 10);
         let t = take();
-        // Frontier at round r = nodes with halt round >= r, commit order.
-        let mut chain = COMMITMENT_OFFSET;
-        for (r, &c) in t.segments[0].commitments.iter().enumerate() {
-            let round = widen_u64(r) + 1;
-            let frontier: Vec<NodeId> = t.segments[0]
-                .halts
-                .iter()
-                .filter(|&&(_, hr)| hr >= round)
-                .map(|&(v, _)| v)
-                .collect();
-            let mut h = commitment_fold(chain, round);
-            h = commitment_fold(h, widen_u64(frontier.len()));
-            for v in &frontier {
-                h = commitment_fold(h, widen_u64(v.index()));
-            }
-            assert_eq!(c, h, "round {round}");
-            chain = h;
-        }
+        let recorded: Vec<Vec<u64>> = t.segments.iter().map(|s| s.commitments.clone()).collect();
+        assert_eq!(recorded, derived_chain(&t));
     }
 
     /// [`Countdown`] with every node asleep until its halting round.
@@ -300,8 +430,8 @@ mod tests {
 
     #[test]
     fn sleepers_stay_on_the_committed_frontier() {
-        // A sleeper is still running: every round commits the same
-        // frontier whether its nodes poll or sleep until they halt.
+        // A sleeper is still running: every round commits the same live
+        // count whether its nodes poll or sleep until they halt.
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let ctx = Ctx::of(&g);
         begin();
@@ -315,20 +445,77 @@ mod tests {
         assert_eq!(polled_t, slept_t);
     }
 
+    /// Node `v` is seeded halted when `v % 3 == 0`; sleeps until round
+    /// `v / 3 + 2` and halts there when `v % 3 == 1`; and is awake from
+    /// the start and halts in round `v / 3 + 1` when `v % 3 == 2`.
+    struct Mixed;
+    impl<T: Topology> SyncAlgorithm<T> for Mixed {
+        type State = u64;
+        fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<u64> {
+            let third = widen_u64(v.index() / 3);
+            match v.index() % 3 {
+                0 => Verdict::Halted(0),
+                1 => Verdict::SleepUntil(third + 2, third + 2),
+                _ => Verdict::Active(third + 1),
+            }
+        }
+        fn step(
+            &self,
+            _ctx: &Ctx<T>,
+            _v: NodeId,
+            round: u64,
+            own: u64,
+            _prev: &Ports<'_, u64>,
+        ) -> Verdict<u64> {
+            if round >= own {
+                Verdict::Halted(own)
+            } else {
+                Verdict::Active(own)
+            }
+        }
+    }
+
+    #[test]
+    fn the_engine_live_count_equals_the_count_derived_from_the_halts() {
+        let n = 10;
+        let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        let g = Graph::from_edges(n, &edges).unwrap();
+        let ctx = Ctx::of(&g);
+        begin();
+        let out = run(&ctx, &Mixed, 10);
+        let live = recorded_live_counts();
+        let t = take();
+        // Sleepers wake and halt in rounds 2..=4 and awake nodes halt in
+        // 1..=3: a sleeper outlives every awake node, and seeded halts
+        // never run.
+        assert_eq!(out.rounds, 4);
+        let seg = &t.segments[0];
+        assert_eq!(seg.halts.len(), n);
+        assert!(seg.halts.iter().all(|&(v, r)| (v.index() % 3 == 0) == (r == 0)));
+        assert_eq!(live, vec![vec![6, 5, 3, 1]]);
+        assert_eq!(live, vec![derived_live(seg)]);
+        assert_eq!(vec![seg.commitments.clone()], derived_chain(&t));
+    }
+
     #[test]
     fn halts_are_ordered_by_node_whatever_order_they_were_recorded_in() {
-        let halts = vec![(NodeId::new(3), 2), (NodeId::new(0), 0), (NodeId::new(1), 1)];
+        let mut log = SegmentLog::new(5);
+        log.halt(NodeId::new(3), 2);
+        log.halt(NodeId::new(0), 0);
+        log.halt(NodeId::new(1), 1);
         assert_eq!(
-            by_node(halts),
+            log.into_segment().halts,
             vec![(NodeId::new(0), 0), (NodeId::new(1), 1), (NodeId::new(3), 2)]
         );
-        assert_eq!(by_node(Vec::new()), Vec::new());
+        assert_eq!(SegmentLog::new(3).into_segment().halts, Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "one-halt invariant")]
     fn a_node_halting_twice_in_one_segment_is_a_recording_bug() {
-        by_node(vec![(NodeId::new(1), 1), (NodeId::new(1), 2)]);
+        let mut log = SegmentLog::new(2);
+        log.halt(NodeId::new(1), 1);
+        log.halt(NodeId::new(1), 2);
     }
 
     #[test]
