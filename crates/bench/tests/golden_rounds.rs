@@ -1,5 +1,5 @@
-//! Golden round-count regression: the quick-profile lemma and theorem
-//! E-tables are pinned cell-for-cell against a committed fixture.
+//! Golden round-count regression: every quick-profile E-table (E1–E14) is
+//! pinned cell-for-cell against a committed fixture.
 //!
 //! Every number in these tables (iterations, diameters, round counts,
 //! ratios) is deterministic — generators are seeded, pipelines are
@@ -17,12 +17,7 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use treelocal_bench::{run_experiment, ExperimentSize};
-
-/// The pinned suites: the rake-and-compress lemma tables whose diameters
-/// come from the eccentricity machinery (E1–E3) and the theorem tables
-/// whose round counts include the gather-residual phase (E6–E8).
-const PINNED_IDS: &[&str] = &["e1", "e2", "e3", "e6", "e7", "e8"];
+use treelocal_bench::{all_experiment_ids, run_experiment, ExperimentSize};
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/quick_rounds.txt")
@@ -30,7 +25,10 @@ fn fixture_path() -> PathBuf {
 
 fn rendered_quick_tables() -> String {
     let mut out = String::new();
-    for id in PINNED_IDS {
+    // Every quick table: the lemma tables (E1–E5), the theorem tables
+    // (E6–E8) and the tables that run the inner solvers directly
+    // (E9–E14).
+    for id in all_experiment_ids() {
         for table in run_experiment(id, ExperimentSize::Quick) {
             let _ = writeln!(out, "{}", table.render());
         }
