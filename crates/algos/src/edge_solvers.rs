@@ -1,34 +1,85 @@
-//! Truly local algorithms for the `P2` (edge-labeling) problems: maximal
-//! matching and the two edge colorings.
-//!
-//! Every solver simulates the corresponding node problem on the line graph
+//! Truly local algorithms for the `P2` (edge-labeling) problems: each is
+//! a `P1` stage chain on the line graph `L` plus the [`on_edges`] read-out
 //! (Section 5 of the paper relies on the same correspondences):
 //!
-//! * maximal matching = MIS on the line graph,
-//! * `(edge-degree+1)`-edge coloring = `(deg+1)`-coloring of the line
-//!   graph,
-//! * `(2Δ−1)`-edge coloring = the same coloring read into a fixed palette.
+//! * maximal matching = the MIS chain on `L`,
+//! * `(edge-degree+1)`-edge coloring = the `(deg+1)`-coloring chain on `L`,
+//! * `(2Δ−1)`-edge coloring = the same coloring read into a fixed palette,
+//! * maximal `b`-matching = Linial on `L`, then a class sweep that admits
+//!   an edge while both endpoints have capacity left.
 //!
-//! Simulated line-graph rounds are charged at the honest `2r + 1` exchange
-//! rate (see [`crate::line_graph`]). The literature's sharper bounds
-//! (`O(Δ)` matching \[PR01\], `O(log^12 Δ)` edge coloring \[BBKO22b\]) are
-//! available as [`ChargedModel`](crate::ChargedModel)s.
+//! Every sweep runs on the engine ([`crate::class_sweep`]); [`on_line`]
+//! charges each simulated round at the honest `2r + 1` exchange rate (see
+//! [`crate::line_graph`]). The literature's sharper bounds (`O(Δ)` matching
+//! \[PR01\], `O(log^12 Δ)` edge coloring \[BBKO22b\]) are available as
+//! [`ChargedModel`](crate::ChargedModel)s.
 
-use crate::line_graph::{line_graph, simulated_rounds, LineGraph};
+use crate::class_sweep::{class_sweep, SweepRule};
+use crate::line_graph::{line_graph, on_line, LineGraph};
 use crate::linial::run_linial;
-use crate::mis_phase::{mis_from_coloring, MisDecision};
-use crate::reduce::{kw_reduce, sweep_reduce};
+use crate::mis_phase::MisDecision;
+use crate::node_solvers::{deg_chain, mis_chain, Solved};
 use crate::traits::{GlobalCtx, TrulyLocal};
-use treelocal_graph::OrInvariant;
-use treelocal_graph::{HalfEdge, NodeId, SemiGraph, Side};
+use treelocal_graph::{EdgeId, Graph, HalfEdge, NodeId, OrInvariant, SemiGraph, Side, Topology};
 use treelocal_problems::{
     BMatchLabel, BMatching, EdgeColLabel, EdgeDegreeColoring, HalfEdgeLabeling, MatchLabel,
     MaximalMatching, PaletteEdgeColoring, PaletteLabel,
 };
 use treelocal_sim::{Ctx, RoundReport};
 
-fn line_ctx<'l>(l: &'l LineGraph, gctx: &GlobalCtx) -> Ctx<'l, treelocal_graph::Graph> {
-    Ctx { topo: &l.graph, n: gctx.n, id_space: l.id_space, max_degree: l.graph.max_degree() }
+/// The edge read-out: runs `chain` on the line graph `l` of `sub` (nothing
+/// when `l` is empty) and reports it [`on_line`], then spends one
+/// `labeling` round. Each rank-2 edge `e` with line node `ln` gets
+/// `rank2(&outcome, e, ln)` on its first and second half; the present half
+/// of each rank-1 edge gets the problem's `d`.
+fn on_edges<O, L: Copy>(
+    sub: &SemiGraph<'_>,
+    gctx: &GlobalCtx,
+    l: &LineGraph,
+    d: L,
+    chain: impl FnOnce(&Ctx<'_, Graph>) -> (O, RoundReport),
+    rank2: impl Fn(&O, EdgeId, usize) -> [L; 2],
+) -> Solved<L> {
+    let staged =
+        (l.graph.node_count() > 0).then(|| chain(&Ctx::restricted(&l.graph, gctx.n, l.id_space)));
+    let mut report = staged.as_ref().map_or_else(RoundReport::new, |(_, stages)| on_line(stages));
+    report.push("labeling", 1);
+    let mut labeling = HalfEdgeLabeling::new(sub.parent().edge_count());
+    for &e in sub.edges() {
+        if sub.rank(e) == 2 {
+            let (out, _) = staged.as_ref().or_invariant("a rank-2 edge makes L non-empty");
+            let ln = l.lnode_of[e.index()].or_invariant("rank-2 edge is a line node");
+            let [first, second] = rank2(out, e, ln as usize);
+            labeling.set_fresh(HalfEdge::new(e, Side::First), first);
+            labeling.set_fresh(HalfEdge::new(e, Side::Second), second);
+        } else {
+            let side = if sub.half_present(e, Side::First) { Side::First } else { Side::Second };
+            labeling.set_fresh(HalfEdge::new(e, side), d);
+        }
+    }
+    (labeling, report)
+}
+
+/// The rank-2 labels of an edge set chosen by line node: a chosen edge is
+/// `m` on both halves; an unchosen one is, per endpoint, `full` once that
+/// endpoint has `b` chosen edges (a matching: `b = 1`) and `open` before.
+fn capacity_labels<'a, L: Copy + 'a>(
+    sub: &'a SemiGraph<'a>,
+    l: &'a LineGraph,
+    b: usize,
+    [m, full, open]: [L; 3],
+) -> impl Fn(&Vec<bool>, EdgeId, usize) -> [L; 2] + 'a {
+    move |chosen, e, ln| {
+        let load = |w| {
+            let at_w = sub.underlying_neighbor_edges(w).iter();
+            at_w.filter(|f| l.lnode_of[f.index()].is_some_and(|x| chosen[x as usize])).count()
+        };
+        if chosen[ln] {
+            [m; 2]
+        } else {
+            sub.parent().endpoints(e).map(|w| if load(w) >= b { full } else { open })
+        }
+    }
 }
 
 /// Maximal matching in `O(Δ log Δ + log* n)` measured (simulated) rounds:
@@ -51,56 +102,14 @@ impl TrulyLocal<MaximalMatching> for MatchingAlgo {
         sub: &SemiGraph<'_>,
         gctx: &GlobalCtx,
         _problem: &MaximalMatching,
-    ) -> (HalfEdgeLabeling<MatchLabel>, RoundReport) {
-        let mut report = RoundReport::new();
-        let mut labeling = HalfEdgeLabeling::new(sub.parent().edge_count());
+    ) -> Solved<MatchLabel> {
         let l = line_graph(sub);
-        let mut matched_lnode: Vec<bool> = vec![false; l.graph.node_count()];
-        if l.graph.node_count() > 0 {
-            let ctx = line_ctx(&l, gctx);
-            let lin = run_linial(&ctx);
-            report.push("linial(L)", simulated_rounds(lin.rounds));
-            let red = kw_reduce(&ctx, &lin.colors, lin.final_bound);
-            report.push("kw-reduce(L)", simulated_rounds(red.rounds));
-            let mis = mis_from_coloring(&ctx, &red.colors, u64::from(red.final_colors));
-            report.push("mis-sweep(L)", simulated_rounds(mis.rounds));
-            for (flag, decision) in matched_lnode.iter_mut().zip(&mis.decisions) {
-                *flag = matches!(decision, Some(MisDecision::Member));
-            }
-        }
-        report.push("labeling", 1);
-        // A node of `sub` is matched iff some incident rank-2 edge is.
-        let g = sub.parent();
-        let node_matched = |v: NodeId| -> bool {
-            sub.underlying_neighbor_edges(v)
-                .iter()
-                .any(|&e| l.lnode_of[e.index()].is_some_and(|ln| matched_lnode[ln as usize]))
+        let chain = |ctx: &Ctx<'_, Graph>| {
+            let (mis, stages) = mis_chain(ctx);
+            (mis.decisions.iter().map(|d| *d == Some(MisDecision::Member)).collect(), stages)
         };
-        for &e in sub.edges() {
-            match sub.rank(e) {
-                2 => {
-                    let matched =
-                        l.lnode_of[e.index()].is_some_and(|ln| matched_lnode[ln as usize]);
-                    let [u, v] = g.endpoints(e);
-                    if matched {
-                        labeling.set_fresh(HalfEdge::new(e, Side::First), MatchLabel::M);
-                        labeling.set_fresh(HalfEdge::new(e, Side::Second), MatchLabel::M);
-                    } else {
-                        let lu = if node_matched(u) { MatchLabel::P } else { MatchLabel::O };
-                        let lv = if node_matched(v) { MatchLabel::P } else { MatchLabel::O };
-                        labeling.set_fresh(HalfEdge::new(e, Side::First), lu);
-                        labeling.set_fresh(HalfEdge::new(e, Side::Second), lv);
-                    }
-                }
-                1 => {
-                    let side =
-                        if sub.half_present(e, Side::First) { Side::First } else { Side::Second };
-                    labeling.set_fresh(HalfEdge::new(e, side), MatchLabel::D);
-                }
-                _ => {}
-            }
-        }
-        (labeling, report)
+        let labels = capacity_labels(sub, &l, 1, [MatchLabel::M, MatchLabel::P, MatchLabel::O]);
+        on_edges(sub, gctx, &l, MatchLabel::D, chain, labels)
     }
 }
 
@@ -110,29 +119,13 @@ impl TrulyLocal<MaximalMatching> for MatchingAlgo {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EdgeColoringAlgo;
 
-/// Computes the per-rank-2-edge colors via the line graph; shared by both
-/// edge coloring solvers. Returns colors (1-based, `≤ edge-degree+1`)
-/// indexed by line node.
-fn line_colors(l: &LineGraph, gctx: &GlobalCtx, report: &mut RoundReport) -> Vec<Option<u32>> {
-    if l.graph.node_count() == 0 {
-        return Vec::new();
-    }
-    let ctx = line_ctx(l, gctx);
-    let lin = run_linial(&ctx);
-    report.push("linial(L)", simulated_rounds(lin.rounds));
-    let red = sweep_reduce(&ctx, &lin.colors, lin.final_bound);
-    report.push("sweep-reduce(L)", simulated_rounds(red.rounds));
-    red.colors
-}
-
 impl TrulyLocal<EdgeDegreeColoring> for EdgeColoringAlgo {
     fn name(&self) -> &'static str {
         "edge-degree+1/line-sweep"
     }
 
     fn f(&self, delta: f64) -> f64 {
-        let t = (2.0 * delta + 2.0) * (2.0 * delta + 4.0).log2();
-        2.0 * t * t
+        2.0 * ((2.0 * delta + 2.0) * (2.0 * delta + 4.0).log2()).powi(2)
     }
 
     fn solve(
@@ -140,36 +133,16 @@ impl TrulyLocal<EdgeDegreeColoring> for EdgeColoringAlgo {
         sub: &SemiGraph<'_>,
         gctx: &GlobalCtx,
         _problem: &EdgeDegreeColoring,
-    ) -> (HalfEdgeLabeling<EdgeColLabel>, RoundReport) {
-        let mut report = RoundReport::new();
-        let mut labeling = HalfEdgeLabeling::new(sub.parent().edge_count());
+    ) -> Solved<EdgeColLabel> {
         let l = line_graph(sub);
-        let colors = line_colors(&l, gctx, &mut report);
-        report.push("labeling", 1);
-        let g = sub.parent();
-        for &e in sub.edges() {
-            match sub.rank(e) {
-                2 => {
-                    let ln = l.lnode_of[e.index()].or_invariant("rank-2 edge is a line node");
-                    let b = colors[ln as usize].or_invariant("line node colored");
-                    let [u, v] = g.endpoints(e);
-                    // Degree parts: the underlying degree of each endpoint
-                    // (= the count of its non-D labels in this instance).
-                    let au = sub.underlying_degree(u) as u32;
-                    let av = sub.underlying_degree(v) as u32;
-                    debug_assert!(au + av > b, "greedy color within edge-degree+1");
-                    labeling.set_fresh(HalfEdge::new(e, Side::First), EdgeColLabel::C(au, b));
-                    labeling.set_fresh(HalfEdge::new(e, Side::Second), EdgeColLabel::C(av, b));
-                }
-                1 => {
-                    let side =
-                        if sub.half_present(e, Side::First) { Side::First } else { Side::Second };
-                    labeling.set_fresh(HalfEdge::new(e, side), EdgeColLabel::D);
-                }
-                _ => {}
-            }
-        }
-        (labeling, report)
+        on_edges(sub, gctx, &l, EdgeColLabel::D, deg_chain, |red, e, ln| {
+            let b = red.colors[ln].or_invariant("line node colored");
+            // Degree parts: the underlying degree of each endpoint (= the
+            // count of its non-D labels in this instance).
+            let [au, av] = sub.parent().endpoints(e).map(|w| sub.underlying_degree(w) as u32);
+            debug_assert!(au + av > b, "greedy color within edge-degree+1");
+            [EdgeColLabel::C(au, b), EdgeColLabel::C(av, b)]
+        })
     }
 }
 
@@ -184,8 +157,7 @@ impl TrulyLocal<PaletteEdgeColoring> for PaletteEdgeColoringAlgo {
     }
 
     fn f(&self, delta: f64) -> f64 {
-        let t = (2.0 * delta + 2.0) * (2.0 * delta + 4.0).log2();
-        2.0 * t * t
+        2.0 * ((2.0 * delta + 2.0) * (2.0 * delta + 4.0).log2()).powi(2)
     }
 
     fn solve(
@@ -193,41 +165,60 @@ impl TrulyLocal<PaletteEdgeColoring> for PaletteEdgeColoringAlgo {
         sub: &SemiGraph<'_>,
         gctx: &GlobalCtx,
         problem: &PaletteEdgeColoring,
-    ) -> (HalfEdgeLabeling<PaletteLabel>, RoundReport) {
-        let mut report = RoundReport::new();
-        let mut labeling = HalfEdgeLabeling::new(sub.parent().edge_count());
+    ) -> Solved<PaletteLabel> {
         let l = line_graph(sub);
-        let colors = line_colors(&l, gctx, &mut report);
-        report.push("labeling", 1);
-        for &e in sub.edges() {
-            match sub.rank(e) {
-                2 => {
-                    let ln = l.lnode_of[e.index()].or_invariant("rank-2 edge is a line node");
-                    let c = colors[ln as usize].or_invariant("line node colored");
-                    assert!(
-                        c <= problem.palette,
-                        "greedy color {c} exceeds palette {} — instance degree too high",
-                        problem.palette
-                    );
-                    labeling.set_fresh(HalfEdge::new(e, Side::First), PaletteLabel::C(c));
-                    labeling.set_fresh(HalfEdge::new(e, Side::Second), PaletteLabel::C(c));
-                }
-                1 => {
-                    let side =
-                        if sub.half_present(e, Side::First) { Side::First } else { Side::Second };
-                    labeling.set_fresh(HalfEdge::new(e, side), PaletteLabel::D);
-                }
-                _ => {}
+        on_edges(sub, gctx, &l, PaletteLabel::D, deg_chain, |red, _, ln| {
+            let c = red.colors[ln].or_invariant("line node colored");
+            let palette = problem.palette;
+            assert!(c <= palette, "greedy color {c} exceeds palette {palette}: degree too high");
+            [PaletteLabel::C(c); 2]
+        })
+    }
+}
+
+/// The sweep decision of a line node whose edge joins the `b`-matching.
+const CHOSEN: u64 = 1;
+
+/// Class `c` of a 0-based `m`-coloring of the line graph decides in round
+/// `m - c`: its edge joins iff both endpoints have fewer than `b` chosen
+/// decided neighbours through that endpoint. Same-class line nodes share
+/// no endpoint, so the edges joining in one round never overfill a node.
+struct BMatchSweep<'a> {
+    colors: &'a [Option<u64>],
+    m: u64,
+    b: usize,
+    g: &'a Graph,
+    edge_of: &'a [EdgeId],
+}
+
+impl SweepRule for BMatchSweep<'_> {
+    fn round(&self, v: NodeId) -> Option<u64> {
+        let c = self.colors[v.index()].or_invariant("color for every line node");
+        (c < self.m).then(|| self.m - c)
+    }
+
+    fn decide<T: Topology>(
+        &self,
+        topo: &T,
+        v: NodeId,
+        decided: impl ExactSizeIterator<Item = Option<u64>>,
+    ) -> u64 {
+        let [first, _] = self.g.endpoints(self.edge_of[v.index()]);
+        let (mut chosen, mut at_first) = (0, 0);
+        for (&w, d) in topo.neighbor_nodes(v).iter().zip(decided) {
+            if d == Some(CHOSEN) {
+                chosen += 1;
+                at_first += usize::from(self.g.endpoints(self.edge_of[w.index()]).contains(&first));
             }
         }
-        (labeling, report)
+        u64::from(at_first < self.b && chosen - at_first < self.b)
     }
 }
 
 /// Maximal `b`-matching in `O(Δ² log² Δ + log* n)` measured (simulated)
-/// rounds: greedy over the color classes of a Linial coloring of the line
-/// graph. Capacities only shrink, so an edge left unchosen at its class
-/// round has a saturated endpoint at termination — maximality.
+/// rounds: a class sweep over a Linial coloring of the line graph.
+/// Capacities only shrink, so an edge left unchosen at its class round
+/// has a saturated endpoint at termination — maximality.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BMatchingAlgo;
 
@@ -237,87 +228,110 @@ impl TrulyLocal<BMatching> for BMatchingAlgo {
     }
 
     fn f(&self, delta: f64) -> f64 {
-        let t = (2.0 * delta + 2.0) * (2.0 * delta + 4.0).log2();
-        2.0 * t * t
+        2.0 * ((2.0 * delta + 2.0) * (2.0 * delta + 4.0).log2()).powi(2)
     }
 
-    fn solve(
-        &self,
-        sub: &SemiGraph<'_>,
-        gctx: &GlobalCtx,
-        problem: &BMatching,
-    ) -> (HalfEdgeLabeling<BMatchLabel>, RoundReport) {
-        let mut report = RoundReport::new();
-        let mut labeling = HalfEdgeLabeling::new(sub.parent().edge_count());
+    fn solve(&self, sub: &SemiGraph<'_>, gctx: &GlobalCtx, p: &BMatching) -> Solved<BMatchLabel> {
         let l = line_graph(sub);
-        let g = sub.parent();
-        let mut chosen = vec![false; l.graph.node_count()];
-        if l.graph.node_count() > 0 {
-            let ctx = line_ctx(&l, gctx);
-            let lin = run_linial(&ctx);
-            report.push("linial(L)", simulated_rounds(lin.rounds));
-            // Greedy sweep over the proper coloring, one class per
-            // (simulated) round, highest class first; an edge joins iff
-            // both endpoints still have capacity. Same-class edges are
-            // non-adjacent in L, hence endpoint-disjoint claims... not
-            // quite: same-class L-nodes share no endpoint by properness,
-            // so their capacity updates never conflict.
-            let mut load = vec![0usize; g.node_count()];
-            let mut order: Vec<usize> = (0..l.graph.node_count()).collect();
-            order.sort_by_key(|&i| std::cmp::Reverse(lin.colors[i].or_invariant("colored")));
-            for &i in &order {
-                let e = l.edge_of[i];
-                let [u, v] = g.endpoints(e);
-                if load[u.index()] < problem.b && load[v.index()] < problem.b {
-                    chosen[i] = true;
-                    load[u.index()] += 1;
-                    load[v.index()] += 1;
-                }
-            }
-            // Rounds charged: one simulated round per color class.
-            report.push("class-sweep(L)", simulated_rounds(lin.final_bound));
-        }
-        report.push("labeling", 1);
-        let load_of = |w: NodeId| -> usize {
-            sub.underlying_neighbor_edges(w)
-                .iter()
-                .filter(|&&f| l.lnode_of[f.index()].is_some_and(|ln| chosen[ln as usize]))
-                .count()
+        let chain = |ctx: &Ctx<'_, Graph>| {
+            let lin = run_linial(ctx);
+            let (m, g) = (lin.final_bound, sub.parent());
+            let rule = BMatchSweep { colors: &lin.colors, m, b: p.b, g, edge_of: &l.edge_of };
+            let (chosen, rounds) = class_sweep(ctx, &rule, m + 2, |x| x == CHOSEN);
+            let mut stages = RoundReport::new();
+            stages.push("linial", lin.rounds).push("class-sweep", rounds);
+            (chosen.iter().map(|c| *c == Some(true)).collect(), stages)
         };
-        for &e in sub.edges() {
-            match sub.rank(e) {
-                2 => {
-                    let ln = l.lnode_of[e.index()].or_invariant("rank-2 edge is a line node");
-                    let [u, v] = g.endpoints(e);
-                    if chosen[ln as usize] {
-                        labeling.set_fresh(HalfEdge::new(e, Side::First), BMatchLabel::M);
-                        labeling.set_fresh(HalfEdge::new(e, Side::Second), BMatchLabel::M);
-                    } else {
-                        let lu =
-                            if load_of(u) >= problem.b { BMatchLabel::S } else { BMatchLabel::O };
-                        let lv =
-                            if load_of(v) >= problem.b { BMatchLabel::S } else { BMatchLabel::O };
-                        labeling.set_fresh(HalfEdge::new(e, Side::First), lu);
-                        labeling.set_fresh(HalfEdge::new(e, Side::Second), lv);
-                    }
-                }
-                1 => {
-                    let side =
-                        if sub.half_present(e, Side::First) { Side::First } else { Side::Second };
-                    labeling.set_fresh(HalfEdge::new(e, side), BMatchLabel::D);
-                }
-                _ => {}
-            }
-        }
-        (labeling, report)
+        let labels =
+            capacity_labels(sub, &l, p.b, [BMatchLabel::M, BMatchLabel::S, BMatchLabel::O]);
+        on_edges(sub, gctx, &l, BMatchLabel::D, chain, labels)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use treelocal_gen::{grid, random_tree, relabel, IdStrategy};
+    use crate::class_sweep::assert_sweep_engines_agree;
+    use crate::line_graph::simulated_rounds;
+    use treelocal_gen::{grid, random_arboricity_graph, random_tree, relabel, IdStrategy};
     use treelocal_problems::{classic, verify_semigraph};
+
+    /// Runs `f` on the line graph `l` of `sub` with the `b`-matching rule
+    /// over the Linial colouring `BMatchingAlgo` sweeps, and its bound `m`.
+    fn with_rule<R>(
+        sub: &SemiGraph<'_>,
+        l: &LineGraph,
+        b: usize,
+        f: impl FnOnce(&Ctx<'_, Graph>, &BMatchSweep<'_>, u64) -> R,
+    ) -> R {
+        let ctx = Ctx::restricted(&l.graph, sub.parent().node_count(), l.id_space);
+        let lin = run_linial(&ctx);
+        let (m, g) = (lin.final_bound, sub.parent());
+        f(&ctx, &BMatchSweep { colors: &lin.colors, m, b, g, edge_of: &l.edge_of }, m)
+    }
+
+    /// The central loop `BMatchingAlgo` ran before its sweep moved onto
+    /// the engine: line nodes stably sorted by descending colour, each edge
+    /// joining iff both endpoints are below `b`.
+    fn b_matching_oracle(rule: &BMatchSweep<'_>) -> Vec<bool> {
+        let mut chosen = vec![false; rule.edge_of.len()];
+        let mut load = vec![0usize; rule.g.node_count()];
+        let mut order: Vec<usize> = (0..rule.edge_of.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(rule.colors[i].unwrap()));
+        for i in order {
+            let [u, v] = rule.g.endpoints(rule.edge_of[i]);
+            if load[u.index()] < rule.b && load[v.index()] < rule.b {
+                chosen[i] = true;
+                load[u.index()] += 1;
+                load[v.index()] += 1;
+            }
+        }
+        chosen
+    }
+
+    #[test]
+    fn b_matching_sweep_engines_agree() {
+        for g in treelocal_gen::cross_check_trees().filter(|g| g.edge_count() > 0) {
+            let s = SemiGraph::whole(&g);
+            let l = line_graph(&s);
+            for b in 1..3 {
+                with_rule(&s, &l, b, |ctx, rule, m| assert_sweep_engines_agree(ctx, rule, m + 2));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The engine sweep chooses exactly the old central loop's edges,
+        /// and reports the rounds it ran, at most the `m` the loop charged.
+        #[test]
+        fn b_matching_sweep_chooses_the_oracle_set(
+            n in 2usize..90,
+            a in 1usize..3,
+            b in 1usize..4,
+            seed in 0u64..400,
+            mask in proptest::prelude::any::<u64>(),
+            by_nodes in proptest::prelude::any::<bool>(),
+        ) {
+            let g = random_arboricity_graph(n, a, seed);
+            let keep = |i: usize| (mask >> (i % 64)) & 1 == 0;
+            let s = if by_nodes {
+                SemiGraph::induced_by_nodes(&g, |v| keep(v.index()))
+            } else {
+                SemiGraph::induced_by_edges(&g, |e| keep(e.index()))
+            };
+            let l = line_graph(&s);
+            let (_, report) = BMatchingAlgo.solve(&s, &GlobalCtx::of(&g), &BMatching { b });
+            with_rule(&s, &l, b, |ctx, rule, m| {
+                let (chosen, rounds) = class_sweep(ctx, rule, m + 2, |x| x == CHOSEN);
+                let chosen: Vec<bool> = chosen.into_iter().map(Option::unwrap).collect();
+                assert_eq!(chosen, b_matching_oracle(rule));
+                assert!(rounds <= m);
+                assert_eq!(report.rounds_of("class-sweep(L)"), simulated_rounds(rounds));
+            });
+        }
+    }
 
     #[test]
     fn matching_on_whole_trees() {
@@ -342,20 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn matching_labels_rank1_edges_d() {
-        let g = random_tree(40, 3);
-        let s = SemiGraph::induced_by_nodes(&g, |v| v.index() % 2 == 0);
-        let (labeling, _) = MatchingAlgo.solve(&s, &GlobalCtx::of(&g), &MaximalMatching);
-        verify_semigraph(&MaximalMatching, &s, &labeling).unwrap();
-        for &e in s.edges() {
-            if s.rank(e) == 1 {
-                let side = if s.half_present(e, Side::First) { Side::First } else { Side::Second };
-                assert_eq!(labeling.get_at(e, side), Some(MatchLabel::D));
-            }
-        }
-    }
-
-    #[test]
     fn edge_coloring_on_trees_and_grids() {
         let t = random_tree(80, 1);
         let s = SemiGraph::whole(&t);
@@ -377,16 +377,6 @@ mod tests {
         let s = SemiGraph::whole(&g);
         let (labeling, _) = PaletteEdgeColoringAlgo.solve(&s, &GlobalCtx::of(&g), &p);
         verify_semigraph(&p, &s, &labeling).unwrap();
-    }
-
-    #[test]
-    fn empty_sub_instance() {
-        let g = random_tree(10, 1);
-        let s = SemiGraph::induced_by_edges(&g, |_| false);
-        let (labeling, report) = MatchingAlgo.solve(&s, &GlobalCtx::of(&g), &MaximalMatching);
-        assert_eq!(labeling.assigned_count(), 0);
-        // Only the fixed labeling round is charged.
-        assert!(report.total() <= 1);
     }
 
     #[test]

@@ -17,9 +17,19 @@
 //!
 //! # Solvers (implementations of [`TrulyLocal`])
 //!
-//! * [`MisAlgo`], [`DeltaColoringAlgo`], [`DegColoringAlgo`] — class `P1`,
-//! * [`MatchingAlgo`], [`EdgeColoringAlgo`], [`PaletteEdgeColoringAlgo`] —
-//!   class `P2` (via line graphs).
+//! * [`MisAlgo`], [`DeltaColoringAlgo`], [`DegColoringAlgo`],
+//!   [`ListColoringAlgo`] — class `P1`: each is one stage chain (Linial,
+//!   then KW halving or a class sweep, then the problem's decisions) plus
+//!   one read-out that puts each node's decision on its half-edges;
+//! * [`MatchingAlgo`], [`EdgeColoringAlgo`], [`PaletteEdgeColoringAlgo`],
+//!   [`BMatchingAlgo`] — class `P2`: each is a `P1` chain run on the line
+//!   graph (maximal matching is the MIS chain, both edge colorings the
+//!   `(deg+1)`-coloring chain), its phases reported as `name(L)` at
+//!   [`simulated_rounds`] cost, plus one read-out that labels each rank-2
+//!   edge from its line node and each rank-1 half with the problem's `D`.
+//!
+//! Every colour-class sweep, the `b`-matching sweep included, is a rule on
+//! one engine algorithm, so every reported round is a round that ran.
 //!
 //! Every engine algorithm here is one [`treelocal_sim::SyncAlgorithm`]
 //! whose step reads its neighbours by port, so each runs unchanged on both

@@ -15,6 +15,7 @@
 
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{narrow_u32, widen_u32, EdgeId, FnEdgeSource, Graph, SemiGraph};
+use treelocal_sim::RoundReport;
 
 /// The line graph of a semi-graph's rank-2 edges, with index maps.
 #[derive(Clone, Debug)]
@@ -36,6 +37,17 @@ pub fn simulated_rounds(r: u64) -> u64 {
     } else {
         2 * r + 1
     }
+}
+
+/// A chain's stage report on-line: phase `name` becomes `name(L)`, and its
+/// `r` rounds on `L` the [`simulated_rounds`]`(r)` real rounds that
+/// simulate them.
+pub(crate) fn on_line(stages: &RoundReport) -> RoundReport {
+    let mut report = RoundReport::new();
+    for p in stages.phases() {
+        report.push(format!("{}(L)", p.name), simulated_rounds(p.rounds));
+    }
+    report
 }
 
 /// Builds the line graph over the rank-2 edges of `s`.

@@ -1,32 +1,79 @@
 //! Truly local algorithms for the `P1` (node-labeling) problems: MIS,
-//! `(Δ+1)`-coloring and `(deg+1)`-coloring.
+//! `(Δ+1)`-coloring, `(deg+1)`-coloring and `(deg+1)`-list coloring.
 //!
-//! Each solver is a real synchronous pipeline (Linial color reduction, then
-//! Kuhn–Wattenhofer halving or a class sweep, then problem-specific
-//! decisions), executed on the simulator with honest round counts. The
-//! declared complexity functions `f` reflect the measured shapes:
-//!
-//! * MIS, `(Δ+1)`-coloring: `f(Δ) = Θ(Δ log Δ)` (KW halving dominates),
-//! * `(deg+1)`-coloring: `f(Δ) = Θ(Δ² log² Δ)` (sweep over the Linial
-//!   palette).
-//!
-//! The literature's sharper bounds (`O(Δ)` \[BEK14\], `O(√Δ log Δ)`
-//! \[MT20\]) are available as [`ChargedModel`]s for round accounting; see
-//! [its substitutions section](crate::ChargedModel#substitutions).
-//!
-//! [`ChargedModel`]: crate::ChargedModel
+//! Each solver is a stage chain plus the [`on_nodes`] read-out. A chain
+//! runs on the simulator with honest round counts: Linial color
+//! reduction, then Kuhn–Wattenhofer halving or a class sweep, then
+//! problem-specific decisions. The `P2` solvers run the same chains on the
+//! line graph. The declared `f` reflect the measured shapes: `Θ(Δ log Δ)`
+//! for MIS and `(Δ+1)`-coloring (KW halving dominates), `Θ(Δ² log² Δ)` for
+//! the sweeps over the Linial palette. The literature's sharper bounds
+//! (`O(Δ)` \[BEK14\], `O(√Δ log Δ)` \[MT20\]) are available as
+//! [`ChargedModel`](crate::ChargedModel)s for round accounting.
 
 use crate::linial::run_linial;
 use crate::list_sweep::list_sweep;
-use crate::mis_phase::{mis_from_coloring, MisDecision};
-use crate::reduce::{kw_reduce, sweep_reduce};
+use crate::mis_phase::{mis_from_coloring, MisDecision, MisOutcome};
+use crate::reduce::{kw_reduce, sweep_reduce, ReduceOutcome};
 use crate::traits::{GlobalCtx, TrulyLocal};
-use treelocal_graph::OrInvariant;
-use treelocal_graph::{HalfEdge, SemiGraph};
+use treelocal_graph::{HalfEdge, NodeId, OrInvariant, SemiGraph, Topology};
 use treelocal_problems::{
     DegPlusOneColoring, DeltaPlusOneColoring, HalfEdgeLabeling, ListColoring, Mis, MisLabel,
 };
 use treelocal_sim::{Ctx, RoundReport};
+
+/// What a solver returns: the labeling and its per-phase round report.
+pub(crate) type Solved<L> = (HalfEdgeLabeling<L>, RoundReport);
+
+/// Linial → KW halving: a `(Δ+1)`-coloring.
+fn kw_chain<T: Topology + Sync>(ctx: &Ctx<'_, T>) -> (ReduceOutcome, RoundReport) {
+    let lin = run_linial(ctx);
+    let red = kw_reduce(ctx, &lin.colors, lin.final_bound);
+    let mut report = RoundReport::new();
+    report.push("linial", lin.rounds).push("kw-reduce", red.rounds);
+    (red, report)
+}
+
+/// Linial → KW halving → MIS color-class sweep.
+pub(crate) fn mis_chain<T: Topology + Sync>(ctx: &Ctx<'_, T>) -> (MisOutcome, RoundReport) {
+    let (red, mut report) = kw_chain(ctx);
+    let mis = mis_from_coloring(ctx, &red.colors, u64::from(red.final_colors));
+    report.push("mis-sweep", mis.rounds);
+    (mis, report)
+}
+
+/// Linial → greedy class sweep: a `(deg+1)`-coloring.
+pub(crate) fn deg_chain<T: Topology + Sync>(ctx: &Ctx<'_, T>) -> (ReduceOutcome, RoundReport) {
+    let lin = run_linial(ctx);
+    let red = sweep_reduce(ctx, &lin.colors, lin.final_bound);
+    let mut report = RoundReport::new();
+    report.push("linial", lin.rounds).push("sweep-reduce", red.rounds);
+    (red, report)
+}
+
+/// The node read-out: runs `chain` on `sub`, then spends one `labeling`
+/// round giving every half-edge `h` of every participant `v` the label
+/// `label(&outcome, v, h)`. An empty restriction runs nothing and reports
+/// no round.
+fn on_nodes<'g, O, L: Copy>(
+    sub: &SemiGraph<'g>,
+    gctx: &GlobalCtx,
+    chain: impl FnOnce(&Ctx<'_, SemiGraph<'g>>) -> (O, RoundReport),
+    label: impl Fn(&O, NodeId, HalfEdge) -> L,
+) -> Solved<L> {
+    let mut labeling = HalfEdgeLabeling::new(sub.parent().edge_count());
+    if sub.nodes().is_empty() {
+        return (labeling, RoundReport::new());
+    }
+    let (out, mut report) = chain(&Ctx::restricted(sub, gctx.n, gctx.id_space));
+    report.push("labeling", 1);
+    for &v in sub.nodes() {
+        for h in sub.half_edges_of(v) {
+            labeling.set_fresh(h, label(&out, v, h));
+        }
+    }
+    (labeling, report)
+}
 
 /// MIS in `O(Δ log Δ + log* n)` measured rounds: Linial → KW halving to a
 /// `(Δ+1)`-coloring → color-class sweep.
@@ -42,49 +89,17 @@ impl TrulyLocal<Mis> for MisAlgo {
         (delta + 1.0) * (delta + 4.0).log2()
     }
 
-    fn solve(
-        &self,
-        sub: &SemiGraph<'_>,
-        gctx: &GlobalCtx,
-        _problem: &Mis,
-    ) -> (HalfEdgeLabeling<MisLabel>, RoundReport) {
-        let mut report = RoundReport::new();
-        let mut labeling = HalfEdgeLabeling::new(sub.parent().edge_count());
-        if sub.nodes().is_empty() {
-            return (labeling, report);
-        }
-        let ctx = Ctx::restricted(sub, gctx.n, gctx.id_space);
-        let lin = run_linial(&ctx);
-        report.push("linial", lin.rounds);
-        let red = kw_reduce(&ctx, &lin.colors, lin.final_bound);
-        report.push("kw-reduce", red.rounds);
-        let mis = mis_from_coloring(&ctx, &red.colors, u64::from(red.final_colors));
-        report.push("mis-sweep", mis.rounds);
-        // One more round to publish decisions as half-edge labels (the
-        // paper's 1-round equivalence between the formalism and the classic
-        // problem).
-        report.push("labeling", 1);
-        let g = sub.parent();
-        for &v in sub.nodes() {
+    fn solve(&self, sub: &SemiGraph<'_>, gctx: &GlobalCtx, _: &Mis) -> Solved<MisLabel> {
+        on_nodes(sub, gctx, mis_chain, |mis, v, h| {
             match mis.decisions[v.index()].or_invariant("decision for every participant") {
-                MisDecision::Member => {
-                    for h in sub.half_edges_of(v) {
-                        labeling.set_fresh(h, MisLabel::M);
-                    }
-                }
+                MisDecision::Member => MisLabel::M,
+                MisDecision::NonMember { witness } if witness == h.edge => MisLabel::P,
                 MisDecision::NonMember { witness } => {
-                    for h in sub.half_edges_of(v) {
-                        let label = if h.edge == witness { MisLabel::P } else { MisLabel::O };
-                        labeling.set_fresh(h, label);
-                    }
-                    debug_assert_eq!(
-                        labeling.get(HalfEdge::new(witness, g.side_of(witness, v))),
-                        Some(MisLabel::P)
-                    );
+                    debug_assert!(sub.parent().endpoints(witness).contains(&v), "witness at v");
+                    MisLabel::O
                 }
             }
-        }
-        (labeling, report)
+        })
     }
 }
 
@@ -107,32 +122,14 @@ impl TrulyLocal<DeltaPlusOneColoring> for DeltaColoringAlgo {
         sub: &SemiGraph<'_>,
         gctx: &GlobalCtx,
         problem: &DeltaPlusOneColoring,
-    ) -> (HalfEdgeLabeling<u32>, RoundReport) {
-        let mut report = RoundReport::new();
-        let mut labeling = HalfEdgeLabeling::new(sub.parent().edge_count());
-        if sub.nodes().is_empty() {
-            return (labeling, report);
-        }
-        assert!(
-            sub.underlying_max_degree() <= problem.delta,
-            "sub-instance degree {} exceeds promised Δ = {}",
-            sub.underlying_max_degree(),
-            problem.delta
-        );
-        let ctx = Ctx::restricted(sub, gctx.n, gctx.id_space);
-        let lin = run_linial(&ctx);
-        report.push("linial", lin.rounds);
-        let red = kw_reduce(&ctx, &lin.colors, lin.final_bound);
-        report.push("kw-reduce", red.rounds);
-        report.push("labeling", 1);
-        for &v in sub.nodes() {
+    ) -> Solved<u32> {
+        let (degree, delta) = (sub.underlying_max_degree(), problem.delta);
+        assert!(degree <= delta, "sub-instance degree {degree} exceeds promised Δ = {delta}");
+        on_nodes(sub, gctx, kw_chain, |red, v, _| {
             let c = red.colors[v.index()].or_invariant("color for every participant");
-            debug_assert!(c as usize <= problem.delta + 1);
-            for h in sub.half_edges_of(v) {
-                labeling.set_fresh(h, c);
-            }
-        }
-        (labeling, report)
+            debug_assert!(c as usize <= delta + 1);
+            c
+        })
     }
 }
 
@@ -147,36 +144,16 @@ impl TrulyLocal<DegPlusOneColoring> for DegColoringAlgo {
     }
 
     fn f(&self, delta: f64) -> f64 {
-        let t = (delta + 2.0) * (delta + 4.0).log2();
-        t * t
+        ((delta + 2.0) * (delta + 4.0).log2()).powi(2)
     }
 
-    fn solve(
-        &self,
-        sub: &SemiGraph<'_>,
-        gctx: &GlobalCtx,
-        _problem: &DegPlusOneColoring,
-    ) -> (HalfEdgeLabeling<u32>, RoundReport) {
-        let mut report = RoundReport::new();
-        let mut labeling = HalfEdgeLabeling::new(sub.parent().edge_count());
-        if sub.nodes().is_empty() {
-            return (labeling, report);
-        }
-        let ctx = Ctx::restricted(sub, gctx.n, gctx.id_space);
-        let lin = run_linial(&ctx);
-        report.push("linial", lin.rounds);
-        let red = sweep_reduce(&ctx, &lin.colors, lin.final_bound);
-        report.push("sweep-reduce", red.rounds);
-        report.push("labeling", 1);
-        for &v in sub.nodes() {
+    fn solve(&self, sub: &SemiGraph<'_>, gctx: &GlobalCtx, _: &DegPlusOneColoring) -> Solved<u32> {
+        on_nodes(sub, gctx, deg_chain, |red, v, _| {
             let c = red.colors[v.index()].or_invariant("color for every participant");
             // Greedy color ≤ communication degree + 1 ≤ half-degree + 1.
             debug_assert!(c as usize <= sub.half_degree(v) + 1);
-            for h in sub.half_edges_of(v) {
-                labeling.set_fresh(h, c);
-            }
-        }
-        (labeling, report)
+            c
+        })
     }
 }
 
@@ -193,38 +170,23 @@ impl TrulyLocal<ListColoring> for ListColoringAlgo {
     }
 
     fn f(&self, delta: f64) -> f64 {
-        let t = (delta + 2.0) * (delta + 4.0).log2();
-        t * t
+        ((delta + 2.0) * (delta + 4.0).log2()).powi(2)
     }
 
-    fn solve(
-        &self,
-        sub: &SemiGraph<'_>,
-        gctx: &GlobalCtx,
-        problem: &ListColoring,
-    ) -> (HalfEdgeLabeling<u32>, RoundReport) {
-        let mut report = RoundReport::new();
-        let mut labeling = HalfEdgeLabeling::new(sub.parent().edge_count());
-        if sub.nodes().is_empty() {
-            return (labeling, report);
-        }
-        let ctx = Ctx::restricted(sub, gctx.n, gctx.id_space);
-        let lin = run_linial(&ctx);
-        report.push("linial", lin.rounds);
-        let lists: Vec<Vec<u32>> = (0..sub.parent().node_count())
-            .map(|i| problem.list(treelocal_graph::NodeId::new(i)).to_vec())
-            .collect();
-        let sweep = list_sweep(&ctx, &lin.colors, lin.final_bound, &lists);
-        report.push("list-sweep", sweep.rounds);
-        report.push("labeling", 1);
-        for &v in sub.nodes() {
-            let c = sweep.colors[v.index()].or_invariant("color for every participant");
+    fn solve(&self, sub: &SemiGraph<'_>, gctx: &GlobalCtx, problem: &ListColoring) -> Solved<u32> {
+        let chain = |ctx: &Ctx<'_, SemiGraph<'_>>| {
+            let lin = run_linial(ctx);
+            let lists: Vec<_> = sub.parent().node_ids().map(|v| problem.list(v).to_vec()).collect();
+            let sweep = list_sweep(ctx, &lin.colors, lin.final_bound, &lists);
+            let mut report = RoundReport::new();
+            report.push("linial", lin.rounds).push("list-sweep", sweep.rounds);
+            (sweep.colors, report)
+        };
+        on_nodes(sub, gctx, chain, |colors, v, _| {
+            let c = colors[v.index()].or_invariant("color for every participant");
             debug_assert!(problem.allows(v, c));
-            for h in sub.half_edges_of(v) {
-                labeling.set_fresh(h, c);
-            }
-        }
-        (labeling, report)
+            c
+        })
     }
 }
 
@@ -286,15 +248,6 @@ mod tests {
                     >= TrulyLocal::<DegPlusOneColoring>::f(&DegColoringAlgo, x)
             );
         }
-    }
-
-    #[test]
-    fn empty_restriction_is_trivial() {
-        let g = random_tree(10, 1);
-        let s = SemiGraph::induced_by_nodes(&g, |_| false);
-        let (labeling, report) = MisAlgo.solve(&s, &GlobalCtx::of(&g), &Mis);
-        assert_eq!(labeling.assigned_count(), 0);
-        assert_eq!(report.total(), 0);
     }
 
     #[test]

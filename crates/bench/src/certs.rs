@@ -19,6 +19,11 @@ use treelocal_check::{
 use treelocal_gen::{caterpillar, random_tree, relabel, IdStrategy};
 use treelocal_graph::{widen_u64, Graph, OrInvariant};
 use treelocal_problems::classic::{greedy_matching, greedy_mis};
+use treelocal_problems::{
+    extract_coloring, solve_edges_sequential, solve_nodes_sequential, BMatching, Color,
+    DegPlusOneColoring, EdgeDegreeColoring, EdgeSequential, HalfEdgeLabeling, ListColoring,
+    NodeSequential,
+};
 use treelocal_sim::{par, transcript, Ctx};
 
 use crate::ExperimentSize;
@@ -121,59 +126,25 @@ fn mis_pipeline_cert(name: &str, g: &Graph) -> Certificate {
     }
 }
 
-/// Greedy maximal `b`-matching by edge order (maximal by construction).
-fn greedy_b_matching(g: &Graph, b: u32) -> Vec<bool> {
-    let mut chosen = vec![false; g.edge_count()];
-    let mut saturation = vec![0u32; g.node_count()];
-    for e in g.edge_ids() {
-        let [u, v] = g.endpoints(e);
-        if saturation[u.index()] < b && saturation[v.index()] < b {
-            chosen[e.index()] = true;
-            saturation[u.index()] += 1;
-            saturation[v.index()] += 1;
-        }
-    }
-    chosen
+/// `p`'s sequential solution, deciding every node in index order.
+fn by_node_order<P: NodeSequential>(p: &P, g: &Graph) -> HalfEdgeLabeling<P::Label> {
+    let mut labeling = HalfEdgeLabeling::for_graph(g);
+    let order: Vec<_> = g.node_ids().collect();
+    solve_nodes_sequential(p, g, &order, &mut labeling).or_invariant("a P1 problem never sticks");
+    labeling
 }
 
-/// Greedy proper `(deg+1)`-coloring by node order.
-fn greedy_deg_coloring(g: &Graph) -> Vec<u64> {
-    let mut colors = vec![0u64; g.node_count()];
-    for v in g.node_ids() {
-        colors[v.index()] = smallest_free(g.neighbor_nodes(v).iter().map(|&w| colors[w.index()]));
-    }
-    colors
+/// `p`'s sequential solution, deciding every edge in index order.
+fn by_edge_order<P: EdgeSequential>(p: &P, g: &Graph) -> HalfEdgeLabeling<P::Label> {
+    let mut labeling = HalfEdgeLabeling::for_graph(g);
+    let order: Vec<_> = g.edge_ids().collect();
+    solve_edges_sequential(p, g, &order, &mut labeling).or_invariant("a P2 problem never sticks");
+    labeling
 }
 
-/// Greedy proper edge coloring by edge order (`≤ edge_degree + 1`).
-fn greedy_edge_coloring(g: &Graph) -> Vec<u64> {
-    let mut colors = vec![0u64; g.edge_count()];
-    for e in g.edge_ids() {
-        let [u, v] = g.endpoints(e);
-        colors[e.index()] = smallest_free(
-            g.neighbor_edges(u)
-                .iter()
-                .chain(g.neighbor_edges(v).iter())
-                .map(|&f| colors[f.index()]),
-        );
-    }
-    colors
-}
-
-/// Smallest color `≥ 1` not in `used` (0 marks "unassigned").
-fn smallest_free(used: impl Iterator<Item = u64>) -> u64 {
-    let mut used: Vec<u64> = used.filter(|&c| c > 0).collect();
-    used.sort_unstable();
-    used.dedup();
-    let mut c = 1u64;
-    for u in used {
-        if u == c {
-            c += 1;
-        } else if u > c {
-            break;
-        }
-    }
-    c
+/// Certificate colors from problem colors.
+fn widen(colors: Vec<Color>) -> Vec<u64> {
+    colors.into_iter().map(u64::from).collect()
 }
 
 /// The deterministic color lists of the list-coloring certificate:
@@ -186,22 +157,6 @@ fn offset_lists(g: &Graph) -> Vec<Vec<u64>> {
             (1..=widen_u64(g.degree(v)) + 1).map(|c| offset + c).collect()
         })
         .collect()
-}
-
-/// Greedy list coloring: each node takes the first list entry unused by
-/// its already-colored neighbors (possible: `|list| = deg + 1`).
-fn greedy_list_coloring(g: &Graph, lists: &[Vec<u64>]) -> Vec<u64> {
-    let mut colors = vec![0u64; g.node_count()];
-    for v in g.node_ids() {
-        let used: Vec<u64> =
-            g.neighbor_nodes(v).iter().map(|&w| colors[w.index()]).filter(|&c| c > 0).collect();
-        colors[v.index()] = lists[v.index()]
-            .iter()
-            .find(|c| !used.contains(c))
-            .copied()
-            .or_invariant("a (deg+1)-list always has a free color");
-    }
-    colors
 }
 
 /// A transcript-free certificate for a sequentially constructed solution.
@@ -247,71 +202,45 @@ fn build_suite(size: ExperimentSize) -> Vec<(String, Certificate)> {
             format!("mis-pipeline-{label}"),
             mis_pipeline_cert(&format!("mis-pipeline-{label}"), &g),
         ));
-        let matching = greedy_matching(&g, &g.edge_ids().collect::<Vec<_>>());
-        suite.push((
-            format!("matching-greedy-{label}"),
-            solver_cert(
-                &format!("matching-greedy-{label}"),
-                &g,
-                Rule::Matching { b: 1 },
-                Solution::EdgeSet(matching),
-                None,
-            ),
-        ));
-        suite.push((
-            format!("bmatching-greedy-{label}"),
-            solver_cert(
-                &format!("bmatching-greedy-{label}"),
-                &g,
-                Rule::Matching { b: 2 },
-                Solution::EdgeSet(greedy_b_matching(&g, 2)),
-                None,
-            ),
-        ));
-        let order: Vec<_> = g.node_ids().collect();
-        let mis = greedy_mis(&g, &order);
-        suite.push((
-            format!("mis-greedy-{label}"),
-            solver_cert(
-                &format!("mis-greedy-{label}"),
-                &g,
-                Rule::Mis,
-                Solution::NodeSet(mis),
-                None,
-            ),
-        ));
-        suite.push((
-            format!("coloring-greedy-{label}"),
-            solver_cert(
-                &format!("coloring-greedy-{label}"),
-                &g,
-                Rule::Coloring { palette: Palette::DegreePlusOne },
-                Solution::NodeColors(greedy_deg_coloring(&g)),
-                None,
-            ),
-        ));
-        suite.push((
-            format!("edgecoloring-greedy-{label}"),
-            solver_cert(
-                &format!("edgecoloring-greedy-{label}"),
-                &g,
-                Rule::EdgeColoring { palette: EdgePalette::EdgeDegreePlusOne },
-                Solution::EdgeColors(greedy_edge_coloring(&g)),
-                None,
-            ),
-        ));
+        // The sequential solver zoo, every node or edge decided in index
+        // order.
+        let b2 = BMatching { b: 2 };
+        let nodes: Vec<_> = g.node_ids().collect();
+        let edges: Vec<_> = g.edge_ids().collect();
+        let deg_colors = extract_coloring(&g, &by_node_order(&DegPlusOneColoring, &g));
+        let edge_colors = EdgeDegreeColoring.extract(&g, &by_edge_order(&EdgeDegreeColoring, &g));
         let lists = offset_lists(&g);
-        let colors = greedy_list_coloring(&g, &lists);
-        suite.push((
-            format!("listcoloring-greedy-{label}"),
-            solver_cert(
-                &format!("listcoloring-greedy-{label}"),
-                &g,
-                Rule::ListColoring,
-                Solution::NodeColors(colors),
-                Some(lists),
+        let narrow = |list: &Vec<u64>| {
+            list.iter().map(|&c| Color::try_from(c).or_invariant("small color")).collect()
+        };
+        let list_problem = ListColoring::new(&g, lists.iter().map(narrow).collect())
+            .or_invariant("offset lists have deg + 1 colors");
+        let list_colors = extract_coloring(&g, &by_node_order(&list_problem, &g));
+        let zoo = [
+            ("matching", Rule::Matching { b: 1 }, Solution::EdgeSet(greedy_matching(&g, &edges))),
+            (
+                "bmatching",
+                Rule::Matching { b: 2 },
+                Solution::EdgeSet(b2.extract(&g, &by_edge_order(&b2, &g))),
             ),
-        ));
+            ("mis", Rule::Mis, Solution::NodeSet(greedy_mis(&g, &nodes))),
+            (
+                "coloring",
+                Rule::Coloring { palette: Palette::DegreePlusOne },
+                Solution::NodeColors(widen(deg_colors)),
+            ),
+            (
+                "edgecoloring",
+                Rule::EdgeColoring { palette: EdgePalette::EdgeDegreePlusOne },
+                Solution::EdgeColors(widen(edge_colors)),
+            ),
+            ("listcoloring", Rule::ListColoring, Solution::NodeColors(widen(list_colors))),
+        ];
+        for (kind, rule, solution) in zoo {
+            let name = format!("{kind}-greedy-{label}");
+            let lists = matches!(rule, Rule::ListColoring).then(|| lists.clone());
+            suite.push((name.clone(), solver_cert(&name, &g, rule, solution, lists)));
+        }
     }
     suite
 }

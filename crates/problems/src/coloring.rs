@@ -98,15 +98,12 @@ impl Problem for DeltaPlusOneColoring {
     }
 }
 
-/// Greedy choice shared by both colorings: the smallest positive color not
-/// used on any neighbor's facing half-edge.
-fn greedy_color(g: &Graph, labeling: &HalfEdgeLabeling<Color>, v: NodeId) -> Color {
-    let mut used: Vec<Color> = g
-        .neighbors(v)
-        .filter_map(|(w, e)| labeling.get(HalfEdge::new(e, g.side_of(e, w))))
-        .collect();
+/// The smallest positive color missing from `used`: the greedy choice of
+/// both vertex colorings and of Lemma 16's edge coloring.
+pub(crate) fn smallest_free_color(used: impl IntoIterator<Item = Color>) -> Color {
+    let mut used: Vec<Color> = used.into_iter().collect();
     used.sort_unstable();
-    used.dedup();
+    // A repeated value falls below `c` once `c` has passed it, and is skipped.
     let mut c: Color = 1;
     for u in used {
         if u == c {
@@ -116,6 +113,13 @@ fn greedy_color(g: &Graph, labeling: &HalfEdgeLabeling<Color>, v: NodeId) -> Col
         }
     }
     c
+}
+
+/// The smallest positive color not used on any neighbor's facing half-edge.
+fn greedy_color(g: &Graph, labeling: &HalfEdgeLabeling<Color>, v: NodeId) -> Color {
+    smallest_free_color(
+        g.neighbors(v).filter_map(|(w, e)| labeling.get(HalfEdge::new(e, g.side_of(e, w)))),
+    )
 }
 
 fn assign_all(g: &Graph, v: NodeId, c: Color) -> Vec<(HalfEdge, Color)> {

@@ -23,6 +23,7 @@
 //! the paper notes is "at most as hard as" `(edge-degree+1)`-edge coloring
 //! (see [`edge_degree_to_palette`]).
 
+use crate::coloring::smallest_free_color;
 use crate::labeling::HalfEdgeLabeling;
 use crate::problem::Problem;
 use crate::seq::EdgeSequential;
@@ -90,23 +91,6 @@ impl Problem for EdgeDegreeColoring {
     }
 }
 
-/// Lemma 16's greedy color choice: the smallest positive color not
-/// appearing as a color part at either endpoint.
-fn fresh_color(used_u: &[u32], used_v: &[u32]) -> u32 {
-    let mut used: Vec<u32> = used_u.iter().chain(used_v).copied().collect();
-    used.sort_unstable();
-    used.dedup();
-    let mut c = 1u32;
-    for x in used {
-        if x == c {
-            c += 1;
-        } else if x > c {
-            break;
-        }
-    }
-    c
-}
-
 fn color_parts(labels: &[EdgeColLabel]) -> Vec<u32> {
     labels
         .iter()
@@ -133,7 +117,8 @@ impl EdgeSequential for EdgeDegreeColoring {
         let at_v = labeling.labels_at_node(g, v);
         let used_u = color_parts(&at_u);
         let used_v = color_parts(&at_v);
-        let c = fresh_color(&used_u, &used_v);
+        // Lemma 16's greedy choice: the smallest color free at both ends.
+        let c = smallest_free_color(used_u.iter().chain(&used_v).copied());
         let a_u = used_u.len() as u32 + 1;
         let a_v = used_v.len() as u32 + 1;
         assert!(a_u + a_v > c, "Lemma 16: a1 + a2 >= c + 1");
@@ -248,17 +233,13 @@ impl EdgeSequential for PaletteEdgeColoring {
         e: EdgeId,
     ) -> Option<Vec<(HalfEdge, PaletteLabel)>> {
         let [u, v] = g.endpoints(e);
-        let palette_colors = |n: NodeId| -> Vec<u32> {
-            labeling
-                .labels_at_node(g, n)
-                .into_iter()
-                .filter_map(|l| match l {
-                    PaletteLabel::C(c) => Some(c),
-                    PaletteLabel::D => None,
-                })
-                .collect()
+        let palette_colors = |n: NodeId| {
+            labeling.labels_at_node(g, n).into_iter().filter_map(|l| match l {
+                PaletteLabel::C(c) => Some(c),
+                PaletteLabel::D => None,
+            })
         };
-        let c = fresh_color(&palette_colors(u), &palette_colors(v));
+        let c = smallest_free_color(palette_colors(u).chain(palette_colors(v)));
         if c > self.palette {
             return None;
         }
