@@ -356,6 +356,30 @@ mod tests {
     }
 
     #[test]
+    fn matching_labels_rank1_edges_d() {
+        let g = random_tree(40, 3);
+        let s = SemiGraph::induced_by_nodes(&g, |v| v.index() % 2 == 0);
+        let (labeling, _) = MatchingAlgo.solve(&s, &GlobalCtx::of(&g), &MaximalMatching);
+        verify_semigraph(&MaximalMatching, &s, &labeling).unwrap();
+        for &e in s.edges() {
+            if s.rank(e) == 1 {
+                let side = if s.half_present(e, Side::First) { Side::First } else { Side::Second };
+                assert_eq!(labeling.get_at(e, side), Some(MatchLabel::D));
+            }
+        }
+    }
+
+    #[test]
+    fn empty_sub_instance() {
+        let g = random_tree(10, 1);
+        let s = SemiGraph::induced_by_edges(&g, |_| false);
+        let (labeling, report) = MatchingAlgo.solve(&s, &GlobalCtx::of(&g), &MaximalMatching);
+        assert_eq!(labeling.assigned_count(), 0);
+        // Only the fixed labeling round is charged.
+        assert!(report.total() <= 1);
+    }
+
+    #[test]
     fn edge_coloring_on_trees_and_grids() {
         let t = random_tree(80, 1);
         let s = SemiGraph::whole(&t);

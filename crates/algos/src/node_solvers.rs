@@ -251,6 +251,15 @@ mod tests {
     }
 
     #[test]
+    fn empty_restriction_is_trivial() {
+        let g = random_tree(10, 1);
+        let s = SemiGraph::induced_by_nodes(&g, |_| false);
+        let (labeling, report) = MisAlgo.solve(&s, &GlobalCtx::of(&g), &Mis);
+        assert_eq!(labeling.assigned_count(), 0);
+        assert_eq!(report.total(), 0);
+    }
+
+    #[test]
     fn list_coloring_solves_whole_and_restrictions() {
         let g = random_tree(90, 6);
         // Offset lists exercising non-contiguous palettes.
