@@ -254,7 +254,7 @@ mod tests {
             crate::mis_from_coloring(&ctx, &[Some(1), Some(4)], m);
         });
         assert_fails_wake_round_bound("list_sweep, c = m", || {
-            crate::list_sweep(&ctx, &[Some(m), Some(0)], m, &[vec![1, 2], vec![1, 2]]);
+            crate::list_sweep(&ctx, &[Some(m), Some(0)], m, |_| &[1, 2]);
         });
     }
 

@@ -10,14 +10,15 @@ use treelocal_graph::{NodeId, Topology};
 use treelocal_problems::Color;
 use treelocal_sim::Ctx;
 
-/// Class `c` of a 0-based `m`-coloring picks in round `m - c`.
-struct ListSweep<'c> {
+/// Class `c` of a 0-based `m`-coloring picks in round `m - c`; `list`
+/// gives each node's input list.
+struct ListSweep<'c, L> {
     initial: &'c [Option<u64>],
     m: u64,
-    lists: &'c [Vec<Color>],
+    list: L,
 }
 
-impl SweepRule for ListSweep<'_> {
+impl<'l, L: Fn(NodeId) -> &'l [Color]> SweepRule for ListSweep<'_, L> {
     fn round(&self, v: NodeId) -> Option<u64> {
         let c = self.initial[v.index()].or_invariant("initial color for every participant");
         (c < self.m).then(|| self.m - c)
@@ -34,7 +35,7 @@ impl SweepRule for ListSweep<'_> {
             used.clear();
             used.extend(decided.flatten());
             used.sort_unstable();
-            let c = self.lists[v.index()]
+            let c = (self.list)(v)
                 .iter()
                 .copied()
                 .find(|&c| used.binary_search(&u64::from(c)).is_err())
@@ -61,15 +62,15 @@ pub struct ListSweepOutcome {
     pub rounds: u64,
 }
 
-/// Runs the list sweep from a proper 0-based `m`-coloring; `lists` is
-/// indexed by the parent node space.
-pub fn list_sweep<T: Topology + Sync>(
+/// Runs the list sweep from a proper 0-based `m`-coloring; `list(v)` is
+/// node `v`'s list, for `v` in the parent node space.
+pub fn list_sweep<'l, T: Topology + Sync>(
     ctx: &Ctx<'_, T>,
     initial: &[Option<u64>],
     m: u64,
-    lists: &[Vec<Color>],
+    list: impl Fn(NodeId) -> &'l [Color] + Sync,
 ) -> ListSweepOutcome {
-    let rule = ListSweep { initial, m: m.max(1), lists };
+    let rule = ListSweep { initial, m: m.max(1), list };
     let (colors, rounds) = class_sweep(ctx, &rule, m + 2, |c| {
         Color::try_from(c).or_invariant("decisions are list colors")
     });
@@ -96,7 +97,8 @@ mod tests {
             let ctx = Ctx::of(&g);
             let lin = run_linial(&ctx);
             let (m, lists) = (lin.final_bound, lists_for(&g, 0));
-            let rule = ListSweep { initial: &lin.colors, m, lists: &lists };
+            let rule =
+                ListSweep { initial: &lin.colors, m, list: |v: NodeId| &lists[v.index()][..] };
             assert_sweep_engines_agree(&ctx, &rule, m + 2);
         }
     }
@@ -108,7 +110,7 @@ mod tests {
             let lists = lists_for(&g, seed as u32);
             let ctx = Ctx::of(&g);
             let lin = run_linial(&ctx);
-            let out = list_sweep(&ctx, &lin.colors, lin.final_bound, &lists);
+            let out = list_sweep(&ctx, &lin.colors, lin.final_bound, |v| &lists[v.index()][..]);
             for v in g.node_ids() {
                 let c = out.colors[v.index()].unwrap();
                 assert!(lists[v.index()].contains(&c));
@@ -132,8 +134,8 @@ mod tests {
         ) {
             let g = Graph::from_edges(1, &[]).unwrap();
             let initial = [Some(initial % m)];
-            let lists = [vec![color]];
-            let rule = ListSweep { initial: &initial, m, lists: &lists };
+            let list = [color];
+            let rule = ListSweep { initial: &initial, m, list: |_| &list[..] };
             let seed = seeded(&g, &rule, NodeId::new(0));
             proptest::prop_assert!(matches!(seed, SweepState::Waiting { .. }));
             proptest::prop_assert_eq!(through_lanes(seed), seed);

@@ -176,8 +176,7 @@ impl TrulyLocal<ListColoring> for ListColoringAlgo {
     fn solve(&self, sub: &SemiGraph<'_>, gctx: &GlobalCtx, problem: &ListColoring) -> Solved<u32> {
         let chain = |ctx: &Ctx<'_, SemiGraph<'_>>| {
             let lin = run_linial(ctx);
-            let lists: Vec<_> = sub.parent().node_ids().map(|v| problem.list(v).to_vec()).collect();
-            let sweep = list_sweep(ctx, &lin.colors, lin.final_bound, &lists);
+            let sweep = list_sweep(ctx, &lin.colors, lin.final_bound, |v| problem.list(v));
             let mut report = RoundReport::new();
             report.push("linial", lin.rounds).push("list-sweep", sweep.rounds);
             (sweep.colors, report)

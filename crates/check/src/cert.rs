@@ -22,16 +22,16 @@
 //!    counting pass, so a segment is checked in O(participants + rounds).
 //!
 //! The text layer is built for size: a 1M-node certificate is about
-//! 92 MB. [`Certificate::parse`] is one forward cursor over the text's
-//! bytes: it finds each line end once, matches keywords as bytes, and
-//! reads numbers digit by digit straight into the certificate's vectors,
-//! with no line table and no per-line allocation. The line-iterator
-//! parser it replaced is kept in the tests as `reference_parse`, and pins
-//! the accepted language: on every input, golden or mutated, the two
-//! return the same certificate or the same error, down to its line and
-//! message. [`Certificate::to_text`] writes every line straight into one
-//! byte buffer, numbers two digits at a time; the tests keep the
-//! `writeln!` emitter it replaced as `reference_text`, its byte oracle.
+//! 92 MB. There is one grammar, and [`Certificate::to_text`] defines it:
+//! [`Certificate::parse`] accepts a text only when `to_text` writes the
+//! parsed certificate back as that text, byte for byte, and gives every
+//! other text a typed error at the first line that departs from it. The
+//! parser is one forward reader over the text's bytes, straight into the
+//! certificate's vectors, with no line table and no per-line allocation;
+//! the tests hold it to that round trip on the golden certificates and on
+//! every cut, dropped or doubled line and seeded mutant of them.
+//! `to_text` writes every line straight into one byte buffer, numbers two
+//! digits at a time.
 
 use crate::commit::{commit_round, COMMITMENT_OFFSET};
 use crate::envelope::{check_envelope, Envelope};
@@ -156,35 +156,37 @@ impl Certificate {
         out.finish()
     }
 
-    /// Parses canonical certificate text in one forward byte cursor over
-    /// `text.as_bytes()`: each line end is found once, keywords are
-    /// matched as bytes, and numbers are read digit by digit straight
-    /// into the certificate's vectors. Beyond the parsed certificate
-    /// itself, memory stays bounded by the input: no line table, no
-    /// per-line allocation, and all count-driven reservations together
-    /// capped by the line count.
+    /// Parses certificate text, accepting exactly what
+    /// [`Certificate::to_text`] writes: `parse(text)` is `Ok(cert)` only
+    /// when `cert.to_text() == text`, byte for byte. Every line ends in
+    /// `\n` alone and the text ends with `end\n`; fields are separated by
+    /// single spaces; numbers are plain decimals that fit their field,
+    /// with no sign and no leading zero (`0` itself is fine);
+    /// commitments are 16 lowercase hex digits; and the instance label is
+    /// taken verbatim.
     ///
-    /// Edge, segment and halt lines in the canonical form `to_text` writes
-    /// are read straight off the bytes; any other line takes the general
-    /// path, which gives it the same meaning. Such lines are most of a
-    /// certificate, and the general path alone parses a 92 MB one more
-    /// than twice as slowly.
-    ///
-    /// The accepted language and every error (variant, line and message)
-    /// are exactly those of the line-iterator parser this one replaced,
-    /// which the tests keep as `reference_parse`: lines split as
-    /// [`str::lines`] splits them, tokens at ASCII white space, numbers
-    /// as [`std::str::FromStr`] reads them (a `+` sign and leading zeros
-    /// included), and Unicode [`str::trim`] applied to header fields, the
-    /// solution kind and witness values.
+    /// The text is read once, front to back, straight into the
+    /// certificate's vectors: no line table and no per-line allocation,
+    /// and all count-driven reservations together are capped by the line
+    /// count. The first line that is not in the emitted form, in text
+    /// order, is a [`CheckError::Format`] naming that line; a witness
+    /// block whose indices skip or repeat one is a
+    /// [`CheckError::MissingWitness`] or [`CheckError::DuplicateWitness`]
+    /// at the first break; a well-formed first line naming another
+    /// format is a [`CheckError::VersionMismatch`].
     pub fn parse(text: &str) -> Result<Certificate, CheckError> {
-        let mut p = Cursor::new(text);
-        let version = p.line("the format-version line")?;
+        let mut p = Reader::new(text);
+        let version = p.rest();
+        p.end_line("the format-version line")?;
         if version != FORMAT_VERSION {
             return Err(CheckError::VersionMismatch { found: version.to_string() });
         }
-        let instance = p.keyword_rest("instance")?.to_string();
-        let rule = parse_rule(p.keyword_rest("rule")?, p.pos)?;
+        p.keyword("instance")?;
+        let instance = p.rest().to_string();
+        p.end_line("an instance label")?;
+        p.keyword("rule")?;
+        let rule = parse_rule(p.rest()).map_err(|what| p.error(what))?;
+        p.end_line("a known rule")?;
         let nodes: usize = p.count("nodes")?;
         let id_space: u64 = p.count("idspace")?;
         let edge_count: usize = p.count("edges")?;
@@ -192,121 +194,97 @@ impl Certificate {
         // a slot per line, so lying headers cannot force a huge allocation.
         let mut edges = p.reserve(edge_count);
         for _ in 0..edge_count {
-            edges.push(p.pair_rest("e", "edge endpoints")?);
+            p.keyword("e")?;
+            edges.push(p.pair("edge endpoints")?);
         }
-        let lists = match p.keyword_line("lists")? {
-            Some(rest) => {
-                let count: usize =
-                    number(trim_end(rest)).ok_or_else(|| p.error("a lists count"))?;
-                let mut lists: Vec<Vec<u64>> = p.reserve(count);
-                for want in 0..count {
-                    let rest = p.keyword_rest("l")?.as_bytes();
-                    let mut at = 0;
-                    let i: usize = token(rest, &mut at)
-                        .and_then(number)
-                        .ok_or_else(|| p.error("list node index"))?;
-                    if i != want {
-                        return Err(p.error(&format!("list for node {want}")));
-                    }
-                    let mut list = Vec::new();
-                    while let Some(t) = token(rest, &mut at) {
-                        list.push(number(t).ok_or_else(|| p.error("list color"))?);
-                    }
-                    lists.push(list);
+        let lists = if p.at_keyword("lists") {
+            let count: usize = p.count("lists")?;
+            let mut lists: Vec<Vec<u64>> = p.reserve(count);
+            for want in 0..count {
+                p.keyword("l")?;
+                if p.number::<usize>() != Some(want) {
+                    return Err(p.error(&format!("list for node {want}")));
                 }
-                Some(lists)
+                let mut list = Vec::new();
+                while p.byte(b' ') {
+                    list.push(p.number().ok_or_else(|| p.error("list color"))?);
+                }
+                p.end_line("list color")?;
+                lists.push(list);
             }
-            None => None,
+            Some(lists)
+        } else {
+            None
         };
-        let kind = p.keyword_rest("solution")?.trim();
-        let kind_line = p.pos;
-        let mut solution = match kind {
-            "node-colors" => Some(Solution::NodeColors(p.reserve(nodes))),
-            "edge-colors" => Some(Solution::EdgeColors(p.reserve(nodes))),
-            "node-set" => Some(Solution::NodeSet(p.reserve(nodes))),
-            "edge-set" => Some(Solution::EdgeSet(p.reserve(nodes))),
-            "mis-witness" => Some(Solution::MisWitnesses(p.reserve(nodes))),
-            _ => None,
+        p.keyword("solution")?;
+        let mut solution = match p.rest() {
+            "node-colors" => Solution::NodeColors(p.reserve(nodes)),
+            "edge-colors" => Solution::EdgeColors(p.reserve(nodes)),
+            "node-set" => Solution::NodeSet(p.reserve(nodes)),
+            "edge-set" => Solution::EdgeSet(p.reserve(nodes)),
+            "mis-witness" => Solution::MisWitnesses(p.reserve(nodes)),
+            kind => return Err(p.error(&format!("a known solution kind, not {kind:?}"))),
         };
-        // Witness lines are read in one pass, and their errors rank as
-        // follows: a malformed index or a missing value at once, then a
-        // gap or repeat in the indices, then an unknown kind, then the
-        // first malformed value.
+        p.end_line("a known solution kind")?;
+        // Witness `k` is on the `k`-th line of the block. The first
+        // well-formed line whose index is out of place is a repeat when the
+        // index is smaller, and names the missing index `k` when it is
+        // larger.
         let mut entries = 0usize;
-        let mut gap: Option<Gap> = None;
-        let mut bad_value: Option<CheckError> = None;
-        while let Some(rest) = p.keyword_line("s")? {
-            let (index, value) = split_witness(rest).map_err(|what| p.error(what))?;
-            match &mut gap {
-                None if index != entries => {
-                    gap = Some(Gap { want: entries, index, repeated: index < entries })
-                }
-                Some(g) if g.index == index => g.repeated = true,
-                _ => {}
+        while p.eat("s") {
+            let index: usize = p.number().ok_or_else(|| p.error("a witness index"))?;
+            if !p.byte(b' ') {
+                return Err(p.error("a witness value"));
+            }
+            p.witness(&mut solution)?;
+            if index != entries {
+                return Err(if index < entries {
+                    CheckError::DuplicateWitness { index }
+                } else {
+                    CheckError::MissingWitness { index: entries }
+                });
             }
             entries += 1;
-            if let (None, None, Some(solution)) = (&gap, &bad_value, solution.as_mut()) {
-                if let Err(what) = push_witness(solution, value) {
-                    bad_value = Some(p.error(what));
-                }
-            }
         }
-        if let Some(Gap { want, index, repeated }) = gap {
-            return Err(if repeated {
-                CheckError::DuplicateWitness { index }
-            } else {
-                CheckError::MissingWitness { index: want }
-            });
-        }
-        let solution = solution.ok_or_else(|| CheckError::Format {
-            line: kind_line,
-            what: format!("a known solution kind, not {kind:?}"),
-        })?;
-        if let Some(e) = bad_value {
-            return Err(e);
-        }
-        let envelope = match p.keyword_rest("envelope")?.trim() {
+        p.keyword("envelope")?;
+        let envelope = match p.rest() {
             "none" => Envelope::None,
             "linial" => Envelope::Linial,
             "mis-pipeline" => Envelope::MisPipeline,
             other => return Err(p.error(&format!("a known envelope, not {other:?}"))),
         };
+        p.end_line("a known envelope")?;
         let rounds: u64 = p.count("rounds")?;
         let segment_count: usize = p.count("segments")?;
         let mut segments = p.reserve(segment_count);
         for _ in 0..segment_count {
-            let (seg_rounds, participants): (u64, usize) =
-                p.pair_rest("segment", "segment header")?;
+            p.keyword("segment")?;
+            let (seg_rounds, participants): (u64, usize) = p.pair("segment header")?;
             let mut halts = p.reserve(participants);
-            while let Some(halt) = p.pair_line("h", "halt record")? {
-                halts.push(halt);
+            while p.eat("h") {
+                halts.push(p.pair("halt record")?);
             }
             let claimed = usize::try_from(seg_rounds).unwrap_or(usize::MAX);
             let mut commitments = p.reserve(claimed);
-            while let Some(rest) = p.keyword_line("c")? {
-                let rest = rest.as_bytes();
-                let mut at = 0;
-                let r: usize = token(rest, &mut at)
-                    .and_then(number)
-                    .ok_or_else(|| p.error("commitment round"))?;
-                if r != commitments.len() + 1 {
-                    return Err(p.error(&format!("commitment for round {}", commitments.len() + 1)));
+            while p.eat("c") {
+                let round = commitments.len() + 1;
+                if p.number::<usize>() != Some(round) {
+                    return Err(p.error(&format!("commitment for round {round}")));
                 }
-                let hex = token(rest, &mut at).ok_or_else(|| p.error("a commitment value"))?;
-                commitments.push(radix(hex, 16).ok_or_else(|| p.error("a hex commitment value"))?);
-                if token(rest, &mut at).is_some() {
-                    return Err(p.error(AFTER_COMMITMENT));
+                if !p.byte(b' ') {
+                    return Err(p.error("a commitment value"));
                 }
+                commitments.push(p.hex16().ok_or_else(|| p.error("a hex commitment value"))?);
+                p.end_line(AFTER_COMMITMENT)?;
             }
             segments.push(Segment { rounds: seg_rounds, participants, halts, commitments });
         }
-        if p.line("the end line")? != "end" {
+        if p.rest() != "end" {
             return Err(p.error("the end line"));
         }
-        while let Some(line) = p.next_line() {
-            if !line.trim().is_empty() {
-                return Err(p.error("end of file"));
-            }
+        p.end_line("the end line")?;
+        if p.at < text.len() {
+            return Err(p.error("end of file"));
         }
         Ok(Certificate {
             instance,
@@ -391,156 +369,167 @@ impl TextBuf {
     }
 }
 
-/// A forward cursor over the text's bytes that hands out one line at a
-/// time, split exactly as [`str::lines`] splits them (`\n` or `\r\n`,
-/// final newline optional). Line ends sit on ASCII bytes, so every line
-/// is a `str` slice of the text.
-struct Cursor<'a> {
+/// A forward reader over the text's bytes. Every read either takes the
+/// exact bytes `to_text` would have written there or reports the line
+/// it stands on; nothing is skipped, trimmed or looked up twice.
+struct Reader<'a> {
     text: &'a str,
-    /// Byte offset at which the next unread line starts.
+    /// Byte offset of the next unread byte.
     at: usize,
-    /// Lines consumed so far == 1-based number of the last consumed line.
-    pos: usize,
+    /// 1-based number of the line holding `at`.
+    line: usize,
     /// Slots the count-driven reservations may still take: one per line
     /// of the whole text, counted once up front and shared by all of them.
     budget: usize,
 }
 
-impl<'a> Cursor<'a> {
+impl<'a> Reader<'a> {
     fn new(text: &'a str) -> Self {
         // Counted per 255-byte chunk, so that each chunk sums in byte lanes.
-        let newlines: usize = text
+        let budget = text
             .as_bytes()
             .chunks(255)
             .map(|chunk| usize::from(chunk.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>()))
             .sum();
-        let unterminated = usize::from(!text.is_empty() && !text.ends_with('\n'));
-        Cursor { text, at: 0, pos: 0, budget: newlines + unterminated }
+        Reader { text, at: 0, line: 1, budget }
     }
 
-    /// The next line without its line ending, and the offset of the line
-    /// after it; `None` at the end of the text.
-    fn peek(&self) -> Option<(&'a str, usize)> {
-        let bytes = self.text.as_bytes();
-        let rest = bytes.get(self.at..).filter(|rest| !rest.is_empty())?;
-        Some(match rest.iter().position(|&b| b == b'\n') {
-            Some(len) => {
-                let end = self.at + len;
-                let cr = usize::from(len > 0 && bytes[end - 1] == b'\r');
-                (&self.text[self.at..end - cr], end + 1)
-            }
-            None => (&self.text[self.at..], bytes.len()),
-        })
-    }
-
-    fn next_line(&mut self) -> Option<&'a str> {
-        let (line, next) = self.peek()?;
-        self.at = next;
-        self.pos += 1;
-        Some(line)
-    }
-
-    /// A format error at the last consumed line.
+    /// A format error at the current line.
     fn error(&self, what: &str) -> CheckError {
-        CheckError::Format { line: self.pos, what: what.to_string() }
+        CheckError::Format { line: self.line, what: what.to_string() }
     }
 
-    /// Consumes the next line; a missing line is a format error naming
-    /// `what` at the line number it should have had.
-    fn line(&mut self, what: &str) -> Result<&'a str, CheckError> {
-        self.next_line()
-            .ok_or_else(|| CheckError::Format { line: self.pos + 1, what: what.to_string() })
+    /// Consumes `b` if it is the next byte.
+    fn byte(&mut self, b: u8) -> bool {
+        let found = self.text.as_bytes().get(self.at) == Some(&b);
+        self.at += usize::from(found);
+        found
     }
 
-    /// Consumes a `keyword rest...` line, returning `rest` without its
-    /// leading white space.
-    fn keyword_rest(&mut self, keyword: &str) -> Result<&'a str, CheckError> {
-        let line = self.next_line();
-        line.and_then(|line| strip_keyword(line, keyword)).ok_or_else(|| CheckError::Format {
-            line: self.pos + usize::from(line.is_none()),
-            what: format!("a {keyword:?} line"),
-        })
-    }
-
-    /// Consumes the next line if its first ASCII-white-space token is
-    /// `keyword`, then reads it as [`Cursor::keyword_rest`] does; leaves
-    /// any other line unread.
-    fn keyword_line(&mut self, keyword: &str) -> Result<Option<&'a str>, CheckError> {
-        match self.peek() {
-            Some((line, next)) if first_token_is(line.as_bytes(), keyword.as_bytes()) => {
-                self.at = next;
-                self.pos += 1;
-                strip_keyword(line, keyword)
-                    .map(Some)
-                    .ok_or_else(|| self.error(&format!("a {keyword:?} line")))
-            }
-            _ => Ok(None),
+    /// Consumes the `\n` that ends the current line; anything else there
+    /// is a format error naming `what`, or [`CRLF`] for a `\r\n`.
+    fn end_line(&mut self, what: &str) -> Result<(), CheckError> {
+        if !self.byte(b'\n') {
+            let crlf = self.text.as_bytes()[self.at..].starts_with(b"\r\n");
+            return Err(self.error(if crlf { CRLF } else { what }));
         }
+        self.line += 1;
+        Ok(())
     }
 
-    /// Consumes the next line if it is a canonical `keyword a b` line,
-    /// the form of every emitted edge, segment and halt line: the keyword,
-    /// a space, 1 to 19 digits, a space, 1 to 19 digits and `\n`. Such a
-    /// line is read straight off the bytes, and means what the general
-    /// path would read it as; any other line is left unread for the
-    /// general path.
-    fn canonical_pair<A: TryFrom<u64>, B: TryFrom<u64>>(
-        &mut self,
-        keyword: &str,
-    ) -> Option<(A, B)> {
+    /// Whether the current line starts with `keyword` and a space.
+    fn at_keyword(&self, keyword: &str) -> bool {
+        let rest = &self.text.as_bytes()[self.at..];
+        rest.starts_with(keyword.as_bytes()) && rest.get(keyword.len()) == Some(&b' ')
+    }
+
+    /// Consumes `keyword` and a space if the current line starts with
+    /// them.
+    fn eat(&mut self, keyword: &str) -> bool {
+        let found = self.at_keyword(keyword);
+        self.at += usize::from(found) * (keyword.len() + 1);
+        found
+    }
+
+    /// Consumes `keyword` and a space.
+    fn keyword(&mut self, keyword: &str) -> Result<(), CheckError> {
+        if !self.eat(keyword) {
+            return Err(self.error(&format!("a {keyword:?} line")));
+        }
+        Ok(())
+    }
+
+    /// The rest of the current line, up to (not including) the first
+    /// `\n` or `\r`.
+    fn rest(&mut self) -> &'a str {
+        let start = self.at;
+        let len = self.text.as_bytes()[start..].iter().position(|&b| b == b'\n' || b == b'\r');
+        self.at = len.map_or(self.text.len(), |len| start + len);
+        &self.text[start..self.at]
+    }
+
+    /// A decimal number as `{x}` formats it, if it fits `T`: `0`, or a
+    /// nonzero digit and more digits. After a leading `0` the number
+    /// ends, so a digit after it is left for the caller to reject.
+    fn number<T: TryFrom<u64>>(&mut self) -> Option<T> {
         let bytes = self.text.as_bytes();
-        let mut at = self.at + keyword.len();
-        if !bytes[self.at..].starts_with(keyword.as_bytes()) || bytes.get(at) != Some(&b' ') {
-            return None;
+        let digit = |i: usize| bytes.get(i).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10);
+        let mut x = u64::from(digit(self.at)?);
+        self.at += 1;
+        if x > 0 {
+            while let Some(d) = digit(self.at) {
+                x = x.checked_mul(10)?.checked_add(u64::from(d))?;
+                self.at += 1;
+            }
         }
-        at += 1;
-        let a = A::try_from(digits(bytes, &mut at)?).ok()?;
-        if bytes.get(at) != Some(&b' ') {
-            return None;
-        }
-        at += 1;
-        let b = B::try_from(digits(bytes, &mut at)?).ok()?;
-        if bytes.get(at) != Some(&b'\n') {
-            return None;
-        }
-        self.at = at + 1;
-        self.pos += 1;
-        Some((a, b))
+        T::try_from(x).ok()
     }
 
-    /// Consumes a `keyword a b` line.
-    fn pair_rest<A: TryFrom<u64>, B: TryFrom<u64>>(
-        &mut self,
-        keyword: &str,
-        what: &str,
-    ) -> Result<(A, B), CheckError> {
-        if let Some(pair) = self.canonical_pair(keyword) {
-            return Ok(pair);
+    /// 16 lowercase hex digits.
+    fn hex16(&mut self) -> Option<u64> {
+        let digits = self.text.as_bytes().get(self.at..self.at + 16)?;
+        let mut x: u64 = 0;
+        for &b in digits {
+            let d = match b {
+                b'0'..=b'9' => b - b'0',
+                b'a'..=b'f' => b - b'a' + 10,
+                _ => return None,
+            };
+            x = x << 4 | u64::from(d);
         }
-        let rest = self.keyword_rest(keyword)?;
-        pair(rest).ok_or_else(|| self.error(what))
+        self.at += 16;
+        Some(x)
     }
 
-    /// Consumes a `keyword a b` line if the next line's first token is
-    /// `keyword`, as [`Cursor::keyword_line`] does.
-    fn pair_line<A: TryFrom<u64>, B: TryFrom<u64>>(
-        &mut self,
-        keyword: &str,
-        what: &str,
-    ) -> Result<Option<(A, B)>, CheckError> {
-        if let Some(pair) = self.canonical_pair(keyword) {
-            return Ok(Some(pair));
+    /// Consumes `a b\n`.
+    fn pair<A: TryFrom<u64>, B: TryFrom<u64>>(&mut self, what: &str) -> Result<(A, B), CheckError> {
+        let a = self.number().ok_or_else(|| self.error(what))?;
+        if !self.byte(b' ') {
+            return Err(self.error(what));
         }
-        match self.keyword_line(keyword)? {
-            Some(rest) => pair(rest).map(Some).ok_or_else(|| self.error(what)),
-            None => Ok(None),
-        }
+        let b = self.number().ok_or_else(|| self.error(what))?;
+        self.end_line(what)?;
+        Ok((a, b))
     }
 
-    /// Consumes `keyword <number>`.
+    /// Consumes `keyword <number>\n`.
     fn count<T: TryFrom<u64>>(&mut self, keyword: &str) -> Result<T, CheckError> {
-        let rest = self.keyword_rest(keyword)?;
-        number(trim_end(rest)).ok_or_else(|| self.error(&format!("a {keyword} count")))
+        self.keyword(keyword)?;
+        let what = || format!("a {keyword} count");
+        let count = self.number().ok_or_else(|| self.error(&what()))?;
+        self.end_line(&what())?;
+        Ok(count)
+    }
+
+    /// Consumes one witness value of the solution's kind and the end of
+    /// its line, and appends the value.
+    fn witness(&mut self, solution: &mut Solution) -> Result<(), CheckError> {
+        match solution {
+            Solution::NodeColors(colors) | Solution::EdgeColors(colors) => {
+                colors.push(self.number().ok_or_else(|| self.error("a color"))?);
+                self.end_line("a color")
+            }
+            Solution::NodeSet(set) | Solution::EdgeSet(set) => {
+                let member = self.byte(b'1');
+                if !member && !self.byte(b'0') {
+                    return Err(self.error("a 0/1 membership"));
+                }
+                set.push(member);
+                self.end_line("a 0/1 membership")
+            }
+            Solution::MisWitnesses(witnesses) => {
+                if self.byte(b'M') {
+                    witnesses.push(MisWitness::Member);
+                } else if self.byte(b'P') {
+                    let witness = self.byte(b' ').then(|| self.number()).flatten();
+                    let witness = witness.ok_or_else(|| self.error("a witness edge"))?;
+                    witnesses.push(MisWitness::NonMember { witness });
+                } else {
+                    return Err(self.error("an M or P witness"));
+                }
+                self.end_line(AFTER_WITNESS)
+            }
+        }
     }
 
     /// An empty vector with room for up to `count` elements, taken out of
@@ -554,146 +543,19 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// `rest` of a `keyword rest` line (the keyword followed by a space or
-/// by nothing), without leading white space.
-fn strip_keyword<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
-    let rest = line.strip_prefix(keyword)?;
-    (rest.is_empty() || rest.starts_with(' ')).then(|| trim_start(rest))
+/// `text` as a number, if `{x}` formats the number as `text`.
+fn canonical<T: std::str::FromStr + ToString>(text: &str) -> Option<T> {
+    text.parse().ok().filter(|x: &T| x.to_string() == text)
 }
 
-/// Whether the first ASCII-white-space token of `line` is `keyword`.
-fn first_token_is(line: &[u8], keyword: &[u8]) -> bool {
-    let start = line.iter().position(|b| !b.is_ascii_whitespace()).unwrap_or(line.len());
-    let tail = &line[start..];
-    tail.starts_with(keyword) && tail.get(keyword.len()).is_none_or(u8::is_ascii_whitespace)
-}
-
-/// [`str::trim_start`], byte by byte while the text is ASCII.
-fn trim_start(s: &str) -> &str {
-    let bytes = s.as_bytes();
-    let start = bytes.iter().position(|&b| !matches!(b, b' ' | b'\t'..=b'\r')).unwrap_or(s.len());
-    match bytes.get(start) {
-        // A multi-byte character may be Unicode white space.
-        Some(&b) if !b.is_ascii() => s[start..].trim_start(),
-        _ => &s[start..],
-    }
-}
-
-/// [`str::trim_end`], byte by byte while the text is ASCII.
-fn trim_end(s: &str) -> &str {
-    let bytes = s.as_bytes();
-    let end = bytes.iter().rposition(|&b| !matches!(b, b' ' | b'\t'..=b'\r')).map_or(0, |i| i + 1);
-    match end.checked_sub(1).map(|i| bytes[i]) {
-        Some(b) if !b.is_ascii() => s[..end].trim_end(),
-        _ => &s[..end],
-    }
-}
-
-/// 1 to 19 decimal digits from `bytes[*at..]`, as many as are there;
-/// advances past them. `None` for none or more than 19, so that the
-/// value never overflows.
-fn digits(bytes: &[u8], at: &mut usize) -> Option<u64> {
-    let start = *at;
-    let mut x: u64 = 0;
-    while let Some(d) = bytes.get(*at).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10) {
-        x = x.wrapping_mul(10).wrapping_add(u64::from(d));
-        *at += 1;
-    }
-    (1..=19).contains(&(*at - start)).then_some(x)
-}
-
-/// The next token of `bytes` from `*at`, split as
-/// [`str::split_ascii_whitespace`] splits them; advances past it.
-fn token<'b>(bytes: &'b [u8], at: &mut usize) -> Option<&'b [u8]> {
-    let start = *at + bytes.get(*at..)?.iter().position(|b| !b.is_ascii_whitespace())?;
-    let len =
-        bytes[start..].iter().position(u8::is_ascii_whitespace).unwrap_or(bytes.len() - start);
-    *at = start + len;
-    Some(&bytes[start..start + len])
-}
-
-/// `digits` in base `radix` as [`u64::from_str_radix`] reads them: an
-/// optional `+`, then at least one digit, and no overflow.
-fn radix(digits: &[u8], radix: u32) -> Option<u64> {
-    let digits = digits.strip_prefix(b"+").unwrap_or(digits);
-    if digits.is_empty() {
-        return None;
-    }
-    let mut x: u64 = 0;
-    for &b in digits {
-        let d = char::from(b).to_digit(radix)?;
-        x = x.checked_mul(u64::from(radix))?.checked_add(u64::from(d))?;
-    }
-    Some(x)
-}
-
-/// A decimal token as `FromStr` reads it into `T`.
-fn number<T: TryFrom<u64>>(digits: impl AsRef<[u8]>) -> Option<T> {
-    radix(digits.as_ref(), 10).and_then(|x| T::try_from(x).ok())
-}
-
-/// Exactly two decimal tokens.
-fn pair<A: TryFrom<u64>, B: TryFrom<u64>>(rest: &str) -> Option<(A, B)> {
-    let bytes = rest.as_bytes();
-    let mut at = 0;
-    let a = number(token(bytes, &mut at)?)?;
-    let b = number(token(bytes, &mut at)?)?;
-    token(bytes, &mut at).is_none().then_some((a, b))
-}
-
-/// A witness line's `index value`: the index ends at the first space, and
-/// the value is the trimmed rest.
-fn split_witness(rest: &str) -> Result<(usize, &str), &'static str> {
-    let space = rest.bytes().position(|b| b == b' ');
-    let index = number(&rest.as_bytes()[..space.unwrap_or(rest.len())]).ok_or("a witness index")?;
-    let space = space.ok_or("a witness value")?;
-    Ok((index, trim_end(trim_start(&rest[space + 1..]))))
-}
+/// What a line that ends in `\r\n` must end with instead.
+const CRLF: &str = "a \\n line end, not \\r\\n";
 
 /// What a witness line must end with: a witness carries no more tokens.
 const AFTER_WITNESS: &str = "the end of the line after the witness";
 
 /// What a commitment line must end with.
 const AFTER_COMMITMENT: &str = "the end of the line after the commitment";
-
-/// The first break in a witness block's `0, 1, 2, ...` indices.
-struct Gap {
-    /// The position at which the indices first break.
-    want: usize,
-    /// The index found there.
-    index: usize,
-    /// Whether `index` occurs on more than one line of the block.
-    repeated: bool,
-}
-
-/// Appends one witness value of the solution's kind.
-fn push_witness(solution: &mut Solution, value: &str) -> Result<(), &'static str> {
-    match solution {
-        Solution::NodeColors(colors) | Solution::EdgeColors(colors) => {
-            colors.push(number(value).ok_or("a color")?);
-        }
-        Solution::NodeSet(set) | Solution::EdgeSet(set) => set.push(match value {
-            "0" => false,
-            "1" => true,
-            _ => return Err("a 0/1 membership"),
-        }),
-        Solution::MisWitnesses(witnesses) => {
-            let value = value.as_bytes();
-            let mut at = 0;
-            witnesses.push(match token(value, &mut at) {
-                Some(b"M") => MisWitness::Member,
-                Some(b"P") => MisWitness::NonMember {
-                    witness: token(value, &mut at).and_then(number).ok_or("a witness edge")?,
-                },
-                _ => return Err("an M or P witness"),
-            });
-            if token(value, &mut at).is_some() {
-                return Err(AFTER_WITNESS);
-            }
-        }
-    }
-    Ok(())
-}
 
 fn rule_text(rule: &Rule) -> String {
     match rule {
@@ -723,39 +585,38 @@ fn edge_palette_text(p: &EdgePalette) -> String {
     }
 }
 
-fn parse_rule(rest: &str, line: usize) -> Result<Rule, CheckError> {
-    let mut toks = rest.split_ascii_whitespace();
-    let head = toks.next().unwrap_or("");
-    let arg = toks.next();
-    let bad = || CheckError::Format { line, what: "a known rule".to_string() };
-    let limit = |k| {
-        number(k).ok_or_else(|| CheckError::Format { line, what: "a palette limit".to_string() })
+/// The rule `rule_text` writes as `text`; the error names what was
+/// expected.
+fn parse_rule(text: &str) -> Result<Rule, &'static str> {
+    let (head, arg) = match text.split_once(' ') {
+        Some((head, arg)) => (head, Some(arg)),
+        None => (text, None),
     };
-    let rule = match head {
-        "coloring" => match arg.and_then(|a| a.strip_prefix("palette=")).ok_or_else(bad)? {
-            "any" => Rule::Coloring { palette: Palette::Any },
-            "deg+1" => Rule::Coloring { palette: Palette::DegreePlusOne },
-            k => Rule::Coloring { palette: Palette::AtMost(limit(k)?) },
+    let palette = || arg.and_then(|a| a.strip_prefix("palette=")).ok_or("a known rule");
+    let limit = |k: &str| canonical(k).ok_or("a palette limit");
+    Ok(match head {
+        "coloring" => Rule::Coloring {
+            palette: match palette()? {
+                "any" => Palette::Any,
+                "deg+1" => Palette::DegreePlusOne,
+                k => Palette::AtMost(limit(k)?),
+            },
         },
         "list-coloring" if arg.is_none() => Rule::ListColoring,
         "mis" if arg.is_none() => Rule::Mis,
         "matching" => {
-            let b = arg.and_then(|a| a.strip_prefix("b=")).ok_or_else(bad)?;
-            let b = number(b)
-                .ok_or_else(|| CheckError::Format { line, what: "a matching bound".to_string() })?;
-            Rule::Matching { b }
+            let b = arg.and_then(|a| a.strip_prefix("b=")).ok_or("a known rule")?;
+            Rule::Matching { b: canonical(b).ok_or("a matching bound")? }
         }
-        "edge-coloring" => match arg.and_then(|a| a.strip_prefix("palette=")).ok_or_else(bad)? {
-            "any" => Rule::EdgeColoring { palette: EdgePalette::Any },
-            "edgedeg+1" => Rule::EdgeColoring { palette: EdgePalette::EdgeDegreePlusOne },
-            k => Rule::EdgeColoring { palette: EdgePalette::AtMost(limit(k)?) },
+        "edge-coloring" => Rule::EdgeColoring {
+            palette: match palette()? {
+                "any" => EdgePalette::Any,
+                "edgedeg+1" => EdgePalette::EdgeDegreePlusOne,
+                k => EdgePalette::AtMost(limit(k)?),
+            },
         },
-        _ => return Err(bad()),
-    };
-    if toks.next().is_some() {
-        return Err(bad());
-    }
-    Ok(rule)
+        _ => return Err("a known rule"),
+    })
 }
 
 /// Validates all three layers of a certificate. Returns the first
@@ -909,9 +770,6 @@ fn round_index(round: u64) -> usize {
     usize::try_from(round).or_invariant("a checked halt round indexes its segment's rounds")
 }
 
-/// The replaced line-iterator parser, the oracle of the accepted language.
-mod reference;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1053,75 +911,10 @@ end
         assert_eq!(Certificate::parse(&text).unwrap(), cert);
     }
 
-    /// The `writeln!`-based serializer [`Certificate::to_text`] replaced,
-    /// kept as the byte oracle for the direct emitter.
-    fn reference_text(cert: &Certificate) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "{FORMAT_VERSION}");
-        let _ = writeln!(s, "instance {}", cert.instance);
-        let _ = writeln!(s, "rule {}", rule_text(&cert.rule));
-        let _ = writeln!(s, "nodes {}", cert.nodes);
-        let _ = writeln!(s, "idspace {}", cert.id_space);
-        let _ = writeln!(s, "edges {}", cert.edges.len());
-        for &(u, v) in &cert.edges {
-            let _ = writeln!(s, "e {u} {v}");
-        }
-        if let Some(lists) = &cert.lists {
-            let _ = writeln!(s, "lists {}", lists.len());
-            for (i, list) in lists.iter().enumerate() {
-                let _ = write!(s, "l {i}");
-                for c in list {
-                    let _ = write!(s, " {c}");
-                }
-                s.push('\n');
-            }
-        }
-        let _ = writeln!(s, "solution {}", cert.solution.kind());
-        match &cert.solution {
-            Solution::NodeColors(colors) | Solution::EdgeColors(colors) => {
-                for (i, c) in colors.iter().enumerate() {
-                    let _ = writeln!(s, "s {i} {c}");
-                }
-            }
-            Solution::NodeSet(set) | Solution::EdgeSet(set) => {
-                for (i, &b) in set.iter().enumerate() {
-                    let _ = writeln!(s, "s {i} {}", u8::from(b));
-                }
-            }
-            Solution::MisWitnesses(witnesses) => {
-                for (i, w) in witnesses.iter().enumerate() {
-                    match w {
-                        MisWitness::Member => {
-                            let _ = writeln!(s, "s {i} M");
-                        }
-                        MisWitness::NonMember { witness } => {
-                            let _ = writeln!(s, "s {i} P {witness}");
-                        }
-                    }
-                }
-            }
-        }
-        let _ = writeln!(s, "envelope {}", cert.envelope.id());
-        let _ = writeln!(s, "rounds {}", cert.rounds);
-        let _ = writeln!(s, "segments {}", cert.segments.len());
-        for seg in &cert.segments {
-            let _ = writeln!(s, "segment {} {}", seg.rounds, seg.participants);
-            for &(v, r) in &seg.halts {
-                let _ = writeln!(s, "h {v} {r}");
-            }
-            for (i, c) in seg.commitments.iter().enumerate() {
-                let _ = writeln!(s, "c {} {c:016x}", i + 1);
-            }
-        }
-        s.push_str("end\n");
-        s
-    }
-
     /// A deterministic stream of test values, biased to the edges of the
     /// digit code: 0, 1, `u64::MAX`, values with leading zero nibbles,
     /// and powers of ten and their predecessors.
-    struct Values(u64);
+    pub(super) struct Values(pub(super) u64);
 
     impl Values {
         fn next(&mut self) -> u64 {
@@ -1132,7 +925,7 @@ end
             z ^ (z >> 31)
         }
 
-        fn below(&mut self, n: u64) -> u64 {
+        pub(super) fn below(&mut self, n: u64) -> u64 {
             self.next() % n
         }
 
@@ -1225,34 +1018,42 @@ end
     }
 
     proptest::proptest! {
-        /// The direct emitter writes exactly the bytes of the `writeln!`
-        /// reference, and the parser reads every emitted certificate back.
+        /// The parser reads every emitted certificate back. It accepts
+        /// each number only as `{x}` (or `{x:016x}`) spells it and each
+        /// line only in one layout, so this round trip also pins the
+        /// emitter's bytes.
         #[test]
-        fn emitter_matches_the_writeln_reference_and_round_trips(
+        fn every_emitted_certificate_parses_back_to_itself(
             seed in proptest::prelude::any::<u64>(),
             kind in 0u64..5,
             size in 0u64..6,
         ) {
             let cert = arbitrary_cert(seed, kind, usize::try_from(size).unwrap());
             let text = cert.to_text();
-            proptest::prop_assert_eq!(&text, &reference_text(&cert));
             proptest::prop_assert_eq!(Certificate::parse(&text), Ok(cert));
         }
     }
 
     #[test]
-    fn crlf_line_endings_parse_to_the_same_certificate() {
-        let cert = tiny_mis_cert();
-        let crlf = cert.to_text().replace('\n', "\r\n");
-        assert_eq!(Certificate::parse(&crlf), Ok(cert));
+    fn crlf_line_endings_are_a_format_error_at_line_1() {
+        let crlf = tiny_mis_cert().to_text().replace('\n', "\r\n");
+        assert_eq!(
+            Certificate::parse(&crlf),
+            Err(CheckError::Format { line: 1, what: CRLF.to_string() })
+        );
     }
 
     #[test]
-    fn a_missing_final_newline_still_parses() {
-        let cert = tiny_mis_cert();
-        let text = cert.to_text();
+    fn a_missing_final_newline_is_a_format_error_at_the_end_line() {
+        let text = tiny_mis_cert().to_text();
         let unterminated = text.strip_suffix('\n').unwrap();
-        assert_eq!(Certificate::parse(unterminated), Ok(cert));
+        assert_eq!(
+            Certificate::parse(unterminated),
+            Err(CheckError::Format {
+                line: text.lines().count(),
+                what: "the end line".to_string()
+            })
+        );
     }
 
     /// Cutting the text after any line leaves the parser one line short:
@@ -1272,38 +1073,69 @@ end
         }
     }
 
-    /// Every number is read as `FromStr` reads it, so the accepted language
-    /// is exactly what `FromStr` accepts: a `+` sign and leading zeros parse.
+    /// `tiny_mis_cert`'s text with its line starting with `prefix`
+    /// replaced by `line`, and that line's 1-based number.
+    fn with_line(prefix: &str, line: &str) -> (String, usize) {
+        let text = tiny_mis_cert().to_text();
+        let at = text.lines().position(|l| l.starts_with(prefix)).expect("a matching line");
+        let edited: Vec<&str> =
+            text.lines().enumerate().map(|(i, l)| if i == at { line } else { l }).collect();
+        (edited.join("\n") + "\n", at + 1)
+    }
+
+    /// Numbers are read as `to_text` writes them: plain decimals up to
+    /// the field's maximum, with no sign and no leading zero.
     #[test]
-    fn numbers_accept_what_from_str_accepts() {
-        assert_eq!("+0".parse::<usize>(), Ok(0));
-        assert_eq!("00".parse::<usize>(), Ok(0));
-        let cert = tiny_mis_cert();
+    fn numbers_are_plain_decimals_that_fit_their_field() {
+        let (max, _) = with_line("idspace ", "idspace 18446744073709551615");
+        let mut cert = tiny_mis_cert();
+        cert.id_space = u64::MAX;
+        assert_eq!(Certificate::parse(&max), Ok(cert));
+        for (prefix, edited, what) in [
+            ("idspace ", "idspace 18446744073709551616", "a idspace count"),
+            ("e 0 1", "e +0 1", "edge endpoints"),
+            ("e 0 1", "e 01 1", "edge endpoints"),
+            ("e 0 1", "e 0 01", "edge endpoints"),
+            ("s 0 M", "s 00 M", "a witness value"),
+            ("s 1 P 0", "s 1 P +0", "a witness edge"),
+            ("h 2 1", "h 2 01", "halt record"),
+            ("rounds ", "rounds +1", "a rounds count"),
+            ("rule ", "rule coloring palette=+3", "a palette limit"),
+            ("rule ", "rule edge-coloring palette=03", "a palette limit"),
+            ("rule ", "rule matching b=4294967296", "a matching bound"),
+        ] {
+            let (text, line) = with_line(prefix, edited);
+            let expected = Err(CheckError::Format { line, what: what.to_string() });
+            assert_eq!(Certificate::parse(&text), expected, "{edited}");
+        }
+    }
+
+    #[test]
+    fn set_memberships_are_0_or_1() {
+        let mut cert = tiny_mis_cert();
+        cert.solution = Solution::NodeSet(vec![true, false, true]);
         let text = cert.to_text();
-        let signed = text.replace("e 0 1\n", "e +0 1\n");
-        assert_eq!(Certificate::parse(&signed), Ok(cert.clone()));
-        let padded = text.replace("s 0 M\n", "s 00 M\n");
-        assert_eq!(Certificate::parse(&padded), Ok(cert));
+        assert_eq!(Certificate::parse(&text), Ok(cert));
+        for value in ["2", "10", "01", "M"] {
+            let edited = text.replace("s 1 0\n", &format!("s 1 {value}\n"));
+            let expected =
+                Err(CheckError::Format { line: 11, what: "a 0/1 membership".to_string() });
+            assert_eq!(Certificate::parse(&edited), expected, "{value}");
+        }
     }
 
     /// `tiny_mis_cert`'s text with `suffix` appended to the line that
     /// starts with `prefix`, and that line's 1-based number.
     fn with_trailing_text(prefix: &str, suffix: &str) -> (String, usize) {
         let text = tiny_mis_cert().to_text();
-        let line = text.lines().position(|l| l.starts_with(prefix)).expect("a matching line");
-        let edited: Vec<String> = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| if i == line { format!("{l}{suffix}\n") } else { format!("{l}\n") })
-            .collect();
-        (edited.concat(), line + 1)
+        let line = text.lines().find(|l| l.starts_with(prefix)).expect("a matching line");
+        with_line(prefix, &format!("{line}{suffix}"))
     }
 
-    /// Both parsers reject `text` with a format error at `line`.
+    /// `text` is rejected with a format error at `line`.
     fn assert_format_error(text: &str, line: usize, what: &str) {
         let expected = Err(CheckError::Format { line, what: what.to_string() });
         assert_eq!(Certificate::parse(text), expected);
-        assert_eq!(super::reference::reference_parse(text), expected);
     }
 
     #[test]
@@ -1335,11 +1167,287 @@ end
     #[test]
     fn trailing_content_is_reported_at_its_own_line() {
         let text = tiny_mis_cert().to_text();
-        let end_line = text.lines().count();
-        assert_eq!(Certificate::parse(&format!("{text}\n\n")), Ok(tiny_mis_cert()));
-        assert_eq!(
-            Certificate::parse(&format!("{text}\n\nx\n")),
-            Err(CheckError::Format { line: end_line + 3, what: "end of file".to_string() })
-        );
+        let after_end = text.lines().count() + 1;
+        for trailing in ["\n", "\n\nx\n", " ", "x"] {
+            assert_eq!(
+                Certificate::parse(&format!("{text}{trailing}")),
+                Err(CheckError::Format { line: after_end, what: "end of file".to_string() }),
+                "{trailing:?}"
+            );
+        }
+    }
+}
+
+/// The accepted language against its reference, the emitter: on every
+/// input, [`Certificate::parse`] returns a certificate only when
+/// [`Certificate::to_text`] writes that certificate back as the input,
+/// byte for byte, and otherwise a typed error; it never panics. The
+/// inputs are the 18 golden certificates, every cut and every dropped or
+/// doubled line of them, seeded character mutants, extreme numbers, and
+/// text before and after every line.
+#[cfg(test)]
+mod reference {
+    use super::tests::Values;
+    use super::*;
+
+    /// 1-based number of the line that holds byte `at` of `text`.
+    fn line_of(text: &str, at: usize) -> usize {
+        1 + text.as_bytes()[..at].iter().filter(|&&b| b == b'\n').count()
+    }
+
+    /// Parses `mutated`, an edit of `original`, and asserts the
+    /// reference's answer: a certificate that writes back `mutated` byte
+    /// for byte, or a typed error. A format error stands on the line of
+    /// the first edited byte or later (every line before it is as
+    /// `to_text` wrote it), and never past the line after the text's last.
+    /// A panic fails the calling test.
+    fn assert_edit(
+        original: &str,
+        mutated: &str,
+        context: &dyn std::fmt::Display,
+    ) -> Result<Certificate, CheckError> {
+        let same = original.bytes().zip(mutated.bytes()).take_while(|(a, b)| a == b).count();
+        let parsed = Certificate::parse(mutated);
+        match &parsed {
+            Ok(cert) => {
+                assert_eq!(cert.to_text(), mutated, "{context}: accepted but not re-emitted")
+            }
+            Err(CheckError::Format { line, .. }) => {
+                let lines = line_of(original, same)..=line_of(mutated, mutated.len());
+                assert!(lines.contains(line), "{context}: {parsed:?}");
+            }
+            Err(_) => {}
+        }
+        parsed
+    }
+
+    /// The 18 golden certificates of the bench crate's quick run.
+    fn goldens() -> Vec<(String, String)> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../bench/tests/golden/quick_certs");
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("read the golden certificate directory")
+            .map(|entry| entry.expect("read a golden directory entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "cert"))
+            .collect();
+        files.sort();
+        assert_eq!(files.len(), 18, "golden certificates in {}", dir.display());
+        files
+            .into_iter()
+            .map(|path| {
+                let name = path.file_name().expect("a file name").to_string_lossy().into_owned();
+                (name, std::fs::read_to_string(&path).expect("read a golden certificate"))
+            })
+            .collect()
+    }
+
+    fn golden(name: &str) -> String {
+        goldens().into_iter().find(|(n, _)| n == name).expect("a golden certificate").1
+    }
+
+    /// A seeded draw below `n`: the mutants are the same on every run.
+    fn below(rng: &mut Values, n: usize) -> usize {
+        usize::try_from(rng.below(widen_u64(n))).expect("below n")
+    }
+
+    /// What a mutation writes: signs and digits, every ASCII white-space
+    /// byte and `\x0B`, and non-ASCII letters and Unicode white space.
+    const ALPHABET: &[&str] =
+        &["+", "-", "0", "9", " ", "\t", "\r", "\n", "\x0B", "\x0C", "é", "\u{A0}", "\u{2003}"];
+
+    /// `text` with one seeded flip, insertion or deletion of a character.
+    /// The position is drawn per line keyword first, so header lines are
+    /// hit as often as the long witness and halt blocks.
+    fn mutant(text: &str, rng: &mut Values) -> String {
+        let mut starts: Vec<(&str, Vec<usize>)> = Vec::new();
+        let mut at = 0;
+        for line in text.split_inclusive('\n') {
+            let keyword = line.split_ascii_whitespace().next().unwrap_or("");
+            match starts.iter_mut().find(|(k, _)| *k == keyword) {
+                Some((_, lines)) => lines.push(at),
+                None => starts.push((keyword, vec![at])),
+            }
+            at += line.len();
+        }
+        let lines = &starts[below(rng, starts.len())].1;
+        let start = lines[below(rng, lines.len())];
+        let len = text[start..].find('\n').map_or(text.len() - start, |i| i + 1);
+        let mut at = start + below(rng, len + 1);
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        let next = text[at..].chars().next().map_or(at, |c| at + c.len_utf8());
+        let insert = ALPHABET[below(rng, ALPHABET.len())];
+        match below(rng, 3) {
+            0 => [&text[..at], insert, &text[next..]].concat(),
+            1 => [&text[..at], insert, &text[at..]].concat(),
+            _ => [&text[..at], &text[next..]].concat(),
+        }
+    }
+
+    fn assert_mutants(per_golden: usize, seed: u64) {
+        let mut rng = Values(seed);
+        for (name, text) in goldens() {
+            for k in 0..per_golden {
+                let mutated = mutant(&text, &mut rng);
+                let _ =
+                    assert_edit(&text, &mutated, &format_args!("{name}, mutant {k}: {mutated:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn goldens_parse_as_the_reference_does() {
+        for (name, text) in goldens() {
+            assert_edit(&text, &text, &name).expect("a golden parses and round-trips");
+            assert_eq!(
+                Certificate::parse(&text.replace('\n', "\r\n")),
+                Err(CheckError::Format { line: 1, what: CRLF.to_string() }),
+                "{name} with CRLF line ends"
+            );
+            let end_line = text.lines().count();
+            assert_eq!(
+                Certificate::parse(text.trim_end_matches('\n')),
+                Err(CheckError::Format { line: end_line, what: "the end line".to_string() }),
+                "{name} without a final newline"
+            );
+        }
+    }
+
+    #[test]
+    fn every_cut_parses_as_the_reference_does() {
+        assert_cuts("tiny", &super::tests::tiny_mis_cert().to_text());
+        assert_cuts("mis-pipeline-tree", &golden("mis-pipeline-tree.cert"));
+    }
+
+    /// Every proper prefix of `text` is a format error at the line the
+    /// cut falls in.
+    fn assert_cuts(name: &str, text: &str) {
+        for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+            match Certificate::parse(&text[..cut]) {
+                Err(CheckError::Format { line, .. }) if line == line_of(text, cut) => {}
+                other => panic!("{name} cut at byte {cut}: {other:?}"),
+            }
+        }
+    }
+
+    /// `text` with each of its lines dropped, and with each doubled.
+    fn assert_line_edits(name: &str, text: &str) {
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        for i in 0..lines.len() {
+            let dropped = [&lines[..i], &lines[i + 1..]].concat().concat();
+            let _ = assert_edit(text, &dropped, &format_args!("{name} without line {}", i + 1));
+            let doubled = [&lines[..=i], &lines[i..]].concat().concat();
+            let _ = assert_edit(text, &doubled, &format_args!("{name} with line {} twice", i + 1));
+        }
+    }
+
+    #[test]
+    fn every_dropped_or_duplicated_line_parses_as_the_reference_does() {
+        assert_line_edits("tiny", &super::tests::tiny_mis_cert().to_text());
+        assert_line_edits("mis-pipeline-tree", &golden("mis-pipeline-tree.cert"));
+    }
+
+    #[test]
+    fn seeded_mutants_parse_as_the_reference_does() {
+        assert_mutants(100, 1);
+    }
+
+    /// Every token of the tiny certificate in turn replaced by numbers at
+    /// and past the edges of `u64` and `u32`, zero-padded and signed, and
+    /// by hex spellings.
+    #[test]
+    fn extreme_numbers_parse_as_the_reference_does() {
+        const NUMBERS: &[&str] = &[
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999",
+            "000000000000000000000000000001",
+            "000000000000000000000000000000",
+            "000000000000000000018446744073709551615",
+            "+18446744073709551615",
+            "+0",
+            "01",
+            "+",
+            "-0",
+            "++1",
+            "ffffffffffffffff",
+            "FFFFFFFFFFFFFFFF",
+            "10000000000000000",
+            "+00000000000000000000000000000a",
+            "4294967295",
+            "4294967296",
+        ];
+        let text = super::tests::tiny_mis_cert().to_text();
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        for (i, line) in lines.iter().enumerate() {
+            let tokens: Vec<&str> = line.trim_end_matches('\n').split(' ').collect();
+            for t in 0..tokens.len() {
+                for number in NUMBERS {
+                    let mut edited = tokens.clone();
+                    edited[t] = number;
+                    let edited = edited.join(" ") + "\n";
+                    let mutated =
+                        [lines[..i].concat(), edited.clone(), lines[i + 1..].concat()].concat();
+                    let context = format_args!("line {}: {edited:?}", i + 1);
+                    let parsed = assert_edit(&text, &mutated, &context);
+                    // A sign or a leading zero is never what `to_text`
+                    // writes, but in the instance label it is label text.
+                    let label = tokens[0] == "instance" && t > 0;
+                    if number.starts_with(['+', '-', '0']) && !label {
+                        assert!(
+                            matches!(parsed, Err(CheckError::Format { line, .. }) if line == i + 1)
+                                || (i == 0 && parsed.is_err()),
+                            "{context}: {parsed:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every line of the tiny certificate in turn with white space or a
+    /// token before it, inside its first token or after it: each edit is
+    /// a format error at that line (a version mismatch on line 1), or, in
+    /// the instance label, part of the label.
+    #[test]
+    fn every_line_with_leading_or_trailing_text_parses_as_the_reference_does() {
+        const PREFIXES: &[&str] = &[" ", "\t", "\x0B", "\u{A0}", "x"];
+        const SUFFIXES: &[&str] =
+            &[" ", "\t", "\r", "\x0B", "\u{A0}", "\u{2003}", " 7", "\t7", " x", " M", " P 1", " é"];
+        let text = super::tests::tiny_mis_cert().to_text();
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        for (i, line) in lines.iter().enumerate() {
+            let body = line.trim_end_matches('\n');
+            let edited = PREFIXES
+                .iter()
+                .map(|p| format!("{p}{line}"))
+                .chain(SUFFIXES.iter().map(|s| format!("{body}{s}\n")))
+                .chain(PREFIXES.iter().map(|p| format!("{}{p}{}", &body[..1], &body[1..])));
+            for edited in edited {
+                let mutated =
+                    [&lines[..i].concat(), edited.as_str(), &lines[i + 1..].concat()].concat();
+                let context = format_args!("line {}: {edited:?}", i + 1);
+                match assert_edit(&text, &mutated, &context) {
+                    Err(CheckError::Format { line, .. }) if line == i + 1 => {}
+                    Err(CheckError::VersionMismatch { .. }) if i == 0 => {}
+                    Ok(_) if body.starts_with("instance ") => {}
+                    other => panic!("{context}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// The release tier: 18,000 seeded mutants over the goldens, and every
+    /// cut and every dropped or doubled line of each golden. None may
+    /// make the parser panic or accept a text it would not write back.
+    #[test]
+    #[ignore = "release tier: cargo test --release -p treelocal-check --lib differential -- --ignored"]
+    fn differential_release_tier_of_ten_thousand_mutants() {
+        assert_mutants(1000, 2);
+        for (name, text) in goldens() {
+            assert_cuts(&name, &text);
+            assert_line_edits(&name, &text);
+        }
     }
 }

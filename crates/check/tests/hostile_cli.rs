@@ -9,7 +9,9 @@
 //! `FAIL` line like any other malformed one, and the files after it are
 //! still checked. A directory named twice is checked once. A certificate
 //! of the retired `treelocal-cert v1` format is one `FAIL` line naming its
-//! version.
+//! version. A golden certificate saved with CRLF line ends, or with one
+//! number signed or zero-padded, is one `FAIL` line at that line, and the
+//! next file is still checked.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -199,4 +201,49 @@ fn a_certificate_reached_by_two_spellings_is_checked_once() {
         "{stdout}"
     );
     assert_eq!(stderr.trim(), "1 of 2 certificates rejected");
+}
+
+#[test]
+fn crlf_signed_and_zero_padded_copies_fail_and_the_next_file_is_still_checked() {
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../bench/tests/golden/quick_certs/mis-pipeline-tree.cert");
+    let text = std::fs::read_to_string(&golden).expect("read the golden certificate");
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("non-canonical");
+    std::fs::create_dir_all(&dir).expect("create the certificate directory");
+    // Each bad copy is followed by a good one on the command line.
+    let files = [
+        ("a-crlf.cert", text.replace('\n', "\r\n")),
+        ("b-golden.cert", text.clone()),
+        ("c-signed.cert", text.replacen("\nnodes 150\n", "\nnodes +150\n", 1)),
+        ("d-golden.cert", text.clone()),
+        ("e-padded.cert", text.replacen("\ne 1 45\n", "\ne 01 45\n", 1)),
+        ("f-golden.cert", text.clone()),
+    ];
+    for (name, contents) in &files {
+        std::fs::write(dir.join(name), contents).expect("write a certificate");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_treelocal-check"))
+        .args(files.iter().map(|(name, _)| dir.join(name)))
+        .output()
+        .expect("run treelocal-check");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert_eq!(stderr.trim(), "3 of 6 certificates rejected");
+    let lines: Vec<&str> = stdout.lines().collect();
+    let expected = [
+        ("FAIL ", "a-crlf.cert: line 1: expected a \\n line end, not \\r\\n"),
+        ("OK   ", "b-golden.cert"),
+        ("FAIL ", "c-signed.cert: line 4: expected a nodes count"),
+        ("OK   ", "d-golden.cert"),
+        ("FAIL ", "e-padded.cert: line 7: expected edge endpoints"),
+        ("OK   ", "f-golden.cert"),
+    ];
+    assert_eq!(lines.len(), expected.len(), "{stdout}");
+    for (line, (status, end)) in lines.iter().zip(expected) {
+        assert!(
+            line.starts_with(status) && line.ends_with(end),
+            "{line:?} is not {status}...{end}"
+        );
+    }
 }
