@@ -20,7 +20,7 @@
 //! `neighbor_nodes(v)` and `neighbor_edges(v)`.
 
 use treelocal_graph::{widen_u64, NodeId, OrInvariant, Topology};
-use treelocal_sim::{run, Ctx, Ports, StateCodec, SyncAlgorithm, Verdict};
+use treelocal_sim::{run, Ctx, Ports, SyncAlgorithm, Verdict};
 
 /// What one class sweep computes. Decisions are `u64` words; each rule's
 /// caller maps them to its outcome type.
@@ -50,26 +50,10 @@ pub(crate) enum SweepState {
     Decided(u64),
 }
 
-/// `[round, value]` u64 lanes. A waiting node has its (non-zero) round and
-/// value 0; a decided node has round 0. Equal states have equal lanes.
-impl StateCodec for SweepState {
-    const U32_LANES: usize = 0;
-    const U64_LANES: usize = 2;
-
-    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
-        let (round, value) = match *self {
-            SweepState::Waiting { round } => (round, 0),
-            SweepState::Decided(value) => (0, value),
-        };
-        lanes64[0] = round;
-        lanes64[1] = value;
-    }
-
-    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
-        match lanes64[0] {
-            0 => SweepState::Decided(lanes64[1]),
-            round => SweepState::Waiting { round },
-        }
+/// The state of a slot no node has written: decided on 0.
+impl Default for SweepState {
+    fn default() -> Self {
+        SweepState::Decided(0)
     }
 }
 
@@ -187,15 +171,6 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// `state` encoded into its lanes and decoded back: the codec law each
-/// rule's tests check on the states that rule produces.
-#[cfg(test)]
-pub(crate) fn through_lanes(state: SweepState) -> SweepState {
-    let mut lanes64 = [0u64; SweepState::U64_LANES];
-    state.encode(&mut [], &mut lanes64);
-    SweepState::decode(&[], &lanes64)
-}
-
 /// [`crate::assert_engines_agree`] for the sweep of `rule`.
 #[cfg(test)]
 pub(crate) fn assert_sweep_engines_agree<T, R>(ctx: &Ctx<'_, T>, rule: &R, max_rounds: u64)
@@ -298,23 +273,6 @@ mod tests {
                 "{:?}",
                 used
             );
-        }
-
-        /// The codec law for sweep states: every waiting round (≥ 1) and
-        /// every decided value over the full lane range.
-        #[test]
-        fn sweep_state_round_trips_through_its_lanes(
-            decided in proptest::prelude::any::<bool>(),
-            x in proptest::prelude::any::<u64>(),
-        ) {
-            let s = if decided {
-                SweepState::Decided(x)
-            } else {
-                SweepState::Waiting { round: x.max(1) }
-            };
-            let mut lanes64 = [0u64; SweepState::U64_LANES];
-            s.encode(&mut [], &mut lanes64);
-            proptest::prop_assert_eq!(SweepState::decode(&[], &lanes64), s);
         }
     }
 }

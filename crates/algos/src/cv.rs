@@ -14,7 +14,7 @@
 
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{narrow_u32, widen_u32, NodeId, RootedForest, Topology};
-use treelocal_sim::{run, Ctx, Ports, StateCodec, SyncAlgorithm, Verdict};
+use treelocal_sim::{run, Ctx, Ports, SyncAlgorithm, Verdict};
 
 /// Outcome of the forest 3-coloring.
 #[derive(Clone, Debug)]
@@ -25,24 +25,11 @@ pub struct CvOutcome {
     pub rounds: u64,
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct CvState {
+/// The color: an identifier before the first reduction round, so it
+/// needs the full width.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct CvState {
     color: u64,
-}
-
-/// One u64 lane: the color (an identifier before the first reduction
-/// round, so it needs the full width).
-impl StateCodec for CvState {
-    const U32_LANES: usize = 0;
-    const U64_LANES: usize = 1;
-
-    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
-        lanes64[0] = self.color;
-    }
-
-    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
-        CvState { color: lanes64[0] }
-    }
 }
 
 struct CvAlgo {
@@ -298,17 +285,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    proptest::proptest! {
-        /// The codec law for Cole–Vishkin states over the full lane range.
-        #[test]
-        fn cv_state_round_trips_through_its_lanes(color in proptest::prelude::any::<u64>()) {
-            let s = CvState { color };
-            let mut lanes64 = [0u64; CvState::U64_LANES];
-            s.encode(&mut [], &mut lanes64);
-            proptest::prop_assert_eq!(CvState::decode(&[], &lanes64), s);
         }
     }
 

@@ -77,10 +77,25 @@ fn assert_engines_agree<T, A>(ctx: &treelocal_sim::Ctx<'_, T>, algo: &A, max_rou
 where
     T: treelocal_graph::Topology + Sync,
     A: treelocal_sim::SyncAlgorithm<T> + Sync,
-    A::State: Send + PartialEq,
+    A::State: PartialEq,
 {
     let snapshot = treelocal_sim::run(ctx, algo, max_rounds);
     let messages = treelocal_sim::run_messages(ctx, algo, max_rounds);
     assert_eq!(snapshot.rounds, messages.rounds, "round counts diverge");
     assert!(snapshot.states().eq(messages.states()), "states diverge");
+}
+
+#[cfg(test)]
+mod tests {
+    use std::mem::size_of;
+
+    /// The engine stores states as they are, one `Vec<S>` per run, so a
+    /// widened field would silently grow the 10M-node columns: Linial's
+    /// and Cole–Vishkin's colors are one word, a sweep state two.
+    #[test]
+    fn state_columns_keep_their_widths() {
+        assert_eq!(size_of::<crate::ColorState>(), 8);
+        assert_eq!(size_of::<crate::cv::CvState>(), 8);
+        assert_eq!(size_of::<crate::class_sweep::SweepState>(), 16);
+    }
 }

@@ -27,7 +27,7 @@
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{NodeId, Topology};
 use treelocal_sim::{
-    next_prime, run, run_messages, Ctx, Ports, RunOutcome, StateCodec, SyncAlgorithm, Verdict,
+    next_prime, run, run_messages, Ctx, Ports, RunOutcome, SyncAlgorithm, Verdict,
 };
 
 /// One stage of the reduction: colors `< c_in` become colors `< q²` using
@@ -116,26 +116,12 @@ fn pow_at_least(base: u64, exp: u32, target: u64) -> bool {
     acc >= target as u128
 }
 
-/// Per-node state: the current color.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Per-node state: the current color, one `u64`, so ten million nodes
+/// occupy one flat 80 MB column.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ColorState {
     /// Proper color, bounded by the current stage's input bound.
     pub color: u64,
-}
-
-/// A color is one `u64` lane, so ten million nodes occupy one flat 80 MB
-/// column.
-impl StateCodec for ColorState {
-    const U32_LANES: usize = 0;
-    const U64_LANES: usize = 1;
-
-    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
-        lanes64[0] = self.color;
-    }
-
-    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
-        ColorState { color: lanes64[0] }
-    }
 }
 
 struct LinialAlgo {
@@ -294,7 +280,7 @@ pub struct LinialOutcome {
 /// Runs the reduction on a topology, producing a proper `O(Δ²)`-coloring in
 /// `log*`-many rounds.
 ///
-/// Colors live in one flat `u64` lane column, which is what keeps the
+/// Colors live in one flat `u64` state column, which is what keeps the
 /// 10M-node tier's peak RSS flat.
 pub fn run_linial<T: Topology + Sync>(ctx: &Ctx<'_, T>) -> LinialOutcome {
     linial_on(ctx, run)
@@ -472,18 +458,6 @@ mod tests {
             let pooled = par::with_threads(threads, || run_linial(&ctx));
             assert_eq!(reference.rounds, pooled.rounds, "{threads} threads: rounds diverge");
             assert_eq!(reference.colors, pooled.colors, "{threads} threads: colors diverge");
-        }
-    }
-
-    proptest::proptest! {
-        /// The codec law for colors: `decode(encode(s)) == s` across the
-        /// full lane range.
-        #[test]
-        fn color_state_round_trips_through_its_lanes(color in proptest::prelude::any::<u64>()) {
-            let s = ColorState { color };
-            let mut lanes64 = [0u64; ColorState::U64_LANES];
-            s.encode(&mut [], &mut lanes64);
-            proptest::prop_assert_eq!(ColorState::decode(&[], &lanes64), s);
         }
     }
 

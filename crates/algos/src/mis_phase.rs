@@ -111,7 +111,7 @@ pub fn is_valid_mis_on<T: Topology>(topo: &T, decisions: &[Option<MisDecision>])
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::class_sweep::{assert_sweep_engines_agree, seeded, through_lanes, SweepState};
+    use crate::class_sweep::{assert_sweep_engines_agree, seeded, SweepState};
     use crate::linial::run_linial;
     use crate::reduce::kw_reduce;
     use treelocal_gen::random_tree;
@@ -188,9 +188,9 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The codec law for the states the MIS sweep produces: a seeded
-        /// class waits for a round ≥ 1, and both decisions (the member
-        /// sentinel and any witness edge) come back as the same
+        /// The states the MIS sweep produces: a seeded class waits for a
+        /// round ≥ 1, and both decisions (the member sentinel and any
+        /// witness edge) read back from their word as the same
         /// [`MisDecision`].
         #[test]
         fn sweep_state_round_trips_through_its_lanes(
@@ -202,8 +202,7 @@ mod tests {
             let colors = [Some(c)];
             let m = u64::from(u32::MAX);
             let seed = seeded(&g, &MisSweep { colors: &colors, m }, NodeId::new(0));
-            proptest::prop_assert!(matches!(seed, SweepState::Waiting { .. }));
-            proptest::prop_assert_eq!(through_lanes(seed), seed);
+            proptest::prop_assert!(matches!(seed, SweepState::Waiting { round } if round >= 1));
             let decision = if member {
                 MisDecision::Member
             } else {
@@ -213,10 +212,7 @@ mod tests {
                 MisDecision::Member => MEMBER,
                 MisDecision::NonMember { witness } => widen_u64(witness.index()),
             };
-            let SweepState::Decided(back) = through_lanes(SweepState::Decided(word)) else {
-                panic!("a decided state decodes as decided");
-            };
-            proptest::prop_assert_eq!(mis_decision(back), decision);
+            proptest::prop_assert_eq!(mis_decision(word), decision);
         }
     }
 

@@ -151,7 +151,7 @@ pub fn kw_reduce<T: Topology + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::class_sweep::{assert_sweep_engines_agree, seeded, through_lanes, SweepState};
+    use crate::class_sweep::{assert_sweep_engines_agree, seeded, SweepState};
     use crate::linial::{is_proper, run_linial};
     use treelocal_graph::Graph;
 
@@ -255,9 +255,8 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The codec law for the states `sweep_reduce` produces: every
-        /// seeded class waits for a round ≥ 1, and every picked color comes
-        /// back decided.
+        /// The states `sweep_reduce` seeds: every class waits for a
+        /// round ≥ 1.
         #[test]
         fn sweep_state_round_trips_through_its_lanes(
             color in proptest::prelude::any::<u64>(),
@@ -266,15 +265,11 @@ mod tests {
             let g = Graph::from_edges(1, &[]).unwrap();
             let initial = [Some(color % m)];
             let seed = seeded(&g, &SweepReduce { initial: &initial, m }, NodeId::new(0));
-            proptest::prop_assert!(matches!(seed, SweepState::Waiting { .. }));
-            proptest::prop_assert_eq!(through_lanes(seed), seed);
-            let picked = SweepState::Decided(color);
-            proptest::prop_assert_eq!(through_lanes(picked), picked);
+            proptest::prop_assert!(matches!(seed, SweepState::Waiting { round } if round >= 1));
         }
 
-        /// The codec law for the states a KW phase produces: kept slots
-        /// are decided at seeding, moving colors wait, and every color,
-        /// 0 included, comes back decided.
+        /// The states a KW phase seeds: a kept color is decided at seeding
+        /// on its slot of its group, a moving color waits for a round ≥ 1.
         #[test]
         fn kw_state_round_trips_through_its_lanes(
             color in proptest::prelude::any::<u64>(),
@@ -284,10 +279,12 @@ mod tests {
             let initial = [Some(color)];
             let seed = seeded(&g, &KwPhase { initial: &initial, slots }, NodeId::new(0));
             let kept = color % (2 * slots) < slots;
-            proptest::prop_assert_eq!(matches!(seed, SweepState::Decided(_)), kept);
-            proptest::prop_assert_eq!(through_lanes(seed), seed);
-            let moved = SweepState::Decided(color);
-            proptest::prop_assert_eq!(through_lanes(moved), moved);
+            if kept {
+                let slot = color / (2 * slots) * slots + color % (2 * slots);
+                proptest::prop_assert_eq!(seed, SweepState::Decided(slot));
+            } else {
+                proptest::prop_assert!(matches!(seed, SweepState::Waiting { round } if round >= 1));
+            }
         }
     }
 

@@ -62,7 +62,8 @@ pub struct Segment {
 /// A parsed (or programmatically built) certificate.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Certificate {
-    /// Free-form instance label (single line).
+    /// Free-form instance label, one line: [`check_certificate`] rejects
+    /// a `\n` or `\r` in it.
     pub instance: String,
     /// The rule the solution claims to satisfy.
     pub rule: Rule,
@@ -620,8 +621,12 @@ fn parse_rule(text: &str) -> Result<Rule, &'static str> {
 }
 
 /// Validates all three layers of a certificate. Returns the first
-/// violation found, ordered: witness kind, declared node count, instance,
-/// solution legality, envelope, transcript consistency.
+/// violation found, ordered: instance label, witness kind, declared node
+/// count, instance, solution legality, envelope, transcript consistency.
+///
+/// The label must be one line: [`Certificate::to_text`] writes it
+/// verbatim, so a `\n` or `\r` in it would emit a text that
+/// [`Certificate::parse`] rejects.
 ///
 /// The declared `nodes` must be accounted for by the certificate's own
 /// lines: a node-indexed solution (`node-colors`, `node-set`,
@@ -630,6 +635,10 @@ fn parse_rule(text: &str) -> Result<Rule, &'static str> {
 /// So a matching or edge-coloring certificate cannot carry more isolated
 /// nodes than that; every emitted certificate is a tree and passes.
 pub fn check_certificate(cert: &Certificate) -> Result<(), CheckError> {
+    if cert.instance.contains(['\n', '\r']) {
+        let what = format!("instance label {:?} holds a line break", cert.instance);
+        return Err(CheckError::BadInstance { what });
+    }
     check_witness_kind(&cert.rule, &cert.solution)?;
     check_node_count(cert)?;
     let g = Graph::from_edges(cert.nodes, &cert.edges)
@@ -1312,6 +1321,20 @@ mod reference {
                 "{name} without a final newline"
             );
         }
+    }
+
+    #[test]
+    fn a_label_with_a_line_break_is_a_bad_instance() {
+        let text = golden("mis-pipeline-tree.cert");
+        let mut cert = Certificate::parse(&text).expect("a golden parses");
+        for label in ["a\nb", "tail\r", "x\r\ny"] {
+            cert.instance = label.to_string();
+            let what = format!("instance label {label:?} holds a line break");
+            assert_eq!(check_certificate(&cert), Err(CheckError::BadInstance { what }));
+        }
+        cert.instance = "a plain label".to_string();
+        assert_eq!(check_certificate(&cert), Ok(()));
+        assert_eq!(Certificate::parse(&cert.to_text()), Ok(cert));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 
 use crate::order::LayerOrder;
 use treelocal_graph::OrInvariant;
-use treelocal_graph::{narrow_u32, widen_u32, Graph, NodeId, SemiGraph, Topology};
-use treelocal_sim::{ceil_log, run, Ctx, Ports, StateCodec, SyncAlgorithm, Verdict};
+use treelocal_graph::{Graph, NodeId, SemiGraph, Topology};
+use treelocal_sim::{ceil_log, run, Ctx, Ports, SyncAlgorithm, Verdict};
 
 /// The output of Algorithm 3 plus the edge classification.
 #[derive(Clone, Debug)]
@@ -190,7 +190,7 @@ pub fn check_atypical_structure(g: &Graph, d: &ArbDecomposition) -> bool {
 // Distributed implementation
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct ArbState {
     alive: bool,
     deg: usize,
@@ -200,41 +200,6 @@ struct ArbState {
     /// in exactly the iterations `1..=last_high` — which is all the
     /// post-run pass needs to rebuild the atypical edges.
     last_high: u32,
-}
-
-/// Flag bits of lane 0 in [`ArbState`]'s codec.
-const ARB_ALIVE: u32 = 1;
-const ARB_MARKED: u32 = 1 << 1;
-
-/// `[flags, marked_iteration, deg, last_high]` u32 lanes. The iteration
-/// lane is only meaningful under [`ARB_MARKED`] and encodes as zero
-/// otherwise, so equal states have equal lane bytes.
-impl StateCodec for ArbState {
-    const U32_LANES: usize = 4;
-    const U64_LANES: usize = 0;
-
-    fn encode(&self, lanes32: &mut [u32], _lanes64: &mut [u64]) {
-        let mut flags = 0u32;
-        if self.alive {
-            flags |= ARB_ALIVE;
-        }
-        if self.marked_at.is_some() {
-            flags |= ARB_MARKED;
-        }
-        lanes32[0] = flags;
-        lanes32[1] = self.marked_at.unwrap_or(0);
-        lanes32[2] = narrow_u32(self.deg);
-        lanes32[3] = self.last_high;
-    }
-
-    fn decode(lanes32: &[u32], _lanes64: &[u64]) -> Self {
-        ArbState {
-            alive: lanes32[0] & ARB_ALIVE != 0,
-            deg: widen_u32(lanes32[2]),
-            marked_at: (lanes32[0] & ARB_MARKED != 0).then_some(lanes32[1]),
-            last_high: lanes32[3],
-        }
-    }
 }
 
 struct ArbDistributed {
@@ -416,24 +381,6 @@ mod tests {
             // The centralized round charge is what the execution took.
             assert_eq!(a.rounds, b.rounds, "seed {seed}");
             assert_eq!(b.rounds, 2 * u64::from(b.iterations));
-        }
-    }
-
-    proptest::proptest! {
-        /// The codec law for Algorithm 3 states, marked or not, full lanes.
-        #[test]
-        fn arb_state_round_trips_through_its_lanes(
-            alive in proptest::prelude::any::<bool>(),
-            deg in proptest::prelude::any::<u32>(),
-            marked in proptest::prelude::any::<bool>(),
-            iteration in proptest::prelude::any::<u32>(),
-            last_high in proptest::prelude::any::<u32>(),
-        ) {
-            let marked_at = marked.then_some(iteration);
-            let s = ArbState { alive, deg: widen_u32(deg), marked_at, last_high };
-            let mut lanes32 = [0u32; ArbState::U32_LANES];
-            s.encode(&mut lanes32, &mut []);
-            proptest::prop_assert_eq!(ArbState::decode(&lanes32, &[]), s);
         }
     }
 

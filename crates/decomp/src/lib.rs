@@ -43,7 +43,7 @@ fn assert_engines_agree<T, A>(ctx: &treelocal_sim::Ctx<'_, T>, algo: &A, max_rou
 where
     T: treelocal_graph::Topology + Sync,
     A: treelocal_sim::SyncAlgorithm<T> + Sync,
-    A::State: Send + PartialEq,
+    A::State: PartialEq,
 {
     let snapshot = treelocal_sim::run(ctx, algo, max_rounds);
     let messages = treelocal_sim::run_messages(ctx, algo, max_rounds);

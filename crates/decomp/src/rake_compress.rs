@@ -19,7 +19,7 @@
 use crate::order::LayerOrder;
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{narrow_u32, widen_u32, Graph, NodeId, SemiGraph, Topology};
-use treelocal_sim::{ceil_log, run, Ctx, GatherPlan, Ports, StateCodec, SyncAlgorithm, Verdict};
+use treelocal_sim::{ceil_log, run, Ctx, GatherPlan, Ports, SyncAlgorithm, Verdict};
 
 /// Which operation marked a node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -238,7 +238,7 @@ pub fn check_lemma11(g: &Graph, rc: &RakeCompress) -> bool {
 // Distributed implementation
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct RcState {
     alive: bool,
     /// Alive-degree, published in sub-round 1 of each iteration.
@@ -247,56 +247,6 @@ struct RcState {
     /// compresses.
     just_compressed: bool,
     marked_at: Option<(u32, Mark)>,
-}
-
-/// Flag bits of lane 0 in [`RcState`]'s codec.
-const RC_ALIVE: u32 = 1;
-const RC_JUST_COMPRESSED: u32 = 1 << 1;
-const RC_MARKED: u32 = 1 << 2;
-const RC_MARK_IS_RAKE: u32 = 1 << 3;
-
-/// `[flags, marked_iteration, deg]` u32 lanes, no u64 lanes. The iteration
-/// lane is only meaningful under [`RC_MARKED`] and encodes as zero
-/// otherwise, so equal states have equal lane bytes; `deg` crosses the
-/// usize boundary through the checked id-width helpers.
-impl StateCodec for RcState {
-    const U32_LANES: usize = 3;
-    const U64_LANES: usize = 0;
-
-    fn encode(&self, lanes32: &mut [u32], _lanes64: &mut [u64]) {
-        let mut flags = 0u32;
-        if self.alive {
-            flags |= RC_ALIVE;
-        }
-        if self.just_compressed {
-            flags |= RC_JUST_COMPRESSED;
-        }
-        let mut iteration = 0u32;
-        if let Some((it, mark)) = self.marked_at {
-            flags |= RC_MARKED;
-            if mark == Mark::Rake {
-                flags |= RC_MARK_IS_RAKE;
-            }
-            iteration = it;
-        }
-        lanes32[0] = flags;
-        lanes32[1] = iteration;
-        lanes32[2] = narrow_u32(self.deg);
-    }
-
-    fn decode(lanes32: &[u32], _lanes64: &[u64]) -> Self {
-        let flags = lanes32[0];
-        let marked_at = (flags & RC_MARKED != 0).then(|| {
-            let mark = if flags & RC_MARK_IS_RAKE != 0 { Mark::Rake } else { Mark::Compress };
-            (lanes32[1], mark)
-        });
-        RcState {
-            alive: flags & RC_ALIVE != 0,
-            deg: widen_u32(lanes32[2]),
-            just_compressed: flags & RC_JUST_COMPRESSED != 0,
-            marked_at,
-        }
-    }
 }
 
 struct RcDistributed {
@@ -509,30 +459,6 @@ mod tests {
             for k in [2usize, 3] {
                 let cap = (lemma9_bound(g.node_count(), k) * 4 + 16) * 3;
                 crate::assert_engines_agree(&ctx, &RcDistributed { k }, cap);
-            }
-        }
-    }
-
-    #[test]
-    fn rc_state_round_trips_through_its_lanes() {
-        // Exhaustive over the reachable shape space: every flag/mark
-        // combination crossed with boundary lane values.
-        for alive in [false, true] {
-            for just_compressed in [false, true] {
-                for deg in [0usize, 1, 7, 1 << 20, widen_u32(u32::MAX)] {
-                    for marked_at in [
-                        None,
-                        Some((1u32, Mark::Compress)),
-                        Some((1u32, Mark::Rake)),
-                        Some((u32::MAX, Mark::Compress)),
-                        Some((u32::MAX, Mark::Rake)),
-                    ] {
-                        let s = RcState { alive, deg, just_compressed, marked_at };
-                        let mut lanes32 = [0u32; RcState::U32_LANES];
-                        s.encode(&mut lanes32, &mut []);
-                        assert_eq!(RcState::decode(&lanes32, &[]), s, "lanes {lanes32:?}");
-                    }
-                }
             }
         }
     }

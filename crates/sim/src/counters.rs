@@ -10,7 +10,7 @@
 //! * **node steps** — the number of awake nodes that round stepped, i.e.
 //!   the actual unit of simulation work: halted nodes and nodes asleep
 //!   until a later wake round are not counted, and
-//! * **send steps** — the number of lane rows the message engine
+//! * **send steps** — the number of states the message engine
 //!   ([`run_messages`](crate::run_messages)) sent, one per sender: every
 //!   participant once at seeding, then every node once per round it
 //!   steps. A message run therefore records its participant count plus
@@ -57,7 +57,7 @@ pub fn node_steps() -> u64 {
     NODE_STEPS.load(Ordering::Relaxed)
 }
 
-/// Total lane rows sent by the message engine in this process so far (per
+/// Total states sent by the message engine in this process so far (per
 /// message run: its participants plus its node steps; zero in a process
 /// that only ran the snapshot engine).
 pub fn send_steps() -> u64 {

@@ -9,8 +9,7 @@
 //! deployment of the same algorithm, and [`run_messages`](crate::run_messages)
 //! runs the same algorithm with the states sent as messages.
 
-use crate::codec::{Ports, RunOutcome, StateCodec};
-use crate::ExecCore;
+use crate::{ExecCore, Ports, RunOutcome};
 use treelocal_graph::{NodeId, Topology};
 
 /// Everything a node is allowed to know globally (Definition 5): the number
@@ -70,14 +69,14 @@ pub enum Verdict<S> {
 /// consumes exactly one communication round, in which the node observes the
 /// previous-round states of its topology neighbors through [`Ports`]: port
 /// `p` is `ctx.topo.neighbor_nodes(v)[p]`. No read names a node, so a step
-/// cannot see past its neighbours. States live in flat lane columns
-/// ([`StateCodec`]), so `own` arrives **by value** — decoded from the
-/// node's lanes — and port reads decode by value too.
+/// cannot see past its neighbours. States are plain `Copy` values in one
+/// column, so `own` arrives **by value** and port reads copy by value too.
 pub trait SyncAlgorithm<T: Topology> {
-    /// Per-node state with a fixed-width lane encoding; its full content is
-    /// what neighbors can read, and what the message engine sends (LOCAL
-    /// messages are unbounded).
-    type State: StateCodec;
+    /// Per-node state; its full content is what neighbors can read, and
+    /// what the message engine sends (LOCAL messages are unbounded). Its
+    /// `Default` fills the slots no node has written yet, and pooled
+    /// rounds share the state column across workers.
+    type State: Copy + Default + Send + Sync;
 
     /// The state of `v` before any communication happened.
     fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<Self::State>;
@@ -96,7 +95,7 @@ pub trait SyncAlgorithm<T: Topology> {
 /// Runs `algo` on `ctx.topo` until every node halts.
 ///
 /// Built on the shared [`ExecCore`](crate::ExecCore): each round steps only
-/// the awake nodes, halted and sleeping lanes are frozen in place, and
+/// the awake nodes, halted and sleeping states are frozen in place, and
 /// commit happens after every awake node has read the previous round —
 /// exactly the synchronous semantics of Definition 5. A node seeded
 /// [`Verdict::SleepUntil`] is first stepped in its wake round.
@@ -117,7 +116,6 @@ pub fn run<T, A>(ctx: &Ctx<'_, T>, algo: &A, max_rounds: u64) -> RunOutcome<A::S
 where
     T: Topology + Sync,
     A: SyncAlgorithm<T> + Sync,
-    A::State: Send,
 {
     drain(ctx, algo, max_rounds, seeded_core(ctx, algo))
 }
@@ -146,7 +144,6 @@ pub(crate) fn drain<T, A>(
 where
     T: Topology + Sync,
     A: SyncAlgorithm<T> + Sync,
-    A::State: Send,
 {
     let threads = crate::par::auto_threads();
     while !core.is_done() {
@@ -165,21 +162,8 @@ mod tests {
     /// minimum-id node by flooding.
     struct Flood;
 
-    #[derive(Clone, Debug, PartialEq)]
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
     struct Dist(Option<u64>);
-
-    /// `u64::MAX` stands for "no distance yet" (no real hop count gets
-    /// near it).
-    impl StateCodec for Dist {
-        const U32_LANES: usize = 0;
-        const U64_LANES: usize = 1;
-        fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
-            lanes64[0] = self.0.unwrap_or(u64::MAX);
-        }
-        fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
-            Dist((lanes64[0] != u64::MAX).then_some(lanes64[0]))
-        }
-    }
 
     impl<T: Topology> SyncAlgorithm<T> for Flood {
         type State = Dist;

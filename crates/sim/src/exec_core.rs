@@ -6,39 +6,36 @@
 //! * a node is **live** until it halts, and a live node is either awake or
 //!   asleep. The **awake list** holds the nodes a round steps, in
 //!   deterministic order, so a round only visits and only rewrites the
-//!   lanes of nodes that act in it. A node seeded
+//!   states of nodes that act in it. A node seeded
 //!   [`Verdict::SleepUntil`] sleeps in a per-round bucket until its wake
 //!   round and then joins the awake list, so a node that only waits costs
 //!   nothing per round;
-//! * states live in node-major u32/u64 lane columns ([`StateCodec`]);
-//!   reads decode a fresh value, writes encode in place, and the lanes of
-//!   halted and sleeping nodes are **frozen in place**: neighbours still
-//!   read them, and they are never rewritten while the node does not step;
+//! * states are plain `Copy` values in one node-major `Vec<S>`; a read is
+//!   a copy and a write an assignment, and the states of halted and
+//!   sleeping nodes are **frozen in place**: neighbours still read them,
+//!   and they are never rewritten while the node does not step;
 //! * a step reads its neighbours only through [`Ports`], in port order.
-//!   Without an inbox the ports read the neighbours' rows of the previous
+//!   Without an inbox the ports read the neighbours' slots of the previous
 //!   round in place; once the message engine has routed the core, they
-//!   read the rows delivered into the node's inbox (see
+//!   read the states delivered into the node's inbox (see
 //!   [`crate::run_messages`]);
 //! * a round has one path, [`ExecCore::step`]: the awake list is mapped
 //!   through [`crate::par::par_map_into`] (inline below the pool
 //!   threshold) into one verdict buffer reused across rounds, so every
-//!   awake node reads the previous round's lanes; then the round commits
+//!   awake node reads the previous round's states; then the round commits
 //!   **in awake order**, preserving the synchronous-round semantics of
 //!   Definition 5 and making inline and pooled rounds produce
-//!   byte-identical columns. No run allocates a second set of lanes.
+//!   byte-identical states. No run allocates a second state column.
 //!
 //! While the transcript recorder is armed, the core keeps a halt-round
 //! column and the live count (awake plus asleep) of every round, and
 //! hands both to the recorder when the run finishes (see
 //! [`crate::transcript`]). Sleepers are counted, never listed: no round,
 //! armed or not, passes over them.
-//!
-//! The core cannot clone a state — it only encodes, decodes and copies
-//! lanes.
 
-use crate::codec::{Ports, RunOutcome, SoaColumns, StateCodec};
 use crate::engine::Verdict;
 use crate::msg_engine::Router;
+use crate::ports::Ports;
 use crate::transcript::SegmentLog;
 use std::collections::BTreeMap;
 use treelocal_graph::{widen_u64, NodeId, OrInvariant, Topology};
@@ -49,10 +46,10 @@ use treelocal_graph::{widen_u64, NodeId, OrInvariant, Topology};
 /// participating node → repeat { [`ExecCore::begin_round`] +
 /// [`ExecCore::step`] } until [`ExecCore::is_done`] → [`ExecCore::finish`].
 #[derive(Debug)]
-pub struct ExecCore<S: StateCodec> {
-    /// Current lane columns. During a step these hold the *previous*
-    /// round's states.
-    main: SoaColumns<S>,
+pub struct ExecCore<S> {
+    /// One state per slot. During a step these are the *previous* round's
+    /// states.
+    states: Vec<S>,
     /// This round's verdicts as `(state, halts)`, one per awake node in
     /// awake order; emptied by each commit and reused across rounds.
     verdicts: Vec<(S, bool)>,
@@ -93,11 +90,11 @@ fn stepped<S>(verdict: Verdict<S>) -> (S, bool) {
     .or_invariant(SLEEP_AT_SEED)
 }
 
-impl<S: StateCodec> ExecCore<S> {
+impl<S: Copy + Default> ExecCore<S> {
     /// An empty core over `index_space` state slots.
     pub fn new(index_space: usize) -> Self {
         ExecCore {
-            main: SoaColumns::new(index_space),
+            states: vec![S::default(); index_space],
             verdicts: Vec::new(),
             seeded: vec![false; index_space],
             active: vec![false; index_space],
@@ -111,7 +108,7 @@ impl<S: StateCodec> ExecCore<S> {
     }
 
     /// Registers node `v` with its round-0 verdict. A node seeded
-    /// [`Verdict::Halted`] contributes its lanes but never steps; a node
+    /// [`Verdict::Halted`] contributes its state but never steps; a node
     /// seeded [`Verdict::SleepUntil`] first steps in its wake round.
     ///
     /// # Panics
@@ -126,7 +123,7 @@ impl<S: StateCodec> ExecCore<S> {
         self.seeded[v.index()] = true;
         let (state, wake) = match verdict {
             Verdict::Halted(s) => {
-                self.main.write(v.index(), &s);
+                self.states[v.index()] = s;
                 if let Some(log) = &mut self.log {
                     log.halt(v, 0);
                 }
@@ -135,7 +132,7 @@ impl<S: StateCodec> ExecCore<S> {
             Verdict::Active(s) => (s, None),
             Verdict::SleepUntil(s, round) => (s, Some(round)),
         };
-        self.main.write(v.index(), &state);
+        self.states[v.index()] = state;
         self.active[v.index()] = true;
         match wake {
             None => self.awake.push(v),
@@ -153,11 +150,11 @@ impl<S: StateCodec> ExecCore<S> {
 
     /// Switches the core to explicit messages once every node is seeded:
     /// builds the inboxes of `topo` and delivers every participant's
-    /// seeded row, halted and sleeping nodes' included, to its running
+    /// seeded state, halted and sleeping nodes' included, to its running
     /// neighbours. From here on every step reads its inbox.
     pub(crate) fn route_messages<T: Topology>(&mut self, topo: &T) {
         let mut router = Router::new(topo);
-        router.deliver(topo, topo.nodes(), &self.main, &self.active);
+        router.deliver(topo, topo.nodes(), &self.states, &self.active);
         self.inbox = Some(router);
     }
 
@@ -204,34 +201,34 @@ impl<S: StateCodec> ExecCore<S> {
         self.rounds
     }
 
-    /// Executes one round on `topo`: every awake node gets its decoded
+    /// Executes one round on `topo`: every awake node gets a copy of its
     /// state and its [`Ports`] and returns its verdict.
     ///
     /// The awake list is mapped through [`crate::par::par_map_into`] at
     /// `threads` (at 1 below the pool threshold) into the core's reused
     /// verdict buffer; the verdicts then commit **sequentially in awake
-    /// order**. All reads happen before any lane is rewritten, and the
+    /// order**. All reads happen before any state is rewritten, and the
     /// same bytes land in the same write order for every pool size.
     pub fn step<T, F>(&mut self, threads: usize, topo: &T, step: F)
     where
         T: Topology + Sync,
         F: Fn(NodeId, S, &Ports<'_, S>) -> Verdict<S> + Sync,
-        S: Send,
+        S: Send + Sync,
     {
         let threads = if self.awake.len() >= crate::par::PAR_FRONTIER_MIN { threads } else { 1 };
-        let (main, inbox) = (&self.main, self.inbox.as_ref());
+        let (states, inbox) = (&self.states, self.inbox.as_ref());
         crate::par::par_map_into(&self.awake, threads, &mut self.verdicts, |_, &v| {
             let ports = match inbox {
-                None => Ports::neighbors(main, topo.neighbor_nodes(v)),
+                None => Ports::neighbors(states, topo.neighbor_nodes(v)),
                 Some(router) => router.ports(v),
             };
-            stepped(step(v, main.read(v.index()), &ports))
+            stepped(step(v, states[v.index()], &ports))
         });
         self.commit_in_awake_order(topo);
     }
 
-    /// Commits the round: encodes each awake node's buffered verdict into
-    /// the main columns in awake order, delivers the new rows when the
+    /// Commits the round: writes each awake node's buffered verdict into
+    /// the state column in awake order, delivers the new states when the
     /// core routes messages, and drops newly halted nodes from the awake
     /// list (order preserved).
     fn commit_in_awake_order<T: Topology>(&mut self, topo: &T) {
@@ -243,15 +240,15 @@ impl<S: StateCodec> ExecCore<S> {
             self.awake.len(),
             "one verdict per awake node, in awake order (commit-order invariant)"
         );
-        // A message run delivers the rows of every node that stepped,
+        // A message run delivers the states of every node that stepped,
         // halted ones included, so it keeps the list the retain shrinks.
         let stepped = self.inbox.is_some().then(|| self.awake.clone());
-        let (main, active, log, rounds) =
-            (&mut self.main, &mut self.active, &mut self.log, self.rounds);
+        let (states, active, log, rounds) =
+            (&mut self.states, &mut self.active, &mut self.log, self.rounds);
         let mut verdicts = self.verdicts.drain(..);
         self.awake.retain(|&v| {
             let (s, halts) = verdicts.next().or_invariant("one verdict per awake node");
-            main.write(v.index(), &s);
+            states[v.index()] = s;
             if halts {
                 active[v.index()] = false;
                 if let Some(log) = log {
@@ -261,13 +258,13 @@ impl<S: StateCodec> ExecCore<S> {
             !halts
         });
         if let (Some(router), Some(stepped)) = (&mut self.inbox, stepped) {
-            router.deliver(topo, stepped.into_iter(), &self.main, &self.active);
+            router.deliver(topo, stepped.into_iter(), &self.states, &self.active);
         }
     }
 
     /// Consumes the core into the run's outcome, dropping the verdict
-    /// buffer and the inboxes, so a finished run holds exactly one set of
-    /// lanes. An armed core hands its record to the transcript recorder
+    /// buffer and the inboxes, so a finished run holds exactly one state
+    /// column. An armed core hands its record to the transcript recorder
     /// as the run's segment.
     ///
     /// # Panics
@@ -278,7 +275,41 @@ impl<S: StateCodec> ExecCore<S> {
         if let Some(log) = self.log {
             crate::transcript::segment_finish(log);
         }
-        RunOutcome { columns: self.main, seeded: self.seeded, rounds: self.rounds }
+        RunOutcome { states: self.states, seeded: self.seeded, rounds: self.rounds }
+    }
+}
+
+/// The result of running an algorithm to quiescence: final states stay in
+/// their one column (no per-node boxing on the way out: the 10M-node
+/// smoke tier's peak RSS depends on it).
+#[derive(Debug)]
+pub struct RunOutcome<S> {
+    states: Vec<S>,
+    seeded: Vec<bool>,
+    /// Number of communication rounds executed (the maximum halting round
+    /// over all nodes).
+    pub rounds: u64,
+}
+
+impl<S: Copy> RunOutcome<S> {
+    /// The final state of node `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` did not participate.
+    pub fn state(&self, v: NodeId) -> S {
+        self.try_state(v).or_invariant("node participated in the run")
+    }
+
+    /// The final state of `v`, or `None` for non-participants.
+    pub fn try_state(&self, v: NodeId) -> Option<S> {
+        self.seeded[v.index()].then(|| self.states[v.index()])
+    }
+
+    /// Every slot's final state in index order (`None` for
+    /// non-participants).
+    pub fn states(&self) -> impl ExactSizeIterator<Item = Option<S>> + '_ {
+        (0..self.seeded.len()).map(|i| self.try_state(NodeId::new(i)))
     }
 }
 
@@ -288,11 +319,11 @@ mod tests {
     use treelocal_gen::path;
     use treelocal_graph::narrow_u32;
 
-    impl<S: StateCodec> ExecCore<S> {
-        /// The current state of node `v`, decoded from its lanes.
+    impl<S: Copy + Default> ExecCore<S> {
+        /// The current state of node `v`.
         fn state(&self, v: NodeId) -> S {
             assert!(self.seeded[v.index()], "node {v:?} participates in the execution");
-            self.main.read(v.index())
+            self.states[v.index()]
         }
 
         /// Whether `v` is still running (awake or asleep) in O(1).
@@ -360,7 +391,7 @@ mod tests {
         assert_eq!(core.awake(), &[NodeId::new(0), NodeId::new(2)]);
         assert_eq!(core.state(NodeId::new(1)), 2);
         assert_eq!(core.state(NodeId::new(3)), 6);
-        // Round 2: survivors read halted node 1's frozen lanes on port 0
+        // Round 2: survivors read halted node 1's frozen state on port 0
         // and halt.
         core.begin_round(10);
         core.step(1, &g, |_, own, ports| Verdict::Halted(own + ports.port(0)));
@@ -548,119 +579,108 @@ mod tests {
         core.commit_in_awake_order(&path(2));
     }
 
-    /// A one-u32-lane newtype state: the tests below pin the same
-    /// lifecycle through a user-defined codec rather than a primitive one.
-    #[derive(Debug, PartialEq)]
-    struct Lane(u32);
-
-    impl StateCodec for Lane {
-        const U32_LANES: usize = 1;
-        const U64_LANES: usize = 0;
-        fn encode(&self, lanes32: &mut [u32], _lanes64: &mut [u64]) {
-            lanes32[0] = self.0;
-        }
-        fn decode(lanes32: &[u32], _lanes64: &[u64]) -> Self {
-            Lane(lanes32[0])
-        }
-    }
+    /// A newtype state: the tests below pin the same lifecycle through a
+    /// user-defined state rather than a primitive one.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    struct Word(u32);
 
     #[test]
     fn soa_seeded_halted_nodes_never_enter_the_frontier() {
-        let mut core: ExecCore<Lane> = ExecCore::new(3);
-        core.seed(NodeId::new(0), Verdict::Halted(Lane(7)));
-        core.seed(NodeId::new(1), Verdict::Active(Lane(1)));
-        core.seed(NodeId::new(2), Verdict::Active(Lane(2)));
+        let mut core: ExecCore<Word> = ExecCore::new(3);
+        core.seed(NodeId::new(0), Verdict::Halted(Word(7)));
+        core.seed(NodeId::new(1), Verdict::Active(Word(1)));
+        core.seed(NodeId::new(2), Verdict::Active(Word(2)));
         assert_eq!(core.awake(), &[NodeId::new(1), NodeId::new(2)]);
         assert!(!core.is_done());
-        assert_eq!(core.state(NodeId::new(0)), Lane(7));
+        assert_eq!(core.state(NodeId::new(0)), Word(7));
         assert!(!core.is_active(NodeId::new(0)));
         assert!(core.is_active(NodeId::new(1)));
     }
 
     #[test]
     fn soa_frontier_shrinks_in_order_and_halted_lanes_stay_frozen() {
-        let mut core: ExecCore<Lane> = ExecCore::new(4);
+        let mut core: ExecCore<Word> = ExecCore::new(4);
         let g = path(4);
         for i in 0..4 {
-            core.seed(NodeId::new(i), Verdict::Active(Lane(narrow_u32(i))));
+            core.seed(NodeId::new(i), Verdict::Active(Word(narrow_u32(i))));
         }
         core.begin_round(10);
         core.step(1, &g, |v, own, _| {
             if v.index() % 2 == 1 {
-                Verdict::Halted(Lane(own.0 * 2))
+                Verdict::Halted(Word(own.0 * 2))
             } else {
-                Verdict::Active(Lane(own.0 + 1))
+                Verdict::Active(Word(own.0 + 1))
             }
         });
         assert_eq!(core.awake(), &[NodeId::new(0), NodeId::new(2)]);
-        assert_eq!(core.state(NodeId::new(1)), Lane(2));
-        assert_eq!(core.state(NodeId::new(3)), Lane(6));
-        // Survivors read halted node 1's frozen lanes on port 0.
+        assert_eq!(core.state(NodeId::new(1)), Word(2));
+        assert_eq!(core.state(NodeId::new(3)), Word(6));
+        // Survivors read halted node 1's frozen state on port 0.
         core.begin_round(10);
-        core.step(1, &g, |_, own, ports| Verdict::Halted(Lane(own.0 + ports.port(0).0)));
+        core.step(1, &g, |_, own, ports| Verdict::Halted(Word(own.0 + ports.port(0).0)));
         assert!(core.is_done());
         let out = core.finish();
         assert_eq!(out.rounds, 2);
-        assert_eq!(out.state(NodeId::new(0)), Lane(3));
-        assert_eq!(out.state(NodeId::new(2)), Lane(5));
-        assert_eq!(out.try_state(NodeId::new(3)), Some(Lane(6)));
+        assert_eq!(out.state(NodeId::new(0)), Word(3));
+        assert_eq!(out.state(NodeId::new(2)), Word(5));
+        assert_eq!(out.try_state(NodeId::new(3)), Some(Word(6)));
     }
 
     #[test]
     fn soa_snapshot_reads_previous_round_lanes_mid_round() {
-        let mut core: ExecCore<Lane> = ExecCore::new(2);
+        let mut core: ExecCore<Word> = ExecCore::new(2);
         let g = path(2);
-        core.seed(NodeId::new(0), Verdict::Active(Lane(10)));
-        core.seed(NodeId::new(1), Verdict::Active(Lane(20)));
+        core.seed(NodeId::new(0), Verdict::Active(Word(10)));
+        core.seed(NodeId::new(1), Verdict::Active(Word(20)));
         core.begin_round(10);
         core.step(1, &g, |_, _, ports| Verdict::Halted(ports.port(0)));
         let out = core.finish();
-        assert_eq!(out.state(NodeId::new(0)), Lane(20));
-        assert_eq!(out.state(NodeId::new(1)), Lane(10));
+        assert_eq!(out.state(NodeId::new(0)), Word(20));
+        assert_eq!(out.state(NodeId::new(1)), Word(10));
     }
 
     #[test]
     fn soa_owned_stepping_consumes_decoded_states() {
-        let mut core: ExecCore<Lane> = ExecCore::new(3);
+        let mut core: ExecCore<Word> = ExecCore::new(3);
         let g = path(3);
         for i in 0..3 {
-            core.seed(NodeId::new(i), Verdict::Active(Lane(narrow_u32(i) + 1)));
+            core.seed(NodeId::new(i), Verdict::Active(Word(narrow_u32(i) + 1)));
         }
         core.begin_round(10);
-        core.step(1, &g, |_, own, _| Verdict::Halted(Lane(own.0 * 10)));
+        core.step(1, &g, |_, own, _| Verdict::Halted(Word(own.0 * 10)));
         let out = core.finish();
         assert_eq!(out.rounds, 1);
         for i in 0..3 {
-            assert_eq!(out.state(NodeId::new(i)), Lane((narrow_u32(i) + 1) * 10));
+            assert_eq!(out.state(NodeId::new(i)), Word((narrow_u32(i) + 1) * 10));
         }
     }
 
     #[test]
     #[should_panic(expected = "seeded twice")]
     fn soa_double_seeding_is_rejected() {
-        let mut core: ExecCore<Lane> = ExecCore::new(2);
-        core.seed(NodeId::new(0), Verdict::Active(Lane(1)));
-        core.seed(NodeId::new(0), Verdict::Halted(Lane(2)));
+        let mut core: ExecCore<Word> = ExecCore::new(2);
+        core.seed(NodeId::new(0), Verdict::Active(Word(1)));
+        core.seed(NodeId::new(0), Verdict::Halted(Word(2)));
     }
 
     #[test]
     #[should_panic(expected = "did not halt")]
     fn soa_round_budget_is_enforced() {
-        let mut core: ExecCore<Lane> = ExecCore::new(1);
+        let mut core: ExecCore<Word> = ExecCore::new(1);
         let g = path(1);
-        core.seed(NodeId::new(0), Verdict::Active(Lane(0)));
+        core.seed(NodeId::new(0), Verdict::Active(Word(0)));
         core.begin_round(1);
-        core.step(1, &g, |_, own, _| Verdict::Active(Lane(own.0 + 1)));
+        core.step(1, &g, |_, own, _| Verdict::Active(Word(own.0 + 1)));
         core.begin_round(1);
     }
 
     #[test]
     fn soa_zero_round_execution() {
-        let mut core: ExecCore<Lane> = ExecCore::new(1);
-        core.seed(NodeId::new(0), Verdict::Halted(Lane(5)));
+        let mut core: ExecCore<Word> = ExecCore::new(1);
+        core.seed(NodeId::new(0), Verdict::Halted(Word(5)));
         assert!(core.is_done());
         let out = core.finish();
         assert_eq!(out.rounds, 0);
-        assert_eq!(out.state(NodeId::new(0)), Lane(5));
+        assert_eq!(out.state(NodeId::new(0)), Word(5));
     }
 }

@@ -5,9 +5,8 @@
 //! synchronous rounds, unbounded messages (modeled as full state exchange),
 //! unique identifiers, and knowledge of `n` and `Δ`. It provides:
 //!
-//! * [`SyncAlgorithm`] / [`run`] — per-node state machines over
-//!   [`StateCodec`] lane columns, executed in lockstep with exact round
-//!   counting. A step reads its neighbours only through [`Ports`], in
+//! * [`SyncAlgorithm`] / [`run`] — per-node state machines over plain
+//!   `Copy` states, executed in lockstep with exact round counting. A step reads its neighbours only through [`Ports`], in
 //!   port order, so every algorithm is local by construction; and
 //!   [`run_messages`] runs any such algorithm with explicit per-port
 //!   messages, the state itself being the message,
@@ -24,28 +23,17 @@
 //!
 //! # Examples
 //!
-//! A state is anything with a fixed-width [`StateCodec`]; the engine keeps
-//! it in flat lane columns and hands it to `step` by value, with the
-//! neighbours' states on its ports.
+//! A state is any `Copy + Default` value; the engine keeps one per node
+//! in a flat column and hands it to `step` by value, with the neighbours'
+//! states on its ports.
 //!
 //! ```
 //! use treelocal_graph::{Graph, NodeId, Topology};
-//! use treelocal_sim::{run, run_messages, Ctx, Ports, StateCodec, SyncAlgorithm, Verdict};
+//! use treelocal_sim::{run, run_messages, Ctx, Ports, SyncAlgorithm, Verdict};
 //!
-//! /// The largest identifier seen so far, one u64 lane.
-//! #[derive(Debug)]
+//! /// The largest identifier seen so far.
+//! #[derive(Clone, Copy, Debug, Default)]
 //! struct MaxId(u64);
-//!
-//! impl StateCodec for MaxId {
-//!     const U32_LANES: usize = 0;
-//!     const U64_LANES: usize = 1;
-//!     fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
-//!         lanes64[0] = self.0;
-//!     }
-//!     fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
-//!         MaxId(lanes64[0])
-//!     }
-//! }
 //!
 //! /// Each node halts with the maximum identifier among its neighbors.
 //! struct MaxNeighbor;
@@ -75,7 +63,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod codec;
 pub mod counters;
 mod engine;
 mod exec_core;
@@ -83,15 +70,16 @@ mod gather;
 mod logstar;
 mod msg_engine;
 pub mod par;
+mod ports;
 mod primes;
 mod rounds;
 pub mod transcript;
 
-pub use codec::{Ports, RunOutcome, StateCodec};
 pub use engine::{run, Ctx, SyncAlgorithm, Verdict};
-pub use exec_core::ExecCore;
+pub use exec_core::{ExecCore, RunOutcome};
 pub use gather::{gather_rounds_at, GatherPlan};
 pub use logstar::{ceil_log, log_star_f64, log_star_u64};
 pub use msg_engine::run_messages;
+pub use ports::Ports;
 pub use primes::{is_prime, next_prime};
 pub use rounds::{Phase, RoundReport};

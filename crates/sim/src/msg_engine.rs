@@ -2,36 +2,36 @@
 //! numbered ports.
 //!
 //! The snapshot engine ([`run`](crate::run)) lets a step read its
-//! neighbours' previous-round rows in place. That is message passing
+//! neighbours' previous-round states in place. That is message passing
 //! because LOCAL messages have unbounded size: a node may as well send its
 //! whole state. This module sends it: [`run_messages`] runs **any**
 //! [`SyncAlgorithm`] with every state delivered as a message, so the
 //! equivalence is a tested fact, not an assumption. Every production
 //! algorithm is cross-checked under both engines next to its own code.
 //!
-//! A message is a lane row. The inbox holds one row per `(recipient,
+//! A message is the state. The inbox holds one state per `(recipient,
 //! port)` slot, and [`Router`], keyed by node index like every other
 //! engine table, routes a sender's port `p` to the slot of the neighbour
 //! behind it in O(1):
 //!
-//! * at seeding, every participant delivers its seeded row, halted nodes
-//!   and sleepers included;
-//! * after each commit, every node that stepped delivers its new row;
-//! * a row goes only to recipients still running: a halted node never
+//! * at seeding, every participant delivers its seeded state, halted
+//!   nodes and sleepers included;
+//! * after each commit, every node that stepped delivers its new state;
+//! * a state goes only to recipients still running: a halted node never
 //!   reads its inbox again, so writing into it would be pure waste
 //!   (pinned by `halted_recipients_inboxes_are_never_touched`);
 //! * slots are never cleared, so a sleeper's or a halted node's port keeps
-//!   showing its frozen row, exactly as its lanes stay frozen in place for
-//!   the snapshot engine.
+//!   showing its frozen state, exactly as its own slot stays frozen in
+//!   place for the snapshot engine.
 //!
 //! The receive phase is [`ExecCore::step`](crate::ExecCore::step), the
 //! snapshot engine's own round path, with each node's [`Ports`] reading
-//! its inbox slots. It runs on the pool; delivery copies rows
+//! its inbox slots. It runs on the pool; delivery copies states
 //! sequentially in awake order, so outcomes are byte-identical for every
 //! pool size.
 
-use crate::codec::{Ports, RunOutcome, SoaColumns, StateCodec};
 use crate::engine::{drain, seeded_core, Ctx, SyncAlgorithm};
+use crate::{Ports, RunOutcome};
 use treelocal_graph::{narrow_u32, widen_u32, widen_u64, NodeId, Topology};
 
 /// Flat routing tables and inboxes for one message run, in the same CSR
@@ -40,18 +40,18 @@ use treelocal_graph::{narrow_u32, widen_u32, widen_u64, NodeId, Topology};
 ///
 /// `offsets[v]..offsets[v + 1]` delimits node `v`'s port range in both
 /// flat arrays (`offsets` spans the index space plus one; a
-/// non-participant's range is empty): `slots` holds the inbox row per port
+/// non-participant's range is empty): `slots` holds the inbox state per port
 /// and `back_port[offsets[v] + p]` is the port of the neighbor behind
 /// `v`'s port `p` that leads back to `v`. Routing is pure offset
 /// arithmetic over contiguous memory.
 #[derive(Debug)]
-pub(crate) struct Router<S: StateCodec> {
+pub(crate) struct Router<S> {
     offsets: Vec<u32>,
     back_port: Vec<u32>,
-    slots: SoaColumns<S>,
+    slots: Vec<S>,
 }
 
-impl<S: StateCodec> Router<S> {
+impl<S: Copy + Default> Router<S> {
     /// Builds every routing table in **one pass** over the adjacency.
     ///
     /// Each participant appends its prefix-sum offset and its back ports
@@ -88,7 +88,7 @@ impl<S: StateCodec> Router<S> {
             offsets.push(narrow_u32(back_port.len()));
         }
         offsets.resize(topo.index_space() + 1, narrow_u32(back_port.len()));
-        let slots = SoaColumns::new(back_port.len());
+        let slots = vec![S::default(); back_port.len()];
         Router { offsets, back_port, slots }
     }
 
@@ -98,12 +98,12 @@ impl<S: StateCodec> Router<S> {
         widen_u32(self.offsets[v.index()])..widen_u32(self.offsets[v.index() + 1])
     }
 
-    /// Node `v`'s inbox, one delivered row per port.
+    /// Node `v`'s inbox, one delivered state per port.
     pub(crate) fn ports(&self, v: NodeId) -> Ports<'_, S> {
-        Ports::inbox(&self.slots, self.range(v))
+        Ports::inbox(&self.slots[self.range(v)])
     }
 
-    /// Delivers the rows of `senders` in `rows` to every neighbour still
+    /// Delivers the states of `senders` in `states` to every neighbour still
     /// `running`, each into the slot of the port that leads back to its
     /// sender. Each slot belongs to one `(recipient, port)` pair with a
     /// unique sender, so the result does not depend on the sender order.
@@ -112,7 +112,7 @@ impl<S: StateCodec> Router<S> {
         &mut self,
         topo: &T,
         senders: impl ExactSizeIterator<Item = NodeId>,
-        rows: &SoaColumns<S>,
+        states: &[S],
         running: &[bool],
     ) {
         crate::counters::record_send_round(widen_u64(senders.len()));
@@ -121,7 +121,7 @@ impl<S: StateCodec> Router<S> {
             for (p, &w) in topo.neighbor_nodes(u).iter().enumerate() {
                 if running[w.index()] {
                     let slot = self.range(w).start + widen_u32(self.back_port[out.start + p]);
-                    self.slots.copy_row(slot, rows, u.index());
+                    self.slots[slot] = states[u.index()];
                 }
             }
         }
@@ -130,7 +130,7 @@ impl<S: StateCodec> Router<S> {
 
 /// Runs `algo` with explicit messages until every node halts: the same
 /// seeding, rounds and commits as [`run`](crate::run), with every state a
-/// step reads delivered to it as a lane row through its ports. Outcomes
+/// step reads delivered to it as a message through its ports. Outcomes
 /// and round counts equal [`run`](crate::run)'s for every algorithm — the
 /// cross-checks next to each production algorithm pin this.
 ///
@@ -148,7 +148,6 @@ pub fn run_messages<T, A>(ctx: &Ctx<'_, T>, algo: &A, max_rounds: u64) -> RunOut
 where
     T: Topology + Sync,
     A: SyncAlgorithm<T> + Sync,
-    A::State: Send,
 {
     let mut core = seeded_core(ctx, algo);
     core.route_messages(ctx.topo);
@@ -292,17 +291,16 @@ mod tests {
         // contents bit for bit, while running recipients keep receiving.
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
         let running = [false, true, true];
-        let mut rows: SoaColumns<u64> = SoaColumns::new(3);
-        rows.write(0, &7);
+        let mut rows = [7u64, 0, 0];
         let mut router: Router<u64> = Router::new(&g);
         let (n0, n1, n2) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
         let frozen = router.range(n0).start;
-        router.slots.write(frozen, &99);
+        router.slots[frozen] = 99;
         // Seeding: every participant sends, node 0 included.
         router.deliver(&g, g.node_ids(), &rows, &running);
         for round in 1..=3u64 {
-            rows.write(1, &(40 + round));
-            rows.write(2, &(50 + round));
+            rows[1] = 40 + round;
+            rows[2] = 50 + round;
             router.deliver(&g, [n1, n2].into_iter(), &rows, &running);
             let inbox = |v| router.ports(v).iter().collect::<Vec<u64>>();
             assert_eq!(inbox(n0), [99], "round {round}: halted inbox mutated");

@@ -4,7 +4,7 @@
 //!
 //! Both engines share one [`ExecCore`](treelocal_sim::ExecCore), so this
 //! property pins the equivalence of the two ways a step's ports are filled
-//! (neighbour rows read in place vs. rows delivered into an inbox) on top
+//! (neighbour states read in place vs. states delivered into an inbox) on top
 //! of a single run loop. The workload is distance flooding from the
 //! minimum-identifier node — halting is staggered across the whole
 //! execution, so frontier bookkeeping is exercised on every round. Every
@@ -12,27 +12,12 @@
 
 use treelocal_gen::cross_check_trees;
 use treelocal_graph::{NodeId, Topology};
-use treelocal_sim::{run, run_messages, Ctx, Ports, StateCodec, SyncAlgorithm, Verdict};
+use treelocal_sim::{run, run_messages, Ctx, Ports, SyncAlgorithm, Verdict};
 
 /// Hop distance from the minimum-id node; a node halts the round after it
 /// learns its distance (so the round count equals eccentricity + 1).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Dist(Option<u64>);
-
-/// `u64::MAX` stands for "no distance yet" (no real hop count gets near
-/// it).
-impl StateCodec for Dist {
-    const U32_LANES: usize = 0;
-    const U64_LANES: usize = 1;
-
-    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
-        lanes64[0] = self.0.unwrap_or(u64::MAX);
-    }
-
-    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
-        Dist((lanes64[0] != u64::MAX).then_some(lanes64[0]))
-    }
-}
 
 struct Flood;
 

@@ -75,7 +75,7 @@ fn log_over_loglog(n: usize) -> f64 {
 ///   materialized edge list alone was ~480 MB at this size, ~1 GB peak
 ///   with the generator's own scratch).
 /// * **engine phase** — reset after `Ctx`/engine setup, read after the
-///   run: the flat lane columns of the one state store.
+///   run: the one flat state column of the engine.
 ///
 /// The CI smoke job runs the Linial test in its own process and greps
 /// both phase lines.

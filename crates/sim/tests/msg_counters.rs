@@ -4,7 +4,7 @@
 //! bench driver's progress/ETA lines report, so three properties are pinned
 //! *exactly* here:
 //!
-//! * a message run records the rows it sends — one per participant at
+//! * a message run records the states it sends — one per participant at
 //!   seeding, then one per node step — while the snapshot engine records
 //!   none;
 //! * every counter total is **pool-size-invariant**: phases count once per

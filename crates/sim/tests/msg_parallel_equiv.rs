@@ -5,7 +5,7 @@
 //! node and same round count. The trees are sized above the engine's
 //! parallel threshold so the pool path genuinely executes, and the state
 //! type folds every port order-sensitively, with some nodes halted at
-//! seeding and some asleep, so any misrouted row, missed delivery or
+//! seeding and some asleep, so any misrouted state, missed delivery or
 //! torn-commit bug changes the answer.
 //!
 //! The cross-engine matrix case runs one flooding algorithm across every
@@ -13,36 +13,19 @@
 
 use treelocal_gen::{caterpillar, random_tree, relabel, IdStrategy};
 use treelocal_graph::{Graph, NodeId, Topology};
-use treelocal_sim::{
-    par, run, run_messages, Ctx, Ports, RunOutcome, StateCodec, SyncAlgorithm, Verdict,
-};
+use treelocal_sim::{par, run, run_messages, Ctx, Ports, RunOutcome, SyncAlgorithm, Verdict};
 
 /// Accumulates an order-sensitive hash of the ports each round. One node
 /// in eight halts at seeding and one in four sleeps until round 2, so
-/// frozen rows (a halted sender's, a sleeper's) sit on ports next to fresh
+/// frozen states (a halted sender's, a sleeper's) sit on ports next to fresh
 /// ones; the rest halt at staggered rounds driven by their identifier,
 /// exercising the halted-recipient rule every round.
 struct MsgHash;
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct HashState {
     value: u64,
     acc: u64,
-}
-
-/// `[value, acc]` u64 lanes.
-impl StateCodec for HashState {
-    const U32_LANES: usize = 0;
-    const U64_LANES: usize = 2;
-
-    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
-        lanes64[0] = self.value;
-        lanes64[1] = self.acc;
-    }
-
-    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
-        HashState { value: lanes64[0], acc: lanes64[1] }
-    }
 }
 
 impl<T: Topology> SyncAlgorithm<T> for MsgHash {
@@ -80,7 +63,7 @@ impl<T: Topology> SyncAlgorithm<T> for MsgHash {
     }
 }
 
-fn assert_identical<S: StateCodec + PartialEq>(a: &RunOutcome<S>, b: &RunOutcome<S>, label: &str) {
+fn assert_identical<S: Copy + PartialEq>(a: &RunOutcome<S>, b: &RunOutcome<S>, label: &str) {
     assert_eq!(a.rounds, b.rounds, "round counts diverge: {label}");
     assert!(a.states().eq(b.states()), "states diverge: {label}");
 }
@@ -97,7 +80,7 @@ fn every_pool_size_matches_the_sequential_message_run() {
             assert_identical(&sequential, &parallel, &format!("n {n}, {threads} threads"));
         }
         // `run_messages` (auto-sized pool) is the path callers take, and
-        // the snapshot engine reads the same rows in place.
+        // the snapshot engine reads the same states in place.
         assert_identical(&sequential, &run_messages(&ctx, &MsgHash, 100), "auto pool");
         assert_identical(&sequential, &run(&ctx, &MsgHash, 100), "snapshot engine");
     }
@@ -123,23 +106,8 @@ fn pool_size_does_not_leak_into_results_on_degenerate_shapes() {
 
 /// Hop distance from the minimum-id node: a node halts the round after it
 /// learns its distance, so halting staggers across the whole execution.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Dist(Option<u64>);
-
-/// `u64::MAX` stands for "no distance yet" (no real hop count gets near
-/// it).
-impl StateCodec for Dist {
-    const U32_LANES: usize = 0;
-    const U64_LANES: usize = 1;
-
-    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
-        lanes64[0] = self.0.unwrap_or(u64::MAX);
-    }
-
-    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
-        Dist((lanes64[0] != u64::MAX).then_some(lanes64[0]))
-    }
-}
 
 struct Flood;
 

@@ -7,32 +7,17 @@
 //! double-stepping, reordering, or torn-commit bug changes the answer.
 
 use treelocal_graph::{NodeId, Topology};
-use treelocal_sim::{par, run, Ctx, Ports, RunOutcome, StateCodec, SyncAlgorithm, Verdict};
+use treelocal_sim::{par, run, Ctx, Ports, RunOutcome, SyncAlgorithm, Verdict};
 
 /// Accumulates an order-sensitive hash of neighbor states each round;
 /// nodes halt at staggered rounds driven by their identifier, so the
 /// frontier shrinks irregularly (the hard case for frontier bookkeeping).
 struct StaggeredHash;
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct HashState {
     value: u64,
     acc: u64,
-}
-
-/// `[value, acc]` u64 lanes.
-impl StateCodec for HashState {
-    const U32_LANES: usize = 0;
-    const U64_LANES: usize = 2;
-
-    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
-        lanes64[0] = self.value;
-        lanes64[1] = self.acc;
-    }
-
-    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
-        HashState { value: lanes64[0], acc: lanes64[1] }
-    }
 }
 
 impl<T: Topology> SyncAlgorithm<T> for StaggeredHash {
@@ -70,7 +55,7 @@ fn hash_neighbors(own: HashState, prev: &Ports<'_, HashState>) -> HashState {
 }
 
 /// [`StaggeredHash`] with three in four nodes seeded asleep until round 1,
-/// 2 or 3: awake nodes fold their sleeping neighbors' frozen lanes, woken
+/// 2 or 3: awake nodes fold their sleeping neighbors' frozen states, woken
 /// nodes join the awake list mid-run, and from round 3 every live node is
 /// awake, so the pooled path runs on a list assembled from wake buckets.
 struct StaggeredSleep;

@@ -6,8 +6,8 @@
 //! solutions that both the `classic` validators and the engine-blind
 //! checker's rule table accept on every single tree — no sampling, no
 //! seeds. Between them the pipelines run all four colour-class sweep
-//! rules. The MIS and `(deg+1)`-colouring pipelines also run at every
-//! forced `k ∈ {2, 3, 4}`. Every pipeline restricts its tree to semi-graphs
+//! rules. The MIS, `(deg+1)`-colouring and `(Δ+1)`-colouring pipelines
+//! also run at every forced `k ∈ {2, 3, 4}`. Every pipeline restricts its tree to semi-graphs
 //! (`T_C`, `T_R`, `G[E_2]`), so this suite also judges the semi-graph
 //! adjacency on every small tree.
 //!
@@ -18,14 +18,16 @@
 //! cargo test -q --release --test exhaustive_small_trees -- --ignored
 //! ```
 
-use treelocal::algos::{DegColoringAlgo, MisAlgo};
+use treelocal::algos::{DegColoringAlgo, DeltaColoringAlgo, MisAlgo};
 use treelocal::check::{check_solution, EdgePalette, Palette, Rule, Solution};
 use treelocal::core::{
     coloring_on_tree, edge_coloring_on_tree, matching_on_tree, mis_on_tree, TreeTransform,
 };
-use treelocal::gen::labelled_trees;
-use treelocal::graph::Graph;
-use treelocal::problems::{classic, extract_coloring, DegPlusOneColoring, Mis};
+use treelocal::gen::{cross_check_trees, labelled_trees};
+use treelocal::graph::{widen_u64, Graph};
+use treelocal::problems::{
+    classic, extract_coloring, DegPlusOneColoring, DeltaPlusOneColoring, Mis,
+};
 
 /// Cayley's count of labeled trees on `2..=6` nodes: `n^(n-2)`.
 const TREES_UP_TO_6: usize = 1 + 3 + 16 + 125 + 1296;
@@ -109,6 +111,29 @@ fn coloring_transform_at_forced_k_on_every_tree_up_to_6() {
             assert_checked(tree, &rule, Solution::NodeColors(widen(&colors)), n);
         }
     });
+}
+
+/// Theorem 12's `(Δ+1)`-colouring pipeline at every forced `k ∈ {2, 3, 4}`,
+/// on every small tree and on the engine cross-check trees (paths, stars,
+/// caterpillars and random trees up to 120 nodes under three id schemes).
+#[test]
+fn delta_coloring_transform_at_forced_k_on_every_tree_up_to_6_and_the_cross_check_trees() {
+    let judge = |n: usize, tree: &Graph| {
+        let delta = tree.max_degree();
+        let p = DeltaPlusOneColoring { delta };
+        for k in [2, 3, 4] {
+            let out = TreeTransform::new(&p, &DeltaColoringAlgo).with_k(k).run(tree);
+            assert!(out.valid, "n = {n}, k = {k}");
+            assert_eq!(out.params.k, k);
+            let colors = extract_coloring(tree, &out.labeling);
+            let rule = Rule::Coloring { palette: Palette::AtMost(widen_u64(delta) + 1) };
+            assert_checked(tree, &rule, Solution::NodeColors(widen(&colors)), n);
+        }
+    };
+    for_every_tree_up_to_6(judge);
+    for tree in cross_check_trees() {
+        judge(tree.node_count(), &tree);
+    }
 }
 
 #[test]
