@@ -15,9 +15,6 @@ use std::collections::VecDeque;
 /// The partition of a topology's nodes into connected components.
 #[derive(Clone, Debug)]
 pub struct Components {
-    /// `component_of[v]` is the component index of node `v`, or `usize::MAX`
-    /// for nodes outside the topology.
-    component_of: Vec<usize>,
     /// The members of each component, in increasing node order.
     members: Vec<Vec<NodeId>>,
 }
@@ -28,14 +25,6 @@ impl Components {
         self.members.len()
     }
 
-    /// The component index of `v`, if `v` participates in the topology.
-    pub fn component_of(&self, v: NodeId) -> Option<usize> {
-        match self.component_of.get(v.index()) {
-            Some(&c) if c != usize::MAX => Some(c),
-            _ => None,
-        }
-    }
-
     /// The members of component `c`.
     pub fn members(&self, c: usize) -> &[NodeId] {
         &self.members[c]
@@ -44,19 +33,6 @@ impl Components {
     /// Iterates over all components as member slices.
     pub fn iter(&self) -> impl Iterator<Item = &[NodeId]> {
         self.members.iter().map(Vec::as_slice)
-    }
-
-    /// Whether `u` and `v` are in the same component.
-    pub fn same_component(&self, u: NodeId, v: NodeId) -> bool {
-        match (self.component_of(u), self.component_of(v)) {
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        }
-    }
-
-    /// Size of the largest component (0 if there are none).
-    pub fn max_size(&self) -> usize {
-        self.members.iter().map(Vec::len).max().unwrap_or(0)
     }
 }
 
@@ -69,8 +45,8 @@ impl Components {
 /// let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
 /// let cc = components(&g);
 /// assert_eq!(cc.count(), 2);
-/// assert!(cc.same_component(NodeId::new(0), NodeId::new(1)));
-/// assert!(!cc.same_component(NodeId::new(1), NodeId::new(2)));
+/// assert_eq!(cc.members(0), &[NodeId::new(0), NodeId::new(1)]);
+/// assert_eq!(cc.members(1), &[NodeId::new(2), NodeId::new(3)]);
 /// ```
 pub fn components<T: Topology>(topo: &T) -> Components {
     let mut component_of = vec![usize::MAX; topo.index_space()];
@@ -96,7 +72,7 @@ pub fn components<T: Topology>(topo: &T) -> Components {
         comp.sort_unstable();
         members.push(comp);
     }
-    Components { component_of, members }
+    Components { members }
 }
 
 /// The eccentricity of `v`, computed with memory proportional to `v`'s
@@ -193,8 +169,7 @@ mod tests {
         let cc = components(&g);
         assert_eq!(cc.count(), 3); // {0,1,2}, {3}, {4,5}
         assert_eq!(cc.members(0), &[NodeId::new(0), NodeId::new(1), NodeId::new(2)]);
-        assert_eq!(cc.max_size(), 3);
-        assert_eq!(cc.component_of(NodeId::new(3)), Some(1));
+        assert_eq!(cc.members(1), &[NodeId::new(3)]);
     }
 
     #[test]
@@ -206,7 +181,7 @@ mod tests {
         let s = SemiGraph::induced_by_nodes(&g, |v| v.index() != 1);
         let cc = components(&s);
         assert_eq!(cc.count(), 2);
-        assert_eq!(cc.component_of(NodeId::new(1)), None);
+        assert!(cc.iter().all(|members| !members.contains(&NodeId::new(1))));
     }
 
     #[test]

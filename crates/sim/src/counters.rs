@@ -2,12 +2,13 @@
 //!
 //! The `perfbench` benchmark and the counter tests read *how much
 //! simulation work* has happened, not just how many jobs finished. Every
-//! [`ExecCore`](crate::ExecCore) round — in both the snapshot and the
-//! message engine — bumps the first two of three global relaxed atomics,
-//! and every message-engine send phase bumps the third:
+//! [`ExecCore`](crate::ExecCore) run — in both the snapshot and the
+//! message engine — keeps its own totals and adds them to three global
+//! relaxed atomics once, when [`ExecCore::finish`](crate::ExecCore::finish)
+//! ends the run:
 //!
 //! * **rounds executed** — one per communication round of any run,
-//! * **node steps** — the number of awake nodes that round stepped, i.e.
+//! * **node steps** — the number of awake nodes each round stepped, i.e.
 //!   the actual unit of simulation work: halted nodes and nodes asleep
 //!   until a later wake round are not counted, and
 //! * **send steps** — the number of states the message engine
@@ -18,13 +19,14 @@
 //!   counter stays flat.
 //!
 //! The counters are monotone, cumulative over the whole process, and never
-//! reset (concurrent runs interleave their increments); callers that want
+//! reset (concurrent runs interleave their additions); callers that want
 //! a per-phase figure take a [`snapshot`] before and after and subtract.
-//! One `fetch_add` per *round phase* (not per node) keeps the overhead
-//! unmeasurable next to stepping even a single node, and makes every
-//! counter independent of the pool size: a parallel round records exactly
-//! the same totals as a sequential one (`crates/sim/tests/msg_counters.rs`
-//! pins this).
+//! A run's work shows up only once the run has finished, so a reading
+//! taken in the middle of a run does not include that run: take the
+//! deltas around whole runs. One `fetch_add` per counter *per run* keeps
+//! the overhead unmeasurable, and makes every counter independent of the
+//! pool size: a parallel run records exactly the same totals as a
+//! sequential one (`crates/sim/tests/msg_counters.rs` pins this).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -32,23 +34,18 @@ static ROUNDS: AtomicU64 = AtomicU64::new(0);
 static NODE_STEPS: AtomicU64 = AtomicU64::new(0);
 static SEND_STEPS: AtomicU64 = AtomicU64::new(0);
 
-/// Records one executed round that stepped `awake` nodes (called by
-/// [`ExecCore::begin_round`](crate::ExecCore::begin_round)).
-pub(crate) fn record_round(awake: u64) {
-    ROUNDS.fetch_add(1, Ordering::Relaxed);
-    NODE_STEPS.fetch_add(awake, Ordering::Relaxed);
+/// Adds one finished run's totals (called once per run by
+/// [`ExecCore::finish`](crate::ExecCore::finish)).
+pub(crate) fn record_run(rounds: u64, node_steps: u64, send_steps: u64) {
+    ROUNDS.fetch_add(rounds, Ordering::Relaxed);
+    NODE_STEPS.fetch_add(node_steps, Ordering::Relaxed);
+    SEND_STEPS.fetch_add(send_steps, Ordering::Relaxed);
 }
 
 /// Total communication rounds executed by this process so far, across all
 /// runs and both engines.
 pub fn rounds_executed() -> u64 {
     ROUNDS.load(Ordering::Relaxed)
-}
-
-/// Records one message-engine delivery that sent the rows of `senders`
-/// nodes (called at seeding and after every commit of a message run).
-pub(crate) fn record_send_round(senders: u64) {
-    SEND_STEPS.fetch_add(senders, Ordering::Relaxed);
 }
 
 /// Total node steps executed by this process so far (the sum of awake
@@ -112,6 +109,8 @@ mod tests {
         });
         core.begin_round(10);
         core.step(1, &g, |_, own, _| Verdict::Halted(own));
+        // A run's totals are added when it finishes.
+        core.finish();
         let (r1, s1, _) = snapshot();
         assert!(r1 >= r0 + 2, "rounds {r0} -> {r1}");
         assert!(s1 >= s0 + 5, "steps {s0} -> {s1}");

@@ -27,18 +27,32 @@
 //!   Definition 5 and making inline and pooled rounds produce
 //!   byte-identical states. No run allocates a second state column.
 //!
-//! While the transcript recorder is armed, the core keeps a halt-round
-//! column and the live count (awake plus asleep) of every round, and
-//! hands both to the recorder when the run finishes (see
-//! [`crate::transcript`]). Sleepers are counted, never listed: no round,
-//! armed or not, passes over them.
+//! A node joins a run, stays live for some rounds and halts once, and the
+//! core records exactly that in one **lifecycle column** of 4 bytes per
+//! slot: not seeded, running (awake or asleep), or the round the node
+//! halted in (round 0 = at seeding). "Not seeded" is zero, so a new
+//! column is zeroed memory that a restricted run touches only where it
+//! seeds. The column answers the duplicate-seed
+//! guard, a [`RunOutcome`]'s participation, the message engine's running
+//! filter and the transcript's halt rounds. Next to it the core keeps the
+//! run's totals: the live count (awake plus asleep) of every round and
+//! the node steps. [`ExecCore::finish`] is the run's one observation
+//! point: it adds the totals to [`crate::counters`] and hands an armed
+//! transcript recorder the segment read off the column (see
+//! [`crate::transcript`]). Sleepers are counted, never listed: no round
+//! passes over them.
 
 use crate::engine::Verdict;
 use crate::msg_engine::Router;
 use crate::ports::Ports;
-use crate::transcript::SegmentLog;
 use std::collections::BTreeMap;
 use treelocal_graph::{widen_u64, NodeId, OrInvariant, Topology};
+
+/// The lifecycle entry of a slot no node was seeded into.
+const UNSEEDED: u32 = 0;
+/// The lifecycle entry of a seeded node that has not halted. Every other
+/// nonzero entry is one past the node's halt round.
+pub(crate) const RUNNING: u32 = u32::MAX;
 
 /// Double-buffered executor for synchronous LOCAL rounds.
 ///
@@ -53,10 +67,9 @@ pub struct ExecCore<S> {
     /// This round's verdicts as `(state, halts)`, one per awake node in
     /// awake order; emptied by each commit and reused across rounds.
     verdicts: Vec<(S, bool)>,
-    /// `seeded[i]` iff slot `i` participates.
-    seeded: Vec<bool>,
-    /// `active[i]` iff slot `i` holds a live (awake or sleeping) node.
-    active: Vec<bool>,
+    /// The lifecycle column: per slot [`UNSEEDED`], [`RUNNING`] or one
+    /// past the node's halt round.
+    life: Vec<u32>,
     /// The nodes the current round steps: the awake survivors of earlier
     /// rounds in their order, then the nodes woken this round in seeding
     /// order.
@@ -65,14 +78,14 @@ pub struct ExecCore<S> {
     asleep: BTreeMap<u64, Vec<NodeId>>,
     /// How many nodes sleep, over all buckets.
     sleeping: usize,
-    /// The run's transcript record; kept only while the transcript
-    /// recorder is armed.
-    log: Option<SegmentLog>,
+    /// The live count of round `r` at `r - 1`; its length is the number of
+    /// rounds executed so far.
+    live: Vec<u64>,
+    /// Awake nodes stepped so far, summed over the rounds.
+    node_steps: u64,
     /// The message engine's inboxes, once [`ExecCore::route_messages`]
     /// has run; steps then read their ports from here.
     inbox: Option<Router<S>>,
-    /// Communication rounds executed so far.
-    rounds: u64,
 }
 
 /// Names the invariant that only seeding puts a node to sleep.
@@ -96,14 +109,13 @@ impl<S: Copy + Default> ExecCore<S> {
         ExecCore {
             states: vec![S::default(); index_space],
             verdicts: Vec::new(),
-            seeded: vec![false; index_space],
-            active: vec![false; index_space],
+            life: vec![UNSEEDED; index_space],
             awake: Vec::new(),
             asleep: BTreeMap::new(),
             sleeping: 0,
-            log: crate::transcript::segment_start(index_space),
+            live: Vec::new(),
+            node_steps: 0,
             inbox: None,
-            rounds: 0,
         }
     }
 
@@ -119,26 +131,23 @@ impl<S: Copy + Default> ExecCore<S> {
     /// sleeper whose wake round has passed would never wake, corrupting
     /// release-build executions silently.
     pub fn seed(&mut self, v: NodeId, verdict: Verdict<S>) {
-        assert!(!self.seeded[v.index()], "node {v:?} seeded twice");
-        self.seeded[v.index()] = true;
+        assert!(self.life[v.index()] == UNSEEDED, "node {v:?} seeded twice");
         let (state, wake) = match verdict {
             Verdict::Halted(s) => {
                 self.states[v.index()] = s;
-                if let Some(log) = &mut self.log {
-                    log.halt(v, 0);
-                }
+                self.life[v.index()] = 1;
                 return;
             }
             Verdict::Active(s) => (s, None),
             Verdict::SleepUntil(s, round) => (s, Some(round)),
         };
         self.states[v.index()] = state;
-        self.active[v.index()] = true;
+        self.life[v.index()] = RUNNING;
         match wake {
             None => self.awake.push(v),
             Some(round) => {
                 assert!(
-                    round > self.rounds,
+                    round > self.rounds(),
                     "node {v:?} sleeps until round {round}, which is not a round to come \
                      (wake-round invariant)"
                 );
@@ -154,7 +163,7 @@ impl<S: Copy + Default> ExecCore<S> {
     /// neighbours. From here on every step reads its inbox.
     pub(crate) fn route_messages<T: Topology>(&mut self, topo: &T) {
         let mut router = Router::new(topo);
-        router.deliver(topo, topo.nodes(), &self.states, &self.active);
+        router.deliver(topo, topo.nodes(), &self.states, &self.life);
         self.inbox = Some(router);
     }
 
@@ -171,7 +180,7 @@ impl<S: Copy + Default> ExecCore<S> {
 
     /// Rounds executed so far.
     pub fn rounds(&self) -> u64 {
-        self.rounds
+        widen_u64(self.live.len())
     }
 
     /// Starts a communication round, returning its 1-based number. The
@@ -185,20 +194,18 @@ impl<S: Copy + Default> ExecCore<S> {
     /// condition. Sleepers count: a wake round beyond the budget trips it.
     pub fn begin_round(&mut self, max_rounds: u64) -> u64 {
         assert!(
-            self.rounds < max_rounds,
+            self.rounds() < max_rounds,
             "algorithm did not halt within {max_rounds} rounds (still {} active)",
             self.awake.len() + self.sleeping
         );
-        self.rounds += 1;
-        if let Some(woken) = self.asleep.remove(&self.rounds) {
+        let round = self.rounds() + 1;
+        if let Some(woken) = self.asleep.remove(&round) {
             self.sleeping -= woken.len();
             self.awake.extend(woken);
         }
-        crate::counters::record_round(widen_u64(self.awake.len()));
-        if let Some(log) = &mut self.log {
-            log.round(self.awake.len() + self.sleeping);
-        }
-        self.rounds
+        self.live.push(widen_u64(self.awake.len() + self.sleeping));
+        self.node_steps += widen_u64(self.awake.len());
+        round
     }
 
     /// Executes one round on `topo`: every awake node gets a copy of its
@@ -228,9 +235,10 @@ impl<S: Copy + Default> ExecCore<S> {
     }
 
     /// Commits the round: writes each awake node's buffered verdict into
-    /// the state column in awake order, delivers the new states when the
-    /// core routes messages, and drops newly halted nodes from the awake
-    /// list (order preserved).
+    /// the state and lifecycle columns in awake order, drops the newly
+    /// halted nodes from the awake list (order preserved) and, when the
+    /// core routes messages, first delivers the new states of every node
+    /// that stepped.
     fn commit_in_awake_order<T: Topology>(&mut self, topo: &T) {
         // Checked in every profile: a mismatched batch would silently pair
         // verdicts with the wrong nodes, breaking byte-identical parallel
@@ -240,52 +248,71 @@ impl<S: Copy + Default> ExecCore<S> {
             self.awake.len(),
             "one verdict per awake node, in awake order (commit-order invariant)"
         );
-        // A message run delivers the states of every node that stepped,
-        // halted ones included, so it keeps the list the retain shrinks.
-        let stepped = self.inbox.is_some().then(|| self.awake.clone());
-        let (states, active, log, rounds) =
-            (&mut self.states, &mut self.active, &mut self.log, self.rounds);
+        let halted = u32::try_from(self.rounds() + 1)
+            .ok()
+            .filter(|&entry| entry != RUNNING)
+            .or_invariant("a halt round fits the lifecycle column (lifecycle-range invariant)");
+        // A message run keeps its newly halted nodes on the list until
+        // they have delivered their last state.
+        let routed = self.inbox.is_some();
+        let (states, life) = (&mut self.states, &mut self.life);
         let mut verdicts = self.verdicts.drain(..);
         self.awake.retain(|&v| {
             let (s, halts) = verdicts.next().or_invariant("one verdict per awake node");
             states[v.index()] = s;
             if halts {
-                active[v.index()] = false;
-                if let Some(log) = log {
-                    log.halt(v, rounds);
-                }
+                life[v.index()] = halted;
             }
-            !halts
+            !halts || routed
         });
-        if let (Some(router), Some(stepped)) = (&mut self.inbox, stepped) {
-            router.deliver(topo, stepped.into_iter(), &self.states, &self.active);
+        if let Some(router) = &mut self.inbox {
+            router.deliver(topo, self.awake.iter().copied(), &self.states, &self.life);
+            let life = &self.life;
+            self.awake.retain(|v| life[v.index()] == RUNNING);
         }
     }
 
     /// Consumes the core into the run's outcome, dropping the verdict
-    /// buffer and the inboxes, so a finished run holds exactly one state
-    /// column. An armed core hands its record to the transcript recorder
-    /// as the run's segment.
+    /// buffer and the inboxes, so a finished run holds one state column
+    /// and its lifecycle column.
+    ///
+    /// This is the run's one observation point: it adds the run's rounds,
+    /// node steps and send steps to [`crate::counters`], and hands an
+    /// armed transcript recorder the run's segment (its halts, read off
+    /// the lifecycle column in node order, and its live counts).
     ///
     /// # Panics
     ///
     /// Panics if called while nodes are still awake or asleep.
     pub fn finish(self) -> RunOutcome<S> {
         assert!(self.is_done(), "finish() before quiescence");
-        if let Some(log) = self.log {
-            crate::transcript::segment_finish(log);
-        }
-        RunOutcome { states: self.states, seeded: self.seeded, rounds: self.rounds }
+        let rounds = self.rounds();
+        let halts = self
+            .life
+            .iter()
+            .enumerate()
+            .filter(|&(_, &life)| life != UNSEEDED)
+            .map(|(i, &life)| (NodeId::new(i), u64::from(life - 1)));
+        // A message run sends every participant's seeded state, then the
+        // new state of every node step.
+        let sends = match self.inbox {
+            Some(_) => widen_u64(halts.clone().count()) + self.node_steps,
+            None => 0,
+        };
+        crate::counters::record_run(rounds, self.node_steps, sends);
+        crate::transcript::record_segment(self.live, halts);
+        RunOutcome { states: self.states, life: self.life, rounds }
     }
 }
 
 /// The result of running an algorithm to quiescence: final states stay in
 /// their one column (no per-node boxing on the way out: the 10M-node
-/// smoke tier's peak RSS depends on it).
+/// smoke tier's peak RSS depends on it), next to the run's lifecycle
+/// column.
 #[derive(Debug)]
 pub struct RunOutcome<S> {
     states: Vec<S>,
-    seeded: Vec<bool>,
+    life: Vec<u32>,
     /// Number of communication rounds executed (the maximum halting round
     /// over all nodes).
     pub rounds: u64,
@@ -303,13 +330,13 @@ impl<S: Copy> RunOutcome<S> {
 
     /// The final state of `v`, or `None` for non-participants.
     pub fn try_state(&self, v: NodeId) -> Option<S> {
-        self.seeded[v.index()].then(|| self.states[v.index()])
+        (self.life[v.index()] != UNSEEDED).then(|| self.states[v.index()])
     }
 
     /// Every slot's final state in index order (`None` for
     /// non-participants).
     pub fn states(&self) -> impl ExactSizeIterator<Item = Option<S>> + '_ {
-        (0..self.seeded.len()).map(|i| self.try_state(NodeId::new(i)))
+        (0..self.life.len()).map(|i| self.try_state(NodeId::new(i)))
     }
 }
 
@@ -322,13 +349,13 @@ mod tests {
     impl<S: Copy + Default> ExecCore<S> {
         /// The current state of node `v`.
         fn state(&self, v: NodeId) -> S {
-            assert!(self.seeded[v.index()], "node {v:?} participates in the execution");
+            assert!(self.life[v.index()] != UNSEEDED, "node {v:?} participates in the execution");
             self.states[v.index()]
         }
 
         /// Whether `v` is still running (awake or asleep) in O(1).
         fn is_active(&self, v: NodeId) -> bool {
-            self.active[v.index()]
+            self.life[v.index()] == RUNNING
         }
     }
 

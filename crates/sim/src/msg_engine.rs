@@ -31,8 +31,9 @@
 //! pool size.
 
 use crate::engine::{drain, seeded_core, Ctx, SyncAlgorithm};
+use crate::exec_core::RUNNING;
 use crate::{Ports, RunOutcome};
-use treelocal_graph::{narrow_u32, widen_u32, widen_u64, NodeId, Topology};
+use treelocal_graph::{narrow_u32, widen_u32, NodeId, Topology};
 
 /// Flat routing tables and inboxes for one message run, in the same CSR
 /// shape as the graph's adjacency and keyed by node index like every other
@@ -104,22 +105,21 @@ impl<S: Copy + Default> Router<S> {
     }
 
     /// Delivers the states of `senders` in `states` to every neighbour still
-    /// `running`, each into the slot of the port that leads back to its
-    /// sender. Each slot belongs to one `(recipient, port)` pair with a
-    /// unique sender, so the result does not depend on the sender order.
-    /// Counts one send step per sender.
+    /// [`RUNNING`] in the lifecycle column `life`, each into the slot of the
+    /// port that leads back to its sender. Each slot belongs to one
+    /// `(recipient, port)` pair with a unique sender, so the result does
+    /// not depend on the sender order.
     pub(crate) fn deliver<T: Topology>(
         &mut self,
         topo: &T,
-        senders: impl ExactSizeIterator<Item = NodeId>,
+        senders: impl Iterator<Item = NodeId>,
         states: &[S],
-        running: &[bool],
+        life: &[u32],
     ) {
-        crate::counters::record_send_round(widen_u64(senders.len()));
         for u in senders {
             let out = self.range(u);
             for (p, &w) in topo.neighbor_nodes(u).iter().enumerate() {
-                if running[w.index()] {
+                if life[w.index()] == RUNNING {
                     let slot = self.range(w).start + widen_u32(self.back_port[out.start + p]);
                     self.slots[slot] = states[u.index()];
                 }
@@ -290,18 +290,19 @@ mod tests {
         // 0 - 1 - 2 with node 0 halted: its inbox keeps its frozen
         // contents bit for bit, while running recipients keep receiving.
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-        let running = [false, true, true];
+        // Node 0 halted at seeding (entry 1); nodes 1 and 2 run.
+        let life = [1, RUNNING, RUNNING];
         let mut rows = [7u64, 0, 0];
         let mut router: Router<u64> = Router::new(&g);
         let (n0, n1, n2) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
         let frozen = router.range(n0).start;
         router.slots[frozen] = 99;
         // Seeding: every participant sends, node 0 included.
-        router.deliver(&g, g.node_ids(), &rows, &running);
+        router.deliver(&g, g.node_ids(), &rows, &life);
         for round in 1..=3u64 {
             rows[1] = 40 + round;
             rows[2] = 50 + round;
-            router.deliver(&g, [n1, n2].into_iter(), &rows, &running);
+            router.deliver(&g, [n1, n2].into_iter(), &rows, &life);
             let inbox = |v| router.ports(v).iter().collect::<Vec<u64>>();
             assert_eq!(inbox(n0), [99], "round {round}: halted inbox mutated");
             assert_eq!(inbox(n1), [7, 50 + round], "round {round}");

@@ -18,16 +18,16 @@
 //! records (the participants with halt round `>= r`); a halt record that
 //! moves a node in or out of the running set changes one or the other.
 //!
-//! Recording is zero-cost when off: a core asks once, at construction,
-//! whether the calling thread's recorder is armed (one relaxed load of a
-//! process-wide armed counter while none is). An armed core keeps a
-//! halt-round column and one live count per round, and hands the
-//! recorder the finished segment when the run finishes; nothing is
-//! recorded per node during the run. The recorder is a thread-local —
-//! sound because a core is built, seeded, committed and finished on the
-//! calling thread even in parallel builds (only step closures go to the
-//! pool), which is the same property the engines' determinism story rests
-//! on.
+//! Recording costs one thread-local lookup per run when off. Every core
+//! keeps its lifecycle column and its live count per round whether or
+//! not anyone records (see [`ExecCore`](crate::ExecCore)), and
+//! [`ExecCore::finish`](crate::ExecCore::finish) hands an armed recorder
+//! the finished segment: the halts read off the column in node order, and
+//! the live counts as they are. Nothing is recorded per node during the
+//! run. The recorder is a thread-local — sound because a core is built,
+//! seeded, committed and finished on the calling thread even in parallel
+//! builds (only step closures go to the pool), which is the same property
+//! the engines' determinism story rests on.
 //!
 //! Each engine run constructs exactly one [`ExecCore`](crate::ExecCore),
 //! so a multi-run pipeline
@@ -39,7 +39,6 @@
 //! stage with nothing to do entered the engine.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use treelocal_graph::{widen_u32, widen_u64, NodeId, OrInvariant};
 
 /// FNV-1a 64-bit offset basis — the start of every commitment chain.
@@ -99,59 +98,6 @@ impl Transcript {
     }
 }
 
-/// The halt-round entry of a slot that has not halted (or never ran).
-const NOT_HALTED: u64 = u64::MAX;
-
-/// What an armed core records during one run: a halt-round column and
-/// the engine's live count per round.
-#[derive(Debug)]
-pub(crate) struct SegmentLog {
-    /// Halt round per index slot, `0` for a node seeded halted;
-    /// [`NOT_HALTED`] for a slot that is still live or never seeded.
-    halt_round: Vec<u64>,
-    /// Halted nodes so far.
-    halted: usize,
-    /// The live count (awake plus asleep) of round `r` at `r - 1`.
-    live: Vec<u64>,
-}
-
-impl SegmentLog {
-    fn new(index_space: usize) -> Self {
-        SegmentLog { halt_round: vec![NOT_HALTED; index_space], halted: 0, live: Vec::new() }
-    }
-
-    /// Records that `v` halted in `round` (0 = at seeding).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` already halted in this run: a core halts each node
-    /// at most once, so a repeat is a recording bug, not a transcript.
-    pub(crate) fn halt(&mut self, v: NodeId, round: u64) {
-        let slot = &mut self.halt_round[v.index()];
-        assert!(*slot == NOT_HALTED, "node {v:?} halted twice in one segment (one-halt invariant)");
-        *slot = round;
-        self.halted += 1;
-    }
-
-    /// Records the engine's live count at the round just begun.
-    pub(crate) fn round(&mut self, live: usize) {
-        self.live.push(widen_u64(live));
-    }
-
-    /// The halts in node order, read off the column in one pass.
-    fn into_segment(self) -> RawSegment {
-        let mut halts = Vec::with_capacity(self.halted);
-        halts.extend(
-            self.halt_round
-                .iter()
-                .enumerate()
-                .filter(|&(_, &r)| r != NOT_HALTED)
-                .map(|(i, &r)| (NodeId::new(i), r)),
-        );
-        RawSegment { halts, live: self.live }
-    }
-}
-
 /// A finished run, not yet committed.
 struct RawSegment {
     /// `(node, halt_round)`, ascending by node.
@@ -159,9 +105,6 @@ struct RawSegment {
     /// The live count of round `r` at `r - 1`.
     live: Vec<u64>,
 }
-
-/// Number of threads with an armed recorder — the hooks' fast-path gate.
-static ARMED: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// The calling thread's finished segments, in execution order, while
@@ -172,13 +115,7 @@ thread_local! {
 /// Arms transcript recording on the calling thread. Any previously armed
 /// recording on this thread is discarded.
 pub fn begin() {
-    RECORDER.with(|r| {
-        let mut slot = r.borrow_mut();
-        if slot.is_none() {
-            ARMED.fetch_add(1, Ordering::Relaxed);
-        }
-        *slot = Some(Vec::new());
-    });
+    RECORDER.with(|r| *r.borrow_mut() = Some(Vec::new()));
 }
 
 /// Disarms recording on the calling thread and returns the transcript
@@ -188,7 +125,6 @@ pub fn take() -> Transcript {
     let Some(recorded) = RECORDER.with(|r| r.borrow_mut().take()) else {
         return Transcript::default();
     };
-    ARMED.fetch_sub(1, Ordering::Relaxed);
     let mut chain = COMMITMENT_OFFSET;
     let mut by_round = Vec::new();
     let segments = recorded
@@ -251,35 +187,20 @@ fn halt_slot(round: u64, rounds: usize) -> usize {
         .or_invariant("a node halts in a round its segment ran (halt-round invariant)")
 }
 
-fn with_recorder(f: impl FnOnce(&mut Vec<RawSegment>)) {
-    if ARMED.load(Ordering::Relaxed) == 0 {
+/// Hands a finished run to the calling thread's recorder, if it is
+/// armed, as the next segment: `live` holds the live count of every round
+/// and `halts` yields `(node, halt_round)` ascending by node, read only
+/// when the segment is kept. A run that executed no round is dropped (see
+/// the module docs).
+pub(crate) fn record_segment(live: Vec<u64>, halts: impl Iterator<Item = (NodeId, u64)>) {
+    if live.is_empty() {
         return;
     }
     RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            f(rec);
+        if let Some(segments) = r.borrow_mut().as_mut() {
+            segments.push(RawSegment { halts: halts.collect(), live });
         }
     });
-}
-
-/// A new engine run (one per core construction) over `index_space`
-/// slots: the log its core keeps, if the calling thread's recorder is
-/// armed.
-pub(crate) fn segment_start(index_space: usize) -> Option<SegmentLog> {
-    let mut log = None;
-    with_recorder(|_| log = Some(SegmentLog::new(index_space)));
-    log
-}
-
-/// Hands a finished run's log to the calling thread's recorder, as the
-/// next segment. A run that executed no round is dropped (see the module
-/// docs).
-pub(crate) fn segment_finish(log: SegmentLog) {
-    if log.live.is_empty() {
-        return;
-    }
-    let seg = log.into_segment();
-    with_recorder(|segments| segments.push(seg));
 }
 
 #[cfg(test)]
@@ -497,25 +418,48 @@ mod tests {
         assert_eq!(vec![seg.commitments.clone()], derived_chain(&t));
     }
 
-    #[test]
-    fn halts_are_ordered_by_node_whatever_order_they_were_recorded_in() {
-        let mut log = SegmentLog::new(5);
-        log.halt(NodeId::new(3), 2);
-        log.halt(NodeId::new(0), 0);
-        log.halt(NodeId::new(1), 1);
-        assert_eq!(
-            log.into_segment().halts,
-            vec![(NodeId::new(0), 0), (NodeId::new(1), 1), (NodeId::new(3), 2)]
-        );
-        assert_eq!(SegmentLog::new(3).into_segment().halts, Vec::new());
+    /// The length of [`Descending`]'s path.
+    const N: usize = 5;
+    /// On a path of [`N`] nodes, node `v` halts in round `N - 1 - v`: the
+    /// last node at seeding, the first one last.
+    struct Descending;
+    impl<T: Topology> SyncAlgorithm<T> for Descending {
+        type State = u64;
+        fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<u64> {
+            let round = widen_u64(N - 1 - v.index());
+            if round == 0 {
+                Verdict::Halted(round)
+            } else {
+                Verdict::Active(round)
+            }
+        }
+        fn step(
+            &self,
+            _ctx: &Ctx<T>,
+            _v: NodeId,
+            round: u64,
+            own: u64,
+            _prev: &Ports<'_, u64>,
+        ) -> Verdict<u64> {
+            if round >= own {
+                Verdict::Halted(own)
+            } else {
+                Verdict::Active(own)
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "one-halt invariant")]
-    fn a_node_halting_twice_in_one_segment_is_a_recording_bug() {
-        let mut log = SegmentLog::new(2);
-        log.halt(NodeId::new(1), 1);
-        log.halt(NodeId::new(1), 2);
+    fn halts_are_ordered_by_node_whatever_order_they_were_recorded_in() {
+        let edges: Vec<(usize, usize)> = (1..N).map(|i| (i - 1, i)).collect();
+        let g = Graph::from_edges(N, &edges).unwrap();
+        begin();
+        let out = run(&Ctx::of(&g), &Descending, 10);
+        let t = take();
+        assert_eq!(out.rounds, 4);
+        let expected: Vec<(NodeId, u64)> =
+            (0..N).map(|v| (NodeId::new(v), widen_u64(N - 1 - v))).collect();
+        assert_eq!(t.segments[0].halts, expected);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! * a message run records the states it sends — one per participant at
 //!   seeding, then one per node step — while the snapshot engine records
 //!   none;
-//! * every counter total is **pool-size-invariant**: phases count once per
-//!   round, never per worker;
+//! * every counter total is **pool-size-invariant**: a run adds its
+//!   totals once, when it finishes, never per worker;
 //! * node steps count only awake nodes: a sleeper counts in the one round
 //!   it steps, not in the rounds it waits.
 //!

@@ -9,7 +9,9 @@
 //! rules. The MIS, `(deg+1)`-colouring and `(Δ+1)`-colouring pipelines
 //! also run at every forced `k ∈ {2, 3, 4}`. Every pipeline restricts its tree to semi-graphs
 //! (`T_C`, `T_R`, `G[E_2]`), so this suite also judges the semi-graph
-//! adjacency on every small tree.
+//! adjacency on every small tree. Linial's rounds and the Linial →
+//! Kuhn–Wattenhofer → class-sweep chain's total stay inside the checker's
+//! round envelopes on every small tree.
 //!
 //! The release tier runs the four pipelines on all 16,807 + 262,144 trees
 //! with `n ∈ {7, 8}`; it is `#[ignore]`d in the debug run:
@@ -18,8 +20,12 @@
 //! cargo test -q --release --test exhaustive_small_trees -- --ignored
 //! ```
 
-use treelocal::algos::{DegColoringAlgo, DeltaColoringAlgo, MisAlgo};
-use treelocal::check::{check_solution, EdgePalette, Palette, Rule, Solution};
+use treelocal::algos::{
+    kw_reduce, mis_from_coloring, run_linial, DegColoringAlgo, DeltaColoringAlgo, MisAlgo,
+};
+use treelocal::check::{
+    check_envelope, check_solution, EdgePalette, Envelope, Palette, Rule, Solution,
+};
 use treelocal::core::{
     coloring_on_tree, edge_coloring_on_tree, matching_on_tree, mis_on_tree, TreeTransform,
 };
@@ -28,6 +34,7 @@ use treelocal::graph::{widen_u64, Graph};
 use treelocal::problems::{
     classic, extract_coloring, DegPlusOneColoring, DeltaPlusOneColoring, Mis,
 };
+use treelocal::sim::Ctx;
 
 /// Cayley's count of labeled trees on `2..=6` nodes: `n^(n-2)`.
 const TREES_UP_TO_6: usize = 1 + 3 + 16 + 125 + 1296;
@@ -133,6 +140,30 @@ fn delta_coloring_transform_at_forced_k_on_every_tree_up_to_6_and_the_cross_chec
     for_every_tree_up_to_6(judge);
     for tree in cross_check_trees() {
         judge(tree.node_count(), &tree);
+    }
+}
+
+/// `check_envelope` on every small-tree run: Linial's rounds stay inside
+/// `Envelope::Linial`, and the Linial → Kuhn–Wattenhofer → class-sweep
+/// chain's total inside `Envelope::MisPipeline`, each limit computed from
+/// the tree's identifier space and maximum degree. `cross_check_trees()`
+/// holds every labelled tree with at most 6 nodes, then the random ones.
+#[test]
+fn linial_and_the_mis_chain_stay_inside_their_envelopes_on_every_small_tree() {
+    for tree in cross_check_trees() {
+        let ctx = Ctx::of(&tree);
+        let linial = run_linial(&ctx);
+        let kw = kw_reduce(&ctx, &linial.colors, linial.final_bound);
+        let mis = mis_from_coloring(&ctx, &kw.colors, u64::from(kw.final_colors));
+        let (id_space, delta) = (tree.id_space(), tree.max_degree());
+        let total = linial.rounds + kw.rounds + mis.rounds;
+        for (envelope, rounds) in
+            [(Envelope::Linial, linial.rounds), (Envelope::MisPipeline, total)]
+        {
+            if let Err(e) = check_envelope(envelope, id_space, delta, rounds) {
+                panic!("{} on {tree:?}: {e}", envelope.id());
+            }
+        }
     }
 }
 
