@@ -412,7 +412,10 @@ mod tests {
             let (labeling, _) = BMatchingAlgo.solve(&s, &GlobalCtx::of(&g), &p);
             verify_semigraph(&p, &s, &labeling).unwrap();
             let chosen = p.extract(&g, &labeling);
-            assert!(p.is_valid_classic(&g, &chosen), "b {b}");
+            assert!(
+                classic::is_valid_maximal_b_matching(&g, &chosen, u32::try_from(p.b).unwrap()),
+                "b {b}"
+            );
 
             let gr = grid(7, 7);
             let s = SemiGraph::whole(&gr);

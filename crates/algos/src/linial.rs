@@ -298,7 +298,7 @@ pub fn run_linial_messages<T: Topology + Sync>(ctx: &Ctx<'_, T>) -> LinialOutcom
 /// stage schedule halts every node at seeding, after zero rounds.
 fn linial_on<'t, T: Topology + Sync>(
     ctx: &Ctx<'t, T>,
-    engine: impl FnOnce(&Ctx<'t, T>, &LinialAlgo, u64) -> RunOutcome<ColorState>,
+    engine: impl FnOnce(&Ctx<'t, T>, &LinialAlgo, u64) -> RunOutcome<'t, T, ColorState>,
 ) -> LinialOutcome {
     let schedule = linial_schedule(ctx.id_space, ctx.max_degree);
     let final_bound = schedule.last().map_or(ctx.id_space.max(2), |s| s.q * s.q);

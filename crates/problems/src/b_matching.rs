@@ -128,34 +128,12 @@ impl BMatching {
             .map(|e| labeling.edge_labels(e) == [Some(BMatchLabel::M), Some(BMatchLabel::M)])
             .collect()
     }
-
-    /// Classic validity: every node has ≤ b chosen edges and no further
-    /// edge can be added.
-    pub fn is_valid_classic(&self, g: &Graph, chosen: &[bool]) -> bool {
-        if chosen.len() != g.edge_count() {
-            return false;
-        }
-        let mut load = vec![0usize; g.node_count()];
-        for e in g.edge_ids() {
-            if chosen[e.index()] {
-                let [u, v] = g.endpoints(e);
-                load[u.index()] += 1;
-                load[v.index()] += 1;
-            }
-        }
-        if load.iter().any(|&l| l > self.b) {
-            return false;
-        }
-        g.edge_ids().all(|e| {
-            let [u, v] = g.endpoints(e);
-            chosen[e.index()] || load[u.index()] == self.b || load[v.index()] == self.b
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classic;
     use crate::problem::verify_graph;
     use crate::seq::{edge_orders_for_tests, solve_edges_sequential};
 
@@ -177,7 +155,8 @@ mod tests {
                     solve_edges_sequential(&p, &g, &order, &mut l).unwrap();
                     verify_graph(&p, &g, &l).unwrap();
                     let chosen = p.extract(&g, &l);
-                    assert!(p.is_valid_classic(&g, &chosen), "b {b}");
+                    let b32 = u32::try_from(b).unwrap();
+                    assert!(classic::is_valid_maximal_b_matching(&g, &chosen, b32), "b {b}");
                 }
             }
         }
@@ -191,7 +170,7 @@ mod tests {
         let mut l = HalfEdgeLabeling::for_graph(&g);
         solve_edges_sequential(&p, &g, &order, &mut l).unwrap();
         let chosen = p.extract(&g, &l);
-        assert!(crate::classic::is_valid_maximal_matching(&g, &chosen));
+        assert!(classic::is_valid_maximal_matching(&g, &chosen));
     }
 
     #[test]

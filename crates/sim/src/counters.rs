@@ -2,10 +2,9 @@
 //!
 //! The `perfbench` benchmark and the counter tests read *how much
 //! simulation work* has happened, not just how many jobs finished. Every
-//! [`ExecCore`](crate::ExecCore) run — in both the snapshot and the
-//! message engine — keeps its own totals and adds them to three global
-//! relaxed atomics once, when [`ExecCore::finish`](crate::ExecCore::finish)
-//! ends the run:
+//! engine run — [`run`](crate::run) and [`run_messages`](crate::run_messages)
+//! alike — keeps its own totals and adds them to three global relaxed
+//! atomics once, when the run finishes:
 //!
 //! * **rounds executed** — one per communication round of any run,
 //! * **node steps** — the number of awake nodes each round stepped, i.e.
@@ -34,8 +33,8 @@ static ROUNDS: AtomicU64 = AtomicU64::new(0);
 static NODE_STEPS: AtomicU64 = AtomicU64::new(0);
 static SEND_STEPS: AtomicU64 = AtomicU64::new(0);
 
-/// Adds one finished run's totals (called once per run by
-/// [`ExecCore::finish`](crate::ExecCore::finish)).
+/// Adds one finished run's totals (called once per run, when the
+/// execution core finishes).
 pub(crate) fn record_run(rounds: u64, node_steps: u64, send_steps: u64) {
     ROUNDS.fetch_add(rounds, Ordering::Relaxed);
     NODE_STEPS.fetch_add(node_steps, Ordering::Relaxed);
@@ -85,34 +84,49 @@ pub fn peak_build_bytes() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ExecCore, Verdict};
-    use treelocal_graph::NodeId;
+    use crate::{par, run, Ctx, Ports, SyncAlgorithm, Verdict};
+    use treelocal_graph::{NodeId, Topology};
 
-    #[test]
-    fn counters_advance_with_rounds_and_frontier_sizes() {
-        // Other tests in the same process advance the globals concurrently,
-        // so assert on deltas being *at least* what this run contributes.
-        let (r0, s0, _) = snapshot();
-        let mut core: ExecCore<u32> = ExecCore::new(3);
-        for i in 0..3 {
-            core.seed(NodeId::new(i), Verdict::Active(0));
+    /// Node 0 halts in round 1, every other node in round 2.
+    struct TwoRounds;
+    impl<T: Topology> SyncAlgorithm<T> for TwoRounds {
+        type State = u32;
+        fn init(&self, _ctx: &Ctx<T>, _v: NodeId) -> Verdict<u32> {
+            Verdict::Active(0)
         }
-        // Round 1 steps 3 nodes (node 0 halts), round 2 steps 2.
-        core.begin_round(10);
-        let g = treelocal_gen::path(3);
-        core.step(1, &g, |v, own, _| {
-            if v.index() == 0 {
+        fn step(
+            &self,
+            _ctx: &Ctx<T>,
+            v: NodeId,
+            round: u64,
+            own: u32,
+            _prev: &Ports<'_, u32>,
+        ) -> Verdict<u32> {
+            if v.index() == 0 || round == 2 {
                 Verdict::Halted(own)
             } else {
                 Verdict::Active(own + 1)
             }
-        });
-        core.begin_round(10);
-        core.step(1, &g, |_, own, _| Verdict::Halted(own));
-        // A run's totals are added when it finishes.
-        core.finish();
-        let (r1, s1, _) = snapshot();
-        assert!(r1 >= r0 + 2, "rounds {r0} -> {r1}");
-        assert!(s1 >= s0 + 5, "steps {s0} -> {s1}");
+        }
+    }
+
+    #[test]
+    fn counters_advance_with_rounds_and_frontier_sizes() {
+        // Above the pool threshold, so two threads really split the rounds.
+        let g = treelocal_gen::path(2048);
+        let ctx = Ctx::of(&g);
+        for threads in [1, 2] {
+            // Other tests in the same process advance the globals
+            // concurrently, so assert on deltas being *at least* what this
+            // run contributes.
+            let (r0, s0, _) = snapshot();
+            // Round 1 steps 2048 nodes (node 0 halts), round 2 steps 2047.
+            // A run's totals are added when it finishes.
+            let out = par::with_threads(threads, || run(&ctx, &TwoRounds, 10));
+            assert_eq!(out.rounds, 2);
+            let (r1, s1, _) = snapshot();
+            assert!(r1 >= r0 + 2, "{threads} threads: rounds {r0} -> {r1}");
+            assert!(s1 >= s0 + 4095, "{threads} threads: steps {s0} -> {s1}");
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! deployment of the same algorithm, and [`run_messages`](crate::run_messages)
 //! runs the same algorithm with the states sent as messages.
 
-use crate::{ExecCore, Ports, RunOutcome};
+use crate::{exec_core::ExecCore, Ports, RunOutcome};
 use treelocal_graph::{NodeId, Topology};
 
 /// Everything a node is allowed to know globally (Definition 5): the number
@@ -94,7 +94,7 @@ pub trait SyncAlgorithm<T: Topology> {
 
 /// Runs `algo` on `ctx.topo` until every node halts.
 ///
-/// Built on the shared [`ExecCore`](crate::ExecCore): each round steps only
+/// Built on the execution core both engines share: each round steps only
 /// the awake nodes, halted and sleeping states are frozen in place, and
 /// commit happens after every awake node has read the previous round —
 /// exactly the synchronous semantics of Definition 5. A node seeded
@@ -112,7 +112,7 @@ pub trait SyncAlgorithm<T: Topology> {
 /// Panics if the algorithm has not fully halted after `max_rounds` rounds —
 /// a deterministic LOCAL algorithm that exceeds a generous round budget is a
 /// bug, not a runtime condition.
-pub fn run<T, A>(ctx: &Ctx<'_, T>, algo: &A, max_rounds: u64) -> RunOutcome<A::State>
+pub fn run<'t, T, A>(ctx: &Ctx<'t, T>, algo: &A, max_rounds: u64) -> RunOutcome<'t, T, A::State>
 where
     T: Topology + Sync,
     A: SyncAlgorithm<T> + Sync,
@@ -135,12 +135,12 @@ where
 
 /// Steps `core` round by round until every node has halted: the one run
 /// loop of both engines.
-pub(crate) fn drain<T, A>(
-    ctx: &Ctx<'_, T>,
+pub(crate) fn drain<'t, T, A>(
+    ctx: &Ctx<'t, T>,
     algo: &A,
     max_rounds: u64,
     mut core: ExecCore<A::State>,
-) -> RunOutcome<A::State>
+) -> RunOutcome<'t, T, A::State>
 where
     T: Topology + Sync,
     A: SyncAlgorithm<T> + Sync,
@@ -150,7 +150,7 @@ where
         let round = core.begin_round(max_rounds);
         core.step(threads, ctx.topo, |v, own, ports| algo.step(ctx, v, round, own, ports));
     }
-    core.finish()
+    core.finish(ctx.topo)
 }
 
 #[cfg(test)]

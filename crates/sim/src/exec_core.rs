@@ -32,15 +32,15 @@
 //! slot: not seeded, running (awake or asleep), or the round the node
 //! halted in (round 0 = at seeding). "Not seeded" is zero, so a new
 //! column is zeroed memory that a restricted run touches only where it
-//! seeds. The column answers the duplicate-seed
-//! guard, a [`RunOutcome`]'s participation, the message engine's running
-//! filter and the transcript's halt rounds. Next to it the core keeps the
-//! run's totals: the live count (awake plus asleep) of every round and
-//! the node steps. [`ExecCore::finish`] is the run's one observation
-//! point: it adds the totals to [`crate::counters`] and hands an armed
-//! transcript recorder the segment read off the column (see
-//! [`crate::transcript`]). Sleepers are counted, never listed: no round
-//! passes over them.
+//! seeds. The column answers the duplicate-seed guard, the message
+//! engine's running filter and the transcript's halt rounds, and it ends
+//! with the run: a [`RunOutcome`] asks the run's topology, whose nodes
+//! are exactly the seeded ones. The core also keeps the run's totals: the
+//! live count (awake plus asleep) of every round and the node steps.
+//! [`ExecCore::finish`] is the run's one observation point: it adds the
+//! totals to [`crate::counters`] and moves the column and the live counts
+//! into an armed transcript recorder (see [`crate::transcript`]).
+//! Sleepers are counted, never listed: no round passes over them.
 
 use crate::engine::Verdict;
 use crate::msg_engine::Router;
@@ -54,13 +54,20 @@ const UNSEEDED: u32 = 0;
 /// nonzero entry is one past the node's halt round.
 pub(crate) const RUNNING: u32 = u32::MAX;
 
+/// The participants of a finished run's lifecycle column `life`, each
+/// with its halt round, in node order.
+pub(crate) fn halt_rounds(life: &[u32]) -> impl Iterator<Item = (NodeId, u32)> + '_ {
+    let entries = life.iter().enumerate().filter(|&(_, &entry)| entry != UNSEEDED);
+    entries.map(|(i, &entry)| (NodeId::new(i), entry - 1))
+}
+
 /// Double-buffered executor for synchronous LOCAL rounds.
 ///
 /// The lifecycle is: [`ExecCore::new`] → one [`ExecCore::seed`] per
 /// participating node → repeat { [`ExecCore::begin_round`] +
 /// [`ExecCore::step`] } until [`ExecCore::is_done`] → [`ExecCore::finish`].
 #[derive(Debug)]
-pub struct ExecCore<S> {
+pub(crate) struct ExecCore<S> {
     /// One state per slot. During a step these are the *previous* round's
     /// states.
     states: Vec<S>,
@@ -105,7 +112,7 @@ fn stepped<S>(verdict: Verdict<S>) -> (S, bool) {
 
 impl<S: Copy + Default> ExecCore<S> {
     /// An empty core over `index_space` state slots.
-    pub fn new(index_space: usize) -> Self {
+    pub(crate) fn new(index_space: usize) -> Self {
         ExecCore {
             states: vec![S::default(); index_space],
             verdicts: Vec::new(),
@@ -130,7 +137,7 @@ impl<S: Copy + Default> ExecCore<S> {
     /// a re-seeded live node would be stepped twice per round, and a
     /// sleeper whose wake round has passed would never wake, corrupting
     /// release-build executions silently.
-    pub fn seed(&mut self, v: NodeId, verdict: Verdict<S>) {
+    pub(crate) fn seed(&mut self, v: NodeId, verdict: Verdict<S>) {
         assert!(self.life[v.index()] == UNSEEDED, "node {v:?} seeded twice");
         let (state, wake) = match verdict {
             Verdict::Halted(s) => {
@@ -168,18 +175,12 @@ impl<S: Copy + Default> ExecCore<S> {
     }
 
     /// `true` once every node has halted: none is awake and none sleeps.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.awake.is_empty() && self.asleep.is_empty()
     }
 
-    /// The awake list: after [`ExecCore::begin_round`], the nodes this
-    /// round steps, in deterministic order. Sleepers are not on it.
-    pub fn awake(&self) -> &[NodeId] {
-        &self.awake
-    }
-
     /// Rounds executed so far.
-    pub fn rounds(&self) -> u64 {
+    pub(crate) fn rounds(&self) -> u64 {
         widen_u64(self.live.len())
     }
 
@@ -192,7 +193,7 @@ impl<S: Copy + Default> ExecCore<S> {
     /// Panics when the round budget is exhausted — a deterministic LOCAL
     /// algorithm exceeding a generous budget is a bug, not a runtime
     /// condition. Sleepers count: a wake round beyond the budget trips it.
-    pub fn begin_round(&mut self, max_rounds: u64) -> u64 {
+    pub(crate) fn begin_round(&mut self, max_rounds: u64) -> u64 {
         assert!(
             self.rounds() < max_rounds,
             "algorithm did not halt within {max_rounds} rounds (still {} active)",
@@ -216,7 +217,7 @@ impl<S: Copy + Default> ExecCore<S> {
     /// verdict buffer; the verdicts then commit **sequentially in awake
     /// order**. All reads happen before any state is rewritten, and the
     /// same bytes land in the same write order for every pool size.
-    pub fn step<T, F>(&mut self, threads: usize, topo: &T, step: F)
+    pub(crate) fn step<T, F>(&mut self, threads: usize, topo: &T, step: F)
     where
         T: Topology + Sync,
         F: Fn(NodeId, S, &Ports<'_, S>) -> Verdict<S> + Sync,
@@ -272,53 +273,46 @@ impl<S: Copy + Default> ExecCore<S> {
         }
     }
 
-    /// Consumes the core into the run's outcome, dropping the verdict
-    /// buffer and the inboxes, so a finished run holds one state column
-    /// and its lifecycle column.
+    /// Consumes the core into the run's outcome on `topo`, the topology it
+    /// was seeded from, which answers the outcome's participation.
     ///
     /// This is the run's one observation point: it adds the run's rounds,
-    /// node steps and send steps to [`crate::counters`], and hands an
-    /// armed transcript recorder the run's segment (its halts, read off
-    /// the lifecycle column in node order, and its live counts).
+    /// node steps and send steps to [`crate::counters`], and moves the
+    /// lifecycle column and the live counts into an armed transcript
+    /// recorder (or drops them).
     ///
     /// # Panics
     ///
     /// Panics if called while nodes are still awake or asleep.
-    pub fn finish(self) -> RunOutcome<S> {
+    pub(crate) fn finish<T: Topology>(self, topo: &T) -> RunOutcome<'_, T, S> {
         assert!(self.is_done(), "finish() before quiescence");
         let rounds = self.rounds();
-        let halts = self
-            .life
-            .iter()
-            .enumerate()
-            .filter(|&(_, &life)| life != UNSEEDED)
-            .map(|(i, &life)| (NodeId::new(i), u64::from(life - 1)));
         // A message run sends every participant's seeded state, then the
         // new state of every node step.
         let sends = match self.inbox {
-            Some(_) => widen_u64(halts.clone().count()) + self.node_steps,
+            Some(_) => widen_u64(topo.nodes().len()) + self.node_steps,
             None => 0,
         };
         crate::counters::record_run(rounds, self.node_steps, sends);
-        crate::transcript::record_segment(self.live, halts);
-        RunOutcome { states: self.states, life: self.life, rounds }
+        crate::transcript::record_segment(self.live, self.life);
+        RunOutcome { topo, states: self.states, rounds }
     }
 }
 
-/// The result of running an algorithm to quiescence: final states stay in
-/// their one column (no per-node boxing on the way out: the 10M-node
-/// smoke tier's peak RSS depends on it), next to the run's lifecycle
-/// column.
+/// The result of running an algorithm to quiescence on a topology: final
+/// states stay in their one column (no per-node boxing on the way out:
+/// the 10M-node smoke tier's peak RSS depends on it), and participation
+/// is the topology's, since a run seeds exactly its topology's nodes.
 #[derive(Debug)]
-pub struct RunOutcome<S> {
+pub struct RunOutcome<'t, T, S> {
+    topo: &'t T,
     states: Vec<S>,
-    life: Vec<u32>,
     /// Number of communication rounds executed (the maximum halting round
     /// over all nodes).
     pub rounds: u64,
 }
 
-impl<S: Copy> RunOutcome<S> {
+impl<T: Topology, S: Copy> RunOutcome<'_, T, S> {
     /// The final state of node `v`.
     ///
     /// # Panics
@@ -330,13 +324,13 @@ impl<S: Copy> RunOutcome<S> {
 
     /// The final state of `v`, or `None` for non-participants.
     pub fn try_state(&self, v: NodeId) -> Option<S> {
-        (self.life[v.index()] != UNSEEDED).then(|| self.states[v.index()])
+        self.topo.contains_node(v).then(|| self.states[v.index()])
     }
 
     /// Every slot's final state in index order (`None` for
     /// non-participants).
     pub fn states(&self) -> impl ExactSizeIterator<Item = Option<S>> + '_ {
-        (0..self.life.len()).map(|i| self.try_state(NodeId::new(i)))
+        (0..self.states.len()).map(|i| self.try_state(NodeId::new(i)))
     }
 }
 
@@ -344,7 +338,7 @@ impl<S: Copy> RunOutcome<S> {
 mod tests {
     use super::*;
     use treelocal_gen::path;
-    use treelocal_graph::narrow_u32;
+    use treelocal_graph::{narrow_u32, SemiGraph};
 
     impl<S: Copy + Default> ExecCore<S> {
         /// The current state of node `v`.
@@ -357,19 +351,64 @@ mod tests {
         fn is_active(&self, v: NodeId) -> bool {
             self.life[v.index()] == RUNNING
         }
+
+        /// The awake list: after [`ExecCore::begin_round`], the nodes this
+        /// round steps, in deterministic order. Sleepers are not on it.
+        fn awake(&self) -> &[NodeId] {
+            &self.awake
+        }
+    }
+
+    /// A newtype state: every lifecycle behaviour below runs over it and
+    /// over a primitive `u32`, so a user-defined state is pinned the same
+    /// way.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    struct Word(u32);
+
+    /// The states the lifecycle behaviours run over.
+    trait TestState: Copy + Default + PartialEq + std::fmt::Debug + Send + Sync {
+        fn of(x: u32) -> Self;
+        fn get(self) -> u32;
+    }
+
+    impl TestState for u32 {
+        fn of(x: u32) -> Self {
+            x
+        }
+        fn get(self) -> u32 {
+            self
+        }
+    }
+
+    impl TestState for Word {
+        fn of(x: u32) -> Self {
+            Word(x)
+        }
+        fn get(self) -> u32 {
+            self.0
+        }
+    }
+
+    fn seeded_halted_nodes_stay_off_the_awake_list<S: TestState>() {
+        let mut core: ExecCore<S> = ExecCore::new(3);
+        core.seed(NodeId::new(0), Verdict::Halted(S::of(7)));
+        core.seed(NodeId::new(1), Verdict::Active(S::of(1)));
+        core.seed(NodeId::new(2), Verdict::Active(S::of(2)));
+        assert_eq!(core.awake(), &[NodeId::new(1), NodeId::new(2)]);
+        assert!(!core.is_done());
+        assert_eq!(core.state(NodeId::new(0)), S::of(7));
+        assert!(!core.is_active(NodeId::new(0)));
+        assert!(core.is_active(NodeId::new(1)));
     }
 
     #[test]
     fn seeded_halted_nodes_never_enter_the_frontier() {
-        let mut core: ExecCore<u32> = ExecCore::new(3);
-        core.seed(NodeId::new(0), Verdict::Halted(7));
-        core.seed(NodeId::new(1), Verdict::Active(1));
-        core.seed(NodeId::new(2), Verdict::Active(2));
-        assert_eq!(core.awake(), &[NodeId::new(1), NodeId::new(2)]);
-        assert!(!core.is_done());
-        assert_eq!(core.state(NodeId::new(0)), 7);
-        assert!(!core.is_active(NodeId::new(0)));
-        assert!(core.is_active(NodeId::new(1)));
+        seeded_halted_nodes_stay_off_the_awake_list::<u32>();
+    }
+
+    #[test]
+    fn soa_seeded_halted_nodes_never_enter_the_frontier() {
+        seeded_halted_nodes_stay_off_the_awake_list::<Word>();
     }
 
     #[test]
@@ -399,94 +438,167 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frontier_shrinks_in_order_and_halted_states_stay_readable() {
-        let mut core: ExecCore<u32> = ExecCore::new(5);
+    fn frontier_shrinks_in_order_and_halted_states_freeze<S: TestState>() {
+        // Slot 4 lies outside the restriction: never seeded, never read.
         let g = path(5);
+        let s = SemiGraph::induced_by_nodes(&g, |v| v.index() < 4);
+        let mut core: ExecCore<S> = ExecCore::new(5);
         for i in 0..4 {
-            core.seed(NodeId::new(i), Verdict::Active(narrow_u32(i)));
+            core.seed(NodeId::new(i), Verdict::Active(S::of(narrow_u32(i))));
         }
         // Round 1: odd nodes halt, doubling their state.
         core.begin_round(10);
-        core.step(1, &g, |v, own, _| {
+        core.step(1, &s, |v, own, _| {
             if v.index() % 2 == 1 {
-                Verdict::Halted(own * 2)
+                Verdict::Halted(S::of(own.get() * 2))
             } else {
-                Verdict::Active(own + 1)
+                Verdict::Active(S::of(own.get() + 1))
             }
         });
         assert_eq!(core.awake(), &[NodeId::new(0), NodeId::new(2)]);
-        assert_eq!(core.state(NodeId::new(1)), 2);
-        assert_eq!(core.state(NodeId::new(3)), 6);
+        assert_eq!(core.state(NodeId::new(1)), S::of(2));
+        assert_eq!(core.state(NodeId::new(3)), S::of(6));
         // Round 2: survivors read halted node 1's frozen state on port 0
         // and halt.
         core.begin_round(10);
-        core.step(1, &g, |_, own, ports| Verdict::Halted(own + ports.port(0)));
+        core.step(1, &s, |_, own, ports| Verdict::Halted(S::of(own.get() + ports.port(0).get())));
         assert!(core.is_done());
-        let out = core.finish();
+        let out = core.finish(&s);
         assert_eq!(out.rounds, 2);
-        assert_eq!(out.state(NodeId::new(0)), 3);
-        assert_eq!(out.state(NodeId::new(2)), 5);
-        // Slot 4 never participated.
-        assert_eq!(out.states().collect::<Vec<_>>(), [Some(3), Some(2), Some(5), Some(6), None]);
+        assert_eq!(out.state(NodeId::new(0)), S::of(3));
+        assert_eq!(out.state(NodeId::new(2)), S::of(5));
+        let expected = [Some(3), Some(2), Some(5), Some(6), None].map(|x| x.map(S::of));
+        assert_eq!(out.states().collect::<Vec<_>>(), expected);
+    }
+
+    #[test]
+    fn frontier_shrinks_in_order_and_halted_states_stay_readable() {
+        frontier_shrinks_in_order_and_halted_states_freeze::<u32>();
+    }
+
+    #[test]
+    fn soa_frontier_shrinks_in_order_and_halted_lanes_stay_frozen() {
+        frontier_shrinks_in_order_and_halted_states_freeze::<Word>();
+    }
+
+    fn snapshot_reads_previous_round_states<S: TestState>() {
+        // Nodes 0 and 1 both read each other's state in the same round;
+        // both must see the *previous* value even though one row is
+        // committed before the other.
+        let mut core: ExecCore<S> = ExecCore::new(2);
+        let g = path(2);
+        core.seed(NodeId::new(0), Verdict::Active(S::of(10)));
+        core.seed(NodeId::new(1), Verdict::Active(S::of(20)));
+        core.begin_round(10);
+        core.step(1, &g, |_, _, ports| Verdict::Halted(ports.port(0)));
+        let out = core.finish(&g);
+        assert_eq!(out.state(NodeId::new(0)), S::of(20));
+        assert_eq!(out.state(NodeId::new(1)), S::of(10));
     }
 
     #[test]
     fn snapshot_reads_previous_round_states_mid_round() {
-        // Nodes 0 and 1 both read each other's state in the same round;
-        // both must see the *previous* value even though one row is
-        // committed before the other.
-        let mut core: ExecCore<u32> = ExecCore::new(2);
-        let g = path(2);
-        core.seed(NodeId::new(0), Verdict::Active(10));
-        core.seed(NodeId::new(1), Verdict::Active(20));
-        core.begin_round(10);
-        core.step(1, &g, |_, _, ports| Verdict::Halted(ports.port(0)));
-        let out = core.finish();
-        assert_eq!(out.state(NodeId::new(0)), 20);
-        assert_eq!(out.state(NodeId::new(1)), 10);
+        snapshot_reads_previous_round_states::<u32>();
     }
 
     #[test]
+    fn soa_snapshot_reads_previous_round_lanes_mid_round() {
+        snapshot_reads_previous_round_states::<Word>();
+    }
+
+    fn steps_consume_their_own_state_by_value<S: TestState>() {
+        let mut core: ExecCore<S> = ExecCore::new(3);
+        let g = path(3);
+        for i in 0..3 {
+            core.seed(NodeId::new(i), Verdict::Active(S::of(narrow_u32(i) + 1)));
+        }
+        core.begin_round(10);
+        core.step(1, &g, |_, own, _| Verdict::Halted(S::of(own.get() * 10)));
+        let out = core.finish(&g);
+        assert_eq!(out.rounds, 1);
+        for i in 0..3 {
+            assert_eq!(out.state(NodeId::new(i)), S::of((narrow_u32(i) + 1) * 10));
+        }
+    }
+
+    #[test]
+    fn owned_stepping_consumes_states() {
+        steps_consume_their_own_state_by_value::<u32>();
+    }
+
+    #[test]
+    fn soa_owned_stepping_consumes_decoded_states() {
+        steps_consume_their_own_state_by_value::<Word>();
+    }
+
+    /// Seeds node 0 with `first`, then again with `second`.
+    fn reseed<S: TestState>(first: Verdict<S>, second: Verdict<S>) {
+        let mut core: ExecCore<S> = ExecCore::new(2);
+        core.seed(NodeId::new(0), first);
+        core.seed(NodeId::new(0), second);
+    }
+
+    // A plain `assert!`, not `debug_assert!`: with debug assertions
+    // compiled out (release builds), a re-seeded Active node used to be
+    // pushed onto the frontier twice and stepped twice per round. CI runs
+    // these three under `--release` too.
+    #[test]
     #[should_panic(expected = "seeded twice")]
     fn double_seeding_an_active_node_is_rejected() {
-        // A plain `assert!`, not `debug_assert!`: with debug assertions
-        // compiled out (release builds), a re-seeded Active node used to be
-        // pushed onto the frontier twice and stepped twice per round. The
-        // `release_invariants` integration test exercises this exact path
-        // under `--release`.
-        let mut core: ExecCore<u32> = ExecCore::new(2);
-        core.seed(NodeId::new(0), Verdict::Active(1));
-        core.seed(NodeId::new(0), Verdict::Active(2));
+        reseed::<u32>(Verdict::Active(1), Verdict::Active(2));
     }
 
     #[test]
     #[should_panic(expected = "seeded twice")]
     fn double_seeding_a_halted_node_is_rejected() {
-        let mut core: ExecCore<u32> = ExecCore::new(1);
-        core.seed(NodeId::new(0), Verdict::Halted(1));
-        core.seed(NodeId::new(0), Verdict::Active(2));
+        reseed::<u32>(Verdict::Halted(1), Verdict::Active(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "seeded twice")]
+    fn soa_double_seeding_is_rejected() {
+        reseed::<Word>(Verdict::Active(Word(1)), Verdict::Halted(Word(2)));
+    }
+
+    fn exceed_a_one_round_budget<S: TestState>() {
+        let mut core: ExecCore<S> = ExecCore::new(1);
+        let g = path(1);
+        core.seed(NodeId::new(0), Verdict::Active(S::of(0)));
+        core.begin_round(1);
+        core.step(1, &g, |_, own, _| Verdict::Active(S::of(own.get() + 1)));
+        core.begin_round(1);
     }
 
     #[test]
     #[should_panic(expected = "did not halt")]
     fn round_budget_is_enforced() {
-        let mut core: ExecCore<u32> = ExecCore::new(1);
+        exceed_a_one_round_budget::<u32>();
+    }
+
+    #[test]
+    #[should_panic(expected = "did not halt")]
+    fn soa_round_budget_is_enforced() {
+        exceed_a_one_round_budget::<Word>();
+    }
+
+    fn halting_at_seeding_runs_zero_rounds<S: TestState>() {
+        let mut core: ExecCore<S> = ExecCore::new(1);
         let g = path(1);
-        core.seed(NodeId::new(0), Verdict::Active(0));
-        core.begin_round(1);
-        core.step(1, &g, |_, own, _| Verdict::Active(own + 1));
-        core.begin_round(1);
+        core.seed(NodeId::new(0), Verdict::Halted(S::of(5)));
+        assert!(core.is_done());
+        let out = core.finish(&g);
+        assert_eq!(out.rounds, 0);
+        assert_eq!(out.state(NodeId::new(0)), S::of(5));
     }
 
     #[test]
     fn zero_round_execution() {
-        let mut core: ExecCore<u32> = ExecCore::new(1);
-        core.seed(NodeId::new(0), Verdict::Halted(5));
-        assert!(core.is_done());
-        let out = core.finish();
-        assert_eq!(out.rounds, 0);
-        assert_eq!(out.state(NodeId::new(0)), 5);
+        halting_at_seeding_runs_zero_rounds::<u32>();
+    }
+
+    #[test]
+    fn soa_zero_round_execution() {
+        halting_at_seeding_runs_zero_rounds::<Word>();
     }
 
     #[test]
@@ -513,7 +625,7 @@ mod tests {
         let (n0, n1, n2) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
         // Woken nodes join the end of the awake list, in seeding order.
         assert_eq!(stepped_by_round, [vec![n0], vec![n0, n2], vec![n0, n2, n1], vec![n0, n2, n1]]);
-        let out = core.finish();
+        let out = core.finish(&g);
         assert_eq!(out.rounds, 4);
         assert_eq!(out.states().collect::<Vec<_>>(), [Some(3), Some(11), Some(22)]);
     }
@@ -530,7 +642,7 @@ mod tests {
         assert_eq!(core.state(NodeId::new(0)), 41);
         core.begin_round(10);
         core.step(1, &g, |_, own, _| Verdict::Halted(own + 1));
-        let out = core.finish();
+        let out = core.finish(&g);
         assert_eq!(out.state(NodeId::new(1)), 41);
     }
 
@@ -550,7 +662,7 @@ mod tests {
         assert_eq!(core.begin_round(10), 3);
         core.step(1, &g, |_, own, _| Verdict::Halted(own * 2));
         assert!(core.is_done());
-        let out = core.finish();
+        let out = core.finish(&g);
         assert_eq!(out.rounds, 3);
         assert_eq!(out.state(NodeId::new(0)), 10);
     }
@@ -604,110 +716,5 @@ mod tests {
         core.seed(NodeId::new(0), Verdict::Active(1));
         core.verdicts.extend([(9, false), (8, false)]);
         core.commit_in_awake_order(&path(2));
-    }
-
-    /// A newtype state: the tests below pin the same lifecycle through a
-    /// user-defined state rather than a primitive one.
-    #[derive(Clone, Copy, Debug, Default, PartialEq)]
-    struct Word(u32);
-
-    #[test]
-    fn soa_seeded_halted_nodes_never_enter_the_frontier() {
-        let mut core: ExecCore<Word> = ExecCore::new(3);
-        core.seed(NodeId::new(0), Verdict::Halted(Word(7)));
-        core.seed(NodeId::new(1), Verdict::Active(Word(1)));
-        core.seed(NodeId::new(2), Verdict::Active(Word(2)));
-        assert_eq!(core.awake(), &[NodeId::new(1), NodeId::new(2)]);
-        assert!(!core.is_done());
-        assert_eq!(core.state(NodeId::new(0)), Word(7));
-        assert!(!core.is_active(NodeId::new(0)));
-        assert!(core.is_active(NodeId::new(1)));
-    }
-
-    #[test]
-    fn soa_frontier_shrinks_in_order_and_halted_lanes_stay_frozen() {
-        let mut core: ExecCore<Word> = ExecCore::new(4);
-        let g = path(4);
-        for i in 0..4 {
-            core.seed(NodeId::new(i), Verdict::Active(Word(narrow_u32(i))));
-        }
-        core.begin_round(10);
-        core.step(1, &g, |v, own, _| {
-            if v.index() % 2 == 1 {
-                Verdict::Halted(Word(own.0 * 2))
-            } else {
-                Verdict::Active(Word(own.0 + 1))
-            }
-        });
-        assert_eq!(core.awake(), &[NodeId::new(0), NodeId::new(2)]);
-        assert_eq!(core.state(NodeId::new(1)), Word(2));
-        assert_eq!(core.state(NodeId::new(3)), Word(6));
-        // Survivors read halted node 1's frozen state on port 0.
-        core.begin_round(10);
-        core.step(1, &g, |_, own, ports| Verdict::Halted(Word(own.0 + ports.port(0).0)));
-        assert!(core.is_done());
-        let out = core.finish();
-        assert_eq!(out.rounds, 2);
-        assert_eq!(out.state(NodeId::new(0)), Word(3));
-        assert_eq!(out.state(NodeId::new(2)), Word(5));
-        assert_eq!(out.try_state(NodeId::new(3)), Some(Word(6)));
-    }
-
-    #[test]
-    fn soa_snapshot_reads_previous_round_lanes_mid_round() {
-        let mut core: ExecCore<Word> = ExecCore::new(2);
-        let g = path(2);
-        core.seed(NodeId::new(0), Verdict::Active(Word(10)));
-        core.seed(NodeId::new(1), Verdict::Active(Word(20)));
-        core.begin_round(10);
-        core.step(1, &g, |_, _, ports| Verdict::Halted(ports.port(0)));
-        let out = core.finish();
-        assert_eq!(out.state(NodeId::new(0)), Word(20));
-        assert_eq!(out.state(NodeId::new(1)), Word(10));
-    }
-
-    #[test]
-    fn soa_owned_stepping_consumes_decoded_states() {
-        let mut core: ExecCore<Word> = ExecCore::new(3);
-        let g = path(3);
-        for i in 0..3 {
-            core.seed(NodeId::new(i), Verdict::Active(Word(narrow_u32(i) + 1)));
-        }
-        core.begin_round(10);
-        core.step(1, &g, |_, own, _| Verdict::Halted(Word(own.0 * 10)));
-        let out = core.finish();
-        assert_eq!(out.rounds, 1);
-        for i in 0..3 {
-            assert_eq!(out.state(NodeId::new(i)), Word((narrow_u32(i) + 1) * 10));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "seeded twice")]
-    fn soa_double_seeding_is_rejected() {
-        let mut core: ExecCore<Word> = ExecCore::new(2);
-        core.seed(NodeId::new(0), Verdict::Active(Word(1)));
-        core.seed(NodeId::new(0), Verdict::Halted(Word(2)));
-    }
-
-    #[test]
-    #[should_panic(expected = "did not halt")]
-    fn soa_round_budget_is_enforced() {
-        let mut core: ExecCore<Word> = ExecCore::new(1);
-        let g = path(1);
-        core.seed(NodeId::new(0), Verdict::Active(Word(0)));
-        core.begin_round(1);
-        core.step(1, &g, |_, own, _| Verdict::Active(Word(own.0 + 1)));
-        core.begin_round(1);
-    }
-
-    #[test]
-    fn soa_zero_round_execution() {
-        let mut core: ExecCore<Word> = ExecCore::new(1);
-        core.seed(NodeId::new(0), Verdict::Halted(Word(5)));
-        assert!(core.is_done());
-        let out = core.finish();
-        assert_eq!(out.rounds, 0);
-        assert_eq!(out.state(NodeId::new(0)), Word(5));
     }
 }

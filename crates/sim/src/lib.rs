@@ -76,7 +76,7 @@ mod rounds;
 pub mod transcript;
 
 pub use engine::{run, Ctx, SyncAlgorithm, Verdict};
-pub use exec_core::{ExecCore, RunOutcome};
+pub use exec_core::RunOutcome;
 pub use gather::{gather_rounds_at, GatherPlan};
 pub use logstar::{ceil_log, log_star_f64, log_star_u64};
 pub use msg_engine::run_messages;

@@ -24,11 +24,10 @@
 //!   showing its frozen state, exactly as its own slot stays frozen in
 //!   place for the snapshot engine.
 //!
-//! The receive phase is [`ExecCore::step`](crate::ExecCore::step), the
-//! snapshot engine's own round path, with each node's [`Ports`] reading
-//! its inbox slots. It runs on the pool; delivery copies states
-//! sequentially in awake order, so outcomes are byte-identical for every
-//! pool size.
+//! The receive phase is the execution core's one round path, the
+//! snapshot engine's own, with each node's [`Ports`] reading its inbox
+//! slots. It runs on the pool; delivery copies states sequentially in
+//! awake order, so outcomes are byte-identical for every pool size.
 
 use crate::engine::{drain, seeded_core, Ctx, SyncAlgorithm};
 use crate::exec_core::RUNNING;
@@ -144,7 +143,11 @@ impl<S: Copy + Default> Router<S> {
 ///
 /// Panics if the algorithm exceeds `max_rounds`, or if the topology's
 /// adjacency is not symmetric.
-pub fn run_messages<T, A>(ctx: &Ctx<'_, T>, algo: &A, max_rounds: u64) -> RunOutcome<A::State>
+pub fn run_messages<'t, T, A>(
+    ctx: &Ctx<'t, T>,
+    algo: &A,
+    max_rounds: u64,
+) -> RunOutcome<'t, T, A::State>
 where
     T: Topology + Sync,
     A: SyncAlgorithm<T> + Sync,

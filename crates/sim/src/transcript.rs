@@ -18,26 +18,27 @@
 //! records (the participants with halt round `>= r`); a halt record that
 //! moves a node in or out of the running set changes one or the other.
 //!
-//! Recording costs one thread-local lookup per run when off. Every core
-//! keeps its lifecycle column and its live count per round whether or
-//! not anyone records (see [`ExecCore`](crate::ExecCore)), and
-//! [`ExecCore::finish`](crate::ExecCore::finish) hands an armed recorder
-//! the finished segment: the halts read off the column in node order, and
-//! the live counts as they are. Nothing is recorded per node during the
-//! run. The recorder is a thread-local — sound because a core is built,
-//! seeded, committed and finished on the calling thread even in parallel
-//! builds (only step closures go to the pool), which is the same property
-//! the engines' determinism story rests on.
+//! Recording costs one thread-local lookup per run when off. Every
+//! engine run keeps its lifecycle column (per node slot: not seeded, or
+//! one past the node's halt round) and its live count per round whether
+//! or not anyone records, and the finished run moves both into an armed
+//! recorder as they are. Nothing is recorded per node during the run,
+//! and the halts are read off the column only in [`take`]. The recorder
+//! is a thread-local — sound because a core is built, seeded, committed
+//! and finished on the calling thread even in parallel builds (only step
+//! closures go to the pool), which is the same property the engines'
+//! determinism story rests on.
 //!
-//! Each engine run constructs exactly one [`ExecCore`](crate::ExecCore),
-//! so a multi-run pipeline
-//! (Linial → KW phases → sweep) records one transcript **segment** per
-//! engine run, with the commitment chain threading across segments.
+//! Each engine run uses exactly one execution core, so a multi-run
+//! pipeline (Linial → KW phases → sweep) records one transcript
+//! **segment** per engine run, with the commitment chain threading across
+//! segments.
 //! Zero-round segments (a run whose every node halts at seeding) are
 //! dropped when their run finishes: they contribute no rounds and no
 //! commitments, so a pipeline's transcript does not depend on whether a
 //! stage with nothing to do entered the engine.
 
+use crate::exec_core::halt_rounds;
 use std::cell::RefCell;
 use treelocal_graph::{widen_u32, widen_u64, NodeId, OrInvariant};
 
@@ -98,10 +99,10 @@ impl Transcript {
     }
 }
 
-/// A finished run, not yet committed.
+/// A finished run's lifecycle column and live counts, not yet committed.
 struct RawSegment {
-    /// `(node, halt_round)`, ascending by node.
-    halts: Vec<(NodeId, u64)>,
+    /// The run's lifecycle column, read through [`halt_rounds`].
+    life: Vec<u32>,
     /// The live count of round `r` at `r - 1`.
     live: Vec<u64>,
 }
@@ -119,47 +120,48 @@ pub fn begin() {
 }
 
 /// Disarms recording on the calling thread and returns the transcript
-/// (empty if [`begin`] was never called). The commitment chain is folded
-/// here, segment by segment in execution order.
+/// (empty if [`begin`] was never called). The halts and the commitment
+/// chain are built here, segment by segment in execution order.
 pub fn take() -> Transcript {
     let Some(recorded) = RECORDER.with(|r| r.borrow_mut().take()) else {
         return Transcript::default();
     };
     let mut chain = COMMITMENT_OFFSET;
     let mut by_round = Vec::new();
-    let segments = recorded
-        .into_iter()
-        .map(|s| {
-            let commitments = commit_segment(&mut chain, &s, &mut by_round);
-            TranscriptSegment { rounds: widen_u64(s.live.len()), halts: s.halts, commitments }
-        })
-        .collect();
-    Transcript { segments }
+    let segments = recorded.into_iter().map(|s| commit_segment(&mut chain, &s, &mut by_round));
+    Transcript { segments: segments.collect() }
 }
 
-/// Extends `chain` by one commitment per round of `seg`: the halts are
-/// bucketed by round in one counting pass (each bucket in node order,
-/// since the halts are), then every round folds its number, its live
-/// count, its bucket's size and the bucket.
-fn commit_segment(chain: &mut u64, seg: &RawSegment, by_round: &mut Vec<NodeId>) -> Vec<u64> {
+/// Builds the segment of `seg`, extending `chain` by one commitment per
+/// round: a counting pass over the lifecycle column sizes the rounds'
+/// buckets, a placing pass lists the halts and fills the buckets (both in
+/// node order), then every round folds its number, its live count, its
+/// bucket's size and the bucket.
+fn commit_segment(
+    chain: &mut u64,
+    seg: &RawSegment,
+    by_round: &mut Vec<NodeId>,
+) -> TranscriptSegment {
     let rounds = seg.live.len();
     // `start[r]..start[r + 1]` will be round `r`'s bucket.
     let mut start = vec![0usize; rounds + 2];
-    for &(_, r) in &seg.halts {
+    for (_, r) in halt_rounds(&seg.life) {
         start[halt_slot(r, rounds) + 1] += 1;
     }
     for r in 1..start.len() {
         start[r] += start[r - 1];
     }
+    let mut halts = Vec::with_capacity(start[rounds + 1]);
     by_round.clear();
-    by_round.resize(seg.halts.len(), NodeId::new(0));
+    by_round.resize(start[rounds + 1], NodeId::new(0));
     let mut next = start.clone();
-    for &(v, r) in &seg.halts {
+    for (v, r) in halt_rounds(&seg.life) {
+        halts.push((v, u64::from(r)));
         let at = &mut next[halt_slot(r, rounds)];
         by_round[*at] = v;
         *at += 1;
     }
-    (1..=rounds)
+    let commitments = (1..=rounds)
         .map(|r| {
             let halted = &by_round[start[r]..start[r + 1]];
             let mut h = commitment_fold(*chain, widen_u64(r));
@@ -171,7 +173,8 @@ fn commit_segment(chain: &mut u64, seg: &RawSegment, by_round: &mut Vec<NodeId>)
             *chain = h;
             h
         })
-        .collect()
+        .collect();
+    TranscriptSegment { halts, rounds: widen_u64(rounds), commitments }
 }
 
 /// A recorded halt round as a bucket index.
@@ -180,25 +183,23 @@ fn commit_segment(chain: &mut u64, seg: &RawSegment, by_round: &mut Vec<NodeId>)
 ///
 /// Panics if the round lies past the segment's last round: a core halts a
 /// node only in a round it executed, so that is a recording bug.
-fn halt_slot(round: u64, rounds: usize) -> usize {
-    usize::try_from(round)
-        .ok()
+fn halt_slot(round: u32, rounds: usize) -> usize {
+    Some(widen_u32(round))
         .filter(|&r| r <= rounds)
         .or_invariant("a node halts in a round its segment ran (halt-round invariant)")
 }
 
 /// Hands a finished run to the calling thread's recorder, if it is
 /// armed, as the next segment: `live` holds the live count of every round
-/// and `halts` yields `(node, halt_round)` ascending by node, read only
-/// when the segment is kept. A run that executed no round is dropped (see
-/// the module docs).
-pub(crate) fn record_segment(live: Vec<u64>, halts: impl Iterator<Item = (NodeId, u64)>) {
+/// and `life` the run's lifecycle column, every seeded node halted. A run
+/// that executed no round is dropped (see the module docs).
+pub(crate) fn record_segment(live: Vec<u64>, life: Vec<u32>) {
     if live.is_empty() {
         return;
     }
     RECORDER.with(|r| {
         if let Some(segments) = r.borrow_mut().as_mut() {
-            segments.push(RawSegment { halts: halts.collect(), live });
+            segments.push(RawSegment { life, live });
         }
     });
 }
@@ -207,8 +208,8 @@ pub(crate) fn record_segment(live: Vec<u64>, halts: impl Iterator<Item = (NodeId
 mod tests {
     use super::*;
     use crate::engine::{run, Ctx, SyncAlgorithm, Verdict};
-    use crate::Ports;
-    use treelocal_graph::{Graph, Topology};
+    use crate::{par, run_messages, Ports, RunOutcome};
+    use treelocal_graph::{Graph, SemiGraph, Topology};
 
     /// Halts node `v` after `v + 1` rounds.
     struct Countdown;
@@ -495,5 +496,98 @@ mod tests {
         assert_eq!(t.segments[0].halts, t.segments[1].halts);
         assert_eq!(t.segments[0].rounds, t.segments[1].rounds);
         assert_ne!(t.segments[0].commitments, t.segments[1].commitments);
+    }
+
+    /// By node index mod 4: halted at seeding, asleep until round 3 and
+    /// halting there, or awake and halting in round 2 or 3.
+    struct Staggered;
+    impl<T: Topology> SyncAlgorithm<T> for Staggered {
+        type State = u64;
+        fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<u64> {
+            match widen_u64(v.index() % 4) {
+                0 => Verdict::Halted(0),
+                1 => Verdict::SleepUntil(3, 3),
+                r => Verdict::Active(r),
+            }
+        }
+        fn step(
+            &self,
+            _ctx: &Ctx<T>,
+            _v: NodeId,
+            round: u64,
+            own: u64,
+            _prev: &Ports<'_, u64>,
+        ) -> Verdict<u64> {
+            if round >= own {
+                Verdict::Halted(own)
+            } else {
+                Verdict::Active(own)
+            }
+        }
+    }
+
+    /// Checks that `out` answers participation exactly as `topo` does, and
+    /// that reading a non-participant's state panics.
+    fn assert_participation<T: Topology>(topo: &T, out: &RunOutcome<'_, T, u64>, label: &str) {
+        assert_eq!(out.states().len(), topo.index_space(), "{label}");
+        for (i, state) in out.states().enumerate() {
+            assert_eq!(state.is_none(), !topo.contains_node(NodeId::new(i)), "{label}: slot {i}");
+        }
+        let outsider = (0..topo.index_space()).map(NodeId::new).find(|&v| !topo.contains_node(v));
+        let outsider = outsider.expect("the restriction leaves a node out");
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| out.state(outsider)));
+        let payload = read.expect_err("a non-participant's state must panic");
+        let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("node participated in the run"), "{label}: {msg}");
+    }
+
+    /// Runs [`Staggered`] in `ctx` on one engine at one pool size, and
+    /// returns the outcome with the run's transcript.
+    fn staggered_run<'t, T: Topology + Sync>(
+        ctx: &Ctx<'t, T>,
+        messages: bool,
+        threads: usize,
+    ) -> (RunOutcome<'t, T, u64>, Transcript) {
+        par::with_threads(threads, || {
+            begin();
+            let out =
+                if messages { run_messages(ctx, &Staggered, 10) } else { run(ctx, &Staggered, 10) };
+            (out, take())
+        })
+    }
+
+    #[test]
+    fn participation_belongs_to_the_topology() {
+        // Above the pool threshold, so two threads really split the rounds.
+        let g = treelocal_gen::random_tree(4000, 7);
+        let gapped = SemiGraph::induced_by_nodes(&g, |v| v.index() % 3 != 0);
+        let empty = SemiGraph::induced_by_nodes(&g, |_| false);
+        for threads in [1, 2] {
+            for messages in [false, true] {
+                let label = format!("{threads} threads, messages {messages}");
+                let ctx = Ctx::restricted(&gapped, g.node_count(), g.id_space());
+                let (out, t) = staggered_run(&ctx, messages, threads);
+                assert_eq!(out.rounds, 3, "{label}");
+                assert_participation(&gapped, &out, &label);
+                // The transcript lists exactly the participants, in node
+                // order, each with its halt round.
+                assert_eq!(t.segments.len(), 1, "{label}");
+                let halts = &t.segments[0].halts;
+                assert!(
+                    halts.iter().map(|&(v, _)| v).eq(gapped.nodes().iter().copied()),
+                    "{label}"
+                );
+                assert!(halts.iter().all(|&(v, r)| r == [0, 3, 2, 3][v.index() % 4]), "{label}");
+                let recorded: Vec<Vec<u64>> =
+                    t.segments.iter().map(|s| s.commitments.clone()).collect();
+                assert_eq!(recorded, derived_chain(&t), "{label}");
+
+                let ctx = Ctx::restricted(&empty, g.node_count(), g.id_space());
+                let (out, t) = staggered_run(&ctx, messages, threads);
+                assert_eq!(out.rounds, 0, "{label}");
+                assert_participation(&empty, &out, &label);
+                assert_eq!(t, Transcript::default(), "{label}: a zero-round run records nothing");
+            }
+        }
     }
 }

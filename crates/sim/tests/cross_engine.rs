@@ -2,7 +2,7 @@
 //! by the message engine, must produce identical outputs AND identical
 //! round counts.
 //!
-//! Both engines share one [`ExecCore`](treelocal_sim::ExecCore), so this
+//! Both engines share one execution core, so this
 //! property pins the equivalence of the two ways a step's ports are filled
 //! (neighbour states read in place vs. states delivered into an inbox) on top
 //! of a single run loop. The workload is distance flooding from the

@@ -63,7 +63,11 @@ impl<T: Topology> SyncAlgorithm<T> for MsgHash {
     }
 }
 
-fn assert_identical<S: Copy + PartialEq>(a: &RunOutcome<S>, b: &RunOutcome<S>, label: &str) {
+fn assert_identical<S: Copy + PartialEq>(
+    a: &RunOutcome<'_, Graph, S>,
+    b: &RunOutcome<'_, Graph, S>,
+    label: &str,
+) {
     assert_eq!(a.rounds, b.rounds, "round counts diverge: {label}");
     assert!(a.states().eq(b.states()), "states diverge: {label}");
 }

@@ -6,7 +6,7 @@
 //! the state type folds neighbor values order-sensitively so any
 //! double-stepping, reordering, or torn-commit bug changes the answer.
 
-use treelocal_graph::{NodeId, Topology};
+use treelocal_graph::{Graph, NodeId, Topology};
 use treelocal_sim::{par, run, Ctx, Ports, RunOutcome, SyncAlgorithm, Verdict};
 
 /// Accumulates an order-sensitive hash of neighbor states each round;
@@ -90,7 +90,11 @@ impl<T: Topology> SyncAlgorithm<T> for StaggeredSleep {
     }
 }
 
-fn assert_identical(a: &RunOutcome<HashState>, b: &RunOutcome<HashState>, label: &str) {
+fn assert_identical(
+    a: &RunOutcome<'_, Graph, HashState>,
+    b: &RunOutcome<'_, Graph, HashState>,
+    label: &str,
+) {
     assert_eq!(a.rounds, b.rounds, "round counts diverge: {label}");
     assert!(a.states().eq(b.states()), "states diverge: {label}");
 }

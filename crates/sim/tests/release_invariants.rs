@@ -1,14 +1,13 @@
 //! Invariants that must hold with debug assertions compiled **out**.
 //!
-//! `ExecCore::seed` used to guard double-seeding with a `debug_assert!`
-//! only: in release builds a re-seeded Active node was silently pushed
-//! onto the frontier twice and stepped twice per round from then on. The
-//! guard is now a hard `assert!`; this test verifies the rejection without
-//! relying on `cfg(debug_assertions)` in any way, so it pins the release
-//! behavior too (CI additionally runs the sim tests under `--release`).
+//! These checks are hard `assert!`s or named invariants, never
+//! `debug_assert!`s, and the tests below verify them without relying on
+//! `cfg(debug_assertions)` in any way, so they pin the release behavior
+//! too (CI additionally runs the sim tests under `--release`, the core's
+//! double-seed unit tests among them).
 
-use treelocal_graph::NodeId;
-use treelocal_sim::{ExecCore, Verdict};
+use treelocal_graph::{NodeId, Topology};
+use treelocal_sim::{par, run, Ctx, Ports, SyncAlgorithm, Verdict};
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     payload
@@ -18,53 +17,37 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("<non-string panic payload>")
 }
 
-#[test]
-fn double_seeding_is_rejected_in_every_profile() {
-    let result = std::panic::catch_unwind(|| {
-        let mut core: ExecCore<u32> = ExecCore::new(2);
-        core.seed(NodeId::new(0), Verdict::Active(1));
-        // Pre-fix, in release builds, this second seed went through and
-        // node 0 sat on the frontier twice.
-        core.seed(NodeId::new(0), Verdict::Active(2));
-        core.awake().len()
-    });
-    match result {
-        Err(payload) => {
-            let msg = panic_message(payload.as_ref());
-            assert!(msg.contains("seeded twice"), "unexpected panic: {msg}");
-        }
-        Ok(frontier_len) => panic!(
-            "double seed was accepted (frontier length {frontier_len}); \
-             the node would be stepped twice per round"
-        ),
+/// Every node is awake from the start, and every step asks to sleep.
+struct SleepyStep;
+impl<T: Topology> SyncAlgorithm<T> for SleepyStep {
+    type State = u32;
+    fn init(&self, _ctx: &Ctx<T>, _v: NodeId) -> Verdict<u32> {
+        Verdict::Active(0)
     }
-}
-
-#[test]
-fn reseeding_a_halted_node_is_rejected_in_every_profile() {
-    let result = std::panic::catch_unwind(|| {
-        let mut core: ExecCore<u32> = ExecCore::new(1);
-        core.seed(NodeId::new(0), Verdict::Halted(7));
-        core.seed(NodeId::new(0), Verdict::Active(1));
-    });
-    let payload = result.expect_err("re-seeding a halted node must panic");
-    assert!(panic_message(payload.as_ref()).contains("seeded twice"));
+    fn step(
+        &self,
+        _ctx: &Ctx<T>,
+        _v: NodeId,
+        _round: u64,
+        own: u32,
+        _prev: &Ports<'_, u32>,
+    ) -> Verdict<u32> {
+        Verdict::SleepUntil(own, 5)
+    }
 }
 
 /// Only seeding may put a node to sleep. A step that returned
 /// `SleepUntil` would drop an awake node from every later round without
-/// halting it, so the run fails a named invariant in every profile.
+/// halting it, so the run fails a named invariant in every profile, on
+/// the pool as well as inline.
 #[test]
 fn a_step_that_sleeps_fails_its_invariant_in_every_profile() {
+    // Above the pool threshold, so two threads really split the round.
+    let g = treelocal_gen::path(2048);
+    let ctx = Ctx::of(&g);
     for threads in [1, 2] {
         let result = std::panic::catch_unwind(|| {
-            let g = treelocal_gen::path(2048);
-            let mut core: ExecCore<u32> = ExecCore::new(2048);
-            for i in 0..2048 {
-                core.seed(NodeId::new(i), Verdict::Active(0));
-            }
-            core.begin_round(10);
-            core.step(threads, &g, |_, own, _| Verdict::SleepUntil(own, 5));
+            par::with_threads(threads, || run(&ctx, &SleepyStep, 10).rounds)
         });
         let payload = result.expect_err("a sleeping step verdict must be rejected");
         let msg = panic_message(payload.as_ref());
